@@ -716,6 +716,28 @@ func runImplicitSweep(netName string, l int, nucleus string, sym bool, ratios []
 			var headRouter *obs.RouterStats
 			for rep := 0; rep < o.repeat; rep++ {
 				pb, col := o.build(imp.Module)
+				// record takes the run's stats at their own type, so every
+				// path keeps its manifest keys; st is their FaultStats view.
+				record := func(stats any, st netsim.FaultStats, router obs.RouterStats) {
+					pct := percentiles(o.hist, st.P50Latency, st.P95Latency, st.P99Latency)
+					samples = append(samples, obs.Manifest{Stats: stats, Percentiles: pct, Router: &router}.Flatten())
+					if rep > 0 {
+						return
+					}
+					headStats, headPct, headRouter = stats, pct, &router
+					if plan == nil {
+						fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-8d %-10.2f %-8d%s\n",
+							ratio, rate, st.Injected, st.Delivered, st.Expired, st.AvgLatency, st.MaxLatency,
+							quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
+					} else {
+						fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-6d %-8d %-6d %-10.2f %-9d %-9d %-9d%s\n",
+							ratio, rate, st.Injected, st.Delivered, st.Lost, st.Expired, st.HopLimitDrops,
+							st.AvgLatency, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops,
+							quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
+					}
+					exitIf(router.WriteText(console))
+					col.export(o, ratio, rate, multi)
+				}
 				if shards > 0 {
 					st, err := netsim.RunSharded(netsim.ShardedConfig{
 						NewLane:         newLane,
@@ -730,24 +752,7 @@ func runImplicitSweep(netName string, l int, nucleus string, sym bool, ratios []
 						Probe:           pb,
 					})
 					exitIf(err)
-					pct := percentiles(o.hist, st.P50Latency, st.P95Latency, st.P99Latency)
-					samples = append(samples, obs.Manifest{Stats: st, Percentiles: pct, Router: &st.Router}.Flatten())
-					if rep > 0 {
-						continue
-					}
-					headStats, headPct, headRouter = st, pct, &st.Router
-					if plan == nil {
-						fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-8d %-10.2f %-8d%s\n",
-							ratio, rate, st.Injected, st.Delivered, st.Expired, st.AvgLatency, st.MaxLatency,
-							quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
-					} else {
-						fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-6d %-8d %-6d %-10.2f %-9d %-9d %-9d%s\n",
-							ratio, rate, st.Injected, st.Delivered, st.Lost, st.Expired, st.HopLimitDrops,
-							st.AvgLatency, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops,
-							quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
-					}
-					exitIf(st.Router.WriteText(console))
-					col.export(o, ratio, rate, multi)
+					record(st, st.FaultStats, st.Router)
 					continue
 				}
 				cfg := netsim.ImplicitConfig{
@@ -771,17 +776,7 @@ func runImplicitSweep(netName string, l int, nucleus string, sym bool, ratios []
 					}
 					st, err := netsim.RunImplicit(cfg)
 					exitIf(err)
-					pct := percentiles(o.hist, st.P50Latency, st.P95Latency, st.P99Latency)
-					samples = append(samples, obs.Manifest{Stats: st, Percentiles: pct, Router: &st.Router}.Flatten())
-					if rep > 0 {
-						continue
-					}
-					headStats, headPct, headRouter = st, pct, &st.Router
-					fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-8d %-10.2f %-8d%s\n",
-						ratio, rate, st.Injected, st.Delivered, st.Expired, st.AvgLatency, st.MaxLatency,
-						quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
-					exitIf(st.Router.WriteText(console))
-					col.export(o, ratio, rate, multi)
+					record(st, netsim.FaultStats{Stats: st.Stats}, st.Router)
 					continue
 				}
 				// Fresh fault state per run: the scheduler re-applies the plan,
@@ -794,18 +789,7 @@ func runImplicitSweep(netName string, l int, nucleus string, sym bool, ratios []
 				}
 				st, err := netsim.RunImplicitFaulty(cfg, netsim.ImplicitFaultConfig{Plan: plan, Faults: fs})
 				exitIf(err)
-				pct := percentiles(o.hist, st.P50Latency, st.P95Latency, st.P99Latency)
-				samples = append(samples, obs.Manifest{Stats: st, Percentiles: pct, Router: &st.Router}.Flatten())
-				if rep > 0 {
-					continue
-				}
-				headStats, headPct, headRouter = st, pct, &st.Router
-				fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-6d %-8d %-6d %-10.2f %-9d %-9d %-9d%s\n",
-					ratio, rate, st.Injected, st.Delivered, st.Lost, st.Expired, st.HopLimitDrops,
-					st.AvgLatency, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops,
-					quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
-				exitIf(st.Router.WriteText(console))
-				col.export(o, ratio, rate, multi)
+				record(st, st.FaultStats, st.Router)
 			}
 			o.writeManifest(name, runConfig(ratio, rate, warmup, cycles, nFaults, shards), seed,
 				headStats, headPct, headRouter, samples, ratio, rate, multi)

@@ -1,20 +1,19 @@
-// The unified simulation engine. The four public entry points — Run,
-// RunFaulty, RunImplicit, RunImplicitFaulty — used to be four near-duplicate
-// event loops; they are now four configurations of the one engine in this
-// file: one packet struct (epacket), one link-FIFO/active-list core
-// (linkStore: dense for materialized graphs, sparse for implicit
-// topologies), one future-arrival ring, one injection sampler, and one
-// per-cycle phase order
+// The unified simulation engine. Every simulator in this package runs on
+// the one engine in this file: one packet struct (epacket), one link-FIFO/
+// active-list core (linkStore: dense for materialized graphs, sparse for
+// implicit topologies), one future-arrival ring, one injection sampler, and
+// one per-cycle phase order
 //
 //	tick → apply topology changes → deliver arrivals → fire retransmission
 //	timers → inject (or test the drain break) → advance links
 //
-// parameterized by closures for the parts that genuinely differ: routing
-// (BFS tables / adaptive spread / algebraic Router, with or without fault
-// detours), delivery bookkeeping (plain counters vs. flow-table duplicate
-// suppression), hop-limit policy (hard error vs. counted drop), and fault
-// handling. The closures capture each variant's statistics directly, so the
-// engine itself holds no Stats.
+// parameterized by closures for the parts that genuinely differ. There are
+// three wirings of those closures: Run (BFS tables or adaptive spread over a
+// materialized graph), RunFaulty (the same plus flow-table duplicate
+// suppression, retransmission and table repair), and the lane runner in
+// sharded.go, which serves RunImplicit, RunImplicitFaulty and RunSharded
+// (algebraic Router, with or without fault detours). The closures capture
+// each variant's statistics directly, so the engine itself holds no Stats.
 //
 // Bit-for-bit compatibility contract: every variant must consume the run's
 // RNG in exactly the order the pre-refactor loops did (injection draws,
@@ -119,23 +118,25 @@ type engine struct {
 	// crossSend intercepts a transmitted packet whose head node another
 	// lane owns (sharded runs): a true return means the hook captured the
 	// packet (into a cross-lane outbox) and it must not enter the local
-	// arrival ring. Nil — every sequential variant — keeps everything local.
+	// arrival ring. Nil — materialized and single-lane runs — keeps
+	// everything local.
 	crossSend func(now, delay int, dst int64, pkt epacket) bool
 }
 
 // run executes the clock loop until the drain deadline, the variant's early
-// break, or an error.
-func (e *engine) run() error {
-	for now := 0; now < e.deadline; now++ {
+// break, or an error, and returns the cycle it stopped on.
+func (e *engine) run() (int, error) {
+	now := 0
+	for ; now < e.deadline; now++ {
 		stop, err := e.step(now)
 		if err != nil {
-			return err
+			return now, err
 		}
 		if stop {
 			break
 		}
 	}
-	return nil
+	return now, nil
 }
 
 // step executes one cycle of the clock loop: tick, topology changes,

@@ -491,7 +491,7 @@ func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 	e.canStop = func(int) bool { return outstandingMeasured == 0 }
 	e.blocked = func(lk *elink) bool { return nodeDownCnt[lk.u] > 0 || lk.downCnt > 0 }
 
-	if err := e.run(); err != nil {
+	if _, err := e.run(); err != nil {
 		return st, err
 	}
 	// Flows still pending at the deadline are lost; the measured ones are

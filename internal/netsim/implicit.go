@@ -59,10 +59,11 @@ type ImplicitConfig struct {
 	Pattern func(src int64, n int64, rng *rand.Rand) int64
 	// MaxHops aborts the run with an error if any packet exceeds it
 	// (default 4096): algebraic routers are deterministic oracles, and a
-	// buggy one could otherwise cycle a packet forever.
+	// buggy one could otherwise cycle a packet forever. A degraded run
+	// drops the packet instead (see RunImplicitFaulty).
 	MaxHops int
 	// Script injects the listed packets at their scheduled cycles, after
-	// that cycle's random injections (entries are stably sorted by At, so
+	// that cycle's random injections (a copy is stably sorted by At, so
 	// same-cycle order is preserved). Scripted injections consume no
 	// randomness — adding a script leaves the random traffic stream
 	// bit-for-bit untouched — and are counted in the stats like any other
@@ -148,20 +149,11 @@ func (cfg *ImplicitConfig) normalize() error {
 			return fmt.Errorf("netsim: scripted injection %d: invalid pair %d -> %d", i, sc.Src, sc.Dst)
 		}
 	}
-	sort.SliceStable(cfg.Script, func(i, j int) bool { return cfg.Script[i].At < cfg.Script[j].At })
+	// Sort a copy: the caller owns the slice, and concurrent runs may share it.
+	script := append([]Injection(nil), cfg.Script...)
+	sort.SliceStable(script, func(i, j int) bool { return script[i].At < script[j].At })
+	cfg.Script = script
 	return nil
-}
-
-// implicitPeriod is the link service-period policy of the implicit
-// configurations, shared by RunImplicit and RunImplicitFaulty: links
-// crossing a ModuleOf boundary cost OffModulePeriod, everything else 1.
-func implicitPeriod(cfg *ImplicitConfig) func(u, v int64) int {
-	return func(u, v int64) int {
-		if cfg.ModuleOf == nil || cfg.ModuleOf(u) == cfg.ModuleOf(v) {
-			return 1
-		}
-		return cfg.OffModulePeriod
-	}
 }
 
 // RunImplicit executes the simulation against an implicit topology. It is
@@ -169,127 +161,9 @@ func implicitPeriod(cfg *ImplicitConfig) func(u, v int64) int {
 // arrival ring are allocated on demand and reclaimed when idle, and next
 // hops come from the algebraic Router, so total memory is proportional to
 // the in-flight packet population — independent of N. Runs are deterministic
-// in the configuration (including Seed) and unperturbed by cfg.Probe.
+// in the configuration (including Seed) and unperturbed by cfg.Probe. It is
+// RunImplicitFaulty without a fault plan.
 func RunImplicit(cfg ImplicitConfig) (ImplicitStats, error) {
-	var out ImplicitStats
-	if err := cfg.normalize(); err != nil {
-		return out, err
-	}
-	n := cfg.Topo.N()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	statser, _ := cfg.Router.(routerStatser)
-	var routerBase obs.RouterStats
-	if statser != nil {
-		routerBase = statser.RouterStats()
-	}
-
-	st := &out.Stats
-	var latencySum int64
-	inFlightMeasured := 0
-	var nextID int64
-
-	e := &engine{
-		pb:         cfg.Probe, // nil fast path: no obs code runs uninstrumented
-		store:      newSparseLinks(cfg.Topo),
-		ring:       make([][]earrival, cfg.OffModulePeriod*cfg.Flits+1),
-		flits:      cfg.Flits,
-		cutThrough: cfg.CutThrough,
-		period:     implicitPeriod(&cfg),
-		total:      cfg.WarmupCycles + cfg.MeasureCycles,
-		hopLimit:   cfg.MaxHops,
-	}
-	e.deadline = e.total + cfg.DrainCycles
-	e.route = func(_ int, at int64, pkt *epacket) (int64, bool, error) {
-		nh, err := cfg.Router.NextHop(at, pkt.dst)
-		if err != nil {
-			return 0, false, err
-		}
-		return nh, true, nil
-	}
-	// Algebraic routers are deterministic oracles: a packet that exceeds
-	// the hop budget in a fault-free run means a cycling router, which is a
-	// bug, so the run aborts.
-	e.onHopLimit = func(_ int, at int64, pkt *epacket) error {
-		return fmt.Errorf("netsim: packet for %d exceeded %d hops at %d (router livelock?)", pkt.dst, cfg.MaxHops, at)
-	}
-	e.deliver = func(now int, at int64, pkt *epacket) {
-		lat := now - pkt.born
-		if pkt.measured {
-			st.Delivered++
-			inFlightMeasured--
-			latencySum += int64(lat)
-			if lat > st.MaxLatency {
-				st.MaxLatency = lat
-			}
-		}
-		if e.pb != nil {
-			e.pb.Deliver(now, pkt.id, at, lat, pkt.measured)
-		}
-	}
-	scriptPos := 0
-	e.inject = func(now int) error {
-		for k := injectionCount(n, cfg.InjectionRate, rng); k > 0; k-- {
-			src := rng.Int63n(n)
-			var dst int64
-			if cfg.Pattern != nil {
-				dst = cfg.Pattern(src, n, rng)
-			} else {
-				dst = uniformDst64(src, n, rng)
-			}
-			if dst == src || dst < 0 || dst >= n {
-				continue
-			}
-			measured := now >= cfg.WarmupCycles
-			if measured {
-				st.Injected++
-				inFlightMeasured++
-			}
-			id := nextID
-			nextID++
-			if e.pb != nil {
-				e.pb.Inject(now, id, src, dst, measured)
-			}
-			if err := e.enqueue(now, src, epacket{id: id, dst: dst, born: now, measured: measured}); err != nil {
-				return err
-			}
-		}
-		for scriptPos < len(cfg.Script) && cfg.Script[scriptPos].At == now {
-			sc := cfg.Script[scriptPos]
-			scriptPos++
-			measured := now >= cfg.WarmupCycles
-			if measured {
-				st.Injected++
-				inFlightMeasured++
-			}
-			id := nextID
-			nextID++
-			if e.pb != nil {
-				e.pb.Inject(now, id, sc.Src, sc.Dst, measured)
-			}
-			if err := e.enqueue(now, sc.Src, epacket{id: id, dst: sc.Dst, born: now, measured: measured}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	e.canStop = func(int) bool { return inFlightMeasured == 0 }
-
-	if err := e.run(); err != nil {
-		return out, err
-	}
-	st.Expired = inFlightMeasured
-	if st.Delivered > 0 {
-		st.AvgLatency = float64(latencySum) / float64(st.Delivered)
-	}
-	if cfg.MeasureCycles > 0 {
-		st.Throughput = float64(st.Delivered) / float64(n) / float64(cfg.MeasureCycles)
-	}
-	st.fillQuantiles(e.pb)
-	if statser != nil {
-		out.Router = statser.RouterStats().Delta(routerBase)
-		if ro, ok := e.pb.(obs.RouterObserver); ok {
-			ro.ObserveRouter(out.Router)
-		}
-	}
-	return out, nil
+	st, err := RunImplicitFaulty(cfg, ImplicitFaultConfig{})
+	return ImplicitStats{Stats: st.Stats, Router: st.Router}, err
 }

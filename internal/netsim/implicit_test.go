@@ -212,21 +212,29 @@ func (loopRouter) NextHop(cur, dst int64) (int64, error) {
 }
 
 // TestRunImplicitLivelockGuard checks that MaxHops converts a cycling
-// router into an error instead of an unbounded run.
+// router into an error instead of an unbounded run. An empty fault plan is
+// not degraded mode, so RunImplicitFaulty without faults errors too.
 func TestRunImplicitLivelockGuard(t *testing.T) {
-	_, err := RunImplicit(ImplicitConfig{
+	cfg := ImplicitConfig{
 		Topo:          topo.HypercubeTopo{Dim: 6},
 		Router:        loopRouter{},
 		InjectionRate: 0.5,
 		WarmupCycles:  10, MeasureCycles: 100, Seed: 1,
 		MaxHops: 32,
-	})
-	if err == nil {
-		t.Fatal("livelocked router not detected")
 	}
+	_, plainErr := RunImplicit(cfg)
+	_, faultyErr := RunImplicitFaulty(cfg, ImplicitFaultConfig{})
 	want := fmt.Sprintf("exceeded %d hops", 32)
-	if got := err.Error(); !contains(got, want) {
-		t.Fatalf("error %q does not mention hop bound", got)
+	for _, run := range []struct {
+		name string
+		err  error
+	}{{"RunImplicit", plainErr}, {"RunImplicitFaulty without a plan", faultyErr}} {
+		if run.err == nil {
+			t.Fatalf("%s: livelocked router not detected", run.name)
+		}
+		if got := run.err.Error(); !contains(got, want) {
+			t.Fatalf("%s: error %q does not mention hop bound", run.name, got)
+		}
 	}
 }
 

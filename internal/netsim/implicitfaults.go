@@ -11,14 +11,12 @@
 // — so there is no NotifyDelay and no retransmission protocol; a packet that
 // cannot be rerouted (destination dead, region disconnected, or hop budget
 // exhausted) is dropped and counted rather than recovered end-to-end.
+//
+// This file holds the fault-side contracts and the RunImplicitFaulty
+// adapter; the engine hooks live in the lane runner (sharded.go).
 package netsim
 
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/obs"
-)
+import "fmt"
 
 // FaultSink is the id-space liveness store shared between RunImplicitFaulty
 // and a fault-aware router. It is satisfied by *topo.FaultSet; declaring it
@@ -63,325 +61,58 @@ type ImplicitFaultConfig struct {
 	Faults FaultSink
 }
 
-// RunImplicitFaulty executes the implicit-topology simulation under fc.Plan.
-// With a nil/empty plan it consumes the RNG identically to RunImplicit and
-// returns stat-identical results (the embedded Stats match field for field).
+// RunImplicitFaulty executes the implicit-topology simulation under fc.Plan
+// as a single-lane run of the lane runner behind RunSharded. With a
+// nil/empty plan it is RunImplicit: the same RNG stream and the same Stats.
 // Runs are deterministic in the configuration: fault application, algebraic
 // rerouting, and packet drops consume no randomness.
 //
-// Degraded-mode semantics, mirroring RunFaulty where both have the concept:
-//   - Scheduled faults (and repairs) are applied when the clock reaches
-//     their cycle: link faults kill the arc (both arcs when the topology is
+// The degraded-mode rule, shared by every implicit simulator: a run is
+// degraded iff its plan is non-empty. A degraded run, mirroring RunFaulty
+// where both have the concept:
+//   - applies scheduled faults (and repairs) when the clock reaches their
+//     cycle: link faults kill the arc (both arcs when the topology is
 //     undirected), node faults kill the node and drop everything queued on
-//     its outgoing links.
-//   - A packet arriving at a dead node is lost.
-//   - A packet stranded on a link that just died is re-routed from the
-//     link's tail through the (fault-aware) router.
-//   - Dead sources stay silent and dead destinations are not selected for
-//     injection (the draws still happen, keeping the RNG stream aligned).
-//   - A packet exceeding ImplicitConfig.MaxHops is dropped and counted
-//     (HopLimitDrops + Lost) instead of aborting the run: under faults,
-//     livelock-like trajectories are a property of the fault pattern, not
-//     necessarily a router bug. Fault-free RunImplicit keeps its hard error.
-//   - A router that cannot produce a next hop (destination dead or region
-//     disconnected) costs the packet its life: Lost++, run continues.
+//     its outgoing links;
+//   - loses a packet arriving at a dead node;
+//   - re-routes a packet stranded on a link that just died from the link's
+//     tail through the (fault-aware) router;
+//   - keeps dead sources silent and skips dead destinations at injection
+//     (the draws still happen, keeping the RNG stream aligned); scripted
+//     sends obey the same rule;
+//   - drops and counts (HopLimitDrops + Lost) a packet exceeding
+//     ImplicitConfig.MaxHops: under faults, livelock-like trajectories are
+//     a property of the fault pattern, not necessarily a router bug;
+//   - drops and counts (Lost) a packet its router cannot route (destination
+//     dead or region disconnected).
+//
+// A run that is not degraded aborts with an error on either of the last two:
+// without faults, a router that cycles or fails is broken. In both modes the
+// router is asked through NextHopFlagged when it implements it, so
+// DeliveredDegraded counts deliveries that took a fault detour.
 func RunImplicitFaulty(cfg ImplicitConfig, fc ImplicitFaultConfig) (ImplicitFaultStats, error) {
-	var out ImplicitFaultStats
 	if err := cfg.normalize(); err != nil {
-		return out, err
+		return ImplicitFaultStats{}, err
 	}
 	if fc.Plan.Len() > 0 && fc.Faults == nil {
-		return out, fmt.Errorf("netsim: a fault plan needs a FaultSink shared with the router")
+		return ImplicitFaultStats{}, fmt.Errorf("netsim: a fault plan needs a FaultSink shared with the router")
 	}
-	if err := fc.Plan.ValidateTopo(cfg.Topo); err != nil {
-		return out, err
-	}
-	n := cfg.Topo.N()
-	directed := cfg.Topo.Directed()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	faults := fc.Faults
-	pb := cfg.Probe // nil-check fast path, as in RunImplicit
-	flagged, _ := cfg.Router.(flaggedRouter)
-	counter, _ := cfg.Router.(rerouteCounter)
-	var baseReroutes, baseDetours uint64
-	if counter != nil {
-		baseReroutes, baseDetours = counter.RerouteCounts()
-	}
-	statser, _ := cfg.Router.(routerStatser)
-	var routerBase obs.RouterStats
-	if statser != nil {
-		routerBase = statser.RouterStats()
-	}
-
-	// Scheduled events, bucketed by cycle (strike and repair).
-	type topoChange struct {
-		kind FaultKind
-		u, v int64
-		down bool
-	}
-	changesAt := map[int][]topoChange{}
-	lastChange := -1
-	for _, ev := range fc.Plan.sorted() {
-		changesAt[ev.Cycle] = append(changesAt[ev.Cycle], topoChange{kind: ev.Kind, u: int64(ev.U), v: int64(ev.V), down: true})
-		if ev.Cycle > lastChange {
-			lastChange = ev.Cycle
-		}
-		if ev.Transient() {
-			changesAt[ev.Repair] = append(changesAt[ev.Repair], topoChange{kind: ev.Kind, u: int64(ev.U), v: int64(ev.V), down: false})
-			if ev.Repair > lastChange {
-				lastChange = ev.Repair
-			}
-		}
-	}
-
-	st := &out.FaultStats
-	var latencySum int64
-	inFlightMeasured := 0
-
-	sparse := newSparseLinks(cfg.Topo)
-	e := &engine{
-		pb:         pb,
-		store:      sparse,
-		ring:       make([][]earrival, cfg.OffModulePeriod*cfg.Flits+1),
-		flits:      cfg.Flits,
-		cutThrough: cfg.CutThrough,
-		period:     implicitPeriod(&cfg),
-		total:      cfg.WarmupCycles + cfg.MeasureCycles,
-		hopLimit:   cfg.MaxHops,
-	}
-	e.deadline = e.total + cfg.DrainCycles
-
-	// lose drops a packet; like RunFaulty, loss counters track measured
-	// traffic only, so Injected == Delivered + Lost + Expired. The probe,
-	// in contrast, sees every dropped copy (measured or not), tagged with
-	// where and why it died.
-	lose := func(now int, at int64, pkt *epacket, reason obs.DropReason) {
-		if pkt.measured {
-			st.Lost++
-			inFlightMeasured--
-		}
-		if pb != nil {
-			pb.Drop(now, pkt.id, at, reason)
-		}
-	}
-	e.deliver = func(now int, at int64, pkt *epacket) {
-		lat := now - pkt.born
-		if pkt.measured {
-			st.Delivered++
-			if pkt.degraded {
-				st.DeliveredDegraded++
-			}
-			inFlightMeasured--
-			latencySum += int64(lat)
-			if lat > st.MaxLatency {
-				st.MaxLatency = lat
-			}
-		}
-		if pb != nil {
-			pb.Deliver(now, pkt.id, at, lat, pkt.measured)
-		}
-	}
-	// Livelock watchdog: under faults a hop-budget overrun is a property of
-	// the fault pattern, so the packet dies, not the run.
-	e.onHopLimit = func(now int, at int64, pkt *epacket) error {
-		if pkt.measured {
-			st.HopLimitDrops++
-		}
-		lose(now, at, pkt, obs.DropHopLimit)
-		return nil
-	}
-	e.route = func(now int, at int64, pkt *epacket) (int64, bool, error) {
-		var nh int64
-		var detoured bool
-		var err error
-		if flagged != nil {
-			nh, detoured, err = flagged.NextHopFlagged(at, pkt.dst)
-		} else {
-			nh, err = cfg.Router.NextHop(at, pkt.dst)
-		}
-		if err != nil {
-			// Destination dead or no fault-free route derivable: the packet
-			// is lost; the run continues. (A non-neighbor next hop, by
-			// contrast, is a router bug: the link store's hard error stops
-			// the run.)
-			lose(now, at, pkt, obs.DropNoRoute)
-			return 0, false, nil
-		}
-		pkt.degraded = pkt.degraded || detoured
-		return nh, true, nil
-	}
-
-	// strand re-routes everything queued on a link that just died, from the
-	// link's tail node; dead-node drops are handled by applyChange.
-	strand := func(now int, lk *elink) error {
-		q := lk.queue
-		lk.queue = nil
-		for _, pkt := range q {
-			if err := e.enqueue(now, lk.u, pkt); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	applyChange := func(now int, c topoChange) error {
-		switch c.kind {
-		case NodeFault:
-			if pb != nil {
-				pb.Fault(now, c.u, -1, true, c.down)
-			}
-			if c.down {
-				faults.FailNode(c.u)
-				st.FaultsInjected++
-				if faults.NodeDown(c.u) {
-					// Everything queued on the dead node's outgoing links is
-					// lost (first strike or overlapping, the queues are dead
-					// either way).
-					sparse.eachFrom(c.u, func(lk *elink) {
-						for i := range lk.queue {
-							lose(now, c.u, &lk.queue[i], obs.DropQueueKilled)
-						}
-						lk.queue = nil
-					})
-				}
-			} else {
-				faults.RepairNode(c.u)
-				st.FaultsRepaired++
-			}
-		case LinkFault:
-			if pb != nil {
-				pb.Fault(now, c.u, c.v, false, c.down)
-			}
-			if c.down {
-				faults.FailLink(c.u, c.v)
-				if !directed {
-					faults.FailLink(c.v, c.u)
-				}
-				st.FaultsInjected++
-				// Re-route stranded queues through the fault-aware router.
-				for _, arc := range [2][2]int64{{c.u, c.v}, {c.v, c.u}} {
-					if directed && arc != [2]int64{c.u, c.v} {
-						continue
-					}
-					if lk := sparse.peek(arc[0], arc[1]); lk != nil && len(lk.queue) > 0 {
-						if err := strand(now, lk); err != nil {
-							return err
-						}
-					}
-				}
-			} else {
-				faults.RepairLink(c.u, c.v)
-				if !directed {
-					faults.RepairLink(c.v, c.u)
-				}
-				st.FaultsRepaired++
-			}
-		}
-		return nil
-	}
-	// The fault-set epoch bump on each change invalidates the router's
-	// cached source routes.
-	e.applyChanges = func(now int) error {
-		if cs, hit := changesAt[now]; hit {
-			for _, c := range cs {
-				if err := applyChange(now, c); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	e.arrivalDead = func(now int, node int64, pkt *epacket) bool {
-		if faults != nil && faults.NodeDown(node) {
-			// Arrived at a dead router: packet lost.
-			lose(now, node, pkt, obs.DropDeadRouter)
-			return true
-		}
-		return false
-	}
-	// Inject new traffic (same RNG stream as RunImplicit; dead sources and
-	// sinks skip after the draws).
-	var nextID int64
-	scriptPos := 0
-	e.inject = func(now int) error {
-		for k := injectionCount(n, cfg.InjectionRate, rng); k > 0; k-- {
-			src := rng.Int63n(n)
-			var dst int64
-			if cfg.Pattern != nil {
-				dst = cfg.Pattern(src, n, rng)
-			} else {
-				dst = uniformDst64(src, n, rng)
-			}
-			if dst == src || dst < 0 || dst >= n {
-				continue
-			}
-			if faults != nil && (faults.NodeDown(src) || faults.NodeDown(dst)) {
-				continue // dead sources stay silent; dead sinks are skipped
-			}
-			measured := now >= cfg.WarmupCycles
-			if measured {
-				st.Injected++
-				inFlightMeasured++
-			}
-			id := nextID
-			nextID++
-			if pb != nil {
-				pb.Inject(now, id, src, dst, measured)
-			}
-			if err := e.enqueue(now, src, epacket{id: id, dst: dst, born: now, measured: measured}); err != nil {
-				return err
-			}
-		}
-		for scriptPos < len(cfg.Script) && cfg.Script[scriptPos].At == now {
-			sc := cfg.Script[scriptPos]
-			scriptPos++
-			if faults != nil && (faults.NodeDown(sc.Src) || faults.NodeDown(sc.Dst)) {
-				continue // scripted sends obey the same dead-endpoint rule
-			}
-			measured := now >= cfg.WarmupCycles
-			if measured {
-				st.Injected++
-				inFlightMeasured++
-			}
-			id := nextID
-			nextID++
-			if pb != nil {
-				pb.Inject(now, id, sc.Src, sc.Dst, measured)
-			}
-			if err := e.enqueue(now, sc.Src, epacket{id: id, dst: sc.Dst, born: now, measured: measured}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	e.canStop = func(now int) bool { return inFlightMeasured == 0 && now > lastChange }
-	e.blocked = func(lk *elink) bool {
-		// Dead tail or dead link: the queue waits for a repair (a link
-		// strike re-routes it via strand; this path holds packets queued on
-		// links that died while busy).
-		return faults != nil && (faults.NodeDown(lk.u) || faults.LinkDown(lk.u, lk.v))
-	}
-
-	if err := e.run(); err != nil {
-		return out, err
-	}
-	st.Expired = inFlightMeasured
-	if st.Delivered > 0 {
-		st.AvgLatency = float64(latencySum) / float64(st.Delivered)
-	}
-	if cfg.MeasureCycles > 0 {
-		st.Throughput = float64(st.Delivered) / float64(n) / float64(cfg.MeasureCycles)
-	}
-	if counter != nil {
-		re, dh := counter.RerouteCounts()
-		st.RerouteEvents = int(re - baseReroutes)
-		st.MisroutedHops = int(dh - baseDetours)
-	}
-	st.fillQuantiles(pb)
-	if statser != nil {
-		out.Router = statser.RouterStats().Delta(routerBase)
-		if ro, ok := pb.(obs.RouterObserver); ok {
-			ro.ObserveRouter(out.Router)
-		}
-	}
-	return out, nil
+	return runLanes(ShardedConfig{
+		NewLane: func() (Topology, Router, FaultSink, error) {
+			return cfg.Topo, cfg.Router, fc.Faults, nil
+		},
+		InjectionRate:   cfg.InjectionRate,
+		WarmupCycles:    cfg.WarmupCycles,
+		MeasureCycles:   cfg.MeasureCycles,
+		DrainCycles:     cfg.DrainCycles,
+		Seed:            cfg.Seed,
+		Flits:           cfg.Flits,
+		CutThrough:      cfg.CutThrough,
+		OffModulePeriod: cfg.OffModulePeriod,
+		MaxHops:         cfg.MaxHops,
+		Lanes:           1,
+		Plan:            fc.Plan,
+		Pattern:         cfg.Pattern,
+		Probe:           cfg.Probe,
+	}, cfg.ModuleOf, cfg.Script)
 }

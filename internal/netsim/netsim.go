@@ -376,7 +376,7 @@ func runNormalized(cfg Config) (Stats, error) {
 	}
 	e.canStop = func(int) bool { return inFlightMeasured == 0 }
 
-	if err := e.run(); err != nil {
+	if _, err := e.run(); err != nil {
 		return st, err
 	}
 	st.Expired = inFlightMeasured

@@ -130,3 +130,20 @@ func TestScriptValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestScriptCallerSliceUntouched: a run sorts its own copy of the script,
+// so the caller's slice keeps its order (and runs may share one script).
+func TestScriptCallerSliceUntouched(t *testing.T) {
+	script := []Injection{{At: 5, Src: 0, Dst: 7}, {At: 1, Src: 3, Dst: 4}}
+	st, err := RunImplicit(ImplicitConfig{Topo: topo.HypercubeTopo{Dim: 3},
+		Router: topo.HypercubeRouter{Dim: 3}, MeasureCycles: 20, Seed: 1, Script: script})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Injected != 2 || st.Delivered != 2 {
+		t.Fatalf("injected %d, delivered %d; want both scripted sends", st.Injected, st.Delivered)
+	}
+	if script[0].At != 5 || script[1].At != 1 {
+		t.Fatalf("caller's script reordered: %+v", script)
+	}
+}

@@ -1,26 +1,33 @@
-// Sharded parallel simulation: RunSharded partitions an implicit topology's
-// nodes by module id into fixed logical lanes, runs one engine per lane, and
-// executes the lanes on Shards worker goroutines under a conservative
-// lookahead window — classic conservative parallel discrete-event simulation
-// with the window set to the minimum cross-lane link delay. Because lanes
-// (not workers) own all mutable state — link FIFOs, arrival rings, RNG
-// streams, routers, fault sets, statistics, probe buffers — and cross-lane
-// packets are exchanged only at window barriers in a fixed (destination
-// lane, source lane, FIFO order) merge, the results are bit-for-bit
-// identical for every Shards value: Shards chooses how many lanes run at
-// once, never what they compute. TestShardedDeterminism pins this.
+// The lane runner: the one wiring of the engine's hooks for implicit
+// topologies. RunImplicit, RunImplicitFaulty and RunSharded all end in
+// runLanes; the sequential entry points are single-lane runs of it.
 //
-// The window works because lanes partition modules: every cross-lane link
-// crosses a module boundary, so its delay is exactly OffModulePeriod (cut-
-// through) or OffModulePeriod*Flits (store-and-forward) cycles, and a packet
-// transmitted during window k cannot arrive before window k+1 begins. Intra-
-// lane traffic never waits for a barrier.
+// A lane owns a set of whole modules and everything mutable about them:
+// link FIFOs, arrival ring, RNG stream, router, fault sink, statistics and
+// probe buffer. RunSharded deals modules to cfg.Lanes lanes (lane(u) =
+// Module(u) % Lanes) and executes them on Shards worker goroutines under a
+// conservative lookahead window — classic conservative parallel discrete-
+// event simulation with the window set to the minimum cross-lane link
+// delay. Every cross-lane link crosses a module boundary, so its delay is
+// exactly OffModulePeriod (cut-through) or OffModulePeriod*Flits (store-
+// and-forward) cycles, and a packet transmitted during window k cannot
+// arrive before window k+1 begins. Cross-lane packets are exchanged only at
+// window barriers in a fixed (destination lane, source lane, FIFO order)
+// merge, so results are bit-for-bit identical for every Shards value:
+// Shards chooses how many lanes run at once, never what they compute.
+// TestShardedDeterminism pins this.
 //
-// RunSharded draws its own per-lane RNG streams (split from Seed), so its
-// statistics are not comparable packet-for-packet with RunImplicit's single
-// global stream; the sequential engines remain the reference for that. What
-// the sharded run preserves is the model: same injection law per node, same
-// routing, same link service, same fault semantics as RunImplicitFaulty.
+// A single lane owns every node and pays none of that: it is seeded with
+// Seed itself, draws sources from the whole id range, writes straight to
+// the probe, has no cross-lane hook, and runs one window from cycle 0 to
+// the drain deadline, stopping inside the engine as soon as the network has
+// drained. Its statistics and probe stream are therefore identical to
+// RunImplicit's (fault-free) or RunImplicitFaulty's (with a plan) on the
+// same configuration; TestShardedSingleLane pins this. Multi-lane runs draw
+// per-lane RNG streams split from Seed, so they are comparable with the
+// sequential runs in distribution, not packet for packet.
+//
+// Faults follow the degraded-mode rule documented on RunImplicitFaulty.
 package netsim
 
 import (
@@ -211,15 +218,26 @@ type simLane struct {
 // cfg.Lanes lanes on cfg.Shards workers. Results are deterministic in the
 // configuration minus Shards: for fixed everything-else, every Shards value
 // produces identical ImplicitFaultStats and an identical probe event
-// sequence. With a nil/empty Plan the fault machinery is disabled and the
-// run mirrors RunImplicit's semantics; with a plan it mirrors
-// RunImplicitFaulty's (drops counted, no retransmission).
+// sequence. With a nil/empty Plan the run follows RunImplicit's semantics;
+// with a plan, RunImplicitFaulty's (drops counted, no retransmission). With
+// Lanes 1 it reproduces those runs exactly.
 func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
+	var moduleOf func(int64) int64
+	if cfg.Space != nil {
+		moduleOf = cfg.Space.Module
+	}
+	return runLanes(cfg, moduleOf, nil)
+}
+
+// runLanes is the lane runner behind every implicit entry point. moduleOf
+// decides link periods (nil = one module: every link has period 1); script
+// is injected by every lane and is only meaningful with a single lane.
+func runLanes(cfg ShardedConfig, moduleOf func(int64) int64, script []Injection) (ImplicitFaultStats, error) {
 	var out ImplicitFaultStats
 	if err := cfg.normalize(); err != nil {
 		return out, err
 	}
-	faulty := cfg.Plan.Len() > 0
+	degraded := cfg.Plan.Len() > 0
 
 	lanes := make([]*simLane, cfg.Lanes)
 	for i := range lanes {
@@ -230,7 +248,7 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 		if t == nil || r == nil {
 			return out, fmt.Errorf("netsim: lane %d: NewLane returned a nil topology or router", i)
 		}
-		if faulty && fs == nil {
+		if degraded && fs == nil {
 			return out, fmt.Errorf("netsim: lane %d: a fault plan needs a FaultSink shared with the lane's router", i)
 		}
 		lanes[i] = &simLane{idx: i, topo: t, router: r, faults: fs}
@@ -257,10 +275,11 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 		return out, fmt.Errorf("netsim: module space covers %d*%d nodes, topology has %d",
 			space.Modules(), space.ModuleSize(), n)
 	}
+	single := cfg.Lanes == 1
 	L := int64(cfg.Lanes)
 	laneOf := func(u int64) int { return int(space.Module(u) % L) }
 	period := func(u, v int64) int {
-		if cfg.Space == nil || space.Module(u) == space.Module(v) {
+		if moduleOf == nil || moduleOf(u) == moduleOf(v) {
 			return 1
 		}
 		return cfg.OffModulePeriod
@@ -269,24 +288,25 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 	// boundary, so its delay is exactly this many cycles and arrivals from
 	// window k land in window k+1 or later.
 	crossPeriod := 1
-	if cfg.Space != nil {
+	if moduleOf != nil {
 		crossPeriod = cfg.OffModulePeriod
 	}
 	window := crossPeriod
 	if !cfg.CutThrough {
 		window *= cfg.Flits
 	}
-	ringLen := crossPeriod*cfg.Flits + 1
 
 	total := cfg.WarmupCycles + cfg.MeasureCycles
-	deadline := total + cfg.DrainCycles
 	changesAt, lastChange := planChanges(cfg.Plan)
 	M, S := space.Modules(), space.ModuleSize()
 
 	for _, ln := range lanes {
 		ln := ln
-		ln.rng = rand.New(rand.NewSource(laneSeed(cfg.Seed, ln.idx)))
-		ln.outbox = make([][]laneSend, cfg.Lanes)
+		seed := cfg.Seed
+		if !single {
+			seed = laneSeed(cfg.Seed, ln.idx)
+		}
+		ln.rng = rand.New(rand.NewSource(seed))
 		ln.sparse = newSparseLinks(ln.topo)
 		if int64(ln.idx) < M {
 			ln.nOwned = ((M-1-int64(ln.idx))/L + 1) * S
@@ -301,20 +321,41 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 		}
 		ln.eng = &engine{
 			store:      ln.sparse,
-			ring:       make([][]earrival, ringLen),
+			ring:       make([][]earrival, crossPeriod*cfg.Flits+1),
 			flits:      cfg.Flits,
 			cutThrough: cfg.CutThrough,
 			period:     period,
 			total:      total,
-			deadline:   deadline,
+			deadline:   total + cfg.DrainCycles,
 			hopLimit:   cfg.MaxHops,
-			canStop:    func(int) bool { return false }, // the coordinator stops runs at barriers
 		}
-		if cfg.Probe != nil {
-			ln.log = &obs.EventLog{}
-			ln.eng.pb = ln.log
+		e := ln.eng
+		if single {
+			// The lane sees all traffic, so it can tell on its own when the
+			// network has drained; the probe needs no buffering.
+			e.pb = cfg.Probe
+			e.canStop = func(now int) bool { return ln.inFlight == 0 && now > lastChange }
+		} else {
+			if cfg.Probe != nil {
+				ln.log = &obs.EventLog{}
+				e.pb = ln.log
+			}
+			e.canStop = func(int) bool { return false } // the coordinator stops runs at barriers
+			ln.outbox = make([][]laneSend, cfg.Lanes)
+			e.crossSend = func(now, delay int, dst int64, pkt epacket) bool {
+				d := laneOf(dst)
+				if d == ln.idx {
+					return false
+				}
+				ln.outbox[d] = append(ln.outbox[d], laneSend{cycle: now + delay, node: dst, pkt: pkt})
+				return true
+			}
 		}
-		e, pb := ln.eng, ln.eng.pb
+		pb := e.pb
+
+		// lose drops a packet. Loss counters track measured traffic only, so
+		// Injected == Delivered + Lost + Expired; the probe sees every
+		// dropped copy, tagged with where and why it died.
 		lose := func(now int, at int64, pkt *epacket, reason obs.DropReason) {
 			if pkt.measured {
 				ln.st.Lost++
@@ -346,13 +387,16 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 			var nh int64
 			var detoured bool
 			var err error
-			if faulty && flagged != nil {
+			if flagged != nil {
 				nh, detoured, err = flagged.NextHopFlagged(at, pkt.dst)
 			} else {
 				nh, err = ln.router.NextHop(at, pkt.dst)
 			}
 			if err != nil {
-				if !faulty {
+				// Destination dead or no fault-free route derivable. (A
+				// non-neighbor next hop is a router bug either way: the link
+				// store's hard error stops the run.)
+				if !degraded {
 					return 0, false, err
 				}
 				lose(now, at, pkt, obs.DropNoRoute)
@@ -362,7 +406,7 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 			return nh, true, nil
 		}
 		e.onHopLimit = func(now int, at int64, pkt *epacket) error {
-			if !faulty {
+			if !degraded {
 				return fmt.Errorf("netsim: packet for %d exceeded %d hops at %d (router livelock?)", pkt.dst, cfg.MaxHops, at)
 			}
 			if pkt.measured {
@@ -371,18 +415,30 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 			lose(now, at, pkt, obs.DropHopLimit)
 			return nil
 		}
-		e.crossSend = func(now, delay int, dst int64, pkt epacket) bool {
-			d := laneOf(dst)
-			if d == ln.idx {
-				return false
+
+		emit := func(now int, src, dst int64) error {
+			measured := now >= cfg.WarmupCycles
+			if measured {
+				ln.st.Injected++
+				ln.inFlight++
 			}
-			ln.outbox[d] = append(ln.outbox[d], laneSend{cycle: now + delay, node: dst, pkt: pkt})
-			return true
+			id := ln.nextSeq*L + int64(ln.idx) // unique and Shards-independent
+			ln.nextSeq++
+			if pb != nil {
+				pb.Inject(now, id, src, dst, measured)
+			}
+			return e.enqueue(now, src, epacket{id: id, dst: dst, born: now, measured: measured})
 		}
+		scriptPos := 0
 		e.inject = func(now int) error {
 			for k := injectionCount(ln.nOwned, cfg.InjectionRate, ln.rng); k > 0; k-- {
-				i := ln.rng.Int63n(ln.nOwned)
-				src := space.ModuleNode(int64(ln.idx)+(i/S)*L, i%S)
+				var src int64
+				if single {
+					src = ln.rng.Int63n(n)
+				} else {
+					i := ln.rng.Int63n(ln.nOwned)
+					src = space.ModuleNode(int64(ln.idx)+(i/S)*L, i%S)
+				}
 				var dst int64
 				if cfg.Pattern != nil {
 					dst = cfg.Pattern(src, n, ln.rng)
@@ -392,176 +448,132 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 				if dst == src || dst < 0 || dst >= n {
 					continue
 				}
-				if faulty && (ln.faults.NodeDown(src) || ln.faults.NodeDown(dst)) {
+				if degraded && (ln.faults.NodeDown(src) || ln.faults.NodeDown(dst)) {
 					continue // dead sources stay silent; dead sinks are skipped
 				}
-				measured := now >= cfg.WarmupCycles
-				if measured {
-					ln.st.Injected++
-					ln.inFlight++
+				if err := emit(now, src, dst); err != nil {
+					return err
 				}
-				id := ln.nextSeq*L + int64(ln.idx) // unique and Shards-independent
-				ln.nextSeq++
-				if pb != nil {
-					pb.Inject(now, id, src, dst, measured)
+			}
+			// Scripted sends follow the cycle's random draws, consume no
+			// randomness, and obey the same dead-endpoint rule.
+			for ; scriptPos < len(script) && script[scriptPos].At == now; scriptPos++ {
+				sc := script[scriptPos]
+				if degraded && (ln.faults.NodeDown(sc.Src) || ln.faults.NodeDown(sc.Dst)) {
+					continue
 				}
-				if err := e.enqueue(now, src, epacket{id: id, dst: dst, born: now, measured: measured}); err != nil {
+				if err := emit(now, sc.Src, sc.Dst); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		if faulty {
-			strand := func(now int, lk *elink) error {
-				q := lk.queue
-				lk.queue = nil
-				for _, pkt := range q {
-					if err := e.enqueue(now, lk.u, pkt); err != nil {
-						return err
-					}
+		if !degraded {
+			continue
+		}
+
+		// strand re-routes everything queued on a link that just died, from
+		// the link's tail node, through the fault-aware router.
+		strand := func(now int, lk *elink) error {
+			q := lk.queue
+			lk.queue = nil
+			for _, pkt := range q {
+				if err := e.enqueue(now, lk.u, pkt); err != nil {
+					return err
 				}
-				return nil
 			}
-			// Every lane applies the liveness change to its own sink (the
-			// routers need global knowledge); only the lane owning the
-			// affected queues performs the side effects and emits the probe
-			// event.
-			applyChange := func(now int, c laneChange) error {
-				switch c.kind {
-				case NodeFault:
-					owned := laneOf(c.u) == ln.idx
-					if owned && pb != nil {
-						pb.Fault(now, c.u, -1, true, c.down)
-					}
-					if !c.down {
-						ln.faults.RepairNode(c.u)
-						return nil
-					}
-					ln.faults.FailNode(c.u)
-					if owned && ln.faults.NodeDown(c.u) {
-						ln.sparse.eachFrom(c.u, func(lk *elink) {
-							for i := range lk.queue {
-								lose(now, c.u, &lk.queue[i], obs.DropQueueKilled)
-							}
-							lk.queue = nil
-						})
-					}
-				case LinkFault:
-					if laneOf(c.u) == ln.idx && pb != nil {
-						pb.Fault(now, c.u, c.v, false, c.down)
-					}
-					if !c.down {
-						ln.faults.RepairLink(c.u, c.v)
-						if !directed {
-							ln.faults.RepairLink(c.v, c.u)
+			return nil
+		}
+		// Every lane applies the liveness change to its own sink (the
+		// routers need global knowledge; the sink's epoch bump invalidates
+		// their cached routes); only the lane owning the affected queues
+		// performs the side effects and emits the probe event.
+		applyChange := func(now int, c laneChange) error {
+			switch c.kind {
+			case NodeFault:
+				owned := laneOf(c.u) == ln.idx
+				if owned && pb != nil {
+					pb.Fault(now, c.u, -1, true, c.down)
+				}
+				if !c.down {
+					ln.faults.RepairNode(c.u)
+					return nil
+				}
+				ln.faults.FailNode(c.u)
+				if owned && ln.faults.NodeDown(c.u) {
+					// Everything queued on the dead node's outgoing links is
+					// lost (first strike or overlapping, the queues are dead
+					// either way).
+					ln.sparse.eachFrom(c.u, func(lk *elink) {
+						for i := range lk.queue {
+							lose(now, c.u, &lk.queue[i], obs.DropQueueKilled)
 						}
-						return nil
-					}
-					ln.faults.FailLink(c.u, c.v)
+						lk.queue = nil
+					})
+				}
+			case LinkFault:
+				if laneOf(c.u) == ln.idx && pb != nil {
+					pb.Fault(now, c.u, c.v, false, c.down)
+				}
+				if !c.down {
+					ln.faults.RepairLink(c.u, c.v)
 					if !directed {
-						ln.faults.FailLink(c.v, c.u)
+						ln.faults.RepairLink(c.v, c.u)
 					}
-					for _, arc := range [2][2]int64{{c.u, c.v}, {c.v, c.u}} {
-						if directed && arc != [2]int64{c.u, c.v} {
-							continue
-						}
-						if laneOf(arc[0]) != ln.idx {
-							continue
-						}
-						if lk := ln.sparse.peek(arc[0], arc[1]); lk != nil && len(lk.queue) > 0 {
-							if err := strand(now, lk); err != nil {
-								return err
-							}
-						}
-					}
+					return nil
 				}
-				return nil
-			}
-			e.applyChanges = func(now int) error {
-				if cs, hit := changesAt[now]; hit {
-					for _, c := range cs {
-						if err := applyChange(now, c); err != nil {
+				ln.faults.FailLink(c.u, c.v)
+				if !directed {
+					ln.faults.FailLink(c.v, c.u)
+				}
+				for _, arc := range [2][2]int64{{c.u, c.v}, {c.v, c.u}} {
+					if directed && arc != [2]int64{c.u, c.v} {
+						continue
+					}
+					if laneOf(arc[0]) != ln.idx {
+						continue
+					}
+					if lk := ln.sparse.peek(arc[0], arc[1]); lk != nil && len(lk.queue) > 0 {
+						if err := strand(now, lk); err != nil {
 							return err
 						}
 					}
 				}
-				return nil
 			}
-			e.arrivalDead = func(now int, node int64, pkt *epacket) bool {
-				if ln.faults.NodeDown(node) {
-					lose(now, node, pkt, obs.DropDeadRouter)
-					return true
+			return nil
+		}
+		e.applyChanges = func(now int) error {
+			for _, c := range changesAt[now] {
+				if err := applyChange(now, c); err != nil {
+					return err
 				}
-				return false
 			}
-			e.blocked = func(lk *elink) bool {
-				return ln.faults.NodeDown(lk.u) || ln.faults.LinkDown(lk.u, lk.v)
+			return nil
+		}
+		e.arrivalDead = func(now int, node int64, pkt *epacket) bool {
+			if ln.faults.NodeDown(node) {
+				lose(now, node, pkt, obs.DropDeadRouter)
+				return true
 			}
+			return false
+		}
+		// A dead tail or dead link holds its queue until a repair (a link
+		// strike re-routes the queue via strand; this holds packets queued
+		// on links that died while busy).
+		e.blocked = func(lk *elink) bool {
+			return ln.faults.NodeDown(lk.u) || ln.faults.LinkDown(lk.u, lk.v)
 		}
 	}
 
-	// The window loop: lanes run [start, end) in parallel, then the
-	// coordinator merges cross-lane outboxes in (destination lane, source
-	// lane, FIFO) order, replays the probe, and decides termination.
-	start := 0
-	for start < deadline {
-		if start >= total {
-			inFlight := 0
-			for _, ln := range lanes {
-				inFlight += ln.inFlight
-			}
-			if inFlight == 0 && start > lastChange {
-				break
-			}
-		}
-		end := start + window
-		if end > deadline {
-			end = deadline
-		}
-		if cfg.Shards == 1 {
-			for _, ln := range lanes {
-				ln.runWindow(start, end)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for w := 0; w < cfg.Shards; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for li := w; li < cfg.Lanes; li += cfg.Shards {
-						lanes[li].runWindow(start, end)
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-		for _, ln := range lanes {
-			if ln.err != nil {
-				return out, ln.err
-			}
-		}
-		for _, dst := range lanes {
-			for _, src := range lanes {
-				box := src.outbox[dst.idx]
-				for _, snd := range box {
-					slot := snd.cycle % ringLen
-					dst.eng.ring[slot] = append(dst.eng.ring[slot], earrival{node: snd.node, pkt: snd.pkt})
-				}
-				src.outbox[dst.idx] = box[:0]
-			}
-		}
-		if cfg.Probe != nil {
-			for c := start; c < end; c++ {
-				cfg.Probe.Tick(c)
-				for _, ln := range lanes {
-					ln.log.ReplayCycle(c, cfg.Probe)
-				}
-			}
-			for _, ln := range lanes {
-				ln.log.Reset()
-			}
-		}
-		start = end
+	var stop int
+	var err error
+	if single {
+		stop, err = lanes[0].eng.run()
+	} else {
+		stop, err = runWindows(lanes, cfg.Shards, window, lastChange, cfg.Probe)
+	}
+	if err != nil {
+		return out, err
 	}
 
 	st := &out.FaultStats
@@ -596,14 +608,14 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 	if cfg.MeasureCycles > 0 {
 		st.Throughput = float64(st.Delivered) / float64(n) / float64(cfg.MeasureCycles)
 	}
-	if faulty {
+	if degraded {
 		// Fault event accounting is deterministic from the plan and the stop
 		// cycle (every lane applied the same events at the same cycles).
 		for _, ev := range cfg.Plan.sorted() {
-			if ev.Cycle < start {
+			if ev.Cycle < stop {
 				st.FaultsInjected++
 			}
-			if ev.Transient() && ev.Repair < start {
+			if ev.Transient() && ev.Repair < stop {
 				st.FaultsRepaired++
 			}
 		}
@@ -615,6 +627,76 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 		}
 	}
 	return out, nil
+}
+
+// runWindows is the multi-lane coordinator: lanes run [start, start+window)
+// in parallel, then the coordinator merges cross-lane outboxes in
+// (destination lane, source lane, FIFO) order, replays the probe, and
+// decides termination. It returns the cycle the run stopped at.
+func runWindows(lanes []*simLane, shards, window, lastChange int, probe obs.Probe) (int, error) {
+	total, deadline := lanes[0].eng.total, lanes[0].eng.deadline
+	start := 0
+	for start < deadline {
+		if start >= total {
+			inFlight := 0
+			for _, ln := range lanes {
+				inFlight += ln.inFlight
+			}
+			if inFlight == 0 && start > lastChange {
+				break
+			}
+		}
+		end := start + window
+		if end > deadline {
+			end = deadline
+		}
+		if shards == 1 {
+			for _, ln := range lanes {
+				ln.runWindow(start, end)
+			}
+		} else {
+			var wg sync.WaitGroup
+			for w := 0; w < shards; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for li := w; li < len(lanes); li += shards {
+						lanes[li].runWindow(start, end)
+					}
+				}(w)
+			}
+			wg.Wait()
+		}
+		for _, ln := range lanes {
+			if ln.err != nil {
+				return start, ln.err
+			}
+		}
+		for _, dst := range lanes {
+			ring := dst.eng.ring
+			for _, src := range lanes {
+				box := src.outbox[dst.idx]
+				for _, snd := range box {
+					slot := snd.cycle % len(ring)
+					ring[slot] = append(ring[slot], earrival{node: snd.node, pkt: snd.pkt})
+				}
+				src.outbox[dst.idx] = box[:0]
+			}
+		}
+		if probe != nil {
+			for c := start; c < end; c++ {
+				probe.Tick(c)
+				for _, ln := range lanes {
+					ln.log.ReplayCycle(c, probe)
+				}
+			}
+			for _, ln := range lanes {
+				ln.log.Reset()
+			}
+		}
+		start = end
+	}
+	return start, nil
 }
 
 // runWindow steps the lane's engine through cycles [start, end); an error

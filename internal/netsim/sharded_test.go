@@ -213,6 +213,64 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
+// TestShardedSingleLane pins the single-lane contract: RunSharded with
+// Lanes 1 is the sequential simulator. On every scenario of the
+// determinism grid it must return what RunImplicitFaulty (faulty scenarios)
+// or RunImplicit (fault-free ones) returns on the same topology, router,
+// plan and seed, and emit the same probe stream event for event.
+func TestShardedSingleLane(t *testing.T) {
+	for _, sc := range shardScenarios(t) {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			for _, seed := range []int64{1, 2} {
+				cfg := sc.cfg
+				cfg.Lanes, cfg.Seed = 1, seed
+				rec := &recProbe{}
+				cfg.Probe = rec
+				got, err := RunSharded(cfg)
+				if err != nil {
+					t.Fatalf("seed %d: sharded: %v", seed, err)
+				}
+
+				tp, router, faults, err := sc.cfg.NewLane()
+				if err != nil {
+					t.Fatal(err)
+				}
+				seqRec := &recProbe{}
+				ic := ImplicitConfig{Topo: tp, Router: router,
+					InjectionRate: cfg.InjectionRate, WarmupCycles: cfg.WarmupCycles,
+					MeasureCycles: cfg.MeasureCycles, Seed: seed, Flits: cfg.Flits,
+					CutThrough: cfg.CutThrough, OffModulePeriod: cfg.OffModulePeriod,
+					ModuleOf: cfg.Space.Module, Pattern: cfg.Pattern, Probe: seqRec}
+				var want ImplicitFaultStats
+				if cfg.Plan.Len() > 0 {
+					want, err = RunImplicitFaulty(ic, ImplicitFaultConfig{Plan: cfg.Plan, Faults: faults})
+				} else {
+					var st ImplicitStats
+					st, err = RunImplicit(ic)
+					want = ImplicitFaultStats{FaultStats: FaultStats{Stats: st.Stats}, Router: st.Router}
+				}
+				if err != nil {
+					t.Fatalf("seed %d: sequential: %v", seed, err)
+				}
+				if got != want {
+					t.Errorf("seed %d: one lane diverges from the sequential run:\n got %+v\nwant %+v", seed, got, want)
+				}
+				if len(rec.lines) != len(seqRec.lines) {
+					t.Errorf("seed %d: %d probe events, sequential run had %d", seed, len(rec.lines), len(seqRec.lines))
+					continue
+				}
+				for i := range rec.lines {
+					if rec.lines[i] != seqRec.lines[i] {
+						t.Errorf("seed %d: event %d diverges: %q vs %q", seed, i, rec.lines[i], seqRec.lines[i])
+						break
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestShardedUnprobed pins the probe-neutrality of the sharded runner: an
 // uninstrumented run returns the same stats as an instrumented one.
 func TestShardedUnprobed(t *testing.T) {
