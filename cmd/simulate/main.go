@@ -244,6 +244,8 @@ func main() {
 		pprofAddr  = flag.String("pprof", "", "serve profiling endpoints on this address (e.g. localhost:6060): /debug/pprof/ (net/http/pprof: profile, heap, goroutine, ...) and /debug/vars (the process metrics registry as expvar variable \"sim\")")
 	)
 	flag.Parse()
+	ratioList, rateList := parseInts(*ratios), parseFloats(*rates)
+	exitIf(validateSweep(ratioList, *cycles, *warmup))
 
 	o := obsOpts{
 		hist: *histOn, tsFile: *tsFile, tsEvery: *tsEvery,
@@ -308,7 +310,7 @@ func main() {
 	}
 	if *impl {
 		runImplicitSweep(*netName, *l, *nucleus, *sym,
-			parseInts(*ratios), parseFloats(*rates), *cycles, *warmup, *seed,
+			ratioList, rateList, *cycles, *warmup, *seed,
 			*nFaults, *mtbf, *repair, *nodeFrc, *shards, o)
 		return
 	}
@@ -366,7 +368,6 @@ func main() {
 			"ratio", "rate", "injected", "delivered", "lost", "expired", "retx", "avg-lat", "lat-infl", "reroutes", "detours", histCols)
 	}
 	moduleOf := func(u int64) int64 { return int64(part.Of[u]) }
-	ratioList, rateList := parseInts(*ratios), parseFloats(*rates)
 	multi := len(ratioList)*len(rateList) > 1
 	for _, ratio := range ratioList {
 		for _, rate := range rateList {
@@ -716,30 +717,9 @@ func runImplicitSweep(netName string, l int, nucleus string, sym bool, ratios []
 			var headRouter *obs.RouterStats
 			for rep := 0; rep < o.repeat; rep++ {
 				pb, col := o.build(imp.Module)
-				// record takes the run's stats at their own type, so every
-				// path keeps its manifest keys; st is their FaultStats view.
-				record := func(stats any, st netsim.FaultStats, router obs.RouterStats) {
-					pct := percentiles(o.hist, st.P50Latency, st.P95Latency, st.P99Latency)
-					samples = append(samples, obs.Manifest{Stats: stats, Percentiles: pct, Router: &router}.Flatten())
-					if rep > 0 {
-						return
-					}
-					headStats, headPct, headRouter = stats, pct, &router
-					if plan == nil {
-						fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-8d %-10.2f %-8d%s\n",
-							ratio, rate, st.Injected, st.Delivered, st.Expired, st.AvgLatency, st.MaxLatency,
-							quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
-					} else {
-						fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-6d %-8d %-6d %-10.2f %-9d %-9d %-9d%s\n",
-							ratio, rate, st.Injected, st.Delivered, st.Lost, st.Expired, st.HopLimitDrops,
-							st.AvgLatency, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops,
-							quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
-					}
-					exitIf(router.WriteText(console))
-					col.export(o, ratio, rate, multi)
-				}
+				var st netsim.ImplicitFaultStats
 				if shards > 0 {
-					st, err := netsim.RunSharded(netsim.ShardedConfig{
+					st, err = netsim.RunSharded(netsim.ShardedConfig{
 						NewLane:         newLane,
 						Space:           imp,
 						OffModulePeriod: ratio,
@@ -751,50 +731,80 @@ func runImplicitSweep(netName string, l int, nucleus string, sym bool, ratios []
 						Plan:            plan,
 						Probe:           pb,
 					})
-					exitIf(err)
-					record(st, st.FaultStats, st.Router)
-					continue
-				}
-				cfg := netsim.ImplicitConfig{
-					Topo:            imp,
-					Router:          r,
-					OffModulePeriod: ratio,
-					InjectionRate:   rate,
-					WarmupCycles:    warmup,
-					MeasureCycles:   cycles,
-					Seed:            seed + int64(rep),
-					Probe:           pb,
-				}
-				if ratio > 1 {
-					cfg.ModuleOf = imp.Module
-				}
-				if plan == nil {
+				} else {
+					cfg := netsim.ImplicitConfig{
+						Topo:            imp,
+						Router:          r,
+						OffModulePeriod: ratio,
+						InjectionRate:   rate,
+						WarmupCycles:    warmup,
+						MeasureCycles:   cycles,
+						Seed:            seed + int64(rep),
+						Probe:           pb,
+					}
+					if ratio > 1 {
+						cfg.ModuleOf = imp.Module
+					}
+					var fc netsim.ImplicitFaultConfig
+					routerStats := r.RouterStats
+					if plan != nil {
+						// Fresh fault state per run: the scheduler re-applies
+						// the plan, and the router's route store starts clean.
+						fs.Reset()
+						fa := topo.NewFaultAware(imp, r, fs)
+						cfg.Router, routerStats = fa, fa.RouterStats
+						fc = netsim.ImplicitFaultConfig{Plan: plan, Faults: fs}
+					}
 					if o.live != nil {
 						// The sampler calls this on the simulation goroutine,
 						// between cycles — single-goroutine routers are safe.
-						o.live.RouterSource(r.RouterStats)
+						o.live.RouterSource(routerStats)
 					}
-					st, err := netsim.RunImplicit(cfg)
-					exitIf(err)
-					record(st, netsim.FaultStats{Stats: st.Stats}, st.Router)
+					st, err = netsim.RunImplicitFaulty(cfg, fc)
+				}
+				exitIf(err)
+				pct := percentiles(o.hist, st.P50Latency, st.P95Latency, st.P99Latency)
+				router := st.Router
+				samples = append(samples, obs.Manifest{Stats: st, Percentiles: pct, Router: &router}.Flatten())
+				if rep > 0 {
 					continue
 				}
-				// Fresh fault state per run: the scheduler re-applies the plan,
-				// and the router's suffix cache starts clean.
-				fs.Reset()
-				fa := topo.NewFaultAware(imp, r, fs)
-				cfg.Router = fa
-				if o.live != nil {
-					o.live.RouterSource(fa.RouterStats)
+				headStats, headPct, headRouter = st, pct, &router
+				if plan == nil {
+					fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-8d %-10.2f %-8d%s\n",
+						ratio, rate, st.Injected, st.Delivered, st.Expired, st.AvgLatency, st.MaxLatency,
+						quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
+				} else {
+					fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-6d %-8d %-6d %-10.2f %-9d %-9d %-9d%s\n",
+						ratio, rate, st.Injected, st.Delivered, st.Lost, st.Expired, st.HopLimitDrops,
+						st.AvgLatency, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops,
+						quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
 				}
-				st, err := netsim.RunImplicitFaulty(cfg, netsim.ImplicitFaultConfig{Plan: plan, Faults: fs})
-				exitIf(err)
-				record(st, st.FaultStats, st.Router)
+				exitIf(router.WriteText(console))
+				col.export(o, ratio, rate, multi)
 			}
 			o.writeManifest(name, runConfig(ratio, rate, warmup, cycles, nFaults, shards), seed,
 				headStats, headPct, headRouter, samples, ratio, rate, multi)
 		}
 	}
+}
+
+// validateSweep rejects sweep flags no simulator run can honor: an
+// off-module period below 1 would run at period 1 under a wrong label, and
+// a run needs at least one measured cycle and a non-negative warmup.
+func validateSweep(ratios []int, cycles, warmup int) error {
+	for _, r := range ratios {
+		if r < 1 {
+			return fmt.Errorf("-ratios: off-module period %d must be >= 1", r)
+		}
+	}
+	if cycles < 1 {
+		return fmt.Errorf("-cycles must be >= 1 (got %d)", cycles)
+	}
+	if warmup < 0 {
+		return fmt.Errorf("-warmup must be >= 0 (got %d)", warmup)
+	}
+	return nil
 }
 
 func parseInts(s string) []int {

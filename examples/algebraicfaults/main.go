@@ -182,13 +182,13 @@ func bigInstance() {
 		log.Fatal(err)
 	}
 	walked := time.Since(start)
-	reroutes, detourHops := fa.RerouteCounts()
+	rs := fa.RouterStats()
 	fmt.Printf("pair %d -> %d: κ = %d disjoint routes derived in %v\n",
 		src, dst, len(routes), derive.Round(time.Microsecond))
 	fmt.Printf("cut %d of them; delivery in %d hops (primary %d) in %v, degraded=%v\n",
 		len(routes)-1, hops, len(primary)-1, walked.Round(time.Microsecond), degraded)
 	fmt.Printf("reroute events %d, detour-search hops %d — repair cost stays\n",
-		reroutes, detourHops)
+		rs.Reroutes, rs.DetourHops)
 	fmt.Println("proportional to the route length, not to N: no tables, no BFS.")
 }
 

@@ -84,29 +84,21 @@ type ImplicitConfig struct {
 // routerStatser is the optional router extension exposing the cumulative
 // RouterStats telemetry snapshot; topo.Algebraic and topo.FaultAware
 // implement it. The simulators snapshot it around a run and report the
-// delta in ImplicitStats/ImplicitFaultStats.
+// delta in ImplicitFaultStats.Router.
 type routerStatser interface {
 	RouterStats() obs.RouterStats
 }
 
-// ImplicitStats extends the shared Stats with the router-side telemetry of
-// an implicit run. The struct is comparable (fixed-size fields only), so
-// determinism tests can compare whole results with ==.
-type ImplicitStats struct {
-	Stats
-	// Router holds the suffix-cache and detour counters the run's Router
-	// accumulated during this run (post-run snapshot minus pre-run
-	// snapshot; occupancy is the post-run absolute value). Zero when the
-	// Router does not expose RouterStats.
-	Router obs.RouterStats
-}
-
-// ImplicitFaultStats extends FaultStats the same way for RunImplicitFaulty.
+// ImplicitFaultStats is the result of every implicit run: the shared
+// FaultStats (fault counters stay zero on a fault-free run) plus the
+// router-side telemetry. The struct is comparable (fixed-size fields only),
+// so determinism tests can compare whole results with ==.
 type ImplicitFaultStats struct {
 	FaultStats
-	// Router as in ImplicitStats; under faults it additionally carries the
-	// epoch-purge counters and the conjugate vs. local-detour reroute
-	// split with the detour-depth histogram.
+	// Router holds the route-store and fault-repair counters the run's
+	// Router accumulated during this run (post-run snapshot minus pre-run
+	// snapshot; occupancy is the post-run absolute value). Zero when the
+	// Router does not expose RouterStats.
 	Router obs.RouterStats
 }
 
@@ -163,7 +155,6 @@ func (cfg *ImplicitConfig) normalize() error {
 // the in-flight packet population — independent of N. Runs are deterministic
 // in the configuration (including Seed) and unperturbed by cfg.Probe. It is
 // RunImplicitFaulty without a fault plan.
-func RunImplicit(cfg ImplicitConfig) (ImplicitStats, error) {
-	st, err := RunImplicitFaulty(cfg, ImplicitFaultConfig{})
-	return ImplicitStats{Stats: st.Stats, Router: st.Router}, err
+func RunImplicit(cfg ImplicitConfig) (ImplicitFaultStats, error) {
+	return RunImplicitFaulty(cfg, ImplicitFaultConfig{})
 }

@@ -40,14 +40,6 @@ type flaggedRouter interface {
 	NextHopFlagged(cur, dst int64) (int64, bool, error)
 }
 
-// rerouteCounter is the optional router extension exposing cumulative
-// reroute/detour-hop counters; topo.FaultAware implements it. The simulator
-// snapshots the counters around the run to fill RerouteEvents and
-// MisroutedHops.
-type rerouteCounter interface {
-	RerouteCounts() (reroutes, detourHops uint64)
-}
-
 // ImplicitFaultConfig parameterizes fault injection for RunImplicitFaulty.
 type ImplicitFaultConfig struct {
 	// Plan is the fault schedule (nil or empty = fault-free run). It is

@@ -380,12 +380,12 @@ func TestRunImplicitFaultyBigSym(t *testing.T) {
 	if !degradedSeen {
 		t.Fatal("primary route was cut; the walk should be flagged degraded")
 	}
-	reroutes, detourHops := fa.RerouteCounts()
-	if reroutes == 0 {
+	rs := fa.RouterStats()
+	if rs.Reroutes == 0 {
 		t.Fatal("no reroutes recorded for the cut pair")
 	}
-	if int(detourHops) > bound {
-		t.Fatalf("detour search spent %d hops, want O(route length) ~ %d", detourHops, len(primary))
+	if int(rs.DetourHops) > bound {
+		t.Fatalf("detour search spent %d hops, want O(route length) ~ %d", rs.DetourHops, len(primary))
 	}
 
 	// Then system-wide zero loss: uniform background traffic over all 25M

@@ -3,11 +3,14 @@ package netsim
 // Tests for observability on the implicit stack: the nil-probe fast path,
 // a NopProbe, and a full collector set must produce bit-for-bit identical
 // simulator statistics (probes observe, never steer); the router telemetry
-// must surface through ImplicitStats and RouterObserver; and the
+// must surface in the result's Router field; and the
 // module-aggregated collector must agree with the per-link one.
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
+	"sort"
 	"testing"
 
 	"repro/internal/obs"
@@ -36,7 +39,7 @@ func stripQuantiles(st *Stats) {
 
 // TestImplicitProbeGoldenParity is the zero-overhead-when-disabled
 // contract, checked semantically: RunImplicit with a nil probe, a NopProbe,
-// and the full collector stack must produce identical ImplicitStats —
+// and the full collector stack must produce identical ImplicitFaultStats —
 // packet ids are assigned off the RNG path and every hook sits behind one
 // nil check, so observation cannot perturb the run.
 func TestImplicitProbeGoldenParity(t *testing.T) {
@@ -121,24 +124,12 @@ func TestImplicitFaultyProbeGoldenParity(t *testing.T) {
 	}
 }
 
-// routerRecorder captures the RouterStats forwarded through the
-// RouterObserver hook.
-type routerRecorder struct {
-	obs.NopProbe
-	got  obs.RouterStats
-	seen bool
-}
-
-func (r *routerRecorder) ObserveRouter(rs obs.RouterStats) { r.got, r.seen = rs, true }
-
-// TestImplicitRouterStatsSurfaced checks the router telemetry plumbing:
-// ImplicitStats.Router carries the run's delta, the RouterObserver hook
-// receives exactly the same snapshot (through Multi), and on a faulty run
-// the router's reroute counters agree with the simulator's own accounting.
+// TestImplicitRouterStatsSurfaced checks the router telemetry plumbing: the
+// result's Router field carries the run's delta, and on a faulty run the
+// router's reroute counters agree with the simulator's own accounting.
 func TestImplicitRouterStatsSurfaced(t *testing.T) {
 	cfg, _ := implicitObsConfig(t)
-	rec := &routerRecorder{}
-	cfg.Probe = obs.Multi(&obs.LatencyHist{}, rec)
+	cfg.Probe = &obs.LatencyHist{}
 	st, err := RunImplicit(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -151,12 +142,6 @@ func TestImplicitRouterStatsSurfaced(t *testing.T) {
 	if st.Router.CacheEvicted != 0 || st.Router.CacheClears != 0 ||
 		st.Router.EpochPurges != 0 || st.Router.Reroutes != 0 {
 		t.Fatalf("fault-free run shows fault-path telemetry: %+v", st.Router)
-	}
-	if !rec.seen {
-		t.Fatal("RouterObserver hook never fired")
-	}
-	if rec.got != st.Router {
-		t.Fatalf("ObserveRouter got %+v, stats carry %+v", rec.got, st.Router)
 	}
 
 	// Degraded mode: the RouterStats split must agree with the FaultStats
@@ -243,5 +228,82 @@ func TestImplicitModuleSeriesMatchesTimeSeries(t *testing.T) {
 	}
 	if ms.ActiveModules() == 0 || ts.ActiveLinks() == 0 {
 		t.Fatal("collectors saw no activity")
+	}
+}
+
+// queueKills counts DropQueueKilled events.
+type queueKills struct {
+	obs.NopProbe
+	n int
+}
+
+func (k *queueKills) Drop(_ int, _ int64, _ int64, reason obs.DropReason) {
+	if reason == obs.DropQueueKilled {
+		k.n++
+	}
+}
+
+// queuedPerWindow sums a JSONL series' queue column per window-end cycle,
+// over the rows of one kind.
+func queuedPerWindow(t *testing.T, write func(io.Writer) error, kind, column string) map[int]int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := map[int]int{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var row map[string]any
+		if err := dec.Decode(&row); err != nil {
+			t.Fatal(err)
+		}
+		if row["kind"] == kind {
+			out[int(row["cycle"].(float64))] += int(row[column].(float64))
+		}
+	}
+	return out
+}
+
+// TestTimeSeriesClearsKilledQueues pins the per-link queue gauge across
+// node faults: packets killed in a dead node's queues must leave the link
+// depths, so in every window the summed TimeSeries link queues equal the
+// ModuleSeries queued gauge (enqueues minus transmissions minus kills).
+func TestTimeSeriesClearsKilledQueues(t *testing.T) {
+	_, imp, fs, fa := faultTestNet(t)
+	plan := &FaultPlan{}
+	for i := 0; i < 6; i++ {
+		plan.NodeDown(120+10*i, int32(7*i), 0) // permanent
+	}
+	ts := obs.NewTimeSeries(imp.Module, 50)
+	ms := obs.NewModuleSeries(imp.Module, 50)
+	kills := &queueKills{}
+	if _, err := RunImplicitFaulty(ImplicitConfig{Topo: imp, Router: fa,
+		InjectionRate: 0.3, WarmupCycles: 50, MeasureCycles: 300, Seed: 17,
+		Probe: obs.Multi(ts, ms, kills)},
+		ImplicitFaultConfig{Plan: plan, Faults: fs}); err != nil {
+		t.Fatal(err)
+	}
+	ts.Flush()
+	ms.Flush()
+	if kills.n == 0 {
+		t.Fatal("no queue was killed; the scenario does not exercise the fix")
+	}
+	links := queuedPerWindow(t, ts.WriteJSONL, "link", "queue")
+	mods := queuedPerWindow(t, ms.WriteJSONL, "moduleagg", "queued")
+	for c := range links {
+		if _, ok := mods[c]; !ok {
+			mods[c] = 0
+		}
+	}
+	cycles := make([]int, 0, len(mods))
+	for c := range mods {
+		cycles = append(cycles, c)
+	}
+	sort.Ints(cycles)
+	for _, c := range cycles {
+		if links[c] != mods[c] {
+			t.Errorf("window ending %d: TimeSeries holds %d queued packets, ModuleSeries %d", c, links[c], mods[c])
+		}
 	}
 }

@@ -208,10 +208,8 @@ type simLane struct {
 	nextSeq    int64
 	err        error
 
-	statser                 routerStatser
-	routerBase              obs.RouterStats
-	counter                 rerouteCounter
-	rerouteBase, detourBase uint64
+	statser    routerStatser
+	routerBase obs.RouterStats
 }
 
 // RunSharded executes the implicit-topology simulation partitioned into
@@ -314,10 +312,6 @@ func runLanes(cfg ShardedConfig, moduleOf func(int64) int64, script []Injection)
 		ln.statser, _ = ln.router.(routerStatser)
 		if ln.statser != nil {
 			ln.routerBase = ln.statser.RouterStats()
-		}
-		ln.counter, _ = ln.router.(rerouteCounter)
-		if ln.counter != nil {
-			ln.rerouteBase, ln.detourBase = ln.counter.RerouteCounts()
 		}
 		ln.eng = &engine{
 			store:      ln.sparse,
@@ -579,7 +573,6 @@ func runLanes(cfg ShardedConfig, moduleOf func(int64) int64, script []Injection)
 	st := &out.FaultStats
 	var latencySum int64
 	inFlight := 0
-	anyRouterStats := false
 	for _, ln := range lanes {
 		st.Injected += ln.st.Injected
 		st.Delivered += ln.st.Delivered
@@ -591,16 +584,12 @@ func runLanes(cfg ShardedConfig, moduleOf func(int64) int64, script []Injection)
 		}
 		latencySum += ln.latencySum
 		inFlight += ln.inFlight
-		if ln.counter != nil {
-			re, dh := ln.counter.RerouteCounts()
-			st.RerouteEvents += int(re - ln.rerouteBase)
-			st.MisroutedHops += int(dh - ln.detourBase)
-		}
 		if ln.statser != nil {
-			anyRouterStats = true
 			out.Router = out.Router.Add(ln.statser.RouterStats().Delta(ln.routerBase))
 		}
 	}
+	st.RerouteEvents = int(out.Router.Reroutes)
+	st.MisroutedHops = int(out.Router.DetourHops)
 	st.Expired = inFlight
 	if st.Delivered > 0 {
 		st.AvgLatency = float64(latencySum) / float64(st.Delivered)
@@ -621,11 +610,6 @@ func runLanes(cfg ShardedConfig, moduleOf func(int64) int64, script []Injection)
 		}
 	}
 	st.fillQuantiles(cfg.Probe)
-	if anyRouterStats {
-		if ro, ok := cfg.Probe.(obs.RouterObserver); ok {
-			ro.ObserveRouter(out.Router)
-		}
-	}
 	return out, nil
 }
 

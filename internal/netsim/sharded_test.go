@@ -246,9 +246,7 @@ func TestShardedSingleLane(t *testing.T) {
 				if cfg.Plan.Len() > 0 {
 					want, err = RunImplicitFaulty(ic, ImplicitFaultConfig{Plan: cfg.Plan, Faults: faults})
 				} else {
-					var st ImplicitStats
-					st, err = RunImplicit(ic)
-					want = ImplicitFaultStats{FaultStats: FaultStats{Stats: st.Stats}, Router: st.Router}
+					want, err = RunImplicit(ic)
 				}
 				if err != nil {
 					t.Fatalf("seed %d: sequential: %v", seed, err)

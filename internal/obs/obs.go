@@ -124,15 +124,6 @@ type Probe interface {
 	Reroute(cycle int, dst int64, lag int)
 }
 
-// RouterObserver is the optional Probe extension that receives the run's
-// final RouterStats snapshot (suffix-cache and detour telemetry of an
-// algebraic router). The implicit simulators call it once, after the last
-// cycle, when the run's Router exposes stats; obs.Multi forwards it to every
-// member that implements it.
-type RouterObserver interface {
-	ObserveRouter(rs RouterStats)
-}
-
 // NopProbe implements every Probe hook as a no-op; embed it to build
 // collectors that only care about a few events.
 type NopProbe struct{}
@@ -220,16 +211,6 @@ func (m multi) Fault(cycle int, u, v int64, node, down bool) {
 func (m multi) Reroute(cycle int, dst int64, lag int) {
 	for _, p := range m {
 		p.Reroute(cycle, dst, lag)
-	}
-}
-
-// ObserveRouter forwards the router snapshot to every member that cares
-// (RouterObserver).
-func (m multi) ObserveRouter(rs RouterStats) {
-	for _, p := range m {
-		if o, ok := p.(RouterObserver); ok {
-			o.ObserveRouter(rs)
-		}
 	}
 }
 

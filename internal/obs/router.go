@@ -39,7 +39,8 @@ type RouterStats struct {
 	// (FaultAware only: the FaultSet changed since routes were verified).
 	EpochPurges uint64
 	// Reroutes counts route derivations whose primary algebraic route
-	// crossed a fault and had to be repaired (FaultAware.RerouteCounts).
+	// crossed a fault and had to be repaired. The simulators report its run
+	// delta as FaultStats.RerouteEvents.
 	Reroutes uint64
 	// ConjugateReroutes counts repairs answered purely algebraically — a
 	// generator-conjugate candidate was live, zero exploratory hops spent.
@@ -48,7 +49,8 @@ type RouterStats struct {
 	// candidate and fell back to the bounded TTL-local detour walk.
 	LocalDetourReroutes uint64
 	// DetourHops is the total number of exploratory local-detour hops spent
-	// across all repairs (FaultAware.RerouteCounts).
+	// across all repairs. The simulators report its run delta as
+	// FaultStats.MisroutedHops.
 	DetourHops uint64
 	// DetourDepth histograms the exploratory hops spent per repair in log2
 	// buckets: bucket 0 holds conjugate repairs (0 hops), bucket b>0 holds

@@ -119,6 +119,20 @@ func (ts *TimeSeries) Hop(_ int, _ int64, from, to int64, occupy, qlen int) {
 	ts.hops[i]++
 }
 
+// Drop clears the outgoing-link depths of a node whose queues were killed
+// (Probe hook). Both simulators kill every queue of a dead node in the same
+// cycle, so zeroing them on the first kill is exact and repeats are no-ops.
+func (ts *TimeSeries) Drop(_ int, _ int64, at int64, reason DropReason) {
+	if reason != DropQueueKilled {
+		return
+	}
+	for i, u := range ts.src {
+		if u == at {
+			ts.qlen[i] = 0
+		}
+	}
+}
+
 func (ts *TimeSeries) snapshot(cycle int) {
 	width := cycle - ts.lastSample
 	if width <= 0 {

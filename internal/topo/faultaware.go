@@ -8,7 +8,7 @@ import (
 )
 
 // RouterStats is the router-observability snapshot exposed by Algebraic and
-// FaultAware: suffix-cache hits/misses/evictions/occupancy, fault-epoch
+// FaultAware: route-store hits/misses/evictions/occupancy, fault-epoch
 // purges, the conjugate vs. TTL-local reroute split, and the detour-depth
 // histogram. It is an alias of obs.RouterStats (defined in the
 // dependency-free obs leaf so netsim and tooling can consume it without an
@@ -36,12 +36,12 @@ type RouterStats = obs.RouterStats
 // algebraic candidates from there.
 //
 // Like Algebraic, a FaultAware router carries per-packet source routes
-// between NextHop calls in a suffix cache keyed (current node, destination).
-// The cache is tagged with the FaultSet epoch it was verified against and is
-// purged in O(1) amortized time whenever the epoch changes, so no stale
-// route ever crosses a link that died after the route was computed.
+// between NextHop calls in a route store keyed (current node, destination).
+// The store is tagged with the FaultSet epoch its routes were verified
+// against and is purged whenever the epoch changes, so no stale route ever
+// crosses a link that died after the route was computed.
 //
-// Not safe for concurrent use (the inner router and the caches are
+// Not safe for concurrent use (the inner router and the route store are
 // single-threaded); the FaultSet itself may be mutated concurrently.
 type FaultAware struct {
 	inner PathRouter
@@ -61,30 +61,18 @@ type FaultAware struct {
 	maxDepth int
 	limited  bool
 
-	suffix    map[[2]int64]suffixEntry
+	routes    routeStore
 	seenEpoch uint64
 
-	// counters (see RerouteCounts and RouterStats)
-	reroutes   uint64
-	detourHops uint64
-
-	hits, misses, evicted, clears uint64
-	epochPurges                   uint64
-	conjugate, localDetour        uint64
-	detourDepth                   [8]uint64
+	// fault-repair counters (see RouterStats)
+	epochPurges            uint64
+	reroutes, detourHops   uint64
+	conjugate, localDetour uint64
+	detourDepth            [8]uint64
 
 	nbrBuf  []int64 // neighbor scratch for candidate generation
 	nbrBuf2 []int64 // second-level scratch (two-hop starts, arrive-via)
 }
-
-type suffixEntry struct {
-	tail     []int64
-	detoured bool
-}
-
-// maxFaultSuffixEntries bounds the fault-aware source-route cache, mirroring
-// the Algebraic router's safety valve.
-const maxFaultSuffixEntries = 1 << 20
 
 // NewFaultAware wraps router r over topology t with fault set fs. The
 // router and topology must share one id space (e.g. Algebraic + Implicit of
@@ -95,7 +83,6 @@ func NewFaultAware(t Topology, r PathRouter, fs *FaultSet) *FaultAware {
 		topo:         t,
 		fs:           fs,
 		MaxDetourTTL: 16,
-		suffix:       map[[2]int64]suffixEntry{},
 		seenEpoch:    fs.Epoch(),
 	}
 }
@@ -103,51 +90,38 @@ func NewFaultAware(t Topology, r PathRouter, fs *FaultSet) *FaultAware {
 // Faults returns the shared fault set.
 func (r *FaultAware) Faults() *FaultSet { return r.fs }
 
-// RerouteCounts returns the cumulative number of algebraic route
-// re-derivations forced by faults and the number of local (TTL) detour hops
-// taken when every algebraic candidate was blocked. Simulators snapshot and
-// diff these around a run.
-func (r *FaultAware) RerouteCounts() (reroutes, detourHops uint64) {
-	return r.reroutes, r.detourHops
-}
-
 // RouterStats returns the cumulative routing telemetry of this router:
-// suffix-cache behavior (hits, misses, evicted entries from safety-valve
+// route-store behavior (hits, misses, evicted entries from safety-valve
 // clears and fault-epoch purges — each evicted entry is a forced mid-flight
-// re-source), how often the cache was invalidated by FaultSet changes
+// re-source), how often the store was invalidated by FaultSet changes
 // (EpochPurges), and the fault-repair split — reroutes resolved purely by
 // algebraic conjugate candidates vs. ones that needed the TTL-local detour
-// walk, with the per-repair exploratory-hop histogram in DetourDepth.
+// walk, with the exploratory-hop total in DetourHops and the per-repair
+// histogram in DetourDepth.
 func (r *FaultAware) RouterStats() RouterStats {
-	return RouterStats{
-		CacheHits:           r.hits,
-		CacheMisses:         r.misses,
-		CacheEvicted:        r.evicted,
-		CacheClears:         r.clears,
-		CacheOccupancy:      len(r.suffix),
-		EpochPurges:         r.epochPurges,
-		Reroutes:            r.reroutes,
-		ConjugateReroutes:   r.conjugate,
-		LocalDetourReroutes: r.localDetour,
-		DetourHops:          r.detourHops,
-		DetourDepth:         r.detourDepth,
-	}
+	rs := r.routes.stats()
+	rs.EpochPurges = r.epochPurges
+	rs.Reroutes = r.reroutes
+	rs.ConjugateReroutes = r.conjugate
+	rs.LocalDetourReroutes = r.localDetour
+	rs.DetourHops = r.detourHops
+	rs.DetourDepth = r.detourDepth
+	return rs
 }
 
-// checkEpoch purges the suffix cache when the fault set has changed since it
-// was last verified.
+// checkEpoch purges the route store when the fault set has changed since
+// its routes were verified.
 func (r *FaultAware) checkEpoch() {
 	if e := r.fs.Epoch(); e != r.seenEpoch {
 		r.epochPurges++
-		r.evicted += uint64(len(r.suffix))
-		r.suffix = map[[2]int64]suffixEntry{}
+		r.routes.purge()
 		r.seenEpoch = e
 	}
 }
 
 // NextHop advances one hop along a verified fault-free source route,
-// re-deriving (and, if necessary, detouring) on cache miss or fault-epoch
-// change.
+// re-deriving (and, if necessary, detouring) on a route-store miss or
+// fault-epoch change.
 func (r *FaultAware) NextHop(cur, dst int64) (int64, error) {
 	nh, _, err := r.NextHopFlagged(cur, dst)
 	return nh, err
@@ -161,34 +135,15 @@ func (r *FaultAware) NextHopFlagged(cur, dst int64) (int64, bool, error) {
 		return 0, false, fmt.Errorf("topo: NextHop(%d, %d): already at destination", cur, dst)
 	}
 	r.checkEpoch()
-	key := [2]int64{cur, dst}
-	if ent, ok := r.suffix[key]; ok {
-		r.hits++
-		delete(r.suffix, key)
-		nxt := ent.tail[0]
-		if len(ent.tail) > 1 {
-			r.suffix[[2]int64{nxt, dst}] = suffixEntry{tail: ent.tail[1:], detoured: ent.detoured}
-		}
-		return nxt, ent.detoured, nil
+	if nxt, detoured, ok := r.routes.next(cur, dst); ok {
+		return nxt, detoured, nil
 	}
-	r.misses++
 	p, detoured, err := r.routeAvoiding(cur, dst)
 	if err != nil {
 		return 0, false, err
 	}
-	if len(p) < 2 {
-		return 0, false, fmt.Errorf("topo: route from %d to %d is empty", cur, dst)
-	}
-	if len(r.suffix) >= maxFaultSuffixEntries {
-		r.evicted += uint64(len(r.suffix))
-		r.clears++
-		r.suffix = map[[2]int64]suffixEntry{} // drop orphans; packets re-source
-	}
-	nxt := p[1]
-	if len(p) > 2 {
-		r.suffix[[2]int64{nxt, dst}] = suffixEntry{tail: p[2:], detoured: detoured}
-	}
-	return nxt, detoured, nil
+	nxt, err := r.routes.begin(cur, dst, p, detoured)
+	return nxt, detoured, err
 }
 
 // Path returns a verified fault-free route from src to dst, detouring around

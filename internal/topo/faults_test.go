@@ -256,8 +256,8 @@ func TestFaultAwareFaultFreeIdentical(t *testing.T) {
 				cur = nxt
 			}
 		}
-		if re, dh := fa.RerouteCounts(); re != 0 || dh != 0 {
-			t.Fatalf("%s: fault-free run counted %d reroutes, %d detour hops", net.Name(), re, dh)
+		if rs := fa.RouterStats(); rs.Reroutes != 0 || rs.DetourHops != 0 {
+			t.Fatalf("%s: fault-free run counted %d reroutes, %d detour hops", net.Name(), rs.Reroutes, rs.DetourHops)
 		}
 	}
 }

@@ -70,25 +70,9 @@ type Algebraic struct {
 	srcBuf symbols.Label
 	dstBuf symbols.Label
 
-	// suffix carries in-flight source routes between NextHop calls, keyed by
-	// (current node, destination): Theorem 4.1/4.3 routes are computed at
-	// the source and are NOT memoryless — recomputing from an intermediate
-	// node restarts the covering schedule and can oscillate — so, as in the
-	// paper's model where the header carries the route, NextHop hands each
-	// packet the next entry of the route its origin computed and re-sources
-	// only on a cache miss. Entries are consumed as packets advance; the map
-	// is bounded by the in-flight population and cleared entirely at
-	// maxSuffixEntries as a safety valve (affected packets re-source from
-	// their current position).
-	suffix map[[2]int64][]int64
-
-	// cache telemetry (see RouterStats)
-	hits, misses, evicted, clears uint64
+	// routes carries each packet's source route between NextHop calls.
+	routes routeStore
 }
-
-// maxSuffixEntries bounds the Algebraic source-route cache; beyond it the
-// cache is dropped and in-flight packets re-source their routes.
-const maxSuffixEntries = 1 << 20
 
 // NewAlgebraic builds the paper's router over the implicit (closed-form)
 // id <-> label bijection of s. No graph is materialized.
@@ -114,63 +98,34 @@ func NewAlgebraicWith(s *core.SuperIP, codec Labeled) (*Algebraic, error) {
 		codec:  codec,
 		srcBuf: make(symbols.Label, s.L*m),
 		dstBuf: make(symbols.Label, s.L*m),
-		suffix: map[[2]int64][]int64{},
 	}, nil
 }
 
 // NextHop advances one hop along the source route toward dst: the remaining
-// route carried from the previous hop when one is cached, or a freshly
+// route carried from the previous hop when one is stored, or a freshly
 // computed Theorem 4.1/4.3 route from cur otherwise. Either way the packet
 // follows a complete algebraic route of at most l*D_G + t hops, re-sourced
-// only on cache loss, so the iteration always terminates at dst.
+// only on store loss, so the iteration always terminates at dst.
 func (a *Algebraic) NextHop(cur, dst int64) (int64, error) {
 	if cur == dst {
 		return 0, fmt.Errorf("topo: NextHop(%d, %d): already at destination", cur, dst)
 	}
-	key := [2]int64{cur, dst}
-	if suf, ok := a.suffix[key]; ok {
-		a.hits++
-		delete(a.suffix, key)
-		nxt := suf[0]
-		if len(suf) > 1 {
-			a.suffix[[2]int64{nxt, dst}] = suf[1:]
-		}
+	if nxt, _, ok := a.routes.next(cur, dst); ok {
 		return nxt, nil
 	}
-	a.misses++
 	p, err := a.Path(cur, dst)
 	if err != nil {
 		return 0, err
 	}
-	if len(p) < 2 {
-		return 0, fmt.Errorf("topo: route from %d to %d is empty", cur, dst)
-	}
-	if len(a.suffix) >= maxSuffixEntries {
-		a.evicted += uint64(len(a.suffix))
-		a.clears++
-		a.suffix = map[[2]int64][]int64{} // drop orphans; packets re-source
-	}
-	nxt := p[1]
-	if len(p) > 2 {
-		a.suffix[[2]int64{nxt, dst}] = p[2:]
-	}
-	return nxt, nil
+	return a.routes.begin(cur, dst, p, false)
 }
 
-// RouterStats returns the cumulative suffix-cache telemetry of this router:
-// hits/misses of the in-flight source-route cache, entries orphaned by
+// RouterStats returns the cumulative route-store telemetry of this router:
+// hits/misses of the in-flight source-route store, entries orphaned by
 // safety-valve clears (each a forced mid-flight re-source), the clear count,
-// and the current cache occupancy. Simulators snapshot it before and after a
-// run and report the Delta.
-func (a *Algebraic) RouterStats() RouterStats {
-	return RouterStats{
-		CacheHits:      a.hits,
-		CacheMisses:    a.misses,
-		CacheEvicted:   a.evicted,
-		CacheClears:    a.clears,
-		CacheOccupancy: len(a.suffix),
-	}
-}
+// and the current occupancy. Simulators snapshot it before and after a run
+// and report the Delta.
+func (a *Algebraic) RouterStats() RouterStats { return a.routes.stats() }
 
 // Path returns the full algebraic route as node ids.
 func (a *Algebraic) Path(src, dst int64) ([]int64, error) {

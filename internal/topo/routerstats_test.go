@@ -150,8 +150,99 @@ func TestFaultAwareRouterStats(t *testing.T) {
 	if rs.LocalDetourReroutes == 0 && rs.DetourHops != 0 {
 		t.Fatalf("detour hops without local detours: %+v", rs)
 	}
-	reroutes, detourHops := fa.RerouteCounts()
-	if reroutes != rs.Reroutes || detourHops != rs.DetourHops {
-		t.Fatalf("RerouteCounts (%d, %d) disagrees with RouterStats %+v", reroutes, detourHops, rs)
+}
+
+// TestRouteStoreSharedByBothRouters drives Algebraic and a FaultAware over
+// an empty FaultSet through one interleaved multi-packet NextHop schedule.
+// Both routers keep in-flight routes in the same route store, so they must
+// take identical hops and report identical store telemetry — including when
+// two packets meet at one (node, destination) key mid-route: packet 1 is
+// injected at the node packet 0 has just been sent to, bound for the same
+// destination, so it takes over packet 0's stored route and packet 0
+// re-sources.
+func TestRouteStoreSharedByBothRouters(t *testing.T) {
+	net := superip.HSN(3, superip.NucleusHypercube(2)).SymmetricVariant()
+	imp, err := NewImplicit(net.Super())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewAlgebraic(net.Super())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := NewAlgebraic(net.Super())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := NewFaultAware(imp, inner, NewFaultSet())
+
+	n := imp.N()
+	p, err := plain.Path(0, n-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p) < 4 {
+		t.Fatalf("pair too close (%d hops) to share a key mid-route", len(p)-1)
+	}
+	type packet struct {
+		at       int // schedule step the packet is injected on
+		src, dst int64
+	}
+	packets := []packet{{0, 0, n - 1}, {1, p[1], n - 1}, {0, 5, n - 3}, {2, n / 2, 1}, {3, n - 1, 0}}
+
+	// run advances every injected, undelivered packet one hop per step, in
+	// packet order, and returns each packet's node sequence.
+	run := func(r interface {
+		NextHop(cur, dst int64) (int64, error)
+	}) [][]int64 {
+		walks := make([][]int64, len(packets))
+		for step, live := 0, len(packets); live > 0; step++ {
+			if step > 64*len(p) {
+				t.Fatalf("schedule did not drain after %d steps", step)
+			}
+			for i, pk := range packets {
+				if pk.at == step {
+					walks[i] = []int64{pk.src}
+				}
+				if walks[i] == nil {
+					continue
+				}
+				cur := walks[i][len(walks[i])-1]
+				if cur == pk.dst {
+					continue
+				}
+				nxt, err := r.NextHop(cur, pk.dst)
+				if err != nil {
+					t.Fatalf("packet %d: NextHop(%d, %d): %v", i, cur, pk.dst, err)
+				}
+				walks[i] = append(walks[i], nxt)
+				if nxt == pk.dst {
+					live--
+				}
+			}
+		}
+		return walks
+	}
+	want, got := run(plain), run(fa)
+	for i := range want {
+		if len(want[i]) != len(got[i]) {
+			t.Fatalf("packet %d: Algebraic took %v, FaultAware %v", i, want[i], got[i])
+		}
+		for j := range want[i] {
+			if want[i][j] != got[i][j] {
+				t.Fatalf("packet %d: Algebraic took %v, FaultAware %v", i, want[i], got[i])
+			}
+		}
+	}
+	a, f := plain.RouterStats(), fa.RouterStats()
+	if a.CacheHits != f.CacheHits || a.CacheMisses != f.CacheMisses || a.CacheEvicted != f.CacheEvicted ||
+		a.CacheClears != f.CacheClears || a.CacheOccupancy != f.CacheOccupancy {
+		t.Fatalf("store telemetry differs:\nAlgebraic  %+v\nFaultAware %+v", a, f)
+	}
+	// Each packet sources once; packet 0's route was taken over by packet
+	// 1, so at least one mid-route re-source must show.
+	if a.CacheMisses <= uint64(len(packets)) {
+		t.Fatalf("%d misses for %d packets: the schedule never shared a key: %+v",
+			a.CacheMisses, len(packets), a)
 	}
 }
