@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/benchkit"
@@ -250,67 +249,13 @@ func classical(name string, dim, k, rows, cols int) (buildable, error) {
 	return nil, fmt.Errorf("unknown network %q", name)
 }
 
-func nucleusSpec(s string) (superip.NucleusSpec, error) {
-	if s == "P" {
-		return superip.NucleusPetersen(), nil
-	}
-	if len(s) < 2 {
-		return superip.NucleusSpec{}, fmt.Errorf("bad nucleus %q", s)
-	}
-	kind := s[:1]
-	numStr := s[1:]
-	if len(s) >= 3 && (s[:2] == "FQ" || s[:2] == "SE") {
-		kind, numStr = s[:2], s[2:]
-	}
-	n, err := strconv.Atoi(numStr)
-	if err != nil {
-		return superip.NucleusSpec{}, fmt.Errorf("bad nucleus %q", s)
-	}
-	switch kind {
-	case "Q":
-		return superip.NucleusHypercube(n), nil
-	case "FQ":
-		return superip.NucleusFoldedHypercube(n), nil
-	case "K":
-		return superip.NucleusComplete(n), nil
-	case "S":
-		return superip.NucleusStar(n), nil
-	case "SE":
-		return superip.NucleusShuffleExchange(n), nil
-	}
-	return superip.NucleusSpec{}, fmt.Errorf("unknown nucleus kind %q", kind)
-}
-
-func superIPNet(family string, l int, nucleus string, sym bool) *superip.Net {
-	nuc, err := nucleusSpec(nucleus)
-	exitIf(err)
-	var net *superip.Net
-	switch family {
-	case "HSN":
-		net = superip.HSN(l, nuc)
-	case "ringCN":
-		net = superip.RingCN(l, nuc)
-	case "CN":
-		net = superip.CompleteCN(l, nuc)
-	case "dirCN":
-		net = superip.DirectedCN(l, nuc)
-	case "SFN":
-		net = superip.SuperFlip(l, nuc)
-	case "RCC":
-		net = superip.RCC(l, nuc.Size)
-	}
-	if sym {
-		net = net.SymmetricVariant()
-	}
-	return net
-}
-
 // runImplicit reports a super-IP network without ever materializing it: the
 // analytic statistics come from the closed forms, the routed statistics from
 // sampling algebraic routes over the implicit topology. Memory stays O(1) in
 // N, so this works far beyond the -buildonly ceiling.
 func runImplicit(family string, l int, nucleus string, sym bool, pairs int, seed int64) {
-	net := superIPNet(family, l, nucleus, sym)
+	net, err := superip.Parse(family, l, nucleus, sym)
+	exitIf(err)
 	imp, err := topo.NewImplicit(net.Super())
 	exitIf(err)
 	r, err := topo.NewAlgebraic(net.Super())
@@ -341,7 +286,8 @@ func fmtBytes(b int64) string {
 }
 
 func runSuperIP(family string, l int, nucleus string, sym, dot, istats bool) {
-	net := superIPNet(family, l, nucleus, sym)
+	net, err := superip.Parse(family, l, nucleus, sym)
+	exitIf(err)
 	fmt.Fprintf(console, "%s: analytic N=%d degree=%d diameter=%d I-diameter=%d\n",
 		net.Name(), net.N(), net.Degree(), net.Diameter(), net.IDiameter())
 	if buildRec != nil {

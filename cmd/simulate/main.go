@@ -8,6 +8,14 @@
 //	simulate -net HSN -l 2 -nucleus Q4 -ratios 1,4,16 -rates 0.002,0.01
 //	simulate -net hypercube -dim 8 -module 4
 //
+// A run either builds the graph and routes by per-destination BFS tables,
+// or, with -implicit, simulates the super-IP family's implicit topology with
+// the paper's Theorem 4.1/4.3 algebraic router (O(1) state per node, no
+// graph built). Both go through one sweep loop, and every run of a sweep
+// starts from fresh simulator state. A nucleus is Qn, FQn, Kn, Sn, SEn or
+// P; a size below the smallest two-node nucleus, -l < 2, and -sym on a
+// nucleus without a symmetric variant (Kn, SEn, P) exit 1 with an error.
+//
 // Fault injection (degraded-mode operation, see internal/netsim.RunFaulty):
 //
 //	simulate -net HSN -l 2 -nucleus Q3 -faults 4 -mtbf 250 -repair 500
@@ -32,12 +40,11 @@
 //
 // -hist adds p50/p95/p99 latency columns and prints an ASCII histogram per
 // run; -timeseries exports per-link load windows (.jsonl = JSON lines,
-// anything else CSV, with the per-module series written alongside);
-// -moduleseries exports the module-aggregated series (memory bounded by
-// module count — the collector for -implicit runs past the materialization
-// ceiling); -topmodules prints the hottest modules by busy cycles;
-// -trace writes Chrome trace-event JSON (open in chrome://tracing or
-// Perfetto); -toplinks prints the busiest links after each run; -progress
+// anything else CSV); -moduleseries exports the module-aggregated series
+// (memory bounded by module count — the collector for -implicit runs past
+// the materialization ceiling); -topmodules prints the hottest modules by
+// busy cycles; -trace writes Chrome trace-event JSON (open in
+// chrome://tracing or Perfetto); -toplinks prints the busiest links after each run; -progress
 // emits a live ticker (delivered-rate and ETA) to stderr; -manifest writes a
 // machine-readable JSON record per run (config, seed, stats, percentiles,
 // router counters, registry metrics, host environment; "-" = stdout);
@@ -68,7 +75,6 @@ import (
 	"strings"
 
 	"repro/internal/benchkit"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -209,11 +215,10 @@ func main() {
 	var (
 		netName = flag.String("net", "HSN", "network: HSN, ringCN, CN, SFN, hypercube, torus")
 		l       = flag.Int("l", 2, "levels (super-IP families)")
-		nucleus = flag.String("nucleus", "Q4", "nucleus: Qn or FQn")
+		nucleus = flag.String("nucleus", "Q4", "nucleus: Qn, FQn, Kn, Sn, SEn, or P")
 		sym     = flag.Bool("sym", false, "symmetric (distinct-seed) variant (super-IP families)")
-		routerK = flag.String("router", "bfs", "routing for super-IP runs: bfs (per-destination tables) or algebraic (Theorem 4.1/4.3 label arithmetic, O(1) state per node)")
-		impl    = flag.Bool("implicit", false, "simulate the implicit topology without materializing the graph (super-IP families; forces algebraic routing; -faults uses the fault-aware algebraic router; observability collectors attach to the sparse simulator's probe hooks)")
-		shards  = flag.Int("shards", 0, "run -implicit sweeps on the sharded engine with this many worker goroutines (module-partitioned lanes with conservative lookahead; any shard count produces identical stats for a fixed seed, so this only changes wall-clock; 0 = classic single-loop simulator)")
+		impl    = flag.Bool("implicit", false, "super-IP families: simulate the implicit topology with Theorem 4.1/4.3 algebraic routing (O(1) state per node) instead of building the graph and routing by BFS tables; -faults wraps the router in the fault-aware rerouter; every run builds fresh topology and router instances")
+		shards  = flag.Int("shards", 0, "run -implicit sweeps on the sharded engine with this many worker goroutines (module-partitioned lanes with conservative lookahead; any shard count produces identical stats for a fixed seed, so this only changes wall-clock; 0 = one lane on one goroutine, the sequential simulator)")
 		dim     = flag.Int("dim", 8, "hypercube dimension")
 		module  = flag.Int("module", 4, "hypercube: module subcube dimension; torus: tile side")
 		rows    = flag.Int("rows", 16, "torus rows")
@@ -229,7 +234,7 @@ func main() {
 		nodeFrc = flag.Float64("nodefaults", 0, "fraction of faults that kill a node instead of a link")
 
 		histOn     = flag.Bool("hist", false, "collect latency histograms: adds p50/p95/p99 columns and prints an ASCII histogram per run")
-		tsFile     = flag.String("timeseries", "", "write per-link load windows to this file (.jsonl = JSON lines, else CSV with a .modules.csv sibling)")
+		tsFile     = flag.String("timeseries", "", "write per-link load windows to this file (.jsonl = JSON lines, else CSV; -moduleseries writes the per-module view)")
 		tsEvery    = flag.Int("sample", 50, "time-series sample window, in cycles")
 		traceFile  = flag.String("trace", "", "write Chrome trace-event JSON of sampled packet lifecycles to this file")
 		traceNth   = flag.Int("tracesample", 64, "trace every n-th packet (1 = every packet)")
@@ -308,137 +313,136 @@ func main() {
 	if *shards > 0 && !*impl {
 		exitIf(fmt.Errorf("-shards requires -implicit (the sharded engine runs implicit topologies)"))
 	}
-	if *impl {
-		runImplicitSweep(*netName, *l, *nucleus, *sym,
-			ratioList, rateList, *cycles, *warmup, *seed,
-			*nFaults, *mtbf, *repair, *nodeFrc, *shards, o)
-		return
-	}
-
-	g, part, name, net, ix, err := buildSystem(*netName, *l, *nucleus, *sym, *dim, *module, *rows, *cols)
-	exitIf(err)
-
-	var router netsim.Router
-	switch *routerK {
-	case "bfs":
-	case "algebraic":
-		if net == nil {
-			exitIf(fmt.Errorf("-router=algebraic requires a super-IP family (got %q)", *netName))
-		}
-		ar, err := topo.NewAlgebraicWith(net.Super(), topo.NewMaterialized(g, ix))
+	var net *superip.Net
+	switch *netName {
+	case "HSN", "ringCN", "CN", "SFN":
+		var err error
+		net, err = superip.Parse(*netName, *l, *nucleus, *sym)
 		exitIf(err)
-		router = ar
-		if o.live != nil {
-			o.live.RouterSource(ar.RouterStats)
+	case "hypercube", "torus":
+		if *impl {
+			exitIf(fmt.Errorf("-implicit needs a super-IP family (HSN, ringCN, CN, SFN), got %q", *netName))
 		}
 	default:
-		exitIf(fmt.Errorf("unknown -router %q (want bfs or algebraic)", *routerK))
+		exitIf(fmt.Errorf("unknown network %q", *netName))
 	}
-
-	ist := metrics.IStats(g, part)
-	fmt.Fprintf(console, "%s: N=%d modules=%d I-degree=%.2f I-diameter=%d II-cost=%.2f\n",
-		name, g.N(), part.K, metrics.IDegree(g, part), ist.Diameter,
-		metrics.IICost(metrics.IDegree(g, part), int(ist.Diameter)))
-
-	var plan *netsim.FaultPlan
-	if *nFaults > 0 {
-		plan, err = netsim.RandomFaults{
-			MTBF:         *mtbf,
-			RepairTime:   *repair,
-			NodeFraction: *nodeFrc,
-			Start:        *warmup,
-			Horizon:      *warmup + *cycles,
-			MaxFaults:    *nFaults,
-			Seed:         *seed,
-		}.Plan(g)
-		exitIf(err)
-		fmt.Fprintf(console, "fault plan: %d events (mtbf %.0f, repair %d, node fraction %.2f)\n",
-			plan.Len(), *mtbf, *repair, *nodeFrc)
+	s := sweep{ratios: ratioList, rates: rateList, warmup: *warmup, cycles: *cycles,
+		seed: *seed, faults: *nFaults, shards: *shards}
+	rf := netsim.RandomFaults{
+		MTBF:         *mtbf,
+		RepairTime:   *repair,
+		NodeFraction: *nodeFrc,
+		Start:        *warmup,
+		Horizon:      *warmup + *cycles,
+		MaxFaults:    *nFaults,
+		Seed:         *seed,
 	}
+	if *impl {
+		exitIf(s.implicit(net, rf, o.live))
+	} else {
+		exitIf(s.materialized(net, *netName, *dim, *module, *rows, *cols, rf))
+	}
+	s.execute(o)
+}
 
+// sweep is one ratio x rate sweep. The path constructors (materialized,
+// implicit) print the network headline and fault plan and fill in name,
+// header, moduleOf and run; execute is the one loop both paths share.
+type sweep struct {
+	ratios         []int
+	rates          []float64
+	warmup, cycles int
+	seed           int64
+	faults, shards int
+
+	name     string            // run name in the manifest
+	header   string            // column header, without the quantile columns
+	moduleOf func(int64) int64 // module map handed to the collectors
+	run      func(ratio int, rate float64, seed int64, pb obs.Probe) (runOutcome, error)
+}
+
+// runOutcome is what one simulator run hands the sweep loop.
+type runOutcome struct {
+	stats  any              // the run's result, as the manifest records it
+	st     netsim.Stats     // the Stats every result embeds (latency quantiles)
+	row    string           // console row, without the quantile columns
+	router *obs.RouterStats // nil on paths without router telemetry
+}
+
+// freeHeader and freeRow are the fault-free table, the same on both paths.
+var freeHeader = fmt.Sprintf("%-8s %-8s %-10s %-10s %-8s %-10s %-8s",
+	"ratio", "rate", "injected", "delivered", "expired", "avg-lat", "max-lat")
+
+func freeRow(ratio int, rate float64, st netsim.Stats) string {
+	return fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-8d %-10.2f %-8d",
+		ratio, rate, st.Injected, st.Delivered, st.Expired, st.AvgLatency, st.MaxLatency)
+}
+
+// faultyHeader is the degraded-mode header. The paths differ in two
+// columns: retransmissions or hop-limit drops, and latency inflation or
+// detoured deliveries.
+func faultyHeader(drops, degraded string) string {
+	return fmt.Sprintf("%-8s %-8s %-10s %-10s %-6s %-8s %-6s %-10s %-9s %-9s %-9s",
+		"ratio", "rate", "injected", "delivered", "lost", "expired", drops, "avg-lat", degraded, "reroutes", "detours")
+}
+
+func printPlan(plan *netsim.FaultPlan, rf netsim.RandomFaults) {
+	fmt.Fprintf(console, "fault plan: %d events (mtbf %.0f, repair %d, node fraction %.2f)\n",
+		plan.Len(), rf.MTBF, rf.RepairTime, rf.NodeFraction)
+}
+
+// execute runs the sweep. With -repeat n, repetition r reruns each
+// combination with seed seed+r and a fresh probe set; the console row,
+// router telemetry and collector exports come from repetition 0, and every
+// repetition's flattened stats land in the manifest's samples array.
+func (s *sweep) execute(o obsOpts) {
 	histCols := ""
-	if *histOn {
+	if o.hist {
 		histCols = fmt.Sprintf(" %-8s %-8s %-8s", "p50", "p95", "p99")
 	}
-	if plan == nil {
-		fmt.Fprintf(console, "%-8s %-8s %-10s %-10s %-8s %-10s %-8s%s\n",
-			"ratio", "rate", "injected", "delivered", "expired", "avg-lat", "max-lat", histCols)
-	} else {
-		fmt.Fprintf(console, "%-8s %-8s %-10s %-10s %-6s %-8s %-6s %-10s %-9s %-9s %-9s%s\n",
-			"ratio", "rate", "injected", "delivered", "lost", "expired", "retx", "avg-lat", "lat-infl", "reroutes", "detours", histCols)
-	}
-	moduleOf := func(u int64) int64 { return int64(part.Of[u]) }
-	multi := len(ratioList)*len(rateList) > 1
-	for _, ratio := range ratioList {
-		for _, rate := range rateList {
-			// With -repeat n, repetition r reruns the combination with seed
-			// seed+r and a fresh probe set; the console row and collector
-			// exports come from repetition 0, and every repetition's
-			// flattened stats land in the manifest's samples array.
+	fmt.Fprintf(console, "%s%s\n", s.header, histCols)
+	multi := len(s.ratios)*len(s.rates) > 1
+	for _, ratio := range s.ratios {
+		for _, rate := range s.rates {
 			var samples []map[string]float64
-			var headStats any
+			var head runOutcome
 			var headPct map[string]float64
 			for rep := 0; rep < o.repeat; rep++ {
-				pb, col := o.build(moduleOf)
-				cfg := netsim.Config{
-					Graph:           g,
-					Partition:       &part,
-					OffModulePeriod: ratio,
-					InjectionRate:   rate,
-					WarmupCycles:    *warmup,
-					MeasureCycles:   *cycles,
-					Seed:            *seed + int64(rep),
-					Probe:           pb,
-					Router:          router,
+				pb, col := o.build(s.moduleOf)
+				out, err := s.run(ratio, rate, s.seed+int64(rep), pb)
+				exitIf(err)
+				pct := percentiles(o.hist, out.st)
+				samples = append(samples, obs.Manifest{Stats: out.stats, Percentiles: pct, Router: out.router}.Flatten())
+				if rep > 0 {
+					continue
 				}
-				if plan == nil {
-					st, err := netsim.Run(cfg)
-					exitIf(err)
-					pct := percentiles(*histOn, st.P50Latency, st.P95Latency, st.P99Latency)
-					samples = append(samples, obs.Manifest{Stats: st, Percentiles: pct}.Flatten())
-					if rep > 0 {
-						continue
-					}
-					headStats, headPct = st, pct
-					fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-8d %-10.2f %-8d%s\n",
-						ratio, rate, st.Injected, st.Delivered, st.Expired,
-						st.AvgLatency, st.MaxLatency, quantileCols(*histOn, st.P50Latency, st.P95Latency, st.P99Latency))
-				} else {
-					fs, _, err := netsim.RunFaultyWithBaseline(cfg, netsim.FaultConfig{Plan: plan})
-					exitIf(err)
-					pct := percentiles(*histOn, fs.P50Latency, fs.P95Latency, fs.P99Latency)
-					samples = append(samples, obs.Manifest{Stats: fs, Percentiles: pct}.Flatten())
-					if rep > 0 {
-						continue
-					}
-					headStats, headPct = fs, pct
-					fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-6d %-8d %-6d %-10.2f %-9.2f %-9d %-9d%s\n",
-						ratio, rate, fs.Injected, fs.Delivered, fs.Lost, fs.Expired, fs.Retransmitted,
-						fs.AvgLatency, fs.LatencyInflation, fs.RerouteEvents, fs.MisroutedHops,
-						quantileCols(*histOn, fs.P50Latency, fs.P95Latency, fs.P99Latency))
+				head, headPct = out, pct
+				fmt.Fprintf(console, "%s%s\n", out.row, quantileCols(o.hist, out.st))
+				if out.router != nil {
+					exitIf(out.router.WriteText(console))
 				}
 				col.export(o, ratio, rate, multi)
 			}
-			o.writeManifest(name, runConfig(ratio, rate, *warmup, *cycles, *nFaults, 0), *seed,
-				headStats, headPct, nil, samples, ratio, rate, multi)
+			o.writeManifest(s.name, runConfig(ratio, rate, s.warmup, s.cycles, s.faults, s.shards), s.seed,
+				head.stats, headPct, head.router, samples, ratio, rate, multi)
 		}
 	}
 }
 
-func quantileCols(on bool, p50, p95, p99 float64) string {
+func quantileCols(on bool, st netsim.Stats) string {
 	if !on {
 		return ""
 	}
-	return fmt.Sprintf(" %-8.1f %-8.1f %-8.1f", p50, p95, p99)
+	return fmt.Sprintf(" %-8.1f %-8.1f %-8.1f", st.P50Latency, st.P95Latency, st.P99Latency)
 }
 
 // percentiles builds the manifest's percentile map (nil when -hist is off
 // and the quantiles were never collected).
-func percentiles(on bool, p50, p95, p99 float64) map[string]float64 {
+func percentiles(on bool, st netsim.Stats) map[string]float64 {
 	if !on {
 		return nil
 	}
-	return map[string]float64{"p50": p50, "p95": p95, "p99": p99}
+	return map[string]float64{"p50": st.P50Latency, "p95": st.P95Latency, "p99": st.P99Latency}
 }
 
 // runConfig captures the per-run sweep coordinates for the manifest. The
@@ -497,8 +501,6 @@ func (c *collectors) export(o obsOpts, ratio int, rate float64, multi bool) {
 				exitIf(writeTo(name, c.ts.WriteJSONL))
 			} else {
 				exitIf(writeTo(name, c.ts.WriteCSV))
-				ext := filepath.Ext(name)
-				exitIf(writeTo(strings.TrimSuffix(name, ext)+".modules"+ext, c.ts.WriteModulesCSV))
 			}
 		}
 		if o.topLinks > 0 {
@@ -558,235 +560,188 @@ func writeTo(name string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// superNet assembles the super-IP specification for the simulate families.
-func superNet(name string, l int, nucleus string, sym bool) (*superip.Net, error) {
-	var nuc superip.NucleusSpec
-	switch {
-	case strings.HasPrefix(nucleus, "FQ"):
-		n, err := strconv.Atoi(nucleus[2:])
-		if err != nil {
-			return nil, err
+// materialized sets the sweep up on the built graph: net (nil for the
+// classical networks) or the -net hypercube/torus system is materialized
+// with its module partition, and every run is a netsim.Run with
+// per-destination BFS tables, or netsim.RunFaultyWithBaseline under a fault
+// plan.
+func (s *sweep) materialized(net *superip.Net, netName string, dim, module, rows, cols int, rf netsim.RandomFaults) error {
+	g, part, name, err := buildSystem(net, netName, dim, module, rows, cols)
+	if err != nil {
+		return err
+	}
+	ist := metrics.IStats(g, part)
+	fmt.Fprintf(console, "%s: N=%d modules=%d I-degree=%.2f I-diameter=%d II-cost=%.2f\n",
+		name, g.N(), part.K, metrics.IDegree(g, part), ist.Diameter,
+		metrics.IICost(metrics.IDegree(g, part), int(ist.Diameter)))
+
+	var plan *netsim.FaultPlan
+	if s.faults > 0 {
+		if plan, err = rf.Plan(g); err != nil {
+			return err
 		}
-		nuc = superip.NucleusFoldedHypercube(n)
-	case strings.HasPrefix(nucleus, "Q"):
-		n, err := strconv.Atoi(nucleus[1:])
-		if err != nil {
-			return nil, err
+		printPlan(plan, rf)
+	}
+	s.name = name
+	s.moduleOf = func(u int64) int64 { return int64(part.Of[u]) }
+	config := func(ratio int, rate float64, seed int64, pb obs.Probe) netsim.Config {
+		return netsim.Config{
+			Graph:           g,
+			Partition:       &part,
+			OffModulePeriod: ratio,
+			InjectionRate:   rate,
+			WarmupCycles:    s.warmup,
+			MeasureCycles:   s.cycles,
+			Seed:            seed,
+			Probe:           pb,
 		}
-		nuc = superip.NucleusHypercube(n)
-	default:
-		return nil, fmt.Errorf("unknown nucleus %q", nucleus)
 	}
-	var net *superip.Net
-	switch name {
-	case "HSN":
-		net = superip.HSN(l, nuc)
-	case "ringCN":
-		net = superip.RingCN(l, nuc)
-	case "CN":
-		net = superip.CompleteCN(l, nuc)
-	case "SFN":
-		net = superip.SuperFlip(l, nuc)
-	default:
-		return nil, fmt.Errorf("unknown super-IP family %q", name)
+	if plan == nil {
+		s.header = freeHeader
+		s.run = func(ratio int, rate float64, seed int64, pb obs.Probe) (runOutcome, error) {
+			st, err := netsim.Run(config(ratio, rate, seed, pb))
+			return runOutcome{stats: st, st: st, row: freeRow(ratio, rate, st)}, err
+		}
+		return nil
 	}
-	if sym {
-		net = net.SymmetricVariant()
+	s.header = faultyHeader("retx", "lat-infl")
+	s.run = func(ratio int, rate float64, seed int64, pb obs.Probe) (runOutcome, error) {
+		fs, _, err := netsim.RunFaultyWithBaseline(config(ratio, rate, seed, pb), netsim.FaultConfig{Plan: plan})
+		row := fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-6d %-8d %-6d %-10.2f %-9.2f %-9d %-9d",
+			ratio, rate, fs.Injected, fs.Delivered, fs.Lost, fs.Expired, fs.Retransmitted,
+			fs.AvgLatency, fs.LatencyInflation, fs.RerouteEvents, fs.MisroutedHops)
+		return runOutcome{stats: fs, st: fs.Stats, row: row}, err
 	}
-	return net, nil
+	return nil
 }
 
-// buildSystem materializes the requested network. For super-IP families it
-// also returns the specification and label index so callers can attach the
-// algebraic router; both are nil for classical networks.
-func buildSystem(name string, l int, nucleus string, sym bool, dim, module, rows, cols int) (*graph.Graph, metrics.Partition, string, *superip.Net, *core.Index, error) {
-	switch name {
-	case "HSN", "ringCN", "CN", "SFN":
-		net, err := superNet(name, l, nucleus, sym)
-		if err != nil {
-			return nil, metrics.Partition{}, "", nil, nil, err
-		}
+// buildSystem materializes the requested network and its module partition:
+// net when it is a super-IP family (nucleus-per-module packing), else the
+// hypercube (subcube modules) or torus (tiles) of the classical flags.
+func buildSystem(net *superip.Net, name string, dim, module, rows, cols int) (*graph.Graph, metrics.Partition, string, error) {
+	switch {
+	case net != nil:
 		g, ix, err := net.BuildWithIndex()
 		if err != nil {
-			return nil, metrics.Partition{}, "", nil, nil, err
+			return nil, metrics.Partition{}, "", err
 		}
-		return g, metrics.NucleusPartition(ix, net.Nucleus.Nuc.M()), net.Name(), net, ix, nil
-	case "hypercube":
+		return g, metrics.NucleusPartition(ix, net.Nucleus.Nuc.M()), net.Name(), nil
+	case name == "hypercube":
+		if module < 0 || module > dim {
+			return nil, metrics.Partition{}, "", fmt.Errorf("-module %d outside [0, -dim %d]: a module is a subcube of the hypercube", module, dim)
+		}
 		g, err := networks.Hypercube{Dim: dim}.Build()
 		if err != nil {
-			return nil, metrics.Partition{}, "", nil, nil, err
+			return nil, metrics.Partition{}, "", err
 		}
-		return g, metrics.SubcubePartition(g.N(), module), fmt.Sprintf("Q%d/Q%d", dim, module), nil, nil, nil
-	case "torus":
+		return g, metrics.SubcubePartition(g.N(), module), fmt.Sprintf("Q%d/Q%d", dim, module), nil
+	default: // torus
+		if module < 1 {
+			return nil, metrics.Partition{}, "", fmt.Errorf("-module %d: a torus tile needs a side >= 1", module)
+		}
 		g, err := networks.Torus2D{Rows: rows, Cols: cols}.Build()
 		if err != nil {
-			return nil, metrics.Partition{}, "", nil, nil, err
+			return nil, metrics.Partition{}, "", err
 		}
 		p, err := metrics.GridPartition(rows, cols, module, module)
 		if err != nil {
-			return nil, metrics.Partition{}, "", nil, nil, err
+			return nil, metrics.Partition{}, "", err
 		}
-		return g, p, fmt.Sprintf("torus(%dx%d)/%dx%d", rows, cols, module, module), nil, nil, nil
+		return g, p, fmt.Sprintf("torus(%dx%d)/%dx%d", rows, cols, module, module), nil
 	}
-	return nil, metrics.Partition{}, "", nil, nil, fmt.Errorf("unknown network %q", name)
 }
 
-// runImplicitSweep is the -implicit path: the ratio x rate sweep of main,
-// executed by the sparse simulator over the implicit topology with algebraic
+// implicit sets the sweep up on the implicit topology of net with algebraic
 // routing. Nothing O(N) is allocated, so instances far beyond the
 // materializable ceiling (superip.Net.Build refuses N > 2^21) simulate in
 // memory proportional to the in-flight packet population. With -faults the
-// algebraic router is wrapped in the fault-aware rerouter and the plan is
-// drawn in id space (RandomFaults.PlanTopo) — degraded-mode runs need no
-// graph either. Observability collectors ride along through the probe
-// hooks, with modules resolved algebraically (Implicit.Module), and every
-// row is followed by the router's cache/reroute telemetry. With shards > 0
-// the sweep runs on the sharded engine instead: nodes are partitioned into
-// module-owned lanes stepped by that many worker goroutines, with per-lane
-// topology/router/fault-sink instances built by a lane factory (none of the
-// algebraic oracles need to be goroutine-safe that way). Stats are
-// deterministic in everything but wall-clock — any shard count yields the
-// same numbers for a fixed seed.
-func runImplicitSweep(netName string, l int, nucleus string, sym bool, ratios []int, rates []float64, cycles, warmup int, seed int64,
-	nFaults int, mtbf float64, repair int, nodeFrc float64, shards int, o obsOpts) {
-	net, err := superNet(netName, l, nucleus, sym)
-	exitIf(err)
+// plan is drawn in id space (RandomFaults.PlanTopo) and each router is
+// wrapped in the fault-aware rerouter. Every run is one netsim.RunSharded
+// whose lanes get fresh topology, router and fault-set instances from the
+// lane factory, so no route state leaks from one run into the next; without
+// -shards the run is a single lane on one worker, the sequential simulator.
+// Stats are deterministic in everything but wall-clock — any shard count
+// yields the same numbers for a fixed seed. Each row is followed by the
+// router's cache/reroute telemetry.
+func (s *sweep) implicit(net *superip.Net, rf netsim.RandomFaults, live *obs.LiveServer) error {
 	imp, err := topo.NewImplicit(net.Super())
-	exitIf(err)
-	r, err := topo.NewAlgebraic(net.Super())
-	exitIf(err)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(console, "%s (implicit): N=%d modules=%d degree=%d diameter=%d I-diameter=%d\n",
 		net.Name(), imp.N(), imp.Modules(), net.Degree(), net.Diameter(), net.IDiameter())
 
 	var plan *netsim.FaultPlan
-	var fs *topo.FaultSet
-	if nFaults > 0 {
-		plan, err = netsim.RandomFaults{
-			MTBF:         mtbf,
-			RepairTime:   repair,
-			NodeFraction: nodeFrc,
-			Start:        warmup,
-			Horizon:      warmup + cycles,
-			MaxFaults:    nFaults,
-			Seed:         seed,
-		}.PlanTopo(imp)
-		exitIf(err)
-		fs = topo.NewFaultSet()
-		fmt.Fprintf(console, "fault plan: %d events (mtbf %.0f, repair %d, node fraction %.2f)\n",
-			plan.Len(), mtbf, repair, nodeFrc)
+	if s.faults > 0 {
+		if plan, err = rf.PlanTopo(imp); err != nil {
+			return err
+		}
+		printPlan(plan, rf)
 	}
-
-	histCols := ""
-	if o.hist {
-		histCols = fmt.Sprintf(" %-8s %-8s %-8s", "p50", "p95", "p99")
+	lanes, shards := 0, s.shards // 0 lanes: RunSharded's default
+	if shards == 0 {
+		lanes, shards = 1, 1
 	}
-	if plan == nil {
-		fmt.Fprintf(console, "%-8s %-8s %-10s %-10s %-8s %-10s %-8s%s\n",
-			"ratio", "rate", "injected", "delivered", "expired", "avg-lat", "max-lat", histCols)
-	} else {
-		fmt.Fprintf(console, "%-8s %-8s %-10s %-10s %-6s %-8s %-6s %-10s %-9s %-9s %-9s%s\n",
-			"ratio", "rate", "injected", "delivered", "lost", "expired", "drops", "avg-lat", "degraded", "reroutes", "detours", histCols)
-	}
-	// Lane factory for the sharded engine: each lane gets private instances
-	// of the implicit topology and the algebraic router (plus, under faults,
-	// its own fault-aware wrapper and sink), because none of them is
-	// required to be safe for concurrent use.
+	// Each lane gets private instances of the implicit topology and the
+	// algebraic router (plus, under faults, its own fault-aware wrapper and
+	// fault set), because none of them is required to be safe for
+	// concurrent use.
 	newLane := func() (netsim.Topology, netsim.Router, netsim.FaultSink, error) {
 		lt, err := topo.NewImplicit(net.Super())
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		lr, err := topo.NewAlgebraic(net.Super())
+		ar, err := topo.NewAlgebraic(net.Super())
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		if plan == nil {
-			return lt, lr, nil, nil
+		var r interface {
+			netsim.Router
+			RouterStats() obs.RouterStats
+		} = ar
+		var sink netsim.FaultSink
+		if plan != nil {
+			fs := topo.NewFaultSet()
+			r, sink = topo.NewFaultAware(lt, ar, fs), fs
 		}
-		lfs := topo.NewFaultSet()
-		return lt, topo.NewFaultAware(lt, lr, lfs), lfs, nil
+		if live != nil && lanes == 1 {
+			// The sampler calls this on the simulation goroutine, between
+			// cycles, so a single lane's router is safe to read.
+			live.RouterSource(r.RouterStats)
+		}
+		return lt, r, sink, nil
 	}
 
-	name := net.Name() + " (implicit)"
-	multi := len(ratios)*len(rates) > 1
-	for _, ratio := range ratios {
-		for _, rate := range rates {
-			var samples []map[string]float64
-			var headStats any
-			var headPct map[string]float64
-			var headRouter *obs.RouterStats
-			for rep := 0; rep < o.repeat; rep++ {
-				pb, col := o.build(imp.Module)
-				var st netsim.ImplicitFaultStats
-				if shards > 0 {
-					st, err = netsim.RunSharded(netsim.ShardedConfig{
-						NewLane:         newLane,
-						Space:           imp,
-						OffModulePeriod: ratio,
-						InjectionRate:   rate,
-						WarmupCycles:    warmup,
-						MeasureCycles:   cycles,
-						Seed:            seed + int64(rep),
-						Shards:          shards,
-						Plan:            plan,
-						Probe:           pb,
-					})
-				} else {
-					cfg := netsim.ImplicitConfig{
-						Topo:            imp,
-						Router:          r,
-						OffModulePeriod: ratio,
-						InjectionRate:   rate,
-						WarmupCycles:    warmup,
-						MeasureCycles:   cycles,
-						Seed:            seed + int64(rep),
-						Probe:           pb,
-					}
-					if ratio > 1 {
-						cfg.ModuleOf = imp.Module
-					}
-					var fc netsim.ImplicitFaultConfig
-					routerStats := r.RouterStats
-					if plan != nil {
-						// Fresh fault state per run: the scheduler re-applies
-						// the plan, and the router's route store starts clean.
-						fs.Reset()
-						fa := topo.NewFaultAware(imp, r, fs)
-						cfg.Router, routerStats = fa, fa.RouterStats
-						fc = netsim.ImplicitFaultConfig{Plan: plan, Faults: fs}
-					}
-					if o.live != nil {
-						// The sampler calls this on the simulation goroutine,
-						// between cycles — single-goroutine routers are safe.
-						o.live.RouterSource(routerStats)
-					}
-					st, err = netsim.RunImplicitFaulty(cfg, fc)
-				}
-				exitIf(err)
-				pct := percentiles(o.hist, st.P50Latency, st.P95Latency, st.P99Latency)
-				router := st.Router
-				samples = append(samples, obs.Manifest{Stats: st, Percentiles: pct, Router: &router}.Flatten())
-				if rep > 0 {
-					continue
-				}
-				headStats, headPct, headRouter = st, pct, &router
-				if plan == nil {
-					fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-8d %-10.2f %-8d%s\n",
-						ratio, rate, st.Injected, st.Delivered, st.Expired, st.AvgLatency, st.MaxLatency,
-						quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
-				} else {
-					fmt.Fprintf(console, "%-8d %-8.4f %-10d %-10d %-6d %-8d %-6d %-10.2f %-9d %-9d %-9d%s\n",
-						ratio, rate, st.Injected, st.Delivered, st.Lost, st.Expired, st.HopLimitDrops,
-						st.AvgLatency, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops,
-						quantileCols(o.hist, st.P50Latency, st.P95Latency, st.P99Latency))
-				}
-				exitIf(router.WriteText(console))
-				col.export(o, ratio, rate, multi)
-			}
-			o.writeManifest(name, runConfig(ratio, rate, warmup, cycles, nFaults, shards), seed,
-				headStats, headPct, headRouter, samples, ratio, rate, multi)
-		}
+	s.name, s.moduleOf = net.Name()+" (implicit)", imp.Module
+	if plan == nil {
+		s.header = freeHeader
+	} else {
+		s.header = faultyHeader("drops", "degraded")
 	}
+	s.run = func(ratio int, rate float64, seed int64, pb obs.Probe) (runOutcome, error) {
+		st, err := netsim.RunSharded(netsim.ShardedConfig{
+			NewLane:         newLane,
+			Space:           imp,
+			OffModulePeriod: ratio,
+			InjectionRate:   rate,
+			WarmupCycles:    s.warmup,
+			MeasureCycles:   s.cycles,
+			Seed:            seed,
+			Shards:          shards,
+			Lanes:           lanes,
+			Plan:            plan,
+			Probe:           pb,
+		})
+		row := freeRow(ratio, rate, st.Stats)
+		if plan != nil {
+			row = fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-6d %-8d %-6d %-10.2f %-9d %-9d %-9d",
+				ratio, rate, st.Injected, st.Delivered, st.Lost, st.Expired, st.HopLimitDrops,
+				st.AvgLatency, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops)
+		}
+		router := st.Router
+		return runOutcome{stats: st, st: st.Stats, row: row, router: &router}, err
+	}
+	return nil
 }
 
 // validateSweep rejects sweep flags no simulator run can honor: an

@@ -149,21 +149,6 @@ func goldenResults(t *testing.T) map[string]any {
 		st, err := Run(cfg)
 		put("run/torus/periodfunc/seed6", st, err)
 	}
-	{
-		net := superip.HSN(2, superip.NucleusHypercube(2))
-		g, ix, err := net.BuildWithIndex()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ar, err := topo.NewAlgebraicWith(net.Super(), topo.NewMaterialized(g, ix))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{Graph: g, InjectionRate: 0.02, WarmupCycles: 50,
-			MeasureCycles: 300, Seed: 7, Router: ar}
-		st, err := Run(cfg)
-		put("run/hsn2q2/algrouter/seed7", st, err)
-	}
 
 	// --- RunFaulty: materialized, degraded ---
 	plan, err := (RandomFaults{MTBF: 60, RepairTime: 120, NodeFraction: 0.3,

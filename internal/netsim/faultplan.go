@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/topo"
 )
 
 // FaultKind distinguishes link faults from node faults.
@@ -76,7 +77,7 @@ func (p *FaultPlan) Len() int {
 // wrapper over ValidateTopo, kept for callers that already hold the built
 // graph.
 func (p *FaultPlan) Validate(g *graph.Graph) error {
-	return p.ValidateTopo(graphTopo{g})
+	return p.ValidateTopo(topo.NewMaterialized(g, nil))
 }
 
 // ValidateTopo checks every event against an id-space topology — endpoints
@@ -116,22 +117,6 @@ func (p *FaultPlan) ValidateTopo(t Topology) error {
 		}
 	}
 	return nil
-}
-
-// graphTopo adapts a materialized graph to the Topology interface for
-// validation and plan generation (netsim deliberately does not import
-// internal/topo, whose Materialized type plays the same role).
-type graphTopo struct{ g *graph.Graph }
-
-func (t graphTopo) N() int64       { return int64(t.g.N()) }
-func (t graphTopo) MaxDegree() int { return t.g.MaxDegree() }
-func (t graphTopo) Directed() bool { return t.g.Directed }
-func (t graphTopo) Neighbors(u int64, buf []int64) []int64 {
-	buf = buf[:0]
-	for _, v := range t.g.Neighbors(int32(u)) {
-		buf = append(buf, int64(v))
-	}
-	return buf
 }
 
 // sorted returns the events ordered by strike cycle (stable), leaving the

@@ -6,20 +6,16 @@ import (
 	"sort"
 
 	"repro/internal/obs"
+	"repro/internal/topo"
 )
 
-// Topology is the neighbor oracle consumed by RunImplicit. It is satisfied
-// by the implementations of internal/topo (Implicit, Materialized,
-// HypercubeTopo); declaring it here keeps netsim decoupled from that
-// package. Neighbors must append to buf[:0] and return a sorted,
-// deduplicated, self-loop-free slice. Directed tells the fault machinery
-// whether a link fault kills one arc or both.
-type Topology interface {
-	N() int64
-	MaxDegree() int
-	Directed() bool
-	Neighbors(u int64, buf []int64) []int64
-}
+// Topology is the neighbor oracle the implicit simulators consume
+// (topo.Implicit, topo.Materialized, topo.HypercubeTopo, ...).
+type Topology = topo.Topology
+
+// Router is the per-hop routing oracle the implicit simulators consume
+// (topo.Algebraic, topo.FaultAware, topo.Table, topo.HypercubeRouter, ...).
+type Router = topo.Router
 
 // ImplicitConfig parameterizes a simulation over an implicit topology: no
 // per-node arrays are ever allocated, so the memory footprint scales with
@@ -154,7 +150,8 @@ func (cfg *ImplicitConfig) normalize() error {
 // hops come from the algebraic Router, so total memory is proportional to
 // the in-flight packet population — independent of N. Runs are deterministic
 // in the configuration (including Seed) and unperturbed by cfg.Probe. It is
-// RunImplicitFaulty without a fault plan.
+// RunImplicitFaulty without a fault plan. A built graph runs here too, as
+// topo.NewMaterialized(g, ix) with a router such as topo.NewAlgebraicWith.
 func RunImplicit(cfg ImplicitConfig) (ImplicitFaultStats, error) {
 	return RunImplicitFaulty(cfg, ImplicitFaultConfig{})
 }

@@ -4,64 +4,25 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/networks"
 	"repro/internal/superip"
 	"repro/internal/topo"
 )
 
-// TestRunWithRouterMatchesTables checks that plugging a lazily materialized
-// BFS table router (topo.Table) into Run reproduces the historical nil-Router
-// path bit for bit: both consult identical tables and neither consumes
-// randomness while routing.
-func TestRunWithRouterMatchesTables(t *testing.T) {
-	g, err := networks.Hypercube{Dim: 6}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Config{Graph: g, InjectionRate: 0.02,
-		WarmupCycles: 100, MeasureCycles: 1000, Seed: 11}
-	want, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withRouter := base
-	withRouter.Router = topo.NewTable(g)
-	got, err := Run(withRouter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("stats diverge: with router %+v, tables %+v", got, want)
-	}
-}
-
-// TestRunRouterAdaptiveConflict pins the config error: a deterministic
-// router oracle cannot be combined with adaptive minimal routing.
-func TestRunRouterAdaptiveConflict(t *testing.T) {
-	g, err := networks.Hypercube{Dim: 3}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(Config{Graph: g, InjectionRate: 0.01, MeasureCycles: 10,
-		Router: topo.NewTable(g), Adaptive: true})
-	if err == nil {
-		t.Fatal("Router+Adaptive accepted")
-	}
-}
-
-// TestRunWithAlgebraicRouter runs the materialized simulator with the
-// paper's algebraic router over a super-IP graph and checks packets arrive.
+// TestRunWithAlgebraicRouter runs the paper's algebraic router over a built
+// super-IP graph (topo.Materialized with its label index) and checks
+// packets arrive.
 func TestRunWithAlgebraicRouter(t *testing.T) {
 	net := superip.HSN(2, superip.NucleusHypercube(2))
 	g, ix, err := net.BuildWithIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := topo.NewAlgebraicWith(net.Super(), topo.NewMaterialized(g, ix))
+	mat := topo.NewMaterialized(g, ix)
+	r, err := topo.NewAlgebraicWith(net.Super(), mat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(Config{Graph: g, InjectionRate: 0.02, Router: r,
+	st, err := RunImplicit(ImplicitConfig{Topo: mat, Router: r, InjectionRate: 0.02,
 		WarmupCycles: 100, MeasureCycles: 1000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -98,21 +59,23 @@ func TestRunImplicitHypercube(t *testing.T) {
 }
 
 // TestRunImplicitMatchesMaterializedSuperIP cross-checks the implicit
-// simulator against the materialized one on the same super-IP network with
-// the same algebraic routing discipline. The two runs consume randomness
-// differently, so the comparison is statistical: delivery must be complete
-// and the average latencies must agree to within a small factor.
+// topology against the built graph of the same super-IP network under the
+// same algebraic routing discipline. The two number their nodes
+// differently, so the same seed draws different source/destination pairs
+// and the comparison is statistical: delivery must be complete and the
+// average latencies must agree to within a small factor.
 func TestRunImplicitMatchesMaterializedSuperIP(t *testing.T) {
 	net := superip.HSN(2, superip.NucleusHypercube(3))
 	g, ix, err := net.BuildWithIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := topo.NewAlgebraicWith(net.Super(), topo.NewMaterialized(g, ix))
+	built := topo.NewMaterialized(g, ix)
+	ar, err := topo.NewAlgebraicWith(net.Super(), built)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := Run(Config{Graph: g, InjectionRate: 0.02, Router: ar,
+	mat, err := RunImplicit(ImplicitConfig{Topo: built, Router: ar, InjectionRate: 0.02,
 		WarmupCycles: 200, MeasureCycles: 2000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

@@ -19,10 +19,9 @@ package netsim
 import "fmt"
 
 // FaultSink is the id-space liveness store shared between RunImplicitFaulty
-// and a fault-aware router. It is satisfied by *topo.FaultSet; declaring it
-// here keeps netsim decoupled from the topo package. Link mutations are
-// directed arcs — the simulator calls both directions on undirected
-// topologies.
+// and a fault-aware router. It is satisfied by *topo.FaultSet. Link
+// mutations are directed arcs — the simulator calls both directions on
+// undirected topologies.
 type FaultSink interface {
 	FailLink(u, v int64)
 	RepairLink(u, v int64)

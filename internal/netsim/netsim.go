@@ -19,6 +19,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/route"
+	"repro/internal/topo"
 )
 
 // Config parameterizes a simulation run.
@@ -63,14 +64,6 @@ type Config struct {
 	// Must return >= 1 for every link of the graph; Run validates this up
 	// front and returns an error on violation.
 	PeriodFunc func(u, v int32) int
-	// Router, when non-nil, supplies next hops instead of the lazily built
-	// per-destination BFS tables — typically a topo.Router such as the
-	// algebraic super-IP router, whose per-node state is O(1) in the network
-	// size. The router must make progress toward dst on the simulated graph:
-	// every NextHop result must be a neighbor of the current node. Router is
-	// incompatible with Adaptive (a router is a deterministic oracle; the
-	// adaptive path needs the full minimal-next-hop sets).
-	Router Router
 	// Probe, when non-nil, receives per-event callbacks during the run
 	// (injection, queueing, transmission, delivery, drops, retransmission,
 	// faults, reroutes) — see internal/obs for the hook contract and the
@@ -104,9 +97,6 @@ func (cfg *Config) normalize() error {
 	if cfg.Pattern == nil {
 		cfg.Pattern = Uniform
 	}
-	if cfg.Router != nil && cfg.Adaptive {
-		return fmt.Errorf("netsim: Router and Adaptive are mutually exclusive")
-	}
 	if cfg.PeriodFunc != nil {
 		for u := 0; u < g.N(); u++ {
 			for _, v := range g.Neighbors(int32(u)) {
@@ -135,14 +125,6 @@ func (cfg *Config) maxServicePeriod() int {
 		}
 	}
 	return maxPeriod
-}
-
-// Router is the per-hop routing oracle consumed by Run when Config.Router is
-// set. It is satisfied by the routers of internal/topo (Table, Algebraic,
-// HypercubeRouter, StarRouter); declaring it here keeps netsim decoupled from
-// that package.
-type Router interface {
-	NextHop(cur, dst int64) (int64, error)
 }
 
 // PatternFunc picks a destination for a packet injected at src; returning
@@ -287,7 +269,7 @@ func runNormalized(cfg Config) (Stats, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Per-destination next-hop tables, built lazily.
-	tables := make([]route.NextHopTable, n)
+	table := topo.NewTable(g)
 	var allTables [][][]int32
 	if cfg.Adaptive {
 		allTables = make([][][]int32, n)
@@ -309,32 +291,19 @@ func runNormalized(cfg Config) (Stats, error) {
 	}
 	e.deadline = e.total + cfg.DrainCycles
 	e.route = func(_ int, at int64, pkt *epacket) (int64, bool, error) {
-		if cfg.Router != nil {
-			nh, err := cfg.Router.NextHop(at, pkt.dst)
-			if err != nil {
-				return 0, false, err
-			}
-			return nh, true, nil
+		if !cfg.Adaptive {
+			nh, err := table.NextHop(at, pkt.dst)
+			return nh, err == nil, err
 		}
 		cur, dst := int32(at), int32(pkt.dst)
-		if cfg.Adaptive {
-			if allTables[dst] == nil {
-				allTables[dst] = route.BFSAllNextHops(g, dst)
-			}
-			opts := allTables[dst][cur]
-			if len(opts) == 0 {
-				return 0, false, fmt.Errorf("netsim: no route from %d to %d", cur, dst)
-			}
-			return int64(opts[rng.Intn(len(opts))]), true, nil
+		if allTables[dst] == nil {
+			allTables[dst] = route.BFSAllNextHops(g, dst)
 		}
-		if tables[dst] == nil {
-			tables[dst] = route.BFSNextHops(g, dst)
-		}
-		nh := tables[dst][cur]
-		if nh < 0 {
+		opts := allTables[dst][cur]
+		if len(opts) == 0 {
 			return 0, false, fmt.Errorf("netsim: no route from %d to %d", cur, dst)
 		}
-		return int64(nh), true, nil
+		return int64(opts[rng.Intn(len(opts))]), true, nil
 	}
 	e.deliver = func(now int, at int64, pkt *epacket) {
 		lat := now - pkt.born

@@ -3,9 +3,9 @@
 // (injection, queueing, link transmission, delivery, drops, retransmission,
 // topology faults, and routing-table rebuilds) plus a set of built-in
 // collectors — log-bucketed latency histograms (LatencyHist), per-link time
-// series with CSV/JSONL export (TimeSeries), module-aggregated time series
-// whose memory is bounded by module count rather than node count
-// (ModuleSeries), a sampled packet-lifecycle tracer emitting Chrome
+// series with CSV/JSONL export (TimeSeries), the module-aggregated time
+// series, the one per-module view, whose memory is bounded by module count
+// rather than node count (ModuleSeries), a sampled packet-lifecycle tracer emitting Chrome
 // trace-event JSON (Trace), a live progress ticker (Progress), and a
 // concurrency-safe metrics registry for long-running processes (Registry).
 //

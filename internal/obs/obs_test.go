@@ -209,11 +209,8 @@ func TestTimeSeriesSnapshotsAndExports(t *testing.T) {
 	if ts.ActiveLinks() != 2 {
 		t.Fatalf("ActiveLinks = %d, want 2", ts.ActiveLinks())
 	}
-	var linkCSV, modCSV, jsonl bytes.Buffer
+	var linkCSV, jsonl bytes.Buffer
 	if err := ts.WriteCSV(&linkCSV); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.WriteModulesCSV(&modCSV); err != nil {
 		t.Fatal(err)
 	}
 	if err := ts.WriteJSONL(&jsonl); err != nil {
@@ -222,17 +219,17 @@ func TestTimeSeriesSnapshotsAndExports(t *testing.T) {
 	if !strings.Contains(linkCSV.String(), "0,1,false,0,2") {
 		t.Fatalf("link CSV missing the 0->1 window row:\n%s", linkCSV.String())
 	}
-	// The off-module 1->2 queue shows up as module 0's off-module occupancy.
-	if !strings.Contains(modCSV.String(), "10,10,0,1,0") {
-		t.Fatalf("module CSV missing module 0 occupancy:\n%s", modCSV.String())
+	// The off-module 1->2 link is flagged and its queue sampled.
+	if !strings.Contains(linkCSV.String(), "10,10,1,2,true,1,0") {
+		t.Fatalf("link CSV missing the off-module 1->2 window row:\n%s", linkCSV.String())
 	}
 	for _, line := range strings.Split(strings.TrimSpace(jsonl.String()), "\n") {
 		var row map[string]any
 		if err := json.Unmarshal([]byte(line), &row); err != nil {
 			t.Fatalf("JSONL line %q: %v", line, err)
 		}
-		if row["kind"] != "link" && row["kind"] != "module" {
-			t.Fatalf("JSONL row without kind: %q", line)
+		if row["kind"] != "link" {
+			t.Fatalf("JSONL row is not a link row: %q", line)
 		}
 	}
 	// Flush is idempotent.

@@ -1,4 +1,4 @@
-// Per-link and per-module time series. The collector watches Enqueue/Hop
+// Per-link time series. The collector watches Enqueue/Hop
 // events to maintain, for every directed link, the current queue depth and
 // the busy cycles accumulated in the current sample window, and snapshots
 // them every Every cycles. Busy time is attributed to the window in which a
@@ -9,7 +9,9 @@
 // Link state is allocated lazily on first Enqueue/Hop, so the collector
 // holds memory proportional to the links that actually carried traffic, not
 // the size of the topology — it attaches to a 25M-node implicit run as
-// readily as to a 64-node materialized one.
+// readily as to a 64-node materialized one. The per-module view of the same
+// run is ModuleSeries; the off-module queue of a module can also be summed
+// from the exported link rows (offmodule, queue).
 package obs
 
 import (
@@ -19,13 +21,12 @@ import (
 	"sort"
 )
 
-// TimeSeries samples per-link (and, with a module map, per-module) load
-// every Every cycles. Create with NewTimeSeries, attach as the run's Probe,
-// then Flush and export.
+// TimeSeries samples per-link load every Every cycles. Create with
+// NewTimeSeries, attach as the run's Probe, then Flush and export.
 type TimeSeries struct {
 	NopProbe
 	every    int
-	moduleOf func(int64) int64 // nil disables the module view
+	moduleOf func(int64) int64 // nil: no link is off-module
 
 	src, dst []int64          // per link index
 	off      []bool           // off-module link?
@@ -39,21 +40,13 @@ type TimeSeries struct {
 	lastSample int
 	flushed    bool
 
-	linkRows   []linkRow
-	moduleRows []moduleRow
+	linkRows []linkRow
 }
 
 type linkRow struct {
 	cycle, width int // window is [cycle-width, cycle)
 	link         int
 	qlen         int
-	busy         int64
-}
-
-type moduleRow struct {
-	cycle, width int
-	module       int64
-	qlen         int // packets queued on off-module links out of the module
 	busy         int64
 }
 
@@ -68,8 +61,7 @@ type LinkLoad struct {
 
 // NewTimeSeries builds a collector sampling every `every` cycles (values
 // < 1 are clamped to 1). moduleOf maps a node id to its module id and may
-// be nil; with it the collector also tracks per-module off-module occupancy
-// and flags off-module links in exports. For a materialized run with a
+// be nil; with it the collector flags off-module links in exports. For a materialized run with a
 // metrics.Partition pass func(u int64) int64 { return int64(part.Of[u]) };
 // for an implicit topo.Modular topology pass its Module method.
 func NewTimeSeries(moduleOf func(int64) int64, every int) *TimeSeries {
@@ -138,36 +130,12 @@ func (ts *TimeSeries) snapshot(cycle int) {
 	if width <= 0 {
 		return
 	}
-	var modQ map[int64]int
-	var modBusy map[int64]int64
-	if ts.moduleOf != nil {
-		modQ = map[int64]int{}
-		modBusy = map[int64]int64{}
-	}
 	for i := range ts.src {
 		if ts.qlen[i] != 0 || ts.winBusy[i] != 0 {
 			ts.linkRows = append(ts.linkRows, linkRow{cycle: cycle, width: width,
 				link: i, qlen: ts.qlen[i], busy: ts.winBusy[i]})
 		}
-		if ts.off[i] && ts.moduleOf != nil {
-			m := ts.moduleOf(ts.src[i])
-			modQ[m] += ts.qlen[i]
-			modBusy[m] += ts.winBusy[i]
-		}
 		ts.winBusy[i] = 0
-	}
-	if ts.moduleOf != nil {
-		mods := make([]int64, 0, len(modQ))
-		for m := range modQ {
-			if modQ[m] != 0 || modBusy[m] != 0 {
-				mods = append(mods, m)
-			}
-		}
-		sort.Slice(mods, func(a, b int) bool { return mods[a] < mods[b] })
-		for _, m := range mods {
-			ts.moduleRows = append(ts.moduleRows, moduleRow{cycle: cycle,
-				width: width, module: m, qlen: modQ[m], busy: modBusy[m]})
-		}
 	}
 	ts.lastSample = cycle
 }
@@ -258,27 +226,8 @@ func (ts *TimeSeries) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// WriteModulesCSV exports the per-module off-module occupancy series: for
-// every window and module, the total queue depth and busy cycles of the
-// module's outgoing off-module links. Requires a module map; without one it
-// writes only the header.
-func (ts *TimeSeries) WriteModulesCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "cycle,width,module,offqueue,offbusy,offutil"); err != nil {
-		return err
-	}
-	for _, r := range ts.moduleRows {
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%.4f\n",
-			r.cycle, r.width, r.module, r.qlen, r.busy,
-			float64(r.busy)/float64(r.width)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteJSONL exports both series as JSON lines, links ("kind":"link") then
-// modules ("kind":"module"), for downstream tooling that prefers streaming
-// JSON over CSV.
+// WriteJSONL exports the per-link series as JSON lines ("kind":"link"), for
+// downstream tooling that prefers streaming JSON over CSV.
 func (ts *TimeSeries) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, r := range ts.linkRows {
@@ -288,15 +237,6 @@ func (ts *TimeSeries) WriteJSONL(w io.Writer) error {
 			"src": ts.src[i], "dst": ts.dst[i], "offmodule": ts.off[i],
 			"queue": r.qlen, "busy": r.busy,
 			"util": float64(r.busy) / float64(r.width),
-		}); err != nil {
-			return err
-		}
-	}
-	for _, r := range ts.moduleRows {
-		if err := enc.Encode(map[string]any{
-			"kind": "module", "cycle": r.cycle, "width": r.width,
-			"module": r.module, "offqueue": r.qlen, "offbusy": r.busy,
-			"offutil": float64(r.busy) / float64(r.width),
 		}); err != nil {
 			return err
 		}

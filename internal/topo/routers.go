@@ -10,10 +10,10 @@ import (
 )
 
 // Table is the BFS next-hop oracle over a materialized graph: the fallback
-// Router for arbitrary topologies. Per-destination tables are built lazily on
-// first use and memoized, exactly like the simulator's historical routing
-// path, so memory grows toward O(N^2) only for destinations actually routed
-// to. Not safe for concurrent use.
+// Router for arbitrary topologies, and the deterministic routing of
+// netsim.Run. Per-destination tables are built lazily on first use and
+// memoized, so memory grows toward O(N^2) only for destinations actually
+// routed to. Not safe for concurrent use.
 type Table struct {
 	G      *graph.Graph
 	tables map[int32]route.NextHopTable
