@@ -8,12 +8,21 @@
 //	timers → inject (or test the drain break) → advance links
 //
 // parameterized by closures for the parts that genuinely differ. There are
-// three wirings of those closures: Run (BFS tables or adaptive spread over a
-// materialized graph), RunFaulty (the same plus flow-table duplicate
-// suppression, retransmission and table repair), and the lane runner in
-// sharded.go, which serves RunImplicit, RunImplicitFaulty and RunSharded
-// (algebraic Router, with or without fault detours). The closures capture
-// each variant's statistics directly, so the engine itself holds no Stats.
+// two wirings of those closures: the materialized one in faultsim.go, which
+// serves RunFaulty, RunFaultyWithBaseline and Run (BFS tables or adaptive
+// spread over a built graph; Run is RunFaulty with an empty plan), and the
+// lane runner in sharded.go, which serves RunImplicit, RunImplicitFaulty
+// and RunSharded (any id-space Router; RunImplicit is RunImplicitFaulty
+// with an empty plan). The closures capture each variant's statistics
+// directly, so the engine itself holds no Stats.
+//
+// Degraded-mode rule, shared by both wirings: a run is degraded iff its
+// fault plan is non-empty. Only a degraded run installs the fault hooks
+// (applyChanges, arrivalDead, fireRetries, blocked) and drops and counts a
+// packet it cannot route. A run that is not degraded has none of those
+// hooks, so it pays nothing for fault tolerance, and a packet it cannot
+// route is a hard error. What a degraded run does beyond that is
+// documented on RunFaulty and RunImplicitFaulty.
 //
 // Bit-for-bit compatibility contract: every variant must consume the run's
 // RNG in exactly the order the pre-refactor loops did (injection draws,
@@ -33,10 +42,11 @@ import (
 )
 
 // epacket is the one in-flight packet representation shared by all engine
-// variants. Materialized runs use only the narrow prefix (id, dst, born,
-// measured); ttl backs RunFaulty's detour budget, hops the livelock
-// watchdogs, and degraded RunImplicitFaulty's detoured-delivery counter.
-// For RunFaulty, id doubles as the flow sequence number.
+// variants. Fault-free materialized runs use only the narrow prefix (id,
+// dst, born, measured); ttl backs a degraded RunFaulty's detour budget,
+// hops the livelock watchdogs, and degraded the lane runner's
+// detoured-delivery counter. In a degraded RunFaulty, id doubles as the
+// flow sequence number.
 type epacket struct {
 	id       int64
 	dst      int64
@@ -79,9 +89,9 @@ type linkStore interface {
 	advance(now int, e *engine) error
 }
 
-// engine is the shared clock/link/arrival core. The exported Run* functions
-// assemble one, point the hook closures at their own statistics, and call
-// run(). Hooks left nil are skipped (fault-free variants have no
+// engine is the shared clock/link/arrival core. The two wirings assemble
+// one, point the hook closures at their own statistics, and call run().
+// Hooks left nil are skipped (runs that are not degraded have no
 // applyChanges/fireRetries/arrivalDead/blocked phase at all).
 type engine struct {
 	pb         obs.Probe

@@ -5,9 +5,10 @@
 //
 //  1. Fault-adaptive routing. Per-destination next-hop tables are rebuilt
 //     against the surviving topology when a failure (or repair) notification
-//     arrives (route.BFSNextHopsAvoiding); notifications propagate after
-//     FaultConfig.NotifyDelay cycles, during which packets route on stale
-//     tables.
+//     arrives (route.BFSNextHops with liveness predicates: the same builder
+//     and BFS-parent tie-break as the fault-free tables); notifications
+//     propagate after FaultConfig.NotifyDelay cycles, during which packets
+//     route on stale tables.
 //  2. Local detour. A packet whose tabled next hop is dead (stale table, or
 //     no live minimal hop at all) misroutes to a random live neighbor,
 //     spending one unit of a bounded detour TTL; when the TTL or all
@@ -22,6 +23,14 @@
 // The degraded-mode statistics (FaultStats) extend the fault-free Stats with
 // loss, retransmission, misroute, reroute-latency, and disconnection
 // counters, plus the latency inflation against a fault-free baseline.
+//
+// All three layers exist only in a degraded run (the engine's degraded-mode
+// rule: the plan is non-empty). A run that is not degraded is Run: it
+// builds its tables with nil liveness predicates and routes straight from
+// them, installs no fault hooks, hop watchdog or flow table, arms no
+// retransmission timer, and skips the deadline abandon pass, so Expired
+// counts the measured packets still in flight, Lost is 0, and no
+// DropAbandoned event is emitted.
 package netsim
 
 import (
@@ -41,7 +50,9 @@ type FaultConfig struct {
 	// retry (exponential backoff). 0 selects the default (64).
 	RetransmitTimeout int
 	// MaxRetries bounds retransmissions per flow. 0 selects the default
-	// (8); a negative value disables retransmission entirely.
+	// (8); a negative value disables retransmission entirely: no retry
+	// timer is armed, so a flow ends only at delivery or at the drain
+	// deadline.
 	MaxRetries int
 	// DetourTTL is the per-transmission misroute budget: how many non-
 	// minimal detour hops one copy may take around dead components. 0
@@ -65,6 +76,8 @@ func (fc *FaultConfig) normalize() error {
 	}
 	if fc.DetourTTL == 0 {
 		fc.DetourTTL = 16
+	} else if fc.DetourTTL < 0 {
+		fc.DetourTTL = 0 // detours disabled
 	}
 	if fc.NotifyDelay < 0 {
 		return fmt.Errorf("netsim: negative NotifyDelay %d", fc.NotifyDelay)
@@ -126,9 +139,12 @@ type flowState struct {
 	done     bool // delivered or abandoned
 }
 
-// RunFaulty executes the simulation under cfg while applying fc.Plan.
-// With a nil/empty plan and default protocol parameters it reproduces
-// Run(cfg) exactly (same RNG draw sequence).
+// RunFaulty executes the simulation under cfg while applying fc.Plan. It is
+// the one materialized simulator: Run is RunFaulty with an empty plan. The
+// run follows the engine's degraded-mode rule, so with a nil or empty plan
+// it is not degraded and none of the fault machinery exists: no liveness,
+// no flow table, no retransmission timers, no hop watchdog, and fc's
+// protocol parameters have no effect.
 func RunFaulty(cfg Config, fc FaultConfig) (FaultStats, error) {
 	if err := cfg.normalize(); err != nil {
 		return FaultStats{}, err
@@ -142,21 +158,187 @@ func RunFaulty(cfg Config, fc FaultConfig) (FaultStats, error) {
 	return runFaultyNormalized(cfg, fc)
 }
 
-// runFaultyNormalized assembles the degraded-mode materialized variant of
-// the engine and runs it. cfg, fc, and the plan must already be
-// normalized/validated; RunFaultyWithBaseline calls this directly so
-// baseline and faulty runs share one setup pass.
+// runFaultyNormalized assembles the materialized wiring of the engine and
+// runs it. cfg, fc, and the plan must already be normalized/validated;
+// RunFaultyWithBaseline calls this directly so baseline and faulty runs
+// share one setup pass.
 func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 	g := cfg.Graph
 	n := g.N()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pb := cfg.Probe // nil-check fast path, as in Run
+	pb := cfg.Probe // nil fast path: no obs code runs uninstrumented
+	degraded := fc.Plan.Len() > 0
+
+	dense := newDenseLinks(g)
+	e := &engine{
+		pb:         pb,
+		store:      dense,
+		ring:       make([][]earrival, cfg.maxServicePeriod()*cfg.Flits+1),
+		flits:      cfg.Flits,
+		cutThrough: cfg.CutThrough,
+		period:     materializedPeriod(&cfg),
+		total:      cfg.WarmupCycles + cfg.MeasureCycles,
+	}
+	e.deadline = e.total + cfg.DrainCycles
+
+	st := FaultStats{}
+	var latencySum int64
+	outstanding := 0 // measured packets neither delivered nor abandoned
+
+	// ---- per-destination routing tables, built lazily ----
+	// The liveness predicates stay nil unless the run is degraded.
+	var nodeDead func(int32) bool
+	var linkDead func(u, v int32) bool
+	var tables []route.NextHopTable
+	var allTables [][][]int32
+	if cfg.Adaptive {
+		allTables = make([][][]int32, n)
+	} else {
+		tables = make([]route.NextHopTable, n)
+	}
+	build := func(dst int32) {
+		if cfg.Adaptive {
+			allTables[dst] = route.BFSAllNextHops(g, dst, nodeDead, linkDead)
+		} else {
+			tables[dst] = route.BFSNextHops(g, dst, nodeDead, linkDead)
+		}
+	}
+	e.route = func(_ int, at int64, pkt *epacket) (int64, bool, error) {
+		dst := int32(pkt.dst)
+		if cfg.Adaptive {
+			if allTables[dst] == nil {
+				build(dst)
+			}
+			if opts := allTables[dst][at]; len(opts) > 0 {
+				return int64(opts[rng.Intn(len(opts))]), true, nil
+			}
+		} else {
+			if tables[dst] == nil {
+				build(dst)
+			}
+			if h := tables[dst][at]; h >= 0 {
+				return int64(h), true, nil
+			}
+		}
+		return 0, false, fmt.Errorf("netsim: no route from %d to %d", at, dst)
+	}
+
+	delivered := func(now int, at, id int64, lat int, measured bool) {
+		if measured {
+			st.Delivered++
+			outstanding--
+			latencySum += int64(lat)
+			if lat > st.MaxLatency {
+				st.MaxLatency = lat
+			}
+		}
+		if pb != nil {
+			pb.Deliver(now, id, at, lat, measured)
+		}
+	}
+	e.deliver = func(now int, at int64, pkt *epacket) {
+		delivered(now, at, pkt.id, now-pkt.born, pkt.measured)
+	}
+
+	// ---- flow table and retransmission schedule (degraded runs only) ----
+	var flows []flowState
+	retryAt := map[int][]int32{}
+	var nextID int64
+	e.inject = func(now int) error {
+		for u := 0; u < n; u++ {
+			if rng.Float64() >= cfg.InjectionRate {
+				continue
+			}
+			dst := cfg.Pattern(int32(u), n, rng)
+			if dst == int32(u) || dst < 0 || int(dst) >= n {
+				continue
+			}
+			if degraded && (nodeDead(int32(u)) || nodeDead(dst)) {
+				continue // dead sources stay silent; dead sinks are skipped
+			}
+			measured := now >= cfg.WarmupCycles
+			id := nextID // in a degraded run, also the flow sequence number
+			nextID++
+			if measured {
+				st.Injected++
+				outstanding++
+			}
+			if pb != nil {
+				pb.Inject(now, id, int64(u), int64(dst), measured)
+			}
+			if degraded {
+				flows = append(flows, flowState{src: int32(u), dst: dst, born: now,
+					timeout: fc.RetransmitTimeout, measured: measured})
+				if fc.MaxRetries >= 0 {
+					retryAt[now+fc.RetransmitTimeout] = append(retryAt[now+fc.RetransmitTimeout], int32(id))
+				}
+			}
+			if err := e.enqueue(now, int64(u), epacket{id: id, dst: int64(dst),
+				born: now, ttl: fc.DetourTTL, measured: measured}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	e.canStop = func(int) bool { return outstanding == 0 }
+
+	// abandon gives up on a pending flow: the flow is lost, and counted as
+	// disconnected when its endpoints have no live path.
+	abandon := func(now int, seq int32) {
+		f := &flows[seq]
+		f.done = true
+		if pb != nil {
+			pb.Drop(now, int64(seq), int64(f.src), obs.DropAbandoned)
+		}
+		if !f.measured {
+			return
+		}
+		st.Lost++
+		outstanding--
+		if nodeDead(f.src) || nodeDead(f.dst) || route.BFSNextHops(g, f.dst, nodeDead, linkDead)[f.src] < 0 {
+			st.DisconnectedPairs++
+		}
+	}
+	var rerouteLagSum int64
+	// finish runs the engine and turns the counters into FaultStats.
+	finish := func() (FaultStats, error) {
+		if _, err := e.run(); err != nil {
+			return st, err
+		}
+		if degraded {
+			// Flows still pending at the deadline are lost; the measured ones
+			// are the drain-deadline expiries (a subset of Lost).
+			for seq := range flows {
+				if !flows[seq].done {
+					if flows[seq].measured {
+						st.Expired++
+					}
+					abandon(e.deadline, int32(seq))
+				}
+			}
+		} else {
+			st.Expired = outstanding
+		}
+		if st.Delivered > 0 {
+			st.AvgLatency = float64(latencySum) / float64(st.Delivered)
+		}
+		if st.RerouteEvents > 0 {
+			st.MeanTimeToReroute = float64(rerouteLagSum) / float64(st.RerouteEvents)
+		}
+		if cfg.MeasureCycles > 0 {
+			st.Throughput = float64(st.Delivered) / float64(n) / float64(cfg.MeasureCycles)
+		}
+		st.fillQuantiles(pb)
+		return st, nil
+	}
+	if !degraded {
+		return finish()
+	}
 
 	// ---- topology liveness (reference-counted for overlapping faults) ----
 	nodeDownCnt := make([]int, n)
-	dense := newDenseLinks(g)
-	nodeDead := func(v int32) bool { return nodeDownCnt[v] > 0 }
-	linkDead := func(u, v int32) bool { return dense.at(int64(u), int64(v)).downCnt > 0 }
+	nodeDead = func(v int32) bool { return nodeDownCnt[v] > 0 }
+	linkDead = func(u, v int32) bool { return dense.at(int64(u), int64(v)).downCnt > 0 }
 
 	// Epoch bookkeeping: epochCycle[e] is the cycle at which epoch e began
 	// (one bump per cycle that changed the topology).
@@ -171,22 +353,16 @@ func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 		down bool
 	}
 	changesAt := map[int][]topoChange{}
-	for _, e := range fc.Plan.sorted() {
-		changesAt[e.Cycle] = append(changesAt[e.Cycle], topoChange{kind: e.Kind, u: e.U, v: e.V, down: true})
-		if e.Transient() {
-			changesAt[e.Repair] = append(changesAt[e.Repair], topoChange{kind: e.Kind, u: e.U, v: e.V, down: false})
+	for _, ev := range fc.Plan.sorted() {
+		changesAt[ev.Cycle] = append(changesAt[ev.Cycle], topoChange{kind: ev.Kind, u: ev.U, v: ev.V, down: true})
+		if ev.Transient() {
+			changesAt[ev.Repair] = append(changesAt[ev.Repair], topoChange{kind: ev.Kind, u: ev.U, v: ev.V, down: false})
 		}
 	}
 
-	// ---- routing tables, rebuilt lazily on visible topology changes ----
-	tables := make([]route.NextHopTable, n)
+	// freshen rebuilds dst's table when a visible topology change has
+	// invalidated it (lazily, on the first packet that needs it).
 	tableEpoch := make([]int, n)
-	var allTables [][][]int32
-	if cfg.Adaptive {
-		allTables = make([][][]int32, n)
-	}
-	st := FaultStats{}
-	var rerouteLagSum int64
 	freshen := func(dst int32, now int) {
 		built := cfg.Adaptive && allTables[dst] != nil || !cfg.Adaptive && tables[dst] != nil
 		if built && tableEpoch[dst] >= visEpoch {
@@ -201,31 +377,9 @@ func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 				pb.Reroute(now, int64(dst), lag)
 			}
 		}
-		if cfg.Adaptive {
-			allTables[dst] = route.BFSAllNextHopsAvoiding(g, dst, nodeDead, linkDead)
-		} else {
-			tables[dst] = route.BFSNextHopsAvoiding(g, dst, nodeDead, linkDead)
-		}
+		build(dst)
 		tableEpoch[dst] = topoEpoch
 	}
-
-	// ---- flow table and retransmission schedule ----
-	var flows []flowState
-	retryAt := map[int][]int32{}
-	outstandingMeasured := 0
-	var latencySum int64
-
-	e := &engine{
-		pb:         pb,
-		store:      dense,
-		ring:       make([][]earrival, cfg.maxServicePeriod()*cfg.Flits+1),
-		flits:      cfg.Flits,
-		cutThrough: cfg.CutThrough,
-		period:     materializedPeriod(&cfg),
-		total:      cfg.WarmupCycles + cfg.MeasureCycles,
-		hopLimit:   8 * n, // livelock watchdog
-	}
-	e.deadline = e.total + cfg.DrainCycles
 
 	// route picks the forwarding hop for a copy at node `at`, preferring
 	// the (possibly stale) table and falling back to a TTL-bounded detour.
@@ -278,6 +432,7 @@ func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 	}
 	// The hop-count watchdog kills livelocked copies; the flow recovers at
 	// the source.
+	e.hopLimit = 8 * n
 	e.onHopLimit = func(now int, at int64, pkt *epacket) error {
 		if pb != nil {
 			pb.Drop(now, pkt.id, at, obs.DropHopLimit)
@@ -285,31 +440,9 @@ func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 		return nil
 	}
 
-	reachable := func(src, dst int32) bool {
-		if nodeDead(src) || nodeDead(dst) {
-			return false
-		}
-		t := route.BFSNextHopsAvoiding(g, dst, nodeDead, linkDead)
-		return t[src] >= 0
-	}
-	abandon := func(now int, seq int32) {
-		f := &flows[seq]
-		f.done = true
-		if pb != nil {
-			pb.Drop(now, int64(seq), int64(f.src), obs.DropAbandoned)
-		}
-		if !f.measured {
-			return
-		}
-		st.Lost++
-		outstandingMeasured--
-		if !reachable(f.src, f.dst) {
-			st.DisconnectedPairs++
-		}
-	}
-
 	// Delivery consults the flow table: late copies of an already-done flow
-	// are suppressed as duplicates.
+	// are suppressed as duplicates, and latency runs from the flow's first
+	// injection.
 	e.deliver = func(now int, at int64, pkt *epacket) {
 		f := &flows[pkt.id]
 		if f.done {
@@ -322,18 +455,7 @@ func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 			return
 		}
 		f.done = true
-		lat := now - f.born
-		if f.measured {
-			st.Delivered++
-			outstandingMeasured--
-			latencySum += int64(lat)
-			if lat > st.MaxLatency {
-				st.MaxLatency = lat
-			}
-		}
-		if pb != nil {
-			pb.Deliver(now, pkt.id, at, lat, f.measured)
-		}
+		delivered(now, at, pkt.id, now-f.born, f.measured)
 	}
 
 	applyChange := func(now int, c topoChange) error {
@@ -434,7 +556,7 @@ func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 			if f.done {
 				continue
 			}
-			if fc.MaxRetries < 0 || f.attempt >= fc.MaxRetries {
+			if f.attempt >= fc.MaxRetries {
 				abandon(now, seq)
 				continue
 			}
@@ -449,7 +571,7 @@ func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 			retryAt[now+f.timeout] = append(retryAt[now+f.timeout], seq)
 			if !nodeDead(f.src) {
 				if err := e.enqueue(now, int64(f.src), epacket{id: int64(seq), dst: int64(f.dst),
-					born: now, ttl: maxInt(fc.DetourTTL, 0), measured: f.measured}); err != nil {
+					born: now, ttl: fc.DetourTTL, measured: f.measured}); err != nil {
 					return err
 				}
 			}
@@ -457,72 +579,16 @@ func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 		delete(retryAt, now)
 		return nil
 	}
-	e.inject = func(now int) error {
-		for u := 0; u < n; u++ {
-			if rng.Float64() >= cfg.InjectionRate {
-				continue
-			}
-			dst := cfg.Pattern(int32(u), n, rng)
-			if dst == int32(u) || dst < 0 || int(dst) >= n {
-				continue
-			}
-			if nodeDead(int32(u)) || nodeDead(dst) {
-				continue // dead sources stay silent; dead sinks are skipped
-			}
-			measured := now >= cfg.WarmupCycles
-			seq := int32(len(flows))
-			flows = append(flows, flowState{src: int32(u), dst: dst, born: now,
-				timeout: fc.RetransmitTimeout, measured: measured})
-			if measured {
-				st.Injected++
-				outstandingMeasured++
-			}
-			if pb != nil {
-				pb.Inject(now, int64(seq), int64(u), int64(dst), measured)
-			}
-			retryAt[now+fc.RetransmitTimeout] = append(retryAt[now+fc.RetransmitTimeout], seq)
-			if err := e.enqueue(now, int64(u), epacket{id: int64(seq), dst: int64(dst),
-				born: now, ttl: maxInt(fc.DetourTTL, 0), measured: measured}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	e.canStop = func(int) bool { return outstandingMeasured == 0 }
 	e.blocked = func(lk *elink) bool { return nodeDownCnt[lk.u] > 0 || lk.downCnt > 0 }
-
-	if _, err := e.run(); err != nil {
-		return st, err
-	}
-	// Flows still pending at the deadline are lost; the measured ones are
-	// the drain-deadline expiries (a subset of Lost).
-	for seq := range flows {
-		if !flows[seq].done {
-			if flows[seq].measured {
-				st.Expired++
-			}
-			abandon(e.deadline, int32(seq))
-		}
-	}
-	if st.Delivered > 0 {
-		st.AvgLatency = float64(latencySum) / float64(st.Delivered)
-	}
-	if st.RerouteEvents > 0 {
-		st.MeanTimeToReroute = float64(rerouteLagSum) / float64(st.RerouteEvents)
-	}
-	if cfg.MeasureCycles > 0 {
-		st.Throughput = float64(st.Delivered) / float64(n) / float64(cfg.MeasureCycles)
-	}
-	st.fillQuantiles(pb)
-	return st, nil
+	return finish()
 }
 
 // RunFaultyWithBaseline runs cfg fault-free (Run) and under the plan
 // (RunFaulty), and returns the degraded stats with LatencyInflation filled
 // in as faulty/baseline average latency, plus the baseline itself. Both runs
 // share one setup pass: the configuration is normalized and the plan
-// validated once, then the two engine variants are assembled from the same
-// normalized inputs.
+// validated once, and both are runFaultyNormalized calls, the baseline with
+// the plan removed.
 func RunFaultyWithBaseline(cfg Config, fc FaultConfig) (FaultStats, Stats, error) {
 	if err := cfg.normalize(); err != nil {
 		return FaultStats{}, Stats{}, err
@@ -537,7 +603,9 @@ func RunFaultyWithBaseline(cfg Config, fc FaultConfig) (FaultStats, Stats, error
 	// only the faulty run's traffic.
 	baseCfg := cfg
 	baseCfg.Probe = nil
-	base, err := runNormalized(baseCfg)
+	baseFC := fc
+	baseFC.Plan = nil
+	base, err := runFaultyNormalized(baseCfg, baseFC)
 	if err != nil {
 		return FaultStats{}, Stats{}, err
 	}
@@ -548,12 +616,5 @@ func RunFaultyWithBaseline(cfg Config, fc FaultConfig) (FaultStats, Stats, error
 	if base.AvgLatency > 0 {
 		faulty.LatencyInflation = faulty.AvgLatency / base.AvgLatency
 	}
-	return faulty, base, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return faulty, base.Stats, nil
 }

@@ -58,9 +58,9 @@ type ImplicitFaultConfig struct {
 // Runs are deterministic in the configuration: fault application, algebraic
 // rerouting, and packet drops consume no randomness.
 //
-// The degraded-mode rule, shared by every implicit simulator: a run is
-// degraded iff its plan is non-empty. A degraded run, mirroring RunFaulty
-// where both have the concept:
+// The run follows the engine's degraded-mode rule (degraded iff the plan is
+// non-empty). A degraded run, mirroring RunFaulty where both have the
+// concept:
 //   - applies scheduled faults (and repairs) when the clock reaches their
 //     cycle: link faults kill the arc (both arcs when the topology is
 //     undirected), node faults kill the node and drop everything queued on
@@ -77,10 +77,11 @@ type ImplicitFaultConfig struct {
 //   - drops and counts (Lost) a packet its router cannot route (destination
 //     dead or region disconnected).
 //
-// A run that is not degraded aborts with an error on either of the last two:
-// without faults, a router that cycles or fails is broken. In both modes the
-// router is asked through NextHopFlagged when it implements it, so
-// DeliveredDegraded counts deliveries that took a fault detour.
+// A run that is not degraded installs none of the fault hooks and aborts
+// with an error on either of the last two: without faults, a router that
+// cycles or fails is broken. In both modes the router is asked through
+// NextHopFlagged when it implements it, so DeliveredDegraded counts
+// deliveries that took a fault detour.
 func RunImplicitFaulty(cfg ImplicitConfig, fc ImplicitFaultConfig) (ImplicitFaultStats, error) {
 	if err := cfg.normalize(); err != nil {
 		return ImplicitFaultStats{}, err

@@ -18,8 +18,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/route"
-	"repro/internal/topo"
 )
 
 // Config parameterizes a simulation run.
@@ -73,8 +71,8 @@ type Config struct {
 	Probe obs.Probe
 }
 
-// normalize applies defaults and validates the configuration. It is shared
-// by Run and RunFaulty so both reject the same bad inputs: a missing or
+// normalize applies defaults and validates the configuration of the
+// materialized simulator (RunFaulty, and so Run). It rejects a missing or
 // trivial graph, an injection rate outside [0,1], and a PeriodFunc that
 // returns a period < 1 on any link of the topology.
 func (cfg *Config) normalize() error {
@@ -236,9 +234,8 @@ func (st *Stats) fillQuantiles(p obs.Probe) {
 }
 
 // materializedPeriod is the link service-period policy of the materialized
-// configurations, shared by Run and RunFaulty: PeriodFunc overrides
-// everything, otherwise off-module links (per Partition) cost
-// OffModulePeriod and on-module links cost 1.
+// simulator: PeriodFunc overrides everything, otherwise off-module links
+// (per Partition) cost OffModulePeriod and on-module links cost 1.
 func materializedPeriod(cfg *Config) func(u, v int64) int {
 	return func(u, v int64) int {
 		if cfg.PeriodFunc != nil {
@@ -251,112 +248,13 @@ func materializedPeriod(cfg *Config) func(u, v int64) int {
 	}
 }
 
-// Run executes the simulation. For runs that inject failures mid-flight see
-// RunFaulty.
+// Run executes the simulation fault-free. It is RunFaulty with an empty
+// plan, which is not degraded: packets route straight from per-destination
+// BFS tables (or spread over all minimal hops when cfg.Adaptive), and
+// measured packets still in flight at the drain deadline count as Expired.
 func Run(cfg Config) (Stats, error) {
-	if err := cfg.normalize(); err != nil {
-		return Stats{}, err
-	}
-	return runNormalized(cfg)
-}
-
-// runNormalized assembles the fault-free materialized variant of the engine
-// and runs it. cfg must already be normalized; RunFaultyWithBaseline calls
-// this directly so baseline and faulty runs share one setup pass.
-func runNormalized(cfg Config) (Stats, error) {
-	g := cfg.Graph
-	n := g.N()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	// Per-destination next-hop tables, built lazily.
-	table := topo.NewTable(g)
-	var allTables [][][]int32
-	if cfg.Adaptive {
-		allTables = make([][][]int32, n)
-	}
-
-	st := Stats{}
-	var latencySum int64
-	inFlightMeasured := 0
-	var nextID int64
-
-	e := &engine{
-		pb:         cfg.Probe, // nil fast path: no obs code runs uninstrumented
-		store:      newDenseLinks(g),
-		ring:       make([][]earrival, cfg.maxServicePeriod()*cfg.Flits+1),
-		flits:      cfg.Flits,
-		cutThrough: cfg.CutThrough,
-		period:     materializedPeriod(&cfg),
-		total:      cfg.WarmupCycles + cfg.MeasureCycles,
-	}
-	e.deadline = e.total + cfg.DrainCycles
-	e.route = func(_ int, at int64, pkt *epacket) (int64, bool, error) {
-		if !cfg.Adaptive {
-			nh, err := table.NextHop(at, pkt.dst)
-			return nh, err == nil, err
-		}
-		cur, dst := int32(at), int32(pkt.dst)
-		if allTables[dst] == nil {
-			allTables[dst] = route.BFSAllNextHops(g, dst)
-		}
-		opts := allTables[dst][cur]
-		if len(opts) == 0 {
-			return 0, false, fmt.Errorf("netsim: no route from %d to %d", cur, dst)
-		}
-		return int64(opts[rng.Intn(len(opts))]), true, nil
-	}
-	e.deliver = func(now int, at int64, pkt *epacket) {
-		lat := now - pkt.born
-		if pkt.measured {
-			st.Delivered++
-			inFlightMeasured--
-			latencySum += int64(lat)
-			if lat > st.MaxLatency {
-				st.MaxLatency = lat
-			}
-		}
-		if e.pb != nil {
-			e.pb.Deliver(now, pkt.id, at, lat, pkt.measured)
-		}
-	}
-	e.inject = func(now int) error {
-		for u := 0; u < n; u++ {
-			if rng.Float64() < cfg.InjectionRate {
-				dst := cfg.Pattern(int32(u), n, rng)
-				if dst == int32(u) || dst < 0 || int(dst) >= n {
-					continue
-				}
-				measured := now >= cfg.WarmupCycles
-				if measured {
-					st.Injected++
-					inFlightMeasured++
-				}
-				id := nextID
-				nextID++
-				if e.pb != nil {
-					e.pb.Inject(now, id, int64(u), int64(dst), measured)
-				}
-				if err := e.enqueue(now, int64(u), epacket{id: id, dst: int64(dst), born: now, measured: measured}); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	e.canStop = func(int) bool { return inFlightMeasured == 0 }
-
-	if _, err := e.run(); err != nil {
-		return st, err
-	}
-	st.Expired = inFlightMeasured
-	if st.Delivered > 0 {
-		st.AvgLatency = float64(latencySum) / float64(st.Delivered)
-	}
-	if cfg.MeasureCycles > 0 {
-		st.Throughput = float64(st.Delivered) / float64(n) / float64(cfg.MeasureCycles)
-	}
-	st.fillQuantiles(e.pb)
-	return st, nil
+	fs, err := RunFaulty(cfg, FaultConfig{})
+	return fs.Stats, err
 }
 
 // LoadSweep runs the simulation at each injection rate and returns the

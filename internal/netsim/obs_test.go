@@ -75,7 +75,7 @@ func TestNilProbeGoldenParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fs.Injected != 2412 || fs.Delivered != 2412 || fs.Expired != 0 ||
-		fs.AvgLatency != 2.6318407960199006 || fs.MaxLatency != 18 ||
+		fs.AvgLatency != 2.631011608623549 || fs.MaxLatency != 18 ||
 		fs.Throughput != 0.05025 || fs.Lost != 0 || fs.Retransmitted != 0 ||
 		fs.Duplicates != 0 || fs.MisroutedHops != 25 || fs.RerouteEvents != 158 ||
 		fs.MeanTimeToReroute != 37.0253164556962 ||

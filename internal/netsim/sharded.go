@@ -27,7 +27,8 @@
 // per-lane RNG streams split from Seed, so they are comparable with the
 // sequential runs in distribution, not packet for packet.
 //
-// Faults follow the degraded-mode rule documented on RunImplicitFaulty.
+// Faults follow the engine's degraded-mode rule; RunImplicitFaulty
+// documents what a degraded lane does.
 package netsim
 
 import (

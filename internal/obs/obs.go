@@ -43,9 +43,9 @@ import (
 	"time"
 )
 
-// DropReason classifies why the simulator discarded a packet copy. Most
-// reasons only occur under fault injection (netsim.RunFaulty /
-// RunImplicitFaulty); fault-free runs never drop.
+// DropReason classifies why the simulator discarded a packet copy. Drops
+// only occur in degraded runs (netsim.RunFaulty / RunImplicitFaulty with a
+// non-empty fault plan); fault-free runs never drop.
 type DropReason uint8
 
 const (
@@ -89,10 +89,10 @@ func (r DropReason) String() string {
 
 // Probe receives simulator events. All hooks run synchronously inside the
 // simulation loop, so implementations should be cheap; heavy rendering
-// belongs after the run. Packet ids are stable per run: in netsim.Run and
-// RunImplicit every injected packet gets a fresh id; in netsim.RunFaulty the
-// id is the flow sequence number, shared by the original transmission and
-// all its retransmitted copies.
+// belongs after the run. Packet ids are stable per run: every injected
+// packet gets a fresh id, and in a degraded netsim.RunFaulty that id is the
+// flow sequence number, shared by the original transmission and all its
+// retransmitted copies.
 type Probe interface {
 	// Tick fires once per simulated cycle, before that cycle's events.
 	Tick(cycle int)

@@ -3,7 +3,11 @@
 // routing for k-ary n-cubes, the optimal cycle-sorting algorithm for star
 // graphs (the Cayley-graph "sorting" view of routing that Section 4
 // generalizes to IP graphs), digit-shifting for de Bruijn graphs, and
-// generic BFS next-hop tables for everything else.
+// generic BFS next-hop tables for everything else. The BFS tables come from
+// two builders, BFSNextHops (one next hop per node, the BFS-tree parent)
+// and BFSAllNextHops (every minimal next hop); both take optional liveness
+// predicates, so the same builder serves fault-free routing and table
+// repair around dead nodes and links.
 package route
 
 import (
@@ -211,33 +215,18 @@ func DeBruijn(base, dim int, src, dst int32) Path {
 // a shortest path (or -1 at the destination / unreachable nodes).
 type NextHopTable []int32
 
-// BFSNextHops computes next-hop tables toward dst for an arbitrary graph by
-// reverse BFS. For undirected graphs the reverse graph is the graph itself.
-func BFSNextHops(g *graph.Graph, dst int32) NextHopTable {
-	// BFS from dst over reverse edges; parent of u on that tree is the next
-	// hop from u toward dst.
-	rev := g
-	if g.Directed {
-		rev = reverseOf(g)
-	}
-	next := make(NextHopTable, g.N())
-	for i := range next {
-		next[i] = -1
-	}
-	visited := make([]bool, g.N())
-	visited[dst] = true
-	queue := []int32{dst}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, u := range rev.Neighbors(v) {
-			if !visited[u] {
-				visited[u] = true
-				next[u] = v
-				queue = append(queue, u)
-			}
-		}
-	}
-	return next
+// BFSNextHops computes the next-hop table toward dst by reverse BFS from
+// dst: the next hop of u is u's parent in the BFS tree, so among equally
+// minimal hops the tree's discovery order breaks ties. The liveness
+// predicates restrict the search to the surviving topology: nodes for which
+// deadNode returns true and arcs u->v for which deadLink returns true are
+// routed around. Either predicate may be nil (nothing is dead). Entries are
+// -1 at dst and at nodes with no live path (everywhere when dst is dead).
+// This is both the fault-free oracle and the table-repair primitive of the
+// fault-adaptive simulator.
+func BFSNextHops(g *graph.Graph, dst int32, deadNode func(int32) bool, deadLink func(u, v int32) bool) NextHopTable {
+	_, parent := liveBFS(g, dst, deadNode, deadLink)
+	return parent
 }
 
 func reverseOf(g *graph.Graph) *graph.Graph {
@@ -269,22 +258,28 @@ func (t NextHopTable) Follow(src, dst int32) (Path, error) {
 }
 
 // BFSAllNextHops computes, for every node, ALL minimal next hops toward dst
-// (neighbors whose distance to dst is exactly one less). Used for adaptive
-// minimal routing.
-func BFSAllNextHops(g *graph.Graph, dst int32) [][]int32 {
-	rev := g
-	if g.Directed {
-		rev = reverseOf(g)
+// (neighbors whose distance to dst is exactly one less), in adjacency
+// order; used for adaptive minimal routing. The liveness predicates
+// restrict the search exactly as in BFSNextHops and may be nil. Nodes with
+// no live path get an empty list.
+func BFSAllNextHops(g *graph.Graph, dst int32, deadNode func(int32) bool, deadLink func(u, v int32) bool) [][]int32 {
+	order, dist := liveBFS(g, dst, deadNode, deadLink)
+	// Turn parents into hop distances in place: a node's parent precedes it
+	// in visit order, so its entry already holds the parent's distance.
+	if len(order) > 0 {
+		dist[dst] = 0
+		for _, u := range order[1:] {
+			dist[u] = dist[dist[u]] + 1
+		}
 	}
-	dist := rev.BFS(dst) // distance from every node TO dst along forward arcs
 	out := make([][]int32, g.N())
-	for u := 0; u < g.N(); u++ {
+	for u := range out {
 		du := dist[u]
 		if du <= 0 {
 			continue
 		}
 		for _, v := range g.Neighbors(int32(u)) {
-			if dist[v] == du-1 {
+			if dist[v] == du-1 && (deadLink == nil || !deadLink(int32(u), v)) {
 				out[u] = append(out[u], v)
 			}
 		}
@@ -292,99 +287,40 @@ func BFSAllNextHops(g *graph.Graph, dst int32) [][]int32 {
 	return out
 }
 
-// bfsTowardAvoiding computes, for every node, the hop distance TO dst along
-// forward arcs over the live subgraph: nodes for which deadNode returns true
-// and arcs for which deadLink returns true are excluded. Either predicate
-// may be nil. Distances are graph.Unreachable where no live path exists (in
-// particular everywhere when dst itself is dead).
-func bfsTowardAvoiding(g *graph.Graph, dst int32, deadNode func(int32) bool, deadLink func(u, v int32) bool) []int32 {
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = graph.Unreachable
+// liveBFS runs BFS from dst over the reverse arcs of the live subgraph (see
+// BFSNextHops for the predicates). It returns the nodes in visit order and
+// each node's BFS parent, -1 at dst and at nodes never reached.
+func liveBFS(g *graph.Graph, dst int32, deadNode func(int32) bool, deadLink func(u, v int32) bool) (order []int32, parent NextHopTable) {
+	parent = make(NextHopTable, g.N())
+	for i := range parent {
+		parent[i] = -1
 	}
 	if deadNode != nil && deadNode(dst) {
-		return dist
+		return nil, parent
 	}
 	rev := g
 	if g.Directed {
 		rev = reverseOf(g)
 	}
-	dist[dst] = 0
-	queue := []int32{dst}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		dv := dist[v]
+	visited := make([]bool, g.N())
+	visited[dst] = true
+	order = append(make([]int32, 0, g.N()), dst)
+	for head := 0; head < len(order); head++ {
+		v := order[head]
 		for _, u := range rev.Neighbors(v) {
-			if dist[u] != graph.Unreachable {
+			// The reverse arc v->u is the forward arc u->v.
+			if visited[u] {
 				continue
 			}
-			if deadNode != nil && deadNode(u) {
+			if deadNode != nil && deadNode(u) || deadLink != nil && deadLink(u, v) {
 				continue
 			}
-			// The reverse arc v->u corresponds to the forward arc u->v.
-			if deadLink != nil && deadLink(u, v) {
-				continue
-			}
-			dist[u] = dv + 1
-			queue = append(queue, u)
+			visited[u] = true
+			parent[u] = v
+			order = append(order, u)
 		}
 	}
-	return dist
-}
-
-// BFSNextHopsAvoiding is BFSNextHops restricted to the live subgraph: dead
-// nodes and dead links are routed around. Entries are -1 at the destination
-// and at nodes with no live path. This is the table-repair primitive of the
-// fault-adaptive simulator: after a failure notification the affected
-// tables are rebuilt against the surviving topology.
-func BFSNextHopsAvoiding(g *graph.Graph, dst int32, deadNode func(int32) bool, deadLink func(u, v int32) bool) NextHopTable {
-	dist := bfsTowardAvoiding(g, dst, deadNode, deadLink)
-	next := make(NextHopTable, g.N())
-	for i := range next {
-		next[i] = -1
-	}
-	for u := 0; u < g.N(); u++ {
-		du := dist[u]
-		if du <= 0 {
-			continue
-		}
-		for _, v := range g.Neighbors(int32(u)) {
-			if dist[v] != du-1 {
-				continue
-			}
-			if deadLink != nil && deadLink(int32(u), v) {
-				continue
-			}
-			next[u] = v
-			break
-		}
-	}
-	return next
-}
-
-// BFSAllNextHopsAvoiding is BFSAllNextHops restricted to the live subgraph:
-// for every node it lists ALL live minimal next hops toward dst (live
-// neighbors one step closer over live links). Nodes with no live path get an
-// empty list.
-func BFSAllNextHopsAvoiding(g *graph.Graph, dst int32, deadNode func(int32) bool, deadLink func(u, v int32) bool) [][]int32 {
-	dist := bfsTowardAvoiding(g, dst, deadNode, deadLink)
-	out := make([][]int32, g.N())
-	for u := 0; u < g.N(); u++ {
-		du := dist[u]
-		if du <= 0 {
-			continue
-		}
-		for _, v := range g.Neighbors(int32(u)) {
-			if dist[v] != du-1 {
-				continue
-			}
-			if deadLink != nil && deadLink(int32(u), v) {
-				continue
-			}
-			out[u] = append(out[u], v)
-		}
-	}
-	return out
+	return order, parent
 }
 
 // FoldedHypercube routes in FQ_dim: when the Hamming distance to the

@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -167,7 +168,7 @@ func TestBFSNextHops(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		for trial := 0; trial < 50; trial++ {
 			dst := int32(rng.Intn(g.N()))
-			table := BFSNextHops(g, dst)
+			table := BFSNextHops(g, dst, nil, nil)
 			src := int32(rng.Intn(g.N()))
 			p, err := table.Follow(src, dst)
 			if err != nil {
@@ -190,7 +191,7 @@ func TestBFSNextHopsDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := BFSNextHops(g, 7)
+	table := BFSNextHops(g, 7, nil, nil)
 	p, err := table.Follow(19, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +250,7 @@ func TestBFSAllNextHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	for dst := int32(0); dst < int32(g.N()); dst += 5 {
-		all := BFSAllNextHops(g, dst)
+		all := BFSAllNextHops(g, dst, nil, nil)
 		dist := g.BFS(dst) // undirected: dist to dst
 		for u := 0; u < g.N(); u++ {
 			if int32(u) == dst {
@@ -287,7 +288,7 @@ func TestBFSAllNextHopsDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := BFSAllNextHops(g, 9)
+	all := BFSAllNextHops(g, 9, nil, nil)
 	dist := reverseOf(g).BFS(9)
 	for u := 0; u < g.N(); u++ {
 		for _, v := range all[u] {
@@ -329,18 +330,20 @@ func TestBFSNextHopsAvoiding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No predicates: must agree hop-count-wise with the plain tables.
-	plain := BFSNextHops(g, 0)
-	avoid := BFSNextHopsAvoiding(g, 0, nil, nil)
+	// A nil predicate means "nothing is dead": predicates that kill
+	// nothing give the same table, BFS-parent tie-break included.
+	plain := BFSNextHops(g, 0, nil, nil)
+	avoid := BFSNextHops(g, 0, func(int32) bool { return false },
+		func(u, v int32) bool { return false })
 	for u := int32(0); u < int32(g.N()); u++ {
-		if (plain[u] < 0) != (avoid[u] < 0) {
-			t.Fatalf("node %d: reachability differs (%d vs %d)", u, plain[u], avoid[u])
+		if plain[u] != avoid[u] {
+			t.Fatalf("node %d: next hop %d with all-live predicates, %d with nil", u, avoid[u], plain[u])
 		}
 	}
 	// Kill node 1 (a neighbor of 0): routes must avoid it yet all other
 	// nodes stay routed (Q4 minus a node is connected).
 	deadNode := func(v int32) bool { return v == 1 }
-	avoid = BFSNextHopsAvoiding(g, 0, deadNode, nil)
+	avoid = BFSNextHops(g, 0, deadNode, nil)
 	dist := g.BFS(0)
 	for u := int32(0); u < int32(g.N()); u++ {
 		if u == 0 {
@@ -375,7 +378,7 @@ func TestBFSNextHopsAvoiding(t *testing.T) {
 		}
 	}
 	// Dead destination: nothing is routed.
-	avoid = BFSNextHopsAvoiding(g, 0, func(v int32) bool { return v == 0 }, nil)
+	avoid = BFSNextHops(g, 0, func(v int32) bool { return v == 0 }, nil)
 	for u := range avoid {
 		if avoid[u] != -1 {
 			t.Fatalf("dead destination still routed from %d", u)
@@ -392,7 +395,7 @@ func TestBFSNextHopsAvoidingDeadLink(t *testing.T) {
 	deadLink := func(u, v int32) bool {
 		return (u == 0 && v == 1) || (u == 1 && v == 0)
 	}
-	tbl := BFSNextHopsAvoiding(g, 0, nil, deadLink)
+	tbl := BFSNextHops(g, 0, nil, deadLink)
 	if tbl[1] != 2 {
 		t.Fatalf("node 1 should detour via 2, got %d", tbl[1])
 	}
@@ -408,7 +411,7 @@ func TestBFSNextHopsAvoidingDeadLink(t *testing.T) {
 	deadLink2 := func(u, v int32) bool {
 		return u == 1 || v == 1
 	}
-	tbl = BFSNextHopsAvoiding(g, 0, nil, deadLink2)
+	tbl = BFSNextHops(g, 0, nil, deadLink2)
 	if tbl[1] != -1 {
 		t.Fatalf("isolated node still routed via %d", tbl[1])
 	}
@@ -422,19 +425,21 @@ func TestBFSAllNextHopsAvoiding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fault-free: must equal BFSAllNextHops.
-	plain := BFSAllNextHops(g, 5)
-	avoid := BFSAllNextHopsAvoiding(g, 5, nil, nil)
+	// A nil predicate means "nothing is dead": predicates that kill
+	// nothing give the same lists.
+	plain := BFSAllNextHops(g, 5, nil, nil)
+	avoid := BFSAllNextHops(g, 5, func(int32) bool { return false },
+		func(u, v int32) bool { return false })
 	for u := 0; u < g.N(); u++ {
-		if len(plain[u]) != len(avoid[u]) {
-			t.Fatalf("node %d: %d vs %d minimal hops", u, len(plain[u]), len(avoid[u]))
+		if !slices.Equal(plain[u], avoid[u]) {
+			t.Fatalf("node %d: minimal hops %v with all-live predicates, %v with nil", u, avoid[u], plain[u])
 		}
 	}
 	// Killing one neighbor of the destination trims it from every option
 	// list but leaves every survivor with at least one minimal hop.
 	dead := g.Neighbors(5)[0]
 	deadNode := func(v int32) bool { return v == dead }
-	avoid = BFSAllNextHopsAvoiding(g, 5, deadNode, nil)
+	avoid = BFSAllNextHops(g, 5, deadNode, nil)
 	for u := 0; u < g.N(); u++ {
 		if int32(u) == 5 || int32(u) == dead {
 			continue
@@ -457,7 +462,7 @@ func TestBFSNextHopsAvoidingDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := BFSNextHopsAvoiding(g, 3, nil, nil)
+	tbl := BFSNextHops(g, 3, nil, nil)
 	for u := int32(0); u < int32(g.N()); u++ {
 		if u == 3 || tbl[u] < 0 {
 			continue

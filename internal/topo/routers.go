@@ -10,10 +10,11 @@ import (
 )
 
 // Table is the BFS next-hop oracle over a materialized graph: the fallback
-// Router for arbitrary topologies, and the deterministic routing of
-// netsim.Run. Per-destination tables are built lazily on first use and
-// memoized, so memory grows toward O(N^2) only for destinations actually
-// routed to. Not safe for concurrent use.
+// Router for arbitrary topologies, with the same route.BFSNextHops tables
+// (and tie-break) as the materialized simulator. Per-destination tables
+// are built lazily on first use and memoized, so memory grows toward
+// O(N^2) only for destinations actually routed to. Not safe for concurrent
+// use.
 type Table struct {
 	G      *graph.Graph
 	tables map[int32]route.NextHopTable
@@ -27,7 +28,7 @@ func NewTable(g *graph.Graph) *Table {
 func (t *Table) table(dst int32) route.NextHopTable {
 	tab, ok := t.tables[dst]
 	if !ok {
-		tab = route.BFSNextHops(t.G, dst)
+		tab = route.BFSNextHops(t.G, dst, nil, nil)
 		t.tables[dst] = tab
 	}
 	return tab
