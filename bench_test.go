@@ -226,6 +226,94 @@ func BenchmarkAlgebraicRoute(b *testing.B) {
 	}
 }
 
+// symHSN3Q4Ranker returns the label algebra of the sym-HSN(3;Q4) instance
+// the routing rungs use (6,144 nodes).
+func symHSN3Q4Ranker(b *testing.B) (*core.SuperIP, *core.Ranker) {
+	b.Helper()
+	s := superip.HSN(3, superip.NucleusHypercube(4)).SymmetricVariant().Super()
+	rk, err := s.Ranker()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, rk
+}
+
+// rankSink keeps the ranker rungs' results live.
+var rankSink int64
+
+// BenchmarkRankerRank measures label -> id on sym-HSN(3;Q4): layer 1 of
+// every routed hop and every neighbor.
+func BenchmarkRankerRank(b *testing.B) {
+	_, rk := symHSN3Q4Ranker(b)
+	labels := make([]symbols.Label, 1024)
+	for i := range labels {
+		labels[i] = rk.Unrank((int64(i)*2654435761)%rk.N(), nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := rk.Rank(labels[i%len(labels)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rankSink += id
+	}
+}
+
+// BenchmarkRankerUnrank measures id -> label on sym-HSN(3;Q4) into a reused
+// buffer.
+func BenchmarkRankerUnrank(b *testing.B) {
+	_, rk := symHSN3Q4Ranker(b)
+	buf := make(symbols.Label, rk.LabelLen())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = rk.Unrank((int64(i)*2654435761)%rk.N(), buf)
+		rankSink += int64(buf[0])
+	}
+}
+
+// BenchmarkImplicitNeighbors measures one adjacency list of the implicit
+// sym-HSN(3;Q4): unrank, apply every generator, rank every image, sort.
+func BenchmarkImplicitNeighbors(b *testing.B) {
+	s, _ := symHSN3Q4Ranker(b)
+	imp, err := topo.NewImplicit(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]int64, 0, imp.MaxDegree())
+	n := imp.N()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = imp.Neighbors((int64(i)*2654435761)%n, buf)
+	}
+}
+
+// BenchmarkRouteSymHSN3Q4 measures the Theorem 4.3 route alone on
+// sym-HSN(3;Q4): core.Router.Word between labels into a reused buffer, with
+// no ranking (BenchmarkAlgebraicRoute adds the id translation).
+func BenchmarkRouteSymHSN3Q4(b *testing.B) {
+	s, rk := symHSN3Q4Ranker(b)
+	r, err := core.NewRouter(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels := make([]symbols.Label, 1024)
+	for i := range labels {
+		labels[i] = rk.Unrank((int64(i)*2654435761)%rk.N(), nil)
+	}
+	var word []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		word, err = r.Word(labels[i%len(labels)], labels[(i*7+1)%len(labels)], word[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFaultAwareRoute measures fault-aware routing on the implicit
 // sym-HSN(3;Q4) with a fixed set of live link faults: most pairs route
 // clean (pure wrapper overhead over BenchmarkAlgebraicRoute), the rest pay

@@ -105,13 +105,7 @@ func (r *Ranker) LabelLen() int { return r.l * r.m }
 // colorOf returns the color class of a super-symbol block of a symmetric
 // label: block symbols lie in (c*m, (c+1)*m] for color c.
 func (r *Ranker) colorOf(block symbols.Label) (int, error) {
-	min := block[0]
-	for _, v := range block[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	c := (int(min) - 1) / r.m
+	c := blockColor(block, r.m)
 	if c < 0 || c >= r.l {
 		return 0, fmt.Errorf("core: block %v has out-of-range color %d", block, c)
 	}
@@ -150,11 +144,18 @@ func (r *Ranker) Rank(x symbols.Label) (int64, error) {
 	if r.s.Symmetric {
 		ai, ok := r.arrIdx[string(colors[:r.l])]
 		if !ok {
-			return 0, fmt.Errorf("core: arrangement %v is not reachable", colors[:r.l])
+			return 0, unreachableArrangement(colors[:r.l])
 		}
 		rank += ai * r.pow[r.l]
 	}
 	return rank, nil
+}
+
+// unreachableArrangement reports an arrangement missing from the subgroup.
+// It formats a copy, so Rank's and ModuleOf's stack color arrays do not
+// escape to the heap on the success path.
+func unreachableArrangement(colors []byte) error {
+	return fmt.Errorf("core: arrangement %v is not reachable", append([]byte(nil), colors...))
 }
 
 // Unrank writes the label of id into dst (allocating when dst is too short)
@@ -231,7 +232,7 @@ func (r *Ranker) ModuleOf(x symbols.Label) (int64, error) {
 		colors[0] = byte(missing)
 		ai, ok := r.arrIdx[string(colors[:r.l])]
 		if !ok {
-			return 0, fmt.Errorf("core: arrangement %v is not reachable", colors[:r.l])
+			return 0, unreachableArrangement(colors[:r.l])
 		}
 		mod += ai * r.pow[r.l-1]
 	}

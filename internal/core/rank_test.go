@@ -159,6 +159,21 @@ func TestRankerRejectsNonVertices(t *testing.T) {
 	}
 }
 
+// TestRankerRankAllocs checks that ranking a label allocates nothing, on a
+// plain and on a symmetric instance.
+func TestRankerRankAllocs(t *testing.T) {
+	for _, s := range []*SuperIP{hsn(2, nucleusQ(5), false), hsn(3, nucleusQ(4), true)} {
+		r, err := s.Ranker()
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := r.Unrank(r.N()-1, nil)
+		if n := testing.AllocsPerRun(100, func() { _, _ = r.Rank(x) }); n != 0 {
+			t.Fatalf("%s (symmetric %v): Rank makes %.1f allocations, want 0", s.Name, s.Symmetric, n)
+		}
+	}
+}
+
 // TestRankerModuleArithmetic checks the closed-form module enumeration:
 // ModuleSize * Modules covers N exactly, ModuleNode(m, ·) enumerates each
 // module without repeats, and ModuleOfID inverts it — all without touching

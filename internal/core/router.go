@@ -14,15 +14,29 @@ import (
 // leftmost position. The number of hops never exceeds l*D_G + t (resp.
 // l*D_G + t_S), which equals the network diameter.
 //
-// A Router is not safe for concurrent use (it memoizes nucleus routing
-// trees).
+// The covering schedules are computed once per router. A plain graph has a
+// single schedule, built by NewRouter. A symmetric graph needs one schedule
+// per final arrangement; the router runs one cover search on its first
+// route and keeps the whole table, so later routes only look up their entry.
+// Routes are computed on scratch labels and buffers owned by the router, so
+// Word allocates nothing once the tables exist. The router is therefore
+// not safe for concurrent use.
 type Router struct {
 	s        *SuperIP
 	nuc      *nucleusInfo
+	m        int
 	numNuc   int
-	sched    *Schedule // plain-case schedule, shared by all routes
+	gens     []perm.Perm // SuperIP.IPGraph().Gens
+	plain    coverPlan   // plain graphs: the one minimum covering schedule
+	cover    *coverTable // symmetric graphs: built on the first route
 	revArcs  [][]revArc
-	nucTrees map[int32][]int32 // target state id -> nextGen per state
+	nucTrees [][]int32 // target state id -> nextGen per state, built on first use
+
+	// Scratch reused by every route.
+	cur, next symbols.Label // the walk's current label and the next hop's
+	canon     symbols.Label // a block shifted into the nucleus symbol range
+	colorPos  []int         // color -> position in the source label
+	target    []byte        // the route's final arrangement
 }
 
 type revArc struct {
@@ -31,7 +45,9 @@ type revArc struct {
 }
 
 // Path is a route through a super-IP graph: the sequence of generator
-// indices (into SuperIP.IPGraph().Gens) and all intermediate labels.
+// indices (into Router.Gens, which equals SuperIP.IPGraph().Gens) and all
+// intermediate labels. Callers that need only the generators should use
+// Router.Word, which builds no labels.
 type Path struct {
 	Gens   []int
 	Labels []symbols.Label
@@ -62,18 +78,26 @@ func NewRouter(s *SuperIP) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
+	m := s.Nucleus.M()
 	r := &Router{
 		s:        s,
 		nuc:      nuc,
+		m:        m,
 		numNuc:   len(s.Nucleus.Gens),
-		nucTrees: map[int32][]int32{},
+		gens:     s.IPGraph().Gens,
+		nucTrees: make([][]int32, nuc.ix.N()),
+		cur:      make(symbols.Label, s.L*m),
+		next:     make(symbols.Label, s.L*m),
+		canon:    make(symbols.Label, m),
+		colorPos: make([]int, s.L),
+		target:   make([]byte, s.L),
 	}
 	if !s.Symmetric {
 		sched, err := s.MinCoverSchedule()
 		if err != nil {
 			return nil, err
 		}
-		r.sched = sched
+		r.plain = newCoverPlan(sched)
 	}
 	// Reverse arcs of the nucleus state graph, labeled with the generator
 	// that produces them, for building per-target shortest-path trees.
@@ -95,11 +119,16 @@ func NewRouter(s *SuperIP) (*Router, error) {
 	return r, nil
 }
 
+// Gens returns the generators that route words index: the lifted nucleus
+// generators followed by the super-generators, as in SuperIP.IPGraph().Gens.
+// The slice is shared; callers must not modify it.
+func (r *Router) Gens() []perm.Perm { return r.gens }
+
 // nucTree returns (building if needed) the routing tree toward target state:
 // nextGen[state] is the nucleus generator to apply at state on a shortest
 // path to target, or -1 at the target itself / unreachable states.
 func (r *Router) nucTree(target int32) []int32 {
-	if tree, ok := r.nucTrees[target]; ok {
+	if tree := r.nucTrees[target]; tree != nil {
 		return tree
 	}
 	n := r.nuc.ix.N()
@@ -125,173 +154,181 @@ func (r *Router) nucTree(target int32) []int32 {
 	return tree
 }
 
-// normalizeBlock maps a block's content into the canonical nucleus symbol
-// range by subtracting the color offset (symmetric graphs only; offset 0 for
-// plain graphs), returning the canonical state id.
-func (r *Router) blockStateID(content symbols.Label) (int32, byte, error) {
-	var offset byte
-	if r.s.Symmetric {
-		m := r.s.Nucleus.M()
-		min := content[0]
-		for _, v := range content[1:] {
-			if v < min {
-				min = v
-			}
+// blockColor returns the color class of a super-symbol block of a symmetric
+// label: block symbols lie in (c*m, (c+1)*m] for color c. It does not check
+// the range of c.
+func blockColor(block symbols.Label, m int) int {
+	min := block[0]
+	for _, v := range block[1:] {
+		if v < min {
+			min = v
 		}
-		color := (int(min) - 1) / m
-		offset = byte(color * m)
 	}
-	canon := make(symbols.Label, len(content))
-	for i, v := range content {
-		canon[i] = v - offset
-	}
-	id := r.nuc.ix.ID(canon)
-	if id < 0 {
-		return 0, 0, fmt.Errorf("core: block content %v is not a nucleus state", content)
-	}
-	return id, offset, nil
+	return (int(min) - 1) / m
 }
 
-// Route computes a path from src to dst following the paper's algorithm.
-func (r *Router) Route(src, dst symbols.Label) (*Path, error) {
-	m := r.s.Nucleus.M()
-	l := r.s.L
-	if len(src) != l*m || len(dst) != l*m {
-		return nil, fmt.Errorf("core: labels must have %d symbols", l*m)
+// stateID returns the nucleus state id of a block whose symbols are shifted
+// up by offset (a symmetric label's color offset; 0 for plain graphs), or -1
+// if the block is not a nucleus state.
+func (r *Router) stateID(block symbols.Label, offset byte) int32 {
+	for i, v := range block {
+		r.canon[i] = v - offset
 	}
-	sched := r.sched
+	return r.nuc.ix.ID(r.canon)
+}
+
+// Route computes a path from src to dst following the paper's algorithm: the
+// generator word of Word plus every intermediate label.
+func (r *Router) Route(src, dst symbols.Label) (*Path, error) {
+	word, err := r.Word(src, dst, nil)
+	if err != nil {
+		return nil, err
+	}
+	p := &Path{Gens: word, Labels: make([]symbols.Label, len(word)+1)}
+	p.Labels[0] = src.Clone()
+	for i, gi := range word {
+		p.Labels[i+1] = make(symbols.Label, len(src))
+		r.gens[gi].Apply(p.Labels[i+1], p.Labels[i])
+	}
+	return p, nil
+}
+
+// Word appends to buf the generator indices (into Gens) of the route from
+// src to dst and returns the extended slice; applying them to src in order
+// walks the route. The route is computed on the router's own scratch
+// labels, so Word allocates only when buf must grow, on the first route
+// toward each nucleus state, and on the first route of a symmetric router,
+// which builds the schedule table. On error it returns nil.
+func (r *Router) Word(src, dst symbols.Label, buf []int) ([]int, error) {
+	if n := r.s.L * r.m; len(src) != n || len(dst) != n {
+		return nil, fmt.Errorf("core: labels must have %d symbols", n)
+	}
+	plan := &r.plain
 	if r.s.Symmetric {
-		target, err := r.symmetricTarget(src, dst)
-		if err != nil {
+		var err error
+		if plan, err = r.symmetricPlan(src, dst); err != nil {
 			return nil, err
 		}
-		sched, err = r.s.CoverScheduleTo(target)
-		if err != nil {
-			return nil, err
-		}
-	} else {
+	} else if !sameMultiset(src, dst) {
 		// Plain graphs: blocks are interchangeable, but contents must match
 		// the destination exactly, so verify multisets agree per the model.
-		if src.MultisetKey() != dst.MultisetKey() {
-			return nil, fmt.Errorf("core: src and dst are not in the same IP graph (symbol multisets differ)")
-		}
+		return nil, fmt.Errorf("core: src and dst are not in the same IP graph (symbol multisets differ)")
 	}
-	d := sched.FinalPositions()
-	first := sched.FirstLeftmost()
-
-	cur := src.Clone()
-	path := &Path{Labels: []symbols.Label{cur.Clone()}}
-	apply := func(genIdx int, g perm.Perm) {
-		next := make(symbols.Label, len(cur))
-		g.Apply(next, cur)
-		if next.Equal(cur) {
-			// The generator fixes this label (e.g. swapping two identical
-			// super-symbols): a self-loop, not an edge, and physically no
-			// transmission — skip it but keep following the schedule.
-			return
-		}
-		cur = next
-		path.Gens = append(path.Gens, genIdx)
-		path.Labels = append(path.Labels, cur.Clone())
-	}
-	full := r.s.IPGraph()
+	sched := plan.sched
+	copy(r.cur, src)
 	for step := 0; step <= sched.T(); step++ {
-		if cur.Equal(dst) {
-			return path, nil
+		if r.cur.Equal(dst) {
+			return buf, nil
 		}
 		orig := sched.Arrs[step][0]
-		if first[orig] == step {
+		if plan.first[orig] == step {
 			// First time this super-symbol is leftmost: sort its content to
 			// the destination's super-symbol at its final position.
-			want := dst.Group(d[orig], m)
-			if err := r.sortLeftmost(func() symbols.Label { return cur }, want, func(gi int) {
-				apply(gi, full.Gens[gi])
-			}); err != nil {
+			var err error
+			if buf, err = r.sortLeftmost(dst.Group(plan.final[orig], r.m), buf); err != nil {
 				return nil, err
 			}
 		}
 		if step < sched.T() {
-			mi := sched.Moves[step]
-			apply(r.numNuc+mi, full.Gens[r.numNuc+mi])
+			buf = r.apply(r.numNuc+sched.Moves[step], buf)
 		}
 	}
-	if !cur.Equal(dst) {
-		return nil, fmt.Errorf("core: route ended at %v, want %v", cur, dst)
+	if !r.cur.Equal(dst) {
+		return nil, fmt.Errorf("core: route ended at %v, want %v", r.cur, dst)
 	}
-	return path, nil
+	return buf, nil
 }
 
-// sortLeftmost emits nucleus generator applications transforming the
-// leftmost block of the current label into want. getCur must return the
-// up-to-date label; emit applies the generator with the given index (in the
-// full generator list) to it.
-func (r *Router) sortLeftmost(getCur func() symbols.Label, want symbols.Label, emit func(int)) error {
-	m := r.s.Nucleus.M()
-	curID, offset, err := r.blockStateID(getCur().Group(0, m))
-	if err != nil {
-		return err
+// apply moves the walk along generator gi and appends gi to word. A
+// generator that fixes the current label (e.g. swapping two identical
+// super-symbols) is a self-loop, not an edge, and physically no
+// transmission: it is skipped, and the caller keeps following its schedule.
+func (r *Router) apply(gi int, word []int) []int {
+	r.gens[gi].Apply(r.next, r.cur)
+	if r.next.Equal(r.cur) {
+		return word
 	}
-	wantCanon := make(symbols.Label, m)
-	for i, v := range want {
-		wantCanon[i] = v - offset
+	r.cur, r.next = r.next, r.cur
+	return append(word, gi)
+}
+
+// sortLeftmost walks nucleus generators that transform the leftmost block of
+// the current label into want, appending them to word.
+func (r *Router) sortLeftmost(want symbols.Label, word []int) ([]int, error) {
+	var offset byte
+	if r.s.Symmetric {
+		offset = byte(blockColor(r.cur[:r.m], r.m) * r.m)
 	}
-	wantID := r.nuc.ix.ID(wantCanon)
+	wantID := r.stateID(want, offset)
 	if wantID < 0 {
-		return fmt.Errorf("core: target block %v is not a nucleus state", want)
+		return nil, fmt.Errorf("core: target block %v is not a nucleus state", want)
 	}
 	tree := r.nucTree(wantID)
-	for curID != wantID {
+	for {
+		curID := r.stateID(r.cur[:r.m], offset)
+		if curID < 0 {
+			return nil, fmt.Errorf("core: block content %v is not a nucleus state", r.cur[:r.m])
+		}
+		if curID == wantID {
+			return word, nil
+		}
 		gi := tree[curID]
 		if gi < 0 {
-			return fmt.Errorf("core: nucleus state %d cannot reach %d", curID, wantID)
+			return nil, fmt.Errorf("core: nucleus state %d cannot reach %d", curID, wantID)
 		}
-		emit(int(gi))
-		// Recompute the current state id from the updated label.
-		curID, _, err = r.blockStateID(getCur().Group(0, m))
-		if err != nil {
-			return err
-		}
+		word = r.apply(int(gi), word)
 	}
-	return nil
 }
 
-// symmetricTarget computes the required final arrangement for a symmetric
-// route: target[pos] = index of the source super-symbol (by position in src)
-// whose color matches dst's color at pos.
-func (r *Router) symmetricTarget(src, dst symbols.Label) (perm.Perm, error) {
-	m := r.s.Nucleus.M()
-	l := r.s.L
-	colorAt := func(x symbols.Label, pos int) int {
-		blk := x.Group(pos, m)
-		min := blk[0]
-		for _, v := range blk[1:] {
-			if v < min {
-				min = v
-			}
+// symmetricPlan returns the covering plan of a symmetric route: the one
+// whose final arrangement puts at every position the source super-symbol
+// whose color dst carries there. The first call builds the router's
+// schedule table.
+func (r *Router) symmetricPlan(src, dst symbols.Label) (*coverPlan, error) {
+	if r.cover == nil {
+		tab, err := r.s.coverTable()
+		if err != nil {
+			return nil, err
 		}
-		return (int(min) - 1) / m
+		r.cover = tab
 	}
-	srcPosOfColor := make([]int, l)
-	for i := range srcPosOfColor {
-		srcPosOfColor[i] = -1
+	l, m := r.s.L, r.m
+	for i := range r.colorPos {
+		r.colorPos[i] = -1
 	}
 	for pos := 0; pos < l; pos++ {
-		c := colorAt(src, pos)
-		if c < 0 || c >= l || srcPosOfColor[c] >= 0 {
+		c := blockColor(src.Group(pos, m), m)
+		if c < 0 || c >= l || r.colorPos[c] >= 0 {
 			return nil, fmt.Errorf("core: src has invalid color structure at block %d", pos)
 		}
-		srcPosOfColor[c] = pos
+		r.colorPos[c] = pos
 	}
-	target := make(perm.Perm, l)
 	for pos := 0; pos < l; pos++ {
-		c := colorAt(dst, pos)
-		if c < 0 || c >= l || srcPosOfColor[c] < 0 {
+		c := blockColor(dst.Group(pos, m), m)
+		if c < 0 || c >= l || r.colorPos[c] < 0 {
 			return nil, fmt.Errorf("core: dst color %d at block %d missing in src", c, pos)
 		}
-		target[pos] = srcPosOfColor[c]
+		r.target[pos] = byte(r.colorPos[c])
 	}
-	if err := target.Validate(); err != nil {
-		return nil, err
+	i, ok := r.cover.index[string(r.target)]
+	if !ok {
+		return nil, fmt.Errorf("core: arrangement %v unreachable with full coverage", r.target)
 	}
-	return target, nil
+	return &r.cover.plans[i], nil
+}
+
+// sameMultiset reports whether the equal-length labels a and b hold the same
+// symbols with the same multiplicities.
+func sameMultiset(a, b symbols.Label) bool {
+	var count [256]int32
+	for i := range a {
+		count[a[i]]++
+		count[b[i]]--
+	}
+	for _, c := range count {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

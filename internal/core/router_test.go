@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -255,6 +257,133 @@ func TestRouterOnLargerInstanceSampled(t *testing.T) {
 	}
 }
 
+// TestCoverTableMatchesSearch checks that a symmetric router builds its
+// schedule table on the first route, not before, and that the table holds,
+// for every reachable arrangement, exactly the schedule a fresh cover search
+// reconstructs for it.
+func TestCoverTableMatchesSearch(t *testing.T) {
+	grid := rankerGrid()
+	grid["sym-HSN(4;Q2)"] = hsn(4, nucleusQ(2), true)
+	for name, s := range grid {
+		if !s.Symmetric {
+			continue
+		}
+		r, err := NewRouter(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.cover != nil {
+			t.Fatalf("%s: schedule table built before the first route", name)
+		}
+		seed := s.SeedLabel()
+		if _, err := r.Word(seed, seed, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.cover == nil {
+			t.Fatalf("%s: schedule table not built by the first route", name)
+		}
+		_, parent, err := s.coverSearch()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		bps, err := s.BlockPerms()
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrs, err := perm.GroupClosure(bps, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.cover.plans) != len(arrs) {
+			t.Fatalf("%s: table has %d schedules, want one per arrangement (%d)", name, len(r.cover.plans), len(arrs))
+		}
+		full := uint32(1)<<uint(s.L) - 1
+		tS := 0
+		for _, arr := range arrs {
+			i, ok := r.cover.index[arrKey(arr)]
+			if !ok {
+				t.Fatalf("%s: arrangement %v missing from the table", name, arr)
+			}
+			got := r.cover.plans[i]
+			want := s.reconstruct(coverState{arr: arrKey(arr), mask: full}, parent)
+			if !reflect.DeepEqual(got.sched, want) {
+				t.Fatalf("%s: arrangement %v: table schedule %+v, search %+v", name, arr, got.sched, want)
+			}
+			if !slices.Equal(got.final, want.FinalPositions()) || !slices.Equal(got.first, want.FirstLeftmost()) {
+				t.Fatalf("%s: arrangement %v: stale final/first positions", name, arr)
+			}
+			tS = max(tS, want.T())
+		}
+		if r.cover.tS != tS {
+			t.Fatalf("%s: table t_S = %d, want %d", name, r.cover.tS, tS)
+		}
+	}
+}
+
+// TestWordMatchesRoute checks on seeded pairs of every grid instance that
+// Word appends exactly Route's generators, whatever the caller's buffer
+// holds and whatever routes the router computed before.
+func TestWordMatchesRoute(t *testing.T) {
+	for name, s := range rankerGrid() {
+		_, ix, err := s.Build(BuildOptions{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: build: %v", name, err)
+		}
+		r, err := NewRouter(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		buf := []int{-1}
+		for trial := 0; trial < 300; trial++ {
+			src, dst := ix.Label(int32(rng.Intn(ix.N()))), ix.Label(int32(rng.Intn(ix.N())))
+			p, err := r.Route(src, dst)
+			if err != nil {
+				t.Fatalf("%s: route %v -> %v: %v", name, src, dst, err)
+			}
+			word, err := r.Word(src, dst, nil)
+			if err != nil || !slices.Equal(word, p.Gens) {
+				t.Fatalf("%s: Word(%v, %v) = %v (%v), Route gens %v", name, src, dst, word, err, p.Gens)
+			}
+			buf, err = r.Word(src, dst, buf[:1])
+			if err != nil || buf[0] != -1 || !slices.Equal(buf[1:], p.Gens) {
+				t.Fatalf("%s: Word(%v, %v) onto [-1] = %v (%v), want [-1] + %v", name, src, dst, buf, err, p.Gens)
+			}
+		}
+	}
+}
+
+// TestWordAllocs checks that a route allocates nothing once the router's
+// tables exist and the caller's buffer is large enough.
+func TestWordAllocs(t *testing.T) {
+	for name, s := range map[string]*SuperIP{
+		"HSN(2;Q5)":     hsn(2, nucleusQ(5), false),
+		"sym-HSN(3;Q4)": hsn(3, nucleusQ(4), true),
+	} {
+		rk, err := s.Ranker()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRouter(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		buf := make([]int, 0, 64)
+		for trial := 0; trial < 20; trial++ {
+			src := rk.Unrank(rng.Int63n(rk.N()), nil)
+			dst := rk.Unrank(rng.Int63n(rk.N()), nil)
+			var err error
+			if buf, err = r.Word(src, dst, buf[:0]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if n := testing.AllocsPerRun(10, func() { buf, _ = r.Word(src, dst, buf[:0]) }); n != 0 {
+				t.Fatalf("%s: Word(%v, %v) makes %.1f allocations, want 0", name, src, dst, n)
+			}
+		}
+	}
+}
+
 func BenchmarkRouteHSN3Q2(b *testing.B) {
 	s := hsn(3, nucleusQ(2), false)
 	_, ix, err := s.Build(BuildOptions{})
@@ -286,5 +415,3 @@ func BenchmarkBuildHSN2Q4(b *testing.B) {
 		}
 	}
 }
-
-var _ = perm.Identity // keep perm imported for helpers above

@@ -166,25 +166,54 @@ func (s *SuperIP) MinCoverSchedule() (*Schedule, error) {
 	return s.reconstruct(found, parent), nil
 }
 
-// CoverScheduleTo computes a minimum-length schedule that brings every
-// super-symbol to the leftmost position at least once AND ends with the
-// super-symbols in the prescribed arrangement (target[pos] = original index
-// of the super-symbol that must end at pos). Used for routing in symmetric
-// super-IP graphs (Theorem 4.3).
-func (s *SuperIP) CoverScheduleTo(target perm.Perm) (*Schedule, error) {
-	if len(target) != s.L {
-		return nil, fmt.Errorf("core: target arrangement has %d entries, want %d", len(target), s.L)
-	}
+// coverPlan is a covering schedule together with the two per-super-symbol
+// views the router reads on every route.
+type coverPlan struct {
+	sched *Schedule
+	final []int // sched.FinalPositions()
+	first []int // sched.FirstLeftmost()
+}
+
+func newCoverPlan(sc *Schedule) coverPlan {
+	return coverPlan{sched: sc, final: sc.FinalPositions(), first: sc.FirstLeftmost()}
+}
+
+// coverTable is the outcome of one cover search: for every reachable final
+// arrangement, the minimum covering schedule that ends there (Theorem 4.3).
+// A symmetric route only selects its entry, so one search serves every
+// route of a router.
+type coverTable struct {
+	plans []coverPlan
+	index map[string]int // arrKey(final arrangement) -> plans index
+	tS    int            // the longest plan: t_S of Theorem 4.3
+}
+
+// coverTable runs one cover search and reconstructs, for every reachable
+// arrangement, the minimum covering schedule ending at it. It errors if some
+// reachable arrangement is never reached with full coverage.
+func (s *SuperIP) coverTable() (*coverTable, error) {
 	dist, parent, err := s.coverSearch()
 	if err != nil {
 		return nil, err
 	}
 	full := uint32(1)<<uint(s.L) - 1
-	goal := coverState{arr: arrKey(target), mask: full}
-	if _, ok := dist[goal]; !ok {
-		return nil, fmt.Errorf("core: arrangement %v unreachable with full coverage", target)
+	reachable := map[string]bool{}
+	tab := &coverTable{index: map[string]int{}}
+	for st, d := range dist {
+		reachable[st.arr] = true
+		if st.mask != full {
+			continue
+		}
+		tab.index[st.arr] = len(tab.plans)
+		tab.plans = append(tab.plans, newCoverPlan(s.reconstruct(st, parent)))
+		tab.tS = max(tab.tS, d)
 	}
-	return s.reconstruct(goal, parent), nil
+	for arr := range reachable {
+		if _, ok := tab.index[arr]; !ok {
+			return nil, fmt.Errorf("core: arrangement %v reachable but never with full coverage", []byte(arr))
+		}
+	}
+	return tab, nil
 }
 
 // TSym computes t_S of Theorem 4.3: the minimum schedule length sufficient
@@ -192,32 +221,9 @@ func (s *SuperIP) CoverScheduleTo(target perm.Perm) (*Schedule, error) {
 // arrangements tau of the minimum length of a covering schedule ending at
 // tau.
 func (s *SuperIP) TSym() (int, error) {
-	dist, _, err := s.coverSearch()
+	tab, err := s.coverTable()
 	if err != nil {
 		return 0, err
 	}
-	full := uint32(1)<<uint(s.L) - 1
-	// An arrangement is "possible" if reachable at all; full coverage is
-	// always eventually achievable from it (verified here).
-	reachableArr := map[string]bool{}
-	coveredArr := map[string]int{}
-	for st, d := range dist {
-		reachableArr[st.arr] = true
-		if st.mask == full {
-			if old, ok := coveredArr[st.arr]; !ok || d < old {
-				coveredArr[st.arr] = d
-			}
-		}
-	}
-	tS := 0
-	for arr := range reachableArr {
-		d, ok := coveredArr[arr]
-		if !ok {
-			return 0, fmt.Errorf("core: arrangement %q reachable but never with full coverage", arr)
-		}
-		if d > tS {
-			tS = d
-		}
-	}
-	return tS, nil
+	return tab.tS, nil
 }

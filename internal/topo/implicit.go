@@ -2,7 +2,7 @@ package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/perm"
@@ -86,7 +86,7 @@ func (t *Implicit) Neighbors(u int64, buf []int64) []int64 {
 		}
 		buf = append(buf, id)
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf)
 	out := buf[:0]
 	var prev int64 = -1
 	for _, v := range buf {

@@ -68,8 +68,10 @@ func (t *Table) Path(src, dst int64) ([]int64, error) {
 type Algebraic struct {
 	r      *core.Router
 	codec  Labeled
-	srcBuf symbols.Label
+	srcBuf symbols.Label // route source, then the replay's current label
 	dstBuf symbols.Label
+	hopBuf symbols.Label // the replay's next label
+	word   []int         // the route's generator word
 
 	// routes carries each packet's source route between NextHop calls.
 	routes routeStore
@@ -99,6 +101,7 @@ func NewAlgebraicWith(s *core.SuperIP, codec Labeled) (*Algebraic, error) {
 		codec:  codec,
 		srcBuf: make(symbols.Label, s.L*m),
 		dstBuf: make(symbols.Label, s.L*m),
+		hopBuf: make(symbols.Label, s.L*m),
 	}, nil
 }
 
@@ -128,21 +131,29 @@ func (a *Algebraic) NextHop(cur, dst int64) (int64, error) {
 // and report the Delta.
 func (a *Algebraic) RouterStats() RouterStats { return a.routes.stats() }
 
-// Path returns the full algebraic route as node ids.
+// Path returns the full algebraic route as node ids. It computes the route's
+// generator word (core.Router.Word), replays the word on a scratch label and
+// ranks each hop; the returned slice is its only allocation.
 func (a *Algebraic) Path(src, dst int64) ([]int64, error) {
 	a.srcBuf = append(a.srcBuf[:0], a.codec.Label(src)...)
 	a.dstBuf = append(a.dstBuf[:0], a.codec.Label(dst)...)
-	p, err := a.r.Route(a.srcBuf, a.dstBuf)
+	word, err := a.r.Word(a.srcBuf, a.dstBuf, a.word[:0])
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, len(p.Labels))
-	for i, lbl := range p.Labels {
-		id := a.codec.ID(lbl)
+	a.word = word
+	gens := a.r.Gens()
+	out := make([]int64, len(word)+1)
+	out[0] = src
+	cur, next := a.srcBuf, a.hopBuf
+	for i, gi := range word {
+		gens[gi].Apply(next, cur)
+		cur, next = next, cur
+		id := a.codec.ID(cur)
 		if id < 0 {
-			return nil, fmt.Errorf("topo: route label %v is not a vertex", lbl)
+			return nil, fmt.Errorf("topo: route label %v is not a vertex", cur)
 		}
-		out[i] = id
+		out[i+1] = id
 	}
 	return out, nil
 }

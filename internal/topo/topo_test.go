@@ -185,6 +185,40 @@ func TestAlgebraicOverMaterializedIDs(t *testing.T) {
 	}
 }
 
+// TestHotPathAllocs pins the allocation budget of the two per-hop calls:
+// Implicit.Neighbors into a reused buffer makes none, and Algebraic.Path
+// makes exactly one, the returned slice, once a warm-up route has built the
+// router's tables.
+func TestHotPathAllocs(t *testing.T) {
+	for _, net := range []*superip.Net{
+		superip.HSN(3, superip.NucleusHypercube(4)).SymmetricVariant(),
+		superip.HSN(2, superip.NucleusHypercube(5)),
+	} {
+		imp, err := NewImplicit(net.Super())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewAlgebraic(net.Super())
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]int64, 0, imp.MaxDegree())
+		rng := rand.New(rand.NewSource(9))
+		for trial := 0; trial < 20; trial++ {
+			src, dst := rng.Int63n(imp.N()), rng.Int63n(imp.N())
+			if n := testing.AllocsPerRun(10, func() { buf = imp.Neighbors(src, buf) }); n != 0 {
+				t.Fatalf("%s: Neighbors(%d) makes %.1f allocations, want 0", net.Name(), src, n)
+			}
+			if _, err := r.Path(src, dst); err != nil {
+				t.Fatalf("%s: Path(%d, %d): %v", net.Name(), src, dst, err)
+			}
+			if n := testing.AllocsPerRun(10, func() { _, _ = r.Path(src, dst) }); n > 1 {
+				t.Fatalf("%s: Path(%d, %d) makes %.1f allocations, want at most 1", net.Name(), src, dst, n)
+			}
+		}
+	}
+}
+
 // TestHypercubeTopoAndRouter checks the implicit hypercube against the
 // materialized one and pins e-cube optimality: every routed path length
 // equals the BFS distance.
