@@ -1,34 +1,39 @@
-// The unified simulation engine. Every simulator in this package runs on
-// the one engine in this file: one packet struct (epacket), one link-FIFO/
-// active-list core (linkStore: dense for materialized graphs, sparse for
-// implicit topologies), one future-arrival ring, one injection sampler, and
-// one per-cycle phase order
+// The simulation engine. Every simulator in this package runs on the one
+// engine in this file: one packet struct (epacket), one link-FIFO/active-
+// list core (linkStore: dense for built graphs, sparse for implicit
+// topologies), one future-arrival ring, one injection sampler, and one
+// per-cycle phase order
 //
 //	tick → apply topology changes → deliver arrivals → fire retransmission
 //	timers → inject (or test the drain break) → advance links
 //
-// parameterized by closures for the parts that genuinely differ. There are
-// two wirings of those closures: the materialized one in faultsim.go, which
-// serves RunFaulty, RunFaultyWithBaseline and Run (BFS tables or adaptive
-// spread over a built graph; Run is RunFaulty with an empty plan), and the
-// lane runner in sharded.go, which serves RunImplicit, RunImplicitFaulty
-// and RunSharded (any id-space Router; RunImplicit is RunImplicitFaulty
-// with an empty plan). The closures capture each variant's statistics
-// directly, so the engine itself holds no Stats.
+// with one wiring: the lane runner in sharded.go, whose lanes (simLane)
+// embed the engine and supply the parts that differ as plain methods.
+// Every entry point is a run of it: Run, RunFaulty and
+// RunFaultyWithBaseline (a built graph, BFS-table routes; Run is RunFaulty
+// with an empty plan), RunImplicit and RunImplicitFaulty (any id-space
+// Router; RunImplicit is RunImplicitFaulty with an empty plan) are
+// single-lane runs, RunSharded a multi-lane one. What only built graphs
+// need (the PeriodFunc/Partition period rule, the dense link store, the
+// BFS-table route hook and the flow layer of a degraded RunFaulty) enters
+// the lane runner through one per-run options struct.
 //
-// Degraded-mode rule, shared by both wirings: a run is degraded iff its
-// fault plan is non-empty. Only a degraded run installs the fault hooks
-// (applyChanges, arrivalDead, fireRetries, blocked) and drops and counts a
-// packet it cannot route. A run that is not degraded has none of those
-// hooks, so it pays nothing for fault tolerance, and a packet it cannot
-// route is a hard error. What a degraded run does beyond that is
-// documented on RunFaulty and RunImplicitFaulty.
+// Degraded-mode rule: a run is degraded iff its fault plan is non-empty.
+// Only a degraded run runs the fault phases (topology changes, dead
+// arrivals, blocked links, and on built graphs retransmission timers) and
+// drops a packet it cannot route or that exceeds the hop watchdog. A run
+// that is not degraded skips those phases, so it pays nothing for fault
+// tolerance, and a packet it cannot route is a hard error. What a degraded
+// run does beyond that is documented on RunFaulty and RunImplicitFaulty.
 //
-// Bit-for-bit compatibility contract: every variant must consume the run's
-// RNG in exactly the order the pre-refactor loops did (injection draws,
-// adaptive/detour choices) and emit probe events in the same sequence.
-// TestEngineGoldenParity pins this against fixtures recorded from the
-// original loops.
+// Drain rule, one for every run: once injection has stopped, the run ends
+// at the first cycle that has no measured packet in flight and lies past
+// the plan's last event, or at the drain deadline.
+//
+// Bit-for-bit compatibility contract: a run consumes its RNG in a fixed
+// order (injection draws, adaptive/detour choices) and emits probe events
+// in a fixed sequence. TestEngineGoldenParity and TestEngineProbeGolden pin
+// this against recorded fixtures.
 package netsim
 
 import (
@@ -41,12 +46,10 @@ import (
 	"repro/internal/obs"
 )
 
-// epacket is the one in-flight packet representation shared by all engine
-// variants. Fault-free materialized runs use only the narrow prefix (id,
-// dst, born, measured); ttl backs a degraded RunFaulty's detour budget,
-// hops the livelock watchdogs, and degraded the lane runner's
-// detoured-delivery counter. In a degraded RunFaulty, id doubles as the
-// flow sequence number.
+// epacket is the one in-flight packet representation. ttl backs a
+// degraded RunFaulty's detour budget, hops the hop watchdog, and degraded
+// the detoured-delivery counter. Under RunFaulty's flow layer, id doubles
+// as the flow sequence number.
 type epacket struct {
 	id       int64
 	dst      int64
@@ -57,15 +60,12 @@ type epacket struct {
 	degraded bool
 }
 
-// elink is the FIFO of one directed link u -> v. downCnt is the
-// reference-counted liveness used by the materialized fault simulator
-// (overlapping transient faults); the implicit fault simulator keeps
-// liveness in its FaultSink instead.
+// elink is the FIFO of one directed link u -> v. Liveness lives in the
+// run's FaultSink, not here.
 type elink struct {
-	u, v    int64
-	queue   []epacket
-	freeAt  int
-	downCnt int
+	u, v   int64
+	queue  []epacket
+	freeAt int
 }
 
 // earrival is one scheduled packet arrival in the future-arrival ring.
@@ -84,15 +84,22 @@ type linkStore interface {
 	// get returns the FIFO of arc u->v, creating it if needed. It errors
 	// when v is not a neighbor of u — a routing-layer bug.
 	get(u, v int64) (*elink, error)
+	// peek returns the FIFO of arc u->v when it exists, nil otherwise (v
+	// not a neighbor, or a sparse link currently idle and reclaimed).
+	peek(u, v int64) *elink
+	// eachFrom visits the existing FIFOs of u's outgoing links in
+	// neighbor order.
+	eachFrom(u int64, fn func(*elink))
 	// advance visits the store's links in its deterministic order and
 	// transmits the queue head of every link that is free and not blocked.
-	advance(now int, e *engine) error
+	advance(now int, ln *simLane)
 }
 
-// engine is the shared clock/link/arrival core. The two wirings assemble
-// one, point the hook closures at their own statistics, and call run().
-// Hooks left nil are skipped (runs that are not degraded have no
-// applyChanges/fireRetries/arrivalDead/blocked phase at all).
+// engine is the clock/link/arrival core of one lane: every simLane embeds
+// one, and the lane runner is the only code that builds them. The per-cycle
+// phases call the lane directly; the fault phases (topology changes, dead
+// arrivals, blocked links) run only when the run is degraded, and the
+// retransmission phase only under a flow layer.
 type engine struct {
 	pb         obs.Probe
 	store      linkStore
@@ -100,45 +107,22 @@ type engine struct {
 	flits      int
 	cutThrough bool
 	period     func(u, v int64) int
+	degraded   bool
 
 	total    int // warmup + measure: injection stops here
 	deadline int // total + drain: the run stops here
-
-	// route picks the next hop for pkt at node `at`. ok=false drops the
-	// copy (the hook has done the accounting); err aborts the run.
-	route func(now int, at int64, pkt *epacket) (nh int64, ok bool, err error)
-	// deliver performs delivery bookkeeping for a packet that reached
-	// pkt.dst (stats, flow state, probe call).
-	deliver func(now int, at int64, pkt *epacket)
-	// hopLimit > 0 enables the livelock watchdog: a packet with hops >=
-	// hopLimit is handed to onHopLimit instead of being routed, which
-	// either accounts a drop (nil error) or aborts the run.
-	hopLimit   int
-	onHopLimit func(now int, at int64, pkt *epacket) error
-
-	// Optional per-cycle phases, in engine.run order.
-	applyChanges func(now int) error
-	arrivalDead  func(now int, node int64, pkt *epacket) bool
-	fireRetries  func(now int) error
-	inject       func(now int) error
-	canStop      func(now int) bool
-	// blocked gates the advance phase: a true return holds the link's
-	// queue this cycle (dead node, dead link).
-	blocked func(lk *elink) bool
-	// crossSend intercepts a transmitted packet whose head node another
-	// lane owns (sharded runs): a true return means the hook captured the
-	// packet (into a cross-lane outbox) and it must not enter the local
-	// arrival ring. Nil — materialized and single-lane runs — keeps
-	// everything local.
-	crossSend func(now, delay int, dst int64, pkt epacket) bool
+	// hopLimit is the hop watchdog: a packet with hops >= hopLimit is
+	// handed to simLane.hopLimitHit instead of being routed.
+	hopLimit int
 }
 
-// run executes the clock loop until the drain deadline, the variant's early
-// break, or an error, and returns the cycle it stopped on.
-func (e *engine) run() (int, error) {
+// loop executes the clock loop of a single-lane run until the drain
+// deadline, the drain rule, or an error, and returns the cycle it stopped
+// on.
+func (ln *simLane) loop() (int, error) {
 	now := 0
-	for ; now < e.deadline; now++ {
-		stop, err := e.step(now)
+	for ; now < ln.deadline; now++ {
+		stop, err := ln.step(now)
 		if err != nil {
 			return now, err
 		}
@@ -151,94 +135,102 @@ func (e *engine) run() (int, error) {
 
 // step executes one cycle of the clock loop: tick, topology changes,
 // arrivals, retransmission timers, injection (or the drain break), link
-// advance. The sharded simulator drives lanes through it window by window;
-// run() is the sequential wrapper. stop reports the variant's early break.
-func (e *engine) step(now int) (stop bool, err error) {
-	if e.pb != nil {
-		e.pb.Tick(now)
+// advance. The multi-lane coordinator drives lanes through it window by
+// window; loop() is the single-lane clock. stop reports the drain break.
+func (ln *simLane) step(now int) (stop bool, err error) {
+	if ln.pb != nil {
+		ln.pb.Tick(now)
 	}
-	if e.applyChanges != nil {
-		if err := e.applyChanges(now); err != nil {
+	if ln.degraded {
+		if err := ln.applyChanges(now); err != nil {
 			return false, err
 		}
 	}
-	slot := now % len(e.ring)
-	for i := range e.ring[slot] {
-		a := &e.ring[slot][i]
-		if e.arrivalDead != nil && e.arrivalDead(now, a.node, &a.pkt) {
+	slot := now % len(ln.ring)
+	for i := range ln.ring[slot] {
+		a := &ln.ring[slot][i]
+		if ln.degraded && ln.arrivalDead(now, a.node, &a.pkt) {
 			continue
 		}
-		if err := e.enqueue(now, a.node, a.pkt); err != nil {
+		if err := ln.enqueue(now, a.node, a.pkt); err != nil {
 			return false, err
 		}
 	}
-	e.ring[slot] = e.ring[slot][:0]
-	if e.fireRetries != nil {
-		if err := e.fireRetries(now); err != nil {
+	ln.ring[slot] = ln.ring[slot][:0]
+	if ln.flows != nil {
+		if err := ln.fireRetries(now); err != nil {
 			return false, err
 		}
 	}
-	if now < e.total {
-		if err := e.inject(now); err != nil {
+	if now < ln.total {
+		if err := ln.inject(now); err != nil {
 			return false, err
 		}
-	} else if e.canStop(now) {
+	} else if ln.outbox == nil && ln.inFlight == 0 && now > ln.run.lastChange {
+		// A single lane sees all traffic, so it applies the drain rule
+		// itself; the coordinator stops multi-lane runs at barriers.
 		return true, nil
 	}
-	if err := e.store.advance(now, e); err != nil {
-		return false, err
-	}
+	ln.store.advance(now, ln)
 	return false, nil
 }
 
 // enqueue routes one packet copy at node `at`: deliver it, drop it on the
 // hop watchdog, or append it to the next hop's link FIFO.
-func (e *engine) enqueue(now int, at int64, pkt epacket) error {
+func (ln *simLane) enqueue(now int, at int64, pkt epacket) error {
 	if pkt.dst == at {
-		e.deliver(now, at, &pkt)
+		ln.deliver(now, at, &pkt)
 		return nil
 	}
-	if e.hopLimit > 0 && pkt.hops >= e.hopLimit {
-		return e.onHopLimit(now, at, &pkt)
+	if pkt.hops >= ln.hopLimit {
+		return ln.hopLimitHit(now, at, &pkt)
 	}
-	nh, ok, err := e.route(now, at, &pkt)
-	if err != nil {
+	var nh int64
+	var ok bool
+	var err error
+	if ln.tables != nil {
+		nh, ok, err = ln.tables.next(now, at, &pkt)
+	} else {
+		nh, ok, err = ln.route(now, at, &pkt)
+	}
+	if err != nil || !ok {
 		return err
 	}
-	if !ok {
-		return nil
-	}
-	lk, err := e.store.get(at, nh)
+	lk, err := ln.store.get(at, nh)
 	if err != nil {
 		return err
 	}
 	lk.queue = append(lk.queue, pkt)
-	if e.pb != nil {
-		e.pb.Enqueue(now, pkt.id, at, nh, len(lk.queue))
+	if ln.pb != nil {
+		ln.pb.Enqueue(now, pkt.id, at, nh, len(lk.queue))
 	}
 	return nil
 }
 
-// transmit moves the queue head of a free link onto the arrival ring.
-func (e *engine) transmit(now int, lk *elink) {
+// transmit moves the queue head of a free link onto the arrival ring, or
+// into the outbox of the lane owning its head node.
+func (ln *simLane) transmit(now int, lk *elink) {
 	pkt := lk.queue[0]
 	lk.queue = lk.queue[1:]
-	p := e.period(lk.u, lk.v)
-	occupy := p * e.flits
+	p := ln.period(lk.u, lk.v)
+	occupy := p * ln.flits
 	lk.freeAt = now + occupy
 	delay := occupy // store-and-forward: the whole message arrives together
-	if e.cutThrough {
+	if ln.cutThrough {
 		delay = p // head proceeds while the tail drains
 	}
 	pkt.hops++
-	if e.pb != nil {
-		e.pb.Hop(now, pkt.id, lk.u, lk.v, occupy, len(lk.queue))
+	if ln.pb != nil {
+		ln.pb.Hop(now, pkt.id, lk.u, lk.v, occupy, len(lk.queue))
 	}
-	if e.crossSend != nil && e.crossSend(now, delay, lk.v, pkt) {
-		return
+	if ln.outbox != nil {
+		if d := ln.run.laneOf(lk.v); d != ln.idx {
+			ln.outbox[d] = append(ln.outbox[d], laneSend{cycle: now + delay, node: lk.v, pkt: pkt})
+			return
+		}
 	}
-	s := (now + delay) % len(e.ring)
-	e.ring[s] = append(e.ring[s], earrival{node: lk.v, pkt: pkt})
+	s := (now + delay) % len(ln.ring)
+	ln.ring[s] = append(ln.ring[s], earrival{node: lk.v, pkt: pkt})
 }
 
 // ---------------------------------------------------------------------------
@@ -266,16 +258,14 @@ func newDenseLinks(g *graph.Graph) *denseLinks {
 }
 
 func (d *denseLinks) get(u, v int64) (*elink, error) {
-	s, ok := d.slotOf[u][int32(v)]
-	if !ok {
+	lk := d.peek(u, v)
+	if lk == nil {
 		return nil, fmt.Errorf("netsim: next hop %d from %d is not a neighbor", v, u)
 	}
-	return &d.links[u][s], nil
+	return lk, nil
 }
 
-// at returns the FIFO of arc u->v, or nil when v is not a neighbor of u.
-// The fault machinery uses it for liveness marks and queue kills.
-func (d *denseLinks) at(u, v int64) *elink {
+func (d *denseLinks) peek(u, v int64) *elink {
 	s, ok := d.slotOf[u][int32(v)]
 	if !ok {
 		return nil
@@ -283,20 +273,25 @@ func (d *denseLinks) at(u, v int64) *elink {
 	return &d.links[u][s]
 }
 
-func (d *denseLinks) advance(now int, e *engine) error {
+func (d *denseLinks) eachFrom(u int64, fn func(*elink)) {
+	for s := range d.links[u] {
+		fn(&d.links[u][s])
+	}
+}
+
+func (d *denseLinks) advance(now int, ln *simLane) {
 	for u := range d.links {
 		for s := range d.links[u] {
 			lk := &d.links[u][s]
 			if len(lk.queue) == 0 || lk.freeAt > now {
 				continue
 			}
-			if e.blocked != nil && e.blocked(lk) {
+			if ln.degraded && ln.blocked(lk) {
 				continue
 			}
-			e.transmit(now, lk)
+			ln.transmit(now, lk)
 		}
 	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -351,8 +346,6 @@ func (s *sparseLinks) get(u, v int64) (*elink, error) {
 	return lk, nil
 }
 
-// peek returns the FIFO of arc u->v when it exists, nil otherwise (v not a
-// neighbor, or the link currently idle and reclaimed).
 func (s *sparseLinks) peek(u, v int64) *elink {
 	p := s.port(u, v)
 	if p < 0 {
@@ -361,7 +354,6 @@ func (s *sparseLinks) peek(u, v int64) *elink {
 	return s.links[u*s.deg+int64(p)]
 }
 
-// eachFrom visits the live FIFOs of u's outgoing links in port order.
 func (s *sparseLinks) eachFrom(u int64, fn func(*elink)) {
 	for port := int64(0); port < s.deg; port++ {
 		if lk, ok := s.links[u*s.deg+port]; ok {
@@ -370,7 +362,7 @@ func (s *sparseLinks) eachFrom(u int64, fn func(*elink)) {
 	}
 }
 
-func (s *sparseLinks) advance(now int, e *engine) error {
+func (s *sparseLinks) advance(now int, ln *simLane) {
 	live := s.active[:0]
 	for _, key := range s.active {
 		lk := s.links[key]
@@ -386,44 +378,76 @@ func (s *sparseLinks) advance(now int, e *engine) error {
 			live = append(live, key)
 			continue
 		}
-		if e.blocked != nil && e.blocked(lk) {
+		if ln.degraded && ln.blocked(lk) {
 			// Dead tail or dead link: the queue waits for a repair.
 			live = append(live, key)
 			continue
 		}
-		e.transmit(now, lk)
+		ln.transmit(now, lk)
 		if len(lk.queue) == 0 {
 			lk.queue = nil // release the backing array of drained FIFOs
 		}
 		live = append(live, key)
 	}
 	s.active = live
-	return nil
 }
 
 // ---------------------------------------------------------------------------
-// Injection sampling, shared by the implicit simulators and the sharded
-// engine.
+// Injection sampling: the one sampler of every run.
 
-// injectionCount draws the number of packets injected this cycle. Up to
-// 2^16 nodes the per-node Bernoulli draws are simulated exactly, matching
-// the materialized simulator's semantics; beyond that the aggregate count is
-// sampled from the Poisson approximation of Binomial(N, rate) (exact
-// multiplicative sampling for small means, a normal approximation above),
-// because iterating tens of millions of nodes every cycle would dominate the
-// run. Sources are then drawn uniformly, so one node can inject twice in a
-// cycle — a vanishing-probability event at the scales where the
-// approximation is active.
-func injectionCount(n int64, rate float64, rng *rand.Rand) int64 {
-	if n <= 1<<16 {
-		k := int64(0)
-		for i := int64(0); i < n; i++ {
-			if rng.Float64() < rate {
-				k++
-			}
-		}
-		return k
+// exactInjectionNodes is the largest node count a lane samples exactly.
+const exactInjectionNodes = 1 << 16
+
+// injectionSampler draws one cycle's injecting sources among the n nodes a
+// lane owns, as owned-node indices in [0, n). While n <= 2^16 it walks the
+// nodes in order with one Bernoulli(rate) draw each and returns at every
+// success, so the caller draws that packet's destination before the next
+// node's coin: the per-node loop of a packet-switched simulator, in which a
+// node injects at most once per cycle. Above 2^16, walking tens of millions
+// of nodes every cycle would dominate the run, so the cycle's count is drawn
+// up front (injectionCount) and each source uniformly; one node can then
+// inject twice in a cycle, a vanishing-probability event at those scales.
+type injectionSampler struct {
+	n    int64
+	rate float64
+	rng  *rand.Rand
+	left int64 // exact: the next owned index to flip; aggregate: draws left this cycle
+}
+
+// start begins a cycle.
+func (s *injectionSampler) start() {
+	if s.n <= exactInjectionNodes {
+		s.left = 0
+	} else {
+		s.left = injectionCount(s.n, s.rate, s.rng)
 	}
+}
+
+// next returns the cycle's next injecting owned index, or -1 when the
+// cycle has no more.
+func (s *injectionSampler) next() int64 {
+	if s.n > exactInjectionNodes {
+		if s.left == 0 {
+			return -1
+		}
+		s.left--
+		return s.rng.Int63n(s.n)
+	}
+	rng, rate, n := s.rng, s.rate, s.n
+	for i := s.left; i < n; i++ {
+		if rng.Float64() < rate {
+			s.left = i + 1
+			return i
+		}
+	}
+	s.left = n
+	return -1
+}
+
+// injectionCount draws the aggregate injection count of n > 2^16 nodes from
+// the Poisson approximation of Binomial(n, rate): exact multiplicative
+// sampling for small means, a normal approximation above.
+func injectionCount(n int64, rate float64, rng *rand.Rand) int64 {
 	lambda := float64(n) * rate
 	if lambda == 0 {
 		return 0

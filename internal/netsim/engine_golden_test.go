@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -11,26 +13,39 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/networks"
+	"repro/internal/obs"
 	"repro/internal/superip"
 	"repro/internal/topo"
 )
 
-// Golden parity for the unified engine: the four public entry points (Run,
-// RunFaulty, RunImplicit, RunImplicitFaulty) are pinned bit for bit to the
-// Stats they produced before the four separate event loops were collapsed
-// into the shared engine. The fixtures in testdata/engine_golden.json were
-// generated by the PRE-refactor loops (REGEN_ENGINE_GOLDEN=1 go test -run
-// TestEngineGoldenParity regenerates them — only do that to extend the grid,
-// never to paper over a diff), so any drift in RNG draw order, phase order,
-// or accounting introduced by the refactor fails this test with an exact
-// field diff.
+// Golden parity for the engine: every public entry point (Run, RunFaulty,
+// RunFaultyWithBaseline, RunImplicit, RunImplicitFaulty; RunSharded is
+// pinned against RunImplicit by TestShardedSingleLane) is pinned bit for
+// bit to recorded Stats. All of them are runs of the one lane runner, so
+// any drift in RNG draw order, phase order, or accounting fails this test
+// with an exact field diff. REGEN_ENGINE_GOLDEN=1 go test -run
+// TestEngineGoldenParity regenerates testdata/engine_golden.json — only do
+// that to extend the grid or for a deliberate semantic change, never to
+// paper over a diff.
 //
-// The grid spans the axes the engine parameterizes: materialized vs implicit
-// adjacency, table vs algebraic routing, fault-free vs degraded loops,
+// The fixtures were first recorded from the four event loops the engine
+// replaced. They were re-recorded once, on purpose, when the built-graph
+// entry points became single-lane runs of the lane runner: the one drain
+// rule (stop only past the plan's last event) raised FaultsRepaired from 3
+// to 6 in the five degraded runfaulty/* cases, every other field
+// unchanged; and the one injection sampler (one Bernoulli draw per node,
+// in order, up to 2^16 nodes a lane, instead of a binomial count with
+// sources drawn with replacement) moved the eight exact-regime implicit
+// cases (q8 ×4, hsn2q3 ×2, q6 ×2). The run/*, q17 and withbaseline-base
+// cases did not move.
+//
+// The grid spans the axes the engine parameterizes: built vs implicit
+// adjacency, table vs algebraic routing, fault-free vs degraded runs,
 // uniform/transpose/hotspot patterns, module-partitioned service periods,
 // store-and-forward vs cut-through, multi-flit messages, adaptive routing,
 // and all three injection-sampler regimes (exact Bernoulli, Poisson,
-// normal approximation).
+// normal approximation). TestEngineProbeGolden pins three built-graph probe
+// streams as well.
 
 const engineGoldenFile = "testdata/engine_golden.json"
 
@@ -328,6 +343,90 @@ func TestEngineGoldenParity(t *testing.T) {
 		}
 		if gotCanon != wantCanon {
 			t.Errorf("%s:\n  golden: %s\n  got:    %s", name, wantCanon, gotCanon)
+		}
+	}
+}
+
+// hashProbe folds every replayed probe event into a sha256 digest, one
+// formatted line per event.
+type hashProbe struct{ recProbe }
+
+func (h *hashProbe) sum() string {
+	d := sha256.New()
+	for _, line := range h.lines {
+		d.Write([]byte(line))
+		d.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(d.Sum(nil))
+}
+
+// TestEngineProbeGolden pins the probe event stream, not just the Stats, of
+// built-graph runs: two grid cases, adaptive spread (per-hop RNG draws) and
+// a PeriodFunc override on a partitioned torus (per-link periods and the
+// ring size they imply), and a harsh degraded ring whose stream carries
+// every drop reason of the flow layer (TTL, dead router, queue kill,
+// duplicate, abandoned) plus retransmissions and reroutes. The run records
+// into an obs.EventLog, which is replayed cycle by cycle into a
+// line-per-event sha256.
+func TestEngineProbeGolden(t *testing.T) {
+	q5, err := networks.Hypercube{Dim: 5}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	torus, err := networks.Torus2D{Rows: 8, Cols: 8}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	torusPart, err := metrics.GridPartition(8, 8, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := networks.Ring{Nodes: 16}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringPlan := (&FaultPlan{}).LinkDown(40, 0, 1, 0).LinkDown(60, 8, 9, 200).
+		NodeDown(80, 4, 150).NodeDown(90, 4, 300).LinkDown(100, 12, 13, 140)
+	cases := []struct {
+		name string
+		cfg  Config
+		fc   FaultConfig
+		want string
+	}{
+		{"run/q5/adaptive/seed5", Config{Graph: q5, InjectionRate: 0.05, WarmupCycles: 50,
+			MeasureCycles: 300, Seed: 5, Adaptive: true}, FaultConfig{},
+			"b8cdfb31a526f5078524a22525a10cd0cd521447fc82d7c014ae50872446213c"},
+		{"run/torus/periodfunc/seed6", Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 2,
+			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 6,
+			PeriodFunc: func(u, v int32) int {
+				if torusPart.Of[u] != torusPart.Of[v] {
+					return 3
+				}
+				return 1
+			}}, FaultConfig{},
+			"4edddb09a662f7db9ddf0c3a3320aa28d4fe794bc694349af664b720f130130c"},
+		{"runfaulty/ring16/harsh/seed2", Config{Graph: ring, InjectionRate: 0.3, WarmupCycles: 30,
+			MeasureCycles: 250, Seed: 2}, FaultConfig{Plan: ringPlan, RetransmitTimeout: 20,
+			MaxRetries: 2, DetourTTL: 3, NotifyDelay: 10},
+			"f30b2452dd0ff4e3a49a0b47f2a3825e0c77fd6762ac9a6222db01c9d8bf91c3"},
+	}
+	for _, tc := range cases {
+		log := &obs.EventLog{}
+		tc.cfg.Probe = log
+		if _, err := RunFaulty(tc.cfg, tc.fc); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		h := &hashProbe{}
+		end := tc.cfg.WarmupCycles + tc.cfg.MeasureCycles
+		end += 10 * end // the default drain
+		for c := 0; c <= end; c++ {
+			log.ReplayCycle(c, h)
+		}
+		if len(h.lines) != log.Len() {
+			t.Fatalf("%s: replayed %d of %d events", tc.name, len(h.lines), log.Len())
+		}
+		if got := h.sum(); got != tc.want {
+			t.Errorf("%s: probe stream sha256 %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -4,35 +4,57 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/topo"
 )
 
-// TestInjectionCountExactRegime pins the exact-Bernoulli regime (n <= 2^16):
-// the count is the sum of n per-node coin flips, so rate 0 and rate 1 are
-// exact, the draw count is exactly n (the stream position after a call is
-// independent of the outcomes), and the empirical mean tracks n*rate.
-func TestInjectionCountExactRegime(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int64{1, 100, 1 << 16} {
-		if k := injectionCount(n, 0, rng); k != 0 {
-			t.Fatalf("n=%d rate=0: k=%d", n, k)
+// drain runs one sampler cycle and returns the owned indices it yielded.
+func drain(s *injectionSampler) []int64 {
+	var out []int64
+	for s.start(); ; {
+		i := s.next()
+		if i < 0 {
+			return out
 		}
-		if k := injectionCount(n, 1, rng); k != n {
-			t.Fatalf("n=%d rate=1: k=%d, want %d", n, k, n)
-		}
+		out = append(out, i)
 	}
-	// Stream alignment: two RNGs from the same seed must stay in lockstep
-	// across a call regardless of rate, because every node always draws.
-	a, b := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
-	injectionCount(1000, 0.001, a)
-	injectionCount(1000, 0.999, b)
-	if x, y := a.Int63(), b.Int63(); x != y {
-		t.Fatalf("exact regime consumed rate-dependent draw counts: %d vs %d", x, y)
+}
+
+// TestInjectionSamplerExactRegime pins the exact regime (n <= 2^16): one
+// Bernoulli draw per owned node, in order, so rate 0 injects nothing, rate
+// 1 injects from every node exactly once, the draw count is exactly n
+// whatever the outcomes, and the empirical mean tracks n*rate.
+func TestInjectionSamplerExactRegime(t *testing.T) {
+	for _, n := range []int64{1, 100, 1 << 16} {
+		cs := &countingSource{src: rand.NewSource(1)}
+		s := &injectionSampler{n: n, rate: 0, rng: rand.New(cs)}
+		if got := drain(s); len(got) != 0 {
+			t.Fatalf("n=%d rate=0: %d injections", n, len(got))
+		}
+		if cs.draws != int(n) {
+			t.Fatalf("n=%d rate=0: %d draws, want %d", n, cs.draws, n)
+		}
+		s.rate = 1
+		got := drain(s)
+		if int64(len(got)) != n {
+			t.Fatalf("n=%d rate=1: %d injections, want %d", n, len(got), n)
+		}
+		for i, src := range got {
+			if src != int64(i) {
+				t.Fatalf("n=%d rate=1: injection %d from node %d, want %d", n, i, src, i)
+			}
+		}
+		if cs.draws != 2*int(n) {
+			t.Fatalf("n=%d: %d draws over two cycles, want %d", n, cs.draws, 2*n)
+		}
 	}
 	// Empirical mean over repeated cycles.
 	const n, rate, rounds = 4096, 0.01, 400
-	sum := int64(0)
+	s := &injectionSampler{n: n, rate: rate, rng: rand.New(rand.NewSource(1))}
+	sum := 0
 	for i := 0; i < rounds; i++ {
-		sum += injectionCount(n, rate, rng)
+		sum += len(drain(s))
 	}
 	mean := float64(sum) / rounds
 	want := float64(n) * rate
@@ -106,13 +128,13 @@ type countingSource struct {
 func (c *countingSource) Int63() int64 { c.draws++; return c.src.Int63() }
 func (c *countingSource) Seed(s int64) { c.src.Seed(s) }
 
-// TestInjectionCountRegimeBoundary checks the exact/approximate switch at
-// n = 2^16: at the boundary the exact sampler runs (one draw per node), one
-// node beyond it the aggregate samplers run (O(lambda) or O(1) draws).
-func TestInjectionCountRegimeBoundary(t *testing.T) {
+// TestInjectionSamplerRegimeBoundary checks the exact/approximate switch at
+// n = 2^16: at the boundary the sampler walks every node (one draw each),
+// one node beyond it the aggregate samplers run (O(lambda) or O(1) draws).
+func TestInjectionSamplerRegimeBoundary(t *testing.T) {
 	drawsUsed := func(n int64, rate float64) int {
 		cs := &countingSource{src: rand.NewSource(42)}
-		injectionCount(n, rate, rand.New(cs))
+		drain(&injectionSampler{n: n, rate: rate, rng: rand.New(cs)})
 		return cs.draws
 	}
 	if got := drawsUsed(1<<16, 0.0001); got != 1<<16 {
@@ -145,6 +167,54 @@ func TestUniformDst64(t *testing.T) {
 		}
 		if c := counts[d]; math.Abs(float64(c)-want) > 0.1*want {
 			t.Fatalf("dst %d drawn %d times, want ~%.0f", d, c, want)
+		}
+	}
+}
+
+// injectCounter counts Inject events per (cycle, source).
+type injectCounter struct {
+	obs.NopProbe
+	seen    map[[2]int64]int
+	repeats int
+}
+
+func (c *injectCounter) Inject(cycle int, _ int64, src, _ int64, _ bool) {
+	k := [2]int64{int64(cycle), src}
+	c.seen[k]++
+	if c.seen[k] > 1 {
+		c.repeats++
+	}
+}
+
+// TestInjectionOncePerCycle pins the exact regime end to end: while a lane
+// owns at most 2^16 nodes, no node injects twice in one cycle, sequential
+// or sharded.
+func TestInjectionOncePerCycle(t *testing.T) {
+	const dim = 10
+	ht := topo.HypercubeTopo{Dim: dim}
+	newCounter := func() *injectCounter { return &injectCounter{seen: map[[2]int64]int{}} }
+
+	seq := newCounter()
+	if _, err := RunImplicit(ImplicitConfig{Topo: ht, Router: topo.HypercubeRouter{Dim: dim},
+		InjectionRate: 0.05, WarmupCycles: 50, MeasureCycles: 300, Seed: 1, Probe: seq}); err != nil {
+		t.Fatal(err)
+	}
+	sharded := newCounter()
+	if _, err := RunSharded(ShardedConfig{
+		NewLane: func() (Topology, Router, FaultSink, error) {
+			return ht, topo.HypercubeRouter{Dim: dim}, nil, nil
+		},
+		Space:         topo.SubcubeSpace{Dim: dim, Low: 4},
+		InjectionRate: 0.05, WarmupCycles: 50, MeasureCycles: 300, Seed: 1,
+		OffModulePeriod: 2, Lanes: 4, Probe: sharded}); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*injectCounter{"RunImplicit": seq, "RunSharded/4 lanes": sharded} {
+		if len(c.seen) == 0 {
+			t.Fatalf("%s: no injections", name)
+		}
+		if c.repeats != 0 {
+			t.Errorf("%s: %d (cycle, node) pairs injected more than once", name, c.repeats)
 		}
 	}
 }

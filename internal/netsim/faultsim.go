@@ -27,18 +27,26 @@
 // All three layers exist only in a degraded run (the engine's degraded-mode
 // rule: the plan is non-empty). A run that is not degraded is Run: it
 // builds its tables with nil liveness predicates and routes straight from
-// them, installs no fault hooks, hop watchdog or flow table, arms no
-// retransmission timer, and skips the deadline abandon pass, so Expired
-// counts the measured packets still in flight, Lost is 0, and no
-// DropAbandoned event is emitted.
+// them, runs no fault phase, has no flow table, arms no retransmission
+// timer, and skips the deadline abandon pass, so Expired counts the
+// measured packets still in flight, Lost is 0, and no DropAbandoned event
+// is emitted.
+//
+// RunFaulty is a single-lane run of the lane runner (sharded.go), like
+// every other entry point. This file holds the two pieces only built
+// graphs plug into it: the BFS-table route hook (bfsRoutes) and the flow
+// layer (flowTable and its lane methods).
 package netsim
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/route"
+	"repro/internal/topo"
 )
 
 // FaultConfig parameterizes fault injection and the recovery protocol.
@@ -131,7 +139,7 @@ type FaultStats struct {
 // flowState is the source-side record backing retransmission. The in-flight
 // copies themselves are epackets whose id is the flow sequence number.
 type flowState struct {
-	src, dst int32
+	src, dst int64
 	born     int
 	timeout  int // current backoff value
 	attempt  int // retransmissions performed
@@ -139,12 +147,270 @@ type flowState struct {
 	done     bool // delivered or abandoned
 }
 
-// RunFaulty executes the simulation under cfg while applying fc.Plan. It is
-// the one materialized simulator: Run is RunFaulty with an empty plan. The
-// run follows the engine's degraded-mode rule, so with a nil or empty plan
-// it is not degraded and none of the fault machinery exists: no liveness,
-// no flow table, no retransmission timers, no hop watchdog, and fc's
-// protocol parameters have no effect.
+// flowTable is a degraded RunFaulty's flow layer: one flowState per
+// injected packet, indexed by its id, and the retransmission schedule.
+type flowTable struct {
+	flows   []flowState
+	retryAt map[int][]int32
+}
+
+// open records a new flow and arms its first retransmission timer.
+func (ft *flowTable) open(now int, src, dst int64, measured bool, fc FaultConfig) {
+	ft.flows = append(ft.flows, flowState{src: src, dst: dst, born: now,
+		timeout: fc.RetransmitTimeout, measured: measured})
+	if fc.MaxRetries >= 0 {
+		t := now + fc.RetransmitTimeout
+		ft.retryAt[t] = append(ft.retryAt[t], int32(len(ft.flows)-1))
+	}
+}
+
+// fireRetries retransmits every pending flow whose timer expires now, with
+// exponential backoff, and abandons flows out of retries.
+func (ln *simLane) fireRetries(now int) error {
+	ft, fc, pb := ln.flows, ln.run.o.fc, ln.pb
+	seqs, hit := ft.retryAt[now]
+	if !hit {
+		return nil
+	}
+	for _, seq := range seqs {
+		f := &ft.flows[seq]
+		if f.done {
+			continue
+		}
+		if f.attempt >= fc.MaxRetries {
+			ln.abandon(now, seq)
+			continue
+		}
+		f.attempt++
+		if f.measured {
+			ln.st.Retransmitted++
+		}
+		if pb != nil {
+			pb.Retransmit(now, int64(seq), f.src, f.attempt)
+		}
+		f.timeout *= 2
+		ft.retryAt[now+f.timeout] = append(ft.retryAt[now+f.timeout], seq)
+		if !ln.faults.NodeDown(f.src) {
+			if err := ln.enqueue(now, f.src, epacket{id: int64(seq), dst: f.dst,
+				born: now, ttl: fc.DetourTTL, measured: f.measured}); err != nil {
+				return err
+			}
+		}
+	}
+	delete(ft.retryAt, now)
+	return nil
+}
+
+// abandon gives up on a pending flow: the flow is lost, and counted as
+// disconnected when its endpoints have no live path.
+func (ln *simLane) abandon(now int, seq int32) {
+	f := &ln.flows.flows[seq]
+	f.done = true
+	if pb := ln.pb; pb != nil {
+		pb.Drop(now, int64(seq), f.src, obs.DropAbandoned)
+	}
+	if !f.measured {
+		return
+	}
+	ln.st.Lost++
+	ln.inFlight--
+	if !ln.tables.connected(f.src, f.dst) {
+		ln.st.DisconnectedPairs++
+	}
+}
+
+// expireFlows is the deadline pass: flows still pending when the run ends
+// are lost; the measured ones are the drain-deadline expiries (a subset of
+// Lost).
+func (ln *simLane) expireFlows() {
+	for seq := range ln.flows.flows {
+		if f := &ln.flows.flows[seq]; !f.done {
+			if f.measured {
+				ln.st.Expired++
+			}
+			ln.abandon(ln.deadline, int32(seq))
+		}
+	}
+}
+
+// bfsRoutes is the route hook of built graphs: per-destination next-hop
+// tables (route.BFSNextHops, or every minimal hop with adaptive spread),
+// built lazily. In a degraded run (fs non-nil) a table is rebuilt
+// against the surviving topology on the first packet that needs it after a
+// topology change became visible, NotifyDelay cycles after it happened;
+// until then packets route on the stale table, skipping dead hops, and fall
+// back to a TTL-bounded detour to a random live neighbor. Every random
+// choice draws from the lane RNG.
+type bfsRoutes struct {
+	g         *graph.Graph
+	adaptive  bool
+	ln        *simLane
+	tables    []route.NextHopTable
+	allTables [][][]int32
+	live      []int32 // scratch
+
+	// fs is the lane's fault set (nil unless degraded; runBuilt gives a
+	// degraded lane a *topo.FaultSet). Routing reads a lock-free copy of
+	// it, deadNode and the dead out-arcs of every node, retaken whenever
+	// the set's epoch moves. nodeDead and linkDead are the liveness
+	// predicates the rebuilt tables are built with.
+	fs        *topo.FaultSet
+	snapEpoch uint64
+	deadNode  []bool
+	deadOut   [][]int32
+	nodeDead  func(int32) bool
+	linkDead  func(u, v int32) bool
+
+	// Epoch bookkeeping: epochCycle[e] is the cycle at which epoch e began
+	// (one bump per cycle that changed the topology); visEpoch counts the
+	// epochs whose changes have propagated; tableEpoch[dst] is the epoch
+	// dst's table was built at.
+	epochCycle          []int
+	topoEpoch, visEpoch int
+	tableEpoch          []int
+
+	reroutes, misrouted int
+	lagSum              int64
+}
+
+func newBFSRoutes(g *graph.Graph, adaptive bool, ln *simLane) *bfsRoutes {
+	n := g.N()
+	b := &bfsRoutes{g: g, adaptive: adaptive, ln: ln, epochCycle: []int{0}, tableEpoch: make([]int, n)}
+	if adaptive {
+		b.allTables = make([][][]int32, n)
+	} else {
+		b.tables = make([]route.NextHopTable, n)
+	}
+	if fs, ok := ln.faults.(*topo.FaultSet); ok {
+		b.fs = fs
+		b.deadNode, b.deadOut = make([]bool, n), make([][]int32, n)
+		b.nodeDead = func(v int32) bool { return b.deadNode[v] }
+		b.linkDead = func(u, v int32) bool { return slices.Contains(b.deadOut[u], v) }
+	}
+	return b
+}
+
+// sync retakes the liveness copy if the fault set changed since.
+func (b *bfsRoutes) sync() {
+	if b.fs == nil || b.fs.Epoch() == b.snapEpoch {
+		return
+	}
+	b.snapEpoch = b.fs.Epoch()
+	for u := range b.deadNode {
+		b.deadNode[u] = b.fs.NodeDown(int64(u))
+		b.deadOut[u] = b.deadOut[u][:0]
+		for _, v := range b.g.Neighbors(int32(u)) {
+			if b.fs.LinkDown(int64(u), int64(v)) {
+				b.deadOut[u] = append(b.deadOut[u], v)
+			}
+		}
+	}
+}
+
+// advance records whether the topology changed this cycle and propagates
+// the changes that are now NotifyDelay cycles old.
+func (b *bfsRoutes) advance(now int, changed bool) {
+	if changed {
+		b.topoEpoch++
+		b.epochCycle = append(b.epochCycle, now)
+	}
+	for b.visEpoch < b.topoEpoch && b.epochCycle[b.visEpoch+1]+b.ln.run.o.fc.NotifyDelay <= now {
+		b.visEpoch++
+	}
+}
+
+// freshen builds dst's table if it is missing or a visible topology change
+// has invalidated it.
+func (b *bfsRoutes) freshen(dst int32, now int) {
+	built := b.adaptive && b.allTables[dst] != nil || !b.adaptive && b.tables[dst] != nil
+	if built && b.tableEpoch[dst] >= b.visEpoch {
+		return
+	}
+	if built {
+		// The first change this table missed began epoch tableEpoch+1.
+		b.reroutes++
+		lag := now - b.epochCycle[b.tableEpoch[dst]+1]
+		b.lagSum += int64(lag)
+		if pb := b.ln.pb; pb != nil {
+			pb.Reroute(now, int64(dst), lag)
+		}
+	}
+	if b.adaptive {
+		b.allTables[dst] = route.BFSAllNextHops(b.g, dst, b.nodeDead, b.linkDead)
+	} else {
+		b.tables[dst] = route.BFSNextHops(b.g, dst, b.nodeDead, b.linkDead)
+	}
+	b.tableEpoch[dst] = b.topoEpoch
+}
+
+// up reports whether a packet at u can be forwarded to v now.
+func (b *bfsRoutes) up(u, v int32) bool {
+	return b.fs == nil || !b.nodeDead(v) && !b.linkDead(u, v)
+}
+
+// next picks the forwarding hop for a copy at node at64: the (possibly
+// stale) table's hop when it is live, else a detour. ok=false means the
+// copy was dropped; the source timeout recovers the flow.
+func (b *bfsRoutes) next(now int, at64 int64, pkt *epacket) (int64, bool, error) {
+	at, dst := int32(at64), int32(pkt.dst)
+	b.sync()
+	b.freshen(dst, now)
+	rng := b.ln.rng
+	if b.adaptive {
+		live := b.live[:0]
+		for _, v := range b.allTables[dst][at] {
+			if b.up(at, v) {
+				live = append(live, v)
+			}
+		}
+		b.live = live
+		if len(live) > 0 {
+			return int64(live[rng.Intn(len(live))]), true, nil
+		}
+	} else if h := b.tables[dst][at]; h >= 0 && b.up(at, h) {
+		return int64(h), true, nil
+	}
+	if b.fs == nil {
+		return 0, false, fmt.Errorf("netsim: no route from %d to %d", at, dst)
+	}
+	// Detour: misroute to a random live neighbor.
+	if pkt.ttl <= 0 {
+		b.ln.lose(now, at64, pkt, obs.DropTTL)
+		return 0, false, nil
+	}
+	live := b.live[:0]
+	for _, v := range b.g.Neighbors(at) {
+		if b.up(at, v) {
+			live = append(live, v)
+		}
+	}
+	b.live = live
+	if len(live) == 0 {
+		b.ln.lose(now, at64, pkt, obs.DropNoRoute)
+		return 0, false, nil
+	}
+	pkt.ttl--
+	b.misrouted++
+	return int64(live[rng.Intn(len(live))]), true, nil
+}
+
+// connected reports whether src and dst are live and joined by a live path.
+func (b *bfsRoutes) connected(src, dst int64) bool {
+	b.sync()
+	return !b.nodeDead(int32(src)) && !b.nodeDead(int32(dst)) &&
+		route.BFSNextHops(b.g, int32(dst), b.nodeDead, b.linkDead)[src] >= 0
+}
+
+// RunFaulty executes the simulation under cfg while applying fc.Plan, as a
+// single-lane run of the lane runner. Run is RunFaulty with an empty plan.
+// The run follows the engine's degraded-mode rule, so with a nil or empty
+// plan it is not degraded and none of the fault machinery exists: no
+// liveness, no flow table, no retransmission timers, and fc's protocol
+// parameters have no effect. The hop watchdog allows 8·N hops; a packet
+// exceeding it aborts a run that is not degraded and loses a copy of a
+// degraded one (the flow recovers at its source). Like every run, it ends
+// at the first cycle after injection stops with no measured packet (flow)
+// pending and the plan's last event past, or at the drain deadline.
 func RunFaulty(cfg Config, fc FaultConfig) (FaultStats, error) {
 	if err := cfg.normalize(); err != nil {
 		return FaultStats{}, err
@@ -152,443 +418,47 @@ func RunFaulty(cfg Config, fc FaultConfig) (FaultStats, error) {
 	if err := fc.normalize(); err != nil {
 		return FaultStats{}, err
 	}
-	if err := fc.Plan.Validate(cfg.Graph); err != nil {
-		return FaultStats{}, err
-	}
-	return runFaultyNormalized(cfg, fc)
+	return runBuilt(cfg, fc)
 }
 
-// runFaultyNormalized assembles the materialized wiring of the engine and
-// runs it. cfg, fc, and the plan must already be normalized/validated;
-// RunFaultyWithBaseline calls this directly so baseline and faulty runs
-// share one setup pass.
-func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
+// runBuilt runs a normalized configuration on its built graph.
+func runBuilt(cfg Config, fc FaultConfig) (FaultStats, error) {
 	g := cfg.Graph
-	n := g.N()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pb := cfg.Probe // nil fast path: no obs code runs uninstrumented
+	t := topo.NewMaterialized(g, nil)
 	degraded := fc.Plan.Len() > 0
-
-	dense := newDenseLinks(g)
-	e := &engine{
-		pb:         pb,
-		store:      dense,
-		ring:       make([][]earrival, cfg.maxServicePeriod()*cfg.Flits+1),
-		flits:      cfg.Flits,
-		cutThrough: cfg.CutThrough,
-		period:     materializedPeriod(&cfg),
-		total:      cfg.WarmupCycles + cfg.MeasureCycles,
-	}
-	e.deadline = e.total + cfg.DrainCycles
-
-	st := FaultStats{}
-	var latencySum int64
-	outstanding := 0 // measured packets neither delivered nor abandoned
-
-	// ---- per-destination routing tables, built lazily ----
-	// The liveness predicates stay nil unless the run is degraded.
-	var nodeDead func(int32) bool
-	var linkDead func(u, v int32) bool
-	var tables []route.NextHopTable
-	var allTables [][][]int32
-	if cfg.Adaptive {
-		allTables = make([][][]int32, n)
-	} else {
-		tables = make([]route.NextHopTable, n)
-	}
-	build := func(dst int32) {
-		if cfg.Adaptive {
-			allTables[dst] = route.BFSAllNextHops(g, dst, nodeDead, linkDead)
-		} else {
-			tables[dst] = route.BFSNextHops(g, dst, nodeDead, linkDead)
-		}
-	}
-	e.route = func(_ int, at int64, pkt *epacket) (int64, bool, error) {
-		dst := int32(pkt.dst)
-		if cfg.Adaptive {
-			if allTables[dst] == nil {
-				build(dst)
-			}
-			if opts := allTables[dst][at]; len(opts) > 0 {
-				return int64(opts[rng.Intn(len(opts))]), true, nil
-			}
-		} else {
-			if tables[dst] == nil {
-				build(dst)
-			}
-			if h := tables[dst][at]; h >= 0 {
-				return int64(h), true, nil
-			}
-		}
-		return 0, false, fmt.Errorf("netsim: no route from %d to %d", at, dst)
-	}
-
-	delivered := func(now int, at, id int64, lat int, measured bool) {
-		if measured {
-			st.Delivered++
-			outstanding--
-			latencySum += int64(lat)
-			if lat > st.MaxLatency {
-				st.MaxLatency = lat
-			}
-		}
-		if pb != nil {
-			pb.Deliver(now, id, at, lat, measured)
-		}
-	}
-	e.deliver = func(now int, at int64, pkt *epacket) {
-		delivered(now, at, pkt.id, now-pkt.born, pkt.measured)
-	}
-
-	// ---- flow table and retransmission schedule (degraded runs only) ----
-	var flows []flowState
-	retryAt := map[int][]int32{}
-	var nextID int64
-	e.inject = func(now int) error {
-		for u := 0; u < n; u++ {
-			if rng.Float64() >= cfg.InjectionRate {
-				continue
-			}
-			dst := cfg.Pattern(int32(u), n, rng)
-			if dst == int32(u) || dst < 0 || int(dst) >= n {
-				continue
-			}
-			if degraded && (nodeDead(int32(u)) || nodeDead(dst)) {
-				continue // dead sources stay silent; dead sinks are skipped
-			}
-			measured := now >= cfg.WarmupCycles
-			id := nextID // in a degraded run, also the flow sequence number
-			nextID++
-			if measured {
-				st.Injected++
-				outstanding++
-			}
-			if pb != nil {
-				pb.Inject(now, id, int64(u), int64(dst), measured)
-			}
+	pattern := cfg.Pattern
+	period, maxPeriod := cfg.linkPeriods()
+	st, err := runLanes(ShardedConfig{
+		NewLane: func() (Topology, Router, FaultSink, error) {
+			var fs FaultSink
 			if degraded {
-				flows = append(flows, flowState{src: int32(u), dst: dst, born: now,
-					timeout: fc.RetransmitTimeout, measured: measured})
-				if fc.MaxRetries >= 0 {
-					retryAt[now+fc.RetransmitTimeout] = append(retryAt[now+fc.RetransmitTimeout], int32(id))
-				}
+				fs = topo.NewFaultSet()
 			}
-			if err := e.enqueue(now, int64(u), epacket{id: id, dst: int64(dst),
-				born: now, ttl: fc.DetourTTL, measured: measured}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	e.canStop = func(int) bool { return outstanding == 0 }
-
-	// abandon gives up on a pending flow: the flow is lost, and counted as
-	// disconnected when its endpoints have no live path.
-	abandon := func(now int, seq int32) {
-		f := &flows[seq]
-		f.done = true
-		if pb != nil {
-			pb.Drop(now, int64(seq), int64(f.src), obs.DropAbandoned)
-		}
-		if !f.measured {
-			return
-		}
-		st.Lost++
-		outstanding--
-		if nodeDead(f.src) || nodeDead(f.dst) || route.BFSNextHops(g, f.dst, nodeDead, linkDead)[f.src] < 0 {
-			st.DisconnectedPairs++
-		}
-	}
-	var rerouteLagSum int64
-	// finish runs the engine and turns the counters into FaultStats.
-	finish := func() (FaultStats, error) {
-		if _, err := e.run(); err != nil {
-			return st, err
-		}
-		if degraded {
-			// Flows still pending at the deadline are lost; the measured ones
-			// are the drain-deadline expiries (a subset of Lost).
-			for seq := range flows {
-				if !flows[seq].done {
-					if flows[seq].measured {
-						st.Expired++
-					}
-					abandon(e.deadline, int32(seq))
-				}
-			}
-		} else {
-			st.Expired = outstanding
-		}
-		if st.Delivered > 0 {
-			st.AvgLatency = float64(latencySum) / float64(st.Delivered)
-		}
-		if st.RerouteEvents > 0 {
-			st.MeanTimeToReroute = float64(rerouteLagSum) / float64(st.RerouteEvents)
-		}
-		if cfg.MeasureCycles > 0 {
-			st.Throughput = float64(st.Delivered) / float64(n) / float64(cfg.MeasureCycles)
-		}
-		st.fillQuantiles(pb)
-		return st, nil
-	}
-	if !degraded {
-		return finish()
-	}
-
-	// ---- topology liveness (reference-counted for overlapping faults) ----
-	nodeDownCnt := make([]int, n)
-	nodeDead = func(v int32) bool { return nodeDownCnt[v] > 0 }
-	linkDead = func(u, v int32) bool { return dense.at(int64(u), int64(v)).downCnt > 0 }
-
-	// Epoch bookkeeping: epochCycle[e] is the cycle at which epoch e began
-	// (one bump per cycle that changed the topology).
-	epochCycle := []int{0}
-	topoEpoch := 0
-	visEpoch := 0 // epochs whose changes have propagated (NotifyDelay old)
-
-	// Scheduled events, bucketed by cycle.
-	type topoChange struct {
-		kind FaultKind
-		u, v int32
-		down bool
-	}
-	changesAt := map[int][]topoChange{}
-	for _, ev := range fc.Plan.sorted() {
-		changesAt[ev.Cycle] = append(changesAt[ev.Cycle], topoChange{kind: ev.Kind, u: ev.U, v: ev.V, down: true})
-		if ev.Transient() {
-			changesAt[ev.Repair] = append(changesAt[ev.Repair], topoChange{kind: ev.Kind, u: ev.U, v: ev.V, down: false})
-		}
-	}
-
-	// freshen rebuilds dst's table when a visible topology change has
-	// invalidated it (lazily, on the first packet that needs it).
-	tableEpoch := make([]int, n)
-	freshen := func(dst int32, now int) {
-		built := cfg.Adaptive && allTables[dst] != nil || !cfg.Adaptive && tables[dst] != nil
-		if built && tableEpoch[dst] >= visEpoch {
-			return
-		}
-		if built {
-			// The first change this table missed began epoch tableEpoch+1.
-			st.RerouteEvents++
-			lag := now - epochCycle[tableEpoch[dst]+1]
-			rerouteLagSum += int64(lag)
-			if pb != nil {
-				pb.Reroute(now, int64(dst), lag)
-			}
-		}
-		build(dst)
-		tableEpoch[dst] = topoEpoch
-	}
-
-	// route picks the forwarding hop for a copy at node `at`, preferring
-	// the (possibly stale) table and falling back to a TTL-bounded detour.
-	// ok=false means the copy is dropped; the source timeout recovers the
-	// flow.
-	e.route = func(now int, at64 int64, pkt *epacket) (int64, bool, error) {
-		at, dst := int32(at64), int32(pkt.dst)
-		freshen(dst, now)
-		if cfg.Adaptive {
-			opts := allTables[dst][at]
-			// Filter to currently-live options (the table may be stale).
-			live := opts[:0:0]
-			for _, v := range opts {
-				if !nodeDead(v) && !linkDead(at, v) {
-					live = append(live, v)
-				}
-			}
-			if len(live) > 0 {
-				return int64(live[rng.Intn(len(live))]), true, nil
-			}
-		} else {
-			h := tables[dst][at]
-			if h >= 0 && !nodeDead(h) && !linkDead(at, h) {
-				return int64(h), true, nil
-			}
-		}
-		// Detour: misroute to a random live neighbor.
-		if pkt.ttl <= 0 {
-			if pb != nil {
-				pb.Drop(now, pkt.id, at64, obs.DropTTL)
-			}
-			return 0, false, nil
-		}
-		adj := g.Neighbors(at)
-		var live []int32
-		for _, v := range adj {
-			if !nodeDead(v) && !linkDead(at, v) {
-				live = append(live, v)
-			}
-		}
-		if len(live) == 0 {
-			if pb != nil {
-				pb.Drop(now, pkt.id, at64, obs.DropNoRoute)
-			}
-			return 0, false, nil
-		}
-		pkt.ttl--
-		st.MisroutedHops++
-		return int64(live[rng.Intn(len(live))]), true, nil
-	}
-	// The hop-count watchdog kills livelocked copies; the flow recovers at
-	// the source.
-	e.hopLimit = 8 * n
-	e.onHopLimit = func(now int, at int64, pkt *epacket) error {
-		if pb != nil {
-			pb.Drop(now, pkt.id, at, obs.DropHopLimit)
-		}
-		return nil
-	}
-
-	// Delivery consults the flow table: late copies of an already-done flow
-	// are suppressed as duplicates, and latency runs from the flow's first
-	// injection.
-	e.deliver = func(now int, at int64, pkt *epacket) {
-		f := &flows[pkt.id]
-		if f.done {
-			if f.measured {
-				st.Duplicates++
-			}
-			if pb != nil {
-				pb.Drop(now, pkt.id, at, obs.DropDuplicate)
-			}
-			return
-		}
-		f.done = true
-		delivered(now, at, pkt.id, now-f.born, f.measured)
-	}
-
-	applyChange := func(now int, c topoChange) error {
-		switch c.kind {
-		case NodeFault:
-			if pb != nil {
-				pb.Fault(now, int64(c.u), -1, true, c.down)
-			}
-			if c.down {
-				nodeDownCnt[c.u]++
-				st.FaultsInjected++
-				if nodeDownCnt[c.u] == 1 {
-					// Everything queued at the dead node is lost.
-					for s := range dense.links[c.u] {
-						lk := &dense.links[c.u][s]
-						if pb != nil {
-							for _, pkt := range lk.queue {
-								pb.Drop(now, pkt.id, int64(c.u), obs.DropQueueKilled)
-							}
-						}
-						lk.queue = lk.queue[:0]
-					}
-				}
-			} else {
-				nodeDownCnt[c.u]--
-				st.FaultsRepaired++
-			}
-		case LinkFault:
-			if pb != nil {
-				pb.Fault(now, int64(c.u), int64(c.v), false, c.down)
-			}
-			mark := func(a, b int32) error {
-				lk := dense.at(int64(a), int64(b))
-				if c.down {
-					lk.downCnt++
-					if lk.downCnt == 1 && len(lk.queue) > 0 {
-						// Re-route the stranded queue from node a.
-						q := lk.queue
-						lk.queue = nil
-						for _, pkt := range q {
-							if err := e.enqueue(now, int64(a), pkt); err != nil {
-								return err
-							}
-						}
-					}
-				} else {
-					lk.downCnt--
-				}
-				return nil
-			}
-			if err := mark(c.u, c.v); err != nil {
-				return err
-			}
-			if !g.Directed {
-				if err := mark(c.v, c.u); err != nil {
-					return err
-				}
-			}
-			if c.down {
-				st.FaultsInjected++
-			} else {
-				st.FaultsRepaired++
-			}
-		}
-		return nil
-	}
-	e.applyChanges = func(now int) error {
-		if cs, hit := changesAt[now]; hit {
-			for _, c := range cs {
-				if err := applyChange(now, c); err != nil {
-					return err
-				}
-			}
-			topoEpoch++
-			epochCycle = append(epochCycle, now)
-		}
-		for visEpoch < topoEpoch && epochCycle[visEpoch+1]+fc.NotifyDelay <= now {
-			visEpoch++
-		}
-		return nil
-	}
-	e.arrivalDead = func(now int, node int64, pkt *epacket) bool {
-		if nodeDead(int32(node)) {
-			if pb != nil {
-				pb.Drop(now, pkt.id, node, obs.DropDeadRouter)
-			}
-			return true // arrived at a dead router: copy lost
-		}
-		return false
-	}
-	e.fireRetries = func(now int) error {
-		seqs, hit := retryAt[now]
-		if !hit {
-			return nil
-		}
-		for _, seq := range seqs {
-			f := &flows[seq]
-			if f.done {
-				continue
-			}
-			if f.attempt >= fc.MaxRetries {
-				abandon(now, seq)
-				continue
-			}
-			f.attempt++
-			if f.measured {
-				st.Retransmitted++
-			}
-			if pb != nil {
-				pb.Retransmit(now, int64(seq), int64(f.src), f.attempt)
-			}
-			f.timeout *= 2
-			retryAt[now+f.timeout] = append(retryAt[now+f.timeout], seq)
-			if !nodeDead(f.src) {
-				if err := e.enqueue(now, int64(f.src), epacket{id: int64(seq), dst: int64(f.dst),
-					born: now, ttl: fc.DetourTTL, measured: f.measured}); err != nil {
-					return err
-				}
-			}
-		}
-		delete(retryAt, now)
-		return nil
-	}
-	e.blocked = func(lk *elink) bool { return nodeDownCnt[lk.u] > 0 || lk.downCnt > 0 }
-	return finish()
+			return t, nil, fs, nil
+		},
+		InjectionRate: cfg.InjectionRate,
+		WarmupCycles:  cfg.WarmupCycles,
+		MeasureCycles: cfg.MeasureCycles,
+		DrainCycles:   cfg.DrainCycles,
+		Seed:          cfg.Seed,
+		Flits:         cfg.Flits,
+		CutThrough:    cfg.CutThrough,
+		MaxHops:       8 * g.N(),
+		Lanes:         1,
+		Plan:          fc.Plan,
+		Pattern: func(src, n int64, rng *rand.Rand) int64 {
+			return int64(pattern(int32(src), int(n), rng))
+		},
+		Probe: cfg.Probe,
+	}, runOpts{graph: g, period: period, maxPeriod: maxPeriod, adaptive: cfg.Adaptive, fc: fc})
+	return st.FaultStats, err
 }
 
 // RunFaultyWithBaseline runs cfg fault-free (Run) and under the plan
 // (RunFaulty), and returns the degraded stats with LatencyInflation filled
 // in as faulty/baseline average latency, plus the baseline itself. Both runs
 // share one setup pass: the configuration is normalized and the plan
-// validated once, and both are runFaultyNormalized calls, the baseline with
-// the plan removed.
+// validated once, and the baseline is the same run with the plan removed.
 func RunFaultyWithBaseline(cfg Config, fc FaultConfig) (FaultStats, Stats, error) {
 	if err := cfg.normalize(); err != nil {
 		return FaultStats{}, Stats{}, err
@@ -605,11 +475,11 @@ func RunFaultyWithBaseline(cfg Config, fc FaultConfig) (FaultStats, Stats, error
 	baseCfg.Probe = nil
 	baseFC := fc
 	baseFC.Plan = nil
-	base, err := runFaultyNormalized(baseCfg, baseFC)
+	base, err := runBuilt(baseCfg, baseFC)
 	if err != nil {
 		return FaultStats{}, Stats{}, err
 	}
-	faulty, err := runFaultyNormalized(cfg, fc)
+	faulty, err := runBuilt(cfg, fc)
 	if err != nil {
 		return FaultStats{}, Stats{}, err
 	}

@@ -31,9 +31,9 @@ type ImplicitConfig struct {
 	Topo   Topology
 	Router Router
 	// InjectionRate is the probability per node per cycle of injecting a
-	// packet. Per-node Bernoulli draws are simulated exactly for small
-	// networks and by a Poisson/normal approximation of the aggregate
-	// injection count for large ones (see injectionCount).
+	// packet. Per-node Bernoulli draws are simulated exactly up to 2^16
+	// nodes and by a Poisson/normal approximation of the aggregate
+	// injection count beyond (see injectionSampler).
 	InjectionRate float64
 	// WarmupCycles, MeasureCycles, DrainCycles as in Config.
 	WarmupCycles, MeasureCycles, DrainCycles int

@@ -13,7 +13,7 @@
 // exhausted) is dropped and counted rather than recovered end-to-end.
 //
 // This file holds the fault-side contracts and the RunImplicitFaulty
-// adapter; the engine hooks live in the lane runner (sharded.go).
+// adapter; the engine wiring is the lane runner (sharded.go).
 package netsim
 
 import "fmt"
@@ -77,7 +77,7 @@ type ImplicitFaultConfig struct {
 //   - drops and counts (Lost) a packet its router cannot route (destination
 //     dead or region disconnected).
 //
-// A run that is not degraded installs none of the fault hooks and aborts
+// A run that is not degraded runs none of the fault phases and aborts
 // with an error on either of the last two: without faults, a router that
 // cycles or fails is broken. In both modes the router is asked through
 // NextHopFlagged when it implements it, so DeliveredDegraded counts
@@ -106,5 +106,5 @@ func RunImplicitFaulty(cfg ImplicitConfig, fc ImplicitFaultConfig) (ImplicitFaul
 		Plan:            fc.Plan,
 		Pattern:         cfg.Pattern,
 		Probe:           cfg.Probe,
-	}, cfg.ModuleOf, cfg.Script)
+	}, runOpts{moduleOf: cfg.ModuleOf, script: cfg.Script})
 }

@@ -73,8 +73,9 @@ type Config struct {
 
 // normalize applies defaults and validates the configuration of the
 // materialized simulator (RunFaulty, and so Run). It rejects a missing or
-// trivial graph, an injection rate outside [0,1], and a PeriodFunc that
-// returns a period < 1 on any link of the topology.
+// trivial graph, an injection rate outside [0,1], a Partition that does not
+// cover the graph's nodes (metrics.Partition.Validate), and a PeriodFunc
+// that returns a period < 1 on any link of the topology.
 func (cfg *Config) normalize() error {
 	g := cfg.Graph
 	if g == nil || g.N() < 2 {
@@ -95,6 +96,11 @@ func (cfg *Config) normalize() error {
 	if cfg.Pattern == nil {
 		cfg.Pattern = Uniform
 	}
+	if cfg.Partition != nil {
+		if err := cfg.Partition.Validate(g.N()); err != nil {
+			return err
+		}
+	}
 	if cfg.PeriodFunc != nil {
 		for u := 0; u < g.N(); u++ {
 			for _, v := range g.Neighbors(int32(u)) {
@@ -107,22 +113,29 @@ func (cfg *Config) normalize() error {
 	return nil
 }
 
-// maxServicePeriod returns the largest link service period of the
-// (normalized) configuration; it bounds the in-flight delay and sizes the
-// arrival ring buffer.
-func (cfg *Config) maxServicePeriod() int {
+// linkPeriods returns the link service-period rule of the (normalized)
+// configuration and its largest value, which bounds the in-flight delay and
+// sizes the arrival ring: PeriodFunc overrides everything, otherwise
+// off-module links (per Partition) cost OffModulePeriod and on-module links
+// cost 1.
+func (cfg *Config) linkPeriods() (func(u, v int64) int, int) {
 	maxPeriod := cfg.OffModulePeriod
-	if cfg.PeriodFunc != nil {
+	if f := cfg.PeriodFunc; f != nil {
 		g := cfg.Graph
 		for u := 0; u < g.N(); u++ {
 			for _, v := range g.Neighbors(int32(u)) {
-				if p := cfg.PeriodFunc(int32(u), v); p > maxPeriod {
-					maxPeriod = p
-				}
+				maxPeriod = max(maxPeriod, f(int32(u), v))
 			}
 		}
+		return func(u, v int64) int { return f(int32(u), int32(v)) }, maxPeriod
 	}
-	return maxPeriod
+	part, off := cfg.Partition, cfg.OffModulePeriod
+	return func(u, v int64) int {
+		if part == nil || part.Of[u] == part.Of[v] {
+			return 1
+		}
+		return off
+	}, maxPeriod
 }
 
 // PatternFunc picks a destination for a packet injected at src; returning
@@ -230,21 +243,6 @@ func (st *Stats) fillQuantiles(p obs.Probe) {
 		st.P50Latency = h.LatencyQuantile(0.50)
 		st.P95Latency = h.LatencyQuantile(0.95)
 		st.P99Latency = h.LatencyQuantile(0.99)
-	}
-}
-
-// materializedPeriod is the link service-period policy of the materialized
-// simulator: PeriodFunc overrides everything, otherwise off-module links
-// (per Partition) cost OffModulePeriod and on-module links cost 1.
-func materializedPeriod(cfg *Config) func(u, v int64) int {
-	return func(u, v int64) int {
-		if cfg.PeriodFunc != nil {
-			return cfg.PeriodFunc(int32(u), int32(v)) // >= 1, validated by normalize
-		}
-		if cfg.Partition == nil || cfg.Partition.Of[u] == cfg.Partition.Of[v] {
-			return 1
-		}
-		return cfg.OffModulePeriod
 	}
 }
 

@@ -62,6 +62,61 @@ func TestConfigErrors(t *testing.T) {
 	}
 }
 
+// TestPartitionValidated pins that a Partition which does not cover the
+// graph is a configuration error, not a panic inside the run.
+func TestPartitionValidated(t *testing.T) {
+	g, err := networks.Hypercube{Dim: 5}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := metrics.Partition{Of: make([]int32, 8), K: 1}
+	cfg := Config{Graph: g, Partition: &short, OffModulePeriod: 4,
+		InjectionRate: 0.02, WarmupCycles: 10, MeasureCycles: 50, Seed: 1}
+	runs := map[string]func() error{
+		"Run":       func() error { _, err := Run(cfg); return err },
+		"RunFaulty": func() error { _, err := RunFaulty(cfg, FaultConfig{}); return err },
+		"RunFaultyWithBaseline": func() error {
+			_, _, err := RunFaultyWithBaseline(cfg, FaultConfig{})
+			return err
+		},
+	}
+	for name, run := range runs {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s panicked on a short partition: %v", name, p)
+				}
+			}()
+			if err := run(); err == nil {
+				t.Errorf("%s accepted an 8-entry partition of a 32-node graph", name)
+			}
+		}()
+	}
+}
+
+// TestRunLongRoute pins the built-graph hop watchdog at 8·N: one packet
+// across the diameter of an 8200-node ring takes 4100 hops, more than the
+// implicit runs' default MaxHops of 4096, and must still arrive.
+func TestRunLongRoute(t *testing.T) {
+	g, err := networks.Ring{Nodes: 8200}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Run(Config{Graph: g, InjectionRate: 1, MeasureCycles: 1, DrainCycles: 5000,
+		Pattern: func(src int32, _ int, _ *rand.Rand) int32 {
+			if src == 0 {
+				return 4100
+			}
+			return src // skip every other node
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Injected != 1 || st.Delivered != 1 || st.MaxLatency != 4100 {
+		t.Fatalf("one packet 0->4100: %+v, want delivered at latency 4100", st)
+	}
+}
+
 func TestOffModuleSlowdownIncreasesLatency(t *testing.T) {
 	// Making off-module links slower must increase latency on a network
 	// with off-module hops, and the increase must track how many off-module

@@ -1,6 +1,7 @@
-// The lane runner: the one wiring of the engine's hooks for implicit
-// topologies. RunImplicit, RunImplicitFaulty and RunSharded all end in
-// runLanes; the sequential entry points are single-lane runs of it.
+// The lane runner: the one wiring of the engine. Every entry point ends in
+// runLanes: Run, RunFaulty, RunFaultyWithBaseline (built graphs, see
+// faultsim.go), RunImplicit and RunImplicitFaulty are single-lane runs of
+// it, RunSharded a multi-lane one.
 //
 // A lane owns a set of whole modules and everything mutable about them:
 // link FIFOs, arrival ring, RNG stream, router, fault sink, statistics and
@@ -18,17 +19,16 @@
 // TestShardedDeterminism pins this.
 //
 // A single lane owns every node and pays none of that: it is seeded with
-// Seed itself, draws sources from the whole id range, writes straight to
-// the probe, has no cross-lane hook, and runs one window from cycle 0 to
-// the drain deadline, stopping inside the engine as soon as the network has
-// drained. Its statistics and probe stream are therefore identical to
+// Seed itself, walks the whole id range in order when it injects, writes
+// straight to the probe, has no outbox, and runs one window from cycle 0
+// to the drain deadline, applying the drain rule itself. Its statistics and probe stream are therefore identical to
 // RunImplicit's (fault-free) or RunImplicitFaulty's (with a plan) on the
 // same configuration; TestShardedSingleLane pins this. Multi-lane runs draw
 // per-lane RNG streams split from Seed, so they are comparable with the
 // sequential runs in distribution, not packet for packet.
 //
-// Faults follow the engine's degraded-mode rule; RunImplicitFaulty
-// documents what a degraded lane does.
+// Faults follow the engine's degraded-mode rule; RunImplicitFaulty and
+// RunFaulty document what a degraded lane does.
 package netsim
 
 import (
@@ -36,6 +36,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -190,23 +191,71 @@ func planChanges(p *FaultPlan) (map[int][]laneChange, int) {
 	return changesAt, lastChange
 }
 
+// runOpts is what only some entry points hand the lane runner.
+type runOpts struct {
+	// moduleOf decides implicit link periods: a link between two modules
+	// costs OffModulePeriod, a link inside one costs 1 (nil = one module).
+	moduleOf func(int64) int64
+	// script is injected by every lane; it is only meaningful with a
+	// single lane.
+	script []Injection
+
+	// graph selects the built-graph wiring (RunFaulty, and so Run): the
+	// dense link store visited in (node, slot) order, BFS-table routes in
+	// place of the lanes' Router, and in a degraded run the flow layer.
+	graph *graph.Graph
+	// period and maxPeriod replace moduleOf's rule on built graphs: the
+	// PeriodFunc/Partition rule and its largest value, which sizes the
+	// arrival ring.
+	period    func(u, v int64) int
+	maxPeriod int
+	// adaptive spreads built-graph traffic over all minimal next hops.
+	adaptive bool
+	// fc is the built-graph recovery protocol (normalized): detour TTL,
+	// notification delay, retransmission.
+	fc FaultConfig
+}
+
+// laneRun is what the lanes of one run share; it is read-only while they
+// run.
+type laneRun struct {
+	cfg        ShardedConfig
+	o          runOpts
+	degraded   bool
+	n          int64
+	directed   bool
+	space      ModuleSpace
+	changesAt  map[int][]laneChange
+	lastChange int
+}
+
+// laneOf returns the lane owning node u.
+func (r *laneRun) laneOf(u int64) int { return int(r.space.Module(u) % int64(r.cfg.Lanes)) }
+
 // simLane is one lane: an engine plus everything it owns.
 type simLane struct {
-	idx    int
-	topo   Topology
-	router Router
-	faults FaultSink
-	eng    *engine
-	sparse *sparseLinks
-	rng    *rand.Rand
-	log    *obs.EventLog
-	outbox [][]laneSend // indexed by destination lane
+	engine
+	idx     int
+	run     *laneRun
+	topo    Topology
+	router  Router
+	flagged flaggedRouter
+	faults  FaultSink
+	rng     *rand.Rand
+	sampler injectionSampler
+	log     *obs.EventLog
+	outbox  [][]laneSend // indexed by destination lane; nil in a single-lane run
+
+	// tables routes built graphs; flows is a degraded RunFaulty's flow
+	// layer. Both are nil on implicit runs.
+	tables *bfsRoutes
+	flows  *flowTable
 
 	st         FaultStats
 	latencySum int64
 	inFlight   int // measured packets injected here minus measured packets retired here (may go negative; the lane sum is the global in-flight count)
-	nOwned     int64
 	nextSeq    int64
+	scriptPos  int
 	err        error
 
 	statser    routerStatser
@@ -221,351 +270,136 @@ type simLane struct {
 // with a plan, RunImplicitFaulty's (drops counted, no retransmission). With
 // Lanes 1 it reproduces those runs exactly.
 func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
-	var moduleOf func(int64) int64
+	var o runOpts
 	if cfg.Space != nil {
-		moduleOf = cfg.Space.Module
+		o.moduleOf = cfg.Space.Module
 	}
-	return runLanes(cfg, moduleOf, nil)
+	return runLanes(cfg, o)
 }
 
-// runLanes is the lane runner behind every implicit entry point. moduleOf
-// decides link periods (nil = one module: every link has period 1); script
-// is injected by every lane and is only meaningful with a single lane.
-func runLanes(cfg ShardedConfig, moduleOf func(int64) int64, script []Injection) (ImplicitFaultStats, error) {
+// runLanes is the lane runner behind every entry point.
+func runLanes(cfg ShardedConfig, o runOpts) (ImplicitFaultStats, error) {
 	var out ImplicitFaultStats
 	if err := cfg.normalize(); err != nil {
 		return out, err
 	}
-	degraded := cfg.Plan.Len() > 0
+	built := o.graph != nil
+	r := &laneRun{cfg: cfg, o: o, degraded: cfg.Plan.Len() > 0}
 
 	lanes := make([]*simLane, cfg.Lanes)
 	for i := range lanes {
-		t, r, fs, err := cfg.NewLane()
+		t, rt, fs, err := cfg.NewLane()
 		if err != nil {
 			return out, fmt.Errorf("netsim: lane %d: %w", i, err)
 		}
-		if t == nil || r == nil {
+		if t == nil || rt == nil && !built {
 			return out, fmt.Errorf("netsim: lane %d: NewLane returned a nil topology or router", i)
 		}
-		if degraded && fs == nil {
+		if r.degraded && fs == nil {
 			return out, fmt.Errorf("netsim: lane %d: a fault plan needs a FaultSink shared with the lane's router", i)
 		}
-		lanes[i] = &simLane{idx: i, topo: t, router: r, faults: fs}
+		lanes[i] = &simLane{idx: i, run: r, topo: t, router: rt, faults: fs}
 	}
-	n := lanes[0].topo.N()
-	if n < 2 {
+	r.n = lanes[0].topo.N()
+	if r.n < 2 {
 		return out, fmt.Errorf("netsim: need a topology with at least 2 nodes")
 	}
-	directed := lanes[0].topo.Directed()
+	r.directed = lanes[0].topo.Directed()
 	for _, ln := range lanes[1:] {
-		if ln.topo.N() != n {
-			return out, fmt.Errorf("netsim: lane %d topology has %d nodes, lane 0 has %d", ln.idx, ln.topo.N(), n)
+		if ln.topo.N() != r.n {
+			return out, fmt.Errorf("netsim: lane %d topology has %d nodes, lane 0 has %d", ln.idx, ln.topo.N(), r.n)
 		}
 	}
 	if err := cfg.Plan.ValidateTopo(lanes[0].topo); err != nil {
 		return out, err
 	}
 
-	space := cfg.Space
-	if space == nil {
-		space = identitySpace{n: n}
+	r.space = cfg.Space
+	if r.space == nil {
+		r.space = identitySpace{n: r.n}
 	}
-	if space.Modules()*space.ModuleSize() != n {
-		return out, fmt.Errorf("netsim: module space covers %d*%d nodes, topology has %d",
-			space.Modules(), space.ModuleSize(), n)
+	M, S := r.space.Modules(), r.space.ModuleSize()
+	if M*S != r.n {
+		return out, fmt.Errorf("netsim: module space covers %d*%d nodes, topology has %d", M, S, r.n)
 	}
 	single := cfg.Lanes == 1
 	L := int64(cfg.Lanes)
-	laneOf := func(u int64) int { return int(space.Module(u) % L) }
-	period := func(u, v int64) int {
-		if moduleOf == nil || moduleOf(u) == moduleOf(v) {
-			return 1
+	period, maxPeriod := o.period, o.maxPeriod
+	if period == nil {
+		maxPeriod = 1
+		if o.moduleOf != nil {
+			maxPeriod = cfg.OffModulePeriod
 		}
-		return cfg.OffModulePeriod
+		period = func(u, v int64) int {
+			if o.moduleOf == nil || o.moduleOf(u) == o.moduleOf(v) {
+				return 1
+			}
+			return cfg.OffModulePeriod
+		}
 	}
 	// The conservative lookahead: every cross-lane link crosses a module
 	// boundary, so its delay is exactly this many cycles and arrivals from
 	// window k land in window k+1 or later.
-	crossPeriod := 1
-	if moduleOf != nil {
-		crossPeriod = cfg.OffModulePeriod
-	}
-	window := crossPeriod
+	window := maxPeriod
 	if !cfg.CutThrough {
 		window *= cfg.Flits
 	}
 
 	total := cfg.WarmupCycles + cfg.MeasureCycles
-	changesAt, lastChange := planChanges(cfg.Plan)
-	M, S := space.Modules(), space.ModuleSize()
+	r.changesAt, r.lastChange = planChanges(cfg.Plan)
 
 	for _, ln := range lanes {
-		ln := ln
 		seed := cfg.Seed
 		if !single {
 			seed = laneSeed(cfg.Seed, ln.idx)
 		}
 		ln.rng = rand.New(rand.NewSource(seed))
-		ln.sparse = newSparseLinks(ln.topo)
+		var owned int64
 		if int64(ln.idx) < M {
-			ln.nOwned = ((M-1-int64(ln.idx))/L + 1) * S
+			owned = ((M-1-int64(ln.idx))/L + 1) * S
 		}
+		ln.sampler = injectionSampler{n: owned, rate: cfg.InjectionRate, rng: ln.rng}
 		ln.statser, _ = ln.router.(routerStatser)
 		if ln.statser != nil {
 			ln.routerBase = ln.statser.RouterStats()
 		}
-		ln.eng = &engine{
-			store:      ln.sparse,
-			ring:       make([][]earrival, crossPeriod*cfg.Flits+1),
+		ln.engine = engine{
+			ring:       make([][]earrival, maxPeriod*cfg.Flits+1),
 			flits:      cfg.Flits,
 			cutThrough: cfg.CutThrough,
 			period:     period,
+			degraded:   r.degraded,
 			total:      total,
 			deadline:   total + cfg.DrainCycles,
 			hopLimit:   cfg.MaxHops,
 		}
-		e := ln.eng
 		if single {
-			// The lane sees all traffic, so it can tell on its own when the
-			// network has drained; the probe needs no buffering.
-			e.pb = cfg.Probe
-			e.canStop = func(now int) bool { return ln.inFlight == 0 && now > lastChange }
+			ln.pb = cfg.Probe // the lane sees all traffic: no buffering
 		} else {
 			if cfg.Probe != nil {
 				ln.log = &obs.EventLog{}
-				e.pb = ln.log
+				ln.pb = ln.log
 			}
-			e.canStop = func(int) bool { return false } // the coordinator stops runs at barriers
 			ln.outbox = make([][]laneSend, cfg.Lanes)
-			e.crossSend = func(now, delay int, dst int64, pkt epacket) bool {
-				d := laneOf(dst)
-				if d == ln.idx {
-					return false
-				}
-				ln.outbox[d] = append(ln.outbox[d], laneSend{cycle: now + delay, node: dst, pkt: pkt})
-				return true
-			}
 		}
-		pb := e.pb
-
-		// lose drops a packet. Loss counters track measured traffic only, so
-		// Injected == Delivered + Lost + Expired; the probe sees every
-		// dropped copy, tagged with where and why it died.
-		lose := func(now int, at int64, pkt *epacket, reason obs.DropReason) {
-			if pkt.measured {
-				ln.st.Lost++
-				ln.inFlight--
+		if built {
+			ln.store = newDenseLinks(o.graph)
+			ln.tables = newBFSRoutes(o.graph, o.adaptive, ln)
+			if r.degraded {
+				ln.flows = &flowTable{retryAt: map[int][]int32{}}
 			}
-			if pb != nil {
-				pb.Drop(now, pkt.id, at, reason)
-			}
-		}
-		e.deliver = func(now int, at int64, pkt *epacket) {
-			lat := now - pkt.born
-			if pkt.measured {
-				ln.st.Delivered++
-				if pkt.degraded {
-					ln.st.DeliveredDegraded++
-				}
-				ln.inFlight--
-				ln.latencySum += int64(lat)
-				if lat > ln.st.MaxLatency {
-					ln.st.MaxLatency = lat
-				}
-			}
-			if pb != nil {
-				pb.Deliver(now, pkt.id, at, lat, pkt.measured)
-			}
-		}
-		flagged, _ := ln.router.(flaggedRouter)
-		e.route = func(now int, at int64, pkt *epacket) (int64, bool, error) {
-			var nh int64
-			var detoured bool
-			var err error
-			if flagged != nil {
-				nh, detoured, err = flagged.NextHopFlagged(at, pkt.dst)
-			} else {
-				nh, err = ln.router.NextHop(at, pkt.dst)
-			}
-			if err != nil {
-				// Destination dead or no fault-free route derivable. (A
-				// non-neighbor next hop is a router bug either way: the link
-				// store's hard error stops the run.)
-				if !degraded {
-					return 0, false, err
-				}
-				lose(now, at, pkt, obs.DropNoRoute)
-				return 0, false, nil
-			}
-			pkt.degraded = pkt.degraded || detoured
-			return nh, true, nil
-		}
-		e.onHopLimit = func(now int, at int64, pkt *epacket) error {
-			if !degraded {
-				return fmt.Errorf("netsim: packet for %d exceeded %d hops at %d (router livelock?)", pkt.dst, cfg.MaxHops, at)
-			}
-			if pkt.measured {
-				ln.st.HopLimitDrops++
-			}
-			lose(now, at, pkt, obs.DropHopLimit)
-			return nil
-		}
-
-		emit := func(now int, src, dst int64) error {
-			measured := now >= cfg.WarmupCycles
-			if measured {
-				ln.st.Injected++
-				ln.inFlight++
-			}
-			id := ln.nextSeq*L + int64(ln.idx) // unique and Shards-independent
-			ln.nextSeq++
-			if pb != nil {
-				pb.Inject(now, id, src, dst, measured)
-			}
-			return e.enqueue(now, src, epacket{id: id, dst: dst, born: now, measured: measured})
-		}
-		scriptPos := 0
-		e.inject = func(now int) error {
-			for k := injectionCount(ln.nOwned, cfg.InjectionRate, ln.rng); k > 0; k-- {
-				var src int64
-				if single {
-					src = ln.rng.Int63n(n)
-				} else {
-					i := ln.rng.Int63n(ln.nOwned)
-					src = space.ModuleNode(int64(ln.idx)+(i/S)*L, i%S)
-				}
-				var dst int64
-				if cfg.Pattern != nil {
-					dst = cfg.Pattern(src, n, ln.rng)
-				} else {
-					dst = uniformDst64(src, n, ln.rng)
-				}
-				if dst == src || dst < 0 || dst >= n {
-					continue
-				}
-				if degraded && (ln.faults.NodeDown(src) || ln.faults.NodeDown(dst)) {
-					continue // dead sources stay silent; dead sinks are skipped
-				}
-				if err := emit(now, src, dst); err != nil {
-					return err
-				}
-			}
-			// Scripted sends follow the cycle's random draws, consume no
-			// randomness, and obey the same dead-endpoint rule.
-			for ; scriptPos < len(script) && script[scriptPos].At == now; scriptPos++ {
-				sc := script[scriptPos]
-				if degraded && (ln.faults.NodeDown(sc.Src) || ln.faults.NodeDown(sc.Dst)) {
-					continue
-				}
-				if err := emit(now, sc.Src, sc.Dst); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if !degraded {
-			continue
-		}
-
-		// strand re-routes everything queued on a link that just died, from
-		// the link's tail node, through the fault-aware router.
-		strand := func(now int, lk *elink) error {
-			q := lk.queue
-			lk.queue = nil
-			for _, pkt := range q {
-				if err := e.enqueue(now, lk.u, pkt); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Every lane applies the liveness change to its own sink (the
-		// routers need global knowledge; the sink's epoch bump invalidates
-		// their cached routes); only the lane owning the affected queues
-		// performs the side effects and emits the probe event.
-		applyChange := func(now int, c laneChange) error {
-			switch c.kind {
-			case NodeFault:
-				owned := laneOf(c.u) == ln.idx
-				if owned && pb != nil {
-					pb.Fault(now, c.u, -1, true, c.down)
-				}
-				if !c.down {
-					ln.faults.RepairNode(c.u)
-					return nil
-				}
-				ln.faults.FailNode(c.u)
-				if owned && ln.faults.NodeDown(c.u) {
-					// Everything queued on the dead node's outgoing links is
-					// lost (first strike or overlapping, the queues are dead
-					// either way).
-					ln.sparse.eachFrom(c.u, func(lk *elink) {
-						for i := range lk.queue {
-							lose(now, c.u, &lk.queue[i], obs.DropQueueKilled)
-						}
-						lk.queue = nil
-					})
-				}
-			case LinkFault:
-				if laneOf(c.u) == ln.idx && pb != nil {
-					pb.Fault(now, c.u, c.v, false, c.down)
-				}
-				if !c.down {
-					ln.faults.RepairLink(c.u, c.v)
-					if !directed {
-						ln.faults.RepairLink(c.v, c.u)
-					}
-					return nil
-				}
-				ln.faults.FailLink(c.u, c.v)
-				if !directed {
-					ln.faults.FailLink(c.v, c.u)
-				}
-				for _, arc := range [2][2]int64{{c.u, c.v}, {c.v, c.u}} {
-					if directed && arc != [2]int64{c.u, c.v} {
-						continue
-					}
-					if laneOf(arc[0]) != ln.idx {
-						continue
-					}
-					if lk := ln.sparse.peek(arc[0], arc[1]); lk != nil && len(lk.queue) > 0 {
-						if err := strand(now, lk); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return nil
-		}
-		e.applyChanges = func(now int) error {
-			for _, c := range changesAt[now] {
-				if err := applyChange(now, c); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		e.arrivalDead = func(now int, node int64, pkt *epacket) bool {
-			if ln.faults.NodeDown(node) {
-				lose(now, node, pkt, obs.DropDeadRouter)
-				return true
-			}
-			return false
-		}
-		// A dead tail or dead link holds its queue until a repair (a link
-		// strike re-routes the queue via strand; this holds packets queued
-		// on links that died while busy).
-		e.blocked = func(lk *elink) bool {
-			return ln.faults.NodeDown(lk.u) || ln.faults.LinkDown(lk.u, lk.v)
+		} else {
+			ln.store = newSparseLinks(ln.topo)
+			ln.flagged, _ = ln.router.(flaggedRouter)
 		}
 	}
 
 	var stop int
 	var err error
 	if single {
-		stop, err = lanes[0].eng.run()
+		stop, err = lanes[0].loop()
 	} else {
-		stop, err = runWindows(lanes, cfg.Shards, window, lastChange, cfg.Probe)
+		stop, err = runWindows(lanes, cfg.Shards, window, r.lastChange, cfg.Probe)
 	}
 	if err != nil {
 		return out, err
@@ -575,9 +409,16 @@ func runLanes(cfg ShardedConfig, moduleOf func(int64) int64, script []Injection)
 	var latencySum int64
 	inFlight := 0
 	for _, ln := range lanes {
+		if ln.flows != nil {
+			ln.expireFlows()
+		}
 		st.Injected += ln.st.Injected
 		st.Delivered += ln.st.Delivered
+		st.Expired += ln.st.Expired
 		st.Lost += ln.st.Lost
+		st.Retransmitted += ln.st.Retransmitted
+		st.Duplicates += ln.st.Duplicates
+		st.DisconnectedPairs += ln.st.DisconnectedPairs
 		st.DeliveredDegraded += ln.st.DeliveredDegraded
 		st.HopLimitDrops += ln.st.HopLimitDrops
 		if ln.st.MaxLatency > st.MaxLatency {
@@ -591,14 +432,20 @@ func runLanes(cfg ShardedConfig, moduleOf func(int64) int64, script []Injection)
 	}
 	st.RerouteEvents = int(out.Router.Reroutes)
 	st.MisroutedHops = int(out.Router.DetourHops)
-	st.Expired = inFlight
+	if t := lanes[0].tables; t != nil {
+		st.RerouteEvents, st.MisroutedHops = t.reroutes, t.misrouted
+		if t.reroutes > 0 {
+			st.MeanTimeToReroute = float64(t.lagSum) / float64(t.reroutes)
+		}
+	}
+	st.Expired += inFlight
 	if st.Delivered > 0 {
 		st.AvgLatency = float64(latencySum) / float64(st.Delivered)
 	}
 	if cfg.MeasureCycles > 0 {
-		st.Throughput = float64(st.Delivered) / float64(n) / float64(cfg.MeasureCycles)
+		st.Throughput = float64(st.Delivered) / float64(r.n) / float64(cfg.MeasureCycles)
 	}
-	if degraded {
+	if r.degraded {
 		// Fault event accounting is deterministic from the plan and the stop
 		// cycle (every lane applied the same events at the same cycles).
 		for _, ev := range cfg.Plan.sorted() {
@@ -614,12 +461,260 @@ func runLanes(cfg ShardedConfig, moduleOf func(int64) int64, script []Injection)
 	return out, nil
 }
 
+// lose drops a packet copy. Loss counters track measured traffic only, so
+// Injected == Delivered + Lost + Expired; the probe sees every dropped
+// copy, tagged with where and why it died. Under a flow layer a copy is
+// not a packet: its source recovers or abandons the flow, so only the
+// probe hears of it.
+func (ln *simLane) lose(now int, at int64, pkt *epacket, reason obs.DropReason) {
+	if pkt.measured && ln.flows == nil {
+		ln.st.Lost++
+		ln.inFlight--
+		if reason == obs.DropHopLimit {
+			ln.st.HopLimitDrops++
+		}
+	}
+	if pb := ln.pb; pb != nil {
+		pb.Drop(now, pkt.id, at, reason)
+	}
+}
+
+// deliver accounts a packet that reached its destination. Under a flow
+// layer, late copies of a flow already delivered are suppressed as
+// duplicates, and latency runs from the flow's first injection.
+func (ln *simLane) deliver(now int, at int64, pkt *epacket) {
+	pb := ln.pb
+	born := pkt.born
+	if ln.flows != nil {
+		f := &ln.flows.flows[pkt.id]
+		if f.done {
+			if f.measured {
+				ln.st.Duplicates++
+			}
+			if pb != nil {
+				pb.Drop(now, pkt.id, at, obs.DropDuplicate)
+			}
+			return
+		}
+		f.done = true
+		born = f.born
+	}
+	lat := now - born
+	if pkt.measured {
+		ln.st.Delivered++
+		if pkt.degraded {
+			ln.st.DeliveredDegraded++
+		}
+		ln.inFlight--
+		ln.latencySum += int64(lat)
+		if lat > ln.st.MaxLatency {
+			ln.st.MaxLatency = lat
+		}
+	}
+	if pb != nil {
+		pb.Deliver(now, pkt.id, at, lat, pkt.measured)
+	}
+}
+
+// route asks the lane's Router for the next hop.
+func (ln *simLane) route(now int, at int64, pkt *epacket) (int64, bool, error) {
+	var nh int64
+	var detoured bool
+	var err error
+	if ln.flagged != nil {
+		nh, detoured, err = ln.flagged.NextHopFlagged(at, pkt.dst)
+	} else {
+		nh, err = ln.router.NextHop(at, pkt.dst)
+	}
+	if err != nil {
+		// Destination dead or no fault-free route derivable. (A
+		// non-neighbor next hop is a router bug either way: the link
+		// store's hard error stops the run.)
+		if !ln.degraded {
+			return 0, false, err
+		}
+		ln.lose(now, at, pkt, obs.DropNoRoute)
+		return 0, false, nil
+	}
+	pkt.degraded = pkt.degraded || detoured
+	return nh, true, nil
+}
+
+// hopLimitHit is the livelock watchdog: a hard error unless the run is
+// degraded, where livelock-like trajectories are a property of the fault
+// pattern and the copy is dropped.
+func (ln *simLane) hopLimitHit(now int, at int64, pkt *epacket) error {
+	if !ln.degraded {
+		return fmt.Errorf("netsim: packet for %d exceeded %d hops at %d (router livelock?)", pkt.dst, ln.run.cfg.MaxHops, at)
+	}
+	ln.lose(now, at, pkt, obs.DropHopLimit)
+	return nil
+}
+
+// node maps an owned-node index to its node id: a single lane owns the id
+// range in order, lane i of L owns modules i, i+L, ... in module order.
+func (ln *simLane) node(i int64) int64 {
+	r := ln.run
+	if r.cfg.Lanes == 1 {
+		return i
+	}
+	S := r.space.ModuleSize()
+	return r.space.ModuleNode(int64(ln.idx)+(i/S)*int64(r.cfg.Lanes), i%S)
+}
+
+// inject runs the cycle's sampled injections, then its scripted sends.
+func (ln *simLane) inject(now int) error {
+	r := ln.run
+	for ln.sampler.start(); ; {
+		i := ln.sampler.next()
+		if i < 0 {
+			break
+		}
+		src := ln.node(i)
+		var dst int64
+		if r.cfg.Pattern != nil {
+			dst = r.cfg.Pattern(src, r.n, ln.rng)
+		} else {
+			dst = uniformDst64(src, r.n, ln.rng)
+		}
+		if dst == src || dst < 0 || dst >= r.n {
+			continue
+		}
+		if err := ln.emit(now, src, dst); err != nil {
+			return err
+		}
+	}
+	// Scripted sends follow the cycle's random draws and consume no
+	// randomness.
+	for ; ln.scriptPos < len(r.o.script) && r.o.script[ln.scriptPos].At == now; ln.scriptPos++ {
+		sc := r.o.script[ln.scriptPos]
+		if err := ln.emit(now, sc.Src, sc.Dst); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// emit injects one packet src -> dst. In a degraded run dead sources stay
+// silent and dead sinks are skipped (the draws already happened, keeping
+// the RNG stream aligned).
+func (ln *simLane) emit(now int, src, dst int64) error {
+	r := ln.run
+	if ln.degraded && (ln.faults.NodeDown(src) || ln.faults.NodeDown(dst)) {
+		return nil
+	}
+	measured := now >= r.cfg.WarmupCycles
+	if measured {
+		ln.st.Injected++
+		ln.inFlight++
+	}
+	id := ln.nextSeq*int64(r.cfg.Lanes) + int64(ln.idx) // unique and Shards-independent
+	ln.nextSeq++
+	if pb := ln.pb; pb != nil {
+		pb.Inject(now, id, src, dst, measured)
+	}
+	if ln.flows != nil {
+		ln.flows.open(now, src, dst, measured, r.o.fc) // id is the flow's sequence number
+	}
+	return ln.enqueue(now, src, epacket{id: id, dst: dst, born: now, ttl: r.o.fc.DetourTTL, measured: measured})
+}
+
+// applyChanges applies the cycle's scheduled fault events.
+func (ln *simLane) applyChanges(now int) error {
+	cs := ln.run.changesAt[now]
+	for _, c := range cs {
+		if err := ln.applyChange(now, c); err != nil {
+			return err
+		}
+	}
+	if ln.tables != nil {
+		ln.tables.advance(now, len(cs) > 0)
+	}
+	return nil
+}
+
+// applyChange applies one fault event. Every lane applies the liveness
+// change to its own sink (routers need global knowledge; the sink's epoch
+// bump invalidates their cached routes); only the lane owning the affected
+// queues performs the side effects and emits the probe event.
+func (ln *simLane) applyChange(now int, c laneChange) error {
+	r, pb := ln.run, ln.pb
+	switch c.kind {
+	case NodeFault:
+		owned := r.laneOf(c.u) == ln.idx
+		if owned && pb != nil {
+			pb.Fault(now, c.u, -1, true, c.down)
+		}
+		if !c.down {
+			ln.faults.RepairNode(c.u)
+			return nil
+		}
+		ln.faults.FailNode(c.u)
+		if owned {
+			// Everything queued on the dead node's outgoing links is lost.
+			ln.store.eachFrom(c.u, func(lk *elink) {
+				for i := range lk.queue {
+					ln.lose(now, c.u, &lk.queue[i], obs.DropQueueKilled)
+				}
+				lk.queue = nil
+			})
+		}
+	case LinkFault:
+		if r.laneOf(c.u) == ln.idx && pb != nil {
+			pb.Fault(now, c.u, c.v, false, c.down)
+		}
+		if !c.down {
+			ln.faults.RepairLink(c.u, c.v)
+			if !r.directed {
+				ln.faults.RepairLink(c.v, c.u)
+			}
+			return nil
+		}
+		ln.faults.FailLink(c.u, c.v)
+		if !r.directed {
+			ln.faults.FailLink(c.v, c.u)
+		}
+		for _, arc := range [2][2]int64{{c.u, c.v}, {c.v, c.u}} {
+			if r.directed && arc != [2]int64{c.u, c.v} || r.laneOf(arc[0]) != ln.idx {
+				continue
+			}
+			// Re-route the stranded queue from the link's tail.
+			if lk := ln.store.peek(arc[0], arc[1]); lk != nil && len(lk.queue) > 0 {
+				q := lk.queue
+				lk.queue = nil
+				for _, pkt := range q {
+					if err := ln.enqueue(now, lk.u, pkt); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// arrivalDead loses a copy arriving at a dead node.
+func (ln *simLane) arrivalDead(now int, node int64, pkt *epacket) bool {
+	if ln.faults.NodeDown(node) {
+		ln.lose(now, node, pkt, obs.DropDeadRouter)
+		return true
+	}
+	return false
+}
+
+// blocked holds the queue of a link with a dead tail or a dead link until a
+// repair (a link strike re-routes the queue; this holds packets queued on
+// links that died while busy).
+func (ln *simLane) blocked(lk *elink) bool {
+	return ln.faults.NodeDown(lk.u) || ln.faults.LinkDown(lk.u, lk.v)
+}
+
 // runWindows is the multi-lane coordinator: lanes run [start, start+window)
 // in parallel, then the coordinator merges cross-lane outboxes in
 // (destination lane, source lane, FIFO) order, replays the probe, and
 // decides termination. It returns the cycle the run stopped at.
 func runWindows(lanes []*simLane, shards, window, lastChange int, probe obs.Probe) (int, error) {
-	total, deadline := lanes[0].eng.total, lanes[0].eng.deadline
+	total, deadline := lanes[0].total, lanes[0].deadline
 	start := 0
 	for start < deadline {
 		if start >= total {
@@ -658,7 +753,7 @@ func runWindows(lanes []*simLane, shards, window, lastChange int, probe obs.Prob
 			}
 		}
 		for _, dst := range lanes {
-			ring := dst.eng.ring
+			ring := dst.ring
 			for _, src := range lanes {
 				box := src.outbox[dst.idx]
 				for _, snd := range box {
@@ -692,7 +787,7 @@ func (ln *simLane) runWindow(start, end int) {
 		return
 	}
 	for c := start; c < end; c++ {
-		if _, err := ln.eng.step(c); err != nil {
+		if _, err := ln.step(c); err != nil {
 			ln.err = err
 			return
 		}

@@ -21,19 +21,24 @@
 // admits larger instances), so probe events carry the full id width and
 // never truncate.
 //
-// # Probe semantics on implicit runs
+// # Probe semantics across the simulators
 //
-// netsim.RunImplicit and RunImplicitFaulty allocate link FIFOs lazily: a
-// directed link exists in memory only while it holds or recently carried a
-// packet. The probe contract is unchanged — Enqueue fires when a packet
-// joins the FIFO of a directed link (allocating it if this is the link's
-// first use), and Hop fires when the link starts transmitting — so
-// collectors cannot tell a lazily allocated link from a preallocated one.
-// Two differences are observable: packet ids count every injection (there
-// are no retransmissions, so ids are unique per packet, not per flow), and
-// Reroute never fires (implicit runs own no routing tables to rebuild —
-// fault repair happens inside the router and is reported through
-// RouterStats instead).
+// Every netsim entry point (Run, RunFaulty, RunFaultyWithBaseline,
+// RunImplicit, RunImplicitFaulty, RunSharded) is a run of one engine
+// wiring, so the hooks fire in the same per-cycle phase order everywhere:
+// Tick, then topology changes, arrivals, retransmission timers, injection
+// and link advance (a multi-lane run replays each cycle lane by lane, in
+// lane order). Implicit runs allocate link FIFOs lazily (a directed link
+// exists in memory only while it holds or recently carried a packet), but
+// the contract is unchanged — Enqueue fires when a packet joins the FIFO of
+// a directed link, Hop when the link starts transmitting — so collectors
+// cannot tell a lazily allocated link from a preallocated one. What
+// differs is the routing and recovery layer plugged in: only a degraded
+// netsim.RunFaulty has a flow layer, so only it emits Retransmit,
+// DropDuplicate and DropAbandoned and reuses a flow's id for its copies
+// (elsewhere ids are unique per packet); only built-graph runs own routing
+// tables, so only they emit Reroute (implicit runs repair routes inside
+// the router and report it through RouterStats instead).
 package obs
 
 import (

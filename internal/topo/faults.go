@@ -8,12 +8,12 @@ import (
 // FaultSet is the id-space liveness oracle shared between a fault-aware
 // router and a degraded-mode simulator: failed links and nodes are recorded
 // as plain int64 ids, so membership is O(1) and nothing about the topology is
-// ever materialized. Entries are reference-counted — overlapping schedules
-// (two faults striking the same component before either heals) compose the
-// way the materialized simulator's downCnt fields do — and every mutation
-// bumps a monotonic epoch counter, which is what routers use to invalidate
-// cached source routes: a cached route verified at epoch e is known
-// fault-free for as long as Epoch() still returns e.
+// ever materialized. It is the liveness store of every degraded netsim run,
+// built graphs included. Entries are reference-counted, so overlapping
+// schedules (two faults striking the same component before either heals)
+// compose, and every mutation bumps a monotonic epoch counter, which is what
+// routers use to invalidate cached source routes: a cached route verified
+// at epoch e is known fault-free for as long as Epoch() still returns e.
 //
 // Link faults are directed arcs. On an undirected topology the caller fails
 // both directions (FailLinkBoth); keeping the primitive directed lets the
