@@ -199,8 +199,8 @@ func BenchmarkRouting(b *testing.B) {
 
 // BenchmarkAlgebraicRoute measures end-to-end id-space routing on the
 // implicit topology of sym-HSN(3;Q4): unrank src and dst, compute the
-// Theorem 4.3 route, rank every intermediate label back to an id — the
-// whole per-packet cost of routing without a materialized graph.
+// Theorem 4.3 route, replay its generator word on ids (core.Ranker.Step) —
+// the whole per-packet cost of routing without a materialized graph.
 func BenchmarkAlgebraicRoute(b *testing.B) {
 	net := superip.HSN(3, superip.NucleusHypercube(4)).SymmetricVariant()
 	r, err := topo.NewAlgebraic(net.Super())
@@ -273,8 +273,23 @@ func BenchmarkRankerUnrank(b *testing.B) {
 	}
 }
 
+// BenchmarkRankerStep measures one generator step on rank digits on
+// sym-HSN(3;Q4), cycling through every generator: layer 1 of every
+// neighbor and every replayed route hop.
+func BenchmarkRankerStep(b *testing.B) {
+	s, rk := symHSN3Q4Ranker(b)
+	deg := len(s.IPGraph().Gens)
+	n := rk.N()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rankSink += rk.Step((int64(i)*2654435761)%n, i%deg)
+	}
+}
+
 // BenchmarkImplicitNeighbors measures one adjacency list of the implicit
-// sym-HSN(3;Q4): unrank, apply every generator, rank every image, sort.
+// sym-HSN(3;Q4): step the node's rank along every generator and insert
+// each image into the sorted list.
 func BenchmarkImplicitNeighbors(b *testing.B) {
 	s, _ := symHSN3Q4Ranker(b)
 	imp, err := topo.NewImplicit(s)

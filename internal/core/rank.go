@@ -23,14 +23,31 @@ import (
 // block-level super-generator permutations; ranks are arrIdx * M^l + plain
 // part, with arrIdx the arrangement's position in the sorted subgroup.
 //
-// A Ranker holds only the nucleus index and the arrangement subgroup —
-// O(M + A) memory, independent of N = A * M^l.
+// Because the rank has the label's structure, the generators act on it
+// digit by digit (Step). A nucleus generator rewrites only d_0, through an
+// M x d_N table of nucleus state transitions. A super-generator with block
+// permutation bp moves digit d_bp[i] to position i, and in the symmetric
+// variant maps arrIdx through an A x d_S table. Neither needs a label.
 //
-// A Ranker is not safe for concurrent use (it reuses internal label
-// scratch buffers).
+// The nucleus index, the arrangement subgroup and both transition tables
+// depend only on the specification: SuperIP builds them once, under a
+// lock, so rankers of one spec may be built concurrently, and every Ranker
+// shares them read-only — O(M*d_N + A*d_S) memory, independent of
+// N = A * M^l. Each Ranker copies the tables' headers, so reading them
+// costs no pointer hop.
+//
+// Step, ModuleOfID and ModuleNode are pure arithmetic on those tables and
+// safe for concurrent use. Rank and ModuleOf are not: they reuse a scratch
+// buffer of the Ranker.
 type Ranker struct {
-	s     *SuperIP
-	l, m  int
+	rankTables
+	s        *SuperIP
+	l, m     int
+	canonBuf symbols.Label // Rank block canonicalization buffer
+}
+
+// rankTables is the specification-wide part of every Ranker of a SuperIP.
+type rankTables struct {
 	nucIx *Index
 	mSize int64   // M: nucleus state count
 	pow   []int64 // pow[i] = M^i for i in 0..l
@@ -40,57 +57,173 @@ type Ranker struct {
 	arrs   []perm.Perm
 	arrIdx map[string]int64
 
-	canonBuf symbols.Label // Rank block canonicalization buffer
+	// The generator action on ranks, indexed like SuperIP.IPGraph().Gens.
+	numNuc, numSuper int
+	nucNext          []int32       // [d*numNuc+g]: state of nucleus generator g applied to state d
+	arrNext          []int32       // [a*numSuper+j]: arrangement of super-generator j applied to a (symmetric only)
+	superMoves       [][]digitMove // [j]: the digits super-generator j moves
+}
+
+// digitMove is one digit a super-generator moves: the digit d at position
+// src (place value M^place, place = l-1-src) lands at position dst, changing
+// the rank by d * delta = d * (M^(l-1-dst) - M^place).
+type digitMove struct {
+	place int
+	delta int64
 }
 
 // Ranker returns the closed-form id<->label bijection of the super-IP graph.
+// It fails when a generator leaves the vertex set: a nucleus generator that
+// maps a state outside the nucleus index, or a super-generator that maps an
+// arrangement outside the subgroup.
 func (s *SuperIP) Ranker() (*Ranker, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	nuc, err := s.nucleus()
+	t, err := s.rankTables()
 	if err != nil {
 		return nil, err
 	}
-	m := s.Nucleus.M()
-	r := &Ranker{
-		s:        s,
-		l:        s.L,
-		m:        m,
+	return &Ranker{rankTables: *t, s: s, l: s.L, m: s.Nucleus.M(), canonBuf: make(symbols.Label, s.Nucleus.M())}, nil
+}
+
+// rankTables returns (building once) the tables every Ranker of s shares.
+func (s *SuperIP) rankTables() (*rankTables, error) {
+	s.lazy.Lock()
+	defer s.lazy.Unlock()
+	if s.rank != nil {
+		return s.rank, nil
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	nuc, err := s.nucleusLocked()
+	if err != nil {
+		return nil, err
+	}
+	t := &rankTables{
 		nucIx:    nuc.ix,
 		mSize:    int64(nuc.ix.N()),
-		canonBuf: make(symbols.Label, m),
+		numNuc:   len(nuc.gens),
+		numSuper: len(s.SuperGens),
+		nucNext:  nuc.next,
 	}
-	r.pow = make([]int64, s.L+1)
-	r.pow[0] = 1
+	t.pow = make([]int64, s.L+1)
+	t.pow[0] = 1
 	for i := 0; i < s.L; i++ {
-		if r.pow[i] > math.MaxInt64/r.mSize {
+		if t.pow[i] > math.MaxInt64/t.mSize {
 			return nil, fmt.Errorf("core: %s: M^%d overflows int64", s.Name, i+1)
 		}
-		r.pow[i+1] = r.pow[i] * r.mSize
+		t.pow[i+1] = t.pow[i] * t.mSize
+	}
+	bps, err := s.BlockPerms()
+	if err != nil {
+		return nil, err
+	}
+	t.superMoves = make([][]digitMove, len(bps))
+	for j, bp := range bps {
+		for dst, src := range bp {
+			if src != dst {
+				place := s.L - 1 - src
+				t.superMoves[j] = append(t.superMoves[j], digitMove{place, t.pow[s.L-1-dst] - t.pow[place]})
+			}
+		}
 	}
 	arrangements := int64(1)
 	if s.Symmetric {
-		bps, err := s.BlockPerms()
-		if err != nil {
-			return nil, err
-		}
 		group, err := perm.GroupClosure(bps, 0)
 		if err != nil {
 			return nil, err
 		}
-		r.arrs = group // sorted by one-line notation: a stable indexing
-		r.arrIdx = make(map[string]int64, len(group))
+		t.arrs = group // sorted by one-line notation: a stable indexing
+		t.arrIdx = make(map[string]int64, len(group))
 		for i, a := range group {
-			r.arrIdx[arrKey(a)] = int64(i)
+			t.arrIdx[arrKey(a)] = int64(i)
+		}
+		if t.arrNext, err = arrangementTransitions(s.Name, group, t.arrIdx, bps); err != nil {
+			return nil, err
 		}
 		arrangements = int64(len(group))
 	}
-	if r.pow[s.L] > math.MaxInt64/arrangements {
+	if t.pow[s.L] > math.MaxInt64/arrangements {
 		return nil, fmt.Errorf("core: %s: A*M^l overflows int64", s.Name)
 	}
-	r.n = arrangements * r.pow[s.L]
-	return r, nil
+	t.n = arrangements * t.pow[s.L]
+	s.rank = t
+	return t, nil
+}
+
+// nucleusTransitions returns the nucleus state graph of index ix under gens
+// as a table: [d*len(gens)+g] is the state generator g takes state d to.
+// Nucleus generators act on the leftmost block within its color's symbol
+// range, so shifted back by the color offset that is the same table in
+// every variant. It fails if a generator leaves the index.
+func nucleusTransitions(name string, ix *Index, gens []perm.Perm) ([]int32, error) {
+	next := make([]int32, 0, ix.N()*len(gens))
+	var img symbols.Label
+	for d := int32(0); d < int32(ix.N()); d++ {
+		x := ix.Label(d)
+		img = append(img[:0], x...)
+		for gi, g := range gens {
+			g.Apply(img, x)
+			id := ix.ID(img)
+			if id < 0 {
+				return nil, fmt.Errorf("core: %s: nucleus generator %d maps state %v outside the nucleus",
+					name, gi, x)
+			}
+			next = append(next, id)
+		}
+	}
+	return next, nil
+}
+
+// arrangementTransitions returns the action of the block permutations bps
+// on the arrangement subgroup group (indexed by idx): [a*len(bps)+j] is the
+// arrangement super-generator j takes arrangement a to. A super-generator
+// moves the block at position bp[i] to position i, and the block's color
+// moves with it. It fails if an image is not in the subgroup.
+func arrangementTransitions(name string, group []perm.Perm, idx map[string]int64, bps []perm.Perm) ([]int32, error) {
+	next := make([]int32, 0, len(group)*len(bps))
+	key := make([]byte, len(group[0])) // arrKey of the image, built in place
+	for _, a := range group {
+		for j, bp := range bps {
+			for i := range key {
+				key[i] = byte(a[bp[i]])
+			}
+			id, ok := idx[string(key)]
+			if !ok {
+				return nil, fmt.Errorf("core: %s: super-generator %d maps arrangement %v outside the subgroup",
+					name, j, a)
+			}
+			next = append(next, int32(id))
+		}
+	}
+	return next, nil
+}
+
+// Step returns the id of the node that generator gen (an index into
+// SuperIP.IPGraph().Gens: nucleus generators, then super-generators) takes
+// node id to. It is the generator action on the rank's digits: O(1) for a
+// nucleus generator, O(moved digits) for a super-generator, with no label
+// work. A generator that fixes the node's label returns id itself. The
+// caller must pass id in [0, N) and gen in [0, d_N + d_S).
+func (r *Ranker) Step(id int64, gen int) int64 {
+	var arr int64
+	plain := id
+	if r.arrNext != nil {
+		arr = id / r.pow[r.l]
+		plain = id - arr*r.pow[r.l]
+	}
+	if gen < r.numNuc {
+		d := plain / r.pow[r.l-1]
+		return id + (int64(r.nucNext[int(d)*r.numNuc+gen])-d)*r.pow[r.l-1]
+	}
+	j := gen - r.numNuc
+	next := plain
+	for _, mv := range r.superMoves[j] {
+		next += plain / r.pow[mv.place] % r.mSize * mv.delta
+	}
+	if r.arrNext != nil {
+		next += int64(r.arrNext[int(arr)*r.numSuper+j]) * r.pow[r.l]
+	}
+	return next
 }
 
 // N returns the node count A * M^l, per Theorem 3.2 / Section 3.5.

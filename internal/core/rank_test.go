@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/perm"
@@ -204,5 +206,130 @@ func TestRankerModuleArithmetic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// nucleusK3 is the complete graph K3 as a one-hot nucleus: the marked symbol
+// 2 moves to any of three positions. Its plain state count M = 3 (and
+// M = 3! = 6 under the distinct seed of a symmetric variant) is not a power
+// of two, unlike every hypercube nucleus.
+func nucleusK3() Nucleus {
+	return Nucleus{
+		Name: "K3",
+		Seed: symbols.Label{2, 1, 1},
+		Gens: []perm.Perm{perm.Transposition(3, 0, 1), perm.Transposition(3, 0, 2)},
+	}
+}
+
+// stepOracle returns the label-space generator action: the rank of
+// generator gen applied to the label of id.
+func stepOracle(t testing.TB, s *SuperIP, r *Ranker, id int64, gen int) int64 {
+	t.Helper()
+	x := r.Unrank(id, nil)
+	img := make(symbols.Label, len(x))
+	s.IPGraph().Gens[gen].Apply(img, x)
+	want, err := r.Rank(img)
+	if err != nil {
+		t.Fatalf("%s: generator %d image %v of node %d: %v", s.Name, gen, img, id, err)
+	}
+	return want
+}
+
+// TestStepMatchesApply checks, exhaustively on every grid family, on
+// K3-nucleus instances and on sym-HSN(2;Q4) (a 4-bit digit), that the digit-space generator action is the label
+// action: Step(id, g) == Rank(g applied to Unrank(id)) for every node and
+// every generator, including the generators that fix a label.
+func TestStepMatchesApply(t *testing.T) {
+	grid := rankerGrid()
+	grid["HSN(3;K3)"] = hsn(3, nucleusK3(), false)
+	grid["sym-HSN(3;K3)"] = hsn(3, nucleusK3(), true)
+	grid["sym-ringCN(4;K3)"] = ringCN(4, nucleusK3(), true)
+	grid["SFN(4;K3)"] = superFlip(4, nucleusK3(), false)
+	grid["sym-HSN(2;Q4)"] = hsn(2, nucleusQ(4), true)
+	for name, s := range grid {
+		r, err := s.Ranker()
+		if err != nil {
+			t.Fatalf("%s: ranker: %v", name, err)
+		}
+		gens := s.IPGraph().Gens
+		for id := int64(0); id < r.N(); id++ {
+			for g := range gens {
+				if got, want := r.Step(id, g), stepOracle(t, s, r, id, g); got != want {
+					t.Fatalf("%s: Step(%d, %d) = %d, label action gives %d", name, id, g, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRankersShareStepTables checks that the step tables are built once per
+// specification: every Ranker of one SuperIP reads the same tables, and so
+// does its Router's nucleus transition table. The rankers and routers are
+// built concurrently on a fresh SuperIP, so under -race the test also pins
+// the locking of the lazily built artifacts.
+func TestRankersShareStepTables(t *testing.T) {
+	s := hsn(3, nucleusQ(2), true)
+	const workers = 4
+	rankers := make([]*Ranker, workers)
+	routers := make([]*Router, workers)
+	errs := make(chan error, 2*workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if rankers[w], err = s.Ranker(); err != nil {
+				errs <- err
+			}
+			if routers[w], err = NewRouter(s); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	a := rankers[0]
+	for w, b := range rankers[1:] {
+		if &a.nucNext[0] != &b.nucNext[0] || &a.arrNext[0] != &b.arrNext[0] || &a.superMoves[0] != &b.superMoves[0] {
+			t.Fatalf("rankers 0 and %d of one specification built separate step tables", w+1)
+		}
+	}
+	for w, r := range routers {
+		if &r.nuc.next[0] != &a.nucNext[0] {
+			t.Fatalf("router %d does not share the rankers' nucleus transition table", w)
+		}
+	}
+}
+
+// TestRankerRejectsEscapingGenerators pins the construction-time checks of
+// the step tables: a nucleus generator that maps a state outside the
+// nucleus index (checked where SuperIP builds its nucleus, so by Ranker and
+// NewRouter alike), and a super-generator that maps an arrangement outside
+// the subgroup (checked by Ranker), are errors, not panics at run time.
+func TestRankerRejectsEscapingGenerators(t *testing.T) {
+	// An index closed under Q2's first generator only: the second maps
+	// its states outside it.
+	q2 := nucleusQ(2)
+	half := hsn(2, Nucleus{Name: "Q2/1", Seed: q2.Seed, Gens: q2.Gens[:1]}, false)
+	nuc, err := half.nucleus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nucleusTransitions("bad", nuc.ix, q2.Gens); err == nil ||
+		!strings.Contains(err.Error(), "outside the nucleus") {
+		t.Fatalf("transition table over an index not closed under the nucleus generators: err = %v", err)
+	}
+
+	// A one-element "subgroup" that a block transposition leaves.
+	id := perm.Identity(3)
+	idx := map[string]int64{arrKey(id): 0}
+	swap := perm.Transposition(3, 0, 1)
+	if _, err := arrangementTransitions("bad", []perm.Perm{id}, idx, []perm.Perm{swap}); err == nil ||
+		!strings.Contains(err.Error(), "outside the subgroup") {
+		t.Fatalf("arrangement table over a non-closed subgroup: err = %v", err)
 	}
 }

@@ -102,18 +102,10 @@ func NewRouter(s *SuperIP) (*Router, error) {
 	// Reverse arcs of the nucleus state graph, labeled with the generator
 	// that produces them, for building per-target shortest-path trees.
 	r.revArcs = make([][]revArc, nuc.ix.N())
-	buf := make(symbols.Label, len(nuc.seed))
-	for id := int32(0); id < int32(nuc.ix.N()); id++ {
-		x := nuc.ix.Label(id)
-		for gi, g := range nuc.gens {
-			g.Apply(buf, x)
-			dest := nuc.ix.ID(buf)
-			if dest < 0 {
-				return nil, fmt.Errorf("core: nucleus state space not closed under generator %d", gi)
-			}
-			if dest != id {
-				r.revArcs[dest] = append(r.revArcs[dest], revArc{src: id, gen: int32(gi)})
-			}
+	for i, dest := range nuc.next {
+		src, gi := int32(i/r.numNuc), int32(i%r.numNuc)
+		if dest != src {
+			r.revArcs[dest] = append(r.revArcs[dest], revArc{src: src, gen: gi})
 		}
 	}
 	return r, nil

@@ -415,3 +415,44 @@ func BenchmarkBuildHSN2Q4(b *testing.B) {
 		}
 	}
 }
+
+// TestRouterBeyondRankSpace checks that label routing does not depend on the
+// id space: ring-CN(11;Q6) has 2^66 nodes, so no Ranker exists, yet the
+// Theorem 4.1 router builds and routes between labels reached by random
+// walks.
+func TestRouterBeyondRankSpace(t *testing.T) {
+	s := ringCN(11, nucleusQ(6), false)
+	if _, err := s.Ranker(); err == nil {
+		t.Fatal("Ranker of a 2^65-node graph succeeded")
+	}
+	r, err := NewRouter(s)
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	bound, err := s.TheoreticalDiameter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := s.IPGraph().Gens
+	rng := rand.New(rand.NewSource(3))
+	walk := func() symbols.Label {
+		x := s.SeedLabel().Clone()
+		next := make(symbols.Label, len(x))
+		for i := 0; i < 200; i++ {
+			gens[rng.Intn(len(gens))].Apply(next, x)
+			x, next = next, x
+		}
+		return x
+	}
+	for trial := 0; trial < 20; trial++ {
+		src, dst := walk(), walk()
+		path, err := r.Route(src, dst)
+		if err != nil {
+			t.Fatalf("route %v -> %v: %v", src, dst, err)
+		}
+		if !path.Labels[len(path.Labels)-1].Equal(dst) || path.Hops() > bound {
+			t.Fatalf("route %v -> %v ends at %v after %d hops (bound %d)",
+				src, dst, path.Labels[len(path.Labels)-1], path.Hops(), bound)
+		}
+	}
+}

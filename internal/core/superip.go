@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/perm"
@@ -43,7 +44,12 @@ type SuperIP struct {
 	SuperGenNames []string
 	Symmetric     bool
 
-	nuc *nucleusInfo // lazily computed nucleus artifacts
+	// Lazily computed artifacts shared by every Ranker and Router of the
+	// specification; lazy guards them, so the first constructions may run
+	// concurrently.
+	lazy sync.Mutex
+	nuc  *nucleusInfo
+	rank *rankTables
 }
 
 type nucleusInfo struct {
@@ -52,6 +58,7 @@ type nucleusInfo struct {
 	diameter int
 	seed     symbols.Label
 	gens     []perm.Perm
+	next     []int32 // [d*len(gens)+g]: the state nucleus generator g takes state d to
 }
 
 // Validate checks the structural constraints of the super-IP definition:
@@ -228,8 +235,16 @@ func (s *SuperIP) NumNucleusGens() int { return len(s.Nucleus.Gens) }
 // By Theorem 3.1 this bounds the inter-cluster degree.
 func (s *SuperIP) NumSuperGens() int { return len(s.SuperGens) }
 
-// nucleus lazily builds the effective nucleus graph and its diameter.
+// nucleus lazily builds the effective nucleus graph, its diameter and its
+// state transition table.
 func (s *SuperIP) nucleus() (*nucleusInfo, error) {
+	s.lazy.Lock()
+	defer s.lazy.Unlock()
+	return s.nucleusLocked()
+}
+
+// nucleusLocked is nucleus for a caller that holds s.lazy.
+func (s *SuperIP) nucleusLocked() (*nucleusInfo, error) {
 	if s.nuc != nil {
 		return s.nuc, nil
 	}
@@ -248,7 +263,11 @@ func (s *SuperIP) nucleus() (*nucleusInfo, error) {
 	if !st.Connected {
 		return nil, fmt.Errorf("core: nucleus %s is not connected", s.Nucleus.Name)
 	}
-	s.nuc = &nucleusInfo{g: g, ix: ix, diameter: int(st.Diameter), seed: ipn.Seed, gens: ipn.Gens}
+	next, err := nucleusTransitions(s.Name, ix, ipn.Gens)
+	if err != nil {
+		return nil, err
+	}
+	s.nuc = &nucleusInfo{g: g, ix: ix, diameter: int(st.Diameter), seed: ipn.Seed, gens: ipn.Gens, next: next}
 	return s.nuc, nil
 }
 

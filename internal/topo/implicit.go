@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/perm"
@@ -11,22 +10,22 @@ import (
 
 // Implicit is the algebraic implementation of Topology for super-IP graphs:
 // nodes are dense ranks computed in closed form from labels (core.Ranker),
-// and a node's neighbors are generated on the fly by applying the full
-// generator set to its label. Nothing O(N) is ever allocated — the only
-// state is the nucleus index (M entries) and the arrangement subgroup — so
-// an Implicit topology scales to instances whose adjacency lists could
-// never be materialized.
+// and a node's neighbors are the images of its rank under the generator
+// action on rank digits (core.Ranker.Step). Nothing O(N) is ever allocated —
+// the only state is the nucleus index and the spec's transition tables, of
+// M*d_N and A*d_S entries — so an Implicit topology scales to instances
+// whose adjacency lists could never be materialized.
 //
-// Implicit implements Topology, Labeled, and Modular. It is not safe for
-// concurrent use (label scratch buffers are reused across calls).
+// Implicit implements Topology, Labeled, and Modular. Neighbors, Step and
+// the module methods are pure arithmetic on immutable tables and safe for
+// concurrent use; Label and ID are not (they reuse label scratch).
 type Implicit struct {
 	s        *core.SuperIP
 	rk       *core.Ranker
-	gens     []perm.Perm
+	degree   int
 	directed bool
 
-	lblBuf  symbols.Label // current-node label scratch
-	nbrBuf  symbols.Label // neighbor label scratch
+	lblBuf  symbols.Label // Label scratch
 	nameStr string
 }
 
@@ -41,10 +40,9 @@ func NewImplicit(s *core.SuperIP) (*Implicit, error) {
 	return &Implicit{
 		s:        s,
 		rk:       rk,
-		gens:     ip.Gens,
+		degree:   len(ip.Gens),
 		directed: !perm.ClosedUnderInverse(ip.Gens),
 		lblBuf:   make(symbols.Label, rk.LabelLen()),
-		nbrBuf:   make(symbols.Label, rk.LabelLen()),
 		nameStr:  s.Name,
 	}, nil
 }
@@ -61,41 +59,53 @@ func (t *Implicit) N() int64 { return t.rk.N() }
 // MaxDegree returns the generator count — the degree bound of the Cayley
 // view. Individual nodes of plain (repeated-seed) graphs may have fewer
 // neighbors where a generator fixes their label.
-func (t *Implicit) MaxDegree() int { return len(t.gens) }
+func (t *Implicit) MaxDegree() int { return t.degree }
 
 // Directed reports whether the generator set is closed under inverse.
 func (t *Implicit) Directed() bool { return t.directed }
 
-// Neighbors applies every generator to u's label, drops fixed points,
-// ranks the results, and returns them sorted and deduplicated — matching
-// the adjacency contract of the materialized graph exactly.
+// Step returns the node generator gen (an index into
+// SuperIP.IPGraph().Gens) takes node u to; see core.Ranker.Step. It panics
+// if u or gen is out of range.
+func (t *Implicit) Step(u int64, gen int) int64 {
+	t.checkNode("step from", u)
+	if gen < 0 || gen >= t.degree {
+		panic(fmt.Sprintf("topo: %s: step along generator %d: out of range [0,%d)", t.nameStr, gen, t.degree))
+	}
+	return t.rk.Step(u, gen)
+}
+
+// checkNode panics with a range error, naming the operation, when u is not
+// a node: arithmetic on an invalid rank would return garbage ids.
+func (t *Implicit) checkNode(op string, u int64) {
+	if u < 0 || u >= t.rk.N() {
+		panic(fmt.Sprintf("topo: %s: %s node %d: out of range [0,%d)", t.nameStr, op, u, t.rk.N()))
+	}
+}
+
+// Neighbors steps u along every generator, drops fixed points, and returns
+// the images sorted and deduplicated — matching the adjacency contract of
+// the materialized graph exactly. It panics if u is out of range.
 func (t *Implicit) Neighbors(u int64, buf []int64) []int64 {
-	t.lblBuf = t.rk.Unrank(u, t.lblBuf)
+	t.checkNode("neighbors of", u)
 	buf = buf[:0]
-	for _, g := range t.gens {
-		g.Apply(t.nbrBuf, t.lblBuf)
-		if t.nbrBuf.Equal(t.lblBuf) {
+	for g := 0; g < t.degree; g++ {
+		v := t.rk.Step(u, g)
+		if v == u {
 			continue // generator fixes this label: a self-loop, not an edge
 		}
-		id, err := t.rk.Rank(t.nbrBuf)
-		if err != nil {
-			// Generators act within the vertex set by construction; an
-			// unrankable image means the specification is inconsistent.
-			panic(fmt.Sprintf("topo: %s: generator image %v of node %d is not a vertex: %v",
-				t.nameStr, t.nbrBuf, u, err))
+		i := len(buf)
+		for i > 0 && buf[i-1] > v {
+			i--
 		}
-		buf = append(buf, id)
-	}
-	slices.Sort(buf)
-	out := buf[:0]
-	var prev int64 = -1
-	for _, v := range buf {
-		if v != prev {
-			out = append(out, v)
-			prev = v
+		if i > 0 && buf[i-1] == v {
+			continue // two generators reach the same neighbor
 		}
+		buf = append(buf, v)
+		copy(buf[i+1:], buf[i:])
+		buf[i] = v
 	}
-	return out
+	return buf
 }
 
 // Label returns the label of node u. The result aliases internal scratch

@@ -68,13 +68,20 @@ func (t *Table) Path(src, dst int64) ([]int64, error) {
 type Algebraic struct {
 	r      *core.Router
 	codec  Labeled
-	srcBuf symbols.Label // route source, then the replay's current label
+	step   idStepper     // the codec's generator action on ids; nil when its ids are not ranks
+	srcBuf symbols.Label // route source, then the label replay's current label
 	dstBuf symbols.Label
-	hopBuf symbols.Label // the replay's next label
+	hopBuf symbols.Label // the label replay's next label
 	word   []int         // the route's generator word
 
 	// routes carries each packet's source route between NextHop calls.
 	routes routeStore
+}
+
+// idStepper is a codec whose ids are ranks, so generators act on them
+// directly (Implicit.Step).
+type idStepper interface {
+	Step(u int64, gen int) int64
 }
 
 // NewAlgebraic builds the paper's router over the implicit (closed-form)
@@ -89,16 +96,20 @@ func NewAlgebraic(s *core.SuperIP) (*Algebraic, error) {
 
 // NewAlgebraicWith builds the paper's router over an explicit id <-> label
 // codec — typically a Materialized topology carrying the core.Index of a
-// built graph, so the router's paths are valid on that graph's ids.
+// built graph, so the router's paths are valid on that graph's ids. A codec
+// with a Step method (Implicit) has its routes replayed on ids; any other
+// codec on labels, ranking every hop.
 func NewAlgebraicWith(s *core.SuperIP, codec Labeled) (*Algebraic, error) {
 	r, err := core.NewRouter(s)
 	if err != nil {
 		return nil, err
 	}
 	m := s.Nucleus.M()
+	step, _ := codec.(idStepper)
 	return &Algebraic{
 		r:      r,
 		codec:  codec,
+		step:   step,
 		srcBuf: make(symbols.Label, s.L*m),
 		dstBuf: make(symbols.Label, s.L*m),
 		hopBuf: make(symbols.Label, s.L*m),
@@ -132,8 +143,9 @@ func (a *Algebraic) NextHop(cur, dst int64) (int64, error) {
 func (a *Algebraic) RouterStats() RouterStats { return a.routes.stats() }
 
 // Path returns the full algebraic route as node ids. It computes the route's
-// generator word (core.Router.Word), replays the word on a scratch label and
-// ranks each hop; the returned slice is its only allocation.
+// generator word (core.Router.Word) and replays it: on ids through the
+// codec's Step when it has one, otherwise on a scratch label, ranking each
+// hop. The returned slice is its only allocation.
 func (a *Algebraic) Path(src, dst int64) ([]int64, error) {
 	a.srcBuf = append(a.srcBuf[:0], a.codec.Label(src)...)
 	a.dstBuf = append(a.dstBuf[:0], a.codec.Label(dst)...)
@@ -142,9 +154,15 @@ func (a *Algebraic) Path(src, dst int64) ([]int64, error) {
 		return nil, err
 	}
 	a.word = word
-	gens := a.r.Gens()
 	out := make([]int64, len(word)+1)
 	out[0] = src
+	if a.step != nil {
+		for i, gi := range word {
+			out[i+1] = a.step.Step(out[i], gi)
+		}
+		return out, nil
+	}
+	gens := a.r.Gens()
 	cur, next := a.srcBuf, a.hopBuf
 	for i, gi := range word {
 		gens[gi].Apply(next, cur)

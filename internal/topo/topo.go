@@ -13,8 +13,12 @@
 // existing adjacency-list graph.Graph (every algorithm that works on a
 // Topology keeps working on explicitly built graphs), while Implicit
 // evaluates a super-IP graph's generator algebra on the fly and scales to
-// instances no adjacency list can hold. Routers pair with topologies the
-// same way: Table is the BFS next-hop oracle over a materialized graph, and
+// instances no adjacency list can hold. An Implicit node id is the rank of
+// its label, whose mixed-radix digits are the label's super-symbols, so a
+// generator acts on the id directly (core.Ranker.Step): neighbors and route
+// hops are integer arithmetic on shared immutable tables, with no label on
+// the simulator's hot path. Routers pair with topologies the same way:
+// Table is the BFS next-hop oracle over a materialized graph, and
 // Algebraic, Hypercube, and Star compute next hops arithmetically from
 // labels alone.
 package topo
