@@ -1,8 +1,9 @@
 // The simulation engine. Every simulator in this package runs on the one
-// engine in this file: one packet struct (epacket), one link-FIFO/active-
-// list core (linkStore: dense for built graphs, sparse for implicit
-// topologies), one future-arrival ring, one injection sampler, and one
-// per-cycle phase order
+// engine in this file: one packet struct (epacket), one link store
+// (sparseLinks: only live link FIFOs, keyed by (node, port), visited in
+// activation order, idle ones recycled; built graphs run on it through
+// topo.Materialized like any implicit topology), one future-arrival ring,
+// one injection sampler, and one per-cycle phase order
 //
 //	tick → apply topology changes → deliver arrivals → fire retransmission
 //	timers → inject (or test the drain break) → advance links
@@ -14,9 +15,9 @@
 // with an empty plan), RunImplicit and RunImplicitFaulty (any id-space
 // Router; RunImplicit is RunImplicitFaulty with an empty plan) are
 // single-lane runs, RunSharded a multi-lane one. What only built graphs
-// need (the PeriodFunc/Partition period rule, the dense link store, the
-// BFS-table route hook and the flow layer of a degraded RunFaulty) enters
-// the lane runner through one per-run options struct.
+// need (the PeriodFunc/Partition period rule, the BFS-table route hook and
+// the flow layer of a degraded RunFaulty) enters the lane runner through
+// one per-run options struct.
 //
 // Degraded-mode rule: a run is degraded iff its fault plan is non-empty.
 // Only a degraded run runs the fault phases (topology changes, dead
@@ -42,7 +43,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -74,27 +74,6 @@ type earrival struct {
 	pkt  epacket
 }
 
-// linkStore is the adjacency-side parameterization of the engine: how link
-// FIFOs are stored and in what deterministic order the advance phase visits
-// them. denseLinks materializes one FIFO per directed edge of a
-// *graph.Graph; sparseLinks keeps only links that currently hold (or
-// recently transmitted) a packet, keyed by the implicit topology's
-// (node, port) pair.
-type linkStore interface {
-	// get returns the FIFO of arc u->v, creating it if needed. It errors
-	// when v is not a neighbor of u — a routing-layer bug.
-	get(u, v int64) (*elink, error)
-	// peek returns the FIFO of arc u->v when it exists, nil otherwise (v
-	// not a neighbor, or a sparse link currently idle and reclaimed).
-	peek(u, v int64) *elink
-	// eachFrom visits the existing FIFOs of u's outgoing links in
-	// neighbor order.
-	eachFrom(u int64, fn func(*elink))
-	// advance visits the store's links in its deterministic order and
-	// transmits the queue head of every link that is free and not blocked.
-	advance(now int, ln *simLane)
-}
-
 // engine is the clock/link/arrival core of one lane: every simLane embeds
 // one, and the lane runner is the only code that builds them. The per-cycle
 // phases call the lane directly; the fault phases (topology changes, dead
@@ -102,7 +81,7 @@ type linkStore interface {
 // retransmission phase only under a flow layer.
 type engine struct {
 	pb         obs.Probe
-	store      linkStore
+	store      *sparseLinks
 	ring       [][]earrival
 	flits      int
 	cutThrough bool
@@ -234,79 +213,19 @@ func (ln *simLane) transmit(now int, lk *elink) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense link store: one FIFO per directed edge of a materialized graph,
-// visited in (node, adjacency slot) order.
-
-type denseLinks struct {
-	links  [][]elink
-	slotOf []map[int32]int
-}
-
-func newDenseLinks(g *graph.Graph) *denseLinks {
-	n := g.N()
-	d := &denseLinks{links: make([][]elink, n), slotOf: make([]map[int32]int, n)}
-	for u := 0; u < n; u++ {
-		adj := g.Neighbors(int32(u))
-		d.links[u] = make([]elink, len(adj))
-		d.slotOf[u] = make(map[int32]int, len(adj))
-		for s, v := range adj {
-			d.links[u][s] = elink{u: int64(u), v: int64(v)}
-			d.slotOf[u][v] = s
-		}
-	}
-	return d
-}
-
-func (d *denseLinks) get(u, v int64) (*elink, error) {
-	lk := d.peek(u, v)
-	if lk == nil {
-		return nil, fmt.Errorf("netsim: next hop %d from %d is not a neighbor", v, u)
-	}
-	return lk, nil
-}
-
-func (d *denseLinks) peek(u, v int64) *elink {
-	s, ok := d.slotOf[u][int32(v)]
-	if !ok {
-		return nil
-	}
-	return &d.links[u][s]
-}
-
-func (d *denseLinks) eachFrom(u int64, fn func(*elink)) {
-	for s := range d.links[u] {
-		fn(&d.links[u][s])
-	}
-}
-
-func (d *denseLinks) advance(now int, ln *simLane) {
-	for u := range d.links {
-		for s := range d.links[u] {
-			lk := &d.links[u][s]
-			if len(lk.queue) == 0 || lk.freeAt > now {
-				continue
-			}
-			if ln.degraded && ln.blocked(lk) {
-				continue
-			}
-			ln.transmit(now, lk)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Sparse link store: only links that currently hold or recently transmitted
-// a packet exist, keyed by u*maxDegree + port (port = index of the target in
-// u's sorted neighbor list). The active list keeps insertion order so the
-// advance phase — and therefore the whole run — is deterministic; idle links
-// are reclaimed. This is the link-FIFO key math previously copy-pasted
-// between the two implicit simulators.
+// The link store: only links that currently hold or recently transmitted a
+// packet exist, keyed by u*maxDegree + port (port = index of the target in
+// u's sorted neighbor list). The active list keeps activation order, so the
+// advance phase, and therefore the whole run, is deterministic. An idle
+// link goes onto the free list; a link taken from it is reset but keeps its
+// queue's backing array.
 
 type sparseLinks struct {
 	topo   Topology
 	deg    int64
 	links  map[int64]*elink
 	active []int64
+	free   []*elink
 	nbrBuf []int64
 }
 
@@ -331,6 +250,8 @@ func (s *sparseLinks) port(u, v int64) int {
 	return p
 }
 
+// get returns the FIFO of arc u->v, activating it if needed. It errors when
+// v is not a neighbor of u: a routing-layer bug.
 func (s *sparseLinks) get(u, v int64) (*elink, error) {
 	p := s.port(u, v)
 	if p < 0 {
@@ -339,13 +260,21 @@ func (s *sparseLinks) get(u, v int64) (*elink, error) {
 	key := u*s.deg + int64(p)
 	lk, ok := s.links[key]
 	if !ok {
-		lk = &elink{u: u, v: v}
+		if n := len(s.free); n > 0 {
+			lk = s.free[n-1]
+			s.free = s.free[:n-1]
+			*lk = elink{u: u, v: v, queue: lk.queue[:0]}
+		} else {
+			lk = &elink{u: u, v: v}
+		}
 		s.links[key] = lk
 		s.active = append(s.active, key)
 	}
 	return lk, nil
 }
 
+// peek returns the FIFO of arc u->v when it is active, nil otherwise (v not
+// a neighbor, or the link idle and recycled).
 func (s *sparseLinks) peek(u, v int64) *elink {
 	p := s.port(u, v)
 	if p < 0 {
@@ -354,6 +283,7 @@ func (s *sparseLinks) peek(u, v int64) *elink {
 	return s.links[u*s.deg+int64(p)]
 }
 
+// eachFrom visits the active FIFOs of u's outgoing links in port order.
 func (s *sparseLinks) eachFrom(u int64, fn func(*elink)) {
 	for port := int64(0); port < s.deg; port++ {
 		if lk, ok := s.links[u*s.deg+port]; ok {
@@ -362,6 +292,9 @@ func (s *sparseLinks) eachFrom(u int64, fn func(*elink)) {
 	}
 }
 
+// advance visits the active links in activation order, transmits the queue
+// head of every link that is free and not blocked, and recycles the links
+// that are idle.
 func (s *sparseLinks) advance(now int, ln *simLane) {
 	live := s.active[:0]
 	for _, key := range s.active {
@@ -369,6 +302,7 @@ func (s *sparseLinks) advance(now int, ln *simLane) {
 		if len(lk.queue) == 0 {
 			if lk.freeAt <= now {
 				delete(s.links, key)
+				s.free = append(s.free, lk)
 				continue
 			}
 			live = append(live, key)
@@ -384,9 +318,6 @@ func (s *sparseLinks) advance(now int, ln *simLane) {
 			continue
 		}
 		ln.transmit(now, lk)
-		if len(lk.queue) == 0 {
-			lk.queue = nil // release the backing array of drained FIFOs
-		}
 		live = append(live, key)
 	}
 	s.active = live

@@ -3,8 +3,10 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/networks"
 	"repro/internal/obs"
 	"repro/internal/topo"
 )
@@ -216,5 +218,228 @@ func TestInjectionOncePerCycle(t *testing.T) {
 		if c.repeats != 0 {
 			t.Errorf("%s: %d (cycle, node) pairs injected more than once", name, c.repeats)
 		}
+	}
+}
+
+// recyclingPlan schedules a link fault every 5 cycles from cycle 20 (every
+// other one transient) and a transient node fault every 10, on arcs and
+// nodes drawn from seed.
+func recyclingPlan(tp Topology, seed int64) *FaultPlan {
+	rng := rand.New(rand.NewSource(seed))
+	plan := &FaultPlan{}
+	var buf []int64
+	for i := 0; i < 24; i++ {
+		at, repair := 20+5*i, 0
+		if i%2 == 0 {
+			repair = at + 40
+		}
+		u := rng.Int63n(tp.N())
+		buf = tp.Neighbors(u, buf)
+		plan.LinkDown(at, int32(u), int32(buf[rng.Intn(len(buf))]), repair)
+		if i%2 == 1 {
+			plan.NodeDown(at, int32(rng.Int63n(tp.N())), at+30)
+		}
+	}
+	return plan
+}
+
+// checkLinkStore checks the link store between cycles: every active key
+// holds the link of its (node, port), and every link on the free list is
+// inactive, has an empty queue and is free (freeAt <= now), so a link
+// reused in a later cycle starts empty and free. It returns the active
+// links.
+func checkLinkStore(t *testing.T, s *sparseLinks, now int) map[*elink]bool {
+	t.Helper()
+	if len(s.links) != len(s.active) {
+		t.Fatalf("cycle %d: %d links, %d active keys", now, len(s.links), len(s.active))
+	}
+	active := make(map[*elink]bool, len(s.links))
+	for _, key := range s.active {
+		lk := s.links[key]
+		if lk == nil {
+			t.Fatalf("cycle %d: active key %d has no link", now, key)
+		}
+		if p := s.port(lk.u, lk.v); p < 0 || lk.u*s.deg+int64(p) != key {
+			t.Fatalf("cycle %d: key %d holds the link %d->%d", now, key, lk.u, lk.v)
+		}
+		active[lk] = true
+	}
+	for _, lk := range s.free {
+		if active[lk] {
+			t.Fatalf("cycle %d: link %d->%d is both free and active", now, lk.u, lk.v)
+		}
+		if len(lk.queue) != 0 || lk.freeAt > now {
+			t.Fatalf("cycle %d: free link %d->%d holds %d packets, busy until %d",
+				now, lk.u, lk.v, len(lk.queue), lk.freeAt)
+		}
+	}
+	return active
+}
+
+// stepChecked runs a single-lane run cycle by cycle as loop does, checking
+// the link store after every cycle. It returns the run's stats, the number
+// of links reused, and how often a fault event reached a reused link
+// through eachFrom (node faults) or peek (link faults).
+func stepChecked(t *testing.T, r *laneRun, ln *simLane) (st ImplicitFaultStats, reused, nodeHits, linkHits int) {
+	t.Helper()
+	s := ln.store
+	recycled := map[*elink]bool{}
+	now := 0
+	for ; now < ln.deadline; now++ {
+		for _, c := range r.changesAt[now] {
+			switch {
+			case !c.down:
+			case c.kind == NodeFault:
+				s.eachFrom(c.u, func(lk *elink) {
+					if recycled[lk] {
+						nodeHits++
+					}
+				})
+			default:
+				for _, lk := range []*elink{s.peek(c.u, c.v), s.peek(c.v, c.u)} {
+					if lk != nil && recycled[lk] {
+						linkHits++
+					}
+				}
+			}
+		}
+		free := append([]*elink(nil), s.free...)
+		stop, err := ln.step(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		active := checkLinkStore(t, s, now)
+		for _, lk := range free {
+			if active[lk] {
+				recycled[lk] = true
+			}
+		}
+		if stop {
+			break
+		}
+	}
+	return r.stats([]*simLane{ln}, now), len(recycled), nodeHits, linkHits
+}
+
+// TestLinkRecycling drives high-rate faulty runs on a built graph and on an
+// implicit topology cycle by cycle. Idle links go onto the store's free
+// list and are reused; the node and link faults must reach reused links
+// through eachFrom and peek. Every cycle the store must be consistent and
+// every free link empty and free, and each run must conserve packets and
+// match its public entry point's stats.
+func TestLinkRecycling(t *testing.T) {
+	check := func(t *testing.T, r *laneRun, lanes []*simLane, want ImplicitFaultStats, builtGraph bool) {
+		t.Helper()
+		st, reused, nodeHits, linkHits := stepChecked(t, r, lanes[0])
+		if reused == 0 || nodeHits == 0 || linkHits == 0 {
+			t.Fatalf("links reused %d, node faults on reused links %d, link faults on reused links %d: want all > 0",
+				reused, nodeHits, linkHits)
+		}
+		fs := st.FaultStats
+		lost := fs.Lost
+		if !builtGraph {
+			lost += fs.Expired // on built graphs Expired is a subset of Lost
+		}
+		if fs.Injected == 0 || fs.Injected != fs.Delivered+lost {
+			t.Fatalf("packet conservation: %+v", fs)
+		}
+		if st != want {
+			t.Fatalf("stepped run diverged from its entry point:\n%+v\nvs %+v", st, want)
+		}
+	}
+
+	t.Run("built", func(t *testing.T) {
+		g := mustBuild(t, networks.Hypercube{Dim: 6}.Build)
+		cfg := Config{Graph: g, InjectionRate: 0.3, WarmupCycles: 30, MeasureCycles: 100, Seed: 3}
+		fc := FaultConfig{Plan: recyclingPlan(topo.NewMaterialized(g, nil), 5)}
+		want, err := RunFaulty(cfg, fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fc.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		r, lanes, err := newLanes(builtRun(cfg, fc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, r, lanes, ImplicitFaultStats{FaultStats: want}, true)
+	})
+
+	t.Run("implicit", func(t *testing.T) {
+		const dim = 8
+		ht, space := topo.HypercubeTopo{Dim: dim}, topo.SubcubeSpace{Dim: dim, Low: 4}
+		plan := recyclingPlan(ht, 6)
+		sharded := func(lanes int) ShardedConfig {
+			return ShardedConfig{
+				NewLane: func() (Topology, Router, FaultSink, error) {
+					fs := topo.NewFaultSet()
+					return ht, topo.NewFaultAware(ht, topo.HypercubeRouter{Dim: dim}, fs), fs, nil
+				},
+				Space:         space,
+				InjectionRate: 0.3, WarmupCycles: 30, MeasureCycles: 100, Seed: 5,
+				OffModulePeriod: 2, Lanes: lanes, Plan: plan,
+			}
+		}
+		cfg := sharded(1)
+		want, err := RunSharded(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, lanes, err := newLanes(cfg, runOpts{moduleOf: space.Module})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, r, lanes, want, false)
+
+		// Every lane recycles into its own free list: a multi-lane run
+		// must not depend on how many lanes run at once.
+		cfg = sharded(4)
+		one, err := RunSharded(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Shards = 4
+		four, err := RunSharded(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one != four {
+			t.Fatalf("4 lanes diverge between 1 and 4 shards:\n%+v\nvs %+v", one, four)
+		}
+		if one.Injected != one.Delivered+one.Lost+one.Expired {
+			t.Fatalf("packet conservation: %+v", one.FaultStats)
+		}
+	})
+}
+
+// TestTypedNilFaultSink: a lane whose fault sink is a nil *topo.FaultSet
+// has no fault sink, so a run with a fault plan must refuse it with the
+// documented error instead of dereferencing nil mid-run.
+func TestTypedNilFaultSink(t *testing.T) {
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("panic: %v", p)
+		}
+	}()
+	_, imp, _, fa := faultTestNet(t)
+	plan := recyclingPlan(imp, 1)
+	var nilSet *topo.FaultSet
+	_, err := RunSharded(ShardedConfig{
+		NewLane: func() (Topology, Router, FaultSink, error) {
+			return imp, fa, nilSet, nil
+		},
+		InjectionRate: 0.05, WarmupCycles: 10, MeasureCycles: 200, Seed: 1, Lanes: 1, Plan: plan,
+	})
+	if err == nil || !strings.Contains(err.Error(), "a fault plan needs a FaultSink") {
+		t.Fatalf("RunSharded: err = %v, want the missing-FaultSink error", err)
+	}
+	_, err = RunImplicitFaulty(ImplicitConfig{Topo: imp, Router: fa, InjectionRate: 0.05,
+		WarmupCycles: 10, MeasureCycles: 200, Seed: 1}, ImplicitFaultConfig{Plan: plan, Faults: nilSet})
+	if err == nil || !strings.Contains(err.Error(), "a fault plan needs a FaultSink") {
+		t.Fatalf("RunImplicitFaulty: err = %v, want the missing-FaultSink error", err)
 	}
 }

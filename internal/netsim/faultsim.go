@@ -249,11 +249,10 @@ type bfsRoutes struct {
 	allTables [][][]int32
 	live      []int32 // scratch
 
-	// fs is the lane's fault set (nil unless degraded; runBuilt gives a
-	// degraded lane a *topo.FaultSet). Routing reads a lock-free copy of
-	// it, deadNode and the dead out-arcs of every node, retaken whenever
-	// the set's epoch moves. nodeDead and linkDead are the liveness
-	// predicates the rebuilt tables are built with.
+	// fs is the lane's fault set (nil unless degraded). Routing reads a
+	// lock-free copy of it, deadNode and the dead out-arcs of every node,
+	// retaken whenever the set's epoch moves. nodeDead and linkDead are the
+	// liveness predicates the rebuilt tables are built with.
 	fs        *topo.FaultSet
 	snapEpoch uint64
 	deadNode  []bool
@@ -281,8 +280,7 @@ func newBFSRoutes(g *graph.Graph, adaptive bool, ln *simLane) *bfsRoutes {
 	} else {
 		b.tables = make([]route.NextHopTable, n)
 	}
-	if fs, ok := ln.faults.(*topo.FaultSet); ok {
-		b.fs = fs
+	if b.fs = ln.faults; b.fs != nil {
 		b.deadNode, b.deadOut = make([]bool, n), make([][]int32, n)
 		b.nodeDead = func(v int32) bool { return b.deadNode[v] }
 		b.linkDead = func(u, v int32) bool { return slices.Contains(b.deadOut[u], v) }
@@ -423,12 +421,20 @@ func RunFaulty(cfg Config, fc FaultConfig) (FaultStats, error) {
 
 // runBuilt runs a normalized configuration on its built graph.
 func runBuilt(cfg Config, fc FaultConfig) (FaultStats, error) {
+	st, err := runLanes(builtRun(cfg, fc))
+	return st.FaultStats, err
+}
+
+// builtRun returns the lane-runner arguments of a normalized built-graph
+// configuration: one lane over topo.NewMaterialized, with the built-graph
+// extras in runOpts.
+func builtRun(cfg Config, fc FaultConfig) (ShardedConfig, runOpts) {
 	g := cfg.Graph
 	t := topo.NewMaterialized(g, nil)
 	degraded := fc.Plan.Len() > 0
 	pattern := cfg.Pattern
 	period, maxPeriod := cfg.linkPeriods()
-	st, err := runLanes(ShardedConfig{
+	return ShardedConfig{
 		NewLane: func() (Topology, Router, FaultSink, error) {
 			var fs FaultSink
 			if degraded {
@@ -450,8 +456,7 @@ func runBuilt(cfg Config, fc FaultConfig) (FaultStats, error) {
 			return int64(pattern(int32(src), int(n), rng))
 		},
 		Probe: cfg.Probe,
-	}, runOpts{graph: g, period: period, maxPeriod: maxPeriod, adaptive: cfg.Adaptive, fc: fc})
-	return st.FaultStats, err
+	}, runOpts{graph: g, period: period, maxPeriod: maxPeriod, adaptive: cfg.Adaptive, fc: fc}
 }
 
 // RunFaultyWithBaseline runs cfg fault-free (Run) and under the plan

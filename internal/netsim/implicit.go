@@ -105,27 +105,15 @@ type Injection struct {
 	Dst int64 // destination node, != Src
 }
 
+// normalize checks what the lane runner cannot see (the Topo and Router
+// themselves and the script) and sorts a copy of the script; the lane
+// runner checks and defaults the rest.
 func (cfg *ImplicitConfig) normalize() error {
 	if cfg.Topo == nil || cfg.Topo.N() < 2 {
 		return fmt.Errorf("netsim: need a topology with at least 2 nodes")
 	}
 	if cfg.Router == nil {
 		return fmt.Errorf("netsim: implicit runs need a Router (no table fallback)")
-	}
-	if cfg.InjectionRate < 0 || cfg.InjectionRate > 1 {
-		return fmt.Errorf("netsim: injection rate %v out of [0,1]", cfg.InjectionRate)
-	}
-	if cfg.OffModulePeriod < 1 {
-		cfg.OffModulePeriod = 1
-	}
-	if cfg.DrainCycles == 0 {
-		cfg.DrainCycles = 10 * (cfg.WarmupCycles + cfg.MeasureCycles)
-	}
-	if cfg.Flits < 1 {
-		cfg.Flits = 1
-	}
-	if cfg.MaxHops < 1 {
-		cfg.MaxHops = 4096
 	}
 	n := cfg.Topo.N()
 	for i, sc := range cfg.Script {

@@ -16,21 +16,16 @@
 // adapter; the engine wiring is the lane runner (sharded.go).
 package netsim
 
-import "fmt"
+import (
+	"fmt"
 
-// FaultSink is the id-space liveness store shared between RunImplicitFaulty
-// and a fault-aware router. It is satisfied by *topo.FaultSet. Link
-// mutations are directed arcs — the simulator calls both directions on
-// undirected topologies.
-type FaultSink interface {
-	FailLink(u, v int64)
-	RepairLink(u, v int64)
-	FailNode(u int64)
-	RepairNode(u int64)
-	LinkDown(u, v int64) bool
-	NodeDown(u int64) bool
-	Blocked(u, v int64) bool
-}
+	"repro/internal/topo"
+)
+
+// FaultSink is the id-space liveness store shared between the simulator
+// and a fault-aware router: a *topo.FaultSet. Link mutations are directed
+// arcs; the simulator calls both directions on undirected topologies.
+type FaultSink = *topo.FaultSet
 
 // flaggedRouter is the optional router extension that reports whether a hop
 // belongs to a fault-detoured route; topo.FaultAware implements it. Without

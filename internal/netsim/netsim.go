@@ -71,11 +71,12 @@ type Config struct {
 	Probe obs.Probe
 }
 
-// normalize applies defaults and validates the configuration of the
-// materialized simulator (RunFaulty, and so Run). It rejects a missing or
-// trivial graph, an injection rate outside [0,1], a Partition that does not
-// cover the graph's nodes (metrics.Partition.Validate), and a PeriodFunc
-// that returns a period < 1 on any link of the topology.
+// normalize validates what only the materialized simulator (RunFaulty, and
+// so Run) has and applies its defaults: it rejects a missing or trivial
+// graph, a Partition that does not cover the graph's nodes
+// (metrics.Partition.Validate), and a PeriodFunc that returns a period < 1
+// on any link of the topology. The settings every run shares (injection
+// rate, drain, flits) are checked by the lane runner.
 func (cfg *Config) normalize() error {
 	g := cfg.Graph
 	if g == nil || g.N() < 2 {
@@ -83,15 +84,6 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.OffModulePeriod < 1 {
 		cfg.OffModulePeriod = 1
-	}
-	if cfg.InjectionRate < 0 || cfg.InjectionRate > 1 {
-		return fmt.Errorf("netsim: injection rate %v out of [0,1]", cfg.InjectionRate)
-	}
-	if cfg.DrainCycles == 0 {
-		cfg.DrainCycles = 10 * (cfg.WarmupCycles + cfg.MeasureCycles)
-	}
-	if cfg.Flits < 1 {
-		cfg.Flits = 1
 	}
 	if cfg.Pattern == nil {
 		cfg.Pattern = Uniform

@@ -200,9 +200,10 @@ type runOpts struct {
 	// single lane.
 	script []Injection
 
-	// graph selects the built-graph wiring (RunFaulty, and so Run): the
-	// dense link store visited in (node, slot) order, BFS-table routes in
-	// place of the lanes' Router, and in a degraded run the flow layer.
+	// graph selects the built-graph wiring (RunFaulty, and so Run):
+	// BFS-table routes in place of the lanes' Router, and in a degraded run
+	// the flow layer. Links live in the one link store over the lane's
+	// topology, as on every run.
 	graph *graph.Graph
 	// period and maxPeriod replace moduleOf's rule on built graphs: the
 	// PeriodFunc/Partition rule and its largest value, which sizes the
@@ -227,6 +228,8 @@ type laneRun struct {
 	space      ModuleSpace
 	changesAt  map[int][]laneChange
 	lastChange int
+	// window is the conservative lookahead of a multi-lane run.
+	window int
 }
 
 // laneOf returns the lane owning node u.
@@ -279,9 +282,26 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 
 // runLanes is the lane runner behind every entry point.
 func runLanes(cfg ShardedConfig, o runOpts) (ImplicitFaultStats, error) {
-	var out ImplicitFaultStats
+	r, lanes, err := newLanes(cfg, o)
+	if err != nil {
+		return ImplicitFaultStats{}, err
+	}
+	var stop int
+	if len(lanes) == 1 {
+		stop, err = lanes[0].loop()
+	} else {
+		stop, err = runWindows(lanes, r.cfg.Shards, r.window, r.lastChange, r.cfg.Probe)
+	}
+	if err != nil {
+		return ImplicitFaultStats{}, err
+	}
+	return r.stats(lanes, stop), nil
+}
+
+// newLanes normalizes cfg and builds the run's lanes, ready for cycle 0.
+func newLanes(cfg ShardedConfig, o runOpts) (*laneRun, []*simLane, error) {
 	if err := cfg.normalize(); err != nil {
-		return out, err
+		return nil, nil, err
 	}
 	built := o.graph != nil
 	r := &laneRun{cfg: cfg, o: o, degraded: cfg.Plan.Len() > 0}
@@ -290,28 +310,28 @@ func runLanes(cfg ShardedConfig, o runOpts) (ImplicitFaultStats, error) {
 	for i := range lanes {
 		t, rt, fs, err := cfg.NewLane()
 		if err != nil {
-			return out, fmt.Errorf("netsim: lane %d: %w", i, err)
+			return nil, nil, fmt.Errorf("netsim: lane %d: %w", i, err)
 		}
 		if t == nil || rt == nil && !built {
-			return out, fmt.Errorf("netsim: lane %d: NewLane returned a nil topology or router", i)
+			return nil, nil, fmt.Errorf("netsim: lane %d: NewLane returned a nil topology or router", i)
 		}
 		if r.degraded && fs == nil {
-			return out, fmt.Errorf("netsim: lane %d: a fault plan needs a FaultSink shared with the lane's router", i)
+			return nil, nil, fmt.Errorf("netsim: lane %d: a fault plan needs a FaultSink shared with the lane's router", i)
 		}
 		lanes[i] = &simLane{idx: i, run: r, topo: t, router: rt, faults: fs}
 	}
 	r.n = lanes[0].topo.N()
 	if r.n < 2 {
-		return out, fmt.Errorf("netsim: need a topology with at least 2 nodes")
+		return nil, nil, fmt.Errorf("netsim: need a topology with at least 2 nodes")
 	}
 	r.directed = lanes[0].topo.Directed()
 	for _, ln := range lanes[1:] {
 		if ln.topo.N() != r.n {
-			return out, fmt.Errorf("netsim: lane %d topology has %d nodes, lane 0 has %d", ln.idx, ln.topo.N(), r.n)
+			return nil, nil, fmt.Errorf("netsim: lane %d topology has %d nodes, lane 0 has %d", ln.idx, ln.topo.N(), r.n)
 		}
 	}
 	if err := cfg.Plan.ValidateTopo(lanes[0].topo); err != nil {
-		return out, err
+		return nil, nil, err
 	}
 
 	r.space = cfg.Space
@@ -320,7 +340,7 @@ func runLanes(cfg ShardedConfig, o runOpts) (ImplicitFaultStats, error) {
 	}
 	M, S := r.space.Modules(), r.space.ModuleSize()
 	if M*S != r.n {
-		return out, fmt.Errorf("netsim: module space covers %d*%d nodes, topology has %d", M, S, r.n)
+		return nil, nil, fmt.Errorf("netsim: module space covers %d*%d nodes, topology has %d", M, S, r.n)
 	}
 	single := cfg.Lanes == 1
 	L := int64(cfg.Lanes)
@@ -340,9 +360,9 @@ func runLanes(cfg ShardedConfig, o runOpts) (ImplicitFaultStats, error) {
 	// The conservative lookahead: every cross-lane link crosses a module
 	// boundary, so its delay is exactly this many cycles and arrivals from
 	// window k land in window k+1 or later.
-	window := maxPeriod
+	r.window = maxPeriod
 	if !cfg.CutThrough {
-		window *= cfg.Flits
+		r.window *= cfg.Flits
 	}
 
 	total := cfg.WarmupCycles + cfg.MeasureCycles
@@ -382,29 +402,24 @@ func runLanes(cfg ShardedConfig, o runOpts) (ImplicitFaultStats, error) {
 			}
 			ln.outbox = make([][]laneSend, cfg.Lanes)
 		}
+		ln.store = newSparseLinks(ln.topo)
 		if built {
-			ln.store = newDenseLinks(o.graph)
 			ln.tables = newBFSRoutes(o.graph, o.adaptive, ln)
 			if r.degraded {
 				ln.flows = &flowTable{retryAt: map[int][]int32{}}
 			}
 		} else {
-			ln.store = newSparseLinks(ln.topo)
 			ln.flagged, _ = ln.router.(flaggedRouter)
 		}
 	}
 
-	var stop int
-	var err error
-	if single {
-		stop, err = lanes[0].loop()
-	} else {
-		stop, err = runWindows(lanes, cfg.Shards, window, r.lastChange, cfg.Probe)
-	}
-	if err != nil {
-		return out, err
-	}
+	return r, lanes, nil
+}
 
+// stats sums the lanes' statistics of a run that stopped at cycle stop.
+func (r *laneRun) stats(lanes []*simLane, stop int) ImplicitFaultStats {
+	var out ImplicitFaultStats
+	cfg := r.cfg
 	st := &out.FaultStats
 	var latencySum int64
 	inFlight := 0
@@ -458,7 +473,7 @@ func runLanes(cfg ShardedConfig, o runOpts) (ImplicitFaultStats, error) {
 		}
 	}
 	st.fillQuantiles(cfg.Probe)
-	return out, nil
+	return out
 }
 
 // lose drops a packet copy. Loss counters track measured traffic only, so

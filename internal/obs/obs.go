@@ -28,7 +28,7 @@
 // wiring, so the hooks fire in the same per-cycle phase order everywhere:
 // Tick, then topology changes, arrivals, retransmission timers, injection
 // and link advance (a multi-lane run replays each cycle lane by lane, in
-// lane order). Implicit runs allocate link FIFOs lazily (a directed link
+// lane order). Every run allocates link FIFOs lazily (a directed link
 // exists in memory only while it holds or recently carried a packet), but
 // the contract is unchanged — Enqueue fires when a packet joins the FIFO of
 // a directed link, Hop when the link starts transmitting — so collectors
