@@ -198,9 +198,10 @@ func BenchmarkRouting(b *testing.B) {
 }
 
 // BenchmarkAlgebraicRoute measures end-to-end id-space routing on the
-// implicit topology of sym-HSN(3;Q4): unrank src and dst, compute the
-// Theorem 4.3 route, replay its generator word on ids (core.Ranker.Step) —
-// the whole per-packet cost of routing without a materialized graph.
+// implicit topology of sym-HSN(3;Q4): compute the Theorem 4.3 route's
+// generator word on rank digits (core.Router.WordID) and replay it on ids
+// (core.Ranker.Step) — the whole per-packet cost of routing without a
+// materialized graph, and with no label.
 func BenchmarkAlgebraicRoute(b *testing.B) {
 	net := superip.HSN(3, superip.NucleusHypercube(4)).SymmetricVariant()
 	r, err := topo.NewAlgebraic(net.Super())
@@ -323,6 +324,30 @@ func BenchmarkRouteSymHSN3Q4(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		word, err = r.Word(labels[i%len(labels)], labels[(i*7+1)%len(labels)], word[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWordID is BenchmarkRouteSymHSN3Q4 on ids: the Theorem 4.3 route
+// alone, computed on rank digits by core.Router.WordID between the same
+// node pairs, into a reused buffer.
+func BenchmarkWordID(b *testing.B) {
+	s, rk := symHSN3Q4Ranker(b)
+	r, err := core.NewRouter(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]int64, 1024)
+	for i := range ids {
+		ids[i] = (int64(i) * 2654435761) % rk.N()
+	}
+	var word []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		word, err = r.WordID(ids[i%len(ids)], ids[(i*7+1)%len(ids)], word[:0])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,7 +27,10 @@ import (
 // digit by digit (Step). A nucleus generator rewrites only d_0, through an
 // M x d_N table of nucleus state transitions. A super-generator with block
 // permutation bp moves digit d_bp[i] to position i, and in the symmetric
-// variant maps arrIdx through an A x d_S table. Neither needs a label.
+// variant maps arrIdx through an A x d_S table. Neither needs a label, and
+// so routes, like neighbors, need none: the Theorem 4.1/4.3 walk reads only
+// the leftmost block's state d_0 and the destination's digits and applies
+// generators, so Router.WordID runs it on ranks.
 //
 // The nucleus index, the arrangement subgroup and both transition tables
 // depend only on the specification: SuperIP builds them once, under a
@@ -224,6 +227,14 @@ func (r *Ranker) Step(id int64, gen int) int64 {
 		next += int64(r.arrNext[int(arr)*r.numSuper+j]) * r.pow[r.l]
 	}
 	return next
+}
+
+// digit returns digit d_pos of node id: the nucleus state of the
+// super-symbol at position pos of its label. M^(l-pos) divides the
+// arrangement's place value M^l, so the remainder drops it too. The caller
+// must pass id in [0, N) and pos in [0, l).
+func (r *Ranker) digit(id int64, pos int) int32 {
+	return int32(id % r.pow[r.l-pos] / r.pow[r.l-1-pos])
 }
 
 // N returns the node count A * M^l, per Theorem 3.2 / Section 3.5.

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -353,8 +356,9 @@ func TestWordMatchesRoute(t *testing.T) {
 	}
 }
 
-// TestWordAllocs checks that a route allocates nothing once the router's
-// tables exist and the caller's buffer is large enough.
+// TestWordAllocs checks that a route, on labels or on ids, allocates
+// nothing once the router's tables exist and the caller's buffer is large
+// enough.
 func TestWordAllocs(t *testing.T) {
 	for name, s := range map[string]*SuperIP{
 		"HSN(2;Q5)":     hsn(2, nucleusQ(5), false),
@@ -379,6 +383,13 @@ func TestWordAllocs(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(10, func() { buf, _ = r.Word(src, dst, buf[:0]) }); n != 0 {
 				t.Fatalf("%s: Word(%v, %v) makes %.1f allocations, want 0", name, src, dst, n)
+			}
+			u, v := rng.Int63n(rk.N()), rng.Int63n(rk.N())
+			if buf, err = r.WordID(u, v, buf[:0]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if n := testing.AllocsPerRun(10, func() { buf, _ = r.WordID(u, v, buf[:0]) }); n != 0 {
+				t.Fatalf("%s: WordID(%d, %d) makes %.1f allocations, want 0", name, u, v, n)
 			}
 		}
 	}
@@ -454,5 +465,78 @@ func TestRouterBeyondRankSpace(t *testing.T) {
 			t.Fatalf("route %v -> %v ends at %v after %d hops (bound %d)",
 				src, dst, path.Labels[len(path.Labels)-1], path.Hops(), bound)
 		}
+	}
+	if word, err := r.WordID(0, 1, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("WordID beyond rank space = %v, %v; want an overflow error", word, err)
+	}
+}
+
+// TestWordIDConcurrent builds four routers of one fresh symmetric
+// specification concurrently and routes on ids from each in parallel. Every
+// router takes the specification's shared rank tables on its first id
+// route, and builds its own cover and plan tables, so under -race the test
+// pins that the shared tables are only read. Every word must match the
+// label route of a router of a separate, equal specification.
+func TestWordIDConcurrent(t *testing.T) {
+	s := hsn(3, nucleusQ(2), true)
+	ref := hsn(3, nucleusQ(2), true)
+	refRouter, err := NewRouter(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRanker, err := ref.Ranker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seeded pairs, and the label word of each.
+	const pairs = 10000
+	n := refRanker.N()
+	rng := rand.New(rand.NewSource(20))
+	src, dst := make([]int64, pairs), make([]int64, pairs)
+	want := make([][]int, pairs)
+	for i := range want {
+		src[i], dst[i] = rng.Int63n(n), rng.Int63n(n)
+		if want[i], err = refRouter.Word(refRanker.Unrank(src[i], nil), refRanker.Unrank(dst[i], nil), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers = 4
+	routers := make([]*Router, workers)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := range routers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if routers[w], err = NewRouter(s); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	for w, r := range routers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var word []int
+			for i := range pairs {
+				k := (i + w*pairs/workers) % pairs
+				var err error
+				if word, err = r.WordID(src[k], dst[k], word[:0]); err != nil {
+					errs <- err
+					return
+				}
+				if !slices.Equal(word, want[k]) {
+					errs <- fmt.Errorf("router %d: WordID(%d, %d) = %v, label word %v", w, src[k], dst[k], word, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/perm"
 	"repro/internal/superip"
+	"repro/internal/symbols"
 )
 
 // labelNeighbors is the label-space reference for Implicit.Neighbors: unrank
@@ -98,6 +100,82 @@ func TestDigitNeighborsMatchLabels(t *testing.T) {
 	big := superip.HSN(4, superip.NucleusHypercube(5)).SymmetricVariant()
 	rng := rand.New(rand.NewSource(18))
 	check(big, 50000, func(int64) int64 { return rng.Int63n(int64(big.N())) })
+}
+
+// TestWordIDMatchesWord checks the route word computed on ranks
+// (core.Router.WordID) against the one computed on the unranked labels
+// (core.Router.Word), errors included, on 3,000 seeded pairs of every
+// digitGrid instance, every 50th pair a node routed to itself, and on a
+// seeded 50,000-pair sample of the 25,165,824-node sym-HSN(4;Q5). Both
+// walks read only the generator action, the same rule at every vertex of
+// the Cayley (coset) graph, so a sample checks the digit walk as well as a
+// sweep would.
+func TestWordIDMatchesWord(t *testing.T) {
+	check := func(net *superip.Net, pairs int, seed int64) {
+		s := net.Super()
+		r, err := core.NewRouter(s)
+		if err != nil {
+			t.Fatalf("%s: %v", net.Name(), err)
+		}
+		rk, err := s.Ranker()
+		if err != nil {
+			t.Fatalf("%s: %v", net.Name(), err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var byID, byLabel []int
+		srcLbl, dstLbl := make(symbols.Label, rk.LabelLen()), make(symbols.Label, rk.LabelLen())
+		for i := 0; i < pairs; i++ {
+			src, dst := rng.Int63n(rk.N()), rng.Int63n(rk.N())
+			if i%50 == 0 {
+				dst = src
+			}
+			var errID, errLabel error
+			byID, errID = r.WordID(src, dst, byID[:0])
+			byLabel, errLabel = r.Word(rk.Unrank(src, srcLbl), rk.Unrank(dst, dstLbl), byLabel[:0])
+			if (errID == nil) != (errLabel == nil) || !slices.Equal(byID, byLabel) {
+				t.Fatalf("%s: %d -> %d: WordID %v (err %v), Word %v (err %v)",
+					net.Name(), src, dst, byID, errID, byLabel, errLabel)
+			}
+		}
+	}
+	for _, net := range digitGrid() {
+		check(net, 3000, 20)
+	}
+	check(superip.HSN(4, superip.NucleusHypercube(5)).SymmetricVariant(), 50000, 20)
+}
+
+// TestAlgebraicRejectsBadIDs checks that Path and NextHop return an error,
+// not a panic, for a node outside [0, N), on both codec paths: the id walk
+// of an Implicit codec and the label walk of a Materialized one, whose
+// range is its index size.
+func TestAlgebraicRejectsBadIDs(t *testing.T) {
+	net := superip.HSN(2, superip.NucleusHypercube(2))
+	g, ix, err := net.BuildWithIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp, err := NewImplicit(net.Super())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, codec := range map[string]Labeled{"implicit": imp, "materialized": NewMaterialized(g, ix)} {
+		a, err := NewAlgebraicWith(net.Super(), codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := imp.N()
+		for _, pair := range [][2]int64{{-1, 5}, {5, -1}, {n, 0}, {0, n + 3}} {
+			if p, err := a.Path(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s: Path(%d, %d) = %v, %v; want a range error", name, pair[0], pair[1], p, err)
+			}
+			if v, err := a.NextHop(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s: NextHop(%d, %d) = %d, %v; want a range error", name, pair[0], pair[1], v, err)
+			}
+		}
+		if p, err := a.Path(0, n-1); err != nil || p[len(p)-1] != n-1 {
+			t.Errorf("%s: Path(0, %d) after bad ids = %v, %v", name, n-1, p, err)
+		}
+	}
 }
 
 // TestDigitNeighborsConcurrent checks that Neighbors is safe for concurrent
@@ -189,9 +267,10 @@ func wantPanic(t *testing.T, call, op string, f func()) {
 }
 
 // TestAlgebraicIDReplayMatchesLabelReplay routes the same pairs over an
-// Implicit codec, whose routes are replayed on ids through Step, and over a
-// Materialized codec, whose routes are replayed on labels and ranked hop by
-// hop; translated through labels, the two paths must be the same walk.
+// Implicit codec, whose routes are computed on rank digits (WordID) and
+// replayed on ids through Step, and over a Materialized codec, whose routes
+// are computed on labels (Word), replayed on labels and ranked hop by hop;
+// translated through labels, the two paths must be the same walk.
 func TestAlgebraicIDReplayMatchesLabelReplay(t *testing.T) {
 	for _, net := range []*superip.Net{
 		superip.HSN(3, superip.NucleusHypercube(2)),

@@ -60,15 +60,20 @@ func (t *Table) Path(src, dst int64) ([]int64, error) {
 }
 
 // Algebraic routes a super-IP graph with the constructive algorithm of
-// Theorems 4.1/4.3 (core.Router), working purely on labels: the only state is
-// the nucleus routing trees, so per-node memory is O(1) in N. Node ids are
-// translated through a Labeled codec — the closed-form Ranker of an Implicit
+// Theorems 4.1/4.3 (core.Router): the only state is the nucleus routing
+// trees and the covering schedules, so per-node memory is O(1) in N. Node
+// ids are those of a Labeled codec — the closed-form Ranker of an Implicit
 // topology, or the Index of a Materialized one — so the same router serves
-// both implementations. Not safe for concurrent use.
+// both implementations. On an Implicit codec, whose ids are ranks, a route
+// is computed and replayed on ids alone (core.Router.WordID and
+// Implicit.Step); any other codec translates the endpoints to labels,
+// routes on them (core.Router.Word) and ranks every hop. Not safe for
+// concurrent use.
 type Algebraic struct {
 	r      *core.Router
 	codec  Labeled
 	step   idStepper     // the codec's generator action on ids; nil when its ids are not ranks
+	n      int64         // the codec's id count; -1 when it cannot tell
 	srcBuf symbols.Label // route source, then the label replay's current label
 	dstBuf symbols.Label
 	hopBuf symbols.Label // the label replay's next label
@@ -97,8 +102,8 @@ func NewAlgebraic(s *core.SuperIP) (*Algebraic, error) {
 // NewAlgebraicWith builds the paper's router over an explicit id <-> label
 // codec — typically a Materialized topology carrying the core.Index of a
 // built graph, so the router's paths are valid on that graph's ids. A codec
-// with a Step method (Implicit) has its routes replayed on ids; any other
-// codec on labels, ranking every hop.
+// with a Step method (Implicit) has its routes computed and replayed on
+// ids; any other codec on labels, ranking every hop.
 func NewAlgebraicWith(s *core.SuperIP, codec Labeled) (*Algebraic, error) {
 	r, err := core.NewRouter(s)
 	if err != nil {
@@ -110,6 +115,7 @@ func NewAlgebraicWith(s *core.SuperIP, codec Labeled) (*Algebraic, error) {
 		r:      r,
 		codec:  codec,
 		step:   step,
+		n:      codecSize(codec),
 		srcBuf: make(symbols.Label, s.L*m),
 		dstBuf: make(symbols.Label, s.L*m),
 		hopBuf: make(symbols.Label, s.L*m),
@@ -142,11 +148,42 @@ func (a *Algebraic) NextHop(cur, dst int64) (int64, error) {
 // and report the Delta.
 func (a *Algebraic) RouterStats() RouterStats { return a.routes.stats() }
 
-// Path returns the full algebraic route as node ids. It computes the route's
-// generator word (core.Router.Word) and replays it: on ids through the
-// codec's Step when it has one, otherwise on a scratch label, ranking each
-// hop. The returned slice is its only allocation.
+// codecSize returns the number of ids codec translates: the index size of
+// a Materialized codec, the node count of one that is a topology, and -1
+// for any other codec, whose Label alone decides what it accepts.
+func codecSize(codec Labeled) int64 {
+	if m, ok := codec.(*Materialized); ok && m.Ix != nil {
+		return int64(m.Ix.N())
+	}
+	if t, ok := codec.(Topology); ok {
+		return t.N()
+	}
+	return -1
+}
+
+// Path returns the full algebraic route as node ids. On a codec with a Step
+// it computes the route's generator word on ids (core.Router.WordID) and
+// replays it through Step; on any other codec it computes the word on the
+// endpoints' labels (core.Router.Word) and replays it on a scratch label,
+// ranking each hop. The returned slice is its only allocation. An id
+// outside the codec's range is an error.
 func (a *Algebraic) Path(src, dst int64) ([]int64, error) {
+	if a.step != nil {
+		word, err := a.r.WordID(src, dst, a.word[:0])
+		if err != nil {
+			return nil, err
+		}
+		a.word = word
+		out := make([]int64, len(word)+1)
+		out[0] = src
+		for i, gi := range word {
+			out[i+1] = a.step.Step(out[i], gi)
+		}
+		return out, nil
+	}
+	if a.n >= 0 && (src < 0 || src >= a.n || dst < 0 || dst >= a.n) {
+		return nil, fmt.Errorf("topo: route %d -> %d: node out of range [0,%d)", src, dst, a.n)
+	}
 	a.srcBuf = append(a.srcBuf[:0], a.codec.Label(src)...)
 	a.dstBuf = append(a.dstBuf[:0], a.codec.Label(dst)...)
 	word, err := a.r.Word(a.srcBuf, a.dstBuf, a.word[:0])
@@ -156,12 +193,6 @@ func (a *Algebraic) Path(src, dst int64) ([]int64, error) {
 	a.word = word
 	out := make([]int64, len(word)+1)
 	out[0] = src
-	if a.step != nil {
-		for i, gi := range word {
-			out[i+1] = a.step.Step(out[i], gi)
-		}
-		return out, nil
-	}
 	gens := a.r.Gens()
 	cur, next := a.srcBuf, a.hopBuf
 	for i, gi := range word {

@@ -18,9 +18,10 @@
 // generator acts on the id directly (core.Ranker.Step): neighbors and route
 // hops are integer arithmetic on shared immutable tables, with no label on
 // the simulator's hot path. Routers pair with topologies the same way:
-// Table is the BFS next-hop oracle over a materialized graph, and
-// Algebraic, Hypercube, and Star compute next hops arithmetically from
-// labels alone.
+// Table is the BFS next-hop oracle over a materialized graph; Algebraic
+// computes the Theorem 4.1/4.3 route on an Implicit id's rank digits (on
+// labels over any other codec), and Hypercube and Star compute next hops
+// arithmetically on ids.
 package topo
 
 import "repro/internal/symbols"
@@ -62,8 +63,8 @@ type Modular interface {
 
 // Router decides, per hop, where a packet at cur should go next on its way
 // to dst. Implementations derive the decision either from O(1) per-node
-// label arithmetic (Algebraic, Hypercube, Star) or from materialized BFS
-// tables (Table). A Router is not safe for concurrent use unless documented
+// id or label arithmetic (Algebraic, Hypercube, Star) or from materialized
+// BFS tables (Table). A Router is not safe for concurrent use unless documented
 // otherwise.
 type Router interface {
 	// NextHop returns the next node on a route from cur toward dst.
