@@ -98,6 +98,29 @@ func BenchmarkRunImplicitQ6(b *testing.B) {
 	}
 }
 
+// BenchmarkRunImplicitQ14ECube is one run of the sim-q14-ecube benchmark
+// workload: Q14 with e-cube routing, 16-node subcube modules at off-module
+// period 2, uniform traffic at rate 0.02, 50 warmup and 100 measured cycles.
+// Next hops and neighbors are bit operations, so the engine's link store and
+// injection sampler dominate.
+func BenchmarkRunImplicitQ14ECube(b *testing.B) {
+	cfg := ImplicitConfig{
+		Topo:          topo.HypercubeTopo{Dim: 14},
+		Router:        topo.HypercubeRouter{Dim: 14},
+		ModuleOf:      topo.SubcubeSpace{Dim: 14, Low: 4}.Module,
+		InjectionRate: 0.02, OffModulePeriod: 2,
+		WarmupCycles: 50, MeasureCycles: 100,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		if _, err := RunImplicit(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunImplicitQ6Probed measures the BenchmarkRunImplicitQ6 workload
 // with collectors attached (latency histogram, module-aggregated series, and
 // a sparse per-link time series) — the price of observing an implicit run.

@@ -1,9 +1,11 @@
 // The simulation engine. Every simulator in this package runs on the one
 // engine in this file: one packet struct (epacket), one link store
-// (sparseLinks: only live link FIFOs, keyed by (node, port), visited in
-// activation order, idle ones recycled; built graphs run on it through
-// topo.Materialized like any implicit topology), one future-arrival ring,
-// one injection sampler, and one per-cycle phase order
+// (sparseLinks: only live link FIFOs, keyed by (node, port) in an
+// open-addressed table, the port found through the topology's topo.Porter
+// where it has one, visited in activation order, idle ones recycled; built
+// graphs run on it through topo.Materialized like any implicit topology),
+// one future-arrival ring, one injection sampler, and one per-cycle phase
+// order
 //
 //	tick → apply topology changes → deliver arrivals → fire retransmission
 //	timers → inject (or test the drain break) → advance links
@@ -41,9 +43,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
+	"repro/internal/topo"
 )
 
 // epacket is the one in-flight packet representation. ttl backs a
@@ -60,10 +63,11 @@ type epacket struct {
 	degraded bool
 }
 
-// elink is the FIFO of one directed link u -> v. Liveness lives in the
-// run's FaultSink, not here.
+// elink is the FIFO of one directed link u -> v, stored under key in the
+// link store. Liveness lives in the run's FaultSink, not here.
 type elink struct {
 	u, v   int64
+	key    int64
 	queue  []epacket
 	freeAt int
 }
@@ -215,36 +219,44 @@ func (ln *simLane) transmit(now int, lk *elink) {
 // ---------------------------------------------------------------------------
 // The link store: only links that currently hold or recently transmitted a
 // packet exist, keyed by u*maxDegree + port (port = index of the target in
-// u's sorted neighbor list). The active list keeps activation order, so the
-// advance phase, and therefore the whole run, is deterministic. An idle
-// link goes onto the free list; a link taken from it is reset but keeps its
-// queue's backing array.
+// u's sorted neighbor list) in an open-addressed linkTable. The port comes
+// from the topology's topo.Porter, resolved once when the store is built:
+// bit counts on a hypercube, a binary search of the CSR row on a built
+// graph, and for any other topology a binary search of the neighbor list
+// Neighbors builds (neighborSearch). The active list holds the links
+// themselves in activation order, so the advance phase, and therefore the
+// whole run, is deterministic and looks up no key. An idle link goes onto
+// the free list; a link taken from it is reset but keeps its queue's
+// backing array.
 
 type sparseLinks struct {
-	topo   Topology
+	porter topo.Porter
 	deg    int64
-	links  map[int64]*elink
-	active []int64
+	links  linkTable
+	active []*elink
 	free   []*elink
-	nbrBuf []int64
 }
 
 func newSparseLinks(t Topology) *sparseLinks {
 	deg := int64(t.MaxDegree())
-	return &sparseLinks{
-		topo:   t,
-		deg:    deg,
-		links:  make(map[int64]*elink),
-		nbrBuf: make([]int64, 0, deg),
+	p, ok := t.(topo.Porter)
+	if !ok {
+		p = &neighborSearch{topo: t, buf: make([]int64, 0, deg)}
 	}
+	return &sparseLinks{porter: p, deg: deg, links: newLinkTable()}
 }
 
-// port returns the index of v in u's sorted neighbor list, or -1 when v is
-// not a neighbor of u.
-func (s *sparseLinks) port(u, v int64) int {
-	s.nbrBuf = s.topo.Neighbors(u, s.nbrBuf)
-	p := sort.Search(len(s.nbrBuf), func(i int) bool { return s.nbrBuf[i] >= v })
-	if p == len(s.nbrBuf) || s.nbrBuf[p] != v {
+// neighborSearch is the Porter of a topology without one: it builds u's
+// sorted neighbor list and binary-searches it for v.
+type neighborSearch struct {
+	topo Topology
+	buf  []int64
+}
+
+func (s *neighborSearch) Port(u, v int64) int {
+	s.buf = s.topo.Neighbors(u, s.buf)
+	p, ok := slices.BinarySearch(s.buf, v)
+	if !ok {
 		return -1
 	}
 	return p
@@ -253,22 +265,22 @@ func (s *sparseLinks) port(u, v int64) int {
 // get returns the FIFO of arc u->v, activating it if needed. It errors when
 // v is not a neighbor of u: a routing-layer bug.
 func (s *sparseLinks) get(u, v int64) (*elink, error) {
-	p := s.port(u, v)
+	p := s.porter.Port(u, v)
 	if p < 0 {
 		return nil, fmt.Errorf("netsim: next hop %d from %d is not a neighbor", v, u)
 	}
 	key := u*s.deg + int64(p)
-	lk, ok := s.links[key]
-	if !ok {
+	lk := s.links.get(key)
+	if lk == nil {
 		if n := len(s.free); n > 0 {
 			lk = s.free[n-1]
 			s.free = s.free[:n-1]
-			*lk = elink{u: u, v: v, queue: lk.queue[:0]}
+			*lk = elink{u: u, v: v, key: key, queue: lk.queue[:0]}
 		} else {
-			lk = &elink{u: u, v: v}
+			lk = &elink{u: u, v: v, key: key}
 		}
-		s.links[key] = lk
-		s.active = append(s.active, key)
+		s.links.put(key, lk)
+		s.active = append(s.active, lk)
 	}
 	return lk, nil
 }
@@ -276,17 +288,17 @@ func (s *sparseLinks) get(u, v int64) (*elink, error) {
 // peek returns the FIFO of arc u->v when it is active, nil otherwise (v not
 // a neighbor, or the link idle and recycled).
 func (s *sparseLinks) peek(u, v int64) *elink {
-	p := s.port(u, v)
+	p := s.porter.Port(u, v)
 	if p < 0 {
 		return nil
 	}
-	return s.links[u*s.deg+int64(p)]
+	return s.links.get(u*s.deg + int64(p))
 }
 
 // eachFrom visits the active FIFOs of u's outgoing links in port order.
 func (s *sparseLinks) eachFrom(u int64, fn func(*elink)) {
 	for port := int64(0); port < s.deg; port++ {
-		if lk, ok := s.links[u*s.deg+port]; ok {
+		if lk := s.links.get(u*s.deg + port); lk != nil {
 			fn(lk)
 		}
 	}
@@ -297,28 +309,21 @@ func (s *sparseLinks) eachFrom(u int64, fn func(*elink)) {
 // that are idle.
 func (s *sparseLinks) advance(now int, ln *simLane) {
 	live := s.active[:0]
-	for _, key := range s.active {
-		lk := s.links[key]
-		if len(lk.queue) == 0 {
+	for _, lk := range s.active {
+		switch {
+		case len(lk.queue) == 0:
 			if lk.freeAt <= now {
-				delete(s.links, key)
+				s.links.del(lk.key)
 				s.free = append(s.free, lk)
 				continue
 			}
-			live = append(live, key)
-			continue
-		}
-		if lk.freeAt > now {
-			live = append(live, key)
-			continue
-		}
-		if ln.degraded && ln.blocked(lk) {
+		case lk.freeAt > now:
+		case ln.degraded && ln.blocked(lk):
 			// Dead tail or dead link: the queue waits for a repair.
-			live = append(live, key)
-			continue
+		default:
+			ln.transmit(now, lk)
 		}
-		ln.transmit(now, lk)
-		live = append(live, key)
+		live = append(live, lk)
 	}
 	s.active = live
 }

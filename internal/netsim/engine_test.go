@@ -243,24 +243,27 @@ func recyclingPlan(tp Topology, seed int64) *FaultPlan {
 	return plan
 }
 
-// checkLinkStore checks the link store between cycles: every active key
-// holds the link of its (node, port), and every link on the free list is
-// inactive, has an empty queue and is free (freeAt <= now), so a link
-// reused in a later cycle starts empty and free. It returns the active
-// links.
+// checkLinkStore checks the link store between cycles: every active link is
+// the table's entry for its stored key, which is the key of its (node,
+// port), the table holds exactly the active links, and every link on the
+// free list is inactive, has an empty queue and is free (freeAt <= now), so
+// a link reused in a later cycle starts empty and free. It returns the
+// active links.
 func checkLinkStore(t *testing.T, s *sparseLinks, now int) map[*elink]bool {
 	t.Helper()
-	if len(s.links) != len(s.active) {
-		t.Fatalf("cycle %d: %d links, %d active keys", now, len(s.links), len(s.active))
+	if s.links.n != len(s.active) {
+		t.Fatalf("cycle %d: %d links, %d active", now, s.links.n, len(s.active))
 	}
-	active := make(map[*elink]bool, len(s.links))
-	for _, key := range s.active {
-		lk := s.links[key]
-		if lk == nil {
-			t.Fatalf("cycle %d: active key %d has no link", now, key)
+	active := make(map[*elink]bool, len(s.active))
+	for _, lk := range s.active {
+		if got := s.links.get(lk.key); got != lk {
+			t.Fatalf("cycle %d: active link %d->%d is not the entry of its key %d", now, lk.u, lk.v, lk.key)
 		}
-		if p := s.port(lk.u, lk.v); p < 0 || lk.u*s.deg+int64(p) != key {
-			t.Fatalf("cycle %d: key %d holds the link %d->%d", now, key, lk.u, lk.v)
+		if p := s.porter.Port(lk.u, lk.v); p < 0 || lk.u*s.deg+int64(p) != lk.key {
+			t.Fatalf("cycle %d: key %d holds the link %d->%d", now, lk.key, lk.u, lk.v)
+		}
+		if active[lk] {
+			t.Fatalf("cycle %d: link %d->%d is active twice", now, lk.u, lk.v)
 		}
 		active[lk] = true
 	}

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/perm"
@@ -197,4 +198,21 @@ func (t HypercubeTopo) Neighbors(u int64, buf []int64) []int64 {
 		}
 	}
 	return buf
+}
+
+// Port returns v's index in Neighbors(u) from bit counts, following the
+// order Neighbors emits: flipping a set bit b comes after the set bits above
+// it, flipping a clear bit b after every set bit and the clear bits below it.
+// It returns -1 when u and v do not differ in exactly one bit or either lies
+// outside [0, 2^Dim).
+func (t HypercubeTopo) Port(u, v int64) int {
+	n, x := t.N(), u^v
+	if u < 0 || v < 0 || u >= n || v >= n || x == 0 || x&(x-1) != 0 {
+		return -1
+	}
+	b := bits.TrailingZeros64(uint64(x))
+	if u&x != 0 {
+		return bits.OnesCount64(uint64(u) >> uint(b+1))
+	}
+	return bits.OnesCount64(uint64(u)) + b - bits.OnesCount64(uint64(u&(x-1)))
 }

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/symbols"
@@ -38,6 +40,19 @@ func (t *Materialized) Neighbors(u int64, buf []int64) []int64 {
 		buf = append(buf, int64(v))
 	}
 	return buf
+}
+
+// Port returns v's index in u's CSR row by binary search of the row in
+// place, or -1 when v is not a neighbor of u or either id is out of range.
+func (t *Materialized) Port(u, v int64) int {
+	if n := int64(t.G.N()); u < 0 || v < 0 || u >= n || v >= n {
+		return -1
+	}
+	p, ok := slices.BinarySearch(t.G.Neighbors(int32(u)), int32(v))
+	if !ok {
+		return -1
+	}
+	return p
 }
 
 // Label returns the label of node u; it panics when no Index is attached.

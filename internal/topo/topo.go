@@ -6,8 +6,9 @@
 // destination are computable directly from its label — the seed multiset
 // plus the generator algebra — with no global state. A Topology exposes
 // exactly that contract: node count, neighbor enumeration, and (through the
-// optional Labeled/Modular interfaces) the id<->label bijection and the
-// nucleus-per-module packing, all per-node O(1) in memory.
+// optional Labeled/Modular/Porter interfaces) the id<->label bijection, the
+// nucleus-per-module packing and a neighbor's index in the sorted neighbor
+// list, all per-node O(1) in memory.
 //
 // Two families of implementations are provided: Materialized wraps the
 // existing adjacency-list graph.Graph (every algorithm that works on a
@@ -59,6 +60,15 @@ type Labeled interface {
 type Modular interface {
 	Modules() int64
 	Module(u int64) int64
+}
+
+// Porter is implemented by topologies that find a neighbor's port, its index
+// in the sorted neighbor list, without enumerating the list: HypercubeTopo by
+// bit counts, Materialized by a binary search of its CSR row.
+type Porter interface {
+	// Port returns v's index in Neighbors(u), or -1 when v is not a
+	// neighbor of u (u itself and ids outside [0, N()) included).
+	Port(u, v int64) int
 }
 
 // Router decides, per hop, where a packet at cur should go next on its way
