@@ -251,6 +251,12 @@ func main() {
 	flag.Parse()
 	ratioList, rateList := parseInts(*ratios), parseFloats(*rates)
 	exitIf(validateSweep(ratioList, *cycles, *warmup))
+	if *shards < 0 {
+		exitIf(fmt.Errorf("-shards must be >= 0 (got %d)", *shards))
+	}
+	if *nFaults < 0 {
+		exitIf(fmt.Errorf("-faults must be >= 0 (got %d)", *nFaults))
+	}
 
 	o := obsOpts{
 		hist: *histOn, tsFile: *tsFile, tsEvery: *tsEvery,

@@ -118,6 +118,8 @@ func TestBadSpecsExitOne(t *testing.T) {
 		{[]string{"-net", "hypercube", "-dim", "4", "-module", "5"}, "-module 5"},
 		{[]string{"-net", "hypercube", "-implicit"}, "super-IP family"},
 		{[]string{"-net", "torus", "-module", "0"}, "-module 0"},
+		{[]string{"-implicit", "-shards", "-1"}, "-shards must be >= 0"},
+		{[]string{"-faults", "-1"}, "-faults must be >= 0"},
 	}
 	for _, c := range cases {
 		_, stderr, code := simulate(t, append(c.args, "-ratios", "1", "-cycles", "10", "-warmup", "0")...)

@@ -10,6 +10,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -84,6 +85,28 @@ func (f *flowNet) maxflow(s, t int32, bound int) int {
 	return flow
 }
 
+// splitNet builds the node-split flow network of g for an s-t flow: node v
+// becomes v_in = 2v and v_out = 2v+1, joined by a unit arc (capacity 100 at
+// s and t, which never bottleneck), and each arc u->v of g becomes
+// u_out -> v_in with capacity edgeCap.
+func splitNet(g *graph.Graph, s, t int32, edgeCap int8) *flowNet {
+	n := g.N()
+	f := newFlowNet(2 * n)
+	for v := 0; v < n; v++ {
+		c := int8(1)
+		if int32(v) == s || int32(v) == t {
+			c = 100
+		}
+		f.addEdge(int32(2*v), int32(2*v+1), c)
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(int32(u)) {
+			f.addEdge(int32(2*u+1), int32(2*v), edgeCap)
+		}
+	}
+	return f
+}
+
 // EdgeConnectivity returns lambda(G): the minimum number of edge removals
 // that disconnect the (undirected, connected) graph. Computed as the
 // minimum over t of maxflow(0, t) with unit edge capacities.
@@ -140,26 +163,6 @@ func VertexConnectivity(g *graph.Graph) (int, error) {
 	if complete {
 		return n - 1, nil
 	}
-	// Node-split network: node v becomes v_in = 2v, v_out = 2v+1 with a
-	// unit arc between them; edges have effectively unbounded capacity
-	// (capacity 2 suffices since node arcs bottleneck at 1... use a high
-	// value within int8).
-	flowBetween := func(s, t int32) int {
-		f := newFlowNet(2 * n)
-		for v := 0; v < n; v++ {
-			c := int8(1)
-			if int32(v) == s || int32(v) == t {
-				c = 100
-			}
-			f.addEdge(int32(2*v), int32(2*v+1), c)
-		}
-		for u := 0; u < n; u++ {
-			for _, v := range g.Neighbors(int32(u)) {
-				f.addEdge(int32(2*u+1), int32(2*v), 100)
-			}
-		}
-		return f.maxflow(2*s+1, 2*t, n)
-	}
 	adjacent := func(u, v int32) bool { return g.HasEdge(u, v) }
 
 	best := n - 1
@@ -169,7 +172,10 @@ func VertexConnectivity(g *graph.Graph) (int, error) {
 			if t == s || adjacent(s, t) {
 				continue
 			}
-			if fl := flowBetween(s, t); fl < best {
+			// Arcs between nodes get a capacity no inner node arc can
+			// match, so only nodes bottleneck: the flow counts
+			// vertex-disjoint paths.
+			if fl := splitNet(g, s, t, 100).maxflow(2*s+1, 2*t, n); fl < best {
 				best = fl
 			}
 		}
@@ -306,47 +312,20 @@ func DisjointPaths(g *graph.Graph, s, t int32) ([][]int32, error) {
 		return nil, fmt.Errorf("faults: s == t")
 	}
 	n := g.N()
-	// Node-split flow network; then decompose the integral flow into paths.
-	f := newFlowNet(2 * n)
-	for v := 0; v < n; v++ {
-		c := int8(1)
-		if int32(v) == s || int32(v) == t {
-			c = 100
-		}
-		f.addEdge(int32(2*v), int32(2*v+1), c)
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(int32(u)) {
-			f.addEdge(int32(2*u+1), int32(2*v), 1)
-		}
+	// Decompose the integral flow into paths: an arc carries flow where its
+	// residual capacity fell below its initial one.
+	f := splitNet(g, s, t, 1)
+	initCap := make([][]int8, len(f.cap))
+	for v, c := range f.cap {
+		initCap[v] = slices.Clone(c)
 	}
 	flow := f.maxflow(2*s+1, 2*t, n)
-	// Decompose: repeatedly walk saturated arcs from s_out to t_in. An arc
-	// (u,ei) is used iff its residual capacity dropped below the original.
 	used := make([][]bool, 2*n)
-	orig := make([][]int8, 2*n)
 	for v := range used {
 		used[v] = make([]bool, len(f.to[v]))
-		orig[v] = make([]int8, len(f.to[v]))
-	}
-	// Reconstruct original capacities: forward arcs had cap >0 initially
-	// in our construction exactly when they are at even index parity of
-	// insertion... simpler: rebuild a fresh network to read initial caps.
-	f0 := newFlowNet(2 * n)
-	for v := 0; v < n; v++ {
-		c := int8(1)
-		if int32(v) == s || int32(v) == t {
-			c = 100
-		}
-		f0.addEdge(int32(2*v), int32(2*v+1), c)
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(int32(u)) {
-			f0.addEdge(int32(2*u+1), int32(2*v), 1)
-		}
 	}
 	flowOn := func(v int32, ei int) int8 {
-		return f0.cap[v][ei] - f.cap[v][ei] // positive where flow traversed
+		return initCap[v][ei] - f.cap[v][ei] // positive where flow traversed
 	}
 	var paths [][]int32
 	// spliceLoops removes any cycles the walk may have traversed (possible
@@ -379,10 +358,7 @@ func DisjointPaths(g *graph.Graph, s, t int32) ([][]int32, error) {
 				if flowOn(cur, ei) > 0 && !used[cur][ei] {
 					used[cur][ei] = true
 					cur = to
-					if cur%2 == 0 && cur != int32(2*t) {
-						// Entering node cur/2 via its in-vertex; the next arc
-						// is the internal one; record the node when leaving.
-					}
+					// Record a node on leaving it: its out-vertex is odd.
 					if cur%2 == 1 {
 						path = append(path, cur/2)
 					}

@@ -374,3 +374,60 @@ func TestFaultDiameterDisconnectingGraph(t *testing.T) {
 		t.Fatalf("K2 fault diameter = %d, want 1", fd2)
 	}
 }
+
+// TestEdgeConnectivityEqualsDegreeOnSymmetricVariants checks lambda(G) =
+// degree on the symmetric variants of HSN, ring-CN, complete-CN and SFN over
+// Q2, Q3, FQ2 and S3 nuclei with l in {2, 3}, up to about 400 nodes. A
+// symmetric variant is a Cayley graph, so it is vertex-transitive, and every
+// connected vertex-transitive graph has edge connectivity equal to its
+// degree (Ganesan, Cayley graphs and symmetric interconnection networks).
+// On the instances up to 128 nodes, vertex connectivity (the node-split
+// flow) is pinned between Watkins' bound 2(d+1)/3 for vertex-transitive
+// graphs and lambda; the larger ones would take seconds.
+func TestEdgeConnectivityEqualsDegreeOnSymmetricVariants(t *testing.T) {
+	const maxNodes, maxKappaNodes = 400, 128
+	checked := 0
+	for _, nuc := range []superip.NucleusSpec{superip.NucleusHypercube(2), superip.NucleusHypercube(3),
+		superip.NucleusFoldedHypercube(2), superip.NucleusStar(3)} {
+		for l := 2; l <= 3; l++ {
+			for _, kind := range []superip.Kind{superip.KindHSN, superip.KindRingCN,
+				superip.KindCompleteCN, superip.KindSuperFlip} {
+				net := superip.New(kind, l, nuc, true)
+				if net.N() > maxNodes {
+					continue
+				}
+				g, err := net.Build()
+				if err != nil {
+					t.Fatalf("%s: %v", net.Name(), err)
+				}
+				if !g.IsRegular() {
+					t.Fatalf("%s: symmetric variant is not regular", net.Name())
+				}
+				d := g.MaxDegree()
+				lam, err := EdgeConnectivity(g)
+				if err != nil {
+					t.Fatalf("%s: %v", net.Name(), err)
+				}
+				if lam != d {
+					t.Errorf("%s (%d nodes): lambda = %d, degree %d", net.Name(), g.N(), lam, d)
+				}
+				t.Logf("%s: %d nodes, degree %d, lambda %d", net.Name(), g.N(), d, lam)
+				checked++
+				if g.N() > maxKappaNodes {
+					continue
+				}
+				k, err := VertexConnectivity(g)
+				if err != nil {
+					t.Fatalf("%s: %v", net.Name(), err)
+				}
+				if 3*k < 2*(d+1) || k > lam {
+					t.Errorf("%s (%d nodes): kappa = %d outside [2(d+1)/3, lambda] = [%.2f, %d]",
+						net.Name(), g.N(), k, 2*float64(d+1)/3, lam)
+				}
+			}
+		}
+	}
+	if checked < 24 {
+		t.Fatalf("only %d instances within %d nodes", checked, maxNodes)
+	}
+}

@@ -354,7 +354,7 @@ func TestLinkRecycling(t *testing.T) {
 	t.Run("built", func(t *testing.T) {
 		g := mustBuild(t, networks.Hypercube{Dim: 6}.Build)
 		cfg := Config{Graph: g, InjectionRate: 0.3, WarmupCycles: 30, MeasureCycles: 100, Seed: 3}
-		fc := FaultConfig{Plan: recyclingPlan(topo.NewMaterialized(g, nil), 5)}
+		fc := FaultConfig{Plan: recyclingPlan(topo.NewMaterialized(g), 5)}
 		want, err := RunFaulty(cfg, fc)
 		if err != nil {
 			t.Fatal(err)

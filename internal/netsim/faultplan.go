@@ -77,7 +77,7 @@ func (p *FaultPlan) Len() int {
 // wrapper over ValidateTopo, kept for callers that already hold the built
 // graph.
 func (p *FaultPlan) Validate(g *graph.Graph) error {
-	return p.ValidateTopo(topo.NewMaterialized(g, nil))
+	return p.ValidateTopo(topo.NewMaterialized(g))
 }
 
 // ValidateTopo checks every event against an id-space topology — endpoints

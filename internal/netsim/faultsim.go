@@ -430,7 +430,7 @@ func runBuilt(cfg Config, fc FaultConfig) (FaultStats, error) {
 // extras in runOpts.
 func builtRun(cfg Config, fc FaultConfig) (ShardedConfig, runOpts) {
 	g := cfg.Graph
-	t := topo.NewMaterialized(g, nil)
+	t := topo.NewMaterialized(g)
 	degraded := fc.Plan.Len() > 0
 	pattern := cfg.Pattern
 	period, maxPeriod := cfg.linkPeriods()

@@ -14,7 +14,7 @@ import (
 type Topology = topo.Topology
 
 // Router is the per-hop routing oracle the implicit simulators consume
-// (topo.Algebraic, topo.FaultAware, topo.Table, topo.HypercubeRouter, ...).
+// (topo.Algebraic, topo.FaultAware, topo.HypercubeRouter, ...).
 type Router = topo.Router
 
 // ImplicitConfig parameterizes a simulation over an implicit topology: no
@@ -138,8 +138,9 @@ func (cfg *ImplicitConfig) normalize() error {
 // hops come from the algebraic Router, so total memory is proportional to
 // the in-flight packet population — independent of N. Runs are deterministic
 // in the configuration (including Seed) and unperturbed by cfg.Probe. It is
-// RunImplicitFaulty without a fault plan. A built graph runs here too, as
-// topo.NewMaterialized(g, ix) with a router such as topo.NewAlgebraicWith.
+// RunImplicitFaulty without a fault plan. A built super-IP graph runs here
+// too, as topo.NewMaterialized(g) with topo.NewAlgebraic, once its nodes are
+// numbered in rank order (node id = core.Ranker.Rank of its label).
 func RunImplicit(cfg ImplicitConfig) (ImplicitFaultStats, error) {
 	return RunImplicitFaulty(cfg, ImplicitFaultConfig{})
 }

@@ -4,21 +4,18 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/superip"
 	"repro/internal/topo"
 )
 
 // TestRunWithAlgebraicRouter runs the paper's algebraic router over a built
-// super-IP graph (topo.Materialized with its label index) and checks
+// super-IP graph (topo.Materialized, numbered in rank order) and checks
 // packets arrive.
 func TestRunWithAlgebraicRouter(t *testing.T) {
 	net := superip.HSN(2, superip.NucleusHypercube(2))
-	g, ix, err := net.BuildWithIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat := topo.NewMaterialized(g, ix)
-	r, err := topo.NewAlgebraicWith(net.Super(), mat)
+	mat := topo.NewMaterialized(rankOrdered(t, net))
+	r, err := topo.NewAlgebraic(net.Super())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,46 +56,41 @@ func TestRunImplicitHypercube(t *testing.T) {
 }
 
 // TestRunImplicitMatchesMaterializedSuperIP cross-checks the implicit
-// topology against the built graph of the same super-IP network under the
-// same algebraic routing discipline. The two number their nodes
-// differently, so the same seed draws different source/destination pairs
-// and the comparison is statistical: delivery must be complete and the
-// average latencies must agree to within a small factor.
+// topology against the built graph of the same super-IP network, numbered in
+// rank order, under the same algebraic routing discipline and module
+// packing: the two present the same ids, neighbors and ports, so the runs
+// must be identical, stats and router counters alike.
 func TestRunImplicitMatchesMaterializedSuperIP(t *testing.T) {
-	net := superip.HSN(2, superip.NucleusHypercube(3))
-	g, ix, err := net.BuildWithIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := topo.NewMaterialized(g, ix)
-	ar, err := topo.NewAlgebraicWith(net.Super(), built)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := RunImplicit(ImplicitConfig{Topo: built, Router: ar, InjectionRate: 0.02,
-		WarmupCycles: 200, MeasureCycles: 2000, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp, err := topo.NewImplicit(net.Super())
-	if err != nil {
-		t.Fatal(err)
-	}
-	air, err := topo.NewAlgebraic(net.Super())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ist, err := RunImplicit(ImplicitConfig{Topo: imp, Router: air,
-		InjectionRate: 0.02, WarmupCycles: 200, MeasureCycles: 2000, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ist.Delivered == 0 || ist.Expired != 0 {
-		t.Fatalf("implicit run lost packets: %+v", ist)
-	}
-	ratio := ist.AvgLatency / mat.AvgLatency
-	if ratio < 0.8 || ratio > 1.25 {
-		t.Fatalf("latency mismatch: implicit %v vs materialized %v", ist.AvgLatency, mat.AvgLatency)
+	for _, net := range []*superip.Net{
+		superip.HSN(2, superip.NucleusHypercube(3)),
+		superip.HSN(3, superip.NucleusHypercube(2)).SymmetricVariant(),
+		superip.RingCN(3, superip.NucleusHypercube(2)),
+	} {
+		imp, err := topo.NewImplicit(net.Super())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(tp Topology) ImplicitFaultStats {
+			t.Helper()
+			r, err := topo.NewAlgebraic(net.Super())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := RunImplicit(ImplicitConfig{Topo: tp, Router: r, InjectionRate: 0.02,
+				WarmupCycles: 200, MeasureCycles: 2000, Seed: 9,
+				ModuleOf: imp.Module, OffModulePeriod: 4})
+			if err != nil {
+				t.Fatalf("%s: %v", net.Name(), err)
+			}
+			return st
+		}
+		ist, mst := run(imp), run(topo.NewMaterialized(rankOrdered(t, net)))
+		if ist.Delivered == 0 || ist.Expired != 0 {
+			t.Fatalf("%s: implicit run lost packets: %+v", net.Name(), ist)
+		}
+		if ist != mst {
+			t.Fatalf("%s: implicit run %+v, rank-ordered built graph %+v", net.Name(), ist, mst)
+		}
 	}
 }
 
@@ -208,4 +200,34 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// rankOrdered builds net and renumbers its nodes in rank order (node id =
+// core.Ranker.Rank of its label), the id space of topo.Implicit, so the id
+// routers run on the built graph unchanged.
+func rankOrdered(t testing.TB, net *superip.Net) *graph.Graph {
+	t.Helper()
+	g, ix, err := net.BuildWithIndex()
+	if err != nil {
+		t.Fatalf("%s: build: %v", net.Name(), err)
+	}
+	rk, err := net.Super().Ranker()
+	if err != nil {
+		t.Fatalf("%s: ranker: %v", net.Name(), err)
+	}
+	rank := make([]int32, g.N())
+	for u := range rank {
+		r, err := rk.Rank(ix.Label(int32(u)))
+		if err != nil {
+			t.Fatalf("%s: rank of node %d: %v", net.Name(), u, err)
+		}
+		rank[u] = int32(r)
+	}
+	b := graph.NewBuilder(g.N(), g.Directed)
+	for u, ru := range rank {
+		for _, v := range g.Neighbors(int32(u)) {
+			b.AddArc(ru, rank[v])
+		}
+	}
+	return b.Build()
 }

@@ -115,11 +115,6 @@ func StarDistance(perm []byte) int {
 // returned sequence of labels starts at src and ends at dst, moving along
 // star edges (swap position 0 with position i). The length always equals
 // StarDistance of the relative permutation (optimal).
-//
-// Deprecated: the raw [][]byte label form cannot be consumed by graph- or
-// topology-level code without a caller-supplied translation. Use StarIDPath,
-// which routes directly in the node-id space of networks.Star and returns a
-// Path like every other router in this package.
 func Star(src, dst []byte) ([][]byte, error) {
 	n := len(src)
 	if len(dst) != n {

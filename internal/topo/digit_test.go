@@ -146,19 +146,15 @@ func TestWordIDMatchesWord(t *testing.T) {
 
 // TestAlgebraicRejectsBadIDs checks that Path and NextHop return an error,
 // not a panic, for a node outside [0, N), on both codec paths: the id walk
-// of an Implicit codec and the label walk of a Materialized one, whose
-// range is its index size.
+// of an Implicit codec and the label walk of a labelCodec, whose range is
+// its N.
 func TestAlgebraicRejectsBadIDs(t *testing.T) {
 	net := superip.HSN(2, superip.NucleusHypercube(2))
-	g, ix, err := net.BuildWithIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
 	imp, err := NewImplicit(net.Super())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, codec := range map[string]Labeled{"implicit": imp, "materialized": NewMaterialized(g, ix)} {
+	for name, codec := range map[string]Labeled{"implicit": imp, "label": labelCodec{imp}} {
 		a, err := NewAlgebraicWith(net.Super(), codec)
 		if err != nil {
 			t.Fatal(err)
@@ -266,20 +262,26 @@ func wantPanic(t *testing.T, call, op string, f func()) {
 	f()
 }
 
+// labelCodec is an id <-> label codec without Step, so Algebraic takes its
+// label walk over it: the endpoints are unranked, the route word is computed
+// on labels (core.Router.Word), replayed on labels and ranked hop by hop.
+// Its N gives the label walk its id range.
+type labelCodec struct{ imp *Implicit }
+
+func (c labelCodec) Label(u int64) symbols.Label { return c.imp.Label(u) }
+func (c labelCodec) ID(x symbols.Label) int64    { return c.imp.ID(x) }
+func (c labelCodec) N() int64                    { return c.imp.N() }
+
 // TestAlgebraicIDReplayMatchesLabelReplay routes the same pairs over an
 // Implicit codec, whose routes are computed on rank digits (WordID) and
-// replayed on ids through Step, and over a Materialized codec, whose routes
-// are computed on labels (Word), replayed on labels and ranked hop by hop;
-// translated through labels, the two paths must be the same walk.
+// replayed on ids through Step, and over a labelCodec, whose routes are
+// computed on labels (Word), replayed on labels and ranked hop by hop; the
+// two paths must be the same walk.
 func TestAlgebraicIDReplayMatchesLabelReplay(t *testing.T) {
 	for _, net := range []*superip.Net{
 		superip.HSN(3, superip.NucleusHypercube(2)),
 		superip.HSN(3, superip.NucleusHypercube(2)).SymmetricVariant(),
 	} {
-		g, ix, err := net.BuildWithIndex()
-		if err != nil {
-			t.Fatal(err)
-		}
 		imp, err := NewImplicit(net.Super())
 		if err != nil {
 			t.Fatal(err)
@@ -291,14 +293,13 @@ func TestAlgebraicIDReplayMatchesLabelReplay(t *testing.T) {
 		if byID.step == nil {
 			t.Fatalf("%s: an Implicit codec must select the id replay", net.Name())
 		}
-		byLabel, err := NewAlgebraicWith(net.Super(), NewMaterialized(g, ix))
+		byLabel, err := NewAlgebraicWith(net.Super(), labelCodec{imp})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if byLabel.step != nil {
-			t.Fatalf("%s: a Materialized codec must keep the label replay", net.Name())
+			t.Fatalf("%s: a codec without Step must keep the label replay", net.Name())
 		}
-		toMat := func(u int64) int64 { return int64(ix.ID(imp.Label(u))) }
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < pairsPerFamily; trial++ {
 			src, dst := rng.Int63n(imp.N()), rng.Int63n(imp.N())
@@ -309,12 +310,9 @@ func TestAlgebraicIDReplayMatchesLabelReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: id replay %d -> %d: %v", net.Name(), src, dst, err)
 			}
-			q, err := byLabel.Path(toMat(src), toMat(dst))
+			q, err := byLabel.Path(src, dst)
 			if err != nil {
 				t.Fatalf("%s: label replay %d -> %d: %v", net.Name(), src, dst, err)
-			}
-			for i := range p {
-				p[i] = toMat(p[i])
 			}
 			if !slices.Equal(p, q) {
 				t.Fatalf("%s: %d -> %d: id replay %v, label replay %v", net.Name(), src, dst, p, q)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/networks"
 	"repro/internal/superip"
 )
 
@@ -395,18 +396,17 @@ func TestFaultAwareKMinusOneFaults(t *testing.T) {
 	}
 }
 
-// TestFaultAwareOverMaterialized checks the wrapper is router-agnostic: a
-// Table (BFS oracle) router over a materialized Petersen-free graph — here a
-// built super-IP graph — detours correctly too.
+// TestFaultAwareOverMaterialized checks the wrapper is router-agnostic: the
+// e-cube router over a built hypercube, wrapped as a Materialized topology,
+// detours correctly too.
 func TestFaultAwareOverMaterialized(t *testing.T) {
-	net := superip.RingCN(3, superip.NucleusHypercube(2)).SymmetricVariant()
-	g, ix, err := net.BuildWithIndex()
+	const dim = 5
+	g, err := networks.Hypercube{Dim: dim}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat := NewMaterialized(g, ix)
 	fs := NewFaultSet()
-	fa := NewFaultAware(mat, NewTable(g), fs)
+	fa := NewFaultAware(NewMaterialized(g), HypercubeRouter{Dim: dim}, fs)
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 100; trial++ {
 		src := int64(rng.Intn(g.N()))

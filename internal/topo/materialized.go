@@ -3,24 +3,18 @@ package topo
 import (
 	"slices"
 
-	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/symbols"
 )
 
 // Materialized adapts an explicitly built graph.Graph to the Topology
-// interface. The optional Index additionally exposes the id <-> label
-// bijection (Labeled) for graphs built from an IP-graph specification.
-// A Materialized topology is safe for concurrent use.
+// interface. A Materialized topology is safe for concurrent use.
 type Materialized struct {
-	G  *graph.Graph
-	Ix *core.Index // optional: nil for graphs without IP labels
+	G *graph.Graph
 }
 
-// NewMaterialized wraps a built graph (and its label index, which may be
-// nil) as a Topology.
-func NewMaterialized(g *graph.Graph, ix *core.Index) *Materialized {
-	return &Materialized{G: g, Ix: ix}
+// NewMaterialized wraps a built graph as a Topology.
+func NewMaterialized(g *graph.Graph) *Materialized {
+	return &Materialized{G: g}
 }
 
 // N returns the number of nodes.
@@ -54,10 +48,3 @@ func (t *Materialized) Port(u, v int64) int {
 	}
 	return p
 }
-
-// Label returns the label of node u; it panics when no Index is attached.
-func (t *Materialized) Label(u int64) symbols.Label { return t.Ix.Label(int32(u)) }
-
-// ID returns the node id of a label, or -1; it panics when no Index is
-// attached.
-func (t *Materialized) ID(x symbols.Label) int64 { return int64(t.Ix.ID(x)) }

@@ -61,7 +61,7 @@ func TestMaterializedPortOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", net.Name(), err)
 		}
-		checkPorts(t, net.Name(), NewMaterialized(g, nil))
+		checkPorts(t, net.Name(), NewMaterialized(g))
 	}
 }
 

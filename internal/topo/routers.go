@@ -4,76 +4,24 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/route"
 	"repro/internal/symbols"
 )
 
-// Table is the BFS next-hop oracle over a materialized graph: the fallback
-// Router for arbitrary topologies, with the same route.BFSNextHops tables
-// (and tie-break) as the materialized simulator. Per-destination tables
-// are built lazily on first use and memoized, so memory grows toward
-// O(N^2) only for destinations actually routed to. Not safe for concurrent
-// use.
-type Table struct {
-	G      *graph.Graph
-	tables map[int32]route.NextHopTable
-}
-
-// NewTable wraps a built graph as a lazily materialized next-hop Router.
-func NewTable(g *graph.Graph) *Table {
-	return &Table{G: g, tables: map[int32]route.NextHopTable{}}
-}
-
-func (t *Table) table(dst int32) route.NextHopTable {
-	tab, ok := t.tables[dst]
-	if !ok {
-		tab = route.BFSNextHops(t.G, dst, nil, nil)
-		t.tables[dst] = tab
-	}
-	return tab
-}
-
-// NextHop returns the BFS next hop from cur toward dst.
-func (t *Table) NextHop(cur, dst int64) (int64, error) {
-	if cur == dst {
-		return 0, fmt.Errorf("topo: NextHop(%d, %d): already at destination", cur, dst)
-	}
-	nxt := t.table(int32(dst))[cur]
-	if nxt < 0 {
-		return 0, fmt.Errorf("topo: no route from %d to %d", cur, dst)
-	}
-	return int64(nxt), nil
-}
-
-// Path returns a shortest path from src to dst.
-func (t *Table) Path(src, dst int64) ([]int64, error) {
-	p, err := t.table(int32(dst)).Follow(int32(src), int32(dst))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(p))
-	for i, v := range p {
-		out[i] = int64(v)
-	}
-	return out, nil
-}
-
 // Algebraic routes a super-IP graph with the constructive algorithm of
 // Theorems 4.1/4.3 (core.Router): the only state is the nucleus routing
 // trees and the covering schedules, so per-node memory is O(1) in N. Node
-// ids are those of a Labeled codec — the closed-form Ranker of an Implicit
-// topology, or the Index of a Materialized one — so the same router serves
-// both implementations. On an Implicit codec, whose ids are ranks, a route
-// is computed and replayed on ids alone (core.Router.WordID and
-// Implicit.Step); any other codec translates the endpoints to labels,
-// routes on them (core.Router.Word) and ranks every hop. Not safe for
-// concurrent use.
+// ids are those of a Labeled codec. On an Implicit codec, whose ids are the
+// ranks of the labels, a route is computed and replayed on ids alone
+// (core.Router.WordID and Implicit.Step). A built graph routes the same way
+// once its nodes are numbered in rank order. Any other codec translates the
+// endpoints to labels, routes on them (core.Router.Word) and ranks every
+// hop. Not safe for concurrent use.
 type Algebraic struct {
 	r      *core.Router
 	codec  Labeled
 	step   idStepper     // the codec's generator action on ids; nil when its ids are not ranks
-	n      int64         // the codec's id count; -1 when it cannot tell
+	n      int64         // the codec's id count; -1 when it has no N method
 	srcBuf symbols.Label // route source, then the label replay's current label
 	dstBuf symbols.Label
 	hopBuf symbols.Label // the label replay's next label
@@ -100,10 +48,8 @@ func NewAlgebraic(s *core.SuperIP) (*Algebraic, error) {
 }
 
 // NewAlgebraicWith builds the paper's router over an explicit id <-> label
-// codec — typically a Materialized topology carrying the core.Index of a
-// built graph, so the router's paths are valid on that graph's ids. A codec
-// with a Step method (Implicit) has its routes computed and replayed on
-// ids; any other codec on labels, ranking every hop.
+// codec. A codec with a Step method (Implicit) has its routes computed and
+// replayed on ids; any other codec on labels, ranking every hop.
 func NewAlgebraicWith(s *core.SuperIP, codec Labeled) (*Algebraic, error) {
 	r, err := core.NewRouter(s)
 	if err != nil {
@@ -148,15 +94,12 @@ func (a *Algebraic) NextHop(cur, dst int64) (int64, error) {
 // and report the Delta.
 func (a *Algebraic) RouterStats() RouterStats { return a.routes.stats() }
 
-// codecSize returns the number of ids codec translates: the index size of
-// a Materialized codec, the node count of one that is a topology, and -1
-// for any other codec, whose Label alone decides what it accepts.
+// codecSize returns the number of ids codec translates when it has an N
+// method, as every Topology does, and -1 for any other codec, whose Label
+// alone decides what it accepts.
 func codecSize(codec Labeled) int64 {
-	if m, ok := codec.(*Materialized); ok && m.Ix != nil {
-		return int64(m.Ix.N())
-	}
-	if t, ok := codec.(Topology); ok {
-		return t.N()
+	if c, ok := codec.(interface{ N() int64 }); ok {
+		return c.N()
 	}
 	return -1
 }
@@ -224,36 +167,6 @@ func (r HypercubeRouter) NextHop(cur, dst int64) (int64, error) {
 // Path returns the e-cube route.
 func (r HypercubeRouter) Path(src, dst int64) ([]int64, error) {
 	p := route.Hypercube(r.Dim, int32(src), int32(dst))
-	out := make([]int64, len(p))
-	for i, v := range p {
-		out[i] = int64(v)
-	}
-	return out, nil
-}
-
-// StarRouter is the optimal cycle-sorting router on the node ids of
-// networks.Star (lexicographic permutation ranks). Paths are shortest
-// (StarDistance). Safe for concurrent use.
-type StarRouter struct{ Symbols int }
-
-// NextHop takes the first edge of the optimal sorting route.
-func (r StarRouter) NextHop(cur, dst int64) (int64, error) {
-	if cur == dst {
-		return 0, fmt.Errorf("topo: NextHop(%d, %d): already at destination", cur, dst)
-	}
-	p, err := route.StarIDPath(r.Symbols, int32(cur), int32(dst))
-	if err != nil {
-		return 0, err
-	}
-	return int64(p[1]), nil
-}
-
-// Path returns the optimal sorting route.
-func (r StarRouter) Path(src, dst int64) ([]int64, error) {
-	p, err := route.StarIDPath(r.Symbols, int32(src), int32(dst))
-	if err != nil {
-		return nil, err
-	}
 	out := make([]int64, len(p))
 	for i, v := range p {
 		out[i] = int64(v)

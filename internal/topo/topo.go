@@ -19,10 +19,10 @@
 // generator acts on the id directly (core.Ranker.Step): neighbors and route
 // hops are integer arithmetic on shared immutable tables, with no label on
 // the simulator's hot path. Routers pair with topologies the same way:
-// Table is the BFS next-hop oracle over a materialized graph; Algebraic
-// computes the Theorem 4.1/4.3 route on an Implicit id's rank digits (on
-// labels over any other codec), and Hypercube and Star compute next hops
-// arithmetically on ids.
+// Algebraic computes the Theorem 4.1/4.3 route on an Implicit id's rank
+// digits (on labels over any other codec), and HypercubeRouter computes
+// e-cube next hops arithmetically on ids. FaultAware wraps either to detour
+// around failed links.
 package topo
 
 import "repro/internal/symbols"
@@ -44,8 +44,9 @@ type Topology interface {
 	Neighbors(u int64, buf []int64) []int64
 }
 
-// Labeled is implemented by topologies that expose the id <-> label
-// bijection of the IP-graph model.
+// Labeled is the id <-> label bijection of the IP-graph model: the codec
+// Algebraic routes through. Implicit implements it with the closed-form
+// ranker, whose ids are the ranks of the labels.
 type Labeled interface {
 	// Label returns the label of node u. The returned slice may alias
 	// internal scratch; clone it to retain it across calls.
@@ -72,10 +73,9 @@ type Porter interface {
 }
 
 // Router decides, per hop, where a packet at cur should go next on its way
-// to dst. Implementations derive the decision either from O(1) per-node
-// id or label arithmetic (Algebraic, Hypercube, Star) or from materialized
-// BFS tables (Table). A Router is not safe for concurrent use unless documented
-// otherwise.
+// to dst. Implementations derive the decision from O(1) per-node id
+// arithmetic (Algebraic, HypercubeRouter), so no table of size N is kept.
+// A Router is not safe for concurrent use unless documented otherwise.
 type Router interface {
 	// NextHop returns the next node on a route from cur toward dst.
 	// cur == dst is an error: the packet has already arrived.

@@ -149,17 +149,14 @@ func TestAlgebraicRouterProperties(t *testing.T) {
 	}
 }
 
-// TestAlgebraicOverMaterializedIDs checks the Materialized-codec constructor:
-// routes expressed in the built graph's own id space are valid walks with
-// bounded length, so the router plugs into consumers that know nothing about
-// rankers.
+// TestAlgebraicOverMaterializedIDs checks that the id router runs unchanged
+// on a built graph numbered in rank order: its routes, read as the built
+// graph's own ids, are valid walks with bounded length, so the router plugs
+// into consumers that know nothing about rankers.
 func TestAlgebraicOverMaterializedIDs(t *testing.T) {
 	net := superip.HSN(3, superip.NucleusHypercube(2)).SymmetricVariant()
-	g, ix, err := net.BuildWithIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewAlgebraicWith(net.Super(), NewMaterialized(g, ix))
+	g := rankOrdered(t, net)
+	r, err := NewAlgebraic(net.Super())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,16 +245,6 @@ func TestHypercubeTopoAndRouter(t *testing.T) {
 	assertShortest(t, g, HypercubeRouter{Dim: dim})
 }
 
-// TestStarRouterShortest pins the star router's optimality promise: every
-// routed path length equals the BFS distance on networks.Star's graph.
-func TestStarRouterShortest(t *testing.T) {
-	g, err := networks.Star{Symbols: 5}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertShortest(t, g, StarRouter{Symbols: 5})
-}
-
 // assertShortest routes pairsPerFamily random pairs and requires every path
 // to be a valid walk of exactly the BFS-distance length, and NextHop to
 // agree with Path.
@@ -298,28 +285,47 @@ func assertShortest(t *testing.T, g *graph.Graph, r PathRouter) {
 	}
 }
 
-// TestTableRouterFallback checks the BFS oracle on an arbitrary (non-IP)
-// graph: paths are valid, shortest, and consistent with NextHop.
-func TestTableRouterFallback(t *testing.T) {
-	g, err := networks.Petersen{}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertShortest(t, g, NewTable(g))
-}
-
 // TestNextHopAtDestination pins the error contract shared by all routers.
 func TestNextHopAtDestination(t *testing.T) {
-	g, _ := networks.Petersen{}.Build()
 	net := superip.HSN(2, superip.NucleusHypercube(2))
 	alg, err := NewAlgebraic(net.Super())
 	if err != nil {
 		t.Fatal(err)
 	}
-	routers := []Router{NewTable(g), HypercubeRouter{Dim: 3}, StarRouter{Symbols: 4}, alg}
+	routers := []Router{HypercubeRouter{Dim: 3}, alg}
 	for i, r := range routers {
 		if _, err := r.NextHop(2, 2); err == nil {
 			t.Fatalf("router %d: NextHop(2,2) succeeded", i)
 		}
 	}
+}
+
+// rankOrdered builds net and renumbers its nodes in rank order (node id =
+// core.Ranker.Rank of its label), the id space of Implicit, so the id
+// routers run on the built graph unchanged.
+func rankOrdered(t testing.TB, net *superip.Net) *graph.Graph {
+	t.Helper()
+	g, ix, err := net.BuildWithIndex()
+	if err != nil {
+		t.Fatalf("%s: build: %v", net.Name(), err)
+	}
+	rk, err := net.Super().Ranker()
+	if err != nil {
+		t.Fatalf("%s: ranker: %v", net.Name(), err)
+	}
+	rank := make([]int32, g.N())
+	for u := range rank {
+		r, err := rk.Rank(ix.Label(int32(u)))
+		if err != nil {
+			t.Fatalf("%s: rank of node %d: %v", net.Name(), u, err)
+		}
+		rank[u] = int32(r)
+	}
+	b := graph.NewBuilder(g.N(), g.Directed)
+	for u, ru := range rank {
+		for _, v := range g.Neighbors(int32(u)) {
+			b.AddArc(ru, rank[v])
+		}
+	}
+	return b.Build()
 }
