@@ -15,22 +15,27 @@ import (
 	"repro/internal/graph"
 )
 
-// maxflow computes the max flow from s to t in a unit-capacity directed
-// graph given as adjacency with mutable residual capacities. Nodes are
-// 0..n-1; arcs come in (to, rev, cap) triples.
+// flowNet is a unit-capacity directed flow network with mutable residual
+// capacities. Nodes are 0..n-1; arcs come in (to, rev, cap) triples. The
+// connectivity functions build one network per call and reset its
+// capacities before each (s, t) pair.
 type flowNet struct {
 	n   int
 	to  [][]int32
 	rev [][]int32
 	cap [][]int8
+	// maxflow's BFS scratch, allocated once per network.
+	prevNode, prevEdge, queue []int32
 }
 
 func newFlowNet(n int) *flowNet {
 	return &flowNet{
-		n:   n,
-		to:  make([][]int32, n),
-		rev: make([][]int32, n),
-		cap: make([][]int8, n),
+		n:        n,
+		to:       make([][]int32, n),
+		rev:      make([][]int32, n),
+		cap:      make([][]int8, n),
+		prevNode: make([]int32, n),
+		prevEdge: make([]int32, n),
 	}
 }
 
@@ -43,18 +48,34 @@ func (f *flowNet) addEdge(u, v int32, c int8) {
 	f.cap[v] = append(f.cap[v], 0)
 }
 
+// caps returns a copy of the residual capacities.
+func (f *flowNet) caps() [][]int8 {
+	c := make([][]int8, f.n)
+	for v, row := range f.cap {
+		c[v] = slices.Clone(row)
+	}
+	return c
+}
+
+// setCaps restores capacities saved by caps.
+func (f *flowNet) setCaps(c [][]int8) {
+	for v, row := range c {
+		copy(f.cap[v], row)
+	}
+}
+
 // maxflow runs BFS augmenting paths (unit capacities, flow bounded by
-// degree, so this is fast enough for the sizes we measure).
+// degree, so this is fast enough for the sizes we measure) and stops once
+// the flow reaches bound.
 func (f *flowNet) maxflow(s, t int32, bound int) int {
 	flow := 0
-	prevNode := make([]int32, f.n)
-	prevEdge := make([]int32, f.n)
+	prevNode, prevEdge := f.prevNode, f.prevEdge
 	for flow < bound {
 		for i := range prevNode {
 			prevNode[i] = -1
 		}
 		prevNode[s] = s
-		queue := []int32{s}
+		queue := append(f.queue[:0], s)
 		found := false
 		for head := 0; head < len(queue) && !found; head++ {
 			u := queue[head]
@@ -70,6 +91,7 @@ func (f *flowNet) maxflow(s, t int32, bound int) int {
 				}
 			}
 		}
+		f.queue = queue
 		if !found {
 			break
 		}
@@ -85,19 +107,16 @@ func (f *flowNet) maxflow(s, t int32, bound int) int {
 	return flow
 }
 
-// splitNet builds the node-split flow network of g for an s-t flow: node v
-// becomes v_in = 2v and v_out = 2v+1, joined by a unit arc (capacity 100 at
-// s and t, which never bottleneck), and each arc u->v of g becomes
-// u_out -> v_in with capacity edgeCap.
-func splitNet(g *graph.Graph, s, t int32, edgeCap int8) *flowNet {
+// splitNet builds the node-split flow network of g: node v becomes v_in =
+// 2v and v_out = 2v+1, joined by a unit arc, and each arc u->v of g becomes
+// u_out -> v_in with capacity edgeCap. An s-t flow runs from s_out to t_in,
+// so the unit arcs of s and t never carry it and every (s, t) pair can
+// share one network.
+func splitNet(g *graph.Graph, edgeCap int8) *flowNet {
 	n := g.N()
 	f := newFlowNet(2 * n)
 	for v := 0; v < n; v++ {
-		c := int8(1)
-		if int32(v) == s || int32(v) == t {
-			c = 100
-		}
-		f.addEdge(int32(2*v), int32(2*v+1), c)
+		f.addEdge(int32(2*v), int32(2*v+1), 1)
 	}
 	for u := 0; u < n; u++ {
 		for _, v := range g.Neighbors(int32(u)) {
@@ -120,17 +139,19 @@ func EdgeConnectivity(g *graph.Graph) (int, error) {
 	if !g.IsConnected() {
 		return 0, nil
 	}
-	best := g.N() * g.N()
-	for t := int32(1); t < int32(g.N()); t++ {
-		f := newFlowNet(g.N())
-		for u := 0; u < g.N(); u++ {
-			for _, v := range g.Neighbors(int32(u)) {
-				if v > int32(u) {
-					f.addEdge(int32(u), v, 1)
-					f.addEdge(v, int32(u), 1)
-				}
+	f := newFlowNet(g.N())
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(int32(u)) {
+			if v > int32(u) {
+				f.addEdge(int32(u), v, 1)
+				f.addEdge(v, int32(u), 1)
 			}
 		}
+	}
+	init := f.caps()
+	best := g.N() * g.N()
+	for t := int32(1); t < int32(g.N()); t++ {
+		f.setCaps(init)
 		if fl := f.maxflow(0, t, best); fl < best {
 			best = fl
 		}
@@ -165,6 +186,10 @@ func VertexConnectivity(g *graph.Graph) (int, error) {
 	}
 	adjacent := func(u, v int32) bool { return g.HasEdge(u, v) }
 
+	// Arcs between nodes get a capacity no inner node arc can match, so
+	// only nodes bottleneck: the flow counts vertex-disjoint paths.
+	f := splitNet(g, 100)
+	init := f.caps()
 	best := n - 1
 	sources := append([]int32{0}, g.Neighbors(0)...)
 	for _, s := range sources {
@@ -172,10 +197,8 @@ func VertexConnectivity(g *graph.Graph) (int, error) {
 			if t == s || adjacent(s, t) {
 				continue
 			}
-			// Arcs between nodes get a capacity no inner node arc can
-			// match, so only nodes bottleneck: the flow counts
-			// vertex-disjoint paths.
-			if fl := splitNet(g, s, t, 100).maxflow(2*s+1, 2*t, n); fl < best {
+			f.setCaps(init)
+			if fl := f.maxflow(2*s+1, 2*t, best); fl < best {
 				best = fl
 			}
 		}
@@ -314,11 +337,8 @@ func DisjointPaths(g *graph.Graph, s, t int32) ([][]int32, error) {
 	n := g.N()
 	// Decompose the integral flow into paths: an arc carries flow where its
 	// residual capacity fell below its initial one.
-	f := splitNet(g, s, t, 1)
-	initCap := make([][]int8, len(f.cap))
-	for v, c := range f.cap {
-		initCap[v] = slices.Clone(c)
-	}
+	f := splitNet(g, 1)
+	initCap := f.caps()
 	flow := f.maxflow(2*s+1, 2*t, n)
 	used := make([][]bool, 2*n)
 	for v := range used {

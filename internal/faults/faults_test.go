@@ -381,11 +381,10 @@ func TestFaultDiameterDisconnectingGraph(t *testing.T) {
 // symmetric variant is a Cayley graph, so it is vertex-transitive, and every
 // connected vertex-transitive graph has edge connectivity equal to its
 // degree (Ganesan, Cayley graphs and symmetric interconnection networks).
-// On the instances up to 128 nodes, vertex connectivity (the node-split
-// flow) is pinned between Watkins' bound 2(d+1)/3 for vertex-transitive
-// graphs and lambda; the larger ones would take seconds.
+// On every instance, vertex connectivity (the node-split flow) is pinned
+// between Watkins' bound 2(d+1)/3 for vertex-transitive graphs and lambda.
 func TestEdgeConnectivityEqualsDegreeOnSymmetricVariants(t *testing.T) {
-	const maxNodes, maxKappaNodes = 400, 128
+	const maxNodes = 400
 	checked := 0
 	for _, nuc := range []superip.NucleusSpec{superip.NucleusHypercube(2), superip.NucleusHypercube(3),
 		superip.NucleusFoldedHypercube(2), superip.NucleusStar(3)} {
@@ -413,9 +412,6 @@ func TestEdgeConnectivityEqualsDegreeOnSymmetricVariants(t *testing.T) {
 				}
 				t.Logf("%s: %d nodes, degree %d, lambda %d", net.Name(), g.N(), d, lam)
 				checked++
-				if g.N() > maxKappaNodes {
-					continue
-				}
 				k, err := VertexConnectivity(g)
 				if err != nil {
 					t.Fatalf("%s: %v", net.Name(), err)

@@ -121,6 +121,33 @@ func BenchmarkRunImplicitQ14ECube(b *testing.B) {
 	}
 }
 
+// BenchmarkRunImplicitHSN25Uniform is one run of the sim-hsn25-uniform
+// benchmark workload: HSN(2;Q5) with algebraic routing, nucleus modules at
+// off-module period 4, uniform traffic at rate 0.02, 100 warmup and 400
+// measured cycles. Ranker, router, the link store's adjacency test and the
+// engine all do real work. Each run builds its topology and router, as a
+// workload round does, so no route store carries over between runs.
+func BenchmarkRunImplicitHSN25Uniform(b *testing.B) {
+	s := superip.HSN(2, superip.NucleusHypercube(5)).Super()
+	cfg := ImplicitConfig{InjectionRate: 0.02, OffModulePeriod: 4, WarmupCycles: 100, MeasureCycles: 400}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		imp, err := topo.NewImplicit(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := topo.NewAlgebraic(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Topo, cfg.ModuleOf, cfg.Router, cfg.Seed = imp, imp.Module, a, int64(i)
+		if _, err := RunImplicit(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunImplicitQ6Probed measures the BenchmarkRunImplicitQ6 workload
 // with collectors attached (latency histogram, module-aggregated series, and
 // a sparse per-link time series) — the price of observing an implicit run.

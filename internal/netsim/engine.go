@@ -1,9 +1,9 @@
 // The simulation engine. Every simulator in this package runs on the one
 // engine in this file: one packet struct (epacket), one link store
-// (sparseLinks: only live link FIFOs, keyed by (node, port) in an
-// open-addressed table, the port found through the topology's topo.Porter
-// where it has one, visited in activation order, idle ones recycled; built
-// graphs run on it through topo.Materialized like any implicit topology),
+// (sparseLinks: only live link FIFOs, keyed by their arc (u, v) in an
+// open-addressed table, an arc tested for adjacency only when its link is
+// activated, visited in activation order, idle ones recycled; built graphs
+// run on it through topo.Materialized like any implicit topology),
 // one future-arrival ring, one injection sampler, and one per-cycle phase
 // order
 //
@@ -63,11 +63,10 @@ type epacket struct {
 	degraded bool
 }
 
-// elink is the FIFO of one directed link u -> v, stored under key in the
-// link store. Liveness lives in the run's FaultSink, not here.
+// elink is the FIFO of one directed link u -> v, stored under its arc in
+// the link store. Liveness lives in the run's FaultSink, not here.
 type elink struct {
 	u, v   int64
-	key    int64
 	queue  []epacket
 	freeAt int
 }
@@ -218,87 +217,84 @@ func (ln *simLane) transmit(now int, lk *elink) {
 
 // ---------------------------------------------------------------------------
 // The link store: only links that currently hold or recently transmitted a
-// packet exist, keyed by u*maxDegree + port (port = index of the target in
-// u's sorted neighbor list) in an open-addressed linkTable. The port comes
-// from the topology's topo.Porter, resolved once when the store is built:
-// bit counts on a hypercube, a binary search of the CSR row on a built
-// graph, and for any other topology a binary search of the neighbor list
-// Neighbors builds (neighborSearch). The active list holds the links
-// themselves in activation order, so the advance phase, and therefore the
-// whole run, is deterministic and looks up no key. An idle link goes onto
-// the free list; a link taken from it is reset but keeps its queue's
-// backing array.
+// packet exist, keyed by their arc (u, v) in an open-addressed linkTable.
+// Only arcs are ever stored, so a table hit needs no check; a miss tests
+// adjacency once, through the topology's topo.Adjacency (generator steps
+// with an early exit on an implicit topology, a bit test on a hypercube, a
+// binary search of the CSR row on a built graph, and for any other topology
+// a binary search of the neighbor list Neighbors builds: neighborSearch),
+// before it activates the link. The active list holds the links themselves
+// in activation order, so the advance phase, and therefore the whole run, is
+// deterministic and looks up no key. An idle link goes onto the free list; a
+// link taken from it is reset but keeps its queue's backing array.
 
 type sparseLinks struct {
-	porter topo.Porter
-	deg    int64
+	topo   Topology
+	adj    topo.Adjacency
 	links  linkTable
 	active []*elink
 	free   []*elink
+	nbrBuf []int64 // eachFrom's neighbor list
 }
 
 func newSparseLinks(t Topology) *sparseLinks {
-	deg := int64(t.MaxDegree())
-	p, ok := t.(topo.Porter)
+	adj, ok := t.(topo.Adjacency)
 	if !ok {
-		p = &neighborSearch{topo: t, buf: make([]int64, 0, deg)}
+		adj = &neighborSearch{topo: t}
 	}
-	return &sparseLinks{porter: p, deg: deg, links: newLinkTable()}
+	return &sparseLinks{topo: t, adj: adj, links: newLinkTable()}
 }
 
-// neighborSearch is the Porter of a topology without one: it builds u's
-// sorted neighbor list and binary-searches it for v.
+// neighborSearch is the adjacency test of a topology without one: it builds
+// u's sorted neighbor list and binary-searches it for v.
 type neighborSearch struct {
 	topo Topology
 	buf  []int64
 }
 
-func (s *neighborSearch) Port(u, v int64) int {
-	s.buf = s.topo.Neighbors(u, s.buf)
-	p, ok := slices.BinarySearch(s.buf, v)
-	if !ok {
-		return -1
+func (s *neighborSearch) Adjacent(u, v int64) bool {
+	if n := s.topo.N(); u < 0 || u >= n {
+		return false
 	}
-	return p
+	s.buf = s.topo.Neighbors(u, s.buf)
+	_, ok := slices.BinarySearch(s.buf, v)
+	return ok
 }
 
 // get returns the FIFO of arc u->v, activating it if needed. It errors when
 // v is not a neighbor of u: a routing-layer bug.
 func (s *sparseLinks) get(u, v int64) (*elink, error) {
-	p := s.porter.Port(u, v)
-	if p < 0 {
+	if lk := s.links.get(u, v); lk != nil {
+		return lk, nil
+	}
+	if !s.adj.Adjacent(u, v) {
 		return nil, fmt.Errorf("netsim: next hop %d from %d is not a neighbor", v, u)
 	}
-	key := u*s.deg + int64(p)
-	lk := s.links.get(key)
-	if lk == nil {
-		if n := len(s.free); n > 0 {
-			lk = s.free[n-1]
-			s.free = s.free[:n-1]
-			*lk = elink{u: u, v: v, key: key, queue: lk.queue[:0]}
-		} else {
-			lk = &elink{u: u, v: v, key: key}
-		}
-		s.links.put(key, lk)
-		s.active = append(s.active, lk)
+	var lk *elink
+	if n := len(s.free); n > 0 {
+		lk = s.free[n-1]
+		s.free = s.free[:n-1]
+		*lk = elink{u: u, v: v, queue: lk.queue[:0]}
+	} else {
+		lk = &elink{u: u, v: v}
 	}
+	s.links.put(lk)
+	s.active = append(s.active, lk)
 	return lk, nil
 }
 
 // peek returns the FIFO of arc u->v when it is active, nil otherwise (v not
 // a neighbor, or the link idle and recycled).
 func (s *sparseLinks) peek(u, v int64) *elink {
-	p := s.porter.Port(u, v)
-	if p < 0 {
-		return nil
-	}
-	return s.links.get(u*s.deg + int64(p))
+	return s.links.get(u, v)
 }
 
-// eachFrom visits the active FIFOs of u's outgoing links in port order.
+// eachFrom visits the active FIFOs of u's outgoing links in the order of
+// u's sorted neighbor list.
 func (s *sparseLinks) eachFrom(u int64, fn func(*elink)) {
-	for port := int64(0); port < s.deg; port++ {
-		if lk := s.links.get(u*s.deg + port); lk != nil {
+	s.nbrBuf = s.topo.Neighbors(u, s.nbrBuf)
+	for _, v := range s.nbrBuf {
+		if lk := s.links.get(u, v); lk != nil {
 			fn(lk)
 		}
 	}
@@ -313,7 +309,7 @@ func (s *sparseLinks) advance(now int, ln *simLane) {
 		switch {
 		case len(lk.queue) == 0:
 			if lk.freeAt <= now {
-				s.links.del(lk.key)
+				s.links.del(lk.u, lk.v)
 				s.free = append(s.free, lk)
 				continue
 			}

@@ -1,13 +1,16 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/networks"
 	"repro/internal/obs"
+	"repro/internal/superip"
 	"repro/internal/topo"
 )
 
@@ -244,8 +247,8 @@ func recyclingPlan(tp Topology, seed int64) *FaultPlan {
 }
 
 // checkLinkStore checks the link store between cycles: every active link is
-// the table's entry for its stored key, which is the key of its (node,
-// port), the table holds exactly the active links, and every link on the
+// the table's entry for its arc (lk.u, lk.v), which is an arc of the
+// topology, the table holds exactly the active links, and every link on the
 // free list is inactive, has an empty queue and is free (freeAt <= now), so
 // a link reused in a later cycle starts empty and free. It returns the
 // active links.
@@ -256,11 +259,11 @@ func checkLinkStore(t *testing.T, s *sparseLinks, now int) map[*elink]bool {
 	}
 	active := make(map[*elink]bool, len(s.active))
 	for _, lk := range s.active {
-		if got := s.links.get(lk.key); got != lk {
-			t.Fatalf("cycle %d: active link %d->%d is not the entry of its key %d", now, lk.u, lk.v, lk.key)
+		if got := s.links.get(lk.u, lk.v); got != lk {
+			t.Fatalf("cycle %d: active link %d->%d is not the entry of its arc", now, lk.u, lk.v)
 		}
-		if p := s.porter.Port(lk.u, lk.v); p < 0 || lk.u*s.deg+int64(p) != lk.key {
-			t.Fatalf("cycle %d: key %d holds the link %d->%d", now, lk.key, lk.u, lk.v)
+		if !s.adj.Adjacent(lk.u, lk.v) {
+			t.Fatalf("cycle %d: the table holds the link %d->%d, which is not an arc", now, lk.u, lk.v)
 		}
 		if active[lk] {
 			t.Fatalf("cycle %d: link %d->%d is active twice", now, lk.u, lk.v)
@@ -417,6 +420,66 @@ func TestLinkRecycling(t *testing.T) {
 			t.Fatalf("packet conservation: %+v", one.FaultStats)
 		}
 	})
+}
+
+// directRouter sends every packet straight to its destination, neighbor or
+// not: a broken router.
+type directRouter struct{}
+
+func (directRouter) NextHop(_, dst int64) (int64, error) { return dst, nil }
+
+// noAdjacency hides a topology's adjacency test, so the link store falls
+// back to searching Neighbors.
+type noAdjacency struct{ Topology }
+
+// TestNonNeighborNextHop: a next hop that is not a neighbor stops every run
+// with the store's error, on each topology kind and on the fallback for a
+// topology without topo.Adjacency. Node 0 sends to a non-neighbor w on its
+// first hop, and again right after a packet to its neighbor x has activated
+// the arc 0->x. Both RunImplicit and a degraded RunImplicitFaulty must fail:
+// a router that breaks the topology is a bug, not a fault to absorb.
+func TestNonNeighborNextHop(t *testing.T) {
+	net := superip.HSN(2, superip.NucleusHypercube(3))
+	imp, err := topo.NewImplicit(net.Super())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		tp       Topology
+		fallback bool
+	}{
+		{"hypercube", topo.HypercubeTopo{Dim: 4}, false},
+		{"implicit", imp, false},
+		{"materialized", topo.NewMaterialized(rankOrdered(t, net)), false},
+		{"fallback", noAdjacency{imp}, true},
+	} {
+		if _, ok := c.tp.(topo.Adjacency); ok == c.fallback {
+			t.Fatalf("%s: %T implements topo.Adjacency: %v", c.name, c.tp, ok)
+		}
+		n := c.tp.N()
+		nbrs := c.tp.Neighbors(0, nil)
+		x, w := nbrs[0], int64(1)
+		for slices.Contains(nbrs, w) {
+			w++
+		}
+		last := c.tp.Neighbors(n-1, nil)
+		plan := (&FaultPlan{}).LinkDown(5, int32(n-1), int32(last[0]), 0)
+		want := fmt.Sprintf("next hop %d from 0 is not a neighbor", w)
+		for _, script := range [][]Injection{
+			{{At: 0, Src: 0, Dst: w}},
+			{{At: 0, Src: 0, Dst: x}, {At: 0, Src: 0, Dst: w}},
+		} {
+			cfg := ImplicitConfig{Topo: c.tp, Router: directRouter{}, WarmupCycles: 1, MeasureCycles: 10, Script: script}
+			if _, err := RunImplicit(cfg); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: RunImplicit with %d sends: err = %v, want %q", c.name, len(script), err, want)
+			}
+			fc := ImplicitFaultConfig{Plan: plan, Faults: topo.NewFaultSet()}
+			if _, err := RunImplicitFaulty(cfg, fc); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: RunImplicitFaulty with %d sends: err = %v, want %q", c.name, len(script), err, want)
+			}
+		}
+	}
 }
 
 // TestTypedNilFaultSink: a lane whose fault sink is a nil *topo.FaultSet

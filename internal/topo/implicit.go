@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/perm"
@@ -17,9 +16,10 @@ import (
 // M*d_N and A*d_S entries — so an Implicit topology scales to instances
 // whose adjacency lists could never be materialized.
 //
-// Implicit implements Topology, Labeled, and Modular. Neighbors, Step and
-// the module methods are pure arithmetic on immutable tables and safe for
-// concurrent use; Label and ID are not (they reuse label scratch).
+// Implicit implements Topology, Labeled, Modular and Adjacency. Neighbors,
+// Adjacent, Step and the module methods are pure arithmetic on immutable
+// tables and safe for concurrent use; Label and ID are not (they reuse label
+// scratch).
 type Implicit struct {
 	s        *core.SuperIP
 	rk       *core.Ranker
@@ -107,6 +107,22 @@ func (t *Implicit) Neighbors(u int64, buf []int64) []int64 {
 		buf[i] = v
 	}
 	return buf
+}
+
+// Adjacent reports whether some generator takes u to v != u, stepping the
+// generators in order and returning at the first that does. It is false when
+// u or v is not a node, and it needs no buffer, so it is safe for concurrent
+// use like Neighbors.
+func (t *Implicit) Adjacent(u, v int64) bool {
+	if n := t.rk.N(); u < 0 || v < 0 || u >= n || v >= n || u == v {
+		return false
+	}
+	for g := 0; g < t.degree; g++ {
+		if t.rk.Step(u, g) == v {
+			return true
+		}
+	}
+	return false
 }
 
 // Label returns the label of node u. The result aliases internal scratch
@@ -200,19 +216,8 @@ func (t HypercubeTopo) Neighbors(u int64, buf []int64) []int64 {
 	return buf
 }
 
-// Port returns v's index in Neighbors(u) from bit counts, following the
-// order Neighbors emits: flipping a set bit b comes after the set bits above
-// it, flipping a clear bit b after every set bit and the clear bits below it.
-// It returns -1 when u and v do not differ in exactly one bit or either lies
-// outside [0, 2^Dim).
-func (t HypercubeTopo) Port(u, v int64) int {
+// Adjacent reports whether u and v are nodes that differ in exactly one bit.
+func (t HypercubeTopo) Adjacent(u, v int64) bool {
 	n, x := t.N(), u^v
-	if u < 0 || v < 0 || u >= n || v >= n || x == 0 || x&(x-1) != 0 {
-		return -1
-	}
-	b := bits.TrailingZeros64(uint64(x))
-	if u&x != 0 {
-		return bits.OnesCount64(uint64(u) >> uint(b+1))
-	}
-	return bits.OnesCount64(uint64(u)) + b - bits.OnesCount64(uint64(u&(x-1)))
+	return u >= 0 && v >= 0 && u < n && v < n && x != 0 && x&(x-1) == 0
 }

@@ -36,15 +36,12 @@ func (t *Materialized) Neighbors(u int64, buf []int64) []int64 {
 	return buf
 }
 
-// Port returns v's index in u's CSR row by binary search of the row in
-// place, or -1 when v is not a neighbor of u or either id is out of range.
-func (t *Materialized) Port(u, v int64) int {
+// Adjacent reports whether v is in u's CSR row, by binary search of the row
+// in place; it is false when either id is out of range.
+func (t *Materialized) Adjacent(u, v int64) bool {
 	if n := int64(t.G.N()); u < 0 || v < 0 || u >= n || v >= n {
-		return -1
+		return false
 	}
-	p, ok := slices.BinarySearch(t.G.Neighbors(int32(u)), int32(v))
-	if !ok {
-		return -1
-	}
-	return p
+	_, ok := slices.BinarySearch(t.G.Neighbors(int32(u)), int32(v))
+	return ok
 }

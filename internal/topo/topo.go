@@ -6,9 +6,9 @@
 // destination are computable directly from its label — the seed multiset
 // plus the generator algebra — with no global state. A Topology exposes
 // exactly that contract: node count, neighbor enumeration, and (through the
-// optional Labeled/Modular/Porter interfaces) the id<->label bijection, the
-// nucleus-per-module packing and a neighbor's index in the sorted neighbor
-// list, all per-node O(1) in memory.
+// optional Labeled/Modular/Adjacency interfaces) the id<->label bijection, the
+// nucleus-per-module packing and a single-arc adjacency test, all per-node
+// O(1) in memory.
 //
 // Two families of implementations are provided: Materialized wraps the
 // existing adjacency-list graph.Graph (every algorithm that works on a
@@ -63,13 +63,14 @@ type Modular interface {
 	Module(u int64) int64
 }
 
-// Porter is implemented by topologies that find a neighbor's port, its index
-// in the sorted neighbor list, without enumerating the list: HypercubeTopo by
-// bit counts, Materialized by a binary search of its CSR row.
-type Porter interface {
-	// Port returns v's index in Neighbors(u), or -1 when v is not a
-	// neighbor of u (u itself and ids outside [0, N()) included).
-	Port(u, v int64) int
+// Adjacency is implemented by topologies that test one arc without building
+// the neighbor list: Implicit steps u along its generators until one reaches
+// v, HypercubeTopo checks that u and v differ in one bit, and Materialized
+// binary-searches its CSR row.
+type Adjacency interface {
+	// Adjacent reports whether v is in Neighbors(u). It is false for u
+	// itself and for ids outside [0, N()), and it never panics.
+	Adjacent(u, v int64) bool
 }
 
 // Router decides, per hop, where a packet at cur should go next on its way
