@@ -123,7 +123,7 @@ func disjointTable() {
 		fs := topo.NewFaultSet()
 		fa := topo.NewFaultAware(imp, inner, fs)
 		cutAllButOne(fs, routes, primary)
-		hops, degraded, err := walk(fa, src, dst, 4*net.Diameter()+fa.MaxDetourTTL+16)
+		hops, degraded, err := walk(fa, src, dst, 4*net.Diameter()+topo.MaxDetourTTL+16)
 		if err != nil {
 			log.Fatalf("%s: %v", net.Name(), err)
 		}
@@ -177,7 +177,7 @@ func bigInstance() {
 	fa := topo.NewFaultAware(imp, inner, fs)
 	cutAllButOne(fs, routes, primary)
 	start = time.Now()
-	hops, degraded, err := walk(fa, src, dst, 4*net.Diameter()+fa.MaxDetourTTL+16)
+	hops, degraded, err := walk(fa, src, dst, 4*net.Diameter()+topo.MaxDetourTTL+16)
 	if err != nil {
 		log.Fatal(err)
 	}

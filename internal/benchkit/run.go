@@ -80,39 +80,6 @@ func Record(spec Spec) (*Run, error) {
 	return run, nil
 }
 
-// ListBenchmarks enumerates the benchmark functions matching re in the
-// given packages, using `go test -list`. Names are returned without the
-// "Benchmark" prefix, deduplicated, in discovery order.
-func ListBenchmarks(packages []string, re string) ([]string, error) {
-	if len(packages) == 0 {
-		packages = []string{"./..."}
-	}
-	if re == "" {
-		re = "."
-	}
-	// -list applies the regex to every Test/Benchmark/Example identifier;
-	// filtering output lines by prefix keeps only the benchmarks.
-	args := append([]string{"test", "-run", "^$", "-list", re}, packages...)
-	out, err := goTest(args, nil)
-	if err != nil {
-		return nil, fmt.Errorf("benchkit: go test -list: %w\n%s", err, tail(out, 1024))
-	}
-	var names []string
-	seen := map[string]bool{}
-	for _, line := range strings.Split(string(out), "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		name := strings.TrimPrefix(line, "Benchmark")
-		if name != "" && !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	return names, nil
-}
-
 func goTest(args []string, verbose io.Writer) ([]byte, error) {
 	cmd := exec.Command("go", args...)
 	var buf bytes.Buffer

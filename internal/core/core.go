@@ -43,11 +43,11 @@ type IPGraph struct {
 
 // Validate checks structural consistency of the definition.
 func (ip *IPGraph) Validate() error {
-	if len(ip.Seed) == 0 {
-		return errors.New("core: empty seed")
-	}
 	if len(ip.Gens) == 0 {
 		return errors.New("core: no generators")
+	}
+	if len(ip.Seed) == 0 {
+		return errors.New("core: empty seed")
 	}
 	for i, g := range ip.Gens {
 		if len(g) != len(ip.Seed) {
@@ -280,15 +280,6 @@ func (ip *IPGraph) finish(ix *Index, arcs []int32, opt BuildOptions) (*graph.Gra
 	return g, ix, nil
 }
 
-// MustBuild is Build that panics on error, for tests and examples.
-func (ip *IPGraph) MustBuild(opt BuildOptions) (*graph.Graph, *Index) {
-	g, ix, err := ip.Build(opt)
-	if err != nil {
-		panic(err)
-	}
-	return g, ix
-}
-
 // IsCayley reports whether the IP graph satisfies the Cayley-graph condition
 // of the underlying model: all seed symbols distinct. (Every Cayley graph is
 // an IP graph; the converse fails when symbols repeat.)
@@ -297,15 +288,12 @@ func (ip *IPGraph) IsCayley() bool { return ip.Seed.HasDistinctSymbols() }
 // Cayley builds the Cayley graph of the group generated by gens, i.e. the IP
 // graph with the distinct-symbol seed 1..k. This realizes the paper's
 // observation that the Cayley graph model is the distinct-symbols special
-// case of the IP graph model.
+// case of the IP graph model. With no generators the result has no seed
+// either, and its Validate and Build fail with "core: no generators".
 func Cayley(name string, gens []perm.Perm, names []string) *IPGraph {
-	if len(gens) == 0 {
-		panic("core: Cayley requires at least one generator")
+	ip := &IPGraph{Name: name, Gens: gens, GenNames: names}
+	if len(gens) > 0 {
+		ip.Seed = symbols.IotaSeed(len(gens[0]))
 	}
-	return &IPGraph{
-		Name:     name,
-		Seed:     symbols.IotaSeed(len(gens[0])),
-		Gens:     gens,
-		GenNames: names,
-	}
+	return ip
 }

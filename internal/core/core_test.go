@@ -279,6 +279,10 @@ func TestValidateErrors(t *testing.T) {
 	if err := ip.Validate(); err == nil {
 		t.Fatal("name-count mismatch must fail")
 	}
+	// A Cayley spec over no generators is an error at Build, not a panic.
+	if _, _, err := Cayley("empty", nil, nil).Build(BuildOptions{}); err == nil || !strings.Contains(err.Error(), "no generators") {
+		t.Fatalf("Cayley with no generators: Build error = %v, want one naming the missing generators", err)
+	}
 }
 
 func TestBuildLimit(t *testing.T) {

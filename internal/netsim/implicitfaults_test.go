@@ -362,7 +362,7 @@ func TestRunImplicitFaultyBigSym(t *testing.T) {
 		fs.FailLinkBoth(rt[0], rt[1])
 	}
 	cur, degradedSeen := src, false
-	bound := 4*len(primary) + fa.MaxDetourTTL + 64
+	bound := 4*len(primary) + topo.MaxDetourTTL + 64
 	for hops := 0; cur != dst; hops++ {
 		if hops > bound {
 			t.Fatalf("pair walk exceeded %d hops (primary has %d)", bound, len(primary)-1)

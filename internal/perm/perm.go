@@ -90,16 +90,6 @@ func (p Perm) Apply(dst, src []byte) {
 	}
 }
 
-// ApplyInts is Apply for integer-valued labels.
-func (p Perm) ApplyInts(dst, src []int) {
-	if len(dst) != len(p) || len(src) != len(p) {
-		panic("perm: ApplyInts length mismatch")
-	}
-	for i, v := range p {
-		dst[i] = src[v]
-	}
-}
-
 // Permuted returns a fresh label equal to p applied to src.
 func (p Perm) Permuted(src []byte) []byte {
 	dst := make([]byte, len(src))

@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -33,13 +34,17 @@ type RouterStats = obs.RouterStats
 // Only when every algebraic candidate is blocked does the router fall back
 // to a bounded local detour (the TTL discipline of the materialized
 // RunFaulty): step to a live neighbor, spend one unit of TTL, and retry the
-// algebraic candidates from there.
+// algebraic candidates from there. One derivation spends at most
+// MaxDetourTTL such hops.
 //
 // Like Algebraic, a FaultAware router carries per-packet source routes
 // between NextHop calls in a route store keyed (current node, destination).
 // The store is tagged with the FaultSet epoch its routes were verified
 // against and is purged whenever the epoch changes, so no stale route ever
 // crosses a link that died after the route was computed.
+//
+// A FaultAware has no settings: its only state is the route store, the
+// repair counters behind RouterStats and neighbor scratch buffers.
 //
 // Not safe for concurrent use (the inner router and the route store are
 // single-threaded); the FaultSet itself may be mutated concurrently.
@@ -48,47 +53,29 @@ type FaultAware struct {
 	topo  Topology
 	fs    *FaultSet
 
-	// MaxDetourTTL bounds the local-detour fallback: how many non-algebraic
-	// hops one route derivation may take around dead regions before giving
-	// up. Defaults to 16 (the RunFaulty default).
-	MaxDetourTTL int
-
-	// maxDepth, when positive, additionally bounds the depth of the
-	// local-detour DFS stack — used by DisjointRoutes' iterative deepening
-	// to keep augmenting paths short. Zero means TTL-only. limited records
-	// whether the last detourFrom search was truncated by maxDepth or TTL
-	// (as opposed to genuinely exhausting the reachable residual graph).
-	maxDepth int
-	limited  bool
-
 	routes    routeStore
 	seenEpoch uint64
 
 	// fault-repair counters (see RouterStats)
-	epochPurges            uint64
-	reroutes, detourHops   uint64
-	conjugate, localDetour uint64
-	detourDepth            [8]uint64
+	epochPurges          uint64
+	reroutes, detourHops uint64
+	detourDepth          [8]uint64
 
 	nbrBuf  []int64 // neighbor scratch for candidate generation
 	nbrBuf2 []int64 // second-level scratch (two-hop starts, arrive-via)
 }
 
+// MaxDetourTTL bounds FaultAware's local-detour fallback: how many
+// non-algebraic hops one route derivation may take around dead regions
+// before giving up (the default of netsim's FaultConfig.DetourTTL).
+const MaxDetourTTL = 16
+
 // NewFaultAware wraps router r over topology t with fault set fs. The
 // router and topology must share one id space (e.g. Algebraic + Implicit of
 // the same super-IP graph, or HypercubeRouter + HypercubeTopo).
 func NewFaultAware(t Topology, r PathRouter, fs *FaultSet) *FaultAware {
-	return &FaultAware{
-		inner:        r,
-		topo:         t,
-		fs:           fs,
-		MaxDetourTTL: 16,
-		seenEpoch:    fs.Epoch(),
-	}
+	return &FaultAware{inner: r, topo: t, fs: fs, seenEpoch: fs.Epoch()}
 }
-
-// Faults returns the shared fault set.
-func (r *FaultAware) Faults() *FaultSet { return r.fs }
 
 // RouterStats returns the cumulative routing telemetry of this router:
 // route-store behavior (hits, misses, evicted entries from safety-valve
@@ -97,13 +84,17 @@ func (r *FaultAware) Faults() *FaultSet { return r.fs }
 // (EpochPurges), and the fault-repair split — reroutes resolved purely by
 // algebraic conjugate candidates vs. ones that needed the TTL-local detour
 // walk, with the exploratory-hop total in DetourHops and the per-repair
-// histogram in DetourDepth.
+// histogram in DetourDepth. The split is read off the histogram: bucket 0
+// holds the repairs that spent no exploratory hop (ConjugateReroutes), the
+// other buckets the local detours (LocalDetourReroutes).
 func (r *FaultAware) RouterStats() RouterStats {
 	rs := r.routes.stats()
 	rs.EpochPurges = r.epochPurges
 	rs.Reroutes = r.reroutes
-	rs.ConjugateReroutes = r.conjugate
-	rs.LocalDetourReroutes = r.localDetour
+	rs.ConjugateReroutes = r.detourDepth[0]
+	for _, c := range r.detourDepth[1:] {
+		rs.LocalDetourReroutes += c
+	}
 	rs.DetourHops = r.detourHops
 	rs.DetourDepth = r.detourDepth
 	return rs
@@ -185,24 +176,15 @@ func (r *FaultAware) routeAvoiding(cur, dst int64) (route []int64, detoured bool
 	// Keep the live prefix p[0..j] and re-derive the suffix from p[j].
 	prefix := append([]int64(nil), p[:j+1]...)
 	hopsBefore := r.detourHops
-	tail, err := r.detourFrom(p[j], dst, r.MaxDetourTTL)
+	tail, _, err := r.detourFrom(p[j], dst, MaxDetourTTL, 0)
 	if err != nil {
 		return nil, false, fmt.Errorf("topo: no fault-free route from %d to %d: %w", cur, dst, err)
 	}
-	// Classify the repair by how many exploratory hops it spent: zero means
-	// a conjugate candidate answered algebraically, anything else fell back
-	// to the TTL-local walk. The depth histogram buckets by bit length.
-	if spent := r.detourHops - hopsBefore; spent == 0 {
-		r.conjugate++
-		r.detourDepth[0]++
-	} else {
-		r.localDetour++
-		b := bits.Len64(spent)
-		if b >= len(r.detourDepth) {
-			b = len(r.detourDepth) - 1
-		}
-		r.detourDepth[b]++
-	}
+	// Bucket the repair by the bit length of the exploratory hops it spent:
+	// bucket 0 (no hop) is a conjugate candidate answered algebraically,
+	// every other bucket a fallback to the TTL-local walk.
+	b := bits.Len64(r.detourHops - hopsBefore)
+	r.detourDepth[min(b, len(r.detourDepth)-1)]++
 	return append(prefix, tail[1:]...), true, nil
 }
 
@@ -210,16 +192,20 @@ func (r *FaultAware) routeAvoiding(cur, dst int64) (route []int64, detoured bool
 // conjugate candidates first and spending local-detour TTL only when every
 // candidate is blocked: a deterministic depth-first walk over live links
 // (neighbors in ascending order, backtracking on dead ends) that retries
-// the algebraic candidates at every node it reaches — PR 1's TTL
+// the algebraic candidates at every node it reaches — RunFaulty's TTL
 // discipline, made deterministic and systematic. ttl bounds the number of
-// exploratory hops charged across the whole derivation. The returned route
-// starts at v and ends at dst.
-func (r *FaultAware) detourFrom(v, dst int64, ttl int) ([]int64, error) {
+// exploratory hops charged across the whole derivation; maxDepth, when
+// positive, also bounds the depth of the walk (DisjointRoutes' iterative
+// deepening), and zero leaves only the TTL. The returned route starts at v
+// and ends at dst. A failed search reports truncated when either bound cut
+// it short, so a larger bound might still succeed, and not truncated when
+// it exhausted every live node reachable from v.
+func (r *FaultAware) detourFrom(v, dst int64, ttl, maxDepth int) (route []int64, truncated bool, err error) {
 	if v == dst {
-		return []int64{dst}, nil
+		return []int64{dst}, false, nil
 	}
 	if cand := r.algebraicCandidate(v, dst); cand != nil {
-		return cand, nil
+		return cand, false, nil
 	}
 	type frame struct {
 		node int64
@@ -230,7 +216,6 @@ func (r *FaultAware) detourFrom(v, dst int64, ttl int) ([]int64, error) {
 		r.nbrBuf = r.topo.Neighbors(u, r.nbrBuf)
 		return append([]int64(nil), r.nbrBuf...)
 	}
-	r.limited = false
 	onPath := map[int64]bool{v: true}
 	// The fault set cannot change during one derivation, so a node whose
 	// conjugate candidates were all blocked stays blocked: memoize failures
@@ -248,8 +233,8 @@ func (r *FaultAware) detourFrom(v, dst int64, ttl int) ([]int64, error) {
 		f := &stack[len(stack)-1]
 		advanced := false
 		for f.next < len(f.nbrs) {
-			if r.maxDepth > 0 && len(stack) > r.maxDepth {
-				r.limited = true
+			if maxDepth > 0 && len(stack) > maxDepth {
+				truncated = true
 				break
 			}
 			w := f.nbrs[f.next]
@@ -258,17 +243,16 @@ func (r *FaultAware) detourFrom(v, dst int64, ttl int) ([]int64, error) {
 				continue
 			}
 			if ttl <= 0 {
-				r.limited = true
-				return nil, fmt.Errorf("detour TTL exhausted at %d", f.node)
+				return nil, true, fmt.Errorf("detour TTL exhausted at %d", f.node)
 			}
 			ttl--
 			r.detourHops++
 			if w == dst {
-				return append(pathNodes(), dst), nil
+				return append(pathNodes(), dst), false, nil
 			}
 			if !noCand[w] {
 				if cand := r.algebraicCandidate(w, dst); cand != nil {
-					return append(pathNodes(), cand...), nil
+					return append(pathNodes(), cand...), false, nil
 				}
 				noCand[w] = true
 			}
@@ -282,12 +266,12 @@ func (r *FaultAware) detourFrom(v, dst int64, ttl int) ([]int64, error) {
 			stack = stack[:len(stack)-1]
 		}
 	}
-	return nil, fmt.Errorf("detour search exhausted from %d", v)
+	return nil, truncated, fmt.Errorf("detour search exhausted from %d", v)
 }
 
 // algebraicCandidate returns the first live conjugate-detour route from v to
-// dst, or nil when every candidate is blocked. Candidates are enumerated in
-// three deterministic tiers of increasing cost:
+// dst, or nil when every candidate is blocked. Candidates are tried in three
+// deterministic tiers of increasing cost:
 //
 //	tier 0 — leave via a different generator: v -> w -> Route(w, dst);
 //	tier 1 — additionally arrive via a different generator (undirected
@@ -295,62 +279,43 @@ func (r *FaultAware) detourFrom(v, dst int64, ttl int) ([]int64, error) {
 //	         to dst;
 //	tier 2 — two-hop starts: v -> w -> w2 -> Route(w2, dst).
 //
-// Each candidate costs O(route length) fault-membership checks; the tiers
-// bound the total work per derivation by a constant multiple of κ² route
-// checks.
+// Each candidate costs O(route length) fault-membership checks, and one
+// whose splice hops are blocked is skipped before any route is computed;
+// the tiers bound the total work per derivation by a constant multiple of
+// κ² route checks.
 func (r *FaultAware) algebraicCandidate(v, dst int64) []int64 {
-	var found []int64
-	r.forEachCandidate(v, dst, func(cand []int64) bool {
-		if r.firstBlocked(cand) < 0 {
-			found = cand
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// forEachCandidate enumerates the conjugate-detour candidates from v to dst
-// described on algebraicCandidate, calling yield for each; enumeration stops
-// when yield returns false. Candidates whose splice hops are blocked are
-// skipped cheaply before any route is computed.
-func (r *FaultAware) forEachCandidate(v, dst int64, yield func([]int64) bool) {
+	live := func(p []int64) bool { return r.firstBlocked(p) < 0 }
 	// Tier -1: the plain route itself. Source routes are not memoryless, so
 	// after a local-detour step the direct route from the new position may
 	// be clean even though every conjugate from the previous node was not.
-	if p, err := r.inner.Path(v, dst); err == nil && len(p) > 1 && p[0] == v {
-		if !yield(p) {
-			return
-		}
+	if p, err := r.inner.Path(v, dst); err == nil && len(p) > 1 && p[0] == v && live(p) {
+		return p
 	}
 	r.nbrBuf = r.topo.Neighbors(v, r.nbrBuf)
-	firstHops := append([]int64(nil), r.nbrBuf...)
+	firstHops := r.nbrBuf
 	// Tier 0: straight re-source from each live neighbor.
 	for _, w := range firstHops {
 		if r.fs.Blocked(v, w) {
 			continue
 		}
-		cand, ok := r.spliceVia(v, w, dst)
-		if ok && !yield(cand) {
-			return
+		if cand, ok := r.spliceVia(v, w, dst); ok && live(cand) {
+			return cand
 		}
 	}
 	// Tier 1: arrive through a different final generator (needs reverse
 	// edges, so undirected topologies only).
 	if !r.topo.Directed() {
 		r.nbrBuf2 = r.topo.Neighbors(dst, r.nbrBuf2)
-		preDst := append([]int64(nil), r.nbrBuf2...)
 		for _, w := range firstHops {
 			if r.fs.Blocked(v, w) {
 				continue
 			}
-			for _, e := range preDst {
+			for _, e := range r.nbrBuf2 {
 				if e == w || e == v || r.fs.Blocked(e, dst) || r.fs.NodeDown(e) {
 					continue
 				}
-				cand, ok := r.spliceViaTo(v, w, e, dst)
-				if ok && !yield(cand) {
-					return
+				if cand, ok := r.spliceViaTo(v, w, e, dst); ok && live(cand) {
+					return cand
 				}
 			}
 		}
@@ -361,20 +326,18 @@ func (r *FaultAware) forEachCandidate(v, dst int64, yield func([]int64) bool) {
 			continue
 		}
 		r.nbrBuf2 = r.topo.Neighbors(w, r.nbrBuf2)
-		second := append([]int64(nil), r.nbrBuf2...)
-		for _, w2 := range second {
+		for _, w2 := range r.nbrBuf2 {
 			if w2 == v || r.fs.Blocked(w, w2) {
 				continue
 			}
-			cand, ok := r.spliceVia(w, w2, dst)
-			if ok {
-				full := append([]int64{v}, cand...)
-				if !yield(full) {
-					return
+			if cand, ok := r.spliceVia(w, w2, dst); ok {
+				if full := append([]int64{v}, cand...); live(full) {
+					return full
 				}
 			}
 		}
 	}
+	return nil
 }
 
 // spliceVia builds the candidate v -> w -> Route(w, dst), returning ok=false
@@ -414,6 +377,13 @@ func (r *FaultAware) spliceViaTo(v, w, e, dst int64) ([]int64, bool) {
 // augmentations reroute earlier ones instead of being blocked by greedy
 // commitments. The accumulated flow is then decomposed into arc-disjoint
 // src -> dst walks, smallest-id-first, deterministically.
+//
+// Each augmenting path comes from one scratch FaultAware over that
+// FaultSet, searched by iterative deepening: the depth bound starts at the
+// primary route's length + 2 and doubles for as long as the search reports
+// that the bound cut it short, up to a hop budget of 64 + 16 × the primary
+// route's length. A search that exhausts the residual graph within its
+// bound ends the augmentation.
 //
 // On the symmetric super-IP families, which are vertex-transitive Cayley
 // graphs of degree κ, edge connectivity equals the degree, and the
@@ -456,7 +426,7 @@ func DisjointRoutes(t Topology, pr PathRouter, src, dst int64) ([][]int64, error
 	augment(simplifyWalk(primary))
 	paths := 1
 
-	helper := &FaultAware{inner: pr, topo: t, fs: fs}
+	search := NewFaultAware(t, pr, fs)
 	budget := 64 + 16*len(primary)
 	var nbrBuf []int64
 	nbrBuf = t.Neighbors(src, nbrBuf)
@@ -466,15 +436,14 @@ func DisjointRoutes(t Topology, pr PathRouter, src, dst int64) ([][]int64, error
 		// each decomposed route — short: a shallow residual search is tried
 		// before the depth cap is relaxed toward the full budget.
 		var p []int64
+		var truncated bool
 		var err error
 		for depth := len(primary) + 2; ; depth *= 2 {
-			helper.maxDepth = depth
-			p, err = helper.detourFrom(src, dst, budget)
-			if err == nil || depth > budget || !helper.limited {
+			p, truncated, err = search.detourFrom(src, dst, budget, depth)
+			if err == nil || depth > budget || !truncated {
 				break
 			}
 		}
-		helper.maxDepth = 0
 		if err != nil {
 			break // residual search exhausted: local connectivity reached
 		}
@@ -492,7 +461,7 @@ func DisjointRoutes(t Topology, pr PathRouter, src, dst int64) ([][]int64, error
 		out[arc[0]] = append(out[arc[0]], arc[1])
 	}
 	for _, vs := range out {
-		sortInt64s(vs)
+		slices.Sort(vs)
 	}
 	maxLen := len(flow) + 1
 	routes := make([][]int64, 0, paths)
@@ -538,14 +507,4 @@ func simplifyWalk(p []int64) []int64 {
 		out = append(out, u)
 	}
 	return out
-}
-
-// sortInt64s sorts a small int64 slice ascending (insertion sort; arc lists
-// are at most degree long).
-func sortInt64s(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -301,7 +301,7 @@ func TestFaultAwareEpochInvalidation(t *testing.T) {
 		}
 		fs.FailLinkBoth(p[1], p[2])
 		cur := nxt
-		maxHops := net.Diameter() + fa.MaxDetourTTL + 2*net.Diameter() + 8
+		maxHops := net.Diameter() + MaxDetourTTL + 2*net.Diameter() + 8
 		for hop := 0; cur != dst; hop++ {
 			if hop > maxHops {
 				t.Fatalf("no delivery within %d hops for (%d, %d)", maxHops, src, dst)
@@ -378,7 +378,7 @@ func TestFaultAwareKMinusOneFaults(t *testing.T) {
 			}
 			// NextHop delivery under the same faults.
 			cur := src
-			maxHops := net.Diameter() + fa.MaxDetourTTL + 2*net.Diameter() + 8
+			maxHops := net.Diameter() + MaxDetourTTL + 2*net.Diameter() + 8
 			for hop := 0; cur != dst; hop++ {
 				if hop > maxHops {
 					t.Fatalf("%s: no delivery within %d hops", net.Name(), maxHops)
@@ -435,5 +435,44 @@ func TestFaultAwareOverMaterialized(t *testing.T) {
 			}
 		}
 		fs.RepairLinkBoth(p[0], p[1])
+	}
+}
+
+// TestDetourFromReportsTruncation pins detourFrom's truncated result, the
+// signal DisjointRoutes' iterative deepening stops on: a search cut short by
+// its depth bound or its TTL reports truncated, one that exhausts every node
+// reachable around a destination whose links are all down does not, and a
+// search that finds a route reports nothing cut.
+func TestDetourFromReportsTruncation(t *testing.T) {
+	const dim = 3
+	ht := HypercubeTopo{Dim: dim}
+	fs := NewFaultSet()
+	fa := NewFaultAware(ht, HypercubeRouter{Dim: dim}, fs)
+	src, dst := int64(0), int64(1<<dim-1)
+
+	p, truncated, err := fa.detourFrom(src, dst, MaxDetourTTL, 1)
+	if err != nil || truncated || p[0] != src || p[len(p)-1] != dst || fa.firstBlocked(p) >= 0 {
+		t.Fatalf("fault-free detourFrom = %v, truncated %v, err %v; want a live route", p, truncated, err)
+	}
+
+	for _, e := range ht.Neighbors(dst, nil) {
+		fs.FailLinkBoth(dst, e)
+	}
+	for _, tc := range []struct {
+		name          string
+		ttl, maxDepth int
+		truncated     bool
+	}{
+		{"depth bound", 1 << 20, 1, true},
+		{"TTL", 0, 0, true},
+		{"destination cut off", 1 << 20, 0, false},
+	} {
+		p, truncated, err := fa.detourFrom(src, dst, tc.ttl, tc.maxDepth)
+		if err == nil {
+			t.Fatalf("%s: found %v to a destination with every link down", tc.name, p)
+		}
+		if truncated != tc.truncated {
+			t.Fatalf("%s: truncated = %v, want %v (err %v)", tc.name, truncated, tc.truncated, err)
+		}
 	}
 }

@@ -94,7 +94,7 @@ func FuzzDetourDerivation(f *testing.F) {
 		// NextHop must deliver without crossing faults either.
 		cur := src
 		for hop := 0; cur != dst; hop++ {
-			if hop > 10*fa.MaxDetourTTL+100 {
+			if hop > 10*MaxDetourTTL+100 {
 				t.Fatalf("NextHop not delivering for (%d, %d)", src, dst)
 			}
 			nxt, err := fa.NextHop(cur, dst)
