@@ -327,82 +327,45 @@ func (s *sparseLinks) advance(now int, ln *simLane) {
 // ---------------------------------------------------------------------------
 // Injection sampling: the one sampler of every run.
 
-// exactInjectionNodes is the largest node count a lane samples exactly.
-const exactInjectionNodes = 1 << 16
-
 // injectionSampler draws one cycle's injecting sources among the n nodes a
-// lane owns, as owned-node indices in [0, n). While n <= 2^16 it walks the
-// nodes in order with one Bernoulli(rate) draw each and returns at every
-// success, so the caller draws that packet's destination before the next
-// node's coin: the per-node loop of a packet-switched simulator, in which a
-// node injects at most once per cycle. Above 2^16, walking tens of millions
-// of nodes every cycle would dominate the run, so the cycle's count is drawn
-// up front (injectionCount) and each source uniformly; one node can then
-// inject twice in a cycle, a vanishing-probability event at those scales.
+// lane owns, as owned-node indices in increasing order: every node injects
+// with probability rate each cycle, independently of every other node. It
+// draws the gap to the next injecting node from Geometric(rate), as
+// ⌊ln U / ln(1 − rate)⌋ with U in (0, 1], so it costs one draw per
+// injection (plus at most one that ends the cycle) instead of one per
+// node, and the caller draws each packet's destination before the next
+// gap. A gap that reaches past n ends the cycle; by memorylessness the
+// next cycle starts afresh at index 0. Rate 0 draws nothing; at rate 1
+// every gap is 0.
 type injectionSampler struct {
 	n    int64
-	rate float64
+	logq float64 // ln(1 − rate): 0 at rate 0, −Inf at rate 1
 	rng  *rand.Rand
-	left int64 // exact: the next owned index to flip; aggregate: draws left this cycle
+	pos  int64 // the first owned index the cycle's next gap starts from
+}
+
+func newInjectionSampler(n int64, rate float64, rng *rand.Rand) injectionSampler {
+	return injectionSampler{n: n, logq: math.Log1p(-rate), rng: rng}
 }
 
 // start begins a cycle.
-func (s *injectionSampler) start() {
-	if s.n <= exactInjectionNodes {
-		s.left = 0
-	} else {
-		s.left = injectionCount(s.n, s.rate, s.rng)
-	}
-}
+func (s *injectionSampler) start() { s.pos = 0 }
 
 // next returns the cycle's next injecting owned index, or -1 when the
 // cycle has no more.
 func (s *injectionSampler) next() int64 {
-	if s.n > exactInjectionNodes {
-		if s.left == 0 {
-			return -1
-		}
-		s.left--
-		return s.rng.Int63n(s.n)
+	if s.logq == 0 || s.pos >= s.n {
+		return -1
 	}
-	rng, rate, n := s.rng, s.rate, s.n
-	for i := s.left; i < n; i++ {
-		if rng.Float64() < rate {
-			s.left = i + 1
-			return i
-		}
+	// Compared as a float: a gap past n can exceed the int64 range.
+	gap := math.Floor(math.Log(1-s.rng.Float64()) / s.logq)
+	if gap >= float64(s.n-s.pos) {
+		s.pos = s.n
+		return -1
 	}
-	s.left = n
-	return -1
-}
-
-// injectionCount draws the aggregate injection count of n > 2^16 nodes from
-// the Poisson approximation of Binomial(n, rate): exact multiplicative
-// sampling for small means, a normal approximation above.
-func injectionCount(n int64, rate float64, rng *rand.Rand) int64 {
-	lambda := float64(n) * rate
-	if lambda == 0 {
-		return 0
-	}
-	if lambda < 30 {
-		// Knuth's multiplicative Poisson sampler.
-		limit := math.Exp(-lambda)
-		k := int64(-1)
-		p := 1.0
-		for p > limit {
-			k++
-			p *= rng.Float64()
-		}
-		return k
-	}
-	k := int64(math.Round(lambda + math.Sqrt(lambda)*rng.NormFloat64()))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
+	i := s.pos + int64(gap)
+	s.pos = i + 1
+	return i
 }
 
 // uniformDst64 draws a uniformly random destination != src over [0, n).

@@ -44,14 +44,22 @@ import (
 // draws of adaptive spread, so only run/q5/adaptive/seed5 and
 // runfaulty/q5/adaptive-notify25/seed3 changed. The three probe-stream
 // digests of TestEngineProbeGolden moved with the within-cycle event order.
+// They were re-recorded a third time, on purpose, when the injection
+// sampler's per-node coin walk (and, above 2^16 nodes a lane, its
+// Poisson/normal count with sources drawn with replacement) gave way to
+// geometric gaps between injecting nodes: the same per-node Bernoulli
+// process, drawn with one RNG draw per injection, so every case, all three
+// probe digests and TestNilProbeGoldenParity moved, and a 20-seed mean ±
+// s.d. of Injected, AvgLatency and Throughput per case showed no shift
+// beyond 3 standard errors. The two q17 cases, named after the regimes
+// that were deleted (poisson, normal), took the names of their rates.
 //
 // The grid spans the axes the engine parameterizes: built vs implicit
 // adjacency, table vs algebraic routing, fault-free vs degraded runs,
 // uniform/transpose/hotspot patterns, module-partitioned service periods,
 // store-and-forward vs cut-through, multi-flit messages, adaptive routing,
-// and all three injection-sampler regimes (exact Bernoulli, Poisson,
-// normal approximation). TestEngineProbeGolden pins three built-graph probe
-// streams as well.
+// and lanes below and above 2^16 nodes. TestEngineProbeGolden pins three
+// built-graph probe streams as well.
 
 const engineGoldenFile = "testdata/engine_golden.json"
 
@@ -216,21 +224,14 @@ func goldenResults(t *testing.T) map[string]any {
 			put(fmt.Sprintf("runimplicit/q8/%s/seed%d", pname, seed), st, err)
 		}
 	}
-	{
-		// Poisson regime: n > 2^16, lambda < 30.
+	// The grid's only lanes above 2^16 nodes: ~2.6 and ~39 injections a
+	// cycle, long gaps between injecting nodes.
+	for _, rate := range []float64{2e-5, 3e-4} {
 		cfg := ImplicitConfig{Topo: topo.HypercubeTopo{Dim: 17},
-			Router: topo.HypercubeRouter{Dim: 17}, InjectionRate: 2e-5,
+			Router: topo.HypercubeRouter{Dim: 17}, InjectionRate: rate,
 			WarmupCycles: 50, MeasureCycles: 200, Seed: 3}
 		st, err := RunImplicit(cfg)
-		put("runimplicit/q17/poisson/seed3", st, err)
-	}
-	{
-		// Normal-approximation regime: n > 2^16, lambda >= 30.
-		cfg := ImplicitConfig{Topo: topo.HypercubeTopo{Dim: 17},
-			Router: topo.HypercubeRouter{Dim: 17}, InjectionRate: 3e-4,
-			WarmupCycles: 50, MeasureCycles: 200, Seed: 3}
-		st, err := RunImplicit(cfg)
-		put("runimplicit/q17/normal/seed3", st, err)
+		put(fmt.Sprintf("runimplicit/q17/rate%g/seed3", rate), st, err)
 	}
 	{
 		net := superip.HSN(2, superip.NucleusHypercube(3))
@@ -401,7 +402,7 @@ func TestEngineProbeGolden(t *testing.T) {
 	}{
 		{"run/q5/adaptive/seed5", Config{Graph: q5, InjectionRate: 0.05, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: 5, Adaptive: true}, FaultConfig{},
-			"2c86b61f39ad3f2ddb7a717049adcca4cb1d191148f203b12b85c7fc2a703401"},
+			"3e82decafa338e47f153779477a67520fec4300f22882ee49a0afd554803d75f"},
 		{"run/torus/periodfunc/seed6", Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 2,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 6,
 			PeriodFunc: func(u, v int32) int {
@@ -410,11 +411,11 @@ func TestEngineProbeGolden(t *testing.T) {
 				}
 				return 1
 			}}, FaultConfig{},
-			"8bb734fa8cdc658aaa49190347d35743a16677796e52d9909a0bf8e4e90805ed"},
+			"4c3ef42bef92cb52e8203beef398dc95d5197c6d519cfa20569f8646fe1033d4"},
 		{"runfaulty/ring16/harsh/seed2", Config{Graph: ring, InjectionRate: 0.3, WarmupCycles: 30,
 			MeasureCycles: 250, Seed: 2}, FaultConfig{Plan: ringPlan, RetransmitTimeout: 20,
 			MaxRetries: 2, DetourTTL: 3, NotifyDelay: 10},
-			"a3381ae0ecb9b60ac390e2f3694bacec46b9083907dacb7c4795676750b53ca5"},
+			"e14fd1684d9f89b89751feaac58fb1d490f40be834ad1d799a6450d18f9bf8fb"},
 	}
 	for _, tc := range cases {
 		log := &obs.EventLog{}

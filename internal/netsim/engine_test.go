@@ -26,22 +26,19 @@ func drain(s *injectionSampler) []int64 {
 	}
 }
 
-// TestInjectionSamplerExactRegime pins the exact regime (n <= 2^16): one
-// Bernoulli draw per owned node, in order, so rate 0 injects nothing, rate
-// 1 injects from every node exactly once, the draw count is exactly n
-// whatever the outcomes, and the empirical mean tracks n*rate.
+// TestInjectionSamplerExactRegime pins the geometric-gap sampler's edges:
+// rate 0 injects nothing and draws nothing, rate 1 injects from every node
+// exactly once, in order, a cycle's indices increase strictly, and a gap
+// far beyond n (or beyond the int64 range) ends the cycle.
 func TestInjectionSamplerExactRegime(t *testing.T) {
-	for _, n := range []int64{1, 100, 1 << 16} {
+	for _, n := range []int64{1, 100, 1<<16 + 1} {
 		cs := &countingSource{src: rand.NewSource(1)}
-		s := &injectionSampler{n: n, rate: 0, rng: rand.New(cs)}
-		if got := drain(s); len(got) != 0 {
-			t.Fatalf("n=%d rate=0: %d injections", n, len(got))
+		s := newInjectionSampler(n, 0, rand.New(cs))
+		if got := drain(&s); len(got) != 0 || cs.draws != 0 {
+			t.Fatalf("n=%d rate=0: %d injections, %d draws", n, len(got), cs.draws)
 		}
-		if cs.draws != int(n) {
-			t.Fatalf("n=%d rate=0: %d draws, want %d", n, cs.draws, n)
-		}
-		s.rate = 1
-		got := drain(s)
+		s = newInjectionSampler(n, 1, rand.New(cs))
+		got := drain(&s)
 		if int64(len(got)) != n {
 			t.Fatalf("n=%d rate=1: %d injections, want %d", n, len(got), n)
 		}
@@ -50,81 +47,89 @@ func TestInjectionSamplerExactRegime(t *testing.T) {
 				t.Fatalf("n=%d rate=1: injection %d from node %d, want %d", n, i, src, i)
 			}
 		}
-		if cs.draws != 2*int(n) {
-			t.Fatalf("n=%d: %d draws over two cycles, want %d", n, cs.draws, 2*n)
+	}
+	for _, rate := range []float64{0.001, 0.3, 0.9} {
+		s := newInjectionSampler(5000, rate, rand.New(rand.NewSource(2)))
+		for c := 0; c < 50; c++ {
+			got := drain(&s)
+			for i, src := range got {
+				if src < 0 || src >= 5000 || (i > 0 && src <= got[i-1]) {
+					t.Fatalf("rate %v cycle %d: indices %v not strictly increasing in [0,5000)", rate, c, got)
+				}
+			}
 		}
 	}
-	// Empirical mean over repeated cycles.
-	const n, rate, rounds = 4096, 0.01, 400
-	s := &injectionSampler{n: n, rate: rate, rng: rand.New(rand.NewSource(1))}
-	sum := 0
-	for i := 0; i < rounds; i++ {
-		sum += len(drain(s))
-	}
-	mean := float64(sum) / rounds
-	want := float64(n) * rate
-	if math.Abs(mean-want) > 0.15*want {
-		t.Fatalf("exact regime mean %.2f, want ~%.2f", mean, want)
+	s := newInjectionSampler(1<<62, 1e-300, rand.New(rand.NewSource(3)))
+	for c := 0; c < 100; c++ {
+		if got := drain(&s); len(got) != 0 {
+			t.Fatalf("rate 1e-300: injected from %v", got)
+		}
 	}
 }
 
-// TestInjectionCountPoissonRegime pins the small-lambda approximation branch
-// (n > 2^16, n*rate < 30): Knuth's multiplicative sampler, nonnegative, with
-// the right mean.
-func TestInjectionCountPoissonRegime(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const n = int64(1<<16) + 1 // smallest n on the approximate side of the boundary
-	rate := 29.0 / float64(n)  // lambda just under the 30 cutoff
-	const rounds = 2000
-	sum := int64(0)
-	for i := 0; i < rounds; i++ {
-		k := injectionCount(n, rate, rng)
-		if k < 0 {
-			t.Fatalf("negative count %d", k)
+// TestInjectionSamplerBinomial checks the sampler against the process it
+// stands for: over C cycles each node's injection count is
+// Binomial(C, rate), independently of the other nodes, so the histogram of
+// per-node counts passes a χ² test against n·Binomial(C, rate) at the
+// 0.001 level. One n lies below 2^16 and one above, where the engine once
+// switched to an approximate count.
+func TestInjectionSamplerBinomial(t *testing.T) {
+	for _, tc := range []struct {
+		n, cycles int
+		rate      float64
+	}{{4096, 400, 0.02}, {1<<16 + 4464, 100, 0.2}} {
+		s := newInjectionSampler(int64(tc.n), tc.rate, rand.New(rand.NewSource(5)))
+		counts := make([]int, tc.n)
+		for c := 0; c < tc.cycles; c++ {
+			for _, i := range drain(&s) {
+				counts[i]++
+			}
 		}
-		sum += k
-	}
-	mean := float64(sum) / rounds
-	if math.Abs(mean-29.0) > 0.1*29.0 {
-		t.Fatalf("poisson regime mean %.2f, want ~29", mean)
-	}
-	if k := injectionCount(n, 0, rng); k != 0 {
-		t.Fatalf("lambda=0 must return 0, got %d", k)
+		hist := make([]int, tc.cycles+1)
+		for _, k := range counts {
+			hist[k]++
+		}
+		// Pool adjacent counts until each bin expects at least 5 nodes.
+		var binObs, binExp []float64
+		var obs, exp float64
+		lnC := lgamma(tc.cycles + 1)
+		for k := 0; k <= tc.cycles; k++ {
+			pmf := math.Exp(lnC - lgamma(k+1) - lgamma(tc.cycles-k+1) +
+				float64(k)*math.Log(tc.rate) + float64(tc.cycles-k)*math.Log1p(-tc.rate))
+			obs += float64(hist[k])
+			exp += float64(tc.n) * pmf
+			if exp >= 5 {
+				binObs, binExp = append(binObs, obs), append(binExp, exp)
+				obs, exp = 0, 0
+			}
+		}
+		// The upper tail, expecting fewer than 5, joins the last bin.
+		bins := len(binObs)
+		binObs[bins-1] += obs
+		binExp[bins-1] += exp
+		var chi2 float64
+		for i := range binObs {
+			chi2 += (binObs[i] - binExp[i]) * (binObs[i] - binExp[i]) / binExp[i]
+		}
+		// Wilson–Hilferty approximation of the 0.999 quantile of χ²(df).
+		df := float64(bins - 1)
+		h := 2 / (9 * df)
+		crit := df * math.Pow(1-h+3.09*math.Sqrt(h), 3)
+		if chi2 > crit {
+			t.Errorf("n=%d, %d cycles, rate %v: χ² = %.1f over %d bins, 0.999 quantile %.1f",
+				tc.n, tc.cycles, tc.rate, chi2, bins, crit)
+		}
 	}
 }
 
-// TestInjectionCountNormalRegime pins the large-lambda branch (n > 2^16,
-// n*rate >= 30): normal approximation, clamped into [0, n].
-func TestInjectionCountNormalRegime(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = int64(1 << 20)
-	const rate = 0.001 // lambda = 1048.576
-	lambda := float64(n) * rate
-	const rounds = 2000
-	sum := int64(0)
-	for i := 0; i < rounds; i++ {
-		k := injectionCount(n, rate, rng)
-		if k < 0 || k > n {
-			t.Fatalf("count %d outside [0,%d]", k, n)
-		}
-		sum += k
-	}
-	mean := float64(sum) / rounds
-	if math.Abs(mean-lambda) > 0.05*lambda {
-		t.Fatalf("normal regime mean %.2f, want ~%.2f", mean, lambda)
-	}
-	// The upper clamp: rate 1 makes the normal draw hug n; every sample
-	// must stay within the population.
-	for i := 0; i < 50; i++ {
-		if k := injectionCount(n, 1, rng); k > n {
-			t.Fatalf("clamp failed: %d > %d", k, n)
-		}
-	}
+func lgamma(x int) float64 {
+	v, _ := math.Lgamma(float64(x))
+	return v
 }
 
 // countingSource wraps a rand.Source and counts the raw Int63 draws pulled
-// through it — one per Float64, so it measures exactly how many per-node
-// draws a sampler consumed.
+// through it — one per Float64, so it measures exactly how many draws a
+// sampler consumed.
 type countingSource struct {
 	src   rand.Source
 	draws int
@@ -132,23 +137,6 @@ type countingSource struct {
 
 func (c *countingSource) Int63() int64 { c.draws++; return c.src.Int63() }
 func (c *countingSource) Seed(s int64) { c.src.Seed(s) }
-
-// TestInjectionSamplerRegimeBoundary checks the exact/approximate switch at
-// n = 2^16: at the boundary the sampler walks every node (one draw each),
-// one node beyond it the aggregate samplers run (O(lambda) or O(1) draws).
-func TestInjectionSamplerRegimeBoundary(t *testing.T) {
-	drawsUsed := func(n int64, rate float64) int {
-		cs := &countingSource{src: rand.NewSource(42)}
-		drain(&injectionSampler{n: n, rate: rate, rng: rand.New(cs)})
-		return cs.draws
-	}
-	if got := drawsUsed(1<<16, 0.0001); got != 1<<16 {
-		t.Fatalf("n=2^16 used %d draws, want %d (exact regime)", got, 1<<16)
-	}
-	if got := drawsUsed(1<<16+1, 0.0001); got >= 1<<10 {
-		t.Fatalf("n=2^16+1 used %d draws, want O(lambda) (approximate regime)", got)
-	}
-}
 
 // TestUniformDst64 checks the shifted-draw destination sampler: never the
 // source, covers every other node, uniform to statistical tolerance.
@@ -191,9 +179,8 @@ func (c *injectCounter) Inject(cycle int, _ int64, src, _ int64, _ bool) {
 	}
 }
 
-// TestInjectionOncePerCycle pins the exact regime end to end: while a lane
-// owns at most 2^16 nodes, no node injects twice in one cycle, sequential
-// or sharded.
+// TestInjectionOncePerCycle pins the sampler end to end: no node injects
+// twice in one cycle, sequential or sharded.
 func TestInjectionOncePerCycle(t *testing.T) {
 	const dim = 10
 	ht := topo.HypercubeTopo{Dim: dim}

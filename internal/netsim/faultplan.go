@@ -149,6 +149,21 @@ type RandomFaults struct {
 	Seed int64
 }
 
+// check rejects parameters no schedule can follow; a NaN MTBF or
+// NodeFraction fails every comparison, so it is rejected too.
+func (r RandomFaults) check() error {
+	if !(r.MTBF > 0) {
+		return fmt.Errorf("netsim: RandomFaults.MTBF must be positive, got %v", r.MTBF)
+	}
+	if !(r.NodeFraction >= 0 && r.NodeFraction <= 1) {
+		return fmt.Errorf("netsim: RandomFaults.NodeFraction %v out of [0,1]", r.NodeFraction)
+	}
+	if r.Horizon <= r.Start {
+		return fmt.Errorf("netsim: RandomFaults window [%d,%d) is empty", r.Start, r.Horizon)
+	}
+	return nil
+}
+
 // Plan draws a deterministic fault schedule for g. The same graph, seed, and
 // parameters always produce the same plan. Node 0 is never killed by a node
 // fault (keeping at least one stable observer); links are drawn uniformly
@@ -156,14 +171,8 @@ type RandomFaults struct {
 // component already scheduled down at that cycle are simply re-drawn as
 // independent events (the simulator handles overlap by reference counting).
 func (r RandomFaults) Plan(g *graph.Graph) (*FaultPlan, error) {
-	if r.MTBF <= 0 {
-		return nil, fmt.Errorf("netsim: RandomFaults.MTBF must be positive, got %v", r.MTBF)
-	}
-	if r.NodeFraction < 0 || r.NodeFraction > 1 {
-		return nil, fmt.Errorf("netsim: RandomFaults.NodeFraction %v out of [0,1]", r.NodeFraction)
-	}
-	if r.Horizon <= r.Start {
-		return nil, fmt.Errorf("netsim: RandomFaults window [%d,%d) is empty", r.Start, r.Horizon)
+	if err := r.check(); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(r.Seed))
 	edges := g.EdgeList()
@@ -199,14 +208,8 @@ func (r RandomFaults) Plan(g *graph.Graph) (*FaultPlan, error) {
 // never killed, as in Plan. Topologies with more than 2^31 nodes are
 // rejected: FaultEvent ids are int32.
 func (r RandomFaults) PlanTopo(t Topology) (*FaultPlan, error) {
-	if r.MTBF <= 0 {
-		return nil, fmt.Errorf("netsim: RandomFaults.MTBF must be positive, got %v", r.MTBF)
-	}
-	if r.NodeFraction < 0 || r.NodeFraction > 1 {
-		return nil, fmt.Errorf("netsim: RandomFaults.NodeFraction %v out of [0,1]", r.NodeFraction)
-	}
-	if r.Horizon <= r.Start {
-		return nil, fmt.Errorf("netsim: RandomFaults window [%d,%d) is empty", r.Start, r.Horizon)
+	if err := r.check(); err != nil {
+		return nil, err
 	}
 	n := t.N()
 	if n > int64(1)<<31 {

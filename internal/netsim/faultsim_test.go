@@ -1,12 +1,14 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/networks"
 	"repro/internal/superip"
+	"repro/internal/topo"
 )
 
 func TestRunFaultyEmptyPlanMatchesRun(t *testing.T) {
@@ -291,6 +293,17 @@ func TestRandomFaultPlanErrors(t *testing.T) {
 	}
 	if _, err := (RandomFaults{MTBF: 10, Horizon: 100, NodeFraction: 2}).Plan(g); err == nil {
 		t.Fatal("NodeFraction > 1 must fail")
+	}
+	// NaN fails every comparison: without a check, MTBF NaN strikes on
+	// every cycle and NodeFraction NaN silently reads as 0.
+	imp := topo.HypercubeTopo{Dim: 3}
+	for _, rf := range []RandomFaults{{MTBF: math.NaN(), Horizon: 100}, {MTBF: 10, Horizon: 100, NodeFraction: math.NaN()}} {
+		if _, err := rf.Plan(g); err == nil {
+			t.Fatalf("Plan(%+v) must fail", rf)
+		}
+		if _, err := rf.PlanTopo(imp); err == nil {
+			t.Fatalf("PlanTopo(%+v) must fail", rf)
+		}
 	}
 }
 

@@ -31,9 +31,8 @@ type ImplicitConfig struct {
 	Topo   Topology
 	Router Router
 	// InjectionRate is the probability per node per cycle of injecting a
-	// packet. Per-node Bernoulli draws are simulated exactly up to 2^16
-	// nodes and by a Poisson/normal approximation of the aggregate
-	// injection count beyond (see injectionSampler).
+	// packet, independently of every other node, at any N (see
+	// injectionSampler).
 	InjectionRate float64
 	// WarmupCycles, MeasureCycles, DrainCycles as in Config.
 	WarmupCycles, MeasureCycles, DrainCycles int

@@ -31,7 +31,8 @@ type Config struct {
 	// (on-module links always have period 1). 1 = all links equal.
 	OffModulePeriod int
 	// InjectionRate is the probability per node per cycle of injecting a
-	// packet with a uniformly random destination.
+	// packet, independently of every other node; Pattern picks its
+	// destination (uniform by default).
 	InjectionRate float64
 	// WarmupCycles are simulated but packets injected during them are not
 	// measured. MeasureCycles follow; then the run drains in-flight

@@ -120,7 +120,7 @@ func (cfg *ShardedConfig) normalize() error {
 	if cfg.NewLane == nil {
 		return fmt.Errorf("netsim: sharded runs need a NewLane factory")
 	}
-	if cfg.InjectionRate < 0 || cfg.InjectionRate > 1 {
+	if r := cfg.InjectionRate; r < 0 || r > 1 || r != r {
 		return fmt.Errorf("netsim: injection rate %v out of [0,1]", cfg.InjectionRate)
 	}
 	if cfg.Lanes < 1 {
@@ -378,7 +378,7 @@ func newLanes(cfg ShardedConfig, o runOpts) (*laneRun, []*simLane, error) {
 		if int64(ln.idx) < M {
 			owned = ((M-1-int64(ln.idx))/L + 1) * S
 		}
-		ln.sampler = injectionSampler{n: owned, rate: cfg.InjectionRate, rng: ln.rng}
+		ln.sampler = newInjectionSampler(owned, cfg.InjectionRate, ln.rng)
 		ln.statser, _ = ln.router.(routerStatser)
 		if ln.statser != nil {
 			ln.routerBase = ln.statser.RouterStats()
