@@ -391,6 +391,85 @@ func BenchmarkFaultAwareRoute(b *testing.B) {
 	}
 }
 
+// nextHopWalk drives a few hundred packets round-robin through r on the
+// implicit sym-HSN(3;Q4), one NextHop per iteration, so the router's route
+// store holds a realistic in-flight population. A packet that arrives is
+// replaced by the next pair of a fixed sequence; pairs touching a failed
+// node are skipped.
+func nextHopWalk(b *testing.B, imp *topo.Implicit, r topo.Router, fs *topo.FaultSet) {
+	b.Helper()
+	const packets = 256
+	n := imp.N()
+	var cur, dst [packets]int64
+	pair := int64(0)
+	refill := func(k int) {
+		for {
+			pair++
+			src, d := pair%n, (pair*2654435761)%n
+			if src != d && !fs.NodeDown(src) && !fs.NodeDown(d) {
+				cur[k], dst[k] = src, d
+				return
+			}
+		}
+	}
+	for k := range cur {
+		refill(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % packets
+		nxt, err := r.NextHop(cur[k], dst[k])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cur[k] = nxt; nxt == dst[k] {
+			refill(k)
+		}
+	}
+}
+
+// BenchmarkAlgebraicNextHop measures one routed hop of the algebraic router
+// on the implicit sym-HSN(3;Q4) with a few hundred packets in flight: the
+// route-store lookup, delete and re-insert of every hop, plus a Theorem 4.3
+// route at each packet's source.
+func BenchmarkAlgebraicNextHop(b *testing.B) {
+	net := superip.HSN(3, superip.NucleusHypercube(4)).SymmetricVariant()
+	r, err := topo.NewAlgebraic(net.Super())
+	if err != nil {
+		b.Fatal(err)
+	}
+	imp, err := topo.NewImplicit(net.Super())
+	if err != nil {
+		b.Fatal(err)
+	}
+	nextHopWalk(b, imp, r, topo.NewFaultSet())
+}
+
+// BenchmarkFaultAwareNextHop is BenchmarkAlgebraicNextHop through
+// FaultAware, with BenchmarkFaultAwareRoute's 16 live link faults: it prices
+// the route store and the FaultSet queries that verify each new route.
+func BenchmarkFaultAwareNextHop(b *testing.B) {
+	net := superip.HSN(3, superip.NucleusHypercube(4)).SymmetricVariant()
+	r, err := topo.NewAlgebraic(net.Super())
+	if err != nil {
+		b.Fatal(err)
+	}
+	imp, err := topo.NewImplicit(net.Super())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := imp.N()
+	fs := topo.NewFaultSet()
+	var buf []int64
+	for k := int64(0); k < 16; k++ {
+		u := (k * 40503) % n
+		buf = imp.Neighbors(u, buf)
+		fs.FailLinkBoth(u, buf[int(k)%len(buf)])
+	}
+	nextHopWalk(b, imp, topo.NewFaultAware(imp, r, fs), fs)
+}
+
 // BenchmarkFaultAwareRouteProbed measures the faulty routing workload the
 // way a probed simulator run consumes it: packets walk hop by hop through
 // NextHop (exercising the suffix cache the counters instrument), and a

@@ -250,7 +250,7 @@ func main() {
 	)
 	flag.Parse()
 	ratioList, rateList := parseInts(*ratios), parseFloats(*rates)
-	exitIf(validateSweep(ratioList, *cycles, *warmup))
+	exitIf(validateSweep(ratioList, rateList, *cycles, *warmup))
 	if *shards < 0 {
 		exitIf(fmt.Errorf("-shards must be >= 0 (got %d)", *shards))
 	}
@@ -751,12 +751,18 @@ func (s *sweep) implicit(net *superip.Net, rf netsim.RandomFaults, live *obs.Liv
 }
 
 // validateSweep rejects sweep flags no simulator run can honor: an
-// off-module period below 1 would run at period 1 under a wrong label, and
-// a run needs at least one measured cycle and a non-negative warmup.
-func validateSweep(ratios []int, cycles, warmup int) error {
+// off-module period below 1 would run at period 1 under a wrong label, an
+// injection rate is a per-node probability in [0, 1], and a run needs at
+// least one measured cycle and a non-negative warmup.
+func validateSweep(ratios []int, rates []float64, cycles, warmup int) error {
 	for _, r := range ratios {
 		if r < 1 {
 			return fmt.Errorf("-ratios: off-module period %d must be >= 1", r)
+		}
+	}
+	for _, r := range rates {
+		if !(r >= 0 && r <= 1) { // also rejects NaN
+			return fmt.Errorf("-rates: injection rate %v must be in [0, 1]", r)
 		}
 	}
 	if cycles < 1 {

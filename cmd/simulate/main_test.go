@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -120,12 +121,18 @@ func TestBadSpecsExitOne(t *testing.T) {
 		{[]string{"-net", "torus", "-module", "0"}, "-module 0"},
 		{[]string{"-implicit", "-shards", "-1"}, "-shards must be >= 0"},
 		{[]string{"-faults", "-1"}, "-faults must be >= 0"},
+		{[]string{"-rates", "NaN"}, "-rates"},
+		{[]string{"-rates", "2"}, "-rates"},
+		{[]string{"-rates", "-0.1"}, "-rates"},
 	}
 	for _, c := range cases {
-		_, stderr, code := simulate(t, append(c.args, "-ratios", "1", "-cycles", "10", "-warmup", "0")...)
+		stdout, stderr, code := simulate(t, append(c.args, "-ratios", "1", "-cycles", "10", "-warmup", "0")...)
 		if code != 1 || strings.Contains(stderr, "panic:") || !strings.Contains(stderr, c.want) {
 			t.Errorf("simulate %s: exit %d, stderr %q; want exit 1 naming %q",
 				strings.Join(c.args, " "), code, stderr, c.want)
+		}
+		if strings.HasPrefix(c.args[0], "-rates") && stdout != "" {
+			t.Errorf("simulate %s: printed %q before rejecting the flag", strings.Join(c.args, " "), stdout)
 		}
 	}
 }
@@ -134,19 +141,24 @@ func TestValidateSweep(t *testing.T) {
 	cases := []struct {
 		name           string
 		ratios         []int
+		rates          []float64
 		cycles, warmup int
 		wantErr        string // empty: accepted
 	}{
-		{"defaults", []int{1, 4, 16}, 3000, 300, ""},
-		{"no warmup", []int{1}, 1, 0, ""},
-		{"zero ratio", []int{0}, 100, 10, "-ratios"},
-		{"negative ratio after a good one", []int{1, -3}, 100, 10, "-ratios"},
-		{"zero cycles", []int{1}, 0, 10, "-cycles"},
-		{"negative cycles", []int{1}, -5, 10, "-cycles"},
-		{"negative warmup", []int{1}, 100, -50, "-warmup"},
+		{"defaults", []int{1, 4, 16}, []float64{0.005}, 3000, 300, ""},
+		{"no warmup", []int{1}, []float64{0.005}, 1, 0, ""},
+		{"rate bounds", []int{1}, []float64{0, 1}, 100, 10, ""},
+		{"zero ratio", []int{0}, []float64{0.005}, 100, 10, "-ratios"},
+		{"negative ratio after a good one", []int{1, -3}, []float64{0.005}, 100, 10, "-ratios"},
+		{"NaN rate", []int{1}, []float64{math.NaN()}, 100, 10, "-rates"},
+		{"rate above 1", []int{1}, []float64{0.01, 2}, 100, 10, "-rates"},
+		{"negative rate", []int{1}, []float64{-0.1}, 100, 10, "-rates"},
+		{"zero cycles", []int{1}, []float64{0.005}, 0, 10, "-cycles"},
+		{"negative cycles", []int{1}, []float64{0.005}, -5, 10, "-cycles"},
+		{"negative warmup", []int{1}, []float64{0.005}, 100, -50, "-warmup"},
 	}
 	for _, c := range cases {
-		err := validateSweep(c.ratios, c.cycles, c.warmup)
+		err := validateSweep(c.ratios, c.rates, c.cycles, c.warmup)
 		switch {
 		case c.wantErr == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)

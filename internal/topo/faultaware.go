@@ -411,17 +411,21 @@ func DisjointRoutes(t Topology, pr PathRouter, src, dst int64) ([][]int64, error
 	flow := map[[2]int64]bool{}
 	// augment pushes one unit of flow along p, which must be node-simple
 	// (simplifyWalk) so that no arc is used twice within one augmentation.
+	// The arcs' faults and repairs are independent, so they land in one
+	// FaultSet mutation.
 	augment := func(p []int64) {
+		var failed, repaired [][2]int64
 		for i := 0; i+1 < len(p); i++ {
 			u, v := p[i], p[i+1]
 			if back := [2]int64{v, u}; !directed && flow[back] {
 				delete(flow, back) // traversed against flow: cancel it
-				fs.RepairLink(v, u)
+				repaired = append(repaired, back)
 			} else {
 				flow[[2]int64{u, v}] = true
-				fs.FailLink(u, v)
+				failed = append(failed, [2]int64{u, v})
 			}
 		}
+		fs.mutate(func(s *faultSnap) { s.links = repair(fail(s.links, failed...), repaired...) })
 	}
 	augment(simplifyWalk(primary))
 	paths := 1
