@@ -5,7 +5,11 @@
 //
 // Usage:
 //
-//	figures [-limit N] [-parallel] [-workers N] [artifact ...]
+//	figures [-limit N] [-workers N] [artifact ...]
+//
+// -workers 1 builds graphs with the sequential enumerator, n > 1 with the
+// parallel one on n workers, and 0 (the default) on GOMAXPROCS workers;
+// the tables are identical either way.
 package main
 
 import (
@@ -19,15 +23,12 @@ import (
 
 func main() {
 	limit := flag.Int("limit", 1<<13, "largest instance measured exhaustively for Fig 3")
-	par := flag.Bool("parallel", true, "use the parallel level-synchronous enumerator (identical output)")
-	workers := flag.Int("workers", 0, "parallel build workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "build workers: 1 = sequential enumerator, n > 1 = parallel level-synchronous one, 0 = GOMAXPROCS (identical output)")
 	flag.Parse()
 
-	// Graph construction is deterministic for every worker count, so these
-	// flags never change the emitted tables — only how fast they appear.
-	if !*par {
-		core.DefaultWorkers = 1
-	} else if *workers > 0 {
+	// Graph construction is deterministic for every worker count, so this
+	// flag never changes the emitted tables — only how fast they appear.
+	if *workers > 0 {
 		core.DefaultWorkers = *workers
 	}
 

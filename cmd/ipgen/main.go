@@ -52,8 +52,7 @@ func main() {
 		kappa   = flag.Bool("kappa", false, "measure exact vertex/edge connectivity")
 		bisectN = flag.Bool("bisect", false, "estimate bisection width (exact <= 24 nodes, else Kernighan-Lin)")
 		lay     = flag.Bool("layout", false, "place on a grid (recursive bisection) and report wire cost")
-		par     = flag.Bool("parallel", true, "use the parallel level-synchronous enumerator (identical output)")
-		workers = flag.Int("workers", 0, "parallel build workers (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "build workers: 1 = sequential enumerator, n > 1 = parallel level-synchronous one, 0 = GOMAXPROCS (identical output)")
 		bonly   = flag.Bool("buildonly", false, "skip all-pairs statistics; report size, degree, and build time only")
 		impl    = flag.Bool("implicit", false, "super-IP families: skip the build entirely and report analytic plus sampled-route statistics from the implicit topology")
 		pairs   = flag.Int("pairs", 2000, "sampled (src,dst) pairs for -implicit route statistics")
@@ -96,11 +95,9 @@ func main() {
 		console = os.Stderr
 	}
 
-	// The parallel enumerator is byte-identical to the sequential one, so the
-	// flags only choose the code path (and its speed), never the output.
-	if !*par {
-		core.DefaultWorkers = 1
-	} else if *workers > 0 {
+	// The parallel enumerator is byte-identical to the sequential one, so
+	// -workers only chooses the code path (and its speed), never the output.
+	if *workers > 0 {
 		core.DefaultWorkers = *workers
 	}
 	buildOnly = *bonly

@@ -8,11 +8,12 @@
 // the vertex set is generally a proper subset of an orbit of the symmetric
 // group and its size depends on the seed's symbol multiset.
 //
-// The package also implements the paper's ball-arrangement game (Section 2),
-// super-IP graphs with nucleus and super-generators (Section 3), the
-// Theorem 4.1/4.3 routing algorithm and diameter formulas (Section 4), and a
-// constructive demonstration of Theorem 2.1 (every graph has an IP-graph
-// representation).
+// The package also solves the paper's ball-arrangement game (Section 2) as
+// shortest-path search over labels (IPGraph.ShortestPath, ApplyMoves), and
+// implements super-IP graphs with nucleus and super-generators (Section 3),
+// the Theorem 4.1/4.3 routing algorithm and diameter formulas (Section 4),
+// and a constructive demonstration of Theorem 2.1 (every graph has an
+// IP-graph representation).
 package core
 
 import (
@@ -150,11 +151,6 @@ type BuildOptions struct {
 	// Limit aborts enumeration if more than Limit vertices are found
 	// (0 means no limit). Protects against accidentally huge graphs.
 	Limit int
-	// AttachLabels stores each node's label string on the produced graph
-	// (grouped by GroupSize symbols if nonzero).
-	AttachLabels bool
-	// GroupSize is the super-symbol length used when rendering labels.
-	GroupSize int
 	// Workers selects the enumeration strategy: 1 forces the sequential
 	// builder, n > 1 runs the parallel level-synchronous builder with n
 	// workers, and 0 falls back to DefaultWorkers (and then GOMAXPROCS).
@@ -172,7 +168,7 @@ type BuildOptions struct {
 
 // DefaultWorkers, when positive, is the worker count used by Build whenever
 // BuildOptions.Workers is zero; when itself zero, GOMAXPROCS is used. CLI
-// front-ends set it once at startup (-parallel/-workers flags); it is not
+// front-ends set it once at startup (their -workers flag); it is not
 // synchronized, so set it before building from multiple goroutines.
 var DefaultWorkers int
 
@@ -237,7 +233,7 @@ func (ip *IPGraph) buildSeq(opt BuildOptions) (*graph.Graph, *Index, error) {
 			arcs = append(arcs, v)
 		}
 	}
-	return ip.finish(ix, arcs, opt)
+	return ip.finish(ix, arcs)
 }
 
 // limitErr reports a BuildOptions.Limit violation, naming the family and the
@@ -253,7 +249,7 @@ func (ip *IPGraph) limitErr(limit, attempted int) error {
 // finish realizes the enumerated arc table as a CSR graph. Both builders
 // produce the identical flat arc layout (node-major, generator-minor), so
 // sharing this epilogue guarantees the realized graphs match exactly.
-func (ip *IPGraph) finish(ix *Index, arcs []int32, opt BuildOptions) (*graph.Graph, *Index, error) {
+func (ip *IPGraph) finish(ix *Index, arcs []int32) (*graph.Graph, *Index, error) {
 	undirected := perm.ClosedUnderInverse(ip.Gens)
 	G := len(ip.Gens)
 	b := graph.NewBuilder(len(ix.labels), !undirected)
@@ -267,17 +263,7 @@ func (ip *IPGraph) finish(ix *Index, arcs []int32, opt BuildOptions) (*graph.Gra
 			}
 		}
 	}
-	g := b.Build()
-	if opt.AttachLabels {
-		for id, lbl := range ix.labels {
-			b2 := lbl.Grouped(opt.GroupSize)
-			if g.Labels == nil {
-				g.Labels = make([]string, g.N())
-			}
-			g.Labels[id] = b2
-		}
-	}
-	return g, ix, nil
+	return b.Build(), ix, nil
 }
 
 // IsCayley reports whether the IP graph satisfies the Cayley-graph condition

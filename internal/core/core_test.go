@@ -315,17 +315,6 @@ func TestGenName(t *testing.T) {
 	}
 }
 
-func TestAttachLabels(t *testing.T) {
-	s := hsn(2, nucleusQ(2), false)
-	g, _, err := s.Build(BuildOptions{AttachLabels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Labels == nil || g.Labels[0] != "1212 1212" {
-		t.Fatalf("labels = %v", g.Labels[:1])
-	}
-}
-
 func TestCertifyVertexTransitiveSymmetricVariants(t *testing.T) {
 	// Section 3.5: symmetric super-IP graphs are Cayley graphs, hence
 	// vertex-symmetric. Certify it exactly: one verified automorphism per

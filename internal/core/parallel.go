@@ -296,5 +296,5 @@ func (ip *IPGraph) buildParallel(opt BuildOptions, workers int) (*graph.Graph, *
 			}
 		}
 	}
-	return ip.finish(ix, arcs, opt)
+	return ip.finish(ix, arcs)
 }

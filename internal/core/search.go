@@ -128,16 +128,6 @@ func (ip *IPGraph) reconstructMeet(meet string, fwd, bwd map[string]searchCrumb)
 	return append(front, back...), nil
 }
 
-// Distance returns the shortest-path length between two labels using
-// ShortestPath.
-func (ip *IPGraph) Distance(src, dst symbols.Label, limit int) (int, error) {
-	moves, err := ip.ShortestPath(src, dst, limit)
-	if err != nil {
-		return 0, err
-	}
-	return len(moves), nil
-}
-
 // ApplyMoves applies a generator-index sequence to a label, returning the
 // resulting label and every intermediate state.
 func (ip *IPGraph) ApplyMoves(src symbols.Label, moves []int) ([]symbols.Label, error) {

@@ -61,6 +61,43 @@ func TestShortestPathStar(t *testing.T) {
 	checkOptimalSearch(t, Cayley("S5-search", gens, nil))
 }
 
+func TestGameSolveOnStar(t *testing.T) {
+	// The ball-arrangement game on the 4-star: 1234 -> 2143 takes exactly 4
+	// star moves (two 2-cycles, neither containing position 1).
+	var gens []perm.Perm
+	for i := 1; i < 4; i++ {
+		gens = append(gens, perm.Transposition(4, 0, i))
+	}
+	ip := Cayley("S4", gens, nil)
+	start := symbols.Label{1, 2, 3, 4}
+	target := symbols.Label{2, 1, 4, 3}
+	moves, err := ip.ShortestPath(start, target, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moves) != 4 {
+		t.Fatalf("solution length = %d, want 4", len(moves))
+	}
+	states, err := ip.ApplyMoves(start, moves)
+	if err != nil || !states[len(states)-1].Equal(target) {
+		t.Fatalf("solution %v does not reach target: %v", moves, err)
+	}
+}
+
+func TestShortestPathRepeatedSeed(t *testing.T) {
+	// A ball-arrangement game with repeated balls: 123123 under two
+	// transpositions and a block swap.
+	checkOptimalSearch(t, &IPGraph{
+		Name: "repeated-seed-search",
+		Seed: symbols.Label{1, 2, 3, 1, 2, 3},
+		Gens: []perm.Perm{
+			perm.Transposition(6, 0, 1),
+			perm.Transposition(6, 0, 2),
+			perm.BlockLeftShift(2, 3, 1),
+		},
+	})
+}
+
 func TestShortestPathDirected(t *testing.T) {
 	// De Bruijn generators are not inverse-closed; the bidirectional
 	// search must still find shortest directed paths.

@@ -231,10 +231,6 @@ func (s *SuperIP) IPGraph() *IPGraph {
 // NumNucleusGens returns the number of nucleus generators (d_N in Thm 4.4).
 func (s *SuperIP) NumNucleusGens() int { return len(s.Nucleus.Gens) }
 
-// NumSuperGens returns the number of super-generators (d_S in Thm 4.4).
-// By Theorem 3.1 this bounds the inter-cluster degree.
-func (s *SuperIP) NumSuperGens() int { return len(s.SuperGens) }
-
 // nucleus lazily builds the effective nucleus graph, its diameter and its
 // state transition table.
 func (s *SuperIP) nucleus() (*nucleusInfo, error) {
@@ -333,9 +329,6 @@ func (s *SuperIP) ExpectedSize() (int, error) {
 func (s *SuperIP) Build(opt BuildOptions) (*graph.Graph, *Index, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
-	}
-	if opt.GroupSize == 0 {
-		opt.GroupSize = s.Nucleus.M()
 	}
 	return s.IPGraph().Build(opt)
 }

@@ -337,90 +337,3 @@ func TestBlockPerms(t *testing.T) {
 		t.Fatalf("R block perm = %v", bps[1])
 	}
 }
-
-func TestGameSolveOnStar(t *testing.T) {
-	var gens []perm.Perm
-	for i := 1; i < 4; i++ {
-		gens = append(gens, perm.Transposition(4, 0, i))
-	}
-	game := NewGame(*Cayley("S4", gens, nil))
-	start := symbols.Label{1, 2, 3, 4}
-	target := symbols.Label{2, 1, 4, 3}
-	sol, err := game.Solve(start, target, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Distance in the 4-star from 1234 to 2143: sorting 2143 -> 1234 takes
-	// exactly 4 star moves (two 2-cycles, neither containing position 1).
-	if sol.Steps() != 4 {
-		t.Fatalf("solution length = %d, want 4", sol.Steps())
-	}
-	if !sol.States[len(sol.States)-1].Equal(target) {
-		t.Fatal("solution does not reach target")
-	}
-	// Solving to itself is a zero-length solution.
-	sol, err = game.Solve(start, start, 0)
-	if err != nil || sol.Steps() != 0 {
-		t.Fatalf("identity solve: %v, steps %d", err, sol.Steps())
-	}
-}
-
-func TestGameSolveErrors(t *testing.T) {
-	gens := []perm.Perm{perm.Transposition(3, 0, 1), perm.Transposition(3, 0, 2)}
-	game := NewGame(IPGraph{Name: "g", Seed: symbols.Label{1, 1, 2}, Gens: gens})
-	if _, err := game.Solve(symbols.Label{1, 1, 2}, symbols.Label{1, 2, 2}, 0); err == nil {
-		t.Fatal("different multisets must fail")
-	}
-	if _, err := game.Solve(symbols.Label{1, 1}, symbols.Label{1, 1, 2}, 0); err == nil {
-		t.Fatal("wrong length must fail")
-	}
-	// Unreachable target within the same multiset: with only the rotation
-	// generator on 4 symbols, 1122 can reach only its rotations, not 1212.
-	rotGame := NewGame(IPGraph{
-		Name: "rot",
-		Seed: symbols.Label{1, 1, 2, 2},
-		Gens: []perm.Perm{perm.Rotation(4, 1), perm.Rotation(4, 3)},
-	})
-	if _, err := rotGame.Solve(symbols.Label{1, 1, 2, 2}, symbols.Label{1, 2, 1, 2}, 0); err == nil {
-		t.Fatal("unreachable configuration must fail")
-	}
-	if _, err := rotGame.Solve(symbols.Label{1, 1, 2, 2}, symbols.Label{2, 2, 1, 1}, 0); err != nil {
-		t.Fatalf("rotation by two should be solvable: %v", err)
-	}
-}
-
-func TestGameSolveMatchesShortestPath(t *testing.T) {
-	// The two solvers — full-enumeration BFS (Game.Solve) and bidirectional
-	// label search (ShortestPath) — must agree on solution lengths.
-	ip := IPGraph{
-		Name: "cross-check",
-		Seed: symbols.Label{1, 2, 3, 1, 2, 3},
-		Gens: []perm.Perm{
-			perm.Transposition(6, 0, 1),
-			perm.Transposition(6, 0, 2),
-			perm.BlockLeftShift(2, 3, 1),
-		},
-	}
-	game := NewGame(ip)
-	_, ix, err := ip.Build(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < ix.N(); u++ {
-		for v := 0; v < ix.N(); v += 3 {
-			src, dst := ix.Label(int32(u)), ix.Label(int32(v))
-			sol, err := game.Solve(src, dst, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			moves, err := ip.ShortestPath(src, dst, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sol.Steps() != len(moves) {
-				t.Fatalf("%v -> %v: Game.Solve %d steps, ShortestPath %d",
-					src, dst, sol.Steps(), len(moves))
-			}
-		}
-	}
-}

@@ -16,8 +16,10 @@
 // RunFaultyWithBaseline (a built graph, BFS-table routes; Run is RunFaulty
 // with an empty plan), RunImplicit and RunImplicitFaulty (any id-space
 // Router; RunImplicit is RunImplicitFaulty with an empty plan) are
-// single-lane runs, RunSharded a multi-lane one. What only built graphs
-// need (the PeriodFunc/Partition period rule, the BFS-table route hook and
+// single-lane runs, RunSharded a multi-lane one. Every run takes its link
+// periods from one module rule (a link between two modules costs
+// OffModulePeriod, any other link 1; built graphs name their modules with
+// a Partition). What only built graphs need (the BFS-table route hook and
 // the flow layer of a degraded RunFaulty) enters the lane runner through
 // one per-run options struct.
 //
@@ -88,14 +90,25 @@ type engine struct {
 	ring       [][]earrival
 	flits      int
 	cutThrough bool
-	period     func(u, v int64) int
-	degraded   bool
+	// moduleOf and offPeriod are the run's one link-period rule (period).
+	moduleOf  func(int64) int64
+	offPeriod int
+	degraded  bool
 
 	total    int // warmup + measure: injection stops here
 	deadline int // total + drain: the run stops here
 	// hopLimit is the hop watchdog: a packet with hops >= hopLimit is
 	// handed to simLane.hopLimitHit instead of being routed.
 	hopLimit int
+}
+
+// period is the service time in cycles of link u -> v: offPeriod when it
+// joins two modules, 1 inside a module or without modules.
+func (e *engine) period(u, v int64) int {
+	if e.moduleOf == nil || e.moduleOf(u) == e.moduleOf(v) {
+		return 1
+	}
+	return e.offPeriod
 }
 
 // loop executes the clock loop of a single-lane run until the drain

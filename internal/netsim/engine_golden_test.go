@@ -53,6 +53,10 @@ import (
 // s.d. of Injected, AvgLatency and Throughput per case showed no shift
 // beyond 3 standard errors. The two q17 cases, named after the regimes
 // that were deleted (poisson, normal), took the names of their rates.
+// The torus case, once run through a per-link period hook that charged 3
+// cycles to exactly the links crossing its Partition, is the same
+// configuration written as Partition plus OffModulePeriod 3; it took the
+// name run/torus/modules3/seed6 and its values and digest did not move.
 //
 // The grid spans the axes the engine parameterizes: built vs implicit
 // adjacency, table vs algebraic routing, fault-free vs degraded runs,
@@ -167,16 +171,10 @@ func goldenResults(t *testing.T) map[string]any {
 		put("run/q5/adaptive/seed5", st, err)
 	}
 	{
-		cfg := Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 2,
-			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 6,
-			PeriodFunc: func(u, v int32) int {
-				if torusPart.Of[u] != torusPart.Of[v] {
-					return 3
-				}
-				return 1
-			}}
+		cfg := Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 3,
+			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 6}
 		st, err := Run(cfg)
-		put("run/torus/periodfunc/seed6", st, err)
+		put("run/torus/modules3/seed6", st, err)
 	}
 
 	// --- RunFaulty: materialized, degraded ---
@@ -369,8 +367,8 @@ func (h *hashProbe) sum() string {
 
 // TestEngineProbeGolden pins the probe event stream, not just the Stats, of
 // built-graph runs: two grid cases, adaptive spread (per-hop RNG draws) and
-// a PeriodFunc override on a partitioned torus (per-link periods and the
-// ring size they imply), and a harsh degraded ring whose stream carries
+// a partitioned torus whose off-module links cost 3 (per-link periods and
+// the ring size they imply), and a harsh degraded ring whose stream carries
 // every drop reason of the flow layer (TTL, dead router, queue kill,
 // duplicate, abandoned) plus retransmissions and reroutes. The run records
 // into an obs.EventLog, which is replayed cycle by cycle into a
@@ -403,14 +401,8 @@ func TestEngineProbeGolden(t *testing.T) {
 		{"run/q5/adaptive/seed5", Config{Graph: q5, InjectionRate: 0.05, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: 5, Adaptive: true}, FaultConfig{},
 			"3e82decafa338e47f153779477a67520fec4300f22882ee49a0afd554803d75f"},
-		{"run/torus/periodfunc/seed6", Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 2,
-			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 6,
-			PeriodFunc: func(u, v int32) int {
-				if torusPart.Of[u] != torusPart.Of[v] {
-					return 3
-				}
-				return 1
-			}}, FaultConfig{},
+		{"run/torus/modules3/seed6", Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 3,
+			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 6}, FaultConfig{},
 			"4c3ef42bef92cb52e8203beef398dc95d5197c6d519cfa20569f8646fe1033d4"},
 		{"runfaulty/ring16/harsh/seed2", Config{Graph: ring, InjectionRate: 0.3, WarmupCycles: 30,
 			MeasureCycles: 250, Seed: 2}, FaultConfig{Plan: ringPlan, RetransmitTimeout: 20,

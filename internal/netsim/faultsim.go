@@ -250,9 +250,13 @@ type bfsRoutes struct {
 	live      []int32 // scratch
 
 	// fs is the lane's fault set (nil unless degraded). Routing reads a
-	// lock-free copy of it, deadNode and the dead out-arcs of every node,
-	// retaken whenever the set's epoch moves. nodeDead and linkDead are the
-	// liveness predicates the rebuilt tables are built with.
+	// copy of it, deadNode and the dead out-arcs of every node, retaken
+	// whenever the set's epoch moves. nodeDead and linkDead are the
+	// liveness predicates the rebuilt tables are built with. The set's own
+	// reads take no lock, but a table rebuild tests every arc, and a short
+	// slice scan per arc is cheaper than a snapshot map lookup per arc:
+	// reading the set directly made BenchmarkRunFaultyQ6 slower in 7 of 8
+	// alternating pairs (median +16 % ns/op, 2-vCPU x86 container).
 	fs        *topo.FaultSet
 	snapEpoch uint64
 	deadNode  []bool
@@ -433,7 +437,10 @@ func builtRun(cfg Config, fc FaultConfig) (ShardedConfig, runOpts) {
 	t := topo.NewMaterialized(g)
 	degraded := fc.Plan.Len() > 0
 	pattern := cfg.Pattern
-	period, maxPeriod := cfg.linkPeriods()
+	var moduleOf func(int64) int64
+	if part := cfg.Partition; part != nil {
+		moduleOf = func(u int64) int64 { return int64(part.Of[u]) }
+	}
 	return ShardedConfig{
 		NewLane: func() (Topology, Router, FaultSink, error) {
 			var fs FaultSink
@@ -442,21 +449,22 @@ func builtRun(cfg Config, fc FaultConfig) (ShardedConfig, runOpts) {
 			}
 			return t, nil, fs, nil
 		},
-		InjectionRate: cfg.InjectionRate,
-		WarmupCycles:  cfg.WarmupCycles,
-		MeasureCycles: cfg.MeasureCycles,
-		DrainCycles:   cfg.DrainCycles,
-		Seed:          cfg.Seed,
-		Flits:         cfg.Flits,
-		CutThrough:    cfg.CutThrough,
-		MaxHops:       8 * g.N(),
-		Lanes:         1,
-		Plan:          fc.Plan,
+		InjectionRate:   cfg.InjectionRate,
+		WarmupCycles:    cfg.WarmupCycles,
+		MeasureCycles:   cfg.MeasureCycles,
+		DrainCycles:     cfg.DrainCycles,
+		Seed:            cfg.Seed,
+		Flits:           cfg.Flits,
+		CutThrough:      cfg.CutThrough,
+		OffModulePeriod: cfg.OffModulePeriod,
+		MaxHops:         8 * g.N(),
+		Lanes:           1,
+		Plan:            fc.Plan,
 		Pattern: func(src, n int64, rng *rand.Rand) int64 {
 			return int64(pattern(int32(src), int(n), rng))
 		},
 		Probe: cfg.Probe,
-	}, runOpts{graph: g, period: period, maxPeriod: maxPeriod, adaptive: cfg.Adaptive, fc: fc}
+	}, runOpts{moduleOf: moduleOf, graph: g, adaptive: cfg.Adaptive, fc: fc}
 }
 
 // RunFaultyWithBaseline runs cfg fault-free (Run) and under the plan

@@ -342,24 +342,6 @@ func TestFaultConfigErrors(t *testing.T) {
 	}
 }
 
-func TestPeriodFuncValidation(t *testing.T) {
-	// Satellite: Run must reject a PeriodFunc that returns < 1 instead of
-	// silently clamping it.
-	g := mustBuild(t, networks.Ring{Nodes: 8}.Build)
-	cfg := Config{Graph: g, InjectionRate: 0.01, WarmupCycles: 10,
-		MeasureCycles: 100, PeriodFunc: func(u, v int32) int { return 0 }}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("PeriodFunc returning 0 must be rejected by Run")
-	}
-	if _, err := RunFaulty(cfg, FaultConfig{}); err == nil {
-		t.Fatal("PeriodFunc returning 0 must be rejected by RunFaulty")
-	}
-	cfg.PeriodFunc = func(u, v int32) int { return -3 }
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative period must be rejected")
-	}
-}
-
 func TestRunFaultyWithBaselineInflation(t *testing.T) {
 	// Permanent faults on a torus force longer routes and queueing: the
 	// latency inflation factor must come back >= 1.

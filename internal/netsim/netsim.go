@@ -57,12 +57,6 @@ type Config struct {
 	// (random choice per packet per hop) instead of a single deterministic
 	// shortest-path tree. Paths stay minimal; load balance improves.
 	Adaptive bool
-	// PeriodFunc, when non-nil, overrides Partition/OffModulePeriod with an
-	// arbitrary per-link service time — e.g. a multi-level packaging
-	// hierarchy (chip / board / cage) with different speeds per level.
-	// Must return >= 1 for every link of the graph; Run validates this up
-	// front and returns an error on violation.
-	PeriodFunc func(u, v int32) int
 	// Probe, when non-nil, receives per-event callbacks during the run
 	// (injection, queueing, transmission, delivery, drops, retransmission,
 	// faults, reroutes) — see internal/obs for the hook contract and the
@@ -74,10 +68,10 @@ type Config struct {
 
 // normalize validates what only the materialized simulator (RunFaulty, and
 // so Run) has and applies its defaults: it rejects a missing or trivial
-// graph, a Partition that does not cover the graph's nodes
-// (metrics.Partition.Validate), and a PeriodFunc that returns a period < 1
-// on any link of the topology. The settings every run shares (injection
-// rate, drain, flits) are checked by the lane runner.
+// graph and a Partition that does not cover the graph's nodes
+// (metrics.Partition.Validate). The settings every run shares (injection
+// rate, drain, flits, and the link periods the Partition and
+// OffModulePeriod decide) are checked and applied by the lane runner.
 func (cfg *Config) normalize() error {
 	g := cfg.Graph
 	if g == nil || g.N() < 2 {
@@ -94,41 +88,7 @@ func (cfg *Config) normalize() error {
 			return err
 		}
 	}
-	if cfg.PeriodFunc != nil {
-		for u := 0; u < g.N(); u++ {
-			for _, v := range g.Neighbors(int32(u)) {
-				if p := cfg.PeriodFunc(int32(u), v); p < 1 {
-					return fmt.Errorf("netsim: PeriodFunc(%d,%d) = %d, must be >= 1", u, v, p)
-				}
-			}
-		}
-	}
 	return nil
-}
-
-// linkPeriods returns the link service-period rule of the (normalized)
-// configuration and its largest value, which bounds the in-flight delay and
-// sizes the arrival ring: PeriodFunc overrides everything, otherwise
-// off-module links (per Partition) cost OffModulePeriod and on-module links
-// cost 1.
-func (cfg *Config) linkPeriods() (func(u, v int64) int, int) {
-	maxPeriod := cfg.OffModulePeriod
-	if f := cfg.PeriodFunc; f != nil {
-		g := cfg.Graph
-		for u := 0; u < g.N(); u++ {
-			for _, v := range g.Neighbors(int32(u)) {
-				maxPeriod = max(maxPeriod, f(int32(u), v))
-			}
-		}
-		return func(u, v int64) int { return f(int32(u), int32(v)) }, maxPeriod
-	}
-	part, off := cfg.Partition, cfg.OffModulePeriod
-	return func(u, v int64) int {
-		if part == nil || part.Of[u] == part.Of[v] {
-			return 1
-		}
-		return off
-	}, maxPeriod
 }
 
 // PatternFunc picks a destination for a packet injected at src; returning
@@ -246,23 +206,6 @@ func (st *Stats) fillQuantiles(p obs.Probe) {
 func Run(cfg Config) (Stats, error) {
 	fs, err := RunFaulty(cfg, FaultConfig{})
 	return fs.Stats, err
-}
-
-// LoadSweep runs the simulation at each injection rate and returns the
-// stats, the standard throughput-vs-offered-load curve of the evaluation
-// harness. The config's InjectionRate field is ignored.
-func LoadSweep(cfg Config, rates []float64) ([]Stats, error) {
-	out := make([]Stats, 0, len(rates))
-	for _, rate := range rates {
-		c := cfg
-		c.InjectionRate = rate
-		st, err := Run(c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
 }
 
 // Saturation estimates the saturation throughput of the network: the

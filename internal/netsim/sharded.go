@@ -193,8 +193,10 @@ func planChanges(p *FaultPlan) (map[int][]laneChange, int) {
 
 // runOpts is what only some entry points hand the lane runner.
 type runOpts struct {
-	// moduleOf decides implicit link periods: a link between two modules
-	// costs OffModulePeriod, a link inside one costs 1 (nil = one module).
+	// moduleOf decides every run's link periods: a link between two
+	// modules costs OffModulePeriod, a link inside one costs 1 (nil = one
+	// module). Implicit runs take it from their ModuleSpace, built graphs
+	// from their Partition.
 	moduleOf func(int64) int64
 	// script is injected by every lane; it is only meaningful with a
 	// single lane.
@@ -205,11 +207,6 @@ type runOpts struct {
 	// the flow layer. Links live in the one link store over the lane's
 	// topology, as on every run.
 	graph *graph.Graph
-	// period and maxPeriod replace moduleOf's rule on built graphs: the
-	// PeriodFunc/Partition rule and its largest value, which sizes the
-	// arrival ring.
-	period    func(u, v int64) int
-	maxPeriod int
 	// adaptive spreads built-graph traffic over all minimal next hops.
 	adaptive bool
 	// fc is the built-graph recovery protocol (normalized): detour TTL,
@@ -344,18 +341,9 @@ func newLanes(cfg ShardedConfig, o runOpts) (*laneRun, []*simLane, error) {
 	}
 	single := cfg.Lanes == 1
 	L := int64(cfg.Lanes)
-	period, maxPeriod := o.period, o.maxPeriod
-	if period == nil {
-		maxPeriod = 1
-		if o.moduleOf != nil {
-			maxPeriod = cfg.OffModulePeriod
-		}
-		period = func(u, v int64) int {
-			if o.moduleOf == nil || o.moduleOf(u) == o.moduleOf(v) {
-				return 1
-			}
-			return cfg.OffModulePeriod
-		}
+	maxPeriod := 1
+	if o.moduleOf != nil {
+		maxPeriod = cfg.OffModulePeriod
 	}
 	// The conservative lookahead: every cross-lane link crosses a module
 	// boundary, so its delay is exactly this many cycles and arrivals from
@@ -387,7 +375,8 @@ func newLanes(cfg ShardedConfig, o runOpts) (*laneRun, []*simLane, error) {
 			ring:       make([][]earrival, maxPeriod*cfg.Flits+1),
 			flits:      cfg.Flits,
 			cutThrough: cfg.CutThrough,
-			period:     period,
+			moduleOf:   o.moduleOf,
+			offPeriod:  cfg.OffModulePeriod,
 			degraded:   r.degraded,
 			total:      total,
 			deadline:   total + cfg.DrainCycles,
@@ -678,16 +667,20 @@ func (ln *simLane) applyChange(now int, c laneChange) error {
 		if r.laneOf(c.u) == ln.idx && pb != nil {
 			pb.Fault(now, c.u, c.v, false, c.down)
 		}
+		// One mutation (one epoch bump) per event: an undirected link
+		// fails or heals in both directions at once.
 		if !c.down {
-			ln.faults.RepairLink(c.u, c.v)
-			if !r.directed {
-				ln.faults.RepairLink(c.v, c.u)
+			if r.directed {
+				ln.faults.RepairLink(c.u, c.v)
+			} else {
+				ln.faults.RepairLinkBoth(c.u, c.v)
 			}
 			return nil
 		}
-		ln.faults.FailLink(c.u, c.v)
-		if !r.directed {
-			ln.faults.FailLink(c.v, c.u)
+		if r.directed {
+			ln.faults.FailLink(c.u, c.v)
+		} else {
+			ln.faults.FailLinkBoth(c.u, c.v)
 		}
 		for _, arc := range [2][2]int64{{c.u, c.v}, {c.v, c.u}} {
 			if r.directed && arc != [2]int64{c.u, c.v} || r.laneOf(arc[0]) != ln.idx {

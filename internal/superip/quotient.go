@@ -81,7 +81,3 @@ func (q QuotientCN) Build() (*graph.Graph, error) {
 	}
 	return graph.Quotient(g, q.N(), classOf), nil
 }
-
-// NucleusPartitionSize returns the number of quotient nodes per module when
-// each (merged) nucleus occupies one module: 2^(A-B).
-func (q QuotientCN) NucleusPartitionSize() int { return 1 << uint(q.A-q.B) }

@@ -88,36 +88,3 @@ func FuzzLabelKey(f *testing.F) {
 		}
 	})
 }
-
-// FuzzRankRadix checks that radix ranking round-trips through FromDigits for
-// every label whose symbols fit the radix (the Fig. 1 node-numbering path).
-func FuzzRankRadix(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3}, 4)
-	f.Add([]byte{1, 0, 1, 0}, 2)
-	f.Add([]byte{}, 2)
-	f.Add([]byte{3, 3, 3}, 10)
-
-	f.Fuzz(func(t *testing.T, b []byte, radix int) {
-		if radix < 2 || radix > 16 || len(b) > 7 {
-			t.Skip() // keep rank within int and the test fast
-		}
-		x := Label(b)
-		r, err := x.RankRadix(radix)
-		inRange := true
-		for _, v := range x {
-			if int(v) >= radix {
-				inRange = false
-			}
-		}
-		if inRange != (err == nil) {
-			t.Fatalf("RankRadix(%v, %d): err = %v, symbols in range = %v", x, radix, err, inRange)
-		}
-		if err != nil {
-			return
-		}
-		back := FromDigits(r, radix, len(x))
-		if !x.Equal(back) {
-			t.Fatalf("FromDigits(RankRadix(%v)) = %v", x, back)
-		}
-	})
-}

@@ -5,8 +5,7 @@
 // allowed. The package provides the two seed shapes used throughout the
 // paper: repeated seeds (l identical super-symbols of m symbols, used by
 // plain super-IP graphs) and distinct seeds (all l*m symbols distinct, used
-// by symmetric super-IP graphs), plus radix ranking utilities used to number
-// nodes as in the paper's Fig. 1.
+// by symmetric super-IP graphs).
 package symbols
 
 import (
@@ -150,29 +149,4 @@ func (x Label) MultisetKey() string {
 		}
 	}
 	return b.String()
-}
-
-// RankRadix interprets the label as a number in the given radix with the
-// leftmost symbol most significant, as used for the radix-4 node ranking in
-// the paper's Fig. 1. Symbols must be < radix.
-func (x Label) RankRadix(radix int) (int, error) {
-	r := 0
-	for _, v := range x {
-		if int(v) >= radix {
-			return 0, fmt.Errorf("symbols: symbol %d out of radix %d", v, radix)
-		}
-		r = r*radix + int(v)
-	}
-	return r, nil
-}
-
-// FromDigits builds a label from the radix digits of rank, most significant
-// first, padded to length k.
-func FromDigits(rank, radix, k int) Label {
-	x := make(Label, k)
-	for i := k - 1; i >= 0; i-- {
-		x[i] = byte(rank % radix)
-		rank /= radix
-	}
-	return x
 }

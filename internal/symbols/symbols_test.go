@@ -68,36 +68,6 @@ func TestMultisetInvariantUnderPermutation(t *testing.T) {
 	}
 }
 
-func TestRankRadixRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		radix := 2 + r.Intn(6)
-		k := 1 + r.Intn(8)
-		x := make(Label, k)
-		for i := range x {
-			x[i] = byte(r.Intn(radix))
-		}
-		rank, err := x.RankRadix(radix)
-		if err != nil {
-			return false
-		}
-		return FromDigits(rank, radix, k).Equal(x)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRankRadixRange(t *testing.T) {
-	if _, err := (Label{4, 0}).RankRadix(4); err == nil {
-		t.Fatal("expected out-of-radix error")
-	}
-	r, err := (Label{1, 2, 3}).RankRadix(4)
-	if err != nil || r != 1*16+2*4+3 {
-		t.Fatalf("rank = %d, %v", r, err)
-	}
-}
-
 func TestGrouped(t *testing.T) {
 	s := Label{1, 2, 2, 1}
 	if got := s.Grouped(2); got != "12 21" {

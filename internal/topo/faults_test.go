@@ -1,10 +1,13 @@
 package topo
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/networks"
 	"repro/internal/superip"
 )
@@ -194,6 +197,91 @@ func TestDisjointRoutesProperties(t *testing.T) {
 					used[k] = true
 				}
 			}
+		}
+	}
+}
+
+// bfsPathRouter routes on a built graph by breadth-first search over the
+// full graph, visiting neighbors in ascending order; the first parent found
+// wins.
+type bfsPathRouter struct{ g *graph.Graph }
+
+func (r bfsPathRouter) Path(src, dst int64) ([]int64, error) {
+	parent := make([]int32, r.g.N())
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[src] = int32(src)
+	for queue := []int32{int32(src)}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		nbrs := slices.Clone(r.g.Neighbors(u))
+		slices.Sort(nbrs)
+		for _, v := range nbrs {
+			if parent[v] < 0 {
+				parent[v] = u
+				queue = append(queue, v)
+			}
+		}
+	}
+	if parent[dst] < 0 {
+		return nil, fmt.Errorf("bfsPathRouter: %d unreachable from %d", dst, src)
+	}
+	p := []int64{dst}
+	for u := dst; u != src; u = int64(parent[u]) {
+		p = append(p, int64(parent[u]))
+	}
+	slices.Reverse(p)
+	return p, nil
+}
+
+func (r bfsPathRouter) NextHop(cur, dst int64) (int64, error) {
+	if cur == dst {
+		return 0, fmt.Errorf("bfsPathRouter: already at %d", dst)
+	}
+	p, err := r.Path(cur, dst)
+	if err != nil {
+		return 0, err
+	}
+	return p[1], nil
+}
+
+// TestDisjointRoutesCancelsFlow pins the flow cancellation of
+// DisjointRoutes. From 2 to 6 the augmenting paths are 2-6, 2-0-1-6,
+// 2-1-0-3-6 (which runs 1-0 against the flow of 2-0-1-6 and cancels it) and
+// 2-7-3-0-1-5-6, which needs the cancelled arc 0-1 free again. If the
+// cancelled arc is not repaired in the scratch fault set, it stays failed,
+// the fourth search finds nothing and three routes come back. Nodes 2 and 6
+// both have degree 4, so four is the most there can be.
+func TestDisjointRoutesCancelsFlow(t *testing.T) {
+	b := graph.NewBuilder(8, false)
+	for _, e := range [][2]int32{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 5}, {1, 6},
+		{2, 6}, {2, 7}, {3, 4}, {3, 6}, {3, 7}, {5, 6}} {
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.Build()
+	const src, dst = 2, 6
+	routes, err := DisjointRoutes(NewMaterialized(g), bfsPathRouter{g}, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(routes) != 4 {
+		t.Fatalf("DisjointRoutes(%d, %d) = %v, want 4 edge-disjoint routes", src, dst, routes)
+	}
+	used := map[[2]int64]bool{}
+	for _, rt := range routes {
+		if rt[0] != src || rt[len(rt)-1] != dst {
+			t.Fatalf("route %v does not run from %d to %d", rt, src, dst)
+		}
+		for i := 0; i+1 < len(rt); i++ {
+			u, v := rt[i], rt[i+1]
+			if !g.HasEdge(int32(u), int32(v)) {
+				t.Fatalf("route %v: step %d -> %d is not an edge", rt, u, v)
+			}
+			k := [2]int64{min(u, v), max(u, v)}
+			if used[k] {
+				t.Fatalf("routes %v share edge %v", routes, k)
+			}
+			used[k] = true
 		}
 	}
 }
