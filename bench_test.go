@@ -624,7 +624,7 @@ func BenchmarkRunFaulty(b *testing.B) {
 	plan, err := netsim.RandomFaults{
 		MTBF: 200, RepairTime: 300, Start: cfg.WarmupCycles,
 		Horizon: cfg.WarmupCycles + cfg.MeasureCycles, MaxFaults: 4, Seed: 1,
-	}.Plan(cfg.Graph)
+	}.PlanTopo(topo.NewMaterialized(cfg.Graph))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -643,7 +643,7 @@ func BenchmarkRunFaultyProbed(b *testing.B) {
 	plan, err := netsim.RandomFaults{
 		MTBF: 200, RepairTime: 300, Start: cfg.WarmupCycles,
 		Horizon: cfg.WarmupCycles + cfg.MeasureCycles, MaxFaults: 4, Seed: 1,
-	}.Plan(cfg.Graph)
+	}.PlanTopo(topo.NewMaterialized(cfg.Graph))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -583,7 +583,7 @@ func (s *sweep) materialized(net *superip.Net, netName string, dim, module, rows
 
 	var plan *netsim.FaultPlan
 	if s.faults > 0 {
-		if plan, err = rf.Plan(g); err != nil {
+		if plan, err = rf.PlanTopo(topo.NewMaterialized(g)); err != nil {
 			return err
 		}
 		printPlan(plan, rf)

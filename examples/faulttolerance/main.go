@@ -23,6 +23,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/networks"
 	"repro/internal/superip"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -155,7 +156,7 @@ func dynamicSweep() {
 			fc := netsim.FaultConfig{RetransmitTimeout: 512}
 			if nFaults > 0 {
 				plan, err := netsim.RandomFaults{MTBF: mtbf, Start: warmup,
-					Horizon: warmup + measure, MaxFaults: nFaults, Seed: seed}.Plan(s.g)
+					Horizon: warmup + measure, MaxFaults: nFaults, Seed: seed}.PlanTopo(topo.NewMaterialized(s.g))
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -176,28 +176,6 @@ func (b *Builder) Build() *Graph {
 	return &Graph{n: b.n, offsets: offsets, edges: final, Directed: b.directed, Labels: b.labels}
 }
 
-// EdgeList returns every undirected edge once as a (u,v) pair with u < v;
-// for directed graphs it returns every arc. The order is deterministic
-// (sorted by u, then v), which makes it suitable for seeding reproducible
-// fault plans.
-func (g *Graph) EdgeList() [][2]int32 {
-	var out [][2]int32
-	if g.Directed {
-		out = make([][2]int32, 0, g.M())
-	} else {
-		out = make([][2]int32, 0, g.M()/2)
-	}
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.Neighbors(int32(u)) {
-			if !g.Directed && v < int32(u) {
-				continue
-			}
-			out = append(out, [2]int32{int32(u), v})
-		}
-	}
-	return out
-}
-
 // Symmetrized returns an undirected version of g in which every arc has its
 // reverse. If g is already undirected, g itself is returned.
 func (g *Graph) Symmetrized() *Graph {

@@ -414,41 +414,3 @@ func TestBFSTriangleInequalityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEdgeList(t *testing.T) {
-	// Undirected: each edge once, u < v, sorted, deduplicated.
-	b := NewBuilder(4, false)
-	b.AddEdge(0, 1)
-	b.AddEdge(2, 1)
-	b.AddEdge(3, 0)
-	b.AddEdge(1, 0) // duplicate
-	g := b.Build()
-	want := [][2]int32{{0, 1}, {0, 3}, {1, 2}}
-	got := g.EdgeList()
-	if len(got) != len(want) {
-		t.Fatalf("EdgeList = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("EdgeList[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if len(got) != g.NumEdges() {
-		t.Fatalf("EdgeList length %d != NumEdges %d", len(got), g.NumEdges())
-	}
-	// Directed: every arc, including antiparallel pairs.
-	d := NewBuilder(3, true)
-	d.AddEdge(0, 1)
-	d.AddEdge(1, 0)
-	d.AddEdge(1, 2)
-	dg := d.Build()
-	arcs := dg.EdgeList()
-	if len(arcs) != 3 {
-		t.Fatalf("directed EdgeList = %v", arcs)
-	}
-	for _, a := range arcs {
-		if !dg.HasEdge(a[0], a[1]) {
-			t.Fatalf("listed arc %v missing", a)
-		}
-	}
-}

@@ -33,20 +33,21 @@ func BenchmarkRunQ6(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultPlanGen measures random fault-schedule generation
-// (validation included) on the same substrate.
+// BenchmarkFaultPlanGen measures random fault-schedule generation on the
+// same substrate, a built Q6 addressed through topo.NewMaterialized.
 func BenchmarkFaultPlanGen(b *testing.B) {
 	g, err := (networks.Hypercube{Dim: 6}).Build()
 	if err != nil {
 		b.Fatal(err)
 	}
+	t := topo.NewMaterialized(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (RandomFaults{
 			MTBF: 100, RepairTime: 150, Start: 50, Horizon: 500,
 			MaxFaults: 8, Seed: int64(i + 1),
-		}).Plan(g); err != nil {
+		}).PlanTopo(t); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +64,7 @@ func BenchmarkRunFaultyQ6(b *testing.B) {
 	plan, err := (RandomFaults{
 		MTBF: 100, RepairTime: 150, Start: cfg.WarmupCycles,
 		Horizon: cfg.WarmupCycles + cfg.MeasureCycles, MaxFaults: 4, Seed: 1,
-	}).Plan(g)
+	}).PlanTopo(topo.NewMaterialized(g))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,10 +5,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -57,6 +60,13 @@ import (
 // cycles to exactly the links crossing its Partition, is the same
 // configuration written as Partition plus OffModulePeriod 3; it took the
 // name run/torus/modules3/seed6 and its values and digest did not move.
+// They were re-recorded a fourth time, on purpose, when PlanTopo over
+// topo.NewMaterialized became the only fault-plan generator: the shared
+// q5 plan is now drawn node-first (a uniform node, then a uniform
+// neighbor) instead of from the edge list, so exactly the five cases that
+// run it moved (runfaulty/q5/{seed1, seed2, adaptive-notify25/seed3,
+// modules4-hotspot/seed4, withbaseline/seed5}); TestGoldenSeedSweep showed
+// no mean of theirs shifted by more than 3 standard errors.
 //
 // The grid spans the axes the engine parameterizes: built vs implicit
 // adjacency, table vs algebraic routing, fault-free vs degraded runs,
@@ -103,8 +113,9 @@ func hotspot64(p float64) func(src, n int64, rng *rand.Rand) int64 {
 
 // goldenResults runs the whole grid and returns case-name -> result struct.
 // Each case builds its own topology/router state so results are independent
-// of execution order.
-func goldenResults(t *testing.T) map[string]any {
+// of execution order. Every run seed and fault-plan seed x of the grid is
+// seedOf(x): the identity for the fixtures, a constant for the seed sweep.
+func goldenResults(t *testing.T, seedOf func(int64) int64) map[string]any {
 	t.Helper()
 	out := map[string]any{}
 	put := func(name string, st any, err error) {
@@ -141,63 +152,63 @@ func goldenResults(t *testing.T) map[string]any {
 	for pname, pat := range patterns {
 		for _, seed := range []int64{1, 2} {
 			cfg := Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
-				MeasureCycles: 300, Seed: seed, Pattern: pat}
+				MeasureCycles: 300, Seed: seedOf(seed), Pattern: pat}
 			st, err := Run(cfg)
 			put(fmt.Sprintf("run/q5/%s/seed%d", pname, seed), st, err)
 		}
 	}
 	{
 		cfg := Config{Graph: q5, Partition: &q5part, OffModulePeriod: 4,
-			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 3}
+			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(3)}
 		st, err := Run(cfg)
 		put("run/q5/modules4/seed3", st, err)
 	}
 	{
 		cfg := Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
-			MeasureCycles: 300, Seed: 4, Flits: 3}
+			MeasureCycles: 300, Seed: seedOf(4), Flits: 3}
 		st, err := Run(cfg)
 		put("run/q5/flits3/seed4", st, err)
 	}
 	{
 		cfg := Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
-			MeasureCycles: 300, Seed: 4, Flits: 3, CutThrough: true}
+			MeasureCycles: 300, Seed: seedOf(4), Flits: 3, CutThrough: true}
 		st, err := Run(cfg)
 		put("run/q5/flits3cut/seed4", st, err)
 	}
 	{
 		cfg := Config{Graph: q5, InjectionRate: 0.05, WarmupCycles: 50,
-			MeasureCycles: 300, Seed: 5, Adaptive: true}
+			MeasureCycles: 300, Seed: seedOf(5), Adaptive: true}
 		st, err := Run(cfg)
 		put("run/q5/adaptive/seed5", st, err)
 	}
 	{
 		cfg := Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 3,
-			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 6}
+			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(6)}
 		st, err := Run(cfg)
 		put("run/torus/modules3/seed6", st, err)
 	}
 
 	// --- RunFaulty: materialized, degraded ---
 	plan, err := (RandomFaults{MTBF: 60, RepairTime: 120, NodeFraction: 0.3,
-		Start: 50, Horizon: 350, MaxFaults: 6, Seed: 1}).Plan(q5)
+		Start: 50, Horizon: 350, MaxFaults: 6, Seed: seedOf(1)}).PlanTopo(topo.NewMaterialized(q5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 2} {
 		cfg := Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
-			MeasureCycles: 300, Seed: seed}
+			MeasureCycles: 300, Seed: seedOf(seed)}
 		fs, err := RunFaulty(cfg, FaultConfig{Plan: plan})
 		put(fmt.Sprintf("runfaulty/q5/seed%d", seed), fs, err)
 	}
 	{
 		cfg := Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
-			MeasureCycles: 300, Seed: 3, Adaptive: true}
+			MeasureCycles: 300, Seed: seedOf(3), Adaptive: true}
 		fs, err := RunFaulty(cfg, FaultConfig{Plan: plan, NotifyDelay: 25})
 		put("runfaulty/q5/adaptive-notify25/seed3", fs, err)
 	}
 	{
 		cfg := Config{Graph: q5, Partition: &q5part, OffModulePeriod: 4,
-			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 4,
+			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(4),
 			Pattern: hotspot}
 		fs, err := RunFaulty(cfg, FaultConfig{Plan: plan, RetransmitTimeout: 48, DetourTTL: 8})
 		put("runfaulty/q5/modules4-hotspot/seed4", fs, err)
@@ -205,7 +216,7 @@ func goldenResults(t *testing.T) map[string]any {
 	{
 		faulty, base, err := RunFaultyWithBaseline(
 			Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
-				MeasureCycles: 300, Seed: 5},
+				MeasureCycles: 300, Seed: seedOf(5)},
 			FaultConfig{Plan: plan})
 		put("runfaulty/q5/withbaseline/seed5", faulty, err)
 		put("runfaulty/q5/withbaseline-base/seed5", base, nil)
@@ -217,7 +228,7 @@ func goldenResults(t *testing.T) map[string]any {
 		for _, seed := range []int64{1, 2} {
 			cfg := ImplicitConfig{Topo: topo.HypercubeTopo{Dim: 8},
 				Router: topo.HypercubeRouter{Dim: 8}, InjectionRate: 0.02,
-				WarmupCycles: 50, MeasureCycles: 300, Seed: seed, Pattern: pat}
+				WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(seed), Pattern: pat}
 			st, err := RunImplicit(cfg)
 			put(fmt.Sprintf("runimplicit/q8/%s/seed%d", pname, seed), st, err)
 		}
@@ -227,7 +238,7 @@ func goldenResults(t *testing.T) map[string]any {
 	for _, rate := range []float64{2e-5, 3e-4} {
 		cfg := ImplicitConfig{Topo: topo.HypercubeTopo{Dim: 17},
 			Router: topo.HypercubeRouter{Dim: 17}, InjectionRate: rate,
-			WarmupCycles: 50, MeasureCycles: 200, Seed: 3}
+			WarmupCycles: 50, MeasureCycles: 200, Seed: seedOf(3)}
 		st, err := RunImplicit(cfg)
 		put(fmt.Sprintf("runimplicit/q17/rate%g/seed3", rate), st, err)
 	}
@@ -242,7 +253,7 @@ func goldenResults(t *testing.T) map[string]any {
 			t.Fatal(err)
 		}
 		cfg := ImplicitConfig{Topo: imp, Router: air, InjectionRate: 0.02,
-			WarmupCycles: 50, MeasureCycles: 300, Seed: 4,
+			WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(4),
 			OffModulePeriod: 4, ModuleOf: imp.Module, Flits: 2, CutThrough: true}
 		st, err := RunImplicit(cfg)
 		put("runimplicit/hsn2q3/modules4/seed4", st, err)
@@ -258,7 +269,7 @@ func goldenResults(t *testing.T) map[string]any {
 		ht := topo.HypercubeTopo{Dim: 6}
 		fs := topo.NewFaultSet()
 		cfg := ImplicitConfig{Topo: ht, InjectionRate: 0.02,
-			WarmupCycles: 50, MeasureCycles: 300, Seed: seed,
+			WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(seed),
 			Router: topo.NewFaultAware(ht, topo.HypercubeRouter{Dim: 6}, fs)}
 		st, err := RunImplicitFaulty(cfg, ImplicitFaultConfig{Plan: q6plan, Faults: fs})
 		put(fmt.Sprintf("runimplicitfaulty/q6/seed%d", seed), st, err)
@@ -274,13 +285,13 @@ func goldenResults(t *testing.T) map[string]any {
 			t.Fatal(err)
 		}
 		hplan, err := (RandomFaults{MTBF: 60, RepairTime: 150, NodeFraction: 0.25,
-			Start: 50, Horizon: 350, MaxFaults: 5, Seed: 2}).PlanTopo(imp)
+			Start: 50, Horizon: 350, MaxFaults: 5, Seed: seedOf(2)}).PlanTopo(imp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fs := topo.NewFaultSet()
 		cfg := ImplicitConfig{Topo: imp, InjectionRate: 0.02,
-			WarmupCycles: 50, MeasureCycles: 300, Seed: 3,
+			WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(3),
 			OffModulePeriod: 4, ModuleOf: imp.Module,
 			Router: topo.NewFaultAware(imp, air, fs)}
 		st, err := RunImplicitFaulty(cfg, ImplicitFaultConfig{Plan: hplan, Faults: fs})
@@ -290,7 +301,7 @@ func goldenResults(t *testing.T) map[string]any {
 }
 
 func TestEngineGoldenParity(t *testing.T) {
-	got := goldenResults(t)
+	got := goldenResults(t, func(seed int64) int64 { return seed })
 	if os.Getenv("REGEN_ENGINE_GOLDEN") != "" {
 		names := make([]string, 0, len(got))
 		for name := range got {
@@ -350,6 +361,83 @@ func TestEngineGoldenParity(t *testing.T) {
 			t.Errorf("%s:\n  golden: %s\n  got:    %s", name, wantCanon, gotCanon)
 		}
 	}
+}
+
+// TestGoldenSeedSweep runs every golden-grid case at run seeds 1-20, with
+// the fault-plan seeds moved to the run seed, and prints one Markdown table
+// of per-case mean ± sample s.d.: Injected, AvgLatency and Throughput for
+// every case, Lost, RerouteEvents and MisroutedHops for the degraded ones.
+// A deliberate re-record compares this table before and after the change,
+// so that a shift of the moved fixtures shows as a shift of the means. It
+// only runs on request:
+//
+//	GOLDEN_SEED_SWEEP=1 go test -v -run TestGoldenSeedSweep ./internal/netsim
+func TestGoldenSeedSweep(t *testing.T) {
+	if os.Getenv("GOLDEN_SEED_SWEEP") != "1" {
+		t.Skip("set GOLDEN_SEED_SWEEP=1 to sweep the golden grid over seeds 1-20")
+	}
+	const seeds = 20
+	all := []string{"Injected", "AvgLatency", "Throughput"}
+	degraded := []string{"Lost", "RerouteEvents", "MisroutedHops"}
+	samples := map[string]map[string][]float64{} // case -> field -> one value a seed
+	for s := int64(1); s <= seeds; s++ {
+		for name, st := range goldenResults(t, func(int64) int64 { return s }) {
+			raw, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fields map[string]any
+			if err := json.Unmarshal(raw, &fields); err != nil {
+				t.Fatal(err)
+			}
+			if samples[name] == nil {
+				samples[name] = map[string][]float64{}
+			}
+			for _, f := range append(all, degraded...) {
+				if v, ok := fields[f].(float64); ok {
+					samples[name][f] = append(samples[name][f], v)
+				}
+			}
+		}
+	}
+	names := make([]string, 0, len(samples))
+	for name := range samples {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	fmt.Fprintf(&b, "| case | %s |\n|---%s|\n", strings.Join(append(all, degraded...), " | "),
+		strings.Repeat("|---", len(all)+len(degraded)))
+	for _, name := range names {
+		fmt.Fprintf(&b, "| %s |", name)
+		isDegraded := strings.Contains(name, "faulty/") && !strings.Contains(name, "-base/")
+		for _, f := range append(all, degraded...) {
+			xs := samples[name][f]
+			if len(xs) == 0 || !isDegraded && slices.Contains(degraded, f) {
+				b.WriteString(" — |")
+				continue
+			}
+			mean, sd := meanSD(xs)
+			fmt.Fprintf(&b, " %.5g ± %.3g |", mean, sd)
+		}
+		b.WriteByte('\n')
+	}
+	fmt.Print(b.String())
+}
+
+// meanSD returns the mean and the sample standard deviation of xs.
+func meanSD(xs []float64) (mean, sd float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	if len(xs) < 2 {
+		return mean, 0
+	}
+	for _, x := range xs {
+		sd += (x - mean) * (x - mean)
+	}
+	return mean, math.Sqrt(sd / float64(len(xs)-1))
 }
 
 // hashProbe folds every replayed probe event into a sha256 digest, one

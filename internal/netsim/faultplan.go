@@ -1,18 +1,16 @@
 // Fault scheduling for the packet simulator: a FaultPlan is a deterministic
 // list of link/node failure (and repair) events applied to the topology at
 // specific cycles while a simulation runs. Plans are either hand-built
-// (LinkDown/NodeDown) or generated from an MTBF-style random process
-// (RandomFaults.Plan) with a fixed seed, so every degraded-mode run is
-// reproducible.
+// (LinkDown/NodeDown) or drawn from an MTBF-style random process
+// (RandomFaults.PlanTopo) with a fixed seed, so every degraded-mode run is
+// reproducible. One generator and one check (ValidateTopo) serve every
+// topology: a built graph is addressed through topo.NewMaterialized.
 package netsim
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
-
-	"repro/internal/graph"
-	"repro/internal/topo"
 )
 
 // FaultKind distinguishes link faults from node faults.
@@ -71,13 +69,6 @@ func (p *FaultPlan) Len() int {
 		return 0
 	}
 	return len(p.Events)
-}
-
-// Validate checks every event against a materialized graph. It is a thin
-// wrapper over ValidateTopo, kept for callers that already hold the built
-// graph.
-func (p *FaultPlan) Validate(g *graph.Graph) error {
-	return p.ValidateTopo(topo.NewMaterialized(g))
 }
 
 // ValidateTopo checks every event against an id-space topology — endpoints
@@ -164,49 +155,16 @@ func (r RandomFaults) check() error {
 	return nil
 }
 
-// Plan draws a deterministic fault schedule for g. The same graph, seed, and
-// parameters always produce the same plan. Node 0 is never killed by a node
-// fault (keeping at least one stable observer); links are drawn uniformly
-// from the edge list, nodes uniformly from 1..N-1, and repeat strikes on a
-// component already scheduled down at that cycle are simply re-drawn as
-// independent events (the simulator handles overlap by reference counting).
-func (r RandomFaults) Plan(g *graph.Graph) (*FaultPlan, error) {
-	if err := r.check(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(r.Seed))
-	edges := g.EdgeList()
-	plan := &FaultPlan{}
-	prob := 1 / r.MTBF
-	for cycle := r.Start; cycle < r.Horizon; cycle++ {
-		if r.MaxFaults > 0 && plan.Len() >= r.MaxFaults {
-			break
-		}
-		if rng.Float64() >= prob {
-			continue
-		}
-		repair := 0
-		if r.RepairTime > 0 {
-			repair = cycle + r.RepairTime
-		}
-		if rng.Float64() < r.NodeFraction && g.N() > 1 {
-			plan.NodeDown(cycle, int32(1+rng.Intn(g.N()-1)), repair)
-		} else if len(edges) > 0 {
-			e := edges[rng.Intn(len(edges))]
-			plan.LinkDown(cycle, e[0], e[1], repair)
-		}
-	}
-	return plan, nil
-}
-
-// PlanTopo draws a deterministic fault schedule for an id-space topology —
-// no edge list is ever built, so it works on implicit multi-million-node
-// instances. Links are sampled node-first (a uniform node, then a uniform
-// neighbor), which matches Plan's uniform-edge draw exactly on regular
-// topologies; the RNG stream differs from Plan's, so the two generators
-// produce different (but individually reproducible) schedules. Node 0 is
-// never killed, as in Plan. Topologies with more than 2^31 nodes are
-// rejected: FaultEvent ids are int32.
+// PlanTopo draws a deterministic fault schedule for an id-space topology:
+// the same topology, seed and parameters always produce the same plan. No
+// edge list is ever built, so it works on implicit multi-million-node
+// instances as well as on a built graph wrapped by topo.NewMaterialized.
+// Links are sampled node-first (a uniform node, then a uniform neighbor),
+// which is a uniform edge draw on regular topologies; nodes are drawn
+// uniformly from 1..N-1, so node 0 is never killed (keeping at least one
+// stable observer). Repeat strikes on a component already down are
+// independent events (the simulator reference-counts overlaps). Topologies
+// with more than 2^31 nodes are rejected: FaultEvent ids are int32.
 func (r RandomFaults) PlanTopo(t Topology) (*FaultPlan, error) {
 	if err := r.check(); err != nil {
 		return nil, err
@@ -218,7 +176,7 @@ func (r RandomFaults) PlanTopo(t Topology) (*FaultPlan, error) {
 	rng := rand.New(rand.NewSource(r.Seed))
 	plan := &FaultPlan{}
 	prob := 1 / r.MTBF
-	var buf []int64
+	buf := make([]int64, 0, t.MaxDegree())
 	for cycle := r.Start; cycle < r.Horizon; cycle++ {
 		if r.MaxFaults > 0 && plan.Len() >= r.MaxFaults {
 			break

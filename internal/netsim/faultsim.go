@@ -467,11 +467,12 @@ func builtRun(cfg Config, fc FaultConfig) (ShardedConfig, runOpts) {
 	}, runOpts{moduleOf: moduleOf, graph: g, adaptive: cfg.Adaptive, fc: fc}
 }
 
-// RunFaultyWithBaseline runs cfg fault-free (Run) and under the plan
-// (RunFaulty), and returns the degraded stats with LatencyInflation filled
-// in as faulty/baseline average latency, plus the baseline itself. Both runs
-// share one setup pass: the configuration is normalized and the plan
-// validated once, and the baseline is the same run with the plan removed.
+// RunFaultyWithBaseline runs cfg under the plan (RunFaulty) and fault-free
+// (Run), and returns the degraded stats with LatencyInflation filled in as
+// faulty/baseline average latency, plus the baseline itself. Both runs
+// share one normalized configuration. The faulty run goes first, so an
+// invalid plan fails in its lane runner before the baseline runs; the
+// baseline is the same run with the plan removed.
 func RunFaultyWithBaseline(cfg Config, fc FaultConfig) (FaultStats, Stats, error) {
 	if err := cfg.normalize(); err != nil {
 		return FaultStats{}, Stats{}, err
@@ -479,7 +480,8 @@ func RunFaultyWithBaseline(cfg Config, fc FaultConfig) (FaultStats, Stats, error
 	if err := fc.normalize(); err != nil {
 		return FaultStats{}, Stats{}, err
 	}
-	if err := fc.Plan.Validate(cfg.Graph); err != nil {
+	faulty, err := runBuilt(cfg, fc)
+	if err != nil {
 		return FaultStats{}, Stats{}, err
 	}
 	// The baseline is a reference run: detach any probe so collectors see
@@ -489,10 +491,6 @@ func RunFaultyWithBaseline(cfg Config, fc FaultConfig) (FaultStats, Stats, error
 	baseFC := fc
 	baseFC.Plan = nil
 	base, err := runBuilt(baseCfg, baseFC)
-	if err != nil {
-		return FaultStats{}, Stats{}, err
-	}
-	faulty, err := runBuilt(cfg, fc)
 	if err != nil {
 		return FaultStats{}, Stats{}, err
 	}

@@ -72,7 +72,7 @@ func TestLinkFaultsBelowConnectivityDeliverEverything(t *testing.T) {
 	}
 	// kappa-1 random link faults striking inside the measurement window.
 	plan, err := RandomFaults{MTBF: 150, Start: 250, Horizon: 2000,
-		MaxFaults: kappa - 1, Seed: 99}.Plan(g)
+		MaxFaults: kappa - 1, Seed: 99}.PlanTopo(topo.NewMaterialized(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,93 +237,73 @@ func TestDetourKeepsPacketsFlowingBeforeTablesRepair(t *testing.T) {
 	}
 }
 
-func TestRandomFaultPlanDeterministicAndValid(t *testing.T) {
-	g := mustBuild(t, networks.Hypercube{Dim: 4}.Build)
-	mk := func(seed int64) *FaultPlan {
-		p, err := RandomFaults{MTBF: 50, RepairTime: 100, NodeFraction: 0.3,
-			Horizon: 2000, Seed: seed}.Plan(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	a, b := mk(7), mk(7)
-	if len(a.Events) != len(b.Events) {
-		t.Fatalf("same seed, different plan sizes: %d vs %d", len(a.Events), len(b.Events))
-	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Fatalf("same seed, event %d differs: %+v vs %+v", i, a.Events[i], b.Events[i])
-		}
-	}
-	if len(a.Events) == 0 {
-		t.Fatal("MTBF 50 over 2000 cycles should draw some faults")
-	}
-	if err := a.Validate(g); err != nil {
-		t.Fatalf("generated plan invalid: %v", err)
-	}
-	c := mk(8)
-	same := len(a.Events) == len(c.Events)
-	if same {
-		for i := range a.Events {
-			if a.Events[i] != c.Events[i] {
-				same = false
-				break
+func TestRandomFaultPlanErrors(t *testing.T) {
+	ring := topo.NewMaterialized(mustBuild(t, networks.Ring{Nodes: 8}.Build))
+	cube := topo.HypercubeTopo{Dim: 3}
+	// NaN fails every comparison: without a check, MTBF NaN strikes on
+	// every cycle and NodeFraction NaN silently reads as 0.
+	for _, rf := range []RandomFaults{
+		{MTBF: 0, Horizon: 100},
+		{MTBF: 10, Horizon: 0},
+		{MTBF: 10, Horizon: 100, NodeFraction: 2},
+		{MTBF: math.NaN(), Horizon: 100},
+		{MTBF: 10, Horizon: 100, NodeFraction: math.NaN()},
+	} {
+		for _, tp := range []Topology{ring, cube} {
+			if _, err := rf.PlanTopo(tp); err == nil {
+				t.Fatalf("PlanTopo(%+v) on %T must fail", rf, tp)
 			}
 		}
 	}
-	if same {
-		t.Fatal("different seeds produced identical plans")
-	}
-	// Transient faults must carry their repair cycle.
-	for _, e := range a.Events {
-		if !e.Transient() || e.Repair != e.Cycle+100 {
-			t.Fatalf("repair time not honored: %+v", e)
-		}
-	}
 }
 
-func TestRandomFaultPlanErrors(t *testing.T) {
-	g := mustBuild(t, networks.Ring{Nodes: 8}.Build)
-	if _, err := (RandomFaults{MTBF: 0, Horizon: 100}).Plan(g); err == nil {
-		t.Fatal("MTBF 0 must fail")
-	}
-	if _, err := (RandomFaults{MTBF: 10, Horizon: 0}).Plan(g); err == nil {
-		t.Fatal("empty window must fail")
-	}
-	if _, err := (RandomFaults{MTBF: 10, Horizon: 100, NodeFraction: 2}).Plan(g); err == nil {
-		t.Fatal("NodeFraction > 1 must fail")
-	}
-	// NaN fails every comparison: without a check, MTBF NaN strikes on
-	// every cycle and NodeFraction NaN silently reads as 0.
-	imp := topo.HypercubeTopo{Dim: 3}
-	for _, rf := range []RandomFaults{{MTBF: math.NaN(), Horizon: 100}, {MTBF: 10, Horizon: 100, NodeFraction: math.NaN()}} {
-		if _, err := rf.Plan(g); err == nil {
-			t.Fatalf("Plan(%+v) must fail", rf)
-		}
-		if _, err := rf.PlanTopo(imp); err == nil {
-			t.Fatalf("PlanTopo(%+v) must fail", rf)
-		}
-	}
-}
-
+// TestFaultPlanValidate pins ValidateTopo's rejections on a built ring and
+// on an implicit super-IP topology: out-of-range nodes, non-links and
+// negative cycles fail; a nil plan is a valid empty plan.
 func TestFaultPlanValidate(t *testing.T) {
-	g := mustBuild(t, networks.Ring{Nodes: 8}.Build)
-	if err := (&FaultPlan{}).LinkDown(10, 0, 4, 0).Validate(g); err == nil {
-		t.Fatal("0-4 is not a ring link; Validate must reject it")
+	ring := topo.NewMaterialized(mustBuild(t, networks.Ring{Nodes: 8}.Build))
+	if err := (&FaultPlan{}).LinkDown(10, 0, 4, 0).ValidateTopo(ring); err == nil {
+		t.Fatal("0-4 is not a ring link; ValidateTopo must reject it")
 	}
-	if err := (&FaultPlan{}).NodeDown(10, 99, 0).Validate(g); err == nil {
+	if err := (&FaultPlan{}).NodeDown(10, 99, 0).ValidateTopo(ring); err == nil {
 		t.Fatal("node out of range must be rejected")
 	}
-	if err := (&FaultPlan{}).LinkDown(-1, 0, 1, 0).Validate(g); err == nil {
+	if err := (&FaultPlan{}).LinkDown(10, 0, 8, 0).ValidateTopo(ring); err == nil {
+		t.Fatal("link endpoint out of range must be rejected")
+	}
+	if err := (&FaultPlan{}).LinkDown(-1, 0, 1, 0).ValidateTopo(ring); err == nil {
 		t.Fatal("negative cycle must be rejected")
 	}
+	if err := (&FaultPlan{}).LinkDown(10, 0, 1, 0).NodeDown(20, 5, 30).ValidateTopo(ring); err != nil {
+		t.Fatalf("valid plan rejected: %v", err)
+	}
 	var nilPlan *FaultPlan
-	if err := nilPlan.Validate(g); err != nil {
+	if err := nilPlan.ValidateTopo(ring); err != nil {
 		t.Fatalf("nil plan is a valid empty plan: %v", err)
 	}
 	if nilPlan.Len() != 0 {
 		t.Fatal("nil plan length")
+	}
+
+	_, imp, _, _ := faultTestNet(t)
+	if err := faultyPlanFor(t, imp, 9).ValidateTopo(imp); err != nil {
+		t.Fatalf("valid implicit plan rejected: %v", err)
+	}
+	if err := (&FaultPlan{}).NodeDown(0, int32(imp.N()), 0).ValidateTopo(imp); err == nil {
+		t.Fatal("out-of-range node accepted")
+	}
+	nbrs := imp.Neighbors(0, nil)
+	nonNbr := int64(1)
+	for _, v := range nbrs {
+		if v == nonNbr {
+			nonNbr = v + 1 // neighbors are sorted; walk past collisions
+		}
+	}
+	if err := (&FaultPlan{}).LinkDown(0, 0, int32(nonNbr), 0).ValidateTopo(imp); err == nil {
+		t.Fatalf("non-edge 0-%d accepted", nonNbr)
+	}
+	if err := (&FaultPlan{}).LinkDown(-1, 0, int32(nbrs[0]), 0).ValidateTopo(imp); err == nil {
+		t.Fatal("negative cycle accepted")
 	}
 }
 

@@ -3,8 +3,10 @@ package netsim
 import (
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
+	"repro/internal/networks"
 	"repro/internal/superip"
 	"repro/internal/topo"
 )
@@ -406,79 +408,47 @@ func TestRunImplicitFaultyBigSym(t *testing.T) {
 	}
 }
 
-// TestValidateTopoMatchesValidate checks the satellite refactor: the
-// topology-generic validation accepts exactly what the graph-based wrapper
-// accepts, and both reject out-of-range nodes and non-edges.
-func TestValidateTopoMatchesValidate(t *testing.T) {
-	net, imp, _, _ := faultTestNet(t)
-	g, _, err := net.BuildWithIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Note: implicit and materialized id spaces differ, so cross-validate
-	// structural properties per space rather than one plan on both.
-	good := faultyPlanFor(t, imp, 9)
-	if err := good.ValidateTopo(imp); err != nil {
-		t.Fatalf("valid plan rejected: %v", err)
-	}
-	gplan, err := RandomFaults{MTBF: 20, Horizon: 200, Seed: 4}.Plan(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gplan.Validate(g); err != nil {
-		t.Fatalf("graph-drawn plan rejected by wrapper: %v", err)
-	}
-
-	bad := &FaultPlan{}
-	bad.NodeDown(0, int32(imp.N()), 0)
-	if err := bad.ValidateTopo(imp); err == nil {
-		t.Fatal("out-of-range node accepted")
-	}
-	var buf []int64
-	buf = imp.Neighbors(0, buf)
-	nonNbr := int64(1)
-	for _, v := range buf {
-		if v == nonNbr {
-			nonNbr = v + 1 // neighbors are sorted; walk past collisions
-		}
-	}
-	bad2 := &FaultPlan{}
-	bad2.LinkDown(0, 0, int32(nonNbr), 0)
-	if err := bad2.ValidateTopo(imp); err == nil {
-		t.Fatalf("non-edge 0-%d accepted", nonNbr)
-	}
-	bad3 := &FaultPlan{}
-	bad3.LinkDown(-1, 0, int32(buf[0]), 0)
-	if err := bad3.ValidateTopo(imp); err == nil {
-		t.Fatal("negative cycle accepted")
-	}
-}
-
-// TestPlanTopoDeterministic pins PlanTopo: same seed, same schedule; every
-// event validates against the topology it was drawn for.
+// TestPlanTopoDeterministic pins PlanTopo on an implicit super-IP topology
+// and on a built Q4: the same seed draws the same schedule, another seed a
+// different one, every event validates against the topology it was drawn
+// for, and transient faults carry their repair cycle.
 func TestPlanTopoDeterministic(t *testing.T) {
 	_, imp, _, _ := faultTestNet(t)
-	gen := RandomFaults{MTBF: 10, RepairTime: 50, NodeFraction: 0.2, Horizon: 500, Seed: 6}
-	a, err := gen.PlanTopo(imp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := gen.PlanTopo(imp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Events) != len(b.Events) {
-		t.Fatalf("plan lengths differ: %d vs %d", len(a.Events), len(b.Events))
-	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a.Events[i], b.Events[i])
+	q4 := topo.NewMaterialized(mustBuild(t, networks.Hypercube{Dim: 4}.Build))
+	for _, tc := range []struct {
+		name string
+		tp   Topology
+		gen  RandomFaults
+	}{
+		{"implicit", imp, RandomFaults{MTBF: 10, RepairTime: 50, NodeFraction: 0.2, Horizon: 500, Seed: 6}},
+		{"built Q4", q4, RandomFaults{MTBF: 50, RepairTime: 100, NodeFraction: 0.3, Horizon: 2000, Seed: 7}},
+	} {
+		draw := func(seed int64) *FaultPlan {
+			gen := tc.gen
+			gen.Seed = seed
+			p, err := gen.PlanTopo(tc.tp)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return p
 		}
-	}
-	if len(a.Events) == 0 {
-		t.Fatal("MTBF 10 over 500 cycles drew no faults")
-	}
-	if err := a.ValidateTopo(imp); err != nil {
-		t.Fatalf("generated plan invalid: %v", err)
+		a, b, c := draw(tc.gen.Seed), draw(tc.gen.Seed), draw(tc.gen.Seed+1)
+		if !slices.Equal(a.Events, b.Events) {
+			t.Fatalf("%s: same seed, different plans:\n%+v\n%+v", tc.name, a.Events, b.Events)
+		}
+		if slices.Equal(a.Events, c.Events) {
+			t.Fatalf("%s: different seeds drew identical plans", tc.name)
+		}
+		if len(a.Events) == 0 {
+			t.Fatalf("%s: MTBF %v over %d cycles drew no faults", tc.name, tc.gen.MTBF, tc.gen.Horizon)
+		}
+		if err := a.ValidateTopo(tc.tp); err != nil {
+			t.Fatalf("%s: generated plan invalid: %v", tc.name, err)
+		}
+		for _, e := range a.Events {
+			if !e.Transient() || e.Repair != e.Cycle+tc.gen.RepairTime {
+				t.Fatalf("%s: repair time not honored: %+v", tc.name, e)
+			}
+		}
 	}
 }
