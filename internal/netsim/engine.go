@@ -36,7 +36,7 @@
 // the plan's last event, or at the drain deadline.
 //
 // Bit-for-bit compatibility contract: a run consumes its RNG in a fixed
-// order (injection draws, adaptive/detour choices) and emits probe events
+// order (injection draws, detour choices) and emits probe events
 // in a fixed sequence. TestEngineGoldenParity and TestEngineProbeGolden pin
 // this against recorded fixtures.
 package netsim

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/networks"
 	"repro/internal/obs"
@@ -66,13 +67,18 @@ import (
 // neighbor) instead of from the edge list, so exactly the five cases that
 // run it moved (runfaulty/q5/{seed1, seed2, adaptive-notify25/seed3,
 // modules4-hotspot/seed4, withbaseline/seed5}); TestGoldenSeedSweep showed
-// no mean of theirs shifted by more than 3 standard errors.
+// no mean of theirs shifted by more than 3 standard errors. Then
+// Config.Adaptive (spread over every minimal hop) was deleted, so built
+// graphs route only by route.BFSNextHops tables: run/q5/adaptive/seed5 and
+// its probe digest went away, and runfaulty/q5/adaptive-notify25/seed3
+// became runfaulty/q5/notify25/seed3, the same run on tables, whose probe
+// stream is now the third digest. No other case moved.
 //
 // The grid spans the axes the engine parameterizes: built vs implicit
 // adjacency, table vs algebraic routing, fault-free vs degraded runs,
 // uniform/transpose/hotspot patterns, module-partitioned service periods,
-// store-and-forward vs cut-through, multi-flit messages, adaptive routing,
-// and lanes below and above 2^16 nodes. TestEngineProbeGolden pins three
+// store-and-forward vs cut-through, multi-flit messages, stale tables
+// (NotifyDelay), and lanes below and above 2^16 nodes. TestEngineProbeGolden pins three
 // built-graph probe streams as well.
 
 const engineGoldenFile = "testdata/engine_golden.json"
@@ -109,6 +115,17 @@ func hotspot64(p float64) func(src, n int64, rng *rand.Rand) int64 {
 		}
 		return d
 	}
+}
+
+// goldenQ5Plan draws the fault plan the runfaulty/q5 cases share.
+func goldenQ5Plan(t *testing.T, q5 *graph.Graph, seed int64) *FaultPlan {
+	t.Helper()
+	plan, err := (RandomFaults{MTBF: 60, RepairTime: 120, NodeFraction: 0.3,
+		Start: 50, Horizon: 350, MaxFaults: 6, Seed: seed}).PlanTopo(topo.NewMaterialized(q5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }
 
 // goldenResults runs the whole grid and returns case-name -> result struct.
@@ -176,12 +193,6 @@ func goldenResults(t *testing.T, seedOf func(int64) int64) map[string]any {
 		put("run/q5/flits3cut/seed4", st, err)
 	}
 	{
-		cfg := Config{Graph: q5, InjectionRate: 0.05, WarmupCycles: 50,
-			MeasureCycles: 300, Seed: seedOf(5), Adaptive: true}
-		st, err := Run(cfg)
-		put("run/q5/adaptive/seed5", st, err)
-	}
-	{
 		cfg := Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 3,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(6)}
 		st, err := Run(cfg)
@@ -189,11 +200,7 @@ func goldenResults(t *testing.T, seedOf func(int64) int64) map[string]any {
 	}
 
 	// --- RunFaulty: materialized, degraded ---
-	plan, err := (RandomFaults{MTBF: 60, RepairTime: 120, NodeFraction: 0.3,
-		Start: 50, Horizon: 350, MaxFaults: 6, Seed: seedOf(1)}).PlanTopo(topo.NewMaterialized(q5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := goldenQ5Plan(t, q5, seedOf(1))
 	for _, seed := range []int64{1, 2} {
 		cfg := Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: seedOf(seed)}
@@ -202,9 +209,9 @@ func goldenResults(t *testing.T, seedOf func(int64) int64) map[string]any {
 	}
 	{
 		cfg := Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
-			MeasureCycles: 300, Seed: seedOf(3), Adaptive: true}
+			MeasureCycles: 300, Seed: seedOf(3)}
 		fs, err := RunFaulty(cfg, FaultConfig{Plan: plan, NotifyDelay: 25})
-		put("runfaulty/q5/adaptive-notify25/seed3", fs, err)
+		put("runfaulty/q5/notify25/seed3", fs, err)
 	}
 	{
 		cfg := Config{Graph: q5, Partition: &q5part, OffModulePeriod: 4,
@@ -454,11 +461,12 @@ func (h *hashProbe) sum() string {
 }
 
 // TestEngineProbeGolden pins the probe event stream, not just the Stats, of
-// built-graph runs: two grid cases, adaptive spread (per-hop RNG draws) and
-// a partitioned torus whose off-module links cost 3 (per-link periods and
-// the ring size they imply), and a harsh degraded ring whose stream carries
-// every drop reason of the flow layer (TTL, dead router, queue kill,
-// duplicate, abandoned) plus retransmissions and reroutes. The run records
+// three built-graph runs: a partitioned torus whose off-module links cost 3
+// (per-link periods and the ring size they imply), a harsh degraded ring
+// whose stream carries every drop reason of the flow layer (TTL, dead
+// router, queue kill, duplicate, abandoned) plus retransmissions and
+// reroutes, and the grid's runfaulty/q5/notify25/seed3, whose tables go
+// stale for 25 cycles after each change of its drawn fault plan. The run records
 // into an obs.EventLog, which is replayed cycle by cycle into a
 // line-per-event sha256.
 func TestEngineProbeGolden(t *testing.T) {
@@ -486,9 +494,6 @@ func TestEngineProbeGolden(t *testing.T) {
 		fc   FaultConfig
 		want string
 	}{
-		{"run/q5/adaptive/seed5", Config{Graph: q5, InjectionRate: 0.05, WarmupCycles: 50,
-			MeasureCycles: 300, Seed: 5, Adaptive: true}, FaultConfig{},
-			"3e82decafa338e47f153779477a67520fec4300f22882ee49a0afd554803d75f"},
 		{"run/torus/modules3/seed6", Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 3,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 6}, FaultConfig{},
 			"4c3ef42bef92cb52e8203beef398dc95d5197c6d519cfa20569f8646fe1033d4"},
@@ -496,6 +501,9 @@ func TestEngineProbeGolden(t *testing.T) {
 			MeasureCycles: 250, Seed: 2}, FaultConfig{Plan: ringPlan, RetransmitTimeout: 20,
 			MaxRetries: 2, DetourTTL: 3, NotifyDelay: 10},
 			"e14fd1684d9f89b89751feaac58fb1d490f40be834ad1d799a6450d18f9bf8fb"},
+		{"runfaulty/q5/notify25/seed3", Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
+			MeasureCycles: 300, Seed: 3}, FaultConfig{Plan: goldenQ5Plan(t, q5, 1), NotifyDelay: 25},
+			"49cf30af9e30cad7455a488db79a1f481b97126929b6391ac55897d1121d0c5a"},
 	}
 	for _, tc := range cases {
 		log := &obs.EventLog{}

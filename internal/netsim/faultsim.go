@@ -234,20 +234,17 @@ func (ln *simLane) expireFlows() {
 }
 
 // bfsRoutes is the route hook of built graphs: per-destination next-hop
-// tables (route.BFSNextHops, or every minimal hop with adaptive spread),
-// built lazily. In a degraded run (fs non-nil) a table is rebuilt
+// tables (route.BFSNextHops), built lazily. In a degraded run (fs non-nil) a table is rebuilt
 // against the surviving topology on the first packet that needs it after a
 // topology change became visible, NotifyDelay cycles after it happened;
 // until then packets route on the stale table, skipping dead hops, and fall
 // back to a TTL-bounded detour to a random live neighbor. Every random
 // choice draws from the lane RNG.
 type bfsRoutes struct {
-	g         *graph.Graph
-	adaptive  bool
-	ln        *simLane
-	tables    []route.NextHopTable
-	allTables [][][]int32
-	live      []int32 // scratch
+	g      *graph.Graph
+	ln     *simLane
+	tables []route.NextHopTable
+	live   []int32 // scratch
 
 	// fs is the lane's fault set (nil unless degraded). Routing reads a
 	// copy of it, deadNode and the dead out-arcs of every node, retaken
@@ -276,14 +273,10 @@ type bfsRoutes struct {
 	lagSum              int64
 }
 
-func newBFSRoutes(g *graph.Graph, adaptive bool, ln *simLane) *bfsRoutes {
+func newBFSRoutes(g *graph.Graph, ln *simLane) *bfsRoutes {
 	n := g.N()
-	b := &bfsRoutes{g: g, adaptive: adaptive, ln: ln, epochCycle: []int{0}, tableEpoch: make([]int, n)}
-	if adaptive {
-		b.allTables = make([][][]int32, n)
-	} else {
-		b.tables = make([]route.NextHopTable, n)
-	}
+	b := &bfsRoutes{g: g, ln: ln, tables: make([]route.NextHopTable, n),
+		epochCycle: []int{0}, tableEpoch: make([]int, n)}
 	if b.fs = ln.faults; b.fs != nil {
 		b.deadNode, b.deadOut = make([]bool, n), make([][]int32, n)
 		b.nodeDead = func(v int32) bool { return b.deadNode[v] }
@@ -324,7 +317,7 @@ func (b *bfsRoutes) advance(now int, changed bool) {
 // freshen builds dst's table if it is missing or a visible topology change
 // has invalidated it.
 func (b *bfsRoutes) freshen(dst int32, now int) {
-	built := b.adaptive && b.allTables[dst] != nil || !b.adaptive && b.tables[dst] != nil
+	built := b.tables[dst] != nil
 	if built && b.tableEpoch[dst] >= b.visEpoch {
 		return
 	}
@@ -337,11 +330,7 @@ func (b *bfsRoutes) freshen(dst int32, now int) {
 			pb.Reroute(now, int64(dst), lag)
 		}
 	}
-	if b.adaptive {
-		b.allTables[dst] = route.BFSAllNextHops(b.g, dst, b.nodeDead, b.linkDead)
-	} else {
-		b.tables[dst] = route.BFSNextHops(b.g, dst, b.nodeDead, b.linkDead)
-	}
+	b.tables[dst] = route.BFSNextHops(b.g, dst, b.nodeDead, b.linkDead)
 	b.tableEpoch[dst] = b.topoEpoch
 }
 
@@ -357,19 +346,7 @@ func (b *bfsRoutes) next(now int, at64 int64, pkt *epacket) (int64, bool, error)
 	at, dst := int32(at64), int32(pkt.dst)
 	b.sync()
 	b.freshen(dst, now)
-	rng := b.ln.rng
-	if b.adaptive {
-		live := b.live[:0]
-		for _, v := range b.allTables[dst][at] {
-			if b.up(at, v) {
-				live = append(live, v)
-			}
-		}
-		b.live = live
-		if len(live) > 0 {
-			return int64(live[rng.Intn(len(live))]), true, nil
-		}
-	} else if h := b.tables[dst][at]; h >= 0 && b.up(at, h) {
+	if h := b.tables[dst][at]; h >= 0 && b.up(at, h) {
 		return int64(h), true, nil
 	}
 	if b.fs == nil {
@@ -393,7 +370,7 @@ func (b *bfsRoutes) next(now int, at64 int64, pkt *epacket) (int64, bool, error)
 	}
 	pkt.ttl--
 	b.misrouted++
-	return int64(live[rng.Intn(len(live))]), true, nil
+	return int64(live[b.ln.rng.Intn(len(live))]), true, nil
 }
 
 // connected reports whether src and dst are live and joined by a live path.
@@ -464,7 +441,7 @@ func builtRun(cfg Config, fc FaultConfig) (ShardedConfig, runOpts) {
 			return int64(pattern(int32(src), int(n), rng))
 		},
 		Probe: cfg.Probe,
-	}, runOpts{moduleOf: moduleOf, graph: g, adaptive: cfg.Adaptive, fc: fc}
+	}, runOpts{moduleOf: moduleOf, graph: g, fc: fc}
 }
 
 // RunFaultyWithBaseline runs cfg under the plan (RunFaulty) and fault-free

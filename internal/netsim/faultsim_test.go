@@ -29,8 +29,6 @@ func TestRunFaultyEmptyPlanMatchesRun(t *testing.T) {
 	}{
 		{"Q6/rate0.02", Config{Graph: q6, InjectionRate: 0.02, WarmupCycles: 200,
 			MeasureCycles: 1500, Seed: 17}},
-		{"Q6/rate0.02/adaptive", Config{Graph: q6, InjectionRate: 0.02, WarmupCycles: 200,
-			MeasureCycles: 1500, Seed: 17, Adaptive: true}},
 		{"Q6/rate0.1/flits4", Config{Graph: q6, InjectionRate: 0.1, Flits: 4,
 			WarmupCycles: 200, MeasureCycles: 1500, Seed: 17}},
 		{"SFN(3;Q2)/rate0.01", Config{Graph: sfn, InjectionRate: 0.01,
@@ -338,22 +336,6 @@ func TestRunFaultyWithBaselineInflation(t *testing.T) {
 	}
 	if fs.LatencyInflation < 1 {
 		t.Fatalf("faults should not speed the network up: inflation %v", fs.LatencyInflation)
-	}
-}
-
-func TestRunFaultyAdaptiveUnderFaults(t *testing.T) {
-	// Adaptive (multi-minimal-hop) routing must also survive faults below
-	// the connectivity bound.
-	g := mustBuild(t, networks.Hypercube{Dim: 5}.Build)
-	plan := (&FaultPlan{}).LinkDown(200, 0, 1, 0).LinkDown(300, 2, 18, 0)
-	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.03, Adaptive: true,
-		WarmupCycles: 100, MeasureCycles: 1500, Seed: 83},
-		FaultConfig{Plan: plan, NotifyDelay: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Delivered != fs.Injected || fs.Lost != 0 {
-		t.Fatalf("adaptive run lost traffic below connectivity: %+v", fs)
 	}
 }
 

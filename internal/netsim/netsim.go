@@ -53,10 +53,6 @@ type Config struct {
 	// uniform random over the other nodes). See Uniform, Transpose,
 	// BitComplement, Hotspot.
 	Pattern PatternFunc
-	// Adaptive, when true, spreads traffic across ALL minimal next hops
-	// (random choice per packet per hop) instead of a single deterministic
-	// shortest-path tree. Paths stay minimal; load balance improves.
-	Adaptive bool
 	// Probe, when non-nil, receives per-event callbacks during the run
 	// (injection, queueing, transmission, delivery, drops, retransmission,
 	// faults, reroutes) — see internal/obs for the hook contract and the
@@ -201,8 +197,8 @@ func (st *Stats) fillQuantiles(p obs.Probe) {
 
 // Run executes the simulation fault-free. It is RunFaulty with an empty
 // plan, which is not degraded: packets route straight from per-destination
-// BFS tables (or spread over all minimal hops when cfg.Adaptive), and
-// measured packets still in flight at the drain deadline count as Expired.
+// BFS tables (route.BFSNextHops), and measured packets still in flight at
+// the drain deadline count as Expired.
 func Run(cfg Config) (Stats, error) {
 	fs, err := RunFaulty(cfg, FaultConfig{})
 	return fs.Stats, err

@@ -207,8 +207,6 @@ type runOpts struct {
 	// the flow layer. Links live in the one link store over the lane's
 	// topology, as on every run.
 	graph *graph.Graph
-	// adaptive spreads built-graph traffic over all minimal next hops.
-	adaptive bool
 	// fc is the built-graph recovery protocol (normalized): detour TTL,
 	// notification delay, retransmission.
 	fc FaultConfig
@@ -393,7 +391,7 @@ func newLanes(cfg ShardedConfig, o runOpts) (*laneRun, []*simLane, error) {
 		}
 		ln.store = newSparseLinks(ln.topo)
 		if built {
-			ln.tables = newBFSRoutes(o.graph, o.adaptive, ln)
+			ln.tables = newBFSRoutes(o.graph, ln)
 			if r.degraded {
 				ln.flows = &flowTable{retryAt: map[int][]int32{}}
 			}

@@ -4,10 +4,9 @@
 // graphs (the Cayley-graph "sorting" view of routing that Section 4
 // generalizes to IP graphs), digit-shifting for de Bruijn graphs, and
 // generic BFS next-hop tables for everything else. The BFS tables come from
-// two builders, BFSNextHops (one next hop per node, the BFS-tree parent)
-// and BFSAllNextHops (every minimal next hop); both take optional liveness
-// predicates, so the same builder serves fault-free routing and table
-// repair around dead nodes and links.
+// one builder, BFSNextHops (one next hop per node, the BFS-tree parent),
+// which takes optional liveness predicates, so the same builder serves
+// fault-free routing and table repair around dead nodes and links.
 package route
 
 import (
@@ -220,7 +219,36 @@ type NextHopTable []int32
 // This is both the fault-free oracle and the table-repair primitive of the
 // fault-adaptive simulator.
 func BFSNextHops(g *graph.Graph, dst int32, deadNode func(int32) bool, deadLink func(u, v int32) bool) NextHopTable {
-	_, parent := liveBFS(g, dst, deadNode, deadLink)
+	parent := make(NextHopTable, g.N())
+	for i := range parent {
+		parent[i] = -1
+	}
+	if deadNode != nil && deadNode(dst) {
+		return parent
+	}
+	// BFS from dst over the reverse arcs of the live subgraph.
+	rev := g
+	if g.Directed {
+		rev = reverseOf(g)
+	}
+	visited := make([]bool, g.N())
+	visited[dst] = true
+	queue := append(make([]int32, 0, g.N()), dst)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, u := range rev.Neighbors(v) {
+			// The reverse arc v->u is the forward arc u->v.
+			if visited[u] {
+				continue
+			}
+			if deadNode != nil && deadNode(u) || deadLink != nil && deadLink(u, v) {
+				continue
+			}
+			visited[u] = true
+			parent[u] = v
+			queue = append(queue, u)
+		}
+	}
 	return parent
 }
 
@@ -250,72 +278,6 @@ func (t NextHopTable) Follow(src, dst int32) (Path, error) {
 		}
 	}
 	return p, nil
-}
-
-// BFSAllNextHops computes, for every node, ALL minimal next hops toward dst
-// (neighbors whose distance to dst is exactly one less), in adjacency
-// order; used for adaptive minimal routing. The liveness predicates
-// restrict the search exactly as in BFSNextHops and may be nil. Nodes with
-// no live path get an empty list.
-func BFSAllNextHops(g *graph.Graph, dst int32, deadNode func(int32) bool, deadLink func(u, v int32) bool) [][]int32 {
-	order, dist := liveBFS(g, dst, deadNode, deadLink)
-	// Turn parents into hop distances in place: a node's parent precedes it
-	// in visit order, so its entry already holds the parent's distance.
-	if len(order) > 0 {
-		dist[dst] = 0
-		for _, u := range order[1:] {
-			dist[u] = dist[dist[u]] + 1
-		}
-	}
-	out := make([][]int32, g.N())
-	for u := range out {
-		du := dist[u]
-		if du <= 0 {
-			continue
-		}
-		for _, v := range g.Neighbors(int32(u)) {
-			if dist[v] == du-1 && (deadLink == nil || !deadLink(int32(u), v)) {
-				out[u] = append(out[u], v)
-			}
-		}
-	}
-	return out
-}
-
-// liveBFS runs BFS from dst over the reverse arcs of the live subgraph (see
-// BFSNextHops for the predicates). It returns the nodes in visit order and
-// each node's BFS parent, -1 at dst and at nodes never reached.
-func liveBFS(g *graph.Graph, dst int32, deadNode func(int32) bool, deadLink func(u, v int32) bool) (order []int32, parent NextHopTable) {
-	parent = make(NextHopTable, g.N())
-	for i := range parent {
-		parent[i] = -1
-	}
-	if deadNode != nil && deadNode(dst) {
-		return nil, parent
-	}
-	rev := g
-	if g.Directed {
-		rev = reverseOf(g)
-	}
-	visited := make([]bool, g.N())
-	visited[dst] = true
-	order = append(make([]int32, 0, g.N()), dst)
-	for head := 0; head < len(order); head++ {
-		v := order[head]
-		for _, u := range rev.Neighbors(v) {
-			// The reverse arc v->u is the forward arc u->v.
-			if visited[u] {
-				continue
-			}
-			if deadNode != nil && deadNode(u) || deadLink != nil && deadLink(u, v) {
-				continue
-			}
-			visited[u] = true
-			parent[u] = v
-			order = append(order, u)
-		}
-	}
-	return order, parent
 }
 
 // FoldedHypercube routes in FQ_dim: when the Hamming distance to the

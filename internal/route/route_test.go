@@ -2,7 +2,6 @@ package route
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -244,64 +243,6 @@ func allPerms(n int) [][]byte {
 	return out
 }
 
-func TestBFSAllNextHops(t *testing.T) {
-	g, err := networks.KAryNCube{K: 4, Dims: 2}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for dst := int32(0); dst < int32(g.N()); dst += 5 {
-		all := BFSAllNextHops(g, dst, nil, nil)
-		dist := g.BFS(dst) // undirected: dist to dst
-		for u := 0; u < g.N(); u++ {
-			if int32(u) == dst {
-				if len(all[u]) != 0 {
-					t.Fatalf("destination has next hops")
-				}
-				continue
-			}
-			if len(all[u]) == 0 {
-				t.Fatalf("node %d has no minimal next hops", u)
-			}
-			for _, v := range all[u] {
-				if dist[v] != dist[u]-1 {
-					t.Fatalf("next hop %d from %d is not minimal", v, u)
-				}
-			}
-			// Interior torus nodes with both coordinates unaligned have 2
-			// minimal directions; verify multiplicity exists somewhere.
-		}
-		// Some node must have more than one minimal next hop on a torus.
-		multi := false
-		for u := range all {
-			if len(all[u]) > 1 {
-				multi = true
-			}
-		}
-		if !multi {
-			t.Fatal("torus should offer multiple minimal next hops")
-		}
-	}
-}
-
-func TestBFSAllNextHopsDirected(t *testing.T) {
-	g, err := networks.DeBruijn{Base: 2, Dim: 4}.BuildDirected()
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := BFSAllNextHops(g, 9, nil, nil)
-	dist := reverseOf(g).BFS(9)
-	for u := 0; u < g.N(); u++ {
-		for _, v := range all[u] {
-			if !g.HasEdge(int32(u), v) {
-				t.Fatalf("next hop %d from %d is not an arc", v, u)
-			}
-			if dist[v] != dist[u]-1 {
-				t.Fatalf("directed next hop %d from %d not minimal", v, u)
-			}
-		}
-	}
-}
-
 func TestFoldedHypercubeRouting(t *testing.T) {
 	for _, dim := range []int{3, 4, 5, 7} {
 		g, err := networks.FoldedHypercube{Dim: dim}.Build()
@@ -417,41 +358,6 @@ func TestBFSNextHopsAvoidingDeadLink(t *testing.T) {
 	}
 	if tbl[4] < 0 {
 		t.Fatal("unaffected node lost its route")
-	}
-}
-
-func TestBFSAllNextHopsAvoiding(t *testing.T) {
-	g, err := networks.Hypercube{Dim: 4}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A nil predicate means "nothing is dead": predicates that kill
-	// nothing give the same lists.
-	plain := BFSAllNextHops(g, 5, nil, nil)
-	avoid := BFSAllNextHops(g, 5, func(int32) bool { return false },
-		func(u, v int32) bool { return false })
-	for u := 0; u < g.N(); u++ {
-		if !slices.Equal(plain[u], avoid[u]) {
-			t.Fatalf("node %d: minimal hops %v with all-live predicates, %v with nil", u, avoid[u], plain[u])
-		}
-	}
-	// Killing one neighbor of the destination trims it from every option
-	// list but leaves every survivor with at least one minimal hop.
-	dead := g.Neighbors(5)[0]
-	deadNode := func(v int32) bool { return v == dead }
-	avoid = BFSAllNextHops(g, 5, deadNode, nil)
-	for u := 0; u < g.N(); u++ {
-		if int32(u) == 5 || int32(u) == dead {
-			continue
-		}
-		if len(avoid[u]) == 0 {
-			t.Fatalf("node %d has no live minimal hop after one fault", u)
-		}
-		for _, v := range avoid[u] {
-			if v == dead {
-				t.Fatalf("node %d still lists the dead node", u)
-			}
-		}
 	}
 }
 
