@@ -225,9 +225,9 @@ func recyclingPlan(tp Topology, seed int64) *FaultPlan {
 		}
 		u := rng.Int63n(tp.N())
 		buf = tp.Neighbors(u, buf)
-		plan.LinkDown(at, int32(u), int32(buf[rng.Intn(len(buf))]), repair)
+		plan.LinkDown(at, u, buf[rng.Intn(len(buf))], repair)
 		if i%2 == 1 {
-			plan.NodeDown(at, int32(rng.Int63n(tp.N())), at+30)
+			plan.NodeDown(at, rng.Int63n(tp.N()), at+30)
 		}
 	}
 	return plan
@@ -451,7 +451,7 @@ func TestNonNeighborNextHop(t *testing.T) {
 			w++
 		}
 		last := c.tp.Neighbors(n-1, nil)
-		plan := (&FaultPlan{}).LinkDown(5, int32(n-1), int32(last[0]), 0)
+		plan := (&FaultPlan{}).LinkDown(5, n-1, last[0], 0)
 		want := fmt.Sprintf("next hop %d from 0 is not a neighbor", w)
 		for _, script := range [][]Injection{
 			{{At: 0, Src: 0, Dst: w}},

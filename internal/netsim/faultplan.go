@@ -37,7 +37,7 @@ func (k FaultKind) String() string {
 type FaultEvent struct {
 	Cycle  int
 	Kind   FaultKind
-	U, V   int32 // link endpoints; V ignored for node faults
+	U, V   int64 // link endpoints; V ignored for node faults
 	Repair int
 }
 
@@ -51,14 +51,14 @@ type FaultPlan struct {
 
 // LinkDown schedules link (u,v) to fail at cycle, healing at repair
 // (repair <= cycle means permanent). Returns the plan for chaining.
-func (p *FaultPlan) LinkDown(cycle int, u, v int32, repair int) *FaultPlan {
+func (p *FaultPlan) LinkDown(cycle int, u, v int64, repair int) *FaultPlan {
 	p.Events = append(p.Events, FaultEvent{Cycle: cycle, Kind: LinkFault, U: u, V: v, Repair: repair})
 	return p
 }
 
 // NodeDown schedules node u to fail at cycle, healing at repair
 // (repair <= cycle means permanent). Returns the plan for chaining.
-func (p *FaultPlan) NodeDown(cycle int, u int32, repair int) *FaultPlan {
+func (p *FaultPlan) NodeDown(cycle int, u int64, repair int) *FaultPlan {
 	p.Events = append(p.Events, FaultEvent{Cycle: cycle, Kind: NodeFault, U: u, Repair: repair})
 	return p
 }
@@ -75,8 +75,7 @@ func (p *FaultPlan) Len() int {
 // in range, link events on actual edges (via the Neighbors oracle), and
 // non-negative cycles — without ever materializing the graph, so fault plans
 // for implicit multi-million-node instances are validated in O(events ·
-// degree). Note FaultEvent ids are int32: on topologies with more than 2^31
-// nodes a plan can only name the first 2^31 of them.
+// degree).
 func (p *FaultPlan) ValidateTopo(t Topology) error {
 	if p == nil {
 		return nil
@@ -87,17 +86,17 @@ func (p *FaultPlan) ValidateTopo(t Topology) error {
 		if e.Cycle < 0 {
 			return fmt.Errorf("netsim: fault %d at negative cycle %d", i, e.Cycle)
 		}
-		if e.U < 0 || int64(e.U) >= n {
+		if e.U < 0 || e.U >= n {
 			return fmt.Errorf("netsim: fault %d: node %d out of range", i, e.U)
 		}
 		if e.Kind == LinkFault {
-			if e.V < 0 || int64(e.V) >= n {
+			if e.V < 0 || e.V >= n {
 				return fmt.Errorf("netsim: fault %d: node %d out of range", i, e.V)
 			}
-			buf = t.Neighbors(int64(e.U), buf)
+			buf = t.Neighbors(e.U, buf)
 			found := false
 			for _, v := range buf {
-				if v == int64(e.V) {
+				if v == e.V {
 					found = true
 					break
 				}
@@ -163,16 +162,12 @@ func (r RandomFaults) check() error {
 // which is a uniform edge draw on regular topologies; nodes are drawn
 // uniformly from 1..N-1, so node 0 is never killed (keeping at least one
 // stable observer). Repeat strikes on a component already down are
-// independent events (the simulator reference-counts overlaps). Topologies
-// with more than 2^31 nodes are rejected: FaultEvent ids are int32.
+// independent events (the simulator reference-counts overlaps).
 func (r RandomFaults) PlanTopo(t Topology) (*FaultPlan, error) {
 	if err := r.check(); err != nil {
 		return nil, err
 	}
 	n := t.N()
-	if n > int64(1)<<31 {
-		return nil, fmt.Errorf("netsim: topology has %d nodes; fault events address at most 2^31", n)
-	}
 	rng := rand.New(rand.NewSource(r.Seed))
 	plan := &FaultPlan{}
 	prob := 1 / r.MTBF
@@ -189,7 +184,7 @@ func (r RandomFaults) PlanTopo(t Topology) (*FaultPlan, error) {
 			repair = cycle + r.RepairTime
 		}
 		if rng.Float64() < r.NodeFraction && n > 1 {
-			plan.NodeDown(cycle, int32(1+rng.Int63n(n-1)), repair)
+			plan.NodeDown(cycle, 1+rng.Int63n(n-1), repair)
 			continue
 		}
 		// Sample a link: uniform node, then uniform neighbor. Isolated
@@ -200,7 +195,7 @@ func (r RandomFaults) PlanTopo(t Topology) (*FaultPlan, error) {
 		if len(buf) == 0 {
 			continue
 		}
-		plan.LinkDown(cycle, int32(u), int32(buf[rng.Intn(len(buf))]), repair)
+		plan.LinkDown(cycle, u, buf[rng.Intn(len(buf))], repair)
 	}
 	return plan, nil
 }

@@ -93,13 +93,19 @@ func (fc *FaultConfig) normalize() error {
 	return nil
 }
 
-// FaultStats extends Stats with degraded-mode counters. Injected counts
-// measured flows (originals, not retransmissions); every measured flow ends
-// as either Delivered or Lost.
+// FaultStats extends Stats with degraded-mode counters. On a built graph
+// Injected counts measured flows (originals, not retransmissions).
 type FaultStats struct {
 	Stats
-	// Lost counts measured flows abandoned after MaxRetries retransmissions
-	// (or still undelivered at the drain deadline).
+	// Lost counts measured traffic that never arrived, and what it counts
+	// depends on the run kind. A degraded built-graph run (RunFaulty with a
+	// plan) counts flows abandoned after MaxRetries retransmissions or
+	// still undelivered at the drain deadline, so every measured flow ends
+	// Delivered or Lost (Injected == Delivered + Lost) and the deadline
+	// ones are counted in Expired too. A degraded implicit or sharded run
+	// counts dropped measured packets, which are never also Expired
+	// (Injected == Delivered + Lost + Expired). A run with no plan loses
+	// nothing.
 	Lost int
 	// Retransmitted counts source-side retransmissions of measured flows.
 	Retransmitted int

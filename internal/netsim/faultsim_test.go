@@ -287,7 +287,7 @@ func TestFaultPlanValidate(t *testing.T) {
 	if err := faultyPlanFor(t, imp, 9).ValidateTopo(imp); err != nil {
 		t.Fatalf("valid implicit plan rejected: %v", err)
 	}
-	if err := (&FaultPlan{}).NodeDown(0, int32(imp.N()), 0).ValidateTopo(imp); err == nil {
+	if err := (&FaultPlan{}).NodeDown(0, imp.N(), 0).ValidateTopo(imp); err == nil {
 		t.Fatal("out-of-range node accepted")
 	}
 	nbrs := imp.Neighbors(0, nil)
@@ -297,10 +297,10 @@ func TestFaultPlanValidate(t *testing.T) {
 			nonNbr = v + 1 // neighbors are sorted; walk past collisions
 		}
 	}
-	if err := (&FaultPlan{}).LinkDown(0, 0, int32(nonNbr), 0).ValidateTopo(imp); err == nil {
+	if err := (&FaultPlan{}).LinkDown(0, 0, nonNbr, 0).ValidateTopo(imp); err == nil {
 		t.Fatalf("non-edge 0-%d accepted", nonNbr)
 	}
-	if err := (&FaultPlan{}).LinkDown(-1, 0, int32(nbrs[0]), 0).ValidateTopo(imp); err == nil {
+	if err := (&FaultPlan{}).LinkDown(-1, 0, nbrs[0], 0).ValidateTopo(imp); err == nil {
 		t.Fatal("negative cycle accepted")
 	}
 }

@@ -76,9 +76,9 @@ func faultyPlanFor(t *testing.T, imp *topo.Implicit, seed int64) *FaultPlan {
 		if i%2 == 0 {
 			repair = 80 + 40*i
 		}
-		plan.LinkDown(10+15*i, int32(u), int32(v), repair)
+		plan.LinkDown(10+15*i, u, v, repair)
 	}
-	plan.NodeDown(60, int32(1+rng.Int63n(imp.N()-1)), 200)
+	plan.NodeDown(60, 1+rng.Int63n(imp.N()-1), 200)
 	return plan
 }
 
@@ -186,8 +186,8 @@ func TestRunImplicitFaultyMatchesRunFaulty(t *testing.T) {
 		u := rng.Int63n(imp.N())
 		buf = imp.Neighbors(u, buf)
 		v := buf[rng.Intn(len(buf))]
-		implicitPlan.LinkDown(0, int32(u), int32(v), 0)
-		matPlan.LinkDown(0, ix.ID(imp.Label(u)), ix.ID(imp.Label(v)), 0)
+		implicitPlan.LinkDown(0, u, v, 0)
+		matPlan.LinkDown(0, int64(ix.ID(imp.Label(u))), int64(ix.ID(imp.Label(v))), 0)
 	}
 
 	ist, err := RunImplicitFaulty(ImplicitConfig{Topo: imp, Router: fa,
@@ -267,7 +267,7 @@ func TestRunImplicitFaultyKMinusOneZeroLoss(t *testing.T) {
 			if i == spare {
 				continue
 			}
-			plan.LinkDown(0, int32(rt[0]), int32(rt[1]), 0)
+			plan.LinkDown(0, rt[0], rt[1], 0)
 		}
 		fs.Reset()
 		st, err := RunImplicitFaulty(ImplicitConfig{Topo: imp, Router: fa,
@@ -352,7 +352,7 @@ func TestRunImplicitFaultyBigSym(t *testing.T) {
 		if i == spare {
 			continue
 		}
-		plan.LinkDown(0, int32(rt[0]), int32(rt[1]), 0)
+		plan.LinkDown(0, rt[0], rt[1], 0)
 	}
 	// First, the pair itself: walk the fault-aware router hop by hop with
 	// the κ−1 faults live. At 25M nodes uniform injection essentially never
@@ -450,5 +450,28 @@ func TestPlanTopoDeterministic(t *testing.T) {
 				t.Fatalf("%s: repair time not honored: %+v", tc.name, e)
 			}
 		}
+	}
+}
+
+// TestPlanTopoAbove2to31 draws a plan on Q33, whose 2^33 node ids do not
+// fit in 32 bits: the node faults land above 2^31, and ValidateTopo
+// accepts every event.
+func TestPlanTopoAbove2to31(t *testing.T) {
+	q33 := topo.HypercubeTopo{Dim: 33}
+	plan, err := RandomFaults{MTBF: 1, NodeFraction: 0.5, Horizon: 64, Seed: 3}.PlanTopo(q33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	high := 0
+	for _, e := range plan.Events {
+		if e.Kind == NodeFault && e.U >= 1<<31 {
+			high++
+		}
+	}
+	if high == 0 {
+		t.Fatalf("no node fault above 2^31 in %d events: %+v", plan.Len(), plan.Events)
+	}
+	if err := plan.ValidateTopo(q33); err != nil {
+		t.Fatalf("plan on Q33 rejected: %v", err)
 	}
 }

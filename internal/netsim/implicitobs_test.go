@@ -273,7 +273,7 @@ func TestTimeSeriesClearsKilledQueues(t *testing.T) {
 	_, imp, fs, fa := faultTestNet(t)
 	plan := &FaultPlan{}
 	for i := 0; i < 6; i++ {
-		plan.NodeDown(120+10*i, int32(7*i), 0) // permanent
+		plan.NodeDown(120+10*i, int64(7*i), 0) // permanent
 	}
 	ts := obs.NewTimeSeries(imp.Module, 50)
 	ms := obs.NewModuleSeries(imp.Module, 50)

@@ -162,9 +162,14 @@ type Stats struct {
 	// the drain deadline.
 	Injected, Delivered int
 	// Expired counts measured packets still in flight when the drain
-	// deadline hit; Injected == Delivered + Expired for fault-free runs.
-	// (For faulty runs the analogous deadline losses are a subset of
-	// FaultStats.Lost — see that field.)
+	// deadline hit. How it adds up depends on the run kind:
+	//   - a run with no plan: Injected == Delivered + Expired;
+	//   - a degraded built-graph run (RunFaulty with a plan), whose flow
+	//     layer abandons every flow still pending at the deadline:
+	//     Injected == Delivered + FaultStats.Lost, and Expired is the
+	//     part of Lost that was pending at the deadline;
+	//   - a degraded implicit or sharded run (no flow layer):
+	//     Injected == Delivered + FaultStats.Lost + Expired.
 	Expired int
 	// AvgLatency is the mean delivery latency (cycles) of measured packets.
 	AvgLatency float64

@@ -177,12 +177,12 @@ func planChanges(p *FaultPlan) (map[int][]laneChange, int) {
 	changesAt := map[int][]laneChange{}
 	lastChange := -1
 	for _, ev := range p.sorted() {
-		changesAt[ev.Cycle] = append(changesAt[ev.Cycle], laneChange{kind: ev.Kind, u: int64(ev.U), v: int64(ev.V), down: true})
+		changesAt[ev.Cycle] = append(changesAt[ev.Cycle], laneChange{kind: ev.Kind, u: ev.U, v: ev.V, down: true})
 		if ev.Cycle > lastChange {
 			lastChange = ev.Cycle
 		}
 		if ev.Transient() {
-			changesAt[ev.Repair] = append(changesAt[ev.Repair], laneChange{kind: ev.Kind, u: int64(ev.U), v: int64(ev.V), down: false})
+			changesAt[ev.Repair] = append(changesAt[ev.Repair], laneChange{kind: ev.Kind, u: ev.U, v: ev.V, down: false})
 			if ev.Repair > lastChange {
 				lastChange = ev.Repair
 			}
@@ -463,11 +463,14 @@ func (r *laneRun) stats(lanes []*simLane, stop int) ImplicitFaultStats {
 	return out
 }
 
-// lose drops a packet copy. Loss counters track measured traffic only, so
-// Injected == Delivered + Lost + Expired; the probe sees every dropped
-// copy, tagged with where and why it died. Under a flow layer a copy is
-// not a packet: its source recovers or abandons the flow, so only the
-// probe hears of it.
+// lose drops a packet copy; the probe sees every dropped copy, tagged with
+// where and why it died. Without a flow layer (implicit and sharded runs)
+// a dropped measured packet counts in Lost, and Injected == Delivered +
+// Lost + Expired. Under a flow layer (a degraded built-graph run) a copy
+// is not a packet: its source recovers or abandons the flow, so only the
+// probe hears of it; there abandon counts the flow in Lost, the deadline
+// pass counts a still-pending one in Expired as well, and Injected ==
+// Delivered + Lost.
 func (ln *simLane) lose(now int, at int64, pkt *epacket, reason obs.DropReason) {
 	if pkt.measured && ln.flows == nil {
 		ln.st.Lost++

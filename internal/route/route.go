@@ -1,6 +1,7 @@
 // Package route implements network-specific routing algorithms for the
-// comparison networks: e-cube routing for hypercubes, dimension-order
-// routing for k-ary n-cubes, the optimal cycle-sorting algorithm for star
+// comparison networks: complement-first routing for folded hypercubes
+// (e-cube routing for plain hypercubes is topo.HypercubeRouter),
+// dimension-order routing for k-ary n-cubes, the optimal cycle-sorting algorithm for star
 // graphs (the Cayley-graph "sorting" view of routing that Section 4
 // generalizes to IP graphs), digit-shifting for de Bruijn graphs, and
 // generic BFS next-hop tables for everything else. The BFS tables come from
@@ -11,6 +12,7 @@ package route
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -33,22 +35,6 @@ func (p Path) Validate(g *graph.Graph, src, dst int32) error {
 		}
 	}
 	return nil
-}
-
-// Hypercube returns the e-cube route in Q_dim: correct differing bits from
-// least significant to most significant. The path length equals the Hamming
-// distance, which is optimal.
-func Hypercube(dim int, src, dst int32) Path {
-	p := Path{src}
-	cur := src
-	for bit := 0; bit < dim; bit++ {
-		mask := int32(1) << uint(bit)
-		if cur&mask != dst&mask {
-			cur ^= mask
-			p = append(p, cur)
-		}
-	}
-	return p
 }
 
 // KAryNCube returns the dimension-order route in the k-ary n-cube: each
@@ -282,21 +268,23 @@ func (t NextHopTable) Follow(src, dst int32) (Path, error) {
 
 // FoldedHypercube routes in FQ_dim: when the Hamming distance to the
 // destination exceeds (dim+1)/2 it is shorter to take the complement edge
-// first and correct the remaining complemented bits. The resulting path is
-// optimal (length min(h, dim+1-h)).
+// first; then the differing bits are corrected from least to most
+// significant (e-cube). The resulting path is optimal (length
+// min(h, dim+1-h)).
 func FoldedHypercube(dim int, src, dst int32) Path {
 	mask := int32(1)<<uint(dim) - 1
-	h := 0
-	for x := (src ^ dst) & mask; x != 0; x &= x - 1 {
-		h++
-	}
-	if h <= dim-h+1 {
-		return Hypercube(dim, src, dst)
-	}
-	// Complement edge first, then e-cube on the remaining dim-h bits.
+	h := bits.OnesCount32(uint32((src ^ dst) & mask))
 	p := Path{src}
-	cur := src ^ mask
-	p = append(p, cur)
-	rest := Hypercube(dim, cur, dst)
-	return append(p, rest[1:]...)
+	cur := src
+	if h > dim-h+1 {
+		cur ^= mask
+		p = append(p, cur)
+	}
+	for bit := 0; bit < dim; bit++ {
+		if m := int32(1) << uint(bit); cur&m != dst&m {
+			cur ^= m
+			p = append(p, cur)
+		}
+	}
+	return p
 }

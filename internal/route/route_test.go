@@ -3,35 +3,9 @@ package route
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/networks"
 )
-
-func TestHypercubeRouting(t *testing.T) {
-	dim := 8
-	g, err := networks.Hypercube{Dim: dim}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(a, b uint16) bool {
-		src := int32(a) & int32(g.N()-1)
-		dst := int32(b) & int32(g.N()-1)
-		p := Hypercube(dim, src, dst)
-		if err := p.Validate(g, src, dst); err != nil {
-			return false
-		}
-		// e-cube is optimal: hops == Hamming distance.
-		ham := 0
-		for x := src ^ dst; x != 0; x &= x - 1 {
-			ham++
-		}
-		return p.Hops() == ham
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestKAryNCubeRouting(t *testing.T) {
 	for _, tc := range []struct{ k, dims int }{{4, 3}, {5, 2}, {3, 4}, {8, 2}, {2, 5}} {

@@ -2,9 +2,9 @@ package topo
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
-	"repro/internal/route"
 	"repro/internal/symbols"
 )
 
@@ -164,12 +164,17 @@ func (r HypercubeRouter) NextHop(cur, dst int64) (int64, error) {
 	return cur ^ (diff & -diff), nil
 }
 
-// Path returns the e-cube route.
+// Path returns the e-cube route, the NextHop walk from src to dst: its
+// length is the Hamming distance. Ids outside [0, 2^Dim) are an error.
 func (r HypercubeRouter) Path(src, dst int64) ([]int64, error) {
-	p := route.Hypercube(r.Dim, int32(src), int32(dst))
-	out := make([]int64, len(p))
-	for i, v := range p {
-		out[i] = int64(v)
+	if n := int64(1) << uint(r.Dim); src < 0 || src >= n || dst < 0 || dst >= n {
+		return nil, fmt.Errorf("topo: route %d -> %d: node out of range [0,%d)", src, dst, n)
 	}
-	return out, nil
+	p := make([]int64, 1, bits.OnesCount64(uint64(src^dst))+1)
+	p[0] = src
+	for cur := src; cur != dst; {
+		cur, _ = r.NextHop(cur, dst) // cur != dst: no error
+		p = append(p, cur)
+	}
+	return p, nil
 }

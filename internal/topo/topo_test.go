@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -243,6 +244,38 @@ func TestHypercubeTopoAndRouter(t *testing.T) {
 		}
 	}
 	assertShortest(t, g, HypercubeRouter{Dim: dim})
+}
+
+// TestHypercubeRouting checks e-cube routing on every pair of Q6: the path
+// runs from src to dst, its length is the Hamming distance, and it is the
+// NextHop walk. Ids outside [0, 2^Dim) are an error, not a short path.
+func TestHypercubeRouting(t *testing.T) {
+	const dim = 6
+	r := HypercubeRouter{Dim: dim}
+	for src := int64(0); src < 1<<dim; src++ {
+		for dst := int64(0); dst < 1<<dim; dst++ {
+			p, err := r.Path(src, dst)
+			if err != nil {
+				t.Fatalf("Path(%d, %d): %v", src, dst, err)
+			}
+			if p[0] != src || p[len(p)-1] != dst {
+				t.Fatalf("Path(%d, %d) = %v: wrong endpoints", src, dst, p)
+			}
+			if hops, ham := len(p)-1, bits.OnesCount64(uint64(src^dst)); hops != ham {
+				t.Fatalf("Path(%d, %d) takes %d hops, Hamming distance %d", src, dst, hops, ham)
+			}
+			for i := 0; i+1 < len(p); i++ {
+				if nh, err := r.NextHop(p[i], dst); err != nil || nh != p[i+1] {
+					t.Fatalf("Path(%d, %d) = %v: hop %d is %d, NextHop %d (%v)", src, dst, p, i, p[i+1], nh, err)
+				}
+			}
+		}
+	}
+	for _, pair := range [][2]int64{{9, 1}, {1, 9}, {-1, 0}, {0, -1}, {8, 8}} {
+		if p, err := (HypercubeRouter{Dim: 3}).Path(pair[0], pair[1]); err == nil {
+			t.Fatalf("Q3 Path(%d, %d) = %v, want an out-of-range error", pair[0], pair[1], p)
+		}
+	}
 }
 
 // assertShortest routes pairsPerFamily random pairs and requires every path
