@@ -3,12 +3,13 @@
 // keep traffic flowing, mirroring how real interconnects operate through
 // failures:
 //
-//  1. Fault-adaptive routing. Per-destination next-hop tables are rebuilt
-//     against the surviving topology when a failure (or repair) notification
-//     arrives (route.BFSNextHops with liveness predicates: the same builder
-//     and BFS-parent tie-break as the fault-free tables); notifications
-//     propagate after FaultConfig.NotifyDelay cycles, during which packets
-//     route on stale tables.
+//  1. Fault-adaptive routing. Built graphs route only by per-destination
+//     next-hop tables (route.BFSNextHops, one hop per node: the BFS-tree
+//     parent). A table is rebuilt against the surviving topology when a
+//     failure (or repair) notification arrives, with liveness predicates
+//     but the same builder and tie-break as the fault-free tables;
+//     notifications propagate after FaultConfig.NotifyDelay cycles, during
+//     which packets route on stale tables.
 //  2. Local detour. A packet whose tabled next hop is dead (stale table, or
 //     no live minimal hop at all) misroutes to a random live neighbor,
 //     spending one unit of a bounded detour TTL; when the TTL or all
@@ -20,9 +21,15 @@
 //     kills livelocked copies, and flows whose endpoints are disconnected
 //     are detected and reported.
 //
+// The plan itself comes from the generator and check every topology uses:
+// RandomFaults.PlanTopo over topo.NewMaterialized(g), or a hand-built plan,
+// validated by ValidateTopo when the lane runner starts.
+//
 // The degraded-mode statistics (FaultStats) extend the fault-free Stats with
 // loss, retransmission, misroute, reroute-latency, and disconnection
-// counters, plus the latency inflation against a fault-free baseline.
+// counters, plus the latency inflation against a fault-free baseline. Every
+// measured flow ends Delivered or Lost (Injected = Delivered + Lost); a
+// flow still pending at the drain deadline is Lost and also Expired.
 //
 // All three layers exist only in a degraded run (the engine's degraded-mode
 // rule: the plan is non-empty). A run that is not degraded is Run: it
