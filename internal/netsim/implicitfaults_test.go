@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/networks"
 	"repro/internal/superip"
 	"repro/internal/topo"
 )
@@ -408,48 +407,85 @@ func TestRunImplicitFaultyBigSym(t *testing.T) {
 	}
 }
 
-// TestPlanTopoDeterministic pins PlanTopo on an implicit super-IP topology
-// and on a built Q4: the same seed draws the same schedule, another seed a
-// different one, every event validates against the topology it was drawn
-// for, and transient faults carry their repair cycle.
+// TestPlanTopoDeterministic pins PlanTopo on an implicit super-IP topology;
+// TestRandomFaultPlanDeterministicAndValid pins it on a built Q4.
 func TestPlanTopoDeterministic(t *testing.T) {
 	_, imp, _, _ := faultTestNet(t)
-	q4 := topo.NewMaterialized(mustBuild(t, networks.Hypercube{Dim: 4}.Build))
-	for _, tc := range []struct {
-		name string
-		tp   Topology
-		gen  RandomFaults
-	}{
-		{"implicit", imp, RandomFaults{MTBF: 10, RepairTime: 50, NodeFraction: 0.2, Horizon: 500, Seed: 6}},
-		{"built Q4", q4, RandomFaults{MTBF: 50, RepairTime: 100, NodeFraction: 0.3, Horizon: 2000, Seed: 7}},
-	} {
-		draw := func(seed int64) *FaultPlan {
-			gen := tc.gen
-			gen.Seed = seed
-			p, err := gen.PlanTopo(tc.tp)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			return p
+	checkPlanTopoDeterministic(t, imp,
+		RandomFaults{MTBF: 10, RepairTime: 50, NodeFraction: 0.2, Horizon: 500, Seed: 6})
+}
+
+// checkPlanTopoDeterministic draws gen's plan on tp: the same seed draws the
+// same schedule, another seed a different one, every event validates against
+// tp, and transient faults carry their repair cycle.
+func checkPlanTopoDeterministic(t *testing.T, tp Topology, gen RandomFaults) {
+	t.Helper()
+	draw := func(seed int64) *FaultPlan {
+		g := gen
+		g.Seed = seed
+		p, err := g.PlanTopo(tp)
+		if err != nil {
+			t.Fatal(err)
 		}
-		a, b, c := draw(tc.gen.Seed), draw(tc.gen.Seed), draw(tc.gen.Seed+1)
-		if !slices.Equal(a.Events, b.Events) {
-			t.Fatalf("%s: same seed, different plans:\n%+v\n%+v", tc.name, a.Events, b.Events)
+		return p
+	}
+	a, b, c := draw(gen.Seed), draw(gen.Seed), draw(gen.Seed+1)
+	if !slices.Equal(a.Events, b.Events) {
+		t.Fatalf("same seed, different plans:\n%+v\n%+v", a.Events, b.Events)
+	}
+	if slices.Equal(a.Events, c.Events) {
+		t.Fatal("different seeds drew identical plans")
+	}
+	if len(a.Events) == 0 {
+		t.Fatalf("MTBF %v over %d cycles drew no faults", gen.MTBF, gen.Horizon)
+	}
+	if err := a.ValidateTopo(tp); err != nil {
+		t.Fatalf("generated plan invalid: %v", err)
+	}
+	for _, e := range a.Events {
+		if !e.Transient() || e.Repair != e.Cycle+gen.RepairTime {
+			t.Fatalf("repair time not honored: %+v", e)
 		}
-		if slices.Equal(a.Events, c.Events) {
-			t.Fatalf("%s: different seeds drew identical plans", tc.name)
+	}
+}
+
+// TestValidateTopoMatchesValidate pins ValidateTopo on an implicit super-IP
+// topology the way TestFaultPlanValidate pins it on a built ring: a valid
+// plan passes, and out-of-range nodes, non-links and negative cycles fail.
+// A plan PlanTopo draws on the materialized built graph validates there too.
+func TestValidateTopoMatchesValidate(t *testing.T) {
+	net, imp, _, _ := faultTestNet(t)
+	if err := faultyPlanFor(t, imp, 9).ValidateTopo(imp); err != nil {
+		t.Fatalf("valid implicit plan rejected: %v", err)
+	}
+	g, _, err := net.BuildWithIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := topo.NewMaterialized(g)
+	gplan, err := RandomFaults{MTBF: 20, Horizon: 200, Seed: 4}.PlanTopo(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gplan.ValidateTopo(built); err != nil {
+		t.Fatalf("graph-drawn plan rejected: %v", err)
+	}
+
+	if err := (&FaultPlan{}).NodeDown(0, imp.N(), 0).ValidateTopo(imp); err == nil {
+		t.Fatal("out-of-range node accepted")
+	}
+	nbrs := imp.Neighbors(0, nil)
+	nonNbr := int64(1)
+	for _, v := range nbrs {
+		if v == nonNbr {
+			nonNbr = v + 1 // neighbors are sorted; walk past collisions
 		}
-		if len(a.Events) == 0 {
-			t.Fatalf("%s: MTBF %v over %d cycles drew no faults", tc.name, tc.gen.MTBF, tc.gen.Horizon)
-		}
-		if err := a.ValidateTopo(tc.tp); err != nil {
-			t.Fatalf("%s: generated plan invalid: %v", tc.name, err)
-		}
-		for _, e := range a.Events {
-			if !e.Transient() || e.Repair != e.Cycle+tc.gen.RepairTime {
-				t.Fatalf("%s: repair time not honored: %+v", tc.name, e)
-			}
-		}
+	}
+	if err := (&FaultPlan{}).LinkDown(0, 0, nonNbr, 0).ValidateTopo(imp); err == nil {
+		t.Fatalf("non-edge 0-%d accepted", nonNbr)
+	}
+	if err := (&FaultPlan{}).LinkDown(-1, 0, nbrs[0], 0).ValidateTopo(imp); err == nil {
+		t.Fatal("negative cycle accepted")
 	}
 }
 
