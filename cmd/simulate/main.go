@@ -99,7 +99,7 @@ type registryProbe struct {
 	dropped       *obs.Counter
 	retransmitted *obs.Counter
 	faults        *obs.Counter
-	latency       *obs.StripedHist
+	latency       *obs.Hist
 }
 
 func newRegistryProbe() *registryProbe {

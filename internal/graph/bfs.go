@@ -295,7 +295,7 @@ func (g *Graph) IsConnected() bool {
 	}
 	// Strong connectivity: also require node 0 reachable from everywhere,
 	// checked on the reverse graph.
-	rev := g.reverse()
+	rev := g.Reverse()
 	dist = rev.BFS(0)
 	for _, d := range dist {
 		if d == Unreachable {
@@ -305,7 +305,9 @@ func (g *Graph) IsConnected() bool {
 	return true
 }
 
-func (g *Graph) reverse() *Graph {
+// Reverse returns the directed graph that has an arc v->u for every arc
+// u->v of g.
+func (g *Graph) Reverse() *Graph {
 	b := NewBuilder(g.n, true)
 	for u := 0; u < g.n; u++ {
 		for _, v := range g.Neighbors(int32(u)) {

@@ -359,6 +359,14 @@ func TestEngineGoldenParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var c struct{ Injected, Delivered, Lost, Expired int }
+		if err := json.Unmarshal([]byte(gotCanon), &c); err != nil {
+			t.Fatal(err)
+		}
+		if c.Injected != c.Delivered+c.Lost+c.Expired {
+			t.Errorf("%s: Injected %d != Delivered %d + Lost %d + Expired %d",
+				name, c.Injected, c.Delivered, c.Lost, c.Expired)
+		}
 		wantCanon, err := canonicalJSON(wantRaw)
 		if err != nil {
 			t.Fatal(err)
@@ -456,6 +464,21 @@ func (h *hashProbe) sum() string {
 	return hex.EncodeToString(d.Sum(nil))
 }
 
+// harshRing is the runfaulty/ring16/harsh/seed2 run: a 16-node ring at
+// rate 0.3 under five link and node faults, with a short retry budget and
+// detour TTL and stale tables.
+func harshRing(t *testing.T) (Config, FaultConfig) {
+	t.Helper()
+	ring, err := networks.Ring{Nodes: 16}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := (&FaultPlan{}).LinkDown(40, 0, 1, 0).LinkDown(60, 8, 9, 200).
+		NodeDown(80, 4, 150).NodeDown(90, 4, 300).LinkDown(100, 12, 13, 140)
+	return Config{Graph: ring, InjectionRate: 0.3, WarmupCycles: 30, MeasureCycles: 250, Seed: 2},
+		FaultConfig{Plan: plan, RetransmitTimeout: 20, MaxRetries: 2, DetourTTL: 3, NotifyDelay: 10}
+}
+
 // TestEngineProbeGolden pins the probe event stream, not just the Stats, of
 // three built-graph runs: a partitioned torus whose off-module links cost 3
 // (per-link periods and the ring size they imply), a harsh degraded ring
@@ -478,12 +501,7 @@ func TestEngineProbeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := networks.Ring{Nodes: 16}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ringPlan := (&FaultPlan{}).LinkDown(40, 0, 1, 0).LinkDown(60, 8, 9, 200).
-		NodeDown(80, 4, 150).NodeDown(90, 4, 300).LinkDown(100, 12, 13, 140)
+	harsh, harshFC := harshRing(t)
 	cases := []struct {
 		name string
 		cfg  Config
@@ -493,9 +511,7 @@ func TestEngineProbeGolden(t *testing.T) {
 		{"run/torus/modules3/seed6", Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 3,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 6}, FaultConfig{},
 			"4c3ef42bef92cb52e8203beef398dc95d5197c6d519cfa20569f8646fe1033d4"},
-		{"runfaulty/ring16/harsh/seed2", Config{Graph: ring, InjectionRate: 0.3, WarmupCycles: 30,
-			MeasureCycles: 250, Seed: 2}, FaultConfig{Plan: ringPlan, RetransmitTimeout: 20,
-			MaxRetries: 2, DetourTTL: 3, NotifyDelay: 10},
+		{"runfaulty/ring16/harsh/seed2", harsh, harshFC,
 			"e14fd1684d9f89b89751feaac58fb1d490f40be834ad1d799a6450d18f9bf8fb"},
 		{"runfaulty/q5/notify25/seed3", Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: 3}, FaultConfig{Plan: goldenQ5Plan(t, q5, 1), NotifyDelay: 25},

@@ -321,7 +321,7 @@ func stepChecked(t *testing.T, r *laneRun, ln *simLane) (st ImplicitFaultStats, 
 // every free link empty and free, and each run must conserve packets and
 // match its public entry point's stats.
 func TestLinkRecycling(t *testing.T) {
-	check := func(t *testing.T, r *laneRun, lanes []*simLane, want ImplicitFaultStats, builtGraph bool) {
+	check := func(t *testing.T, r *laneRun, lanes []*simLane, want ImplicitFaultStats) {
 		t.Helper()
 		st, reused, nodeHits, linkHits := stepChecked(t, r, lanes[0])
 		if reused == 0 || nodeHits == 0 || linkHits == 0 {
@@ -329,11 +329,7 @@ func TestLinkRecycling(t *testing.T) {
 				reused, nodeHits, linkHits)
 		}
 		fs := st.FaultStats
-		lost := fs.Lost
-		if !builtGraph {
-			lost += fs.Expired // on built graphs Expired is a subset of Lost
-		}
-		if fs.Injected == 0 || fs.Injected != fs.Delivered+lost {
+		if fs.Injected == 0 || fs.Injected != fs.Delivered+fs.Lost+fs.Expired {
 			t.Fatalf("packet conservation: %+v", fs)
 		}
 		if st != want {
@@ -359,7 +355,7 @@ func TestLinkRecycling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, r, lanes, ImplicitFaultStats{FaultStats: want}, true)
+		check(t, r, lanes, ImplicitFaultStats{FaultStats: want})
 	})
 
 	t.Run("implicit", func(t *testing.T) {
@@ -386,7 +382,7 @@ func TestLinkRecycling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, r, lanes, want, false)
+		check(t, r, lanes, want)
 
 		// Every lane recycles into its own free list: a multi-lane run
 		// must not depend on how many lanes run at once.

@@ -28,16 +28,16 @@
 // The degraded-mode statistics (FaultStats) extend the fault-free Stats with
 // loss, retransmission, misroute, reroute-latency, and disconnection
 // counters, plus the latency inflation against a fault-free baseline. Every
-// measured flow ends Delivered or Lost (Injected = Delivered + Lost); a
-// flow still pending at the drain deadline is Lost and also Expired.
+// measured flow ends Delivered, Lost (abandoned after MaxRetries) or
+// Expired (still pending at the drain deadline), so Injected = Delivered +
+// Lost + Expired, as on every run.
 //
 // All three layers exist only in a degraded run (the engine's degraded-mode
 // rule: the plan is non-empty). A run that is not degraded is Run: it
 // builds its tables with nil liveness predicates and routes straight from
 // them, runs no fault phase, has no flow table, arms no retransmission
-// timer, and skips the deadline abandon pass, so Expired counts the
-// measured packets still in flight, Lost is 0, and no DropAbandoned event
-// is emitted.
+// timer, and skips the deadline pass, so Lost is 0 and no DropAbandoned
+// event is emitted.
 //
 // RunFaulty is a single-lane run of the lane runner (sharded.go), like
 // every other entry point. This file holds the two pieces only built
@@ -104,14 +104,11 @@ func (fc *FaultConfig) normalize() error {
 // Injected counts measured flows (originals, not retransmissions).
 type FaultStats struct {
 	Stats
-	// Lost counts measured traffic that never arrived, and what it counts
-	// depends on the run kind. A degraded built-graph run (RunFaulty with a
-	// plan) counts flows abandoned after MaxRetries retransmissions or
-	// still undelivered at the drain deadline, so every measured flow ends
-	// Delivered or Lost (Injected == Delivered + Lost) and the deadline
-	// ones are counted in Expired too. A degraded implicit or sharded run
-	// counts dropped measured packets, which are never also Expired
-	// (Injected == Delivered + Lost + Expired). A run with no plan loses
+	// Lost counts measured traffic given up before the drain deadline: on
+	// a degraded built graph (RunFaulty with a plan), flows abandoned after
+	// MaxRetries retransmissions; on an implicit or sharded run, dropped
+	// measured packets. It never overlaps Expired, so Injected ==
+	// Delivered + Lost + Expired on every run. A run with no plan loses
 	// nothing.
 	Lost int
 	// Retransmitted counts source-side retransmissions of measured flows.
@@ -130,8 +127,9 @@ type FaultStats struct {
 	// change and the (lazy, notification-delayed) rebuild of a table that
 	// change invalidated.
 	MeanTimeToReroute float64
-	// DisconnectedPairs counts lost measured flows whose source and
-	// destination had no live path when the flow was abandoned.
+	// DisconnectedPairs counts measured flows of a degraded built-graph run
+	// that ended undelivered (Lost or Expired) while their source and
+	// destination had no live path.
 	DisconnectedPairs int
 	// FaultsInjected and FaultsRepaired count fault events applied and
 	// healed during the run.
@@ -191,7 +189,10 @@ func (ln *simLane) fireRetries(now int) error {
 			continue
 		}
 		if f.attempt >= fc.MaxRetries {
-			ln.abandon(now, seq)
+			if ln.abandon(now, seq) {
+				ln.st.Lost++
+				ln.inFlight--
+			}
 			continue
 		}
 		f.attempt++
@@ -214,33 +215,27 @@ func (ln *simLane) fireRetries(now int) error {
 	return nil
 }
 
-// abandon gives up on a pending flow: the flow is lost, and counted as
-// disconnected when its endpoints have no live path.
-func (ln *simLane) abandon(now int, seq int32) {
+// abandon ends a pending flow undelivered and reports whether it was
+// measured. The probe hears of it, and a measured flow whose endpoints have
+// no live path counts in DisconnectedPairs.
+func (ln *simLane) abandon(now int, seq int32) bool {
 	f := &ln.flows.flows[seq]
 	f.done = true
 	if pb := ln.pb; pb != nil {
 		pb.Drop(now, int64(seq), f.src, obs.DropAbandoned)
 	}
-	if !f.measured {
-		return
-	}
-	ln.st.Lost++
-	ln.inFlight--
-	if !ln.tables.connected(f.src, f.dst) {
+	if f.measured && !ln.tables.connected(f.src, f.dst) {
 		ln.st.DisconnectedPairs++
 	}
+	return f.measured
 }
 
-// expireFlows is the deadline pass: flows still pending when the run ends
-// are lost; the measured ones are the drain-deadline expiries (a subset of
-// Lost).
+// expireFlows is the deadline pass: it abandons the flows still pending
+// when the run ends. The measured ones stay in the lane's inFlight, which
+// laneRun.stats counts in Expired, as on every run.
 func (ln *simLane) expireFlows() {
 	for seq := range ln.flows.flows {
-		if f := &ln.flows.flows[seq]; !f.done {
-			if f.measured {
-				ln.st.Expired++
-			}
+		if !ln.flows.flows[seq].done {
 			ln.abandon(ln.deadline, int32(seq))
 		}
 	}

@@ -161,15 +161,10 @@ type Stats struct {
 	// window); Delivered counts those that reached their destination before
 	// the drain deadline.
 	Injected, Delivered int
-	// Expired counts measured packets still in flight when the drain
-	// deadline hit. How it adds up depends on the run kind:
-	//   - a run with no plan: Injected == Delivered + Expired;
-	//   - a degraded built-graph run (RunFaulty with a plan), whose flow
-	//     layer abandons every flow still pending at the deadline:
-	//     Injected == Delivered + FaultStats.Lost, and Expired is the
-	//     part of Lost that was pending at the deadline;
-	//   - a degraded implicit or sharded run (no flow layer):
-	//     Injected == Delivered + FaultStats.Lost + Expired.
+	// Expired counts measured packets (on a degraded built graph, flows)
+	// still in flight when the drain deadline hit. Every run obeys
+	// Injected == Delivered + FaultStats.Lost + Expired, with Lost 0 when
+	// there is no plan.
 	Expired int
 	// AvgLatency is the mean delivery latency (cycles) of measured packets.
 	AvgLatency float64

@@ -465,12 +465,11 @@ func (r *laneRun) stats(lanes []*simLane, stop int) ImplicitFaultStats {
 
 // lose drops a packet copy; the probe sees every dropped copy, tagged with
 // where and why it died. Without a flow layer (implicit and sharded runs)
-// a dropped measured packet counts in Lost, and Injected == Delivered +
-// Lost + Expired. Under a flow layer (a degraded built-graph run) a copy
-// is not a packet: its source recovers or abandons the flow, so only the
-// probe hears of it; there abandon counts the flow in Lost, the deadline
-// pass counts a still-pending one in Expired as well, and Injected ==
-// Delivered + Lost.
+// a dropped measured packet counts in Lost. Under a flow layer (a degraded
+// built-graph run) a copy is not a packet: its source recovers the flow or
+// abandons it, so only the probe hears of it, and a flow abandoned after
+// its last retry counts in Lost. Either way Injected == Delivered + Lost +
+// Expired.
 func (ln *simLane) lose(now int, at int64, pkt *epacket, reason obs.DropReason) {
 	if pkt.measured && ln.flows == nil {
 		ln.st.Lost++

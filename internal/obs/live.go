@@ -265,7 +265,7 @@ func (s *LiveServer) serveStream(w http.ResponseWriter, r *http.Request) {
 // stylesheets, so it works on an air-gapped box and inside a curl-only
 // container (curl /snapshot for the same data). It consumes /stream and
 // plots counter *rates* (per wall second, from sample deltas), the queue
-// depth gauge, latency percentiles from the striped histogram, and the
+// depth gauge, latency percentiles from the latency histogram, and the
 // router's cache hit rate.
 const liveDashboardHTML = `<!doctype html>
 <html><head><meta charset="utf-8"><title>simulate: live run</title>

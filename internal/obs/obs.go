@@ -14,7 +14,7 @@
 // reproduces its statistics bit for bit. Probes must not mutate simulator
 // state; they only watch. Collectors are not safe for concurrent use — one
 // collector instance belongs to one run — except the Registry, which is
-// explicitly built for concurrent writers.
+// safe to read while it is written.
 //
 // Node ids are int64 throughout: the implicit simulators route id spaces
 // far beyond 2^31 (a sym-HSN(4;Q5) has 25,165,824 nodes today and the model

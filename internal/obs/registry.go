@@ -1,19 +1,18 @@
 // Concurrency-safe metrics registry: the serving-side half of the
 // observability layer. The collectors in this package are single-run,
-// single-goroutine objects; a long-running process (cmd/simulate sweeps
-// today, the routed service the ROADMAP plans) instead needs counters that
-// many goroutines can bump, gauges it can set from anywhere, and histograms
-// that absorb concurrent observations without a lock on the hot path. The
-// registry provides exactly that — atomic counters and gauges plus striped
-// histograms — along with expvar export for live inspection and a JSON run
-// manifest that snapshots everything (config, seed, stats, percentiles,
-// router counters) into one machine-readable record of a run.
+// single-goroutine objects; a registry is instead read while it is written.
+// Its traffic is one writer at a time (cmd/simulate's registry probe, fed
+// by one lane or by the coordinator's probe replay; cmd/ipgen's build
+// recorder, called between levels on the build goroutine) plus concurrent
+// readers (the expvar handler and LiveServer.Sample). Atomic counters and
+// gauges and mutex-guarded histograms serve that, along with expvar export
+// for live inspection and a JSON run manifest that snapshots everything
+// (config, seed, stats, percentiles, router counters) into one
+// machine-readable record of a run.
 package obs
 
 import (
 	"expvar"
-	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -42,100 +41,39 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// histStripes is the stripe count of StripedHist: a small power of two —
-// enough to keep heavily concurrent writers off each other's cache lines,
-// small enough that merging at read time stays trivial.
-const histStripes = 8
-
-// histBuckets covers every non-negative int64 value: bucket b holds values
-// with bit length b (the same log2 bucketing as LatencyHist).
-const histBuckets = 65
-
-// histStripe is one independently updated copy of the bucket array, padded
-// to its own cache lines so stripes don't false-share.
-type histStripe struct {
-	count [histBuckets]atomic.Int64
-	n     atomic.Int64
-	sum   atomic.Int64
-	max   atomic.Int64
-	_     [64]byte
+// Hist is a LatencyHist safe for concurrent use: Observe locks and adds,
+// Snapshot locks and copies. The zero value is ready to use.
+type Hist struct {
+	mu sync.Mutex
+	h  LatencyHist
 }
 
-// StripedHist is a log2-bucketed histogram safe for concurrent Observe
-// calls. Writers are spread over stripes by a hash of the observed value,
-// so no mutex is taken anywhere; Snapshot merges the stripes into a
-// LatencyHist for quantile queries. The zero value is ready to use.
-type StripedHist struct {
-	stripes [histStripes]histStripe
+// Observe records one sample (negative values clamp to 0).
+func (h *Hist) Observe(v int64) {
+	h.mu.Lock()
+	h.h.Observe(int(v))
+	h.mu.Unlock()
 }
 
-// Observe records one non-negative sample (negative values clamp to 0).
-func (h *StripedHist) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	// Fibonacci-hash the value to pick a stripe: cheap, stateless, and
-	// spreads distinct values across stripes (identical values share one
-	// stripe, which is still contention-free in the atomic sense).
-	s := &h.stripes[(uint64(v)*0x9E3779B97F4A7C15)>>59&(histStripes-1)]
-	s.count[bits.Len64(uint64(v))].Add(1)
-	s.n.Add(1)
-	s.sum.Add(v)
-	for {
-		old := s.max.Load()
-		if v <= old || s.max.CompareAndSwap(old, v) {
-			break
-		}
-	}
+// Snapshot returns a point-in-time copy, which answers Quantile, Mean, Max
+// and WriteText without further locking.
+func (h *Hist) Snapshot() *LatencyHist {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := h.h
+	out.count = append([]int64(nil), h.h.count...)
+	return &out
 }
 
-// Count returns the total number of samples across all stripes.
-func (h *StripedHist) Count() int64 {
-	var n int64
-	for i := range h.stripes {
-		n += h.stripes[i].n.Load()
-	}
-	return n
-}
-
-// Snapshot merges the stripes into a point-in-time LatencyHist, which
-// answers Quantile/Mean/Max/WriteText. The snapshot is internally
-// consistent per stripe; concurrent writers may land between stripe reads,
-// which skews a live snapshot by at most the in-flight observations.
-func (h *StripedHist) Snapshot() *LatencyHist {
-	out := &LatencyHist{}
-	top := 0
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		out.n += s.n.Load()
-		out.sum += s.sum.Load()
-		if m := int(s.max.Load()); m > out.max {
-			out.max = m
-		}
-		for b := histBuckets - 1; b >= 0; b-- {
-			if s.count[b].Load() != 0 && b > top {
-				top = b
-			}
-		}
-	}
-	out.count = make([]int64, top+1)
-	for i := range h.stripes {
-		for b := 0; b <= top; b++ {
-			out.count[b] += h.stripes[i].count[b].Load()
-		}
-	}
-	return out
-}
-
-// Registry is a named collection of counters, gauges, and striped
-// histograms. Lookups take a mutex (they happen once per metric, at wiring
-// time); the returned metric objects are lock-free to update. The zero
-// value is ready to use.
+// Registry is a named collection of counters, gauges, and histograms.
+// Lookups take a mutex (they happen once per metric, at wiring time); the
+// returned metric objects are safe to update concurrently. The zero value
+// is ready to use.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*StripedHist
+	hists    map[string]*Hist
 }
 
 // NewRegistry returns an empty registry.
@@ -171,16 +109,16 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Hist returns the named striped histogram, creating it on first use.
-func (r *Registry) Hist(name string) *StripedHist {
+// Hist returns the named histogram, creating it on first use.
+func (r *Registry) Hist(name string) *Hist {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.hists == nil {
-		r.hists = map[string]*StripedHist{}
+		r.hists = map[string]*Hist{}
 	}
 	h, ok := r.hists[name]
 	if !ok {
-		h = &StripedHist{}
+		h = &Hist{}
 		r.hists[name] = h
 	}
 	return h
@@ -200,7 +138,7 @@ func (r *Registry) Snapshot() map[string]any {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	hists := make(map[string]*StripedHist, len(r.hists))
+	hists := make(map[string]*Hist, len(r.hists))
 	for k, v := range r.hists {
 		hists[k] = v
 	}
@@ -222,24 +160,6 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 	}
 	return out
-}
-
-// Names returns every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	for k := range r.gauges {
-		names = append(names, k)
-	}
-	for k := range r.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // expvarPublished guards expvar.Publish, which panics on duplicate names —

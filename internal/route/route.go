@@ -215,7 +215,7 @@ func BFSNextHops(g *graph.Graph, dst int32, deadNode func(int32) bool, deadLink 
 	// BFS from dst over the reverse arcs of the live subgraph.
 	rev := g
 	if g.Directed {
-		rev = reverseOf(g)
+		rev = g.Reverse()
 	}
 	visited := make([]bool, g.N())
 	visited[dst] = true
@@ -236,16 +236,6 @@ func BFSNextHops(g *graph.Graph, dst int32, deadNode func(int32) bool, deadLink 
 		}
 	}
 	return parent
-}
-
-func reverseOf(g *graph.Graph) *graph.Graph {
-	b := graph.NewBuilder(g.N(), true)
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(int32(u)) {
-			b.AddArc(v, int32(u))
-		}
-	}
-	return b.Build()
 }
 
 // Follow expands a next-hop table into a full path from src.
