@@ -662,7 +662,7 @@ func BenchmarkRunFaultyProbed(b *testing.B) {
 // Cayley graph (the 7-symbol star graph, 5040 nodes).
 func BenchmarkIPGraphEnumeration(b *testing.B) {
 	nuc := superip.NucleusStar(7)
-	ip := nuc.Nuc.IPGraph()
+	ip := &core.IPGraph{Seed: nuc.Nuc.Seed, Gens: nuc.Nuc.Gens}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

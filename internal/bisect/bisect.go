@@ -163,13 +163,6 @@ func gainOn(g *graph.Graph, side []bool, v int) int {
 	return ext - intn
 }
 
-// HypercubeWidth returns the exact bisection width of Q_n: 2^(n-1).
-func HypercubeWidth(n int) int { return 1 << uint(n-1) }
-
-// TorusWidth returns the exact bisection width of the k x k torus for even
-// k: 2k.
-func TorusWidth(k int) int { return 2 * k }
-
 // AreaLowerBound returns Thompson's VLSI-layout area lower bound implied by
 // a bisection width: any grid layout needs area at least width^2/4 (the
 // paper's companion work [31] gives recursive grid layouts for hierarchical

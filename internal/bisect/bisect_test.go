@@ -47,14 +47,16 @@ func TestAnalyticMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if exact != HypercubeWidth(n) {
-			t.Fatalf("Q%d: exact %d != analytic %d", n, exact, HypercubeWidth(n))
+		// The bisection width of Q_n is 2^(n-1).
+		if want := 1 << (n - 1); exact != want {
+			t.Fatalf("Q%d: exact %d != analytic %d", n, exact, want)
 		}
 	}
 	g, _ := networks.Torus2D{Rows: 4, Cols: 4}.Build()
 	exact, _ := Exact(g)
-	if exact != TorusWidth(4) {
-		t.Fatalf("torus 4x4: exact %d != analytic %d", exact, TorusWidth(4))
+	// The bisection width of the k x k torus, k even, is 2k.
+	if exact != 2*4 {
+		t.Fatalf("torus 4x4: exact %d != analytic %d", exact, 2*4)
 	}
 }
 
@@ -100,11 +102,12 @@ func TestKernighanLinMedium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kl < HypercubeWidth(6) {
-		t.Fatalf("KL %d below the true width %d", kl, HypercubeWidth(6))
+	const q6Width = 32 // 2^(6-1)
+	if kl < q6Width {
+		t.Fatalf("KL %d below the true width %d", kl, q6Width)
 	}
-	if kl > HypercubeWidth(6)*5/4 {
-		t.Fatalf("KL %d too far above the true width %d", kl, HypercubeWidth(6))
+	if kl > q6Width*5/4 {
+		t.Fatalf("KL %d too far above the true width %d", kl, q6Width)
 	}
 }
 
@@ -122,8 +125,8 @@ func TestSuperIPBisectionIsSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w >= HypercubeWidth(4) {
-		t.Fatalf("HSN(2;Q2) bisection %d not below Q4's %d", w, HypercubeWidth(4))
+	if w >= 8 {
+		t.Fatalf("HSN(2;Q2) bisection %d not below Q4's 8", w)
 	}
 	if w < 1 {
 		t.Fatal("connected graph needs positive bisection")

@@ -64,14 +64,6 @@ func (ip *IPGraph) Validate() error {
 	return nil
 }
 
-// GenName returns a printable name for generator i.
-func (ip *IPGraph) GenName(i int) string {
-	if ip.GenNames != nil && ip.GenNames[i] != "" {
-		return ip.GenNames[i]
-	}
-	return ip.Gens[i].String()
-}
-
 // Index maps between node ids and labels of a built IP graph. Node ids are
 // assigned in BFS discovery order from the seed (the seed is node 0), which
 // makes builds deterministic: the parallel builder assigns exactly the same
@@ -205,9 +197,10 @@ func (ip *IPGraph) Build(opt BuildOptions) (*graph.Graph, *Index, error) {
 	return ip.buildSeq(opt)
 }
 
-// BuildSeq is the sequential single-threaded enumerator. It is retained as
-// the oracle the parallel builder is differenced against: the determinism
-// tests assert Build produces byte-identical output for every worker count.
+// BuildSeq is the sequential single-threaded enumerator. No program calls
+// it: it is the test oracle the parallel builder is differenced against, as
+// the determinism tests assert Build produces byte-identical output for
+// every worker count.
 func (ip *IPGraph) BuildSeq(opt BuildOptions) (*graph.Graph, *Index, error) {
 	if err := ip.Validate(); err != nil {
 		return nil, nil, err

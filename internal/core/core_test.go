@@ -74,10 +74,11 @@ func TestPaperIPGraphExample(t *testing.T) {
 	// Y pi1 = 213123, Y pi2 = 321123, Y pi6 = 123123 (rotation of the
 	// repeated seed is the seed itself... the paper's Y = y1..y6 = 123123,
 	// pi6(Y) = y4 y5 y6 y1 y2 y3 = 123123).
-	if got := ip.Gens[0].Permuted(ip.Seed); string(got) != string([]byte{2, 1, 3, 1, 2, 3}) {
+	got := make([]byte, len(ip.Seed))
+	if ip.Gens[0].Apply(got, ip.Seed); string(got) != string([]byte{2, 1, 3, 1, 2, 3}) {
 		t.Fatalf("pi1(Y) = %v", got)
 	}
-	if got := ip.Gens[1].Permuted(ip.Seed); string(got) != string([]byte{3, 2, 1, 1, 2, 3}) {
+	if ip.Gens[1].Apply(got, ip.Seed); string(got) != string([]byte{3, 2, 1, 1, 2, 3}) {
 		t.Fatalf("pi2(Y) = %v", got)
 	}
 	g, ix, err := ip.Build(BuildOptions{})
@@ -241,7 +242,7 @@ func TestDeBruijnAsIPGraph(t *testing.T) {
 func TestHypercubeAsIPGraph(t *testing.T) {
 	for n := 1; n <= 9; n++ {
 		nuc := nucleusQ(n)
-		g, ix, err := nuc.IPGraph().Build(BuildOptions{})
+		g, ix, err := (&IPGraph{Seed: nuc.Seed, Gens: nuc.Gens}).Build(BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,21 +298,6 @@ func TestBuildLimit(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "S7") || !strings.Contains(err.Error(), "attempted") {
 		t.Fatalf("limit error %q must name the family and the attempted count", err)
-	}
-}
-
-func TestGenName(t *testing.T) {
-	ip := &IPGraph{
-		Seed:     symbols.Label{1, 2},
-		Gens:     []perm.Perm{perm.Transposition(2, 0, 1)},
-		GenNames: []string{"swap"},
-	}
-	if ip.GenName(0) != "swap" {
-		t.Fatalf("GenName = %q", ip.GenName(0))
-	}
-	ip.GenNames = nil
-	if ip.GenName(0) != "(1 2)" {
-		t.Fatalf("default GenName = %q", ip.GenName(0))
 	}
 }
 

@@ -53,7 +53,7 @@ func ExampleIPGraph_ShortestPath() {
 		panic(err)
 	}
 	for _, m := range moves {
-		fmt.Println(ip.GenName(m))
+		fmt.Println(ip.GenNames[m])
 	}
 	// Output:
 	// (1 3)

@@ -40,8 +40,8 @@ import (
 // costs no pointer hop.
 //
 // Step, ModuleOfID and ModuleNode are pure arithmetic on those tables and
-// safe for concurrent use. Rank and ModuleOf are not: they reuse a scratch
-// buffer of the Ranker.
+// safe for concurrent use. Rank is not: it reuses a scratch buffer of the
+// Ranker.
 type Ranker struct {
 	rankTables
 	s        *SuperIP
@@ -296,8 +296,8 @@ func (r *Ranker) Rank(x symbols.Label) (int64, error) {
 }
 
 // unreachableArrangement reports an arrangement missing from the subgroup.
-// It formats a copy, so Rank's and ModuleOf's stack color arrays do not
-// escape to the heap on the success path.
+// It formats a copy, so Rank's stack color array does not escape to the
+// heap on the success path.
 func unreachableArrangement(colors []byte) error {
 	return fmt.Errorf("core: arrangement %v is not reachable", append([]byte(nil), colors...))
 }
@@ -333,57 +333,10 @@ func (r *Ranker) Unrank(id int64, dst symbols.Label) symbols.Label {
 	return dst
 }
 
-// ModuleOf returns the module id of label x under the nucleus-per-module
-// packing of Section 5.3: two labels share a module iff they agree on
+// Module returns the module id of node id under the nucleus-per-module
+// packing of Section 5.3: two nodes share a module iff their labels agree on
 // everything except the leftmost super-symbol. Module ids are dense in
 // [0, Modules()).
-func (r *Ranker) ModuleOf(x symbols.Label) (int64, error) {
-	if len(x) != r.l*r.m {
-		return 0, fmt.Errorf("core: label has %d symbols, want %d", len(x), r.l*r.m)
-	}
-	var colors [64]byte
-	var mod int64
-	usedColors := 0
-	for pos := 1; pos < r.l; pos++ {
-		block := x.Group(pos, r.m)
-		var offset byte
-		if r.s.Symmetric {
-			c, err := r.colorOf(block)
-			if err != nil {
-				return 0, err
-			}
-			colors[pos] = byte(c)
-			usedColors |= 1 << c
-			offset = byte(c * r.m)
-		}
-		for i, v := range block {
-			r.canonBuf[i] = v - offset
-		}
-		d := r.nucIx.ID(r.canonBuf)
-		if d < 0 {
-			return 0, fmt.Errorf("core: block %v at position %d is not a nucleus state", block, pos)
-		}
-		mod = mod*r.mSize + int64(d)
-	}
-	if r.s.Symmetric {
-		// The leftmost block's color is forced: it is the one color the
-		// other l-1 positions do not carry, so modules index by the full
-		// arrangement even though the leftmost content is quotiented out.
-		missing := 0
-		for usedColors&(1<<missing) != 0 {
-			missing++
-		}
-		colors[0] = byte(missing)
-		ai, ok := r.arrIdx[string(colors[:r.l])]
-		if !ok {
-			return 0, unreachableArrangement(colors[:r.l])
-		}
-		mod += ai * r.pow[r.l-1]
-	}
-	return mod, nil
-}
-
-// Module returns the module id of node id; see ModuleOf.
 func (r *Ranker) Module(id int64) (int64, error) {
 	if id < 0 || id >= r.n {
 		return 0, fmt.Errorf("core: id %d out of range [0,%d)", id, r.n)

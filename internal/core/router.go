@@ -69,19 +69,6 @@ type Path struct {
 // Hops returns the number of edges traversed.
 func (p *Path) Hops() int { return len(p.Gens) }
 
-// SuperSteps returns the number of super-generator applications — the number
-// of off-module (inter-cluster) transmissions when each nucleus is packed
-// into one module.
-func (p *Path) SuperSteps(numNucleusGens int) int {
-	n := 0
-	for _, g := range p.Gens {
-		if g >= numNucleusGens {
-			n++
-		}
-	}
-	return n
-}
-
 // NewRouter prepares routing state for a super-IP graph.
 func NewRouter(s *SuperIP) (*Router, error) {
 	if err := s.Validate(); err != nil {

@@ -24,11 +24,6 @@ type Nucleus struct {
 // length m).
 func (nc *Nucleus) M() int { return len(nc.Seed) }
 
-// IPGraph returns the nucleus as a standalone IP graph.
-func (nc *Nucleus) IPGraph() *IPGraph {
-	return &IPGraph{Name: nc.Name, Seed: nc.Seed, Gens: nc.Gens, GenNames: nc.GenNames}
-}
-
 // SuperIP specifies a super-IP graph (Section 3.1): L super-symbols of
 // m = Nucleus.M() symbols each, nucleus generators acting on the leftmost
 // super-symbol, and super-generators permuting whole super-symbols.

@@ -40,24 +40,6 @@ func (g *Graph) bfsInto(src int32, dist []int32, queue []int32) []int32 {
 	return queue
 }
 
-// Eccentricity returns the maximum finite distance from src, and whether all
-// nodes are reachable.
-func (g *Graph) Eccentricity(src int32) (int32, bool) {
-	dist := g.BFS(src)
-	var ecc int32
-	all := true
-	for _, d := range dist {
-		if d == Unreachable {
-			all = false
-			continue
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc, all
-}
-
 // Stats aggregates distance statistics over a set of BFS sources.
 type Stats struct {
 	// Diameter is the maximum finite pairwise distance observed.
@@ -82,12 +64,6 @@ func (g *Graph) AllPairs() Stats {
 	return g.statsFromSources(sources, nil)
 }
 
-// PairStats runs BFS from the given sources only (useful for sampling large
-// graphs, or a single source on a vertex-transitive graph).
-func (g *Graph) PairStats(sources []int32) Stats {
-	return g.statsFromSources(sources, nil)
-}
-
 // AllPairsWeighted computes the same statistics under a 0/1 edge weighting:
 // weight(u,v) gives the cost of traversing arc u->v and must be 0 or 1.
 // This is the measurement behind the paper's inter-cluster distance: on- vs
@@ -100,7 +76,9 @@ func (g *Graph) AllPairsWeighted(weight func(u, v int32) int32) Stats {
 	return g.statsFromSources(sources, weight)
 }
 
-// PairStatsWeighted is PairStats under a 0/1 edge weighting.
+// PairStatsWeighted runs BFS from the given sources only (useful for
+// sampling large graphs, or a single source on a vertex-transitive graph)
+// under a 0/1 edge weighting.
 func (g *Graph) PairStatsWeighted(sources []int32, weight func(u, v int32) int32) Stats {
 	return g.statsFromSources(sources, weight)
 }
@@ -245,7 +223,9 @@ func (d *deque) popFront() int32 {
 
 // ZeroOneBFS computes shortest distances from src where each arc u->v costs
 // weight(u,v), which must be 0 or 1. Used for inter-cluster distances where
-// on-module hops are free and off-module hops cost one transmission.
+// on-module hops are free and off-module hops cost one transmission. No
+// program calls it: it is the single-source test oracle of
+// AllPairsWeighted and PairStatsWeighted, which run the same search.
 func (g *Graph) ZeroOneBFS(src int32, weight func(u, v int32) int32) []int32 {
 	dist := make([]int32, g.n)
 	dq := newDeque(g.n)

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -108,11 +107,6 @@ func (g *Graph) DOT(name string) string {
 	}
 	fmt.Fprintf(&b, "%s %s {\n", kind, name)
 	for u := 0; u < g.n; u++ {
-		if g.Labels != nil && g.Labels[u] != "" {
-			fmt.Fprintf(&b, "  %d [label=%q];\n", u, g.Labels[u])
-		}
-	}
-	for u := 0; u < g.n; u++ {
 		for _, v := range g.Neighbors(int32(u)) {
 			if !g.Directed && v < int32(u) {
 				continue
@@ -122,16 +116,6 @@ func (g *Graph) DOT(name string) string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// SortedDegrees returns the degree sequence in non-decreasing order.
-func (g *Graph) SortedDegrees() []int {
-	ds := make([]int, g.n)
-	for u := 0; u < g.n; u++ {
-		ds[u] = g.Degree(int32(u))
-	}
-	sort.Ints(ds)
-	return ds
 }
 
 // Quotient contracts nodes of g into classes given by classOf (values must

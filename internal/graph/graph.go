@@ -21,8 +21,6 @@ type Graph struct {
 	offsets  []int32
 	edges    []int32
 	Directed bool
-	// Labels optionally carries a human-readable label per node.
-	Labels []string
 }
 
 // N returns the number of nodes.
@@ -92,21 +90,12 @@ type Builder struct {
 	n        int
 	from, to []int32
 	directed bool
-	labels   []string
 }
 
 // NewBuilder returns a builder for a graph with n nodes. If directed is
 // false, AddEdge inserts both arc directions.
 func NewBuilder(n int, directed bool) *Builder {
 	return &Builder{n: n, directed: directed}
-}
-
-// SetLabel attaches a label to node u (allocating label storage on demand).
-func (b *Builder) SetLabel(u int32, label string) {
-	if b.labels == nil {
-		b.labels = make([]string, b.n)
-	}
-	b.labels[u] = label
 }
 
 // AddEdge records an edge u-v (or arc u->v if the builder is directed).
@@ -173,7 +162,7 @@ func (b *Builder) Build() *Graph {
 	offsets[b.n] = int32(len(out))
 	final := make([]int32, len(out))
 	copy(final, out)
-	return &Graph{n: b.n, offsets: offsets, edges: final, Directed: b.directed, Labels: b.labels}
+	return &Graph{n: b.n, offsets: offsets, edges: final, Directed: b.directed}
 }
 
 // Symmetrized returns an undirected version of g in which every arc has its
@@ -183,7 +172,6 @@ func (g *Graph) Symmetrized() *Graph {
 		return g
 	}
 	b := NewBuilder(g.n, false)
-	b.labels = g.Labels
 	for u := 0; u < g.n; u++ {
 		for _, v := range g.Neighbors(int32(u)) {
 			b.AddArc(int32(u), v)

@@ -235,7 +235,8 @@ func TestZeroOneBFSClusters(t *testing.T) {
 func TestPairStatsSampling(t *testing.T) {
 	g := hypercubeGraph(6)
 	full := g.AllPairs()
-	sampled := g.PairStats([]int32{0})
+	unit := func(u, v int32) int32 { return 1 }
+	sampled := g.PairStatsWeighted([]int32{0}, unit)
 	// Q6 is vertex-transitive: one source gives the exact stats.
 	if sampled.Diameter != full.Diameter {
 		t.Fatalf("sampled diameter %d != full %d", sampled.Diameter, full.Diameter)
@@ -297,10 +298,6 @@ func TestDegreeHistogram(t *testing.T) {
 	if h[1] != 2 || h[2] != 2 {
 		t.Fatalf("histogram = %v", h)
 	}
-	ds := b.Build().SortedDegrees()
-	if len(ds) != 4 || ds[0] != 1 || ds[3] != 2 {
-		t.Fatalf("sorted degrees = %v", ds)
-	}
 }
 
 func TestQuotient(t *testing.T) {
@@ -318,11 +315,9 @@ func TestQuotient(t *testing.T) {
 
 func TestDOT(t *testing.T) {
 	b := NewBuilder(2, false)
-	b.SetLabel(0, "a")
-	b.SetLabel(1, "b")
 	b.AddEdge(0, 1)
 	dot := b.Build().DOT("g")
-	for _, want := range []string{"graph g {", "0 -- 1;", `label="a"`} {
+	for _, want := range []string{"graph g {", "0 -- 1;"} {
 		if !containsStr(dot, want) {
 			t.Fatalf("DOT missing %q in:\n%s", want, dot)
 		}
@@ -349,10 +344,13 @@ func indexOf(s, sub string) int {
 }
 
 func TestEccentricity(t *testing.T) {
+	// Sampled from one source, Radius and Diameter are both that source's
+	// eccentricity.
 	g := ringGraph(8)
-	ecc, ok := g.Eccentricity(0)
-	if !ok || ecc != 4 {
-		t.Fatalf("ecc = %d ok=%v", ecc, ok)
+	unit := func(u, v int32) int32 { return 1 }
+	s := g.PairStatsWeighted([]int32{0}, unit)
+	if !s.Connected || s.Radius != 4 || s.Diameter != 4 {
+		t.Fatalf("ecc = %d/%d connected=%v", s.Radius, s.Diameter, s.Connected)
 	}
 }
 

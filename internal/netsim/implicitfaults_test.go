@@ -223,13 +223,15 @@ func TestRunImplicitFaultyMatchesRunFaulty(t *testing.T) {
 // route but one between a fixed pair, and a run injecting only that pair's
 // traffic must deliver 100% — degraded, but complete.
 func TestRunImplicitFaultyKMinusOneZeroLoss(t *testing.T) {
-	net, imp, fs, fa := faultTestNet(t)
-	router, err := topo.NewAlgebraic(net.Super())
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 5; trial++ {
+		// A fault set of the trial's own: the plan's strikes are its only
+		// faults.
+		net, imp, fs, fa := faultTestNet(t)
+		router, err := topo.NewAlgebraic(net.Super())
+		if err != nil {
+			t.Fatal(err)
+		}
 		n := imp.N()
 		src := rng.Int63n(n)
 		dst := rng.Int63n(n - 1)
@@ -268,7 +270,6 @@ func TestRunImplicitFaultyKMinusOneZeroLoss(t *testing.T) {
 			}
 			plan.LinkDown(0, rt[0], rt[1], 0)
 		}
-		fs.Reset()
 		st, err := RunImplicitFaulty(ImplicitConfig{Topo: imp, Router: fa,
 			InjectionRate: 1.0, WarmupCycles: 0, MeasureCycles: 50, Seed: 61,
 			Pattern: func(s, n int64, _ *rand.Rand) int64 {
@@ -390,9 +391,14 @@ func TestRunImplicitFaultyBigSym(t *testing.T) {
 	}
 
 	// Then system-wide zero loss: uniform background traffic over all 25M
-	// nodes with the same faults applied by the scheduler (fs reset first so
-	// the plan's strikes are the only live faults; refcounts stay balanced).
-	fs.Reset()
+	// nodes with the same faults applied by the scheduler (the pair walk's
+	// faults repaired first so the plan's strikes are the only live faults;
+	// refcounts stay balanced).
+	for i, rt := range routes {
+		if i != spare {
+			fs.RepairLinkBoth(rt[0], rt[1])
+		}
+	}
 	st, err := RunImplicitFaulty(ImplicitConfig{Topo: imp, Router: fa,
 		InjectionRate: 2e-7, WarmupCycles: 20, MeasureCycles: 200, Seed: 73},
 		ImplicitFaultConfig{Plan: plan, Faults: fs})

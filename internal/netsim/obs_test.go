@@ -140,8 +140,8 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 	if diff := hist.Mean() - base.AvgLatency; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("histogram mean %v != AvgLatency %v", hist.Mean(), base.AvgLatency)
 	}
-	if hist.Max() != base.MaxLatency {
-		t.Fatalf("histogram max %d != MaxLatency %d", hist.Max(), base.MaxLatency)
+	if _, _, _, max := hist.Summary(); max != base.MaxLatency {
+		t.Fatalf("histogram max %d != MaxLatency %d", max, base.MaxLatency)
 	}
 	if probed.P50Latency <= 0 || probed.P50Latency > probed.P95Latency ||
 		probed.P95Latency > probed.P99Latency ||

@@ -53,9 +53,6 @@ func (h *LatencyHist) Observe(latency int) {
 // Count returns how many samples were observed.
 func (h *LatencyHist) Count() int64 { return h.n }
 
-// Max returns the largest observed latency.
-func (h *LatencyHist) Max() int { return h.max }
-
 // Mean returns the exact mean of the observed samples (the sum is tracked
 // outside the buckets, so this does not suffer bucketing error).
 func (h *LatencyHist) Mean() float64 {

@@ -161,13 +161,6 @@ func (s *LiveServer) historyLocked() []LiveSample {
 	return out
 }
 
-// Samples returns how many samples have ever been taken (the latest Seq).
-func (s *LiveServer) Samples() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
 // Handler returns the live mux:
 //
 //	/           the HTML dashboard (no external assets)

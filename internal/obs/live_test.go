@@ -45,9 +45,6 @@ func TestLiveRingBoundAndEviction(t *testing.T) {
 					t.Fatalf("cap=%d pushes=%d: history[%d].Cycle = %d, want %d", cap, pushes, i, sm.Cycle, wantCycle)
 				}
 			}
-			if s.Samples() != int64(pushes) {
-				t.Fatalf("cap=%d pushes=%d: Samples() = %d", cap, pushes, s.Samples())
-			}
 			latest, ok := s.Latest()
 			if pushes == 0 {
 				if ok {
@@ -68,8 +65,8 @@ func TestSamplerCadence(t *testing.T) {
 	for c := 0; c <= 10; c++ {
 		p.Tick(c)
 	}
-	if got := s.Samples(); got != 4 { // cycles 0, 3, 6, 9
-		t.Fatalf("Sampler(3) over cycles 0..10 took %d samples, want 4", got)
+	if got, _ := s.Latest(); got.Seq != 4 { // cycles 0, 3, 6, 9
+		t.Fatalf("Sampler(3) over cycles 0..10 took %d samples, want 4", got.Seq)
 	}
 	hist := s.History()
 	for i, wantCycle := range []int{0, 3, 6, 9} {
@@ -83,8 +80,8 @@ func TestSamplerCadence(t *testing.T) {
 	for c := 0; c < 5; c++ {
 		p2.Tick(c)
 	}
-	if got := s2.Samples(); got != 5 {
-		t.Fatalf("Sampler(0) took %d samples over 5 cycles, want 5", got)
+	if got, _ := s2.Latest(); got.Seq != 5 {
+		t.Fatalf("Sampler(0) took %d samples over 5 cycles, want 5", got.Seq)
 	}
 }
 

@@ -181,23 +181,9 @@ func (ms *ModuleSeries) Flush() {
 	ms.snapshot(ms.lastTick + 1)
 }
 
-// ObservedCycles returns how many cycles the run simulated (as seen by
-// Tick).
-func (ms *ModuleSeries) ObservedCycles() int { return ms.lastTick + 1 }
-
 // ActiveModules returns how many distinct modules saw at least one event —
 // the collector's memory footprint is proportional to this.
 func (ms *ModuleSeries) ActiveModules() int { return len(ms.mods) }
-
-// TotalBusy returns the summed busy cycles over both link classes and all
-// modules; it matches TimeSeries.TotalBusy on the same run.
-func (ms *ModuleSeries) TotalBusy() int64 {
-	var sum int64
-	for _, st := range ms.mods {
-		sum += st.intraBusy + st.interBusy
-	}
-	return sum
-}
 
 // TopModules returns the n busiest modules (by total busy cycles, inter
 // breaking ties), hottest first — the "which cluster is the hotspot"

@@ -56,8 +56,8 @@ func TestRegistryConcurrentExactTotals(t *testing.T) {
 	if snap.Mean() != wantMean {
 		t.Fatalf("histogram mean %v, want %v", snap.Mean(), wantMean)
 	}
-	if snap.Max() != 256 {
-		t.Fatalf("histogram max %d, want 256", snap.Max())
+	if snap.max != 256 {
+		t.Fatalf("histogram max %d, want 256", snap.max)
 	}
 	// A snapshot is a copy: later observations leave its buckets alone.
 	p50 := snap.Quantile(0.5)

@@ -155,11 +155,6 @@ func (ts *TimeSeries) Flush() {
 // Tick), the denominator of the overall utilizations.
 func (ts *TimeSeries) ObservedCycles() int { return ts.lastTick + 1 }
 
-// ActiveLinks returns how many distinct directed links carried or queued at
-// least one packet — the collector's memory footprint is proportional to
-// this, not to the topology size.
-func (ts *TimeSeries) ActiveLinks() int { return len(ts.src) }
-
 // TotalBusy returns the summed busy cycles over all links, which for a
 // period-1 single-flit run equals the total number of hops taken by all
 // packets (measured or not).

@@ -49,16 +49,6 @@ func (p Perm) Validate() error {
 	return nil
 }
 
-// IsIdentity reports whether p is the identity permutation.
-func (p Perm) IsIdentity() bool {
-	for i, v := range p {
-		if v != i {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a copy of p.
 func (p Perm) Clone() Perm {
 	q := make(Perm, len(p))
@@ -90,13 +80,6 @@ func (p Perm) Apply(dst, src []byte) {
 	}
 }
 
-// Permuted returns a fresh label equal to p applied to src.
-func (p Perm) Permuted(src []byte) []byte {
-	dst := make([]byte, len(src))
-	p.Apply(dst, src)
-	return dst
-}
-
 // Compose returns the permutation "p then q": applying the result to a label
 // is the same as applying p first and then q.
 //
@@ -122,59 +105,11 @@ func (p Perm) Inverse() Perm {
 	return inv
 }
 
-// Power returns p applied n times (n may be negative, meaning the inverse
-// applied -n times; n == 0 yields the identity).
-func (p Perm) Power(n int) Perm {
-	base := p
-	if n < 0 {
-		base = p.Inverse()
-		n = -n
-	}
-	result := Identity(len(p))
-	for ; n > 0; n >>= 1 {
-		if n&1 == 1 {
-			result = Compose(result, base)
-		}
-		base = Compose(base, base)
-	}
-	return result
-}
-
-// Order returns the order of p in the symmetric group: the least n >= 1 with
-// p^n = identity. It is the LCM of the cycle lengths.
-func (p Perm) Order() int {
-	order := 1
-	for _, c := range p.Cycles() {
-		order = lcm(order, len(c))
-	}
-	return order
-}
-
-// Sign returns +1 for even permutations and -1 for odd permutations.
-func (p Perm) Sign() int {
-	sign := 1
-	for _, c := range p.Cycles() {
-		if len(c)%2 == 0 {
-			sign = -sign
-		}
-	}
-	return sign
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b int) int { return a / gcd(a, b) * b }
-
 // Cycles returns the cycle decomposition of p, excluding fixed points.
 // Each cycle lists 0-based positions in symbol-movement order: the symbol at
 // cycle[j] moves to cycle[j+1] (and the last entry's symbol moves to the
-// first). This matches the convention of FromCycles and ParseCycles, so
-// FromCycles(len(p), p.Cycles()...) reconstructs p.
+// first). This matches the convention of ParseCycles, so String and
+// ParseCycles round-trip.
 func (p Perm) Cycles() [][]int {
 	var cycles [][]int
 	inv := p.Inverse()
@@ -215,15 +150,6 @@ func (p Perm) String() string {
 	return b.String()
 }
 
-// OneLine renders p in one-line notation, e.g. "[1 0 2]".
-func (p Perm) OneLine() string {
-	parts := make([]string, len(p))
-	for i, v := range p {
-		parts[i] = strconv.Itoa(v)
-	}
-	return "[" + strings.Join(parts, " ") + "]"
-}
-
 // ParseCycles parses 1-based cycle notation such as "(1 2)(3 4 5)" into a
 // permutation on k positions. Whitespace and commas both separate entries
 // within a cycle. Positions not mentioned are fixed points.
@@ -261,22 +187,6 @@ func ParseCycles(s string, k int) (Perm, error) {
 			}
 		}
 		s = strings.TrimSpace(s[end+1:])
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// FromCycles builds a permutation on k positions from 0-based cycles.
-func FromCycles(k int, cycles ...[]int) (Perm, error) {
-	p := Identity(k)
-	for _, c := range cycles {
-		cc := make([]int, len(c))
-		copy(cc, c)
-		if err := applyCycle(p, cc); err != nil {
-			return nil, err
-		}
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -460,96 +370,4 @@ func keyOf(p Perm) string {
 		b[i] = byte(v)
 	}
 	return string(b)
-}
-
-// ParseOneLine parses one-line notation as emitted by OneLine, e.g.
-// "[1 0 2]".
-func ParseOneLine(s string) (Perm, error) {
-	s = strings.TrimSpace(s)
-	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
-		return nil, fmt.Errorf("perm: one-line notation must be bracketed, got %q", s)
-	}
-	fields := strings.Fields(s[1 : len(s)-1])
-	p := make(Perm, len(fields))
-	for i, f := range fields {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("perm: bad entry %q: %v", f, err)
-		}
-		p[i] = v
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Conjugate returns q^-1 * p * q (apply q, then p, then q inverse) — the
-// permutation that "does p in q's coordinate frame". Conjugating a nucleus
-// generator by a super-symbol swap is exactly how the dilation-3 embedding
-// reaches non-leftmost super-symbols.
-func Conjugate(p, q Perm) Perm {
-	return Compose(Compose(q, p), q.Inverse())
-}
-
-// IsInvolution reports whether p is its own inverse.
-func (p Perm) IsInvolution() bool {
-	return Compose(p, p).IsIdentity()
-}
-
-// Support returns the positions moved by p, in increasing order.
-func (p Perm) Support() []int {
-	var s []int
-	for i, v := range p {
-		if v != i {
-			s = append(s, i)
-		}
-	}
-	return s
-}
-
-// PositionOrbits returns the orbits of the group generated by gens acting
-// on positions: the partition of 0..k-1 into classes reachable from one
-// another. A generator set whose action is transitive on positions has a
-// single orbit.
-func PositionOrbits(gens []Perm) [][]int {
-	if len(gens) == 0 {
-		return nil
-	}
-	k := len(gens[0])
-	parent := make([]int, k)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, g := range gens {
-		for i, v := range g {
-			union(i, v)
-		}
-	}
-	classes := map[int][]int{}
-	for i := 0; i < k; i++ {
-		r := find(i)
-		classes[r] = append(classes[r], i)
-	}
-	var out [][]int
-	for i := 0; i < k; i++ {
-		if find(i) == i {
-			out = append(out, classes[i])
-		}
-	}
-	return out
 }

@@ -13,16 +13,22 @@ func randomPerm(r *rand.Rand, k int) Perm {
 	return p
 }
 
+// permuted returns a fresh label equal to p applied to src.
+func permuted(p Perm, src []byte) []byte {
+	dst := make([]byte, len(src))
+	p.Apply(dst, src)
+	return dst
+}
+
+func isIdentity(p Perm) bool { return p.Equal(Identity(len(p))) }
+
 func TestIdentity(t *testing.T) {
 	id := Identity(5)
-	if !id.IsIdentity() {
-		t.Fatal("Identity(5) is not the identity")
-	}
 	if err := id.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	label := []byte{10, 20, 30, 40, 50}
-	got := id.Permuted(label)
+	got := permuted(id, label)
 	for i := range label {
 		if got[i] != label[i] {
 			t.Fatalf("identity moved symbol at %d", i)
@@ -64,7 +70,7 @@ func TestPaperStarGeneratorExample(t *testing.T) {
 	}
 	for i := 2; i <= 6; i++ {
 		g := Transposition(6, 0, i-1)
-		got := g.Permuted(x)
+		got := permuted(g, x)
 		w := want[i-2]
 		for j := range w {
 			if got[j] != w[j] {
@@ -80,7 +86,7 @@ func TestPaperSwapSuperGeneratorExample(t *testing.T) {
 	// T(2,4) applied to "abcdefgh" gives "efghabcd".
 	tt := BlockTransposition(2, 4, 0, 1)
 	x := []byte{'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}
-	got := string(tt.Permuted(x))
+	got := string(permuted(tt, x))
 	if got != "efghabcd" {
 		t.Fatalf("T(2,4) = %q, want %q", got, "efghabcd")
 	}
@@ -92,14 +98,14 @@ func TestPaperCyclicShiftExample(t *testing.T) {
 	l, m := 4, 2
 	x := []byte{1, 1, 2, 2, 3, 3, 4, 4}
 	left := BlockLeftShift(l, m, 1)
-	if got := left.Permuted(x); string(got) != string([]byte{2, 2, 3, 3, 4, 4, 1, 1}) {
+	if got := permuted(left, x); string(got) != string([]byte{2, 2, 3, 3, 4, 4, 1, 1}) {
 		t.Fatalf("L(1,2) = %v", got)
 	}
 	right := BlockRightShift(l, m, 1)
-	if got := right.Permuted(x); string(got) != string([]byte{4, 4, 1, 1, 2, 2, 3, 3}) {
+	if got := permuted(right, x); string(got) != string([]byte{4, 4, 1, 1, 2, 2, 3, 3}) {
 		t.Fatalf("R(1,2) = %v", got)
 	}
-	if !Compose(left, right).IsIdentity() {
+	if !isIdentity(Compose(left, right)) {
 		t.Fatal("L then R is not the identity")
 	}
 }
@@ -109,14 +115,14 @@ func TestPaperFlipExample(t *testing.T) {
 	l, m := 4, 2
 	x := []byte{1, 1, 2, 2, 3, 3, 4, 4}
 	f2 := BlockFlip(l, m, 2)
-	if got := f2.Permuted(x); string(got) != string([]byte{2, 2, 1, 1, 3, 3, 4, 4}) {
+	if got := permuted(f2, x); string(got) != string([]byte{2, 2, 1, 1, 3, 3, 4, 4}) {
 		t.Fatalf("F(2) = %v", got)
 	}
 	f3 := BlockFlip(l, m, 3)
-	if got := f3.Permuted(x); string(got) != string([]byte{3, 3, 2, 2, 1, 1, 4, 4}) {
+	if got := permuted(f3, x); string(got) != string([]byte{3, 3, 2, 2, 1, 1, 4, 4}) {
 		t.Fatalf("F(3) = %v", got)
 	}
-	if !Compose(f3, f3).IsIdentity() {
+	if !isIdentity(Compose(f3, f3)) {
 		t.Fatal("flips must be involutions")
 	}
 }
@@ -131,8 +137,8 @@ func TestComposeOrder(t *testing.T) {
 		for i := range x {
 			x[i] = byte(r.Intn(256))
 		}
-		step := q.Permuted(p.Permuted(x))
-		direct := Compose(p, q).Permuted(x)
+		step := permuted(q, permuted(p, x))
+		direct := permuted(Compose(p, q), x)
 		for i := range step {
 			if step[i] != direct[i] {
 				t.Fatalf("trial %d: compose mismatch at %d", trial, i)
@@ -146,80 +152,10 @@ func TestInverseProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		k := 1 + r.Intn(16)
 		p := randomPerm(r, k)
-		return Compose(p, p.Inverse()).IsIdentity() && Compose(p.Inverse(), p).IsIdentity()
+		return isIdentity(Compose(p, p.Inverse())) && isIdentity(Compose(p.Inverse(), p))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPowerMatchesRepeatedCompose(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		k := 1 + r.Intn(10)
-		p := randomPerm(r, k)
-		n := int(nRaw % 20)
-		want := Identity(k)
-		for i := 0; i < n; i++ {
-			want = Compose(want, p)
-		}
-		return p.Power(n).Equal(want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNegativePower(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	p := randomPerm(r, 9)
-	if !Compose(p.Power(3), p.Power(-3)).IsIdentity() {
-		t.Fatal("p^3 * p^-3 != identity")
-	}
-	if !p.Power(-1).Equal(p.Inverse()) {
-		t.Fatal("p^-1 != inverse")
-	}
-}
-
-func TestOrderProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		k := 1 + r.Intn(10)
-		p := randomPerm(r, k)
-		n := p.Order()
-		if n < 1 {
-			return false
-		}
-		if !p.Power(n).IsIdentity() {
-			return false
-		}
-		// No smaller positive power may be the identity.
-		for d := 1; d < n; d++ {
-			if n%d == 0 && p.Power(d).IsIdentity() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSign(t *testing.T) {
-	if Transposition(5, 0, 3).Sign() != -1 {
-		t.Fatal("transposition must be odd")
-	}
-	if Identity(5).Sign() != 1 {
-		t.Fatal("identity must be even")
-	}
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		k := 2 + r.Intn(10)
-		p, q := randomPerm(r, k), randomPerm(r, k)
-		if Compose(p, q).Sign() != p.Sign()*q.Sign() {
-			t.Fatal("sign is not multiplicative")
-		}
 	}
 }
 
@@ -228,9 +164,11 @@ func TestCyclesRoundTrip(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		k := 1 + r.Intn(12)
 		p := randomPerm(r, k)
-		q, err := FromCycles(k, p.Cycles()...)
-		if err != nil {
-			return false
+		q := Identity(k)
+		for _, c := range p.Cycles() {
+			if err := applyCycle(q, c); err != nil {
+				return false
+			}
 		}
 		return q.Equal(p)
 	}
@@ -245,7 +183,7 @@ func TestParseCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !p.Equal(Transposition(6, 0, 1)) {
-		t.Fatalf("parse (1 2) = %v", p.OneLine())
+		t.Fatalf("parse (1 2) = %v", []int(p))
 	}
 	p, err = ParseCycles("(1 3)(2 4)", 4)
 	if err != nil {
@@ -253,7 +191,7 @@ func TestParseCycles(t *testing.T) {
 	}
 	want := Compose(Transposition(4, 0, 2), Transposition(4, 1, 3))
 	if !p.Equal(want) {
-		t.Fatalf("parse (1 3)(2 4) = %v, want %v", p.OneLine(), want.OneLine())
+		t.Fatalf("parse (1 3)(2 4) = %v, want %v", []int(p), []int(want))
 	}
 	if _, err := ParseCycles("(0 1)", 4); err == nil {
 		t.Fatal("expected range error for 0 in 1-based notation")
@@ -265,7 +203,7 @@ func TestParseCycles(t *testing.T) {
 		t.Fatal("expected unterminated-cycle error")
 	}
 	id, err := ParseCycles("()", 3)
-	if err != nil || !id.IsIdentity() {
+	if err != nil || !isIdentity(id) {
 		t.Fatalf("parse () = %v, %v", id, err)
 	}
 }
@@ -280,7 +218,7 @@ func TestStringParseRoundTrip(t *testing.T) {
 			t.Fatalf("parse %q: %v", p.String(), err)
 		}
 		if !q.Equal(p) {
-			t.Fatalf("round trip of %q gave %v, want %v", p.String(), q.OneLine(), p.OneLine())
+			t.Fatalf("round trip of %q gave %v, want %v", p.String(), []int(q), []int(p))
 		}
 	}
 }
@@ -291,7 +229,7 @@ func TestThreeCycleConvention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.Permuted([]byte{'a', 'b', 'c'})
+	got := permuted(p, []byte{'a', 'b', 'c'})
 	if string(got) != "cab" {
 		t.Fatalf("(1 2 3) applied to abc = %q, want cab", got)
 	}
@@ -299,14 +237,14 @@ func TestThreeCycleConvention(t *testing.T) {
 
 func TestRotation(t *testing.T) {
 	p := Rotation(6, 2)
-	got := p.Permuted([]byte{'a', 'b', 'c', 'd', 'e', 'f'})
+	got := permuted(p, []byte{'a', 'b', 'c', 'd', 'e', 'f'})
 	if string(got) != "cdefab" {
 		t.Fatalf("Rotation(6,2) = %q", got)
 	}
-	if !Rotation(6, 0).IsIdentity() || !Rotation(6, 6).IsIdentity() {
+	if !isIdentity(Rotation(6, 0)) || !isIdentity(Rotation(6, 6)) {
 		t.Fatal("rotation by 0 or k must be identity")
 	}
-	if !Compose(Rotation(5, 2), Rotation(5, 3)).IsIdentity() {
+	if !isIdentity(Compose(Rotation(5, 2), Rotation(5, 3))) {
 		t.Fatal("rotations by 2 and 3 on 5 positions must cancel")
 	}
 }
@@ -318,7 +256,7 @@ func TestLift(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []byte{1, 2, 3, 4, 5, 6, 7}
-	got := q.Permuted(x)
+	got := permuted(q, x)
 	want := []byte{3, 2, 1, 4, 5, 6, 7}
 	for i := range want {
 		if got[i] != want[i] {
@@ -336,7 +274,7 @@ func TestBlockTranspositionInvolution(t *testing.T) {
 					if err := p.Validate(); err != nil {
 						t.Fatalf("l=%d m=%d (%d,%d): %v", l, m, i, j, err)
 					}
-					if !Compose(p, p).IsIdentity() {
+					if !isIdentity(Compose(p, p)) {
 						t.Fatalf("l=%d m=%d (%d,%d): not an involution", l, m, i, j)
 					}
 				}
@@ -347,9 +285,17 @@ func TestBlockTranspositionInvolution(t *testing.T) {
 
 func TestBlockShiftOrder(t *testing.T) {
 	for l := 2; l <= 6; l++ {
+		// The order is l: the l-th power is the first to be the identity.
 		p := BlockLeftShift(l, 3, 1)
-		if p.Order() != l {
-			t.Fatalf("BlockLeftShift(%d,3,1) has order %d, want %d", l, p.Order(), l)
+		q := p
+		for n := 1; n < l; n++ {
+			if isIdentity(q) {
+				t.Fatalf("BlockLeftShift(%d,3,1) has order %d, want %d", l, n, l)
+			}
+			q = Compose(q, p)
+		}
+		if !isIdentity(q) {
+			t.Fatalf("BlockLeftShift(%d,3,1)^%d is not the identity", l, l)
 		}
 	}
 }
@@ -453,79 +399,5 @@ func BenchmarkCompose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Compose(p, q)
-	}
-}
-
-func TestParseOneLine(t *testing.T) {
-	p, err := ParseOneLine("[1 0 2]")
-	if err != nil || !p.Equal(Perm{1, 0, 2}) {
-		t.Fatalf("ParseOneLine = %v, %v", p, err)
-	}
-	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 50; trial++ {
-		q := randomPerm(r, 1+r.Intn(10))
-		back, err := ParseOneLine(q.OneLine())
-		if err != nil || !back.Equal(q) {
-			t.Fatalf("round trip of %v failed: %v %v", q, back, err)
-		}
-	}
-	for _, bad := range []string{"", "1 0", "[1 0", "[a b]", "[0 0]", "[2 0]"} {
-		if _, err := ParseOneLine(bad); err == nil {
-			t.Fatalf("expected error for %q", bad)
-		}
-	}
-}
-
-func TestConjugate(t *testing.T) {
-	// Conjugating the swap of block 0's first pair by the block swap yields
-	// the swap of block 1's first pair.
-	p := Transposition(8, 0, 1)         // nucleus move on block 0
-	q := BlockTransposition(2, 4, 0, 1) // swap the two blocks
-	got := Conjugate(p, q)
-	want := Transposition(8, 4, 5)
-	if !got.Equal(want) {
-		t.Fatalf("conjugate = %v, want %v", got.OneLine(), want.OneLine())
-	}
-	// Conjugation preserves cycle type (here: order).
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		a, b := randomPerm(r, 8), randomPerm(r, 8)
-		if Conjugate(a, b).Order() != a.Order() {
-			t.Fatal("conjugation changed the order")
-		}
-	}
-}
-
-func TestIsInvolutionAndSupport(t *testing.T) {
-	if !Transposition(5, 1, 3).IsInvolution() {
-		t.Fatal("transposition must be an involution")
-	}
-	if Rotation(5, 1).IsInvolution() {
-		t.Fatal("5-rotation is not an involution")
-	}
-	s := Transposition(6, 1, 4).Support()
-	if len(s) != 2 || s[0] != 1 || s[1] != 4 {
-		t.Fatalf("support = %v", s)
-	}
-	if len(Identity(4).Support()) != 0 {
-		t.Fatal("identity support must be empty")
-	}
-}
-
-func TestPositionOrbits(t *testing.T) {
-	// The hypercube nucleus generators act within pairs: n orbits of 2.
-	gens := []Perm{Transposition(6, 0, 1), Transposition(6, 2, 3), Transposition(6, 4, 5)}
-	orbits := PositionOrbits(gens)
-	if len(orbits) != 3 {
-		t.Fatalf("orbits = %v", orbits)
-	}
-	// Adding the block rotation merges everything into one orbit.
-	gens = append(gens, BlockLeftShift(3, 2, 1))
-	orbits = PositionOrbits(gens)
-	if len(orbits) != 1 || len(orbits[0]) != 6 {
-		t.Fatalf("orbits with rotation = %v", orbits)
-	}
-	if PositionOrbits(nil) != nil {
-		t.Fatal("no generators -> nil orbits")
 	}
 }

@@ -215,17 +215,6 @@ func (n *Net) SuperDegree() int {
 // super-generator contribution.
 func (n *Net) Degree() int { return n.Nucleus.Degree + n.SuperDegree() }
 
-// T returns the covering-schedule parameter t of Theorem 4.1, computed
-// exactly from the block-level super-generators (t = l-1 for every family
-// here; the computation is retained as a cross-check).
-func (n *Net) T() int {
-	sched, err := n.Super().MinCoverSchedule()
-	if err != nil {
-		panic(err)
-	}
-	return sched.T()
-}
-
 // TSym returns t_S of Theorem 4.3 for the symmetric variant.
 func (n *Net) TSym() int {
 	t, err := n.Super().TSym()

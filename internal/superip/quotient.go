@@ -43,10 +43,6 @@ func (q QuotientCN) N() int {
 // UnderlyingN returns the node count of the un-merged CN(l;Q_A).
 func (q QuotientCN) UnderlyingN() int { return 1 << uint(q.A*q.L) }
 
-// LogicalPerPhysical returns how many logical CN nodes each quotient node
-// hosts: 2^(B*L).
-func (q QuotientCN) LogicalPerPhysical() int { return 1 << uint(q.B*q.L) }
-
 // Build constructs the quotient graph by building CN(l;Q_A) and contracting
 // node classes.
 func (q QuotientCN) Build() (*graph.Graph, error) {

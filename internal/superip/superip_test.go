@@ -34,8 +34,14 @@ func checkNet(t *testing.T, n *Net) {
 		t.Fatalf("%s: built diameter %d, analytic %d", n.Name(), diam, n.Diameter())
 	}
 	// The covering-schedule computation must agree with t = l-1 (plain).
-	if !n.Symmetric && n.T() != n.L-1 {
-		t.Fatalf("%s: t = %d, want %d", n.Name(), n.T(), n.L-1)
+	if !n.Symmetric {
+		sched, err := n.Super().MinCoverSchedule()
+		if err != nil {
+			t.Fatalf("%s: %v", n.Name(), err)
+		}
+		if sched.T() != n.L-1 {
+			t.Fatalf("%s: t = %d, want %d", n.Name(), sched.T(), n.L-1)
+		}
 	}
 }
 
@@ -126,7 +132,7 @@ func TestNucleusSpecsMatchBuilds(t *testing.T) {
 		NucleusShuffleExchange(3),
 		NucleusShuffleExchange(4),
 	} {
-		g, _, err := spec.Nuc.IPGraph().Build(core0())
+		g, _, err := nucleusGraph(spec.Nuc).Build(core0())
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Short, err)
 		}
@@ -208,9 +214,6 @@ func TestQuotientCN(t *testing.T) {
 	if int(st.Diameter) > base.Diameter() {
 		t.Fatalf("quotient diameter %d exceeds base %d", st.Diameter, base.Diameter())
 	}
-	if q.LogicalPerPhysical() != 16 {
-		t.Fatalf("logical per physical = %d", q.LogicalPerPhysical())
-	}
 	if q.UnderlyingN() != 256 {
 		t.Fatalf("underlying = %d", q.UnderlyingN())
 	}
@@ -260,6 +263,11 @@ func TestNames(t *testing.T) {
 // every call site).
 func core0() core.BuildOptions { return core.BuildOptions{} }
 
+// nucleusGraph returns the nucleus as a standalone IP graph.
+func nucleusGraph(nc core.Nucleus) *core.IPGraph {
+	return &core.IPGraph{Name: nc.Name, Seed: nc.Seed, Gens: nc.Gens}
+}
+
 func TestKAryAndGHCNuclei(t *testing.T) {
 	for _, spec := range []NucleusSpec{
 		NucleusKAryCube(3, 2),
@@ -271,7 +279,7 @@ func TestKAryAndGHCNuclei(t *testing.T) {
 		NucleusGHC(2, 8),
 		NucleusGHC(16),
 	} {
-		g, _, err := spec.Nuc.IPGraph().Build(core0())
+		g, _, err := nucleusGraph(spec.Nuc).Build(core0())
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Short, err)
 		}
@@ -304,7 +312,7 @@ func TestGHCNucleusIsGeneralizedHypercube(t *testing.T) {
 	// generalized hypercube: same size, regular with the same degree, same
 	// diameter and distance distribution.
 	spec := NucleusGHC(3, 4)
-	g, _, err := spec.Nuc.IPGraph().Build(core0())
+	g, _, err := nucleusGraph(spec.Nuc).Build(core0())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,15 +73,6 @@ func FuzzLabelKey(f *testing.F) {
 			t.Fatalf("HasDistinctSymbols(%v) = %v, want %v", x, x.HasDistinctSymbols(), distinct)
 		}
 
-		// IsRepetition(l=2) must agree with a direct comparison of halves.
-		if len(x) > 0 && len(x)%2 == 0 {
-			m := len(x) / 2
-			want := bytes.Equal(x[:m], x[m:])
-			if x.IsRepetition(2, m) != want {
-				t.Fatalf("IsRepetition(2,%d) on %v = %v, want %v", m, x, x.IsRepetition(2, m), want)
-			}
-		}
-
 		// Grouped/String must not panic for any group size.
 		for _, gs := range []int{0, 1, 2, 3, len(x)} {
 			_ = x.Grouped(gs)

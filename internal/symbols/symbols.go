@@ -67,11 +67,6 @@ func (x Label) Group(i, m int) Label {
 	return x[i*m : (i+1)*m]
 }
 
-// SetGroup overwrites the i-th group of m symbols with g.
-func (x Label) SetGroup(i, m int, g Label) {
-	copy(x[i*m:(i+1)*m], g)
-}
-
 // RepeatedSeed returns the seed label S1 S1 ... S1 (l copies) used by plain
 // super-IP graphs, where S1 = base. For example RepeatedSeed(3, {1,2})
 // yields 12 12 12, the seed of an HSN(3;G) whose nucleus seed is "12".
@@ -104,21 +99,6 @@ func ConstantSeed(k int, v byte) Label {
 		x[i] = v
 	}
 	return x
-}
-
-// IsRepetition reports whether x consists of l identical groups of m symbols.
-func (x Label) IsRepetition(l, m int) bool {
-	if len(x) != l*m {
-		return false
-	}
-	for i := 1; i < l; i++ {
-		for t := 0; t < m; t++ {
-			if x[i*m+t] != x[t] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // HasDistinctSymbols reports whether all symbols in x are distinct (the

@@ -156,7 +156,7 @@ func FuzzAdjacent(f *testing.F) {
 			checkAdjacent(t, fmt.Sprintf("Q%d", ht.Dim), ht, u, w, nbrs)
 		}
 		imp := imps[int(d)%len(imps)]
-		name, n := imp.Super().Name, imp.N()
+		name, n := imp.nameStr, imp.N()
 		nbrs = nil
 		if u >= 0 && u < n {
 			nbrs = imp.Neighbors(u, nil)

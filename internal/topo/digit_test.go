@@ -19,7 +19,7 @@ import (
 // rest, then sort and deduplicate.
 func labelNeighbors(t testing.TB, imp *Implicit, gens []perm.Perm, u int64, buf []int64) []int64 {
 	t.Helper()
-	rk := imp.Ranker()
+	rk := imp.rk
 	x := rk.Unrank(u, nil)
 	img := x.Clone()
 	buf = buf[:0]
@@ -30,7 +30,7 @@ func labelNeighbors(t testing.TB, imp *Implicit, gens []perm.Perm, u int64, buf 
 		}
 		id, err := rk.Rank(img)
 		if err != nil {
-			t.Fatalf("%s: generator %d image %v of node %d: %v", imp.Super().Name, gi, img, u, err)
+			t.Fatalf("%s: generator %d image %v of node %d: %v", imp.nameStr, gi, img, u, err)
 		}
 		buf = append(buf, id)
 	}

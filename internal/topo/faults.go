@@ -149,8 +149,3 @@ func (fs *FaultSet) Len() (links, nodes int) {
 	s := fs.live.Load()
 	return len(s.links), len(s.nodes)
 }
-
-// Reset clears all faults and bumps the epoch once.
-func (fs *FaultSet) Reset() {
-	fs.mutate(func(s *faultSnap) { *s = faultSnap{} })
-}

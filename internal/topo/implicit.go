@@ -21,7 +21,6 @@ import (
 // tables and safe for concurrent use; Label and ID are not (they reuse label
 // scratch).
 type Implicit struct {
-	s        *core.SuperIP
 	rk       *core.Ranker
 	degree   int
 	directed bool
@@ -39,7 +38,6 @@ func NewImplicit(s *core.SuperIP) (*Implicit, error) {
 	}
 	ip := s.IPGraph()
 	return &Implicit{
-		s:        s,
 		rk:       rk,
 		degree:   len(ip.Gens),
 		directed: !perm.ClosedUnderInverse(ip.Gens),
@@ -47,12 +45,6 @@ func NewImplicit(s *core.SuperIP) (*Implicit, error) {
 		nameStr:  s.Name,
 	}, nil
 }
-
-// Super returns the underlying super-IP specification.
-func (t *Implicit) Super() *core.SuperIP { return t.s }
-
-// Ranker returns the id <-> label bijection the topology runs on.
-func (t *Implicit) Ranker() *core.Ranker { return t.rk }
 
 // N returns A * M^l (Theorem 3.2 / Section 3.5) without enumeration.
 func (t *Implicit) N() int64 { return t.rk.N() }
