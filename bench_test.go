@@ -618,7 +618,7 @@ func BenchmarkRunUniformProbed(b *testing.B) {
 }
 
 // BenchmarkRunFaulty measures the degraded-mode simulator under a live
-// fault plan (reroutes, retransmissions, detours included).
+// fault plan (reroutes, detours and drops included).
 func BenchmarkRunFaulty(b *testing.B) {
 	cfg, _ := netsimBench(b)
 	plan, err := netsim.RandomFaults{

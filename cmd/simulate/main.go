@@ -22,8 +22,8 @@
 //
 // -faults caps how many random faults strike; -mtbf sets the mean cycles
 // between fault arrivals; -repair heals each fault after that many cycles
-// (0 = permanent). Faulty runs print loss/retransmission/reroute columns
-// and the latency inflation against the fault-free baseline.
+// (0 = permanent). Faulty runs print loss, hop-limit-drop and reroute
+// columns and the latency inflation against the fault-free baseline.
 //
 // Faults compose with -implicit: the plan is drawn in id space and the
 // algebraic router is wrapped in the fault-aware rerouter, so degraded-mode
@@ -91,29 +91,27 @@ import (
 // the current run.
 type registryProbe struct {
 	obs.NopProbe
-	reg           *obs.Registry
-	cycle         *obs.Gauge
-	queued        *obs.Gauge
-	injected      *obs.Counter
-	delivered     *obs.Counter
-	dropped       *obs.Counter
-	retransmitted *obs.Counter
-	faults        *obs.Counter
-	latency       *obs.Hist
+	reg       *obs.Registry
+	cycle     *obs.Gauge
+	queued    *obs.Gauge
+	injected  *obs.Counter
+	delivered *obs.Counter
+	dropped   *obs.Counter
+	faults    *obs.Counter
+	latency   *obs.Hist
 }
 
 func newRegistryProbe() *registryProbe {
 	reg := obs.NewRegistry()
 	return &registryProbe{
-		reg:           reg,
-		cycle:         reg.Gauge("cycle"),
-		queued:        reg.Gauge("queued"),
-		injected:      reg.Counter("injected"),
-		delivered:     reg.Counter("delivered"),
-		dropped:       reg.Counter("dropped"),
-		retransmitted: reg.Counter("retransmitted"),
-		faults:        reg.Counter("faults"),
-		latency:       reg.Hist("latency"),
+		reg:       reg,
+		cycle:     reg.Gauge("cycle"),
+		queued:    reg.Gauge("queued"),
+		injected:  reg.Counter("injected"),
+		delivered: reg.Counter("delivered"),
+		dropped:   reg.Counter("dropped"),
+		faults:    reg.Counter("faults"),
+		latency:   reg.Hist("latency"),
 	}
 }
 
@@ -139,8 +137,6 @@ func (p *registryProbe) Drop(_ int, _ int64, _ int64, reason obs.DropReason) {
 		p.queued.Add(-1)
 	}
 }
-
-func (p *registryProbe) Retransmit(int, int64, int64, int) { p.retransmitted.Inc() }
 
 func (p *registryProbe) Fault(_ int, _, _ int64, _ bool, down bool) {
 	if down {
@@ -384,12 +380,11 @@ func freeRow(ratio int, rate float64, st netsim.Stats) string {
 		ratio, rate, st.Injected, st.Delivered, st.Expired, st.AvgLatency, st.MaxLatency)
 }
 
-// faultyHeader is the degraded-mode header. The paths differ in two
-// columns: retransmissions or hop-limit drops, and latency inflation or
-// detoured deliveries.
-func faultyHeader(drops, degraded string) string {
-	return fmt.Sprintf("%-8s %-8s %-10s %-10s %-6s %-8s %-6s %-10s %-9s %-9s %-9s",
-		"ratio", "rate", "injected", "delivered", "lost", "expired", drops, "avg-lat", degraded, "reroutes", "detours")
+// faultyHeader is the degraded-mode header. The paths differ in one
+// column: latency inflation or detoured deliveries.
+func faultyHeader(degraded string) string {
+	return fmt.Sprintf("%-8s %-8s %-10s %-10s %-6s %-8s %-9s %-10s %-9s %-9s %-9s",
+		"ratio", "rate", "injected", "delivered", "lost", "expired", "hop-drops", "avg-lat", degraded, "reroutes", "detours")
 }
 
 func printPlan(plan *netsim.FaultPlan, rf netsim.RandomFaults) {
@@ -610,11 +605,11 @@ func (s *sweep) materialized(net *superip.Net, netName string, dim, module, rows
 		}
 		return nil
 	}
-	s.header = faultyHeader("retx", "lat-infl")
+	s.header = faultyHeader("lat-infl")
 	s.run = func(ratio int, rate float64, seed int64, pb obs.Probe) (runOutcome, error) {
 		fs, _, err := netsim.RunFaultyWithBaseline(config(ratio, rate, seed, pb), netsim.FaultConfig{Plan: plan})
-		row := fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-6d %-8d %-6d %-10.2f %-9.2f %-9d %-9d",
-			ratio, rate, fs.Injected, fs.Delivered, fs.Lost, fs.Expired, fs.Retransmitted,
+		row := fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-6d %-8d %-9d %-10.2f %-9.2f %-9d %-9d",
+			ratio, rate, fs.Injected, fs.Delivered, fs.Lost, fs.Expired, fs.HopLimitDrops,
 			fs.AvgLatency, fs.LatencyInflation, fs.RerouteEvents, fs.MisroutedHops)
 		return runOutcome{stats: fs, st: fs.Stats, row: row}, err
 	}
@@ -722,7 +717,7 @@ func (s *sweep) implicit(net *superip.Net, rf netsim.RandomFaults, live *obs.Liv
 	if plan == nil {
 		s.header = freeHeader
 	} else {
-		s.header = faultyHeader("drops", "degraded")
+		s.header = faultyHeader("degraded")
 	}
 	s.run = func(ratio int, rate float64, seed int64, pb obs.Probe) (runOutcome, error) {
 		st, err := netsim.RunSharded(netsim.ShardedConfig{
@@ -740,7 +735,7 @@ func (s *sweep) implicit(net *superip.Net, rf netsim.RandomFaults, live *obs.Liv
 		})
 		row := freeRow(ratio, rate, st.Stats)
 		if plan != nil {
-			row = fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-6d %-8d %-6d %-10.2f %-9d %-9d %-9d",
+			row = fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-6d %-8d %-9d %-10.2f %-9d %-9d %-9d",
 				ratio, rate, st.Injected, st.Delivered, st.Lost, st.Expired, st.HopLimitDrops,
 				st.AvgLatency, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops)
 		}

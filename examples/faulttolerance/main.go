@@ -7,8 +7,8 @@
 // The second half runs the *dynamic* counterpart: the packet simulator
 // operates each network through live link failures (netsim.RunFaulty) and
 // reports how throughput and latency degrade as the fault count grows —
-// delivered/lost flows, retransmissions, routing-table repairs, detour hops,
-// and the latency inflation over the fault-free baseline. Everything runs
+// delivered/lost packets, routing-table repairs, detour hops, and the
+// latency inflation over the fault-free baseline. Everything runs
 // from fixed seeds and is fully deterministic.
 package main
 
@@ -141,7 +141,7 @@ func dynamicSweep() {
 	fmt.Printf("(rate %.3g/node/cycle, %d measured cycles, MTBF %d, notify delay 8, seed %d)\n\n",
 		rate, measure, mtbf, seed)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "network\tfaults\tdelivered\tlost\tretx\tavg-lat\tlat-infl\treroutes\tttr\tdetours")
+	fmt.Fprintln(w, "network\tfaults\tdelivered\tlost\tavg-lat\tlat-infl\treroutes\tttr\tdetours")
 	for _, s := range systems {
 		cfg := netsim.Config{Graph: s.g, InjectionRate: rate,
 			WarmupCycles: warmup, MeasureCycles: measure, Seed: seed}
@@ -150,10 +150,7 @@ func dynamicSweep() {
 			log.Fatal(err)
 		}
 		for _, nFaults := range []int{0, 2, 4, 8} {
-			// A timeout comfortably above the worst fault-free latency
-			// keeps retransmissions to genuine losses (the default 64 can
-			// fire spuriously on queueing outliers).
-			fc := netsim.FaultConfig{RetransmitTimeout: 512}
+			var fc netsim.FaultConfig
 			if nFaults > 0 {
 				plan, err := netsim.RandomFaults{MTBF: mtbf, Start: warmup,
 					Horizon: warmup + measure, MaxFaults: nFaults, Seed: seed}.PlanTopo(topo.NewMaterialized(s.g))
@@ -171,16 +168,16 @@ func dynamicSweep() {
 			if base.AvgLatency > 0 {
 				infl = fs.AvgLatency / base.AvgLatency
 			}
-			fmt.Fprintf(w, "%s\t%d\t%d/%d\t%d\t%d\t%.2f\t%.3f\t%d\t%.0f\t%d\n",
+			fmt.Fprintf(w, "%s\t%d\t%d/%d\t%d\t%.2f\t%.3f\t%d\t%.0f\t%d\n",
 				s.name, fs.FaultsInjected, fs.Delivered, fs.Injected, fs.Lost,
-				fs.Retransmitted, fs.AvgLatency, infl, fs.RerouteEvents,
+				fs.AvgLatency, infl, fs.RerouteEvents,
 				fs.MeanTimeToReroute, fs.MisroutedHops)
 		}
 	}
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nReading the table: every measured flow ends delivered or lost;")
+	fmt.Println("\nReading the table: every measured packet ends delivered or lost;")
 	fmt.Println("with faults below the connectivity bound nothing is lost and the")
 	fmt.Println("latency inflation stays within a few percent — the sparse")
 	fmt.Println("inter-module wiring of the super-IP graphs does not make them")

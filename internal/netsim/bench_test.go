@@ -54,7 +54,7 @@ func BenchmarkFaultPlanGen(b *testing.B) {
 }
 
 // BenchmarkRunFaultyQ6 prices the degraded-mode loop (reroutes, detours,
-// retransmissions) against BenchmarkRunQ6.
+// drops) against BenchmarkRunQ6.
 func BenchmarkRunFaultyQ6(b *testing.B) {
 	g, err := (networks.Hypercube{Dim: 6}).Build()
 	if err != nil {

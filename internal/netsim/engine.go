@@ -7,8 +7,8 @@
 // one future-arrival ring, one injection sampler, and one per-cycle phase
 // order
 //
-//	tick → apply topology changes → deliver arrivals → fire retransmission
-//	timers → inject (or test the drain break) → advance links
+//	tick → apply topology changes → deliver arrivals → inject (or test
+//	the drain break) → advance links
 //
 // with one wiring: the lane runner in sharded.go, whose lanes (simLane)
 // embed the engine and supply the parts that differ as plain methods.
@@ -19,17 +19,18 @@
 // single-lane runs, RunSharded a multi-lane one. Every run takes its link
 // periods from one module rule (a link between two modules costs
 // OffModulePeriod, any other link 1; built graphs name their modules with
-// a Partition). What only built graphs need (the BFS-table route hook and
-// the flow layer of a degraded RunFaulty) enters the lane runner through
-// one per-run options struct.
+// a Partition). What only built graphs need (the BFS-table route hook)
+// enters the lane runner through one per-run options struct.
 //
 // Degraded-mode rule: a run is degraded iff its fault plan is non-empty.
 // Only a degraded run runs the fault phases (topology changes, dead
-// arrivals, blocked links, and on built graphs retransmission timers) and
-// drops a packet it cannot route or that exceeds the hop watchdog. A run
-// that is not degraded skips those phases, so it pays nothing for fault
-// tolerance, and a packet it cannot route is a hard error. What a degraded
-// run does beyond that is documented on RunFaulty and RunImplicitFaulty.
+// arrivals, blocked links) and drops a packet it cannot route or that
+// exceeds the hop watchdog. A run that is not degraded skips those phases,
+// so it pays nothing for fault tolerance, and a packet it cannot route is a
+// hard error. Loss rule, one for every run: a dropped measured packet
+// counts in Lost once, and each packet has one id, one Inject event and at
+// most one terminal Deliver or Drop event. What a degraded run does beyond
+// that is documented on RunFaulty and RunImplicitFaulty.
 //
 // Drain rule, one for every run: once injection has stopped, the run ends
 // at the first cycle that has no measured packet in flight and lies past
@@ -51,10 +52,9 @@ import (
 	"repro/internal/topo"
 )
 
-// epacket is the one in-flight packet representation. ttl backs a
-// degraded RunFaulty's detour budget, hops the hop watchdog, and degraded
-// the detoured-delivery counter. Under RunFaulty's flow layer, id doubles
-// as the flow sequence number.
+// epacket is the one in-flight packet representation. id is unique in its
+// run, ttl backs a degraded RunFaulty's detour budget, hops the hop
+// watchdog, and degraded the detoured-delivery counter.
 type epacket struct {
 	id       int64
 	dst      int64
@@ -82,8 +82,7 @@ type earrival struct {
 // engine is the clock/link/arrival core of one lane: every simLane embeds
 // one, and the lane runner is the only code that builds them. The per-cycle
 // phases call the lane directly; the fault phases (topology changes, dead
-// arrivals, blocked links) run only when the run is degraded, and the
-// retransmission phase only under a flow layer.
+// arrivals, blocked links) run only when the run is degraded.
 type engine struct {
 	pb         obs.Probe
 	store      *sparseLinks
@@ -129,9 +128,9 @@ func (ln *simLane) loop() (int, error) {
 }
 
 // step executes one cycle of the clock loop: tick, topology changes,
-// arrivals, retransmission timers, injection (or the drain break), link
-// advance. The multi-lane coordinator drives lanes through it window by
-// window; loop() is the single-lane clock. stop reports the drain break.
+// arrivals, injection (or the drain break), link advance. The multi-lane
+// coordinator drives lanes through it window by window; loop() is the
+// single-lane clock. stop reports the drain break.
 func (ln *simLane) step(now int) (stop bool, err error) {
 	if ln.pb != nil {
 		ln.pb.Tick(now)
@@ -152,11 +151,6 @@ func (ln *simLane) step(now int) (stop bool, err error) {
 		}
 	}
 	ln.ring[slot] = ln.ring[slot][:0]
-	if ln.flows != nil {
-		if err := ln.fireRetries(now); err != nil {
-			return false, err
-		}
-	}
 	if now < ln.total {
 		if err := ln.inject(now); err != nil {
 			return false, err
@@ -170,7 +164,7 @@ func (ln *simLane) step(now int) (stop bool, err error) {
 	return false, nil
 }
 
-// enqueue routes one packet copy at node `at`: deliver it, drop it on the
+// enqueue routes one packet at node `at`: deliver it, drop it on the
 // hop watchdog, or append it to the next hop's link FIFO.
 func (ln *simLane) enqueue(now int, at int64, pkt epacket) error {
 	if pkt.dst == at {

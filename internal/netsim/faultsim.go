@@ -1,6 +1,6 @@
 // Fault-tolerant operation: RunFaulty executes the packet simulator while a
-// FaultPlan kills (and possibly heals) links and nodes mid-run. Three layers
-// keep traffic flowing, mirroring how real interconnects operate through
+// FaultPlan kills (and possibly heals) links and nodes mid-run. Two layers
+// keep traffic flowing, mirroring how real interconnects route around
 // failures:
 //
 //  1. Fault-adaptive routing. Built graphs route only by per-destination
@@ -13,36 +13,31 @@
 //  2. Local detour. A packet whose tabled next hop is dead (stale table, or
 //     no live minimal hop at all) misroutes to a random live neighbor,
 //     spending one unit of a bounded detour TTL; when the TTL or all
-//     neighbors are exhausted the copy is dropped.
-//  3. End-to-end reliability. Every packet is a flow tracked at its source:
-//     if no copy reaches the destination within a timeout the source
-//     retransmits with exponential backoff, up to MaxRetries; destinations
-//     suppress duplicate copies by sequence number. A hop-count watchdog
-//     kills livelocked copies, and flows whose endpoints are disconnected
-//     are detected and reported.
+//     neighbors are exhausted the packet is dropped.
+//
+// There is no recovery protocol: a dropped packet is lost, and a hop-count
+// watchdog drops livelocked packets, exactly as on implicit and sharded
+// runs. Every measured packet ends Delivered, Lost (dropped) or Expired
+// (still in flight at the drain deadline), so Injected = Delivered + Lost +
+// Expired, and each packet has one id, one Inject event and at most one
+// Deliver or Drop.
 //
 // The plan itself comes from the generator and check every topology uses:
 // RandomFaults.PlanTopo over topo.NewMaterialized(g), or a hand-built plan,
 // validated by ValidateTopo when the lane runner starts.
 //
 // The degraded-mode statistics (FaultStats) extend the fault-free Stats with
-// loss, retransmission, misroute, reroute-latency, and disconnection
-// counters, plus the latency inflation against a fault-free baseline. Every
-// measured flow ends Delivered, Lost (abandoned after MaxRetries) or
-// Expired (still pending at the drain deadline), so Injected = Delivered +
-// Lost + Expired, as on every run.
+// loss, misroute and reroute-latency counters, plus the latency inflation
+// against a fault-free baseline.
 //
-// All three layers exist only in a degraded run (the engine's degraded-mode
+// Both layers exist only in a degraded run (the engine's degraded-mode
 // rule: the plan is non-empty). A run that is not degraded is Run: it
 // builds its tables with nil liveness predicates and routes straight from
-// them, runs no fault phase, has no flow table, arms no retransmission
-// timer, and skips the deadline pass, so Lost is 0 and no DropAbandoned
-// event is emitted.
+// them and runs no fault phase, so Lost is 0.
 //
 // RunFaulty is a single-lane run of the lane runner (sharded.go), like
-// every other entry point. This file holds the two pieces only built
-// graphs plug into it: the BFS-table route hook (bfsRoutes) and the flow
-// layer (flowTable and its lane methods).
+// every other entry point. This file holds the one piece only built graphs
+// plug into it: the BFS-table route hook (bfsRoutes).
 package netsim
 
 import (
@@ -56,21 +51,13 @@ import (
 	"repro/internal/topo"
 )
 
-// FaultConfig parameterizes fault injection and the recovery protocol.
+// FaultConfig parameterizes fault injection and the built-graph routing
+// around faults.
 type FaultConfig struct {
 	// Plan is the fault schedule (nil or empty = fault-free run).
 	Plan *FaultPlan
-	// RetransmitTimeout is the source-side timeout in cycles before the
-	// first retransmission of an undelivered packet; it doubles on every
-	// retry (exponential backoff). 0 selects the default (64).
-	RetransmitTimeout int
-	// MaxRetries bounds retransmissions per flow. 0 selects the default
-	// (8); a negative value disables retransmission entirely: no retry
-	// timer is armed, so a flow ends only at delivery or at the drain
-	// deadline.
-	MaxRetries int
-	// DetourTTL is the per-transmission misroute budget: how many non-
-	// minimal detour hops one copy may take around dead components. 0
+	// DetourTTL is the per-packet misroute budget: how many non-minimal
+	// detour hops one packet may take around dead components. 0
 	// selects the default (16); a negative value disables detours.
 	DetourTTL int
 	// NotifyDelay is how many cycles a topology change takes to reach the
@@ -80,15 +67,6 @@ type FaultConfig struct {
 }
 
 func (fc *FaultConfig) normalize() error {
-	if fc.RetransmitTimeout < 0 {
-		return fmt.Errorf("netsim: negative RetransmitTimeout %d", fc.RetransmitTimeout)
-	}
-	if fc.RetransmitTimeout == 0 {
-		fc.RetransmitTimeout = 64
-	}
-	if fc.MaxRetries == 0 {
-		fc.MaxRetries = 8
-	}
 	if fc.DetourTTL == 0 {
 		fc.DetourTTL = 16
 	} else if fc.DetourTTL < 0 {
@@ -100,22 +78,15 @@ func (fc *FaultConfig) normalize() error {
 	return nil
 }
 
-// FaultStats extends Stats with degraded-mode counters. On a built graph
-// Injected counts measured flows (originals, not retransmissions).
+// FaultStats extends Stats with degraded-mode counters.
 type FaultStats struct {
 	Stats
-	// Lost counts measured traffic given up before the drain deadline: on
-	// a degraded built graph (RunFaulty with a plan), flows abandoned after
-	// MaxRetries retransmissions; on an implicit or sharded run, dropped
-	// measured packets. It never overlaps Expired, so Injected ==
+	// Lost counts measured packets dropped before the drain deadline, for
+	// whatever reason (detour TTL, no route, hop limit, dead router, killed
+	// queue), on every run kind. It never overlaps Expired, so Injected ==
 	// Delivered + Lost + Expired on every run. A run with no plan loses
 	// nothing.
 	Lost int
-	// Retransmitted counts source-side retransmissions of measured flows.
-	Retransmitted int
-	// Duplicates counts copies of measured flows that arrived after the
-	// flow was already delivered (suppressed at the destination).
-	Duplicates int
 	// MisroutedHops counts detour hops taken because the tabled next hop
 	// was dead or no minimal live hop existed.
 	MisroutedHops int
@@ -127,10 +98,6 @@ type FaultStats struct {
 	// change and the (lazy, notification-delayed) rebuild of a table that
 	// change invalidated.
 	MeanTimeToReroute float64
-	// DisconnectedPairs counts measured flows of a degraded built-graph run
-	// that ended undelivered (Lost or Expired) while their source and
-	// destination had no live path.
-	DisconnectedPairs int
 	// FaultsInjected and FaultsRepaired count fault events applied and
 	// healed during the run.
 	FaultsInjected, FaultsRepaired int
@@ -141,104 +108,9 @@ type FaultStats struct {
 	// route that deviated from the primary algebraic route because of
 	// faults (RunImplicitFaulty with a fault-aware router only).
 	DeliveredDegraded int
-	// HopLimitDrops counts measured packets dropped by the MaxHops
-	// watchdog, a subset of Lost (RunImplicitFaulty only; RunFaulty's
-	// watchdog drops copies, which surface as Lost or Retransmitted).
+	// HopLimitDrops counts measured packets dropped by the hop watchdog
+	// (MaxHops; 8·N on a built graph), a subset of Lost.
 	HopLimitDrops int
-}
-
-// flowState is the source-side record backing retransmission. The in-flight
-// copies themselves are epackets whose id is the flow sequence number.
-type flowState struct {
-	src, dst int64
-	born     int
-	timeout  int // current backoff value
-	attempt  int // retransmissions performed
-	measured bool
-	done     bool // delivered or abandoned
-}
-
-// flowTable is a degraded RunFaulty's flow layer: one flowState per
-// injected packet, indexed by its id, and the retransmission schedule.
-type flowTable struct {
-	flows   []flowState
-	retryAt map[int][]int32
-}
-
-// open records a new flow and arms its first retransmission timer.
-func (ft *flowTable) open(now int, src, dst int64, measured bool, fc FaultConfig) {
-	ft.flows = append(ft.flows, flowState{src: src, dst: dst, born: now,
-		timeout: fc.RetransmitTimeout, measured: measured})
-	if fc.MaxRetries >= 0 {
-		t := now + fc.RetransmitTimeout
-		ft.retryAt[t] = append(ft.retryAt[t], int32(len(ft.flows)-1))
-	}
-}
-
-// fireRetries retransmits every pending flow whose timer expires now, with
-// exponential backoff, and abandons flows out of retries.
-func (ln *simLane) fireRetries(now int) error {
-	ft, fc, pb := ln.flows, ln.run.o.fc, ln.pb
-	seqs, hit := ft.retryAt[now]
-	if !hit {
-		return nil
-	}
-	for _, seq := range seqs {
-		f := &ft.flows[seq]
-		if f.done {
-			continue
-		}
-		if f.attempt >= fc.MaxRetries {
-			if ln.abandon(now, seq) {
-				ln.st.Lost++
-				ln.inFlight--
-			}
-			continue
-		}
-		f.attempt++
-		if f.measured {
-			ln.st.Retransmitted++
-		}
-		if pb != nil {
-			pb.Retransmit(now, int64(seq), f.src, f.attempt)
-		}
-		f.timeout *= 2
-		ft.retryAt[now+f.timeout] = append(ft.retryAt[now+f.timeout], seq)
-		if !ln.faults.NodeDown(f.src) {
-			if err := ln.enqueue(now, f.src, epacket{id: int64(seq), dst: f.dst,
-				born: now, ttl: fc.DetourTTL, measured: f.measured}); err != nil {
-				return err
-			}
-		}
-	}
-	delete(ft.retryAt, now)
-	return nil
-}
-
-// abandon ends a pending flow undelivered and reports whether it was
-// measured. The probe hears of it, and a measured flow whose endpoints have
-// no live path counts in DisconnectedPairs.
-func (ln *simLane) abandon(now int, seq int32) bool {
-	f := &ln.flows.flows[seq]
-	f.done = true
-	if pb := ln.pb; pb != nil {
-		pb.Drop(now, int64(seq), f.src, obs.DropAbandoned)
-	}
-	if f.measured && !ln.tables.connected(f.src, f.dst) {
-		ln.st.DisconnectedPairs++
-	}
-	return f.measured
-}
-
-// expireFlows is the deadline pass: it abandons the flows still pending
-// when the run ends. The measured ones stay in the lane's inFlight, which
-// laneRun.stats counts in Expired, as on every run.
-func (ln *simLane) expireFlows() {
-	for seq := range ln.flows.flows {
-		if !ln.flows.flows[seq].done {
-			ln.abandon(ln.deadline, int32(seq))
-		}
-	}
 }
 
 // bfsRoutes is the route hook of built graphs: per-destination next-hop
@@ -347,9 +219,9 @@ func (b *bfsRoutes) up(u, v int32) bool {
 	return b.fs == nil || !b.nodeDead(v) && !b.linkDead(u, v)
 }
 
-// next picks the forwarding hop for a copy at node at64: the (possibly
+// next picks the forwarding hop for a packet at node at64: the (possibly
 // stale) table's hop when it is live, else a detour. ok=false means the
-// copy was dropped; the source timeout recovers the flow.
+// packet was dropped and counted lost.
 func (b *bfsRoutes) next(now int, at64 int64, pkt *epacket) (int64, bool, error) {
 	at, dst := int32(at64), int32(pkt.dst)
 	b.sync()
@@ -381,23 +253,17 @@ func (b *bfsRoutes) next(now int, at64 int64, pkt *epacket) (int64, bool, error)
 	return int64(live[b.ln.rng.Intn(len(live))]), true, nil
 }
 
-// connected reports whether src and dst are live and joined by a live path.
-func (b *bfsRoutes) connected(src, dst int64) bool {
-	b.sync()
-	return !b.nodeDead(int32(src)) && !b.nodeDead(int32(dst)) &&
-		route.BFSNextHops(b.g, int32(dst), b.nodeDead, b.linkDead)[src] >= 0
-}
-
 // RunFaulty executes the simulation under cfg while applying fc.Plan, as a
 // single-lane run of the lane runner. Run is RunFaulty with an empty plan.
 // The run follows the engine's degraded-mode rule, so with a nil or empty
 // plan it is not degraded and none of the fault machinery exists: no
-// liveness, no flow table, no retransmission timers, and fc's protocol
-// parameters have no effect. The hop watchdog allows 8·N hops; a packet
-// exceeding it aborts a run that is not degraded and loses a copy of a
-// degraded one (the flow recovers at its source). Like every run, it ends
-// at the first cycle after injection stops with no measured packet (flow)
-// pending and the plan's last event past, or at the drain deadline.
+// liveness, no detours, and fc's routing parameters have no effect. In a
+// degraded run a packet that cannot be forwarded is dropped and counted in
+// Lost, as on every run. The hop watchdog allows 8·N hops; a packet
+// exceeding it aborts a run that is not degraded and is dropped (Lost and
+// HopLimitDrops) in a degraded one. Like every run, it ends at the first
+// cycle after injection stops with no measured packet in flight and the
+// plan's last event past, or at the drain deadline.
 func RunFaulty(cfg Config, fc FaultConfig) (FaultStats, error) {
 	if err := cfg.normalize(); err != nil {
 		return FaultStats{}, err

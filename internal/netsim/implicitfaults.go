@@ -8,9 +8,9 @@
 // absorb the failures in O(route length) work per affected packet. Fault
 // notification is immediate — the fault set IS the topology's liveness, and
 // the router's epoch check purges stale cached routes the moment it changes
-// — so there is no NotifyDelay and no retransmission protocol; a packet that
-// cannot be rerouted (destination dead, region disconnected, or hop budget
-// exhausted) is dropped and counted rather than recovered end-to-end.
+// — so there is no NotifyDelay. A packet that cannot be rerouted
+// (destination dead, region disconnected, or hop budget exhausted) is
+// dropped and counted in Lost, by the loss rule every run follows.
 //
 // This file holds the fault-side contracts and the RunImplicitFaulty
 // adapter; the engine wiring is the lane runner (sharded.go).

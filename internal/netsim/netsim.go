@@ -54,8 +54,8 @@ type Config struct {
 	// BitComplement, Hotspot.
 	Pattern PatternFunc
 	// Probe, when non-nil, receives per-event callbacks during the run
-	// (injection, queueing, transmission, delivery, drops, retransmission,
-	// faults, reroutes) — see internal/obs for the hook contract and the
+	// (injection, queueing, transmission, delivery, drops, faults,
+	// reroutes) — see internal/obs for the hook contract and the
 	// built-in collectors. A nil Probe costs nothing: every hook sits
 	// behind a nil check, and an uninstrumented run reproduces its Stats
 	// bit for bit. Probes must not mutate simulator state.

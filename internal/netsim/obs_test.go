@@ -19,6 +19,7 @@ import (
 	"repro/internal/networks"
 	"repro/internal/obs"
 	"repro/internal/superip"
+	"repro/internal/topo"
 )
 
 // goldenHSNConfig is the fixed run the bit-for-bit regression tests pin.
@@ -96,12 +97,16 @@ func TestNilProbeGoldenParity(t *testing.T) {
 	// 2404 injected, latency 3.0424292845257903, max 964, 4 retransmitted,
 	// 107 misrouted hops, 160 reroutes, 34.425 cycles to reroute; the 964
 	// was a flow towards node 7, which dies at 500, delivered after its
-	// repair at 1100). The max latency of 67 is a flow 23 -> 4 injected at
-	// cycle 499 and delivered at 566 by its one retransmission.
-	if fs.Injected != 2342 || fs.Delivered != 2342 || fs.Expired != 0 ||
-		fs.AvgLatency != 2.671221178479932 || fs.MaxLatency != 67 ||
-		fs.Throughput != 0.048791666666666664 || fs.Lost != 0 || fs.Retransmitted != 1 ||
-		fs.Duplicates != 0 || fs.MisroutedHops != 26 || fs.RerouteEvents != 158 ||
+	// repair at 1100). Re-recorded again when the retransmission layer was
+	// deleted (was 2342 delivered, latency 2.671221178479932, max 67, 0
+	// lost, 1 retransmitted: the 67 was a packet 23 -> 4 injected at cycle
+	// 499 and delivered at 566 by its one retransmission; that packet is
+	// now the one lost, dropped at node 7 as it died). The misroute and
+	// reroute counters did not move.
+	if fs.Injected != 2342 || fs.Delivered != 2341 || fs.Expired != 0 ||
+		fs.AvgLatency != 2.6437419906023067 || fs.MaxLatency != 16 ||
+		fs.Throughput != 0.04877083333333333 || fs.Lost != 1 ||
+		fs.MisroutedHops != 26 || fs.RerouteEvents != 158 ||
 		fs.MeanTimeToReroute != 37.70253164556962 ||
 		fs.FaultsInjected != 3 || fs.FaultsRepaired != 2 {
 		t.Fatalf("RunFaulty diverged from pre-instrumentation golden stats: %+v", fs)
@@ -265,36 +270,36 @@ func TestExpiredCountsUndrainedPackets(t *testing.T) {
 	}
 }
 
-// TestExpiredFaultyDeadlineLosses: flows still pending at the drain
-// deadline count in Expired, not in Lost, so Injected = Delivered + Lost +
-// Expired as on every run. With retransmission timers that never fire and
-// a partitioned ring, cross-partition flows sit pending until the deadline
-// and nothing is Lost; the harsh ring, drained for only 40 cycles, has both
-// abandoned and pending flows.
+// TestExpiredFaultyDeadlineLosses: packets still in flight at the drain
+// deadline count in Expired and dropped ones in Lost, never both, so
+// Injected = Delivered + Lost + Expired as on every run. On a partitioned
+// ring a cross-partition packet is dropped once its detour TTL runs out, so
+// none of them waits for the deadline; the harsh ring, drained for only 5
+// cycles, has both lost and expired packets.
 func TestExpiredFaultyDeadlineLosses(t *testing.T) {
 	g := mustBuild(t, networks.Ring{Nodes: 16}.Build)
 	plan := (&FaultPlan{}).LinkDown(50, 0, 1, 0).LinkDown(50, 8, 9, 0)
 	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.02, WarmupCycles: 20,
 		MeasureCycles: 600, DrainCycles: 200, Seed: 41},
-		FaultConfig{Plan: plan, RetransmitTimeout: 1 << 20})
+		FaultConfig{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Expired == 0 || fs.Lost != 0 {
-		t.Fatalf("cross-partition flows should expire at the drain deadline, not be lost: %+v", fs)
+	if fs.Lost == 0 || fs.Expired != 0 {
+		t.Fatalf("cross-partition packets should be lost, not expire at the drain deadline: %+v", fs)
 	}
 	if fs.Delivered+fs.Lost+fs.Expired != fs.Injected {
-		t.Fatalf("flow accounting leak: %+v", fs)
+		t.Fatalf("accounting leak: %+v", fs)
 	}
 
 	cfg, fc := harshRing(t)
-	cfg.DrainCycles = 40
+	cfg.DrainCycles = 5
 	if fs, err = RunFaulty(cfg, fc); err != nil {
 		t.Fatal(err)
 	}
-	got := [5]int{fs.Injected, fs.Delivered, fs.Lost, fs.Expired, fs.DisconnectedPairs}
-	if want := [5]int{1094, 458, 359, 277, 190}; got != want {
-		t.Fatalf("harsh ring, 40-cycle drain: Injected, Delivered, Lost, Expired, DisconnectedPairs = %v, want %v",
+	got := [4]int{fs.Injected, fs.Delivered, fs.Lost, fs.Expired}
+	if want := [4]int{1078, 469, 602, 7}; got != want {
+		t.Fatalf("harsh ring, 5-cycle drain: Injected, Delivered, Lost, Expired = %v, want %v",
 			got, want)
 	}
 }
@@ -302,7 +307,7 @@ func TestExpiredFaultyDeadlineLosses(t *testing.T) {
 // TestTraceLifecyclesBalance runs a faulty scenario with an exhaustive
 // tracer and validates the emitted Chrome trace JSON: it parses, every
 // event carries the mandatory fields, every async track opened at injection
-// is closed exactly once (delivery or abandonment), and the fault timeline
+// is closed exactly once (delivery or drop), and the fault timeline
 // carries the scheduled fault events.
 func TestTraceLifecyclesBalance(t *testing.T) {
 	g := mustBuild(t, networks.Torus2D{Rows: 6, Cols: 6}.Build)
@@ -387,4 +392,128 @@ type rerouteRecorder struct {
 func (r *rerouteRecorder) Reroute(_ int, _ int64, lag int) {
 	r.events++
 	r.lagSum += int64(lag)
+}
+
+// lifeProbe records every packet's lifecycle by id: its endpoints, how
+// many Inject, Deliver and Drop events it got, and where and why it was
+// dropped. Events for an id that was never injected count in stray.
+type lifeProbe struct {
+	obs.NopProbe
+	pkts  map[int64]*pktLife
+	stray int
+}
+
+type pktLife struct {
+	src, dst           int64
+	measured           bool
+	injects, terminals int
+	dropped            bool
+	dropAt             int64
+	reason             obs.DropReason
+}
+
+func newLifeProbe() *lifeProbe { return &lifeProbe{pkts: map[int64]*pktLife{}} }
+
+func (p *lifeProbe) Inject(_ int, id int64, src, dst int64, measured bool) {
+	l := p.pkts[id]
+	if l == nil {
+		l = &pktLife{src: src, dst: dst, measured: measured}
+		p.pkts[id] = l
+	}
+	l.injects++
+}
+
+func (p *lifeProbe) end(id int64) *pktLife {
+	l := p.pkts[id]
+	if l == nil {
+		p.stray++
+		return &pktLife{}
+	}
+	l.terminals++
+	return l
+}
+
+func (p *lifeProbe) Deliver(_ int, id int64, _ int64, _ int, _ bool) { p.end(id) }
+
+func (p *lifeProbe) Drop(_ int, id int64, at int64, reason obs.DropReason) {
+	l := p.end(id)
+	l.dropped, l.dropAt, l.reason = true, at, reason
+}
+
+// TestOneTerminalEventPerPacket checks the one loss rule on every run
+// kind: a fault-free Run, a degraded RunFaulty (the harsh ring, drained
+// for only 5 cycles so that packets expire too), RunImplicitFaulty, and a
+// 2-shard RunSharded. Every injected id gets exactly one Inject and at
+// most one Deliver or Drop; the measured ids that got neither are exactly
+// Expired, and the measured Delivers and Drops are Delivered and Lost.
+func TestOneTerminalEventPerPacket(t *testing.T) {
+	runs := map[string]func(*lifeProbe) (FaultStats, error){
+		"run/hsn2q3": func(pb *lifeProbe) (FaultStats, error) {
+			cfg := goldenHSNConfig(t)
+			cfg.Probe = pb
+			st, err := Run(cfg)
+			return FaultStats{Stats: st}, err
+		},
+		"runfaulty/ring16/harsh/drain5": func(pb *lifeProbe) (FaultStats, error) {
+			cfg, fc := harshRing(t)
+			cfg.DrainCycles, cfg.Probe = 5, pb
+			return RunFaulty(cfg, fc)
+		},
+		"runimplicitfaulty/q6": func(pb *lifeProbe) (FaultStats, error) {
+			ht := topo.HypercubeTopo{Dim: 6}
+			fs := topo.NewFaultSet()
+			plan := (&FaultPlan{}).LinkDown(40, 0, 1, 0).NodeDown(60, 9, 150).
+				NodeDown(70, 3, 0).LinkDown(70, 5, 7, 120)
+			st, err := RunImplicitFaulty(ImplicitConfig{Topo: ht, InjectionRate: 0.05,
+				WarmupCycles: 30, MeasureCycles: 300, Seed: 5, Probe: pb,
+				Router: topo.NewFaultAware(ht, topo.HypercubeRouter{Dim: 6}, fs)},
+				ImplicitFaultConfig{Plan: plan, Faults: fs})
+			return st.FaultStats, err
+		},
+		"runsharded/q6/faulty/shards2": func(pb *lifeProbe) (FaultStats, error) {
+			for _, sc := range shardScenarios(t) {
+				if sc.name == "q6/faulty" {
+					cfg := sc.cfg
+					cfg.Seed, cfg.Shards, cfg.Probe = 3, 2, pb
+					st, err := RunSharded(cfg)
+					return st.FaultStats, err
+				}
+			}
+			t.Fatal("no q6/faulty sharded scenario")
+			return FaultStats{}, nil
+		},
+	}
+	for name, run := range runs {
+		life := newLifeProbe()
+		st, err := run(life)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if life.stray != 0 {
+			t.Errorf("%s: %d terminal events for ids never injected", name, life.stray)
+		}
+		var delivered, lost, pending int
+		for id, p := range life.pkts {
+			if p.injects != 1 || p.terminals > 1 {
+				t.Errorf("%s: packet %d has %d Inject and %d terminal events", name, id, p.injects, p.terminals)
+			}
+			if !p.measured {
+				continue
+			}
+			switch {
+			case p.terminals == 0:
+				pending++
+			case p.dropped:
+				lost++
+			default:
+				delivered++
+			}
+		}
+		if got, want := [3]int{delivered, lost, pending}, [3]int{st.Delivered, st.Lost, st.Expired}; got != want {
+			t.Errorf("%s: probe counts Delivered, Lost, Expired = %v, stats say %v", name, got, want)
+		}
+		if st.Lost+st.Expired == 0 && name != "run/hsn2q3" {
+			t.Errorf("%s: a degraded case that loses nothing tests nothing: %+v", name, st)
+		}
+	}
 }

@@ -203,12 +203,11 @@ type runOpts struct {
 	script []Injection
 
 	// graph selects the built-graph wiring (RunFaulty, and so Run):
-	// BFS-table routes in place of the lanes' Router, and in a degraded run
-	// the flow layer. Links live in the one link store over the lane's
-	// topology, as on every run.
+	// BFS-table routes in place of the lanes' Router. Links live in the one
+	// link store over the lane's topology, as on every run.
 	graph *graph.Graph
-	// fc is the built-graph recovery protocol (normalized): detour TTL,
-	// notification delay, retransmission.
+	// fc is the built-graph routing around faults (normalized): detour TTL
+	// and notification delay.
 	fc FaultConfig
 }
 
@@ -244,10 +243,8 @@ type simLane struct {
 	log     *obs.EventLog
 	outbox  [][]laneSend // indexed by destination lane; nil in a single-lane run
 
-	// tables routes built graphs; flows is a degraded RunFaulty's flow
-	// layer. Both are nil on implicit runs.
+	// tables routes built graphs; it is nil on implicit runs.
 	tables *bfsRoutes
-	flows  *flowTable
 
 	st         FaultStats
 	latencySum int64
@@ -265,7 +262,7 @@ type simLane struct {
 // configuration minus Shards: for fixed everything-else, every Shards value
 // produces identical ImplicitFaultStats and an identical probe event
 // sequence. With a nil/empty Plan the run follows RunImplicit's semantics;
-// with a plan, RunImplicitFaulty's (drops counted, no retransmission). With
+// with a plan, RunImplicitFaulty's (drops counted in Lost). With
 // Lanes 1 it reproduces those runs exactly.
 func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 	var o runOpts
@@ -392,9 +389,6 @@ func newLanes(cfg ShardedConfig, o runOpts) (*laneRun, []*simLane, error) {
 		ln.store = newSparseLinks(ln.topo)
 		if built {
 			ln.tables = newBFSRoutes(o.graph, ln)
-			if r.degraded {
-				ln.flows = &flowTable{retryAt: map[int][]int32{}}
-			}
 		} else {
 			ln.flagged, _ = ln.router.(flaggedRouter)
 		}
@@ -411,16 +405,10 @@ func (r *laneRun) stats(lanes []*simLane, stop int) ImplicitFaultStats {
 	var latencySum int64
 	inFlight := 0
 	for _, ln := range lanes {
-		if ln.flows != nil {
-			ln.expireFlows()
-		}
 		st.Injected += ln.st.Injected
 		st.Delivered += ln.st.Delivered
 		st.Expired += ln.st.Expired
 		st.Lost += ln.st.Lost
-		st.Retransmitted += ln.st.Retransmitted
-		st.Duplicates += ln.st.Duplicates
-		st.DisconnectedPairs += ln.st.DisconnectedPairs
 		st.DeliveredDegraded += ln.st.DeliveredDegraded
 		st.HopLimitDrops += ln.st.HopLimitDrops
 		if ln.st.MaxLatency > st.MaxLatency {
@@ -463,15 +451,12 @@ func (r *laneRun) stats(lanes []*simLane, stop int) ImplicitFaultStats {
 	return out
 }
 
-// lose drops a packet copy; the probe sees every dropped copy, tagged with
-// where and why it died. Without a flow layer (implicit and sharded runs)
-// a dropped measured packet counts in Lost. Under a flow layer (a degraded
-// built-graph run) a copy is not a packet: its source recovers the flow or
-// abandons it, so only the probe hears of it, and a flow abandoned after
-// its last retry counts in Lost. Either way Injected == Delivered + Lost +
-// Expired.
+// lose drops a packet: a measured one counts in Lost (and, when the hop
+// watchdog killed it, in HopLimitDrops), so Injected == Delivered + Lost +
+// Expired on every run. The probe sees every drop, tagged with where and
+// why the packet died; it is the packet's terminal event.
 func (ln *simLane) lose(now int, at int64, pkt *epacket, reason obs.DropReason) {
-	if pkt.measured && ln.flows == nil {
+	if pkt.measured {
 		ln.st.Lost++
 		ln.inFlight--
 		if reason == obs.DropHopLimit {
@@ -483,27 +468,9 @@ func (ln *simLane) lose(now int, at int64, pkt *epacket, reason obs.DropReason) 
 	}
 }
 
-// deliver accounts a packet that reached its destination. Under a flow
-// layer, late copies of a flow already delivered are suppressed as
-// duplicates, and latency runs from the flow's first injection.
+// deliver accounts a packet that reached its destination.
 func (ln *simLane) deliver(now int, at int64, pkt *epacket) {
-	pb := ln.pb
-	born := pkt.born
-	if ln.flows != nil {
-		f := &ln.flows.flows[pkt.id]
-		if f.done {
-			if f.measured {
-				ln.st.Duplicates++
-			}
-			if pb != nil {
-				pb.Drop(now, pkt.id, at, obs.DropDuplicate)
-			}
-			return
-		}
-		f.done = true
-		born = f.born
-	}
-	lat := now - born
+	lat := now - pkt.born
 	if pkt.measured {
 		ln.st.Delivered++
 		if pkt.degraded {
@@ -515,7 +482,7 @@ func (ln *simLane) deliver(now int, at int64, pkt *epacket) {
 			ln.st.MaxLatency = lat
 		}
 	}
-	if pb != nil {
+	if pb := ln.pb; pb != nil {
 		pb.Deliver(now, pkt.id, at, lat, pkt.measured)
 	}
 }
@@ -546,7 +513,7 @@ func (ln *simLane) route(now int, at int64, pkt *epacket) (int64, bool, error) {
 
 // hopLimitHit is the livelock watchdog: a hard error unless the run is
 // degraded, where livelock-like trajectories are a property of the fault
-// pattern and the copy is dropped.
+// pattern and the packet is dropped.
 func (ln *simLane) hopLimitHit(now int, at int64, pkt *epacket) error {
 	if !ln.degraded {
 		return fmt.Errorf("netsim: packet for %d exceeded %d hops at %d (router livelock?)", pkt.dst, ln.run.cfg.MaxHops, at)
@@ -616,9 +583,6 @@ func (ln *simLane) emit(now int, src, dst int64) error {
 	ln.nextSeq++
 	if pb := ln.pb; pb != nil {
 		pb.Inject(now, id, src, dst, measured)
-	}
-	if ln.flows != nil {
-		ln.flows.open(now, src, dst, measured, r.o.fc) // id is the flow's sequence number
 	}
 	return ln.enqueue(now, src, epacket{id: id, dst: dst, born: now, ttl: r.o.fc.DetourTTL, measured: measured})
 }
@@ -701,7 +665,7 @@ func (ln *simLane) applyChange(now int, c laneChange) error {
 	return nil
 }
 
-// arrivalDead loses a copy arriving at a dead node.
+// arrivalDead loses a packet arriving at a dead node.
 func (ln *simLane) arrivalDead(now int, node int64, pkt *epacket) bool {
 	if ln.faults.NodeDown(node) {
 		ln.lose(now, node, pkt, obs.DropDeadRouter)

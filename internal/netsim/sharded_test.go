@@ -33,9 +33,6 @@ func (r *recProbe) Deliver(c int, id int64, node int64, lat int, m bool) {
 func (r *recProbe) Drop(c int, id int64, at int64, reason obs.DropReason) {
 	r.add(fmt.Sprintf("drop %d %d %d %s", c, id, at, reason))
 }
-func (r *recProbe) Retransmit(c int, id int64, src int64, n int) {
-	r.add(fmt.Sprintf("retx %d %d %d %d", c, id, src, n))
-}
 func (r *recProbe) Fault(c int, u, v int64, node, down bool) {
 	r.add(fmt.Sprintf("fault %d %d %d %v %v", c, u, v, node, down))
 }

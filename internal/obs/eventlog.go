@@ -19,7 +19,6 @@ const (
 	EvHop
 	EvDeliver
 	EvDrop
-	EvRetransmit
 	EvFault
 	EvReroute
 )
@@ -73,8 +72,6 @@ func (l *EventLog) ReplayCycle(c int, p Probe) {
 			p.Deliver(ev.Cycle, ev.ID, ev.U, ev.A, ev.Flag)
 		case EvDrop:
 			p.Drop(ev.Cycle, ev.ID, ev.U, ev.Reason)
-		case EvRetransmit:
-			p.Retransmit(ev.Cycle, ev.ID, ev.U, ev.A)
 		case EvFault:
 			p.Fault(ev.Cycle, ev.U, ev.V, ev.Flag, ev.Flag2)
 		case EvReroute:
@@ -111,10 +108,6 @@ func (l *EventLog) Deliver(cycle int, id int64, node int64, latency int, measure
 
 func (l *EventLog) Drop(cycle int, id int64, at int64, reason DropReason) {
 	l.events = append(l.events, Event{Kind: EvDrop, Cycle: cycle, ID: id, U: at, Reason: reason})
-}
-
-func (l *EventLog) Retransmit(cycle int, id int64, src int64, attempt int) {
-	l.events = append(l.events, Event{Kind: EvRetransmit, Cycle: cycle, ID: id, U: src, A: attempt})
 }
 
 func (l *EventLog) Fault(cycle int, u, v int64, node, down bool) {

@@ -25,9 +25,6 @@ func (e *echoProbe) Deliver(c int, id int64, node int64, lat int, m bool) {
 func (e *echoProbe) Drop(c int, id int64, at int64, r DropReason) {
 	e.got = append(e.got, fmt.Sprintf("drop:%d:%d:%d:%s", c, id, at, r))
 }
-func (e *echoProbe) Retransmit(c int, id int64, src int64, n int) {
-	e.got = append(e.got, fmt.Sprintf("retx:%d:%d:%d:%d", c, id, src, n))
-}
 func (e *echoProbe) Fault(c int, u, v int64, node, down bool) {
 	e.got = append(e.got, fmt.Sprintf("fault:%d:%d:%d:%v:%v", c, u, v, node, down))
 }
@@ -47,11 +44,10 @@ func TestEventLogReplayCycle(t *testing.T) {
 	l.Hop(1, 1, 2, 5, 6, 3)
 	l.Fault(1, 9, -1, true, true)
 	l.Drop(1, 1, 9, DropDeadRouter)
-	l.Retransmit(2, 1, 2, 1)
 	l.Deliver(2, 7, 3, 11, false)
 	l.Reroute(2, 3, 4)
-	if l.Len() != 8 {
-		t.Fatalf("Len = %d, want 8 (Tick must not be buffered)", l.Len())
+	if l.Len() != 7 {
+		t.Fatalf("Len = %d, want 7 (Tick must not be buffered)", l.Len())
 	}
 
 	e := &echoProbe{}
@@ -62,7 +58,7 @@ func TestEventLogReplayCycle(t *testing.T) {
 	want := []string{
 		"tick:0", "inject:0:1:2:3:true", "enqueue:0:1:2:5:4",
 		"tick:1", "hop:1:1:2:5:6:3", "fault:1:9:-1:true:true", "drop:1:1:9:dead-router",
-		"tick:2", "retx:2:1:2:1", "deliver:2:7:3:11:false", "reroute:2:3:4",
+		"tick:2", "deliver:2:7:3:11:false", "reroute:2:3:4",
 	}
 	if !reflect.DeepEqual(e.got, want) {
 		t.Fatalf("replay order:\n got %q\nwant %q", e.got, want)

@@ -1,13 +1,14 @@
 // Package obs is the observability layer of the packet simulators: a Probe
 // interface that internal/netsim invokes at every interesting event of a run
-// (injection, queueing, link transmission, delivery, drops, retransmission,
-// topology faults, and routing-table rebuilds) plus a set of built-in
-// collectors — log-bucketed latency histograms (LatencyHist), per-link time
-// series with CSV/JSONL export (TimeSeries), the module-aggregated time
-// series, the one per-module view, whose memory is bounded by module count
-// rather than node count (ModuleSeries), a sampled packet-lifecycle tracer emitting Chrome
-// trace-event JSON (Trace), a live progress ticker (Progress), and a
-// concurrency-safe metrics registry for long-running processes (Registry).
+// (injection, queueing, link transmission, delivery, drops, topology
+// faults, and routing-table rebuilds) plus a set of built-in collectors:
+// log-bucketed latency histograms (LatencyHist); per-link time series with
+// CSV/JSONL export (TimeSeries); the module-aggregated time series
+// (ModuleSeries), the one per-module view, whose memory is bounded by the
+// module count rather than the node count; a sampled packet-lifecycle
+// tracer emitting Chrome trace-event JSON (Trace); a live progress ticker
+// (Progress); and a concurrency-safe metrics registry for long-running
+// processes (Registry).
 //
 // The layer is zero-overhead when disabled: netsim guards every hook with a
 // nil check, so an uninstrumented run executes no obs code at all and
@@ -26,19 +27,19 @@
 // Every netsim entry point (Run, RunFaulty, RunFaultyWithBaseline,
 // RunImplicit, RunImplicitFaulty, RunSharded) is a run of one engine
 // wiring, so the hooks fire in the same per-cycle phase order everywhere:
-// Tick, then topology changes, arrivals, retransmission timers, injection
-// and link advance (a multi-lane run replays each cycle lane by lane, in
-// lane order). Every run allocates link FIFOs lazily (a directed link
-// exists in memory only while it holds or recently carried a packet), but
+// Tick, then topology changes, arrivals, injection and link advance (a
+// multi-lane run replays each cycle lane by lane, in lane order). Every
+// run allocates link FIFOs lazily (a directed link exists in memory only
+// while it holds or recently carried a packet), but
 // the contract is unchanged — Enqueue fires when a packet joins the FIFO of
 // a directed link, Hop when the link starts transmitting — so collectors
-// cannot tell a lazily allocated link from a preallocated one. What
-// differs is the routing and recovery layer plugged in: only a degraded
-// netsim.RunFaulty has a flow layer, so only it emits Retransmit,
-// DropDuplicate and DropAbandoned and reuses a flow's id for its copies
-// (elsewhere ids are unique per packet); only built-graph runs own routing
-// tables, so only they emit Reroute (implicit runs repair routes inside
-// the router and report it through RouterStats instead).
+// cannot tell a lazily allocated link from a preallocated one. Every run
+// gives each packet a unique id, so a packet has exactly one Inject and at
+// most one terminal event, Deliver or Drop; a packet with neither was
+// still in flight when the run ended. What differs is the routing layer
+// plugged in: only built-graph runs own routing tables, so only they emit
+// Reroute (implicit runs repair routes inside the router and report it
+// through RouterStats instead).
 package obs
 
 import (
@@ -48,28 +49,22 @@ import (
 	"time"
 )
 
-// DropReason classifies why the simulator discarded a packet copy. Drops
+// DropReason classifies why the simulator discarded a packet. Drops
 // only occur in degraded runs (netsim.RunFaulty / RunImplicitFaulty with a
 // non-empty fault plan); fault-free runs never drop.
 type DropReason uint8
 
 const (
-	// DropTTL: the copy exhausted its detour budget around dead components.
+	// DropTTL: the packet exhausted its detour budget around dead components.
 	DropTTL DropReason = iota
-	// DropNoRoute: no live neighbor existed to forward or detour to.
+	// DropNoRoute: no live neighbor or route existed to forward it by.
 	DropNoRoute
-	// DropHopLimit: the livelock watchdog killed a copy that hopped too long.
+	// DropHopLimit: the livelock watchdog killed a packet that hopped too long.
 	DropHopLimit
-	// DropDeadRouter: the copy arrived at a node that had died in transit.
+	// DropDeadRouter: the packet arrived at a node that had died in transit.
 	DropDeadRouter
-	// DropQueueKilled: the copy sat queued at a node when the node died.
+	// DropQueueKilled: the packet sat queued at a node when the node died.
 	DropQueueKilled
-	// DropDuplicate: the copy reached a destination that had already
-	// accepted another copy of the same flow (suppressed, not an error).
-	DropDuplicate
-	// DropAbandoned: the source gave up on the flow (MaxRetries exceeded or
-	// the drain deadline hit). This is the terminal event of a lost flow.
-	DropAbandoned
 )
 
 func (r DropReason) String() string {
@@ -84,24 +79,18 @@ func (r DropReason) String() string {
 		return "dead-router"
 	case DropQueueKilled:
 		return "queue-killed"
-	case DropDuplicate:
-		return "duplicate"
-	case DropAbandoned:
-		return "abandoned"
 	}
 	return fmt.Sprintf("drop(%d)", uint8(r))
 }
 
 // Probe receives simulator events. All hooks run synchronously inside the
 // simulation loop, so implementations should be cheap; heavy rendering
-// belongs after the run. Packet ids are stable per run: every injected
-// packet gets a fresh id, and in a degraded netsim.RunFaulty that id is the
-// flow sequence number, shared by the original transmission and all its
-// retransmitted copies.
+// belongs after the run. Packet ids are unique per run: every injected
+// packet gets a fresh id, which all of its events carry.
 type Probe interface {
 	// Tick fires once per simulated cycle, before that cycle's events.
 	Tick(cycle int)
-	// Inject fires when a node sources a new packet (not retransmissions).
+	// Inject fires when a node sources a new packet.
 	Inject(cycle int, id int64, src, dst int64, measured bool)
 	// Enqueue fires when a packet joins the FIFO of the directed link
 	// at -> next; qlen is the queue length including the new packet.
@@ -113,12 +102,9 @@ type Probe interface {
 	// Deliver fires when the destination accepts a packet; latency is in
 	// cycles since injection.
 	Deliver(cycle int, id int64, node int64, latency int, measured bool)
-	// Drop fires when a copy (or, for DropAbandoned, a whole flow) is
-	// discarded at node `at`.
+	// Drop fires when a packet is discarded at node `at`; like Deliver,
+	// it ends the packet.
 	Drop(cycle int, id int64, at int64, reason DropReason)
-	// Retransmit fires when a source re-sends an undelivered flow; attempt
-	// counts retransmissions so far (1 = first retry).
-	Retransmit(cycle int, id int64, src int64, attempt int)
 	// Fault fires on topology changes: node is true for node faults (v is
 	// then -1), down is true for a failure and false for a repair.
 	Fault(cycle int, u, v int64, node, down bool)
@@ -139,7 +125,6 @@ func (NopProbe) Enqueue(int, int64, int64, int64, int)  {}
 func (NopProbe) Hop(int, int64, int64, int64, int, int) {}
 func (NopProbe) Deliver(int, int64, int64, int, bool)   {}
 func (NopProbe) Drop(int, int64, int64, DropReason)     {}
-func (NopProbe) Retransmit(int, int64, int64, int)      {}
 func (NopProbe) Fault(int, int64, int64, bool, bool)    {}
 func (NopProbe) Reroute(int, int64, int)                {}
 
@@ -201,12 +186,6 @@ func (m multi) Drop(cycle int, id int64, at int64, reason DropReason) {
 	}
 }
 
-func (m multi) Retransmit(cycle int, id int64, src int64, attempt int) {
-	for _, p := range m {
-		p.Retransmit(cycle, id, src, attempt)
-	}
-}
-
 func (m multi) Fault(cycle int, u, v int64, node, down bool) {
 	for _, p := range m {
 		p.Fault(cycle, u, v, node, down)
@@ -232,7 +211,7 @@ func (m multi) LatencyQuantile(q float64) float64 {
 }
 
 // Progress is a live ticker: every Every cycles it writes one status line
-// (cycle, injected/delivered/dropped/retransmitted counts, the delivered-
+// (cycle, injected/delivered/dropped counts, the delivered-
 // packet rate over the last window, and — when Total is set — an ETA) to W,
 // which defaults to os.Stderr so an uninstrumented CLI run just works and a
 // test can capture the output by injecting a buffer. Every <= 0 disables
@@ -248,11 +227,11 @@ type Progress struct {
 	// drain past Total, at which point the ETA column reads "drain".
 	Total int
 
-	cycle                              int
-	injected, delivered, dropped, retx int64
-	lastPrint                          time.Time
-	lastDelivered                      int64
-	now                                func() time.Time // test hook; nil = time.Now
+	cycle                        int
+	injected, delivered, dropped int64
+	lastPrint                    time.Time
+	lastDelivered                int64
+	now                          func() time.Time // test hook; nil = time.Now
 }
 
 func (p *Progress) Tick(cycle int) {
@@ -290,8 +269,8 @@ func (p *Progress) Tick(cycle int) {
 			}
 		}
 	}
-	fmt.Fprintf(w, "%s: injected %d delivered %d%s dropped %d retx %d%s\n",
-		cycleCol, p.injected, p.delivered, rateCol, p.dropped, p.retx, etaCol)
+	fmt.Fprintf(w, "%s: injected %d delivered %d%s dropped %d%s\n",
+		cycleCol, p.injected, p.delivered, rateCol, p.dropped, etaCol)
 	p.lastPrint, p.lastDelivered = t, p.delivered
 }
 
@@ -299,10 +278,4 @@ func (p *Progress) Inject(int, int64, int64, int64, bool) { p.injected++ }
 
 func (p *Progress) Deliver(int, int64, int64, int, bool) { p.delivered++ }
 
-func (p *Progress) Drop(_ int, _ int64, _ int64, reason DropReason) {
-	if reason != DropDuplicate {
-		p.dropped++
-	}
-}
-
-func (p *Progress) Retransmit(int, int64, int64, int) { p.retx++ }
+func (p *Progress) Drop(int, int64, int64, DropReason) { p.dropped++ }

@@ -112,10 +112,8 @@ func TestProgressTicker(t *testing.T) {
 	p := &Progress{Every: 100, W: &buf}
 	p.Inject(0, 1, 0, 1, true)
 	p.Deliver(3, 1, 1, 3, true)
-	p.Retransmit(5, 2, 0, 1)
 	p.Drop(6, 2, 0, DropTTL)
-	p.Drop(7, 3, 0, DropDuplicate) // suppressed copies are not "dropped"
-	p.Tick(0)                      // cycle 0 never prints
+	p.Tick(0) // cycle 0 never prints
 	p.Tick(50)
 	if buf.Len() != 0 {
 		t.Fatalf("printed off-period: %q", buf.String())
@@ -123,8 +121,7 @@ func TestProgressTicker(t *testing.T) {
 	p.Tick(100)
 	line := buf.String()
 	if !strings.Contains(line, "cycle 100") || !strings.Contains(line, "injected 1") ||
-		!strings.Contains(line, "delivered 1") || !strings.Contains(line, "dropped 1") ||
-		!strings.Contains(line, "retx 1") {
+		!strings.Contains(line, "delivered 1") || !strings.Contains(line, "dropped 1") {
 		t.Fatalf("progress line %q", line)
 	}
 	// Nil writer / zero Every must never panic.
@@ -135,7 +132,6 @@ func TestDropReasonStrings(t *testing.T) {
 	for r, want := range map[DropReason]string{
 		DropTTL: "ttl", DropNoRoute: "no-route", DropHopLimit: "hop-limit",
 		DropDeadRouter: "dead-router", DropQueueKilled: "queue-killed",
-		DropDuplicate: "duplicate", DropAbandoned: "abandoned",
 		DropReason(99): "drop(99)",
 	} {
 		if r.String() != want {
@@ -152,8 +148,8 @@ func TestTraceSamplingAndJSON(t *testing.T) {
 	tr.Deliver(2, 2, 3, 2, true)
 	tr.Drop(3, 1, 0, DropTTL) // unsampled: ignored
 	tr.Fault(5, 0, 1, false, true)
-	tr.Retransmit(6, 2, 1, 1)
-	tr.Drop(7, 2, 1, DropAbandoned)
+	tr.Inject(6, 4, 1, 3, true)
+	tr.Drop(7, 4, 1, DropTTL)
 	tr.Reroute(8, 3, 2)
 	if tr.Len() != 7 {
 		t.Fatalf("recorded %d events, want 7 (sampling filter broken)", tr.Len())

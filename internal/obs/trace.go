@@ -1,11 +1,11 @@
 // Sampled packet-lifecycle tracing in the Chrome trace-event JSON format
 // (load the output in chrome://tracing or https://ui.perfetto.dev). Each
 // sampled packet becomes one nestable async track ("b" at injection, "n"
-// instants per queueing/forwarding event, "e" at delivery or abandonment),
+// instants per queueing event, "e" at delivery or drop),
 // each transmission of a sampled packet becomes a complete ("X") slice on
 // the sending node's row, and fault/repair/reroute events land on a
-// dedicated fault-timeline process so reroute and retransmission storms can
-// be read against the fault schedule. Simulated cycles map 1:1 to trace
+// dedicated fault-timeline process so reroute storms can be read against
+// the fault schedule. Simulated cycles map 1:1 to trace
 // microseconds.
 package obs
 
@@ -36,7 +36,7 @@ type traceEvent struct {
 }
 
 // Trace collects Chrome trace events for a deterministic sample of packets:
-// a packet (flow) is traced when its id is a multiple of SampleEvery
+// a packet is traced when its id is a multiple of SampleEvery
 // (SampleEvery <= 1 traces everything). Fault-timeline events are always
 // recorded. The zero value traces every packet.
 type Trace struct {
@@ -103,36 +103,16 @@ func (t *Trace) Deliver(cycle int, id int64, node int64, latency int, measured b
 	})
 }
 
-// Drop records copy losses as instants and closes the track when the whole
-// flow is abandoned (Probe hook).
+// Drop closes the packet's async track: a drop, like a delivery, ends the
+// packet (Probe hook).
 func (t *Trace) Drop(cycle int, id int64, at int64, reason DropReason) {
 	if !t.sampled(id) {
 		return
 	}
-	if reason == DropAbandoned {
-		t.events = append(t.events, traceEvent{
-			Name: fmt.Sprintf("pkt %d", id), Cat: "packet", Ph: "e",
-			Ts: int64(cycle), Pid: tracePidPackets, Tid: at, ID: id,
-			Args: map[string]any{"dropped": reason.String()},
-		})
-		return
-	}
 	t.events = append(t.events, traceEvent{
-		Name: fmt.Sprintf("pkt %d", id), Cat: "packet", Ph: "n",
+		Name: fmt.Sprintf("pkt %d", id), Cat: "packet", Ph: "e",
 		Ts: int64(cycle), Pid: tracePidPackets, Tid: at, ID: id,
-		Args: map[string]any{"event": "drop", "reason": reason.String(), "at": at},
-	})
-}
-
-// Retransmit marks a source-side retry on the packet's track (Probe hook).
-func (t *Trace) Retransmit(cycle int, id int64, src int64, attempt int) {
-	if !t.sampled(id) {
-		return
-	}
-	t.events = append(t.events, traceEvent{
-		Name: fmt.Sprintf("pkt %d", id), Cat: "packet", Ph: "n",
-		Ts: int64(cycle), Pid: tracePidPackets, Tid: src, ID: id,
-		Args: map[string]any{"event": "retransmit", "attempt": attempt},
+		Args: map[string]any{"dropped": reason.String()},
 	})
 }
 
