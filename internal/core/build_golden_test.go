@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/perm"
+	"repro/internal/symbols"
 )
 
 // buildGolden pins the exact output of both builders: one sha256 per
@@ -81,5 +83,68 @@ func TestBuildGolden(t *testing.T) {
 				t.Errorf("%s %s: digest %s, want %s", name, kind, got, want)
 			}
 		}
+	}
+}
+
+// TestFinishMatchesBuilder checks finish's CSR rows against a graph.Builder
+// realization of the same arc table on every parity-grid instance: both
+// directions of every arc when the generators are closed under inverse, the
+// arc alone otherwise, with sorting and duplicate removal left to
+// Builder.Build.
+func TestFinishMatchesBuilder(t *testing.T) {
+	for name, ip := range parityCases() {
+		_, ix, err := ip.BuildSeq(BuildOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		undirected := perm.ClosedUnderInverse(ip.Gens)
+		b := graph.NewBuilder(ix.N(), !undirected)
+		arcs := make([]int32, 0, ix.N()*len(ip.Gens))
+		buf := make(symbols.Label, len(ip.Seed))
+		for u := int32(0); u < int32(ix.N()); u++ {
+			for _, g := range ip.Gens {
+				g.Apply(buf, ix.Label(u))
+				v := ix.ID(buf)
+				arcs = append(arcs, v)
+				if undirected {
+					b.AddEdge(u, v)
+				} else {
+					b.AddArc(u, v)
+				}
+			}
+		}
+		got, _, err := ip.finish(ix, arcs)
+		if err != nil {
+			t.Fatalf("%s: finish: %v", name, err)
+		}
+		assertIdentical(t, name, b.Build(), ix, got, ix)
+	}
+}
+
+// TestBuildAllocsPerNode bounds the allocations of both builders on the
+// 98,304-node sym-HSN(4;Q3) below N/64: the builders allocate per level and
+// per table growth, and an allocation per node must not creep back.
+func TestBuildAllocsPerNode(t *testing.T) {
+	ip := hsn(4, nucleusQ(3), true).IPGraph()
+	const n = 98304
+	builds := map[string]func(BuildOptions) (*graph.Graph, *Index, error){
+		"BuildSeq": ip.BuildSeq, "Build(Workers: 2)": ip.Build,
+	}
+	for name, build := range builds {
+		var nodes int
+		allocs := testing.AllocsPerRun(1, func() {
+			g, _, err := build(BuildOptions{Workers: 2})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			nodes = g.N()
+		})
+		if nodes != n {
+			t.Fatalf("%s: built %d nodes, want %d", name, nodes, n)
+		}
+		if allocs >= n/64 {
+			t.Errorf("%s: %.0f allocations, want fewer than N/64 = %d", name, allocs, n/64)
+		}
+		t.Logf("%s: %.0f allocations for %d nodes", name, allocs, n)
 	}
 }

@@ -29,16 +29,16 @@ type LevelStats struct {
 	// Expand/Dedup/Assign/Publish are the wall times of the four
 	// barrier-separated phases of the level.
 	Expand, Dedup, Assign, Publish time.Duration
-	// CandidateArenaBytes counts bytes handed out by the per-worker
-	// candidate label arenas since the build started (cumulative; the
-	// blocks themselves are recycled by GC level to level), and
-	// InternArenaBytes the bytes resident in the permanent label arena —
-	// together the build's label-storage story.
+	// CandidateArenaBytes counts the candidate label bytes the expansion
+	// workers buffered since the build started (cumulative; each worker
+	// reuses its buffer level to level), and InternArenaBytes the bytes of
+	// the Index's label store, where every interned label lives back to
+	// back — together the build's label-storage story.
 	CandidateArenaBytes int64
 	InternArenaBytes    int64
-	// Shards is the intern-table shard count and MaxShardLoad the label
-	// count of the fullest shard after publication — a direct view of how
-	// evenly the FNV-1a sharding spreads the label space.
+	// Shards is the intern-table count and MaxShardLoad the label count of
+	// the fullest table after publication — a direct view of how evenly
+	// the FNV-1a hash spreads the label space over the tables.
 	Shards       int
 	MaxShardLoad int
 }

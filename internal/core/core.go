@@ -17,9 +17,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/perm"
@@ -69,31 +72,59 @@ func (ip *IPGraph) Validate() error {
 // makes builds deterministic: the parallel builder assigns exactly the same
 // ids as the sequential one (see parallel.go).
 //
-// Internally the key->id map is hash-sharded (power-of-two shard count) so
-// the parallel builder can intern labels from many goroutines without a
-// global lock; a sequentially built Index uses a single shard and skips
-// hashing entirely.
+// Every label has the seed's length k, so the labels live back to back in
+// one byte slice, node id's label at labels[id*k:]. Lookups go through a
+// power-of-two number of intern tables: one FNV-1a hash per label picks the table with its
+// low bits and the slot with its high bits, so the parallel builder can
+// probe and fill disjoint tables from many goroutines without a lock. A
+// sequentially built Index has a single table.
 type Index struct {
-	mask   uint32
-	shards []map[string]int32
-	labels []symbols.Label
+	k      int
+	mask   uint64 // table count - 1
+	tables []internTable
+	labels []byte
 }
 
-// newIndex returns an empty Index with the given power-of-two shard count.
-func newIndex(shardCount int) *Index {
-	if shardCount < 1 || shardCount&(shardCount-1) != 0 {
-		panic("core: index shard count must be a power of two")
-	}
-	shards := make([]map[string]int32, shardCount)
-	for i := range shards {
-		shards[i] = map[string]int32{}
-	}
-	return &Index{mask: uint32(shardCount - 1), shards: shards}
+// internTable is one intern table of an Index: open-addressed and linearly
+// probed, its slots hold a label's hash fingerprint and node id. The label
+// bytes stay in Index.labels; the fingerprint rejects almost every
+// non-matching slot without touching them.
+type internTable struct {
+	slots []internSlot // power-of-two length, at most half full
+	shift uint32       // 32 - log2(len(slots)): a fingerprint's home slot is fp >> shift
+	count int
 }
 
-// labelHash is FNV-1a over the label bytes; its low bits pick the shard.
-// The hash only routes keys to shards — node ids never depend on it, so any
-// change of hash or shard count leaves built graphs bit-identical.
+// internSlot is one table entry; ref 0 marks an empty slot.
+type internSlot struct {
+	fp  uint32 // labelHash >> 32
+	ref int32  // node id + 1
+}
+
+// initialTableSlots is the slot count every intern table starts with.
+const initialTableSlots = 8
+
+// newIndex returns an empty Index for labels of length k with 2^tableBits
+// intern tables.
+func newIndex(k int, tableBits uint) *Index {
+	n := 1 << tableBits
+	ix := &Index{k: k, mask: uint64(n - 1), tables: make([]internTable, n)}
+	slots := make([]internSlot, n*initialTableSlots)
+	for i := range ix.tables {
+		lo, hi := i*initialTableSlots, (i+1)*initialTableSlots
+		ix.tables[i] = internTable{slots: slots[lo:hi:hi], shift: slotShift(initialTableSlots)}
+	}
+	return ix
+}
+
+// slotShift returns the shift that maps a fingerprint to its home slot in a
+// table of size slots, a power of two.
+func slotShift(size int) uint32 { return uint32(32 - bits.TrailingZeros(uint(size))) }
+
+// labelHash is FNV-1a over the label bytes. Its low bits pick the intern
+// table and its high 32 bits are the fingerprint that picks the slot. Node
+// ids never depend on it, so any change of hash or table count leaves built
+// graphs bit-identical.
 func labelHash(x []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, b := range x {
@@ -103,38 +134,82 @@ func labelHash(x []byte) uint64 {
 	return h
 }
 
-// shardFor returns the intern map responsible for label x.
-func (ix *Index) shardFor(x []byte) map[string]int32 {
-	if ix.mask == 0 {
-		return ix.shards[0]
+// table returns the intern table responsible for hash h.
+func (ix *Index) table(h uint64) *internTable { return &ix.tables[h&ix.mask] }
+
+// lookup returns the id of label x with hash h, or -1.
+func (ix *Index) lookup(x []byte, h uint64) int32 {
+	t := ix.table(h)
+	fp := uint32(h >> 32)
+	mask := uint32(len(t.slots) - 1)
+	for i := fp >> t.shift; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s.ref == 0 {
+			return -1
+		}
+		if s.fp == fp && bytes.Equal(ix.Label(s.ref-1), x) {
+			return s.ref - 1
+		}
 	}
-	return ix.shards[uint32(labelHash(x))&ix.mask]
+}
+
+// reserve grows t, if needed, so that n more labels keep it at most half
+// full.
+func (t *internTable) reserve(n int) {
+	need := 2 * (t.count + n)
+	if need <= len(t.slots) {
+		return
+	}
+	size := len(t.slots)
+	for size < need {
+		size <<= 1
+	}
+	old := t.slots
+	t.slots = make([]internSlot, size)
+	t.shift = slotShift(size)
+	t.count = 0
+	for _, s := range old {
+		if s.ref != 0 {
+			t.insert(s)
+		}
+	}
+}
+
+// insert stores s in t, which must have a free slot and must not hold the
+// label already.
+func (t *internTable) insert(s internSlot) {
+	mask := uint32(len(t.slots) - 1)
+	i := s.fp >> t.shift
+	for t.slots[i].ref != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = s
+	t.count++
 }
 
 // N returns the number of enumerated labels.
-func (ix *Index) N() int { return len(ix.labels) }
+func (ix *Index) N() int { return len(ix.labels) / ix.k }
 
 // Label returns the label of node id.
-func (ix *Index) Label(id int32) symbols.Label { return ix.labels[id] }
-
-// ID returns the node id of a label, or -1 if the label is not a vertex.
-func (ix *Index) ID(x symbols.Label) int32 {
-	if id, ok := ix.shardFor(x)[string(x)]; ok {
-		return id
-	}
-	return -1
+func (ix *Index) Label(id int32) symbols.Label {
+	lo := int(id) * ix.k
+	return symbols.Label(ix.labels[lo : lo+ix.k : lo+ix.k])
 }
 
-// add interns x (cloning it) and reports whether it was new.
+// ID returns the node id of a label, or -1 if the label is not a vertex.
+func (ix *Index) ID(x symbols.Label) int32 { return ix.lookup(x, labelHash(x)) }
+
+// add interns a copy of x and reports whether it was new.
 func (ix *Index) add(x symbols.Label) (int32, bool) {
-	m := ix.shardFor(x)
-	if id, ok := m[string(x)]; ok {
+	h := labelHash(x)
+	if id := ix.lookup(x, h); id >= 0 {
 		return id, false
 	}
-	c := x.Clone()
-	id := int32(len(ix.labels))
-	m[c.Key()] = id
-	ix.labels = append(ix.labels, c)
+	id := int32(ix.N())
+	ix.labels = append(ix.labels, x...)
+	t := ix.table(h)
+	t.reserve(1)
+	t.insert(internSlot{fp: uint32(h >> 32), ref: id + 1})
 	return id, true
 }
 
@@ -209,19 +284,19 @@ func (ip *IPGraph) BuildSeq(opt BuildOptions) (*graph.Graph, *Index, error) {
 }
 
 func (ip *IPGraph) buildSeq(opt BuildOptions) (*graph.Graph, *Index, error) {
-	ix := newIndex(1)
+	ix := newIndex(len(ip.Seed), 0)
 	ix.add(ip.Seed)
 	// arcs[u*len(Gens)+j] is the node reached from u by generator j.
 	arcs := make([]int32, 0, 64*len(ip.Gens))
 	buf := make(symbols.Label, len(ip.Seed))
-	for head := 0; head < len(ix.labels); head++ {
-		x := ix.labels[head]
+	for head := int32(0); int(head) < ix.N(); head++ {
+		x := ix.Label(head) // stays valid when add grows ix.labels
 		for _, g := range ip.Gens {
 			g.Apply(buf, x)
 			v, fresh := ix.add(buf)
-			if fresh && opt.Limit > 0 && len(ix.labels) > opt.Limit {
+			if fresh && opt.Limit > 0 && ix.N() > opt.Limit {
 				// Checked before the over-limit node contributes any arc.
-				return nil, nil, ip.limitErr(opt.Limit, len(ix.labels))
+				return nil, nil, ip.limitErr(opt.Limit, ix.N())
 			}
 			arcs = append(arcs, v)
 		}
@@ -242,21 +317,33 @@ func (ip *IPGraph) limitErr(limit, attempted int) error {
 // finish realizes the enumerated arc table as a CSR graph. Both builders
 // produce the identical flat arc layout (node-major, generator-minor), so
 // sharing this epilogue guarantees the realized graphs match exactly.
+//
+// Row u is arcs[u*G:(u+1)*G] sorted, without duplicates and self-loops,
+// compacted in place. When the generators are closed under inverse, v = g(u)
+// implies u = g⁻¹(v), so every reverse arc is already in its own row and
+// the rows are symmetric as they stand. The graph keeps arcs' backing
+// array, spare capacity included.
 func (ip *IPGraph) finish(ix *Index, arcs []int32) (*graph.Graph, *Index, error) {
-	undirected := perm.ClosedUnderInverse(ip.Gens)
 	G := len(ip.Gens)
-	b := graph.NewBuilder(len(ix.labels), !undirected)
-	for u := 0; u < len(ix.labels); u++ {
-		for j := 0; j < G; j++ {
-			v := arcs[u*G+j]
-			if undirected {
-				b.AddEdge(int32(u), v)
-			} else {
-				b.AddArc(int32(u), v)
+	n := ix.N()
+	offsets := make([]int32, n+1)
+	m := 0
+	for u := 0; u < n; u++ {
+		row := arcs[u*G : (u+1)*G]
+		slices.Sort(row)
+		offsets[u] = int32(m)
+		prev := int32(-1)
+		for _, v := range row {
+			// m <= u*G, so the write never overtakes the rows still unread.
+			if v != prev && v != int32(u) {
+				arcs[m] = v
+				m++
+				prev = v
 			}
 		}
 	}
-	return b.Build(), ix, nil
+	offsets[n] = int32(m)
+	return graph.NewCSR(offsets, arcs[:m:m], !perm.ClosedUnderInverse(ip.Gens)), ix, nil
 }
 
 // IsCayley reports whether the IP graph satisfies the Cayley-graph condition

@@ -18,100 +18,106 @@ package core
 // Each level runs four phases separated by barriers, so no locks are needed:
 //
 //  1. Expansion (parallel over frontier chunks): workers claim chunks of the
-//     frontier with an atomic cursor, apply every generator, and probe the
-//     hash-sharded intern tables read-only. Hits resolve their arc slot
-//     immediately; misses are buffered per (worker, shard) as candidates,
-//     with label bytes copied into a per-worker arena (no per-node Clone).
-//  2. Shard dedup (parallel over shards): each shard — owned by exactly one
-//     goroutine — merges its candidates from all workers, keeping the
-//     minimum slot per distinct label (a schedule-independent reduction).
-//  3. Id assignment (sequential, cheap): new labels from all shards are
+//     frontier with an atomic cursor, apply every generator, hash the label
+//     once, and probe the intern table its hash picks, read-only. Hits
+//     resolve their arc slot immediately; misses are buffered per (worker,
+//     table) as candidates that carry the hash and an offset into the
+//     worker's level-reused candidate bytes.
+//  2. Dedup (parallel over tables): each table's candidates from all
+//     workers, owned by exactly one goroutine, go through the table's
+//     reused probe table, keeping the minimum slot per distinct label (a
+//     schedule-independent reduction). The slots that produced a label are
+//     chained through one level-sized next array.
+//  3. Id assignment (sequential, cheap): new labels from all tables are
 //     sorted by their minimum slot — slots are unique, so the order is
-//     total — and appended to the index in that canonical order. Label
-//     bytes move to a permanent arena; the candidate arenas become garbage.
-//  4. Publication (parallel over shards): each shard inserts its labels
-//     into its intern map and writes the assigned ids into every arc slot
-//     that produced the label.
+//     total — and their bytes are appended to the index in that canonical
+//     order.
+//  4. Publication (parallel over tables): each table inserts its new
+//     (fingerprint, id) slots and writes the assigned id into every arc
+//     slot of the label's chain.
 //
 // The intern tables are only read during phase 1 and only written during
-// phase 4, with barriers in between, so shards need no mutex at all.
+// phase 4, with barriers in between, so tables need no mutex at all. Every
+// buffer is kept from level to level: the build allocates per level and per
+// table growth, not per node.
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/symbols"
 )
 
 // expandChunk is the number of frontier nodes a worker claims at a time.
 const expandChunk = 128
 
-// labelArena hands out label-sized byte slices carved from large blocks,
-// replacing one allocation per discovered label with one per block.
-type labelArena struct {
-	block     []byte
-	blockSize int
-	used      int64 // bytes handed out so far (LevelStats accounting)
-}
-
-func (a *labelArena) copyOf(b []byte) []byte {
-	a.used += int64(len(b))
-	if len(a.block) < len(b) {
-		if a.blockSize < len(b) {
-			a.blockSize = 1 << 16
-			for a.blockSize < len(b) {
-				a.blockSize <<= 1
-			}
-		}
-		a.block = make([]byte, a.blockSize)
-	}
-	dst := a.block[:len(b):len(b)]
-	a.block = a.block[len(b):]
-	copy(dst, b)
-	return dst
-}
-
 // buildCandidate is a frontier expansion that missed the intern tables:
-// slot identifies the (parent rank, generator) position within the level.
+// slot identifies the (parent rank, generator) position within the level,
+// and the label is the worker's ord-th candidate label of the level.
 type buildCandidate struct {
-	slot  int32
-	label []byte
+	hash uint64
+	slot int32
+	ord  int32
 }
 
-// newLabel is one distinct label first discovered in the current level.
+// buildWorker is one expansion worker's level-reused state.
+type buildWorker struct {
+	buf     []byte
+	labels  []byte             // candidate label bytes of the current level
+	buckets [][]buildCandidate // candidates per intern table
+	used    int64              // candidate bytes over the whole build
+}
+
+// newLabel is one distinct label first discovered in the current level. The
+// arc slots that produced it form a chain from head through the level's
+// next array.
 type newLabel struct {
-	minSlot int32
-	id      int32
+	hash    uint64
 	label   []byte
-	slots   []int32 // every arc slot of the level that produced this label
+	minSlot int32
+	head    int32
+	id      int32
+}
+
+// winner names a level's new label by its minimum slot, its intern table
+// and its index in that table's dedup entries.
+type winner struct {
+	minSlot, table, entry int32
+}
+
+// dedupTable is one intern table's phase-2 state, reused level to level:
+// the level's distinct new labels and an open-addressed probe table of
+// entries+1 over them.
+type dedupTable struct {
+	entries []newLabel
+	probe   []int32
 }
 
 func (ip *IPGraph) buildParallel(opt BuildOptions, workers int) (*graph.Graph, *Index, error) {
 	k := len(ip.Seed)
 	G := len(ip.Gens)
 
-	shardCount := 1
-	for shardCount < 4*workers && shardCount < 512 {
-		shardCount <<= 1
+	tableBits := uint(0)
+	for 1<<tableBits < 4*workers && tableBits < 9 {
+		tableBits++
 	}
-	ix := newIndex(shardCount)
+	ix := newIndex(k, tableBits)
 	ix.add(ip.Seed)
+	tableCount := len(ix.tables)
 
 	arcs := make([]int32, 0, 1024*G)
-	frontier := []int32{0}
-
-	arenas := make([]*labelArena, workers)
-	buckets := make([][][]buildCandidate, workers) // [worker][shard]candidates
-	for w := range arenas {
-		arenas[w] = &labelArena{}
-		buckets[w] = make([][]buildCandidate, shardCount)
+	var next []int32 // next[slot]: the following slot of its label's chain, or -1
+	ws := make([]buildWorker, workers)
+	for w := range ws {
+		ws[w] = buildWorker{buf: make([]byte, k), buckets: make([][]buildCandidate, tableCount)}
 	}
-	shardNew := make([][]*newLabel, shardCount)
-	permArena := &labelArena{blockSize: 1 << 20} // permanent storage for interned labels
+	dedup := make([]dedupTable, tableCount)
+	var winners []winner
 
 	// Instrumentation (BuildOptions.Observe) is computed only when asked
 	// for: the stamp helper returns the zero time on unobserved builds, so
@@ -125,83 +131,70 @@ func (ip *IPGraph) buildParallel(opt BuildOptions, workers int) (*graph.Graph, *
 	}
 	levelNo := 0
 
-	for len(frontier) > 0 {
-		nf := len(frontier)
+	// The frontier is the id range [lo, lo+nf): a level's new labels get
+	// consecutive ids.
+	for lo, nf := int32(0), 1; nf > 0; levelNo++ {
 		if nf > ((1<<31)-1)/G {
 			return nil, nil, fmt.Errorf("core: %s: frontier of %d nodes overflows the level slot space", ip.Name, nf)
 		}
-		level := make([]int32, nf*G)
+		arcBase := len(arcs)
+		arcs = slices.Grow(arcs, nf*G)[:arcBase+nf*G]
+		level := arcs[arcBase:]
+		if cap(next) < nf*G {
+			next = make([]int32, nf*G)
+		}
 		t0 := stamp()
 
 		// Phase 1: expansion. The intern tables are read-only here.
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := range ws {
 			wg.Add(1)
-			go func(w int) {
+			go func(wk *buildWorker) {
 				defer wg.Done()
-				buf := make([]byte, k)
-				bkt := buckets[w]
-				arena := arenas[w]
+				buf := wk.buf
 				for {
 					start := int(cursor.Add(expandChunk)) - expandChunk
 					if start >= nf {
 						return
 					}
-					end := start + expandChunk
-					if end > nf {
-						end = nf
-					}
+					end := min(start+expandChunk, nf)
 					for r := start; r < end; r++ {
-						x := ix.labels[frontier[r]]
+						x := ix.Label(lo + int32(r))
 						for j, g := range ip.Gens {
 							g.Apply(buf, x)
 							slot := int32(r*G + j)
-							s := uint32(labelHash(buf)) & ix.mask
-							if id, ok := ix.shards[s][string(buf)]; ok {
+							h := labelHash(buf)
+							if id := ix.lookup(buf, h); id >= 0 {
 								level[slot] = id
-							} else {
-								bkt[s] = append(bkt[s], buildCandidate{slot: slot, label: arena.copyOf(buf)})
+								continue
 							}
+							t := h & ix.mask
+							ord := int32(len(wk.labels) / k)
+							wk.buckets[t] = append(wk.buckets[t], buildCandidate{hash: h, slot: slot, ord: ord})
+							wk.labels = append(wk.labels, buf...)
 						}
 					}
 				}
-			}(w)
+			}(&ws[w])
 		}
 		wg.Wait()
 		t1 := stamp()
 
-		// Phase 2: per-shard dedup. Each shard is owned by one goroutine.
-		var shardCursor atomic.Int64
-		for w := 0; w < workers; w++ {
+		// Phase 2: per-table dedup. Each table is owned by one goroutine,
+		// and the slots of different candidates are distinct, so the writes
+		// to next never overlap.
+		var tableCursor atomic.Int64
+		for range ws {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for {
-					s := int(shardCursor.Add(1)) - 1
-					if s >= shardCount {
+					t := int(tableCursor.Add(1)) - 1
+					if t >= tableCount {
 						return
 					}
-					var entries []*newLabel
-					var m map[string]*newLabel
-					for w2 := 0; w2 < workers; w2++ {
-						for _, c := range buckets[w2][s] {
-							if m == nil {
-								m = make(map[string]*newLabel)
-							}
-							if e, ok := m[string(c.label)]; ok {
-								if c.slot < e.minSlot {
-									e.minSlot = c.slot
-								}
-								e.slots = append(e.slots, c.slot)
-							} else {
-								e := &newLabel{minSlot: c.slot, label: c.label, slots: []int32{c.slot}}
-								m[string(e.label)] = e
-								entries = append(entries, e)
-							}
-						}
-					}
-					shardNew[s] = entries
+					dedup[t].collect(ws, t, k, next)
 				}
 			}()
 		}
@@ -211,45 +204,43 @@ func (ip *IPGraph) buildParallel(opt BuildOptions, workers int) (*graph.Graph, *
 		// Phase 3: canonical id assignment. Slots are unique across entries,
 		// so sorting by minimum slot is a total, schedule-independent order —
 		// the same order sequential BFS would have discovered these labels in.
-		total := 0
-		for _, es := range shardNew {
-			total += len(es)
+		winners = winners[:0]
+		for t := range dedup {
+			for i, e := range dedup[t].entries {
+				winners = append(winners, winner{minSlot: e.minSlot, table: int32(t), entry: int32(i)})
+			}
 		}
-		winners := make([]*newLabel, 0, total)
-		for _, es := range shardNew {
-			winners = append(winners, es...)
-		}
-		sort.Slice(winners, func(i, j int) bool { return winners[i].minSlot < winners[j].minSlot })
-		base := int32(len(ix.labels))
+		slices.SortFunc(winners, func(a, b winner) int { return cmp.Compare(a.minSlot, b.minSlot) })
+		base := int32(ix.N())
 		if opt.Limit > 0 && int(base)+len(winners) > opt.Limit {
 			return nil, nil, ip.limitErr(opt.Limit, int(base)+len(winners))
 		}
-		for i, e := range winners {
+		for i, w := range winners {
+			e := &dedup[w.table].entries[w.entry]
 			e.id = base + int32(i)
-			e.label = permArena.copyOf(e.label)
-			ix.labels = append(ix.labels, symbols.Label(e.label))
+			ix.labels = append(ix.labels, e.label...)
 		}
 		t3 := stamp()
 
-		// Phase 4: publish ids into the shard maps and resolve arc slots.
-		shardCursor.Store(0)
-		for w := 0; w < workers; w++ {
+		// Phase 4: publish ids into the intern tables and resolve arc slots.
+		tableCursor.Store(0)
+		for range ws {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for {
-					s := int(shardCursor.Add(1)) - 1
-					if s >= shardCount {
+					t := int(tableCursor.Add(1)) - 1
+					if t >= tableCount {
 						return
 					}
-					m := ix.shards[s]
-					for _, e := range shardNew[s] {
-						m[string(e.label)] = e.id
-						for _, slot := range e.slots {
+					it := &ix.tables[t]
+					it.reserve(len(dedup[t].entries))
+					for _, e := range dedup[t].entries {
+						it.insert(internSlot{fp: uint32(e.hash >> 32), ref: e.id + 1})
+						for slot := e.head; slot >= 0; slot = next[slot] {
 							level[slot] = e.id
 						}
 					}
-					shardNew[s] = nil
 				}
 			}()
 		}
@@ -261,40 +252,83 @@ func (ip *IPGraph) buildParallel(opt BuildOptions, workers int) (*graph.Graph, *
 				Level:            levelNo,
 				FrontierNodes:    nf,
 				NewNodes:         len(winners),
-				TotalNodes:       len(ix.labels),
+				TotalNodes:       ix.N(),
 				ArcSlots:         nf * G,
 				Expand:           t1.Sub(t0),
 				Dedup:            t2.Sub(t1),
 				Assign:           t3.Sub(t2),
 				Publish:          t4.Sub(t3),
-				InternArenaBytes: permArena.used,
-				Shards:           shardCount,
+				InternArenaBytes: int64(len(ix.labels)),
+				Shards:           tableCount,
 			}
-			for _, a := range arenas {
-				ls.CandidateArenaBytes += a.used
+			for w := range ws {
+				ls.CandidateArenaBytes += ws[w].used + int64(len(ws[w].labels))
 			}
-			for _, m := range ix.shards {
-				if len(m) > ls.MaxShardLoad {
-					ls.MaxShardLoad = len(m)
-				}
+			for _, t := range ix.tables {
+				ls.MaxShardLoad = max(ls.MaxShardLoad, t.count)
 			}
 			opt.Observe(ls)
 		}
-		levelNo++
 
-		arcs = append(arcs, level...)
-		frontier = frontier[:0]
-		for i := range winners {
-			frontier = append(frontier, base+int32(i))
-		}
-		// Drop candidate label references so the per-level arena blocks are
-		// collectable, then keep the bucket capacity for the next level.
-		for w := range buckets {
-			for s := range buckets[w] {
-				clear(buckets[w][s])
-				buckets[w][s] = buckets[w][s][:0]
+		lo, nf = base, len(winners)
+		// Keep every buffer's capacity for the next level.
+		for w := range ws {
+			wk := &ws[w]
+			wk.used += int64(len(wk.labels))
+			wk.labels = wk.labels[:0]
+			for t := range wk.buckets {
+				wk.buckets[t] = wk.buckets[t][:0]
 			}
 		}
 	}
 	return ip.finish(ix, arcs)
+}
+
+// collect merges table t's candidates from every worker into d.entries,
+// one entry per distinct label with its minimum slot, and chains every
+// candidate's slot into its entry through next.
+func (d *dedupTable) collect(ws []buildWorker, t, k int, next []int32) {
+	d.entries = d.entries[:0]
+	n := 0
+	for w := range ws {
+		n += len(ws[w].buckets[t])
+	}
+	if n == 0 {
+		return
+	}
+	size := initialTableSlots
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(d.probe) < size {
+		d.probe = make([]int32, size)
+	} else {
+		d.probe = d.probe[:size]
+		clear(d.probe)
+	}
+	shift, mask := slotShift(size), uint32(size-1)
+	for w := range ws {
+		labels := ws[w].labels
+		for _, c := range ws[w].buckets[t] {
+			lo := int(c.ord) * k
+			label := labels[lo : lo+k : lo+k]
+			i := uint32(c.hash>>32) >> shift
+			for {
+				ref := d.probe[i]
+				if ref == 0 {
+					d.entries = append(d.entries, newLabel{hash: c.hash, label: label, minSlot: c.slot, head: c.slot})
+					d.probe[i] = int32(len(d.entries))
+					next[c.slot] = -1
+					break
+				}
+				if e := &d.entries[ref-1]; e.hash == c.hash && bytes.Equal(e.label, label) {
+					e.minSlot = min(e.minSlot, c.slot)
+					next[c.slot] = e.head
+					e.head = c.slot
+					break
+				}
+				i = (i + 1) & mask
+			}
+		}
+	}
 }

@@ -202,8 +202,8 @@ func TestParallelBuildLimit(t *testing.T) {
 
 // TestParallelBuildLarge diffs the builders on a >10^6-node symmetric
 // super-IP instance (sym-HSN(4;Q4), 24 * 16^4 = 1,572,864 nodes). It takes
-// tens of seconds and a few hundred MB, so it only runs when REPRO_BIG=1;
-// see EXPERIMENTS.md "Building large graphs".
+// about ten seconds, so it only runs when REPRO_BIG=1 (CI sets it in a step
+// of its own); see EXPERIMENTS.md "Building large graphs".
 func TestParallelBuildLarge(t *testing.T) {
 	if os.Getenv("REPRO_BIG") == "" {
 		t.Skip("set REPRO_BIG=1 to run the million-node parity check")

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -84,6 +85,15 @@ func (g *Graph) MinDegree() int {
 // IsRegular reports whether all nodes have the same degree.
 func (g *Graph) IsRegular() bool { return g.n == 0 || g.MaxDegree() == g.MinDegree() }
 
+// NewCSR wraps finished CSR arrays as a Graph without copying them: row u
+// is edges[offsets[u]:offsets[u+1]], and len(offsets) is N+1. Each row must
+// be sorted, free of duplicates and self-loops, and for an undirected graph
+// every arc's reverse must be present; Builder.Build establishes all of
+// this, so use NewCSR only where the caller already has.
+func NewCSR(offsets, edges []int32, directed bool) *Graph {
+	return &Graph{n: len(offsets) - 1, offsets: offsets, edges: edges, Directed: directed}
+}
+
 // Builder accumulates arcs and produces a CSR Graph. The zero value is ready
 // to use after SetN (or grows implicitly via AddEdge).
 type Builder struct {
@@ -149,7 +159,7 @@ func (b *Builder) Build() *Graph {
 	for u := 0; u < b.n; u++ {
 		lo, hi := counts[u], counts[u+1]
 		adj := edges[lo:hi]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(adj)
 		offsets[u] = int32(len(out))
 		var prev int32 = -1
 		for _, v := range adj {
