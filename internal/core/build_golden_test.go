@@ -148,3 +148,41 @@ func TestBuildAllocsPerNode(t *testing.T) {
 		t.Logf("%s: %.0f allocations for %d nodes", name, allocs, n)
 	}
 }
+
+// TestInternProbeLengths checks that labelHash spreads labels over the slots
+// of the intern tables. On the 16-state Q4 nucleus, whose labels differ only
+// in a few symbol pairs, and on sym-HSN(3;Q4), the mean distance of a label
+// from its home slot stays at most 0.75 slots; a uniform hash gives about
+// half a slot at the tables' highest load of one half. Plain FNV-1a, whose
+// top bits ignore the last bytes of a label, reads 1.0 on the Q4 nucleus.
+func TestInternProbeLengths(t *testing.T) {
+	nq := nucleusQ(4)
+	cases := map[string]*IPGraph{
+		"Q4":            {Name: "Q4", Seed: nq.Seed, Gens: nq.Gens},
+		"sym-HSN(3;Q4)": hsn(3, nucleusQ(4), true).IPGraph(),
+	}
+	for name, ip := range cases {
+		for _, w := range []int{1, 2} {
+			_, ix, err := ip.Build(BuildOptions{Workers: w})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			dist, n := 0, 0
+			for _, tb := range ix.tables {
+				mask := uint32(len(tb.slots) - 1)
+				for i, s := range tb.slots {
+					if s.ref != 0 {
+						dist += int((uint32(i) - s.fp>>tb.shift) & mask)
+						n++
+					}
+				}
+			}
+			if n != ix.N() {
+				t.Fatalf("%s workers=%d: tables hold %d labels, index %d", name, w, n, ix.N())
+			}
+			if mean := float64(dist) / float64(n); mean > 0.75 {
+				t.Errorf("%s workers=%d: mean probe distance %.2f slots, want at most 0.75", name, w, mean)
+			}
+		}
+	}
+}

@@ -18,6 +18,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -121,17 +122,31 @@ func newIndex(k int, tableBits uint) *Index {
 // table of size slots, a power of two.
 func slotShift(size int) uint32 { return uint32(32 - bits.TrailingZeros(uint(size))) }
 
-// labelHash is FNV-1a over the label bytes. Its low bits pick the intern
-// table and its high 32 bits are the fingerprint that picks the slot. Node
-// ids never depend on it, so any change of hash or table count leaves built
-// graphs bit-identical.
+// labelHash hashes a label eight bytes at a time: each word is folded into
+// the state by a 64x64->128-bit multiply whose halves are xored, and a last
+// fold mixes the state, so every bit of the hash depends on every byte. Its
+// low bits pick the intern table and its high 32 bits are the fingerprint
+// that picks the slot. Node ids never depend on the hash, so any change of
+// hash or table count leaves built graphs bit-identical.
 func labelHash(x []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range x {
-		h ^= uint64(b)
-		h *= 1099511628211
+	h := uint64(len(x)) ^ 0x9e3779b97f4a7c15
+	for ; len(x) >= 8; x = x[8:] {
+		h = hashFold(h^binary.LittleEndian.Uint64(x), 0xbf58476d1ce4e5b9)
 	}
-	return h
+	if len(x) > 0 {
+		var w uint64
+		for i, b := range x {
+			w |= uint64(b) << (8 * i)
+		}
+		h = hashFold(h^w, 0xbf58476d1ce4e5b9)
+	}
+	return hashFold(h, 0x94d049bb133111eb)
+}
+
+// hashFold returns the xor of the two halves of the 128-bit product a*b.
+func hashFold(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
 // table returns the intern table responsible for hash h.
