@@ -38,7 +38,7 @@ type LevelStats struct {
 	InternArenaBytes    int64
 	// Shards is the intern-table count and MaxShardLoad the label count of
 	// the fullest table after publication — a direct view of how evenly
-	// the FNV-1a hash spreads the label space over the tables.
+	// labelHash spreads the label space over the tables.
 	Shards       int
 	MaxShardLoad int
 }

@@ -75,10 +75,10 @@ func (ip *IPGraph) Validate() error {
 //
 // Every label has the seed's length k, so the labels live back to back in
 // one byte slice, node id's label at labels[id*k:]. Lookups go through a
-// power-of-two number of intern tables: one FNV-1a hash per label picks the table with its
-// low bits and the slot with its high bits, so the parallel builder can
-// probe and fill disjoint tables from many goroutines without a lock. A
-// sequentially built Index has a single table.
+// power-of-two number of intern tables: one labelHash per label picks the
+// table with its low bits and the slot with its high bits, so the parallel
+// builder can probe and fill disjoint tables from many goroutines without
+// a lock. A sequentially built Index has a single table.
 type Index struct {
 	k      int
 	mask   uint64 // table count - 1

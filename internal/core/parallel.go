@@ -21,8 +21,8 @@ package core
 //     frontier with an atomic cursor, apply every generator, hash the label
 //     once, and probe the intern table its hash picks, read-only. Hits
 //     resolve their arc slot immediately; misses are buffered per (worker,
-//     table) as candidates that carry the hash and an offset into the
-//     worker's level-reused candidate bytes.
+//     table) as candidates that carry the hash and the label's place in
+//     the worker's level-reused candidate bytes.
 //  2. Dedup (parallel over tables): each table's candidates from all
 //     workers, owned by exactly one goroutine, go through the table's
 //     reused probe table, keeping the minimum slot per distinct label (a
