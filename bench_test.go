@@ -93,14 +93,10 @@ func BenchmarkIDegreeTable(b *testing.B) { benchTable(b, figures.IDegreeTable) }
 // simulation costs of the underlying substrates.
 
 // BenchmarkBuildHSN3Q4 enumerates the 4096-node HSN(3;Q4) state space.
-// Workers is pinned to 1 so the benchmark keeps measuring the sequential
-// enumerator on any machine — its baseline predates the parallel builder,
-// and leaving Workers at 0 would resolve to GOMAXPROCS on CI.
 func BenchmarkBuildHSN3Q4(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		net := superip.HSN(3, superip.NucleusHypercube(4))
-		net.Workers = 1
 		if _, err := net.Build(); err != nil {
 			b.Fatal(err)
 		}
@@ -116,29 +112,15 @@ func buildBenchIP(b *testing.B) *core.IPGraph {
 	return net.Super().IPGraph()
 }
 
-// BenchmarkBuildSeq measures the sequential level-order enumerator — the
-// oracle the parallel builder is diffed against.
+// BenchmarkBuildSeq measures IPGraph.Build, the sequential level-order
+// enumerator. The name predates the removal of a parallel builder and is
+// kept so its BENCH_baseline.json row stays comparable.
 func BenchmarkBuildSeq(b *testing.B) {
 	ip := buildBenchIP(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ip.BuildSeq(core.BuildOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBuildParallel measures the parallel level-synchronous enumerator
-// on the same instance. Workers is pinned to 4 (not GOMAXPROCS) so the
-// measured work is the same on every machine; see EXPERIMENTS.md "Building
-// large graphs" for the scaling study.
-func BenchmarkBuildParallel(b *testing.B) {
-	ip := buildBenchIP(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ip.Build(core.BuildOptions{Workers: 4}); err != nil {
+		if _, _, err := ip.Build(core.BuildOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

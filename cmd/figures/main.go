@@ -5,11 +5,7 @@
 //
 // Usage:
 //
-//	figures [-limit N] [-workers N] [artifact ...]
-//
-// -workers 1 builds graphs with the sequential enumerator, n > 1 with the
-// parallel one on n workers, and 0 (the default) on GOMAXPROCS workers;
-// the tables are identical either way.
+//	figures [-limit N] [artifact ...]
 package main
 
 import (
@@ -17,20 +13,12 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/figures"
 )
 
 func main() {
 	limit := flag.Int("limit", 1<<13, "largest instance measured exhaustively for Fig 3")
-	workers := flag.Int("workers", 0, "build workers: 1 = sequential enumerator, n > 1 = parallel level-synchronous one, 0 = GOMAXPROCS (identical output)")
 	flag.Parse()
-
-	// Graph construction is deterministic for every worker count, so this
-	// flag never changes the emitted tables — only how fast they appear.
-	if *workers > 0 {
-		core.DefaultWorkers = *workers
-	}
 
 	gens := map[string]func() (*figures.Table, error){
 		"fig1":           figures.Fig1,

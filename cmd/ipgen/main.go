@@ -52,13 +52,12 @@ func main() {
 		kappa   = flag.Bool("kappa", false, "measure exact vertex/edge connectivity")
 		bisectN = flag.Bool("bisect", false, "estimate bisection width (exact <= 24 nodes, else Kernighan-Lin)")
 		lay     = flag.Bool("layout", false, "place on a grid (recursive bisection) and report wire cost")
-		workers = flag.Int("workers", 0, "build workers: 1 = sequential enumerator, n > 1 = parallel level-synchronous one, 0 = GOMAXPROCS (identical output)")
 		bonly   = flag.Bool("buildonly", false, "skip all-pairs statistics; report size, degree, and build time only")
 		impl    = flag.Bool("implicit", false, "super-IP families: skip the build entirely and report analytic plus sampled-route statistics from the implicit topology")
 		pairs   = flag.Int("pairs", 2000, "sampled (src,dst) pairs for -implicit route statistics")
 		seed    = flag.Int64("seed", 1, "sampling seed for -implicit")
-		prog    = flag.Bool("progress", false, "super-IP families: print one build-instrumentation line per BFS level to stderr (frontier, new nodes, per-phase wall time, arena bytes, shard load)")
-		manif   = flag.String("manifest", "", "super-IP families: write a JSON build manifest (config, env metadata, per-level phase metrics) to this file; \"-\" writes to stdout")
+		prog    = flag.Bool("progress", false, "super-IP families: print one build-instrumentation line per BFS level to stderr (frontier, new and total nodes, level wall time, label arena bytes)")
+		manif   = flag.String("manifest", "", "super-IP families: write a JSON build manifest (config, env metadata, per-level build metrics) to this file; \"-\" writes to stdout")
 	)
 	analyze = func(g *graph.Graph) {
 		if *kappa {
@@ -95,11 +94,6 @@ func main() {
 		console = os.Stderr
 	}
 
-	// The parallel enumerator is byte-identical to the sequential one, so
-	// -workers only chooses the code path (and its speed), never the output.
-	if *workers > 0 {
-		core.DefaultWorkers = *workers
-	}
 	buildOnly = *bonly
 	if *prog || *manif != "" {
 		buildRec = newBuildRecorder(*prog, *manif)
@@ -152,7 +146,7 @@ func newBuildRecorder(print bool, manifestPath string) *buildRecorder {
 }
 
 // observe implements the core.BuildOptions.Observe callback: cumulative
-// phase times and expansion counters become registry counters, occupancy
+// level times and expansion counters become registry counters, occupancy
 // figures become gauges, and -progress renders the level as one line.
 func (r *buildRecorder) observe(ls core.LevelStats) {
 	if r.start.IsZero() {
@@ -167,21 +161,13 @@ func (r *buildRecorder) observe(ls core.LevelStats) {
 	r.reg.Counter("build.new_nodes").Add(int64(ls.NewNodes))
 	r.reg.Counter("build.arc_slots").Add(int64(ls.ArcSlots))
 	r.reg.Counter("build.expand_ns").Add(ls.Expand.Nanoseconds())
-	r.reg.Counter("build.dedup_ns").Add(ls.Dedup.Nanoseconds())
-	r.reg.Counter("build.assign_ns").Add(ls.Assign.Nanoseconds())
-	r.reg.Counter("build.publish_ns").Add(ls.Publish.Nanoseconds())
-	r.reg.Gauge("build.candidate_arena_bytes").Set(ls.CandidateArenaBytes)
 	r.reg.Gauge("build.intern_arena_bytes").Set(ls.InternArenaBytes)
-	r.reg.Gauge("build.shards").Set(int64(ls.Shards))
-	r.reg.Gauge("build.max_shard_load").Set(int64(ls.MaxShardLoad))
 	r.reg.Hist("build.level_new_nodes").Observe(int64(ls.NewNodes))
 	if r.print {
 		fmt.Fprintf(os.Stderr,
-			"level %-3d frontier %-9d new %-9d total %-9d | expand %-9s dedup %-9s assign %-9s publish %-9s | arena %s intern %s maxload %d/%d shards\n",
+			"level %-3d frontier %-9d new %-9d total %-9d | expand %-9s | intern %s\n",
 			ls.Level, ls.FrontierNodes, ls.NewNodes, ls.TotalNodes,
-			roundDur(ls.Expand), roundDur(ls.Dedup), roundDur(ls.Assign), roundDur(ls.Publish),
-			fmtBytes(ls.CandidateArenaBytes), fmtBytes(ls.InternArenaBytes),
-			ls.MaxShardLoad, ls.Shards)
+			roundDur(ls.Expand), fmtBytes(ls.InternArenaBytes))
 	}
 }
 
@@ -300,7 +286,7 @@ func runSuperIP(family string, l int, nucleus string, sym, dot, istats bool) {
 	if buildRec != nil {
 		buildRec.finish(net.Name(), map[string]any{
 			"family": family, "l": l, "nucleus": nucleus, "sym": sym,
-			"workers": core.DefaultWorkers, "build_ms": buildElapsed.Milliseconds(),
+			"build_ms": buildElapsed.Milliseconds(),
 		})
 	}
 	report(net.Name(), g, dot)

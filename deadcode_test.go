@@ -24,7 +24,6 @@ import (
 var keptExports = map[string]string{
 	"core.CertifyVertexTransitive":     "§3.5 vertex symmetry row: TestCertifyVertexTransitiveSymmetricVariants",
 	"core.SuperIP.TheoreticalDiameter": "Thm 4.1/4.3 rows: TestTheorem41DiameterExact, TestTheorem43SymmetricDiameter",
-	"core.IPGraph.BuildSeq":            "sequential oracle of the parallel builder: TestParallelBuildGoldenParity, BenchmarkBuildSeq",
 	"graph.Graph.ZeroOneBFS":           "oracle of the weighted all-pairs stats: TestIStatsAverageHSN2, TestZeroOneBFSClusters",
 	"faults.FaultDiameter":             "robustness row (fault diameters of Q_n): TestFaultDiameterHypercube, TestFaultDiameterHSN",
 	"metrics.ThroughputBound":          "§5.1 throughput bound: TestThroughputBound, TestSaturationOrderingMatchesThroughputBound",

@@ -21,9 +21,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
-	"runtime"
 	"slices"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/perm"
@@ -70,23 +71,18 @@ func (ip *IPGraph) Validate() error {
 
 // Index maps between node ids and labels of a built IP graph. Node ids are
 // assigned in BFS discovery order from the seed (the seed is node 0), which
-// makes builds deterministic: the parallel builder assigns exactly the same
-// ids as the sequential one (see parallel.go).
+// makes builds deterministic.
 //
 // Every label has the seed's length k, so the labels live back to back in
-// one byte slice, node id's label at labels[id*k:]. Lookups go through a
-// power-of-two number of intern tables: one labelHash per label picks the
-// table with its low bits and the slot with its high bits, so the parallel
-// builder can probe and fill disjoint tables from many goroutines without
-// a lock. A sequentially built Index has a single table.
+// one byte slice, node id's label at labels[id*k:]. Lookups go through one
+// intern table keyed by labelHash.
 type Index struct {
 	k      int
-	mask   uint64 // table count - 1
-	tables []internTable
+	table  internTable
 	labels []byte
 }
 
-// internTable is one intern table of an Index: open-addressed and linearly
+// internTable is the intern table of an Index: open-addressed and linearly
 // probed, its slots hold a label's hash fingerprint and node id. The label
 // bytes stay in Index.labels; the fingerprint rejects almost every
 // non-matching slot without touching them.
@@ -105,17 +101,12 @@ type internSlot struct {
 // initialTableSlots is the slot count every intern table starts with.
 const initialTableSlots = 8
 
-// newIndex returns an empty Index for labels of length k with 2^tableBits
-// intern tables.
-func newIndex(k int, tableBits uint) *Index {
-	n := 1 << tableBits
-	ix := &Index{k: k, mask: uint64(n - 1), tables: make([]internTable, n)}
-	slots := make([]internSlot, n*initialTableSlots)
-	for i := range ix.tables {
-		lo, hi := i*initialTableSlots, (i+1)*initialTableSlots
-		ix.tables[i] = internTable{slots: slots[lo:hi:hi], shift: slotShift(initialTableSlots)}
-	}
-	return ix
+// newIndex returns an empty Index for labels of length k.
+func newIndex(k int) *Index {
+	return &Index{k: k, table: internTable{
+		slots: make([]internSlot, initialTableSlots),
+		shift: slotShift(initialTableSlots),
+	}}
 }
 
 // slotShift returns the shift that maps a fingerprint to its home slot in a
@@ -125,11 +116,11 @@ func slotShift(size int) uint32 { return uint32(32 - bits.TrailingZeros(uint(siz
 // labelHash hashes a label eight bytes at a time: each word is folded into
 // the state by a 64x64->128-bit multiply whose halves are xored, and a last
 // fold mixes the state, so every bit of the hash depends on every byte. Its
-// low bits pick the intern table and its high 32 bits are the fingerprint
-// that picks the slot. Node ids never depend on the hash, so any change of
-// hash or table count leaves built graphs bit-identical. hash/maphash.Bytes
-// would do the same job, but on these 8–24-byte labels its per-call seeding
-// made BenchmarkRankerRank about a fifth slower.
+// high 32 bits are the fingerprint that picks the intern table's slot. Node
+// ids never depend on the hash, so any change of hash leaves built graphs
+// bit-identical. hash/maphash.Bytes would do the same job, but on these
+// 8–24-byte labels its per-call seeding made BenchmarkRankerRank about a
+// fifth slower.
 func labelHash(x []byte) uint64 {
 	h := uint64(len(x)) ^ 0x9e3779b97f4a7c15
 	for ; len(x) >= 8; x = x[8:] {
@@ -151,12 +142,9 @@ func hashFold(a, b uint64) uint64 {
 	return hi ^ lo
 }
 
-// table returns the intern table responsible for hash h.
-func (ix *Index) table(h uint64) *internTable { return &ix.tables[h&ix.mask] }
-
 // lookup returns the id of label x with hash h, or -1.
 func (ix *Index) lookup(x []byte, h uint64) int32 {
-	t := ix.table(h)
+	t := &ix.table
 	fp := uint32(h >> 32)
 	mask := uint32(len(t.slots) - 1)
 	for i := fp >> t.shift; ; i = (i + 1) & mask {
@@ -224,9 +212,8 @@ func (ix *Index) add(x symbols.Label) (int32, bool) {
 	}
 	id := int32(ix.N())
 	ix.labels = append(ix.labels, x...)
-	t := ix.table(h)
-	t.reserve(1)
-	t.insert(internSlot{fp: uint32(h >> 32), ref: id + 1})
+	ix.table.reserve(1)
+	ix.table.insert(internSlot{fp: uint32(h >> 32), ref: id + 1})
 	return id, true
 }
 
@@ -235,40 +222,14 @@ type BuildOptions struct {
 	// Limit aborts enumeration if more than Limit vertices are found
 	// (0 means no limit). Protects against accidentally huge graphs.
 	Limit int
-	// Workers selects the enumeration strategy: 1 forces the sequential
-	// builder, n > 1 runs the parallel level-synchronous builder with n
-	// workers, and 0 falls back to DefaultWorkers (and then GOMAXPROCS).
-	// The built graph and index are bit-identical for every worker count.
+	// Workers is ignored: Build has one sequential enumerator. The field
+	// stays only because cmd/ipbench still sets it, and goes with that
+	// command's next revision (ROADMAP item 2).
 	Workers int
-	// Observe, when non-nil, receives one LevelStats record per completed
-	// BFS level: frontier sizes, per-phase wall times, intern-table
-	// occupancy, and arena bytes. Observation requires the level-structured
-	// enumerator, so a non-nil Observe routes the build through the
-	// parallel builder even at Workers == 1 (whose output is byte-identical
-	// to the sequential oracle). The callback runs synchronously between
-	// levels; keep it cheap.
+	// Observe, when non-nil, receives one LevelStats record per BFS level,
+	// after the level's last node is expanded. The callback runs
+	// synchronously between levels; keep it cheap.
 	Observe func(LevelStats)
-}
-
-// DefaultWorkers, when positive, is the worker count used by Build whenever
-// BuildOptions.Workers is zero; when itself zero, GOMAXPROCS is used. CLI
-// front-ends set it once at startup (their -workers flag); it is not
-// synchronized, so set it before building from multiple goroutines.
-var DefaultWorkers int
-
-// effectiveWorkers resolves the Workers option against the defaults.
-func effectiveWorkers(opt BuildOptions) int {
-	w := opt.Workers
-	if w == 0 {
-		w = DefaultWorkers
-	}
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Build enumerates the IP graph by breadth-first search from the seed and
@@ -276,64 +237,78 @@ func effectiveWorkers(opt BuildOptions) int {
 // closed under inverse the result is undirected; otherwise it is a directed
 // graph (as for de Bruijn-style generators).
 //
-// With more than one worker (see BuildOptions.Workers) the enumeration is
-// parallel and level-synchronous; node ids, edge order, and labels are
-// guaranteed bit-identical to BuildSeq regardless of the worker count.
+// Nodes are expanded in id order, generators applied in declaration order,
+// and a label's id is fixed the first time it appears, so the ids of each
+// BFS level are one consecutive range. Node ids, arc slots and CSR offsets
+// are int32: a build whose vertex count times generator count would pass
+// math.MaxInt32 fails like one past Limit, before the offending vertex
+// contributes any arc.
 func (ip *IPGraph) Build(opt BuildOptions) (*graph.Graph, *Index, error) {
 	if err := ip.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if w := effectiveWorkers(opt); w > 1 || opt.Observe != nil {
-		return ip.buildParallel(opt, w)
+	G := len(ip.Gens)
+	maxN := math.MaxInt32 / G
+	if opt.Limit > 0 {
+		maxN = min(maxN, opt.Limit)
 	}
-	return ip.buildSeq(opt)
-}
-
-// BuildSeq is the sequential single-threaded enumerator. No program calls
-// it: it is the test oracle the parallel builder is differenced against, as
-// the determinism tests assert Build produces byte-identical output for
-// every worker count.
-func (ip *IPGraph) BuildSeq(opt BuildOptions) (*graph.Graph, *Index, error) {
-	if err := ip.Validate(); err != nil {
-		return nil, nil, err
-	}
-	return ip.buildSeq(opt)
-}
-
-func (ip *IPGraph) buildSeq(opt BuildOptions) (*graph.Graph, *Index, error) {
-	ix := newIndex(len(ip.Seed), 0)
+	ix := newIndex(len(ip.Seed))
 	ix.add(ip.Seed)
-	// arcs[u*len(Gens)+j] is the node reached from u by generator j.
-	arcs := make([]int32, 0, 64*len(ip.Gens))
+	// arcs[u*G+j] is the node reached from u by generator j.
+	arcs := make([]int32, 0, 64*G)
 	buf := make(symbols.Label, len(ip.Seed))
-	for head := int32(0); int(head) < ix.N(); head++ {
-		x := ix.Label(head) // stays valid when add grows ix.labels
-		for _, g := range ip.Gens {
-			g.Apply(buf, x)
-			v, fresh := ix.add(buf)
-			if fresh && opt.Limit > 0 && ix.N() > opt.Limit {
-				// Checked before the over-limit node contributes any arc.
-				return nil, nil, ip.limitErr(opt.Limit, ix.N())
+	var t0 time.Time
+	if opt.Observe != nil {
+		t0 = time.Now()
+	}
+	// Level d is the id range [lo, hi); the labels it reaches first form
+	// level d+1.
+	for d, lo, hi := 0, 0, 1; lo < hi; d, lo, hi = d+1, hi, ix.N() {
+		for u := lo; u < hi; u++ {
+			x := ix.Label(int32(u)) // stays valid when add grows ix.labels
+			for _, g := range ip.Gens {
+				g.Apply(buf, x)
+				v, fresh := ix.add(buf)
+				if fresh && ix.N() > maxN {
+					return nil, nil, ip.sizeErr(opt.Limit, ix.N())
+				}
+				arcs = append(arcs, v)
 			}
-			arcs = append(arcs, v)
+		}
+		if opt.Observe != nil {
+			t1 := time.Now()
+			opt.Observe(LevelStats{
+				Level:            d,
+				FrontierNodes:    hi - lo,
+				NewNodes:         ix.N() - hi,
+				TotalNodes:       ix.N(),
+				ArcSlots:         (hi - lo) * G,
+				Expand:           t1.Sub(t0),
+				InternArenaBytes: int64(len(ix.labels)),
+			})
+			t0 = t1
 		}
 	}
 	return ip.finish(ix, arcs)
 }
 
-// limitErr reports a BuildOptions.Limit violation, naming the family and the
-// number of vertices enumeration had reached when it was cut off.
-func (ip *IPGraph) limitErr(limit, attempted int) error {
+// sizeErr reports a build cut off past BuildOptions.Limit, or past the
+// int32 arc slot space, naming the family and the number of vertices
+// enumeration had reached when it was cut off.
+func (ip *IPGraph) sizeErr(limit, attempted int) error {
 	name := ip.Name
 	if name == "" {
 		name = "IP graph"
 	}
-	return fmt.Errorf("core: %s exceeds vertex limit %d (attempted %d vertices)", name, limit, attempted)
+	if limit > 0 && attempted > limit {
+		return fmt.Errorf("core: %s exceeds vertex limit %d (attempted %d vertices)", name, limit, attempted)
+	}
+	return fmt.Errorf("core: %s with %d generators overflows the int32 arc slots (attempted %d vertices)",
+		name, len(ip.Gens), attempted)
 }
 
-// finish realizes the enumerated arc table as a CSR graph. Both builders
-// produce the identical flat arc layout (node-major, generator-minor), so
-// sharing this epilogue guarantees the realized graphs match exactly.
+// finish realizes the enumerated arc table, node-major and
+// generator-minor, as a CSR graph.
 //
 // Row u is arcs[u*G:(u+1)*G] sorted, without duplicates and self-loops,
 // compacted in place. When the generators are closed under inverse, v = g(u)

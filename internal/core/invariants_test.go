@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/perm"
@@ -172,46 +173,79 @@ func TestInvariantInverseClosureUndirected(t *testing.T) {
 	}
 }
 
-// TestInvariantBFSLevelOrder checks the id-assignment contract both builders
-// share: node ids are nondecreasing in BFS distance from the seed, so the
-// index order is a valid level order (this is what makes the parallel
-// level-synchronous assignment equivalent to the sequential one).
+// TestInvariantBFSLevelOrder checks the id-assignment contract of Build:
+// node ids are nondecreasing in BFS distance from the seed, so the index
+// order is a valid level order.
 func TestInvariantBFSLevelOrder(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		s := hsn(3, nucleusQ(2), true)
-		g, ix, err := s.Build(BuildOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dist := g.Symmetrized().BFS(0)
-		for id := 1; id < ix.N(); id++ {
-			if dist[id] < dist[id-1] {
-				t.Fatalf("workers=%d: node %d at distance %d precedes node %d at distance %d",
-					workers, id-1, dist[id-1], id, dist[id])
-			}
+	s := hsn(3, nucleusQ(2), true)
+	g, ix, err := s.Build(BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := g.Symmetrized().BFS(0)
+	for id := 1; id < ix.N(); id++ {
+		if dist[id] < dist[id-1] {
+			t.Fatalf("node %d at distance %d precedes node %d at distance %d",
+				id-1, dist[id-1], id, dist[id])
 		}
 	}
 }
 
-// TestInvariantLimitSequential is the regression test for Limit enforcement
-// on the sequential path: the error must name the family, report the
-// attempted vertex count, and fire before the over-limit node contributes
-// arcs (no partial result escapes).
+// TestInvariantLimitSequential is the regression test for the size
+// checks of Build: past Limit, and past the int32 arc slot space (node ids,
+// arc slots and CSR offsets are int32, so a build whose vertex count times
+// generator count passes math.MaxInt32 must fail rather than wrap). The
+// error must name the family, report the attempted vertex count, and fire
+// before the offending node contributes arcs (no partial result escapes).
+// With the first 46,341 permutations of 9 symbols (lexicographic, the
+// identity first) as generators, the seed reaches 46,340 new labels at
+// once, and 46,341^2 passes math.MaxInt32 on the last of them.
 func TestInvariantLimitSequential(t *testing.T) {
-	var gens []perm.Perm
+	var star []perm.Perm
 	for i := 1; i < 7; i++ {
-		gens = append(gens, perm.Transposition(7, 0, i))
+		star = append(star, perm.Transposition(7, 0, i))
 	}
-	ip := Cayley("S7", gens, nil)
-	g, ix, err := ip.BuildSeq(BuildOptions{Limit: 100})
-	if err == nil {
-		t.Fatal("expected limit error for 7! nodes")
+	const G = 46341
+	dense := make([]perm.Perm, 0, G)
+	for p := perm.Identity(9); len(dense) < G; nextPerm(p) {
+		dense = append(dense, p.Clone())
 	}
-	if g != nil || ix != nil {
-		t.Fatal("limit violation must not return a partial graph")
+	cases := []struct {
+		ip    *IPGraph
+		limit int
+		want  string
+	}{
+		{Cayley("S7", star, nil), 100, "core: S7 exceeds vertex limit 100 (attempted 101 vertices)"},
+		{Cayley("S9-dense", dense, nil), 1 << 20,
+			"core: S9-dense with 46341 generators overflows the int32 arc slots (attempted 46341 vertices)"},
 	}
-	want := "core: S7 exceeds vertex limit 100 (attempted 101 vertices)"
-	if err.Error() != want {
-		t.Fatalf("limit error = %q, want %q", err, want)
+	for _, c := range cases {
+		g, ix, err := c.ip.Build(BuildOptions{Limit: c.limit})
+		if err == nil {
+			t.Fatalf("%s: expected a size error", c.ip.Name)
+		}
+		if g != nil || ix != nil {
+			t.Fatalf("%s: a size error must not return a partial graph", c.ip.Name)
+		}
+		if err.Error() != c.want {
+			t.Fatalf("%s: error = %q, want %q", c.ip.Name, err, c.want)
+		}
 	}
+}
+
+// nextPerm steps p to its lexicographic successor, wrapping the last
+// permutation to the identity.
+func nextPerm(p perm.Perm) {
+	i := len(p) - 2
+	for i >= 0 && p[i] >= p[i+1] {
+		i--
+	}
+	if i >= 0 {
+		j := len(p) - 1
+		for p[j] <= p[i] {
+			j--
+		}
+		p[i], p[j] = p[j], p[i]
+	}
+	slices.Reverse(p[i+1:])
 }

@@ -47,7 +47,7 @@ func rankerGrid() map[string]*SuperIP {
 // inverts it.
 func TestRankerBijection(t *testing.T) {
 	for name, s := range rankerGrid() {
-		_, ix, err := s.Build(BuildOptions{Workers: 1})
+		_, ix, err := s.Build(BuildOptions{})
 		if err != nil {
 			t.Fatalf("%s: build: %v", name, err)
 		}
@@ -86,7 +86,7 @@ func TestRankerBijection(t *testing.T) {
 // leftmost super-symbol, with dense module ids.
 func TestRankerModules(t *testing.T) {
 	for name, s := range rankerGrid() {
-		_, ix, err := s.Build(BuildOptions{Workers: 1})
+		_, ix, err := s.Build(BuildOptions{})
 		if err != nil {
 			t.Fatalf("%s: build: %v", name, err)
 		}

@@ -57,7 +57,7 @@ func TestRouteGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: golden entry has no grid instance", name)
 		}
-		_, ix, err := s.Build(BuildOptions{Workers: 1})
+		_, ix, err := s.Build(BuildOptions{})
 		if err != nil {
 			t.Fatalf("%s: build: %v", name, err)
 		}

@@ -328,7 +328,7 @@ func TestCoverTableMatchesSearch(t *testing.T) {
 // holds and whatever routes the router computed before.
 func TestWordMatchesRoute(t *testing.T) {
 	for name, s := range rankerGrid() {
-		_, ix, err := s.Build(BuildOptions{Workers: 1})
+		_, ix, err := s.Build(BuildOptions{})
 		if err != nil {
 			t.Fatalf("%s: build: %v", name, err)
 		}

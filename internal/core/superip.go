@@ -244,9 +244,7 @@ func (s *SuperIP) nucleusLocked() (*nucleusInfo, error) {
 		Seed: s.nucleusSeed(),
 		Gens: s.Nucleus.Gens,
 	}
-	// Nucleus graphs are small (M nodes); the sequential builder avoids
-	// pointless per-level worker spawning.
-	g, ix, err := ipn.Build(BuildOptions{Workers: 1})
+	g, ix, err := ipn.Build(BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -319,8 +317,7 @@ func (s *SuperIP) ExpectedSize() (int, error) {
 	return size, nil
 }
 
-// Build enumerates the full super-IP graph. BuildOptions.Workers selects
-// sequential vs parallel enumeration; the result is identical either way.
+// Build enumerates the full super-IP graph through IPGraph.Build.
 func (s *SuperIP) Build(opt BuildOptions) (*graph.Graph, *Index, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err

@@ -52,16 +52,9 @@ type Net struct {
 	L         int
 	Nucleus   NucleusSpec
 	Symmetric bool
-	// Workers is passed through to core.BuildOptions.Workers: 1 forces the
-	// sequential enumerator, n > 1 the n-worker parallel one, 0 the default
-	// (core.DefaultWorkers, then GOMAXPROCS). The built graph is identical
-	// for every setting.
-	Workers int
 	// Observe is passed through to core.BuildOptions.Observe: per-level
-	// instrumentation of the level-synchronous enumerator (phase wall
-	// times, frontier sizes, intern occupancy, arena bytes). Setting it
-	// routes the build through the parallel enumerator even at Workers ==
-	// 1; the output stays byte-identical.
+	// instrumentation of the enumerator (frontier sizes, level wall time,
+	// intern occupancy, arena bytes). The output stays byte-identical.
 	Observe func(core.LevelStats)
 
 	s *core.SuperIP // lazily assembled
@@ -256,7 +249,7 @@ func (n *Net) BuildWithIndex() (*graph.Graph, *core.Index, error) {
 	if n.N() > 1<<21 {
 		return nil, nil, fmt.Errorf("superip: %s with %d nodes is too large to build", n.Name(), n.N())
 	}
-	return n.Super().Build(core.BuildOptions{Workers: n.Workers, Observe: n.Observe})
+	return n.Super().Build(core.BuildOptions{Observe: n.Observe})
 }
 
 // Router returns a Theorem 4.1/4.3 router for the network.
