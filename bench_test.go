@@ -2,6 +2,7 @@ package repro
 
 import (
 	"io"
+	"math/rand"
 	"testing"
 
 	"repro/internal/collectives"
@@ -180,10 +181,10 @@ func BenchmarkRouting(b *testing.B) {
 }
 
 // BenchmarkAlgebraicRoute measures end-to-end id-space routing on the
-// implicit topology of sym-HSN(3;Q4): compute the Theorem 4.3 route's
-// generator word on rank digits (core.Router.WordID) and replay it on ids
-// (core.Ranker.Step) — the whole per-packet cost of routing without a
-// materialized graph, and with no label.
+// implicit topology of sym-HSN(3;Q4): walk the Theorem 4.3 route on rank
+// digits, emitting its node ids (core.Router.WordID), and copy them out —
+// the whole per-packet cost of routing without a materialized graph, and
+// with no label.
 func BenchmarkAlgebraicRoute(b *testing.B) {
 	net := superip.HSN(3, superip.NucleusHypercube(4)).SymmetricVariant()
 	r, err := topo.NewAlgebraic(net.Super())
@@ -204,6 +205,37 @@ func BenchmarkAlgebraicRoute(b *testing.B) {
 			continue
 		}
 		if _, err := r.Path(src, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAlgebraicPathSymHSN45 is BenchmarkAlgebraicRoute on the
+// instance and pairs of cmd/ipbench's route-symhsn45 workload: Path over
+// 4,000 pairs of the 25,165,824-node sym-HSN(4;Q5), drawn from seed 1 (a
+// source, then a different destination), one route per op.
+func BenchmarkAlgebraicPathSymHSN45(b *testing.B) {
+	net := superip.HSN(4, superip.NucleusHypercube(5)).SymmetricVariant()
+	r, err := topo.NewAlgebraic(net.Super())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := int64(net.N())
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]int64, 4000)
+	for i := range pairs {
+		src := rng.Int63n(n)
+		dst := rng.Int63n(n - 1)
+		if dst >= src {
+			dst++
+		}
+		pairs[i] = [2]int64{src, dst}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := pairs[i%len(pairs)]
+		if _, err := r.Path(pr[0], pr[1]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,7 +290,7 @@ func BenchmarkRankerUnrank(b *testing.B) {
 
 // BenchmarkRankerStep measures one generator step on rank digits on
 // sym-HSN(3;Q4), cycling through every generator: layer 1 of every
-// neighbor and every replayed route hop.
+// neighbor and of every super-generator hop of an id route.
 func BenchmarkRankerStep(b *testing.B) {
 	s, rk := symHSN3Q4Ranker(b)
 	deg := len(s.IPGraph().Gens)
@@ -313,8 +345,8 @@ func BenchmarkRouteSymHSN3Q4(b *testing.B) {
 }
 
 // BenchmarkWordID is BenchmarkRouteSymHSN3Q4 on ids: the Theorem 4.3 route
-// alone, computed on rank digits by core.Router.WordID between the same
-// node pairs, into a reused buffer.
+// alone, walked on rank digits by core.Router.WordID between the same node
+// pairs, its word and node ids into reused buffers.
 func BenchmarkWordID(b *testing.B) {
 	s, rk := symHSN3Q4Ranker(b)
 	r, err := core.NewRouter(s)
@@ -326,10 +358,11 @@ func BenchmarkWordID(b *testing.B) {
 		ids[i] = (int64(i) * 2654435761) % rk.N()
 	}
 	var word []int
+	var path []int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		word, err = r.WordID(ids[i%len(ids)], ids[(i*7+1)%len(ids)], word[:0])
+		word, path, err = r.WordID(ids[i%len(ids)], ids[(i*7+1)%len(ids)], word[:0], path[:0])
 		if err != nil {
 			b.Fatal(err)
 		}

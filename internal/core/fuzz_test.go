@@ -35,7 +35,9 @@ func FuzzStep(f *testing.F) {
 // FuzzWordID checks the route walk on ranks against the walk on labels on
 // random instances drawn like FuzzStep's: a family, plain or symmetric, a
 // nucleus, l in [2, 4], and a source and destination node. WordID must
-// return Word's generator word on the unranked labels, errors included.
+// return Word's generator word on the unranked labels, errors included, and
+// the node ids that replaying that word from the source through Ranker.Step
+// visits; on error, no ids.
 func FuzzWordID(f *testing.F) {
 	f.Add(uint8(0), uint8(1), false, uint64(5), uint64(9))
 	f.Add(uint8(1), uint8(2), true, uint64(1<<40), uint64(3))
@@ -55,11 +57,29 @@ func FuzzWordID(f *testing.F) {
 			t.Fatalf("%s: router: %v", s.Name, err)
 		}
 		u, v := int64(src%uint64(rk.N())), int64(dst%uint64(rk.N()))
-		got, errID := r.WordID(u, v, nil)
+		got, path, errID := r.WordID(u, v, nil, nil)
 		want, errLabel := r.Word(rk.Unrank(u, nil), rk.Unrank(v, nil), nil)
 		if (errID == nil) != (errLabel == nil) || !slices.Equal(got, want) {
 			t.Fatalf("%s (symmetric %v, l %d): WordID(%d, %d) = %v (err %v), Word on labels %v (err %v)",
 				s.Name, symmetric, s.L, u, v, got, errID, want, errLabel)
 		}
+		if ids := stepReplay(rk, u, want, errLabel); !slices.Equal(path, ids) {
+			t.Fatalf("%s (symmetric %v, l %d): WordID(%d, %d) ids %v, word replayed through Step %v",
+				s.Name, symmetric, s.L, u, v, path, ids)
+		}
 	})
+}
+
+// stepReplay returns the node ids that word visits from src, src first, one
+// Ranker.Step a generator: the oracle of the ids a route walk on ranks
+// emits. It returns nil when err is set, as a failed walk emits no ids.
+func stepReplay(rk *Ranker, src int64, word []int, err error) []int64 {
+	if err != nil {
+		return nil
+	}
+	ids := []int64{src}
+	for _, gi := range word {
+		ids = append(ids, rk.Step(ids[len(ids)-1], gi))
+	}
+	return ids
 }

@@ -19,7 +19,9 @@ import (
 // oracle of the other form. WordID runs the same walk on ranks (Theorem 3.2
 // and Section 3.5): the leftmost block's nucleus state is the rank's digit
 // d_0, the destination's states are its digits, and a super-generator is
-// Ranker.Step, so an id route reads no label at all.
+// Ranker.Step, so an id route reads no label at all. Every node of the
+// route is known while the walk runs, so WordID emits the node ids as it
+// goes: a route on ids is one pass.
 //
 // The covering schedules are computed once per router. A plain graph has a
 // single schedule, built by NewRouter. A symmetric graph needs one schedule
@@ -45,11 +47,15 @@ type Router struct {
 	rk     *Ranker
 	planOf []int32 // [a_src*A + a_dst] -> cover.plans index
 
+	// The walk states of the label and the id route, kept here so that
+	// walk takes them without an allocation.
+	lw labelWalk
+	rw rankWalk
+
 	// Scratch reused by every label route.
-	cur, next symbols.Label // the walk's current label and the next hop's
-	canon     symbols.Label // a block shifted into the nucleus symbol range
-	colorPos  []int         // color -> position in the source label
-	target    []byte        // the route's final arrangement
+	canon    symbols.Label // a block shifted into the nucleus symbol range
+	colorPos []int         // color -> position in the source label
+	target   []byte        // the route's final arrangement
 }
 
 type revArc struct {
@@ -86,12 +92,11 @@ func NewRouter(s *SuperIP) (*Router, error) {
 		numNuc:   len(s.Nucleus.Gens),
 		gens:     s.IPGraph().Gens,
 		nucTrees: make([][]int32, nuc.ix.N()),
-		cur:      make(symbols.Label, s.L*m),
-		next:     make(symbols.Label, s.L*m),
 		canon:    make(symbols.Label, m),
 		colorPos: make([]int, s.L),
 		target:   make([]byte, s.L),
 	}
+	r.lw = labelWalk{r: r, cur: make(symbols.Label, s.L*m), next: make(symbols.Label, s.L*m)}
 	if !s.Symmetric {
 		sched, err := s.MinCoverSchedule()
 		if err != nil {
@@ -208,48 +213,58 @@ func (r *Router) Word(src, dst symbols.Label, buf []int) ([]int, error) {
 		// the destination exactly, so verify multisets agree per the model.
 		return nil, fmt.Errorf("core: src and dst are not in the same IP graph (symbol multisets differ)")
 	}
-	copy(r.cur, src)
-	return walk(r, labelWalk{r: r, cur: r.cur, next: r.next, dst: dst}, plan, buf)
+	copy(r.lw.cur, src)
+	r.lw.dst = dst
+	return walk(r, &r.lw, plan, buf)
 }
 
 // WordID is Word on node ids, the ranks of the Ranker of the router's
-// specification: it returns the generator word of the route from the node
-// ranked src to the node ranked dst, reading no label. The router takes its
-// specification's shared rank tables on its first id route, so WordID fails
-// on a specification whose rank space overflows int64, and on an id outside
-// [0, N). It allocates only when buf must grow, on the first route toward
-// each nucleus state, and on the first route of a symmetric router, which
-// builds the schedule table and the A x A plan table over its arrangements.
-// On error it returns nil.
-func (r *Router) WordID(src, dst int64, buf []int) ([]int, error) {
+// specification: it appends to word the generator word of the route from
+// the node ranked src to the node ranked dst, and to path the ids of the
+// route's nodes, src first and dst last, so path gains one id more than
+// word gains generators. It reads no label and computes every id once, as
+// the walk reaches it. The router takes its specification's shared rank
+// tables on its first id route, so WordID fails on a specification whose
+// rank space overflows int64, and on an id outside [0, N). It allocates
+// only when word or path must grow, on the first route toward each nucleus
+// state, and on the first route of a symmetric router, which builds the
+// schedule table and the A x A plan table over its arrangements. On error
+// it returns nil slices.
+func (r *Router) WordID(src, dst int64, word []int, path []int64) ([]int, []int64, error) {
 	if r.rk == nil {
 		rk, err := r.s.Ranker()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		r.rk = rk
+		r.rk, r.rw.rk = rk, rk
 	}
 	rk := r.rk
 	if src < 0 || src >= rk.n || dst < 0 || dst >= rk.n {
-		return nil, fmt.Errorf("core: route %d -> %d: id out of range [0,%d)", src, dst, rk.n)
+		return nil, nil, fmt.Errorf("core: route %d -> %d: id out of range [0,%d)", src, dst, rk.n)
 	}
 	plan := &r.plain
 	if r.s.Symmetric {
 		if r.planOf == nil {
 			if err := r.buildPlanTable(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		a := rk.pow[rk.l]
 		plan = &r.cover.plans[r.planOf[src/a*int64(len(rk.arrs))+dst/a]]
 	}
-	return walk(r, rankWalk{rk: rk, cur: src, dst: dst}, plan, buf)
+	r.rw.cur, r.rw.dst, r.rw.path = src, dst, append(path, src)
+	word, err := walk(r, &r.rw, plan, word)
+	if err != nil {
+		return nil, nil, err
+	}
+	return word, r.rw.path, nil
 }
 
 // walkState is the current node of a route walk and its destination, as
 // labels (labelWalk) or as ranks (rankWalk). The schedule loop reads and
 // moves it only through these methods, so both forms run one algorithm.
-type walkState[W any] interface {
+// Both live in the router, so passing one to walk allocates nothing.
+type walkState interface {
 	// arrived reports whether the walk is at its destination.
 	arrived() bool
 	// left returns the nucleus state of the leftmost super-symbol, and want
@@ -258,22 +273,25 @@ type walkState[W any] interface {
 	// nucleus state.
 	left() int32
 	want(pos int) int32
-	// setLeft rewrites the leftmost super-symbol from nucleus state from
-	// to state to.
-	setLeft(from, to int32) W
-	// move follows generator gi; moved is false when gi fixes the node.
-	move(gi int) (next W, moved bool)
+	// nucStep follows one nucleus generator of a sort, which takes the
+	// leftmost super-symbol from nucleus state from to state to, and
+	// setLeft ends the sort at state to. The rank walk moves on every
+	// nucStep; the label walk rewrites the block once, in setLeft.
+	nucStep(from, to int32)
+	setLeft(to int32)
+	// move follows generator gi, and reports false when gi fixes the node.
+	move(gi int) bool
 }
 
 // walk runs the schedule of plan from w's node to its destination and
 // appends the route's generators to buf. Each super-symbol is sorted the
 // first time it is leftmost: the walk follows the nucleus routing tree
 // toward the destination's super-symbol at its final position, on state
-// ids, and then rewrites the leftmost block once. A super-generator that
-// fixes the node (e.g. swapping two identical super-symbols) is a
-// self-loop, not an edge, and physically no transmission: it is skipped,
-// and the walk keeps following its schedule.
-func walk[W walkState[W]](r *Router, w W, plan *coverPlan, buf []int) ([]int, error) {
+// ids, one nucStep per tree edge, and then calls setLeft. A
+// super-generator that fixes the node (e.g. swapping two identical
+// super-symbols) is a self-loop, not an edge, and physically no
+// transmission: it is skipped, and the walk keeps following its schedule.
+func walk(r *Router, w walkState, plan *coverPlan, buf []int) ([]int, error) {
 	sched := plan.sched
 	for k := 0; k <= sched.T(); k++ {
 		if w.arrived() {
@@ -293,15 +311,15 @@ func walk[W walkState[W]](r *Router, w W, plan *coverPlan, buf []int) ([]int, er
 						return nil, fmt.Errorf("core: nucleus state %d cannot reach %d", s, want)
 					}
 					buf = append(buf, int(gi))
-					s = r.nuc.next[int(s)*r.numNuc+int(gi)]
+					next := r.nuc.next[int(s)*r.numNuc+int(gi)]
+					w.nucStep(s, next)
+					s = next
 				}
-				w = w.setLeft(d, want)
+				w.setLeft(want)
 			}
 		}
 		if k < sched.T() {
-			gi := r.numNuc + sched.Moves[k]
-			var moved bool
-			if w, moved = w.move(gi); moved {
+			if gi := r.numNuc + sched.Moves[k]; w.move(gi) {
 				buf = append(buf, gi)
 			}
 		}
@@ -312,69 +330,77 @@ func walk[W walkState[W]](r *Router, w W, plan *coverPlan, buf []int) ([]int, er
 	return buf, nil
 }
 
-// labelWalk is a route walk on labels, over the router's scratch.
+// labelWalk is a route walk on labels: cur and next are the router's
+// scratch, the walk's current label and the next hop's.
 type labelWalk struct {
 	r              *Router
 	cur, next, dst symbols.Label
 }
 
-func (w labelWalk) arrived() bool { return w.cur.Equal(w.dst) }
+func (w *labelWalk) arrived() bool { return w.cur.Equal(w.dst) }
 
 // offset returns the symbol offset of the leftmost block's color: 0 for
 // plain graphs.
-func (w labelWalk) offset() byte {
+func (w *labelWalk) offset() byte {
 	if !w.r.s.Symmetric {
 		return 0
 	}
 	return byte(blockColor(w.cur[:w.r.m], w.r.m) * w.r.m)
 }
 
-func (w labelWalk) left() int32 { return w.r.stateID(w.cur[:w.r.m], w.offset()) }
+func (w *labelWalk) left() int32 { return w.r.stateID(w.cur[:w.r.m], w.offset()) }
 
-func (w labelWalk) want(pos int) int32 { return w.r.stateID(w.dst.Group(pos, w.r.m), w.offset()) }
+func (w *labelWalk) want(pos int) int32 { return w.r.stateID(w.dst.Group(pos, w.r.m), w.offset()) }
 
-func (w labelWalk) setLeft(_, to int32) labelWalk {
+func (w *labelWalk) nucStep(_, _ int32) {}
+
+func (w *labelWalk) setLeft(to int32) {
 	off := w.offset()
 	for i, v := range w.r.nuc.ix.Label(to) {
 		w.cur[i] = v + off
 	}
-	return w
 }
 
-func (w labelWalk) move(gi int) (labelWalk, bool) {
+func (w *labelWalk) move(gi int) bool {
 	w.r.gens[gi].Apply(w.next, w.cur)
 	if w.next.Equal(w.cur) {
-		return w, false
+		return false
 	}
 	w.cur, w.next = w.next, w.cur
-	return w, true
+	return true
 }
 
 // rankWalk is a route walk on ranks: a block's nucleus state is the rank's
-// digit at its position, and a generator is Ranker.Step.
+// digit at its position, so a nucleus generator adds (to - from) * M^(l-1)
+// to the rank, and a super-generator is Ranker.Step. It appends every node
+// it reaches to path.
 type rankWalk struct {
 	rk       *Ranker
 	cur, dst int64
+	path     []int64
 }
 
-func (w rankWalk) arrived() bool { return w.cur == w.dst }
+func (w *rankWalk) arrived() bool { return w.cur == w.dst }
 
-func (w rankWalk) left() int32 { return w.rk.digit(w.cur, 0) }
+func (w *rankWalk) left() int32 { return w.rk.digit(w.cur, 0) }
 
-func (w rankWalk) want(pos int) int32 { return w.rk.digit(w.dst, pos) }
+func (w *rankWalk) want(pos int) int32 { return w.rk.digit(w.dst, pos) }
 
-func (w rankWalk) setLeft(from, to int32) rankWalk {
+func (w *rankWalk) setLeft(int32) {}
+
+func (w *rankWalk) nucStep(from, to int32) {
 	w.cur += int64(to-from) * w.rk.pow[w.rk.l-1]
-	return w
+	w.path = append(w.path, w.cur)
 }
 
-func (w rankWalk) move(gi int) (rankWalk, bool) {
+func (w *rankWalk) move(gi int) bool {
 	next := w.rk.Step(w.cur, gi)
 	if next == w.cur {
-		return w, false
+		return false
 	}
 	w.cur = next
-	return w, true
+	w.path = append(w.path, next)
+	return true
 }
 
 // coverTable returns the router's schedule table, running the cover search

@@ -357,7 +357,7 @@ func TestWordMatchesRoute(t *testing.T) {
 }
 
 // TestWordAllocs checks that a route, on labels or on ids, allocates
-// nothing once the router's tables exist and the caller's buffer is large
+// nothing once the router's tables exist and the caller's buffers are large
 // enough.
 func TestWordAllocs(t *testing.T) {
 	for name, s := range map[string]*SuperIP{
@@ -374,6 +374,7 @@ func TestWordAllocs(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(5))
 		buf := make([]int, 0, 64)
+		path := make([]int64, 0, 64)
 		for trial := 0; trial < 20; trial++ {
 			src := rk.Unrank(rng.Int63n(rk.N()), nil)
 			dst := rk.Unrank(rng.Int63n(rk.N()), nil)
@@ -385,10 +386,10 @@ func TestWordAllocs(t *testing.T) {
 				t.Fatalf("%s: Word(%v, %v) makes %.1f allocations, want 0", name, src, dst, n)
 			}
 			u, v := rng.Int63n(rk.N()), rng.Int63n(rk.N())
-			if buf, err = r.WordID(u, v, buf[:0]); err != nil {
+			if buf, path, err = r.WordID(u, v, buf[:0], path[:0]); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if n := testing.AllocsPerRun(10, func() { buf, _ = r.WordID(u, v, buf[:0]) }); n != 0 {
+			if n := testing.AllocsPerRun(10, func() { buf, path, _ = r.WordID(u, v, buf[:0], path[:0]) }); n != 0 {
 				t.Fatalf("%s: WordID(%d, %d) makes %.1f allocations, want 0", name, u, v, n)
 			}
 		}
@@ -466,7 +467,7 @@ func TestRouterBeyondRankSpace(t *testing.T) {
 				src, dst, path.Labels[len(path.Labels)-1], path.Hops(), bound)
 		}
 	}
-	if word, err := r.WordID(0, 1, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
+	if word, _, err := r.WordID(0, 1, nil, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
 		t.Fatalf("WordID beyond rank space = %v, %v; want an overflow error", word, err)
 	}
 }
@@ -520,10 +521,11 @@ func TestWordIDConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var word []int
+			var path []int64
 			for i := range pairs {
 				k := (i + w*pairs/workers) % pairs
 				var err error
-				if word, err = r.WordID(src[k], dst[k], word[:0]); err != nil {
+				if word, path, err = r.WordID(src[k], dst[k], word[:0], path[:0]); err != nil {
 					errs <- err
 					return
 				}

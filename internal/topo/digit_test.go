@@ -1,6 +1,9 @@
 package topo
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -104,12 +107,13 @@ func TestDigitNeighborsMatchLabels(t *testing.T) {
 
 // TestWordIDMatchesWord checks the route word computed on ranks
 // (core.Router.WordID) against the one computed on the unranked labels
-// (core.Router.Word), errors included, on 3,000 seeded pairs of every
-// digitGrid instance, every 50th pair a node routed to itself, and on a
-// seeded 50,000-pair sample of the 25,165,824-node sym-HSN(4;Q5). Both
-// walks read only the generator action, the same rule at every vertex of
-// the Cayley (coset) graph, so a sample checks the digit walk as well as a
-// sweep would.
+// (core.Router.Word), errors included, and the node ids WordID emits
+// against that word replayed from the source through Ranker.Step, on 3,000
+// seeded pairs of every digitGrid instance, every 50th pair a node routed
+// to itself, and on a seeded 50,000-pair sample of the 25,165,824-node
+// sym-HSN(4;Q5). Both walks read only the generator action, the same rule
+// at every vertex of the Cayley (coset) graph, so a sample checks the digit
+// walk as well as a sweep would.
 func TestWordIDMatchesWord(t *testing.T) {
 	check := func(net *superip.Net, pairs int, seed int64) {
 		s := net.Super()
@@ -123,6 +127,7 @@ func TestWordIDMatchesWord(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		var byID, byLabel []int
+		var path, replay []int64
 		srcLbl, dstLbl := make(symbols.Label, rk.LabelLen()), make(symbols.Label, rk.LabelLen())
 		for i := 0; i < pairs; i++ {
 			src, dst := rng.Int63n(rk.N()), rng.Int63n(rk.N())
@@ -130,11 +135,22 @@ func TestWordIDMatchesWord(t *testing.T) {
 				dst = src
 			}
 			var errID, errLabel error
-			byID, errID = r.WordID(src, dst, byID[:0])
+			byID, path, errID = r.WordID(src, dst, byID[:0], path[:0])
 			byLabel, errLabel = r.Word(rk.Unrank(src, srcLbl), rk.Unrank(dst, dstLbl), byLabel[:0])
 			if (errID == nil) != (errLabel == nil) || !slices.Equal(byID, byLabel) {
 				t.Fatalf("%s: %d -> %d: WordID %v (err %v), Word %v (err %v)",
 					net.Name(), src, dst, byID, errID, byLabel, errLabel)
+			}
+			replay = replay[:0]
+			if errLabel == nil {
+				replay = append(replay, src)
+				for _, gi := range byLabel {
+					replay = append(replay, rk.Step(replay[len(replay)-1], gi))
+				}
+			}
+			if !slices.Equal(path, replay) {
+				t.Fatalf("%s: %d -> %d: WordID ids %v, word replayed through Step %v",
+					net.Name(), src, dst, path, replay)
 			}
 		}
 	}
@@ -142,6 +158,44 @@ func TestWordIDMatchesWord(t *testing.T) {
 		check(net, 3000, 20)
 	}
 	check(superip.HSN(4, superip.NucleusHypercube(5)).SymmetricVariant(), 50000, 20)
+}
+
+// TestAlgebraicPathGolden pins the routes of the route-symhsn45 benchmark
+// workload: 4,000 pairs of the 25,165,824-node sym-HSN(4;Q5), drawn from
+// seed 1 as cmd/ipbench draws them (a source, then a different
+// destination), routed by Algebraic.Path over the implicit codec. Every
+// route is hashed as little-endian uint64 ids, and the first 8 bytes of the
+// sha256 must read the workload's digest.
+func TestAlgebraicPathGolden(t *testing.T) {
+	const want = "ce815439c4d5f67e"
+	net := superip.HSN(4, superip.NucleusHypercube(5)).SymmetricVariant()
+	a, err := NewAlgebraic(net.Super())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(net.N())
+	rng := rand.New(rand.NewSource(1))
+	h := sha256.New()
+	var buf []byte
+	for i := 0; i < 4000; i++ {
+		src := rng.Int63n(n)
+		dst := rng.Int63n(n - 1)
+		if dst >= src {
+			dst++
+		}
+		p, err := a.Path(src, dst)
+		if err != nil {
+			t.Fatalf("pair %d: %d -> %d: %v", i, src, dst, err)
+		}
+		buf = buf[:0]
+		for _, v := range p {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		h.Write(buf)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)[:8]); got != want {
+		t.Errorf("%s: route digest %s, want %s", net.Name(), got, want)
+	}
 }
 
 // TestAlgebraicRejectsBadIDs checks that Path and NextHop return an error,
@@ -272,12 +326,12 @@ func (c labelCodec) Label(u int64) symbols.Label { return c.imp.Label(u) }
 func (c labelCodec) ID(x symbols.Label) int64    { return c.imp.ID(x) }
 func (c labelCodec) N() int64                    { return c.imp.N() }
 
-// TestAlgebraicIDReplayMatchesLabelReplay routes the same pairs over an
-// Implicit codec, whose routes are computed on rank digits (WordID) and
-// replayed on ids through Step, and over a labelCodec, whose routes are
+// TestAlgebraicIDPathMatchesLabelReplay routes the same pairs over an
+// Implicit codec, whose routes are walked on rank digits in one pass that
+// emits the node ids (WordID), and over a labelCodec, whose routes are
 // computed on labels (Word), replayed on labels and ranked hop by hop; the
 // two paths must be the same walk.
-func TestAlgebraicIDReplayMatchesLabelReplay(t *testing.T) {
+func TestAlgebraicIDPathMatchesLabelReplay(t *testing.T) {
 	for _, net := range []*superip.Net{
 		superip.HSN(3, superip.NucleusHypercube(2)),
 		superip.HSN(3, superip.NucleusHypercube(2)).SymmetricVariant(),
@@ -290,14 +344,14 @@ func TestAlgebraicIDReplayMatchesLabelReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if byID.step == nil {
-			t.Fatalf("%s: an Implicit codec must select the id replay", net.Name())
+		if !byID.ranked {
+			t.Fatalf("%s: an Implicit codec must select the id walk", net.Name())
 		}
 		byLabel, err := NewAlgebraicWith(net.Super(), labelCodec{imp})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if byLabel.step != nil {
+		if byLabel.ranked {
 			t.Fatalf("%s: a codec without Step must keep the label replay", net.Name())
 		}
 		rng := rand.New(rand.NewSource(7))
@@ -308,14 +362,14 @@ func TestAlgebraicIDReplayMatchesLabelReplay(t *testing.T) {
 			}
 			p, err := byID.Path(src, dst)
 			if err != nil {
-				t.Fatalf("%s: id replay %d -> %d: %v", net.Name(), src, dst, err)
+				t.Fatalf("%s: id walk %d -> %d: %v", net.Name(), src, dst, err)
 			}
 			q, err := byLabel.Path(src, dst)
 			if err != nil {
 				t.Fatalf("%s: label replay %d -> %d: %v", net.Name(), src, dst, err)
 			}
 			if !slices.Equal(p, q) {
-				t.Fatalf("%s: %d -> %d: id replay %v, label replay %v", net.Name(), src, dst, p, q)
+				t.Fatalf("%s: %d -> %d: id walk %v, label replay %v", net.Name(), src, dst, p, q)
 			}
 		}
 	}

@@ -12,27 +12,29 @@ import (
 // Theorems 4.1/4.3 (core.Router): the only state is the nucleus routing
 // trees and the covering schedules, so per-node memory is O(1) in N. Node
 // ids are those of a Labeled codec. On an Implicit codec, whose ids are the
-// ranks of the labels, a route is computed and replayed on ids alone
-// (core.Router.WordID and Implicit.Step). A built graph routes the same way
-// once its nodes are numbered in rank order. Any other codec translates the
-// endpoints to labels, routes on them (core.Router.Word) and ranks every
-// hop. Not safe for concurrent use.
+// ranks of the labels, a route is computed on ids alone, in one pass that
+// emits every node id as the walk reaches it (core.Router.WordID). A built
+// graph routes the same way once its nodes are numbered in rank order. Any
+// other codec translates the endpoints to labels, routes on them
+// (core.Router.Word) and ranks every hop. Not safe for concurrent use.
 type Algebraic struct {
 	r      *core.Router
 	codec  Labeled
-	step   idStepper     // the codec's generator action on ids; nil when its ids are not ranks
+	ranked bool          // the codec's ids are ranks: routes run on ids
 	n      int64         // the codec's id count; -1 when it has no N method
 	srcBuf symbols.Label // route source, then the label replay's current label
 	dstBuf symbols.Label
 	hopBuf symbols.Label // the label replay's next label
 	word   []int         // the route's generator word
+	path   []int64       // the id route's nodes, before the returned copy
 
 	// routes carries each packet's source route between NextHop calls.
 	routes routeStore
 }
 
 // idStepper is a codec whose ids are ranks, so generators act on them
-// directly (Implicit.Step).
+// directly (Implicit.Step). Algebraic only detects it, to route on ids; the
+// walk computes the ids itself.
 type idStepper interface {
 	Step(u int64, gen int) int64
 }
@@ -48,19 +50,19 @@ func NewAlgebraic(s *core.SuperIP) (*Algebraic, error) {
 }
 
 // NewAlgebraicWith builds the paper's router over an explicit id <-> label
-// codec. A codec with a Step method (Implicit) has its routes computed and
-// replayed on ids; any other codec on labels, ranking every hop.
+// codec. A codec with a Step method (Implicit) has its routes computed on
+// ids; any other codec on labels, ranking every hop.
 func NewAlgebraicWith(s *core.SuperIP, codec Labeled) (*Algebraic, error) {
 	r, err := core.NewRouter(s)
 	if err != nil {
 		return nil, err
 	}
 	m := s.Nucleus.M()
-	step, _ := codec.(idStepper)
+	_, ranked := codec.(idStepper)
 	return &Algebraic{
 		r:      r,
 		codec:  codec,
-		step:   step,
+		ranked: ranked,
 		n:      codecSize(codec),
 		srcBuf: make(symbols.Label, s.L*m),
 		dstBuf: make(symbols.Label, s.L*m),
@@ -105,23 +107,20 @@ func codecSize(codec Labeled) int64 {
 }
 
 // Path returns the full algebraic route as node ids. On a codec with a Step
-// it computes the route's generator word on ids (core.Router.WordID) and
-// replays it through Step; on any other codec it computes the word on the
-// endpoints' labels (core.Router.Word) and replays it on a scratch label,
-// ranking each hop. The returned slice is its only allocation. An id
-// outside the codec's range is an error.
+// it walks the route on ids (core.Router.WordID), which emits the node ids
+// into a reused scratch slice, and returns an exact-size copy; on any other
+// codec it computes the word on the endpoints' labels (core.Router.Word)
+// and replays it on a scratch label, ranking each hop. The returned slice
+// is its only allocation. An id outside the codec's range is an error.
 func (a *Algebraic) Path(src, dst int64) ([]int64, error) {
-	if a.step != nil {
-		word, err := a.r.WordID(src, dst, a.word[:0])
+	if a.ranked {
+		word, path, err := a.r.WordID(src, dst, a.word[:0], a.path[:0])
 		if err != nil {
 			return nil, err
 		}
-		a.word = word
-		out := make([]int64, len(word)+1)
-		out[0] = src
-		for i, gi := range word {
-			out[i+1] = a.step.Step(out[i], gi)
-		}
+		a.word, a.path = word, path
+		out := make([]int64, len(path))
+		copy(out, path)
 		return out, nil
 	}
 	if a.n >= 0 && (src < 0 || src >= a.n || dst < 0 || dst >= a.n) {
