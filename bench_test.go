@@ -647,7 +647,7 @@ func BenchmarkRunFaulty(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := netsim.RunFaulty(cfg, netsim.FaultConfig{Plan: plan}); err != nil {
+		if _, err := netsim.RunFaulty(cfg, plan); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -667,7 +667,7 @@ func BenchmarkRunFaultyProbed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
 		cfg.Probe = fullProbe(cfg, p)
-		if _, err := netsim.RunFaulty(cfg, netsim.FaultConfig{Plan: plan}); err != nil {
+		if _, err := netsim.RunFaulty(cfg, plan); err != nil {
 			b.Fatal(err)
 		}
 	}

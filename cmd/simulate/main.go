@@ -8,10 +8,10 @@
 //	simulate -net HSN -l 2 -nucleus Q4 -ratios 1,4,16 -rates 0.002,0.01
 //	simulate -net hypercube -dim 8 -module 4
 //
-// A run either builds the graph and routes by per-destination BFS tables,
-// or, with -implicit, simulates the super-IP family's implicit topology with
-// the paper's Theorem 4.1/4.3 algebraic router (O(1) state per node, no
-// graph built). Both go through one sweep loop, and every run of a sweep
+// A run either builds the graph and routes by per-destination BFS tables
+// (topo.BFSRouter), or, with -implicit, simulates the super-IP family's
+// implicit topology with the paper's Theorem 4.1/4.3 algebraic router
+// (O(1) state per node, no graph built). Both go through one sweep loop, and every run of a sweep
 // starts from fresh simulator state. A nucleus is Qn, FQn, Kn, Sn, SEn or
 // P; a size below the smallest two-node nucleus, -l < 2, and -sym on a
 // nucleus without a symmetric variant (Kn, SEn, P) exit 1 with an error.
@@ -22,8 +22,12 @@
 //
 // -faults caps how many random faults strike; -mtbf sets the mean cycles
 // between fault arrivals; -repair heals each fault after that many cycles
-// (0 = permanent). Faulty runs print loss, hop-limit-drop and reroute
-// columns and the latency inflation against the fault-free baseline.
+// (0 = permanent). Faulty runs print loss, hop-limit-drop, reroute and
+// detour columns and the latency inflation against the fault-free
+// baseline. On a built graph a table is rebuilt against the live faults on
+// the first packet that needs it after a fault: reroutes counts those
+// rebuilds, and detours stays 0, since a packet with no live table hop (its
+// destination dead or cut off) is dropped and counted lost.
 //
 // Faults compose with -implicit: the plan is drawn in id space and the
 // algebraic router is wrapped in the fault-aware rerouter, so degraded-mode
@@ -607,7 +611,7 @@ func (s *sweep) materialized(net *superip.Net, netName string, dim, module, rows
 	}
 	s.header = faultyHeader("lat-infl")
 	s.run = func(ratio int, rate float64, seed int64, pb obs.Probe) (runOutcome, error) {
-		fs, _, err := netsim.RunFaultyWithBaseline(config(ratio, rate, seed, pb), netsim.FaultConfig{Plan: plan})
+		fs, _, err := netsim.RunFaultyWithBaseline(config(ratio, rate, seed, pb), plan)
 		row := fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-6d %-8d %-9d %-10.2f %-9.2f %-9d %-9d",
 			ratio, rate, fs.Injected, fs.Delivered, fs.Lost, fs.Expired, fs.HopLimitDrops,
 			fs.AvgLatency, fs.LatencyInflation, fs.RerouteEvents, fs.MisroutedHops)

@@ -7,9 +7,9 @@
 // The second half runs the *dynamic* counterpart: the packet simulator
 // operates each network through live link failures (netsim.RunFaulty) and
 // reports how throughput and latency degrade as the fault count grows —
-// delivered/lost packets, routing-table repairs, detour hops, and the
-// latency inflation over the fault-free baseline. Everything runs
-// from fixed seeds and is fully deterministic.
+// delivered/lost packets, routing-table repairs, and the latency inflation
+// over the fault-free baseline. Everything runs from fixed seeds and is
+// fully deterministic.
 package main
 
 import (
@@ -138,10 +138,10 @@ func dynamicSweep() {
 	add("Q6", q6, err)
 
 	fmt.Println("\n=== live fault injection: permanent link faults during operation ===")
-	fmt.Printf("(rate %.3g/node/cycle, %d measured cycles, MTBF %d, notify delay 8, seed %d)\n\n",
+	fmt.Printf("(rate %.3g/node/cycle, %d measured cycles, MTBF %d, seed %d)\n\n",
 		rate, measure, mtbf, seed)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "network\tfaults\tdelivered\tlost\tavg-lat\tlat-infl\treroutes\tttr\tdetours")
+	fmt.Fprintln(w, "network\tfaults\tdelivered\tlost\tavg-lat\tlat-infl\treroutes")
 	for _, s := range systems {
 		cfg := netsim.Config{Graph: s.g, InjectionRate: rate,
 			WarmupCycles: warmup, MeasureCycles: measure, Seed: seed}
@@ -150,17 +150,15 @@ func dynamicSweep() {
 			log.Fatal(err)
 		}
 		for _, nFaults := range []int{0, 2, 4, 8} {
-			var fc netsim.FaultConfig
+			var plan *netsim.FaultPlan
 			if nFaults > 0 {
-				plan, err := netsim.RandomFaults{MTBF: mtbf, Start: warmup,
+				plan, err = netsim.RandomFaults{MTBF: mtbf, Start: warmup,
 					Horizon: warmup + measure, MaxFaults: nFaults, Seed: seed}.PlanTopo(topo.NewMaterialized(s.g))
 				if err != nil {
 					log.Fatal(err)
 				}
-				fc.Plan = plan
-				fc.NotifyDelay = 8
 			}
-			fs, err := netsim.RunFaulty(cfg, fc)
+			fs, err := netsim.RunFaulty(cfg, plan)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -168,10 +166,9 @@ func dynamicSweep() {
 			if base.AvgLatency > 0 {
 				infl = fs.AvgLatency / base.AvgLatency
 			}
-			fmt.Fprintf(w, "%s\t%d\t%d/%d\t%d\t%.2f\t%.3f\t%d\t%.0f\t%d\n",
+			fmt.Fprintf(w, "%s\t%d\t%d/%d\t%d\t%.2f\t%.3f\t%d\n",
 				s.name, fs.FaultsInjected, fs.Delivered, fs.Injected, fs.Lost,
-				fs.AvgLatency, infl, fs.RerouteEvents,
-				fs.MeanTimeToReroute, fs.MisroutedHops)
+				fs.AvgLatency, infl, fs.RerouteEvents)
 		}
 	}
 	if err := w.Flush(); err != nil {
@@ -182,7 +179,6 @@ func dynamicSweep() {
 	fmt.Println("latency inflation stays within a few percent — the sparse")
 	fmt.Println("inter-module wiring of the super-IP graphs does not make them")
 	fmt.Println("degrade worse than their flat Cayley cousins. 'reroutes' counts")
-	fmt.Println("per-destination table repairs, 'ttr' the mean cycles from a")
-	fmt.Println("failure to the repair of an affected table, 'detours' the")
-	fmt.Println("misrouted hops taken while tables were stale.")
+	fmt.Println("per-destination table repairs: a table is rebuilt on the first")
+	fmt.Println("packet that needs it after a fault.")
 }

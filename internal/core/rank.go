@@ -333,23 +333,14 @@ func (r *Ranker) Unrank(id int64, dst symbols.Label) symbols.Label {
 	return dst
 }
 
-// Module returns the module id of node id under the nucleus-per-module
+// ModuleOfID returns the module id of node id under the nucleus-per-module
 // packing of Section 5.3: two nodes share a module iff their labels agree on
 // everything except the leftmost super-symbol. Module ids are dense in
-// [0, Modules()).
-func (r *Ranker) Module(id int64) (int64, error) {
-	if id < 0 || id >= r.n {
-		return 0, fmt.Errorf("core: id %d out of range [0,%d)", id, r.n)
-	}
-	return r.ModuleOfID(id), nil
-}
-
-// ModuleOfID is the closed-form Module: because ranks are the mixed-radix
-// number d_0 d_1 ... d_{l-1} in base M (plus arrIdx * M^l for symmetric
-// graphs) and a module quotients out exactly the leftmost digit d_0, the
-// module id is pure integer arithmetic on the rank — no unranking, no symbol
-// work, no scratch buffers. Unlike Module it is safe for concurrent use.
-// The caller must pass a valid id in [0, N).
+// [0, Modules()). Because ranks are the mixed-radix number d_0 d_1 ...
+// d_{l-1} in base M (plus arrIdx * M^l for symmetric graphs) and a module
+// quotients out exactly the leftmost digit d_0, the module id is pure
+// integer arithmetic on the rank — no unranking, no symbol work, no scratch
+// buffers. The caller must pass a valid id in [0, N).
 func (r *Ranker) ModuleOfID(id int64) int64 {
 	return (id/r.pow[r.l])*r.pow[r.l-1] + (id%r.pow[r.l])%r.pow[r.l-1]
 }

@@ -103,10 +103,7 @@ func TestRankerModules(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Rank(%v): %v", name, lbl, err)
 			}
-			mod, err := r.Module(rk)
-			if err != nil {
-				t.Fatalf("%s: Module(%d): %v", name, rk, err)
-			}
+			mod := r.ModuleOfID(rk)
 			if mod < 0 || mod >= r.Modules() {
 				t.Fatalf("%s: module %d out of [0,%d)", name, mod, r.Modules())
 			}

@@ -72,7 +72,7 @@ func BenchmarkRunFaultyQ6(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := RunFaulty(cfg, FaultConfig{Plan: plan}); err != nil {
+		if _, err := RunFaulty(cfg, plan); err != nil {
 			b.Fatal(err)
 		}
 	}

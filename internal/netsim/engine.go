@@ -13,14 +13,15 @@
 // with one wiring: the lane runner in sharded.go, whose lanes (simLane)
 // embed the engine and supply the parts that differ as plain methods.
 // Every entry point is a run of it: Run, RunFaulty and
-// RunFaultyWithBaseline (a built graph, BFS-table routes; Run is RunFaulty
-// with an empty plan), RunImplicit and RunImplicitFaulty (any id-space
-// Router; RunImplicit is RunImplicitFaulty with an empty plan) are
-// single-lane runs, RunSharded a multi-lane one. Every run takes its link
+// RunFaultyWithBaseline (a built graph routed by a topo.BFSRouter; Run is
+// RunFaulty with an empty plan), RunImplicit and RunImplicitFaulty (any
+// id-space Router; RunImplicit is RunImplicitFaulty with an empty plan) are
+// single-lane runs, RunSharded a multi-lane one. Every lane routes through
+// its Router, which reads the lane's fault set. Every run takes its link
 // periods from one module rule (a link between two modules costs
 // OffModulePeriod, any other link 1; built graphs name their modules with
-// a Partition). What only built graphs need (the BFS-table route hook)
-// enters the lane runner through one per-run options struct.
+// a Partition), which enters the lane runner through one per-run options
+// struct with the scripted injections.
 //
 // Degraded-mode rule: a run is degraded iff its fault plan is non-empty.
 // Only a degraded run runs the fault phases (topology changes, dead
@@ -37,9 +38,9 @@
 // the plan's last event, or at the drain deadline.
 //
 // Bit-for-bit compatibility contract: a run consumes its RNG in a fixed
-// order (injection draws, detour choices) and emits probe events
-// in a fixed sequence. TestEngineGoldenParity and TestEngineProbeGolden pin
-// this against recorded fixtures.
+// order (injected sources and destinations; no router draws from it) and
+// emits probe events in a fixed sequence. TestEngineGoldenParity and
+// TestEngineProbeGolden pin this against recorded fixtures.
 package netsim
 
 import (
@@ -53,14 +54,13 @@ import (
 )
 
 // epacket is the one in-flight packet representation. id is unique in its
-// run, ttl backs a degraded RunFaulty's detour budget, hops the hop
-// watchdog, and degraded the detoured-delivery counter.
+// run, hops backs the hop watchdog, and degraded the detoured-delivery
+// counter.
 type epacket struct {
 	id       int64
 	dst      int64
 	born     int
 	hops     int
-	ttl      int
 	measured bool
 	degraded bool
 }
@@ -174,14 +174,7 @@ func (ln *simLane) enqueue(now int, at int64, pkt epacket) error {
 	if pkt.hops >= ln.hopLimit {
 		return ln.hopLimitHit(now, at, &pkt)
 	}
-	var nh int64
-	var ok bool
-	var err error
-	if ln.tables != nil {
-		nh, ok, err = ln.tables.next(now, at, &pkt)
-	} else {
-		nh, ok, err = ln.route(now, at, &pkt)
-	}
+	nh, ok, err := ln.route(now, at, &pkt)
 	if err != nil || !ok {
 		return err
 	}

@@ -340,22 +340,22 @@ func TestLinkRecycling(t *testing.T) {
 	t.Run("built", func(t *testing.T) {
 		g := mustBuild(t, networks.Hypercube{Dim: 6}.Build)
 		cfg := Config{Graph: g, InjectionRate: 0.3, WarmupCycles: 30, MeasureCycles: 100, Seed: 3}
-		fc := FaultConfig{Plan: recyclingPlan(topo.NewMaterialized(g), 5)}
-		want, err := RunFaulty(cfg, fc)
+		plan := recyclingPlan(topo.NewMaterialized(g), 5)
+		want, err := RunFaulty(cfg, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := cfg.normalize(); err != nil {
 			t.Fatal(err)
 		}
-		if err := fc.normalize(); err != nil {
-			t.Fatal(err)
-		}
-		r, lanes, err := newLanes(builtRun(cfg, fc))
+		r, lanes, err := newLanes(builtRun(cfg, plan))
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, r, lanes, ImplicitFaultStats{FaultStats: want})
+		// RunFaulty returns no RouterStats; the lane's table router
+		// counts the rebuilds that RerouteEvents reports.
+		check(t, r, lanes, ImplicitFaultStats{FaultStats: want,
+			Router: topo.RouterStats{Reroutes: uint64(want.RerouteEvents)}})
 	})
 
 	t.Run("implicit", func(t *testing.T) {

@@ -14,8 +14,8 @@ import (
 
 func TestRunFaultyEmptyPlanMatchesRun(t *testing.T) {
 	// Run is RunFaulty with an empty plan, and an empty plan is not
-	// degraded: no liveness checks, no detours, no drops. So RunFaulty with
-	// the default FaultConfig must report exactly Run's Stats and no fault
+	// degraded: no liveness checks, no table rebuilds, no drops. So
+	// RunFaulty with a nil plan must report exactly Run's Stats and no fault
 	// activity at all, on any topology and load (a spurious drop or a
 	// different minimal-route tie-break would show here).
 	q6 := mustBuild(t, networks.Hypercube{Dim: 6}.Build)
@@ -39,7 +39,7 @@ func TestRunFaultyEmptyPlanMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, err := RunFaulty(tc.cfg, FaultConfig{})
+		fs, err := RunFaulty(tc.cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,8 +54,8 @@ func TestRunFaultyEmptyPlanMatchesRun(t *testing.T) {
 
 func TestLinkFaultsBelowConnectivityDeliverEverything(t *testing.T) {
 	// Acceptance criterion: on a kappa-connected network, any kappa-1
-	// permanent faults leave the graph connected, so with table repair and
-	// detours every measured packet must be delivered.
+	// permanent faults leave the graph connected, so with table repair
+	// every measured packet must be delivered.
 	net := superip.HSN(2, superip.NucleusHypercube(3))
 	g, err := net.Build()
 	if err != nil {
@@ -79,7 +79,7 @@ func TestLinkFaultsBelowConnectivityDeliverEverything(t *testing.T) {
 	}
 	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.02,
 		WarmupCycles: 200, MeasureCycles: 2000, Seed: 23},
-		FaultConfig{Plan: plan, NotifyDelay: 8})
+		plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTransientLinkFaultHealsAndRepairs(t *testing.T) {
 	plan := (&FaultPlan{}).LinkDown(300, 0, 1, 900)
 	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.02,
 		WarmupCycles: 100, MeasureCycles: 1500, Seed: 5},
-		FaultConfig{Plan: plan})
+		plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestNodeFaultLosesOnlyAffectedFlows(t *testing.T) {
 	life := newLifeProbe()
 	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.1,
 		Pattern: mustHotspot(t, 0.5), WarmupCycles: 100, MeasureCycles: 2000, Seed: 31, Probe: life},
-		FaultConfig{Plan: plan, NotifyDelay: 4})
+		plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +145,25 @@ func TestNodeFaultLosesOnlyAffectedFlows(t *testing.T) {
 		t.Fatalf("one dead node of 32 left %d of %d packets undelivered", undelivered, fs.Injected)
 	}
 	// Only the victim's traffic and the packets it held may die: every
-	// drop is of a packet to or from node 0, or happens at node 0.
+	// drop is of a packet to or from node 0, or happens at node 0. A
+	// packet in flight toward node 0 finds no hop in its destination's
+	// rebuilt table at the next node that routes it and is dropped there
+	// as no-route.
+	noRoute := 0
 	for id, p := range life.pkts {
 		if p.dropped && p.src != 0 && p.dst != 0 && p.dropAt != 0 {
 			t.Fatalf("packet %d (%d -> %d) dropped at %d (%s), away from the dead node",
 				id, p.src, p.dst, p.dropAt, p.reason)
 		}
+		if p.dropped && p.reason == obs.DropNoRoute {
+			if p.dst != 0 || p.dropAt == 0 {
+				t.Fatalf("packet %d (%d -> %d) dropped as no-route at %d", id, p.src, p.dst, p.dropAt)
+			}
+			noRoute++
+		}
+	}
+	if noRoute == 0 {
+		t.Fatal("no packet in flight toward the dead node was dropped as no-route")
 	}
 }
 
@@ -163,7 +176,7 @@ func TestDisconnectionDetectedOnPartitionedRing(t *testing.T) {
 	life := newLifeProbe()
 	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.02,
 		WarmupCycles: 100, MeasureCycles: 1200, Seed: 41, Probe: life},
-		FaultConfig{Plan: plan})
+		plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,41 +194,6 @@ func TestDisconnectionDetectedOnPartitionedRing(t *testing.T) {
 		if p.dropped && side(p.src) == side(p.dst) {
 			t.Fatalf("same-side packet %d (%d -> %d) dropped (%s)", id, p.src, p.dst, p.reason)
 		}
-	}
-}
-
-func TestDetourKeepsPacketsFlowingBeforeTablesRepair(t *testing.T) {
-	// With a long notification delay, stale tables keep pointing at the
-	// dead link; packets must detour around it (misrouted hops observed)
-	// rather than wait for the rebuild. A random detour can run out of TTL
-	// before it reaches a live table hop, so a few packets are lost, and
-	// only that way: the torus stays connected and no node dies.
-	g := mustBuild(t, networks.Torus2D{Rows: 6, Cols: 6}.Build)
-	plan := (&FaultPlan{}).LinkDown(200, 0, 1, 0).LinkDown(200, 7, 13, 0)
-	life := newLifeProbe()
-	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.05,
-		WarmupCycles: 100, MeasureCycles: 1500, Seed: 61, Probe: life},
-		FaultConfig{Plan: plan, NotifyDelay: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.MisroutedHops == 0 {
-		t.Fatal("stale tables with a 400-cycle notify delay must force detours")
-	}
-	detourDrops := 0
-	for _, p := range life.pkts {
-		if p.measured && p.dropped && (p.reason == obs.DropTTL || p.reason == obs.DropNoRoute) {
-			detourDrops++
-		}
-	}
-	if fs.Lost != detourDrops {
-		t.Fatalf("Lost %d, but %d measured packets died on a detour", fs.Lost, detourDrops)
-	}
-	if float64(fs.Delivered) < 0.97*float64(fs.Injected) {
-		t.Fatalf("delivered %d of %d, want >= 97%%: %+v", fs.Delivered, fs.Injected, fs)
-	}
-	if fs.MeanTimeToReroute < float64(400) {
-		t.Fatalf("mean time-to-reroute %v below the notification delay", fs.MeanTimeToReroute)
 	}
 }
 
@@ -281,11 +259,8 @@ func TestFaultPlanValidate(t *testing.T) {
 func TestFaultConfigErrors(t *testing.T) {
 	g := mustBuild(t, networks.Ring{Nodes: 8}.Build)
 	cfg := Config{Graph: g, InjectionRate: 0.01, WarmupCycles: 10, MeasureCycles: 50}
-	if _, err := RunFaulty(cfg, FaultConfig{NotifyDelay: -1}); err == nil {
-		t.Fatal("negative notify delay must fail")
-	}
 	bad := (&FaultPlan{}).LinkDown(10, 0, 5, 0)
-	if _, err := RunFaulty(cfg, FaultConfig{Plan: bad}); err == nil {
+	if _, err := RunFaulty(cfg, bad); err == nil {
 		t.Fatal("plan referencing a non-link must fail")
 	}
 }
@@ -297,7 +272,7 @@ func TestRunFaultyWithBaselineInflation(t *testing.T) {
 	plan := (&FaultPlan{}).LinkDown(100, 0, 1, 0).LinkDown(100, 6, 7, 0).NodeDown(400, 21, 0)
 	fs, base, err := RunFaultyWithBaseline(Config{Graph: g, InjectionRate: 0.03,
 		WarmupCycles: 100, MeasureCycles: 1500, Seed: 71},
-		FaultConfig{Plan: plan})
+		plan)
 	if err != nil {
 		t.Fatal(err)
 	}

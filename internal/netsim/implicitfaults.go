@@ -1,16 +1,16 @@
 // Degraded-mode simulation over implicit topologies: RunImplicitFaulty is
 // the marriage of RunImplicit (per-node-O(1) memory, never materializes the
 // graph) and RunFaulty (scheduled link/node failures and repairs mid-run).
-// Where RunFaulty repairs routes by rebuilding O(N) BFS tables, the implicit
-// simulator owns no tables at all: it shares a FaultSink (topo.FaultSet)
-// with a fault-aware algebraic router, applies the FaultPlan to it as the
-// clock passes each event, and lets the router's generator-conjugate detours
-// absorb the failures in O(route length) work per affected packet. Fault
-// notification is immediate — the fault set IS the topology's liveness, and
-// the router's epoch check purges stale cached routes the moment it changes
-// — so there is no NotifyDelay. A packet that cannot be rerouted
-// (destination dead, region disconnected, or hop budget exhausted) is
-// dropped and counted in Lost, by the loss rule every run follows.
+// Both share a FaultSink (topo.FaultSet) with their router and apply the
+// FaultPlan to it as the clock passes each event. Where RunFaulty's table
+// router rebuilds O(N) BFS tables, the router of an implicit run owns no
+// tables at all: a fault-aware algebraic router's generator-conjugate
+// detours absorb the failures in O(route length) work per affected packet.
+// On both, fault notification is immediate — the fault set IS the
+// topology's liveness, and the router's epoch check discards stale routes
+// the moment it changes. A packet that cannot be rerouted (destination
+// dead, region disconnected, or hop budget exhausted) is dropped and
+// counted in Lost, by the loss rule every run follows.
 //
 // This file holds the fault-side contracts and the RunImplicitFaulty
 // adapter; the engine wiring is the lane runner (sharded.go).

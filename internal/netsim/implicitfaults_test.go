@@ -197,7 +197,7 @@ func TestRunImplicitFaultyMatchesRunFaulty(t *testing.T) {
 	}
 	mst, err := RunFaulty(Config{Graph: g, InjectionRate: 0.02,
 		WarmupCycles: 100, MeasureCycles: 2000, Seed: 19},
-		FaultConfig{Plan: matPlan})
+		matPlan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,11 +54,10 @@ type Config struct {
 	// BitComplement, Hotspot.
 	Pattern PatternFunc
 	// Probe, when non-nil, receives per-event callbacks during the run
-	// (injection, queueing, transmission, delivery, drops, faults,
-	// reroutes) — see internal/obs for the hook contract and the
-	// built-in collectors. A nil Probe costs nothing: every hook sits
-	// behind a nil check, and an uninstrumented run reproduces its Stats
-	// bit for bit. Probes must not mutate simulator state.
+	// (injection, queueing, transmission, delivery, drops, faults) — see
+	// internal/obs for the hook contract and the built-in collectors. A
+	// nil Probe costs nothing: every hook sits behind a nil check, and an
+	// uninstrumented run reproduces its Stats bit for bit. Probes must not mutate simulator state.
 	Probe obs.Probe
 }
 
@@ -196,11 +195,11 @@ func (st *Stats) fillQuantiles(p obs.Probe) {
 }
 
 // Run executes the simulation fault-free. It is RunFaulty with an empty
-// plan, which is not degraded: packets route straight from per-destination
-// BFS tables (route.BFSNextHops), and measured packets still in flight at
-// the drain deadline count as Expired.
+// plan, which is not degraded: packets route by per-destination BFS tables
+// (topo.BFSRouter without a fault set), and measured packets still in
+// flight at the drain deadline count as Expired.
 func Run(cfg Config) (Stats, error) {
-	fs, err := RunFaulty(cfg, FaultConfig{})
+	fs, err := RunFaulty(cfg, nil)
 	return fs.Stats, err
 }
 

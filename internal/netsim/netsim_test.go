@@ -78,9 +78,9 @@ func TestPartitionValidated(t *testing.T) {
 		InjectionRate: 0.02, WarmupCycles: 10, MeasureCycles: 50, Seed: 1}
 	runs := map[string]func() error{
 		"Run":       func() error { _, err := Run(cfg); return err },
-		"RunFaulty": func() error { _, err := RunFaulty(cfg, FaultConfig{}); return err },
+		"RunFaulty": func() error { _, err := RunFaulty(cfg, nil); return err },
 		"RunFaultyWithBaseline": func() error {
-			_, _, err := RunFaultyWithBaseline(cfg, FaultConfig{})
+			_, _, err := RunFaultyWithBaseline(cfg, nil)
 			return err
 		},
 	}

@@ -86,7 +86,7 @@ func TestNilProbeGoldenParity(t *testing.T) {
 	}
 	plan := (&FaultPlan{}).LinkDown(200, 0, 1, 800).LinkDown(350, 2, 18, 0).NodeDown(500, 7, 1100)
 	fs, err := RunFaulty(Config{Graph: qg, InjectionRate: 0.05, WarmupCycles: 100,
-		MeasureCycles: 1500, Seed: 31}, FaultConfig{Plan: plan, NotifyDelay: 16})
+		MeasureCycles: 1500, Seed: 31}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +101,16 @@ func TestNilProbeGoldenParity(t *testing.T) {
 	// deleted (was 2342 delivered, latency 2.671221178479932, max 67, 0
 	// lost, 1 retransmitted: the 67 was a packet 23 -> 4 injected at cycle
 	// 499 and delivered at 566 by its one retransmission; that packet is
-	// now the one lost, dropped at node 7 as it died). The misroute and
-	// reroute counters did not move.
-	if fs.Injected != 2342 || fs.Delivered != 2341 || fs.Expired != 0 ||
-		fs.AvgLatency != 2.6437419906023067 || fs.MaxLatency != 16 ||
-		fs.Throughput != 0.04877083333333333 || fs.Lost != 1 ||
-		fs.MisroutedHops != 26 || fs.RerouteEvents != 158 ||
-		fs.MeanTimeToReroute != 37.70253164556962 ||
+	// now the one lost, dropped at node 7 as it died). Re-recorded again
+	// when the 16-cycle notification delay and the TTL detours went and
+	// tables came to be rebuilt on the first packet after each fault (was
+	// 2342 injected, 2341 delivered, latency 2.6437419906023067, max 16, 1
+	// lost, 26 misrouted hops, 158 reroutes, 37.70253164556962 cycles to
+	// reroute): no packet detours, so the lane RNG feeds injection alone.
+	if fs.Injected != 2357 || fs.Delivered != 2357 || fs.Expired != 0 ||
+		fs.AvgLatency != 2.6215528213831143 || fs.MaxLatency != 6 ||
+		fs.Throughput != 0.049104166666666664 || fs.Lost != 0 ||
+		fs.MisroutedHops != 0 || fs.RerouteEvents != 157 ||
 		fs.FaultsInjected != 3 || fs.FaultsRepaired != 2 {
 		t.Fatalf("RunFaulty diverged from pre-instrumentation golden stats: %+v", fs)
 	}
@@ -167,15 +170,14 @@ func TestProbeDoesNotPerturbRunFaulty(t *testing.T) {
 	plan := (&FaultPlan{}).LinkDown(200, 0, 1, 800).LinkDown(350, 2, 18, 0).NodeDown(500, 7, 1100)
 	cfg := Config{Graph: g, InjectionRate: 0.05, WarmupCycles: 100,
 		MeasureCycles: 1500, Seed: 31}
-	fc := FaultConfig{Plan: plan, NotifyDelay: 16}
-	base, err := RunFaulty(cfg, fc)
+	base, err := RunFaulty(cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hist := &obs.LatencyHist{}
 	trace := &obs.Trace{}
 	cfg.Probe = obs.Multi(hist, obs.NewTimeSeries(nil, 100), trace)
-	probed, err := RunFaulty(cfg, fc)
+	probed, err := RunFaulty(cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +275,7 @@ func TestExpiredCountsUndrainedPackets(t *testing.T) {
 // TestExpiredFaultyDeadlineLosses: packets still in flight at the drain
 // deadline count in Expired and dropped ones in Lost, never both, so
 // Injected = Delivered + Lost + Expired as on every run. On a partitioned
-// ring a cross-partition packet is dropped once its detour TTL runs out, so
+// ring a cross-partition packet has no table hop and is dropped at once, so
 // none of them waits for the deadline; the harsh ring, drained for only 5
 // cycles, has both lost and expired packets.
 func TestExpiredFaultyDeadlineLosses(t *testing.T) {
@@ -281,7 +283,7 @@ func TestExpiredFaultyDeadlineLosses(t *testing.T) {
 	plan := (&FaultPlan{}).LinkDown(50, 0, 1, 0).LinkDown(50, 8, 9, 0)
 	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.02, WarmupCycles: 20,
 		MeasureCycles: 600, DrainCycles: 200, Seed: 41},
-		FaultConfig{Plan: plan})
+		plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,13 +294,15 @@ func TestExpiredFaultyDeadlineLosses(t *testing.T) {
 		t.Fatalf("accounting leak: %+v", fs)
 	}
 
-	cfg, fc := harshRing(t)
+	cfg, harshPlan := harshRing(t)
 	cfg.DrainCycles = 5
-	if fs, err = RunFaulty(cfg, fc); err != nil {
+	if fs, err = RunFaulty(cfg, harshPlan); err != nil {
 		t.Fatal(err)
 	}
 	got := [4]int{fs.Injected, fs.Delivered, fs.Lost, fs.Expired}
-	if want := [4]int{1078, 469, 602, 7}; got != want {
+	// Re-recorded when the harsh ring lost its 3-hop detour TTL and its
+	// 10-cycle notification delay (was 1078, 469, 602, 7).
+	if want := [4]int{1045, 526, 518, 1}; got != want {
 		t.Fatalf("harsh ring, 5-cycle drain: Injected, Delivered, Lost, Expired = %v, want %v",
 			got, want)
 	}
@@ -315,7 +319,7 @@ func TestTraceLifecyclesBalance(t *testing.T) {
 	trace := &obs.Trace{}
 	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.03, WarmupCycles: 50,
 		MeasureCycles: 800, Seed: 61, Probe: trace},
-		FaultConfig{Plan: plan, NotifyDelay: 100})
+		plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,36 +366,51 @@ func TestTraceLifecyclesBalance(t *testing.T) {
 	}
 }
 
-// TestRerouteProbeMatchesRerouteEvents cross-checks the Reroute hook
-// against the simulator's own RerouteEvents counter.
+// TestRerouteProbeMatchesRerouteEvents cross-checks RerouteEvents against
+// the probe stream: a built graph's router rebuilds a destination's table
+// on the first routing decision toward it (an Enqueue, or a no-route Drop)
+// after a fault event moved the fault set's epoch, so replaying the stream
+// with one epoch per Fault event must count the same rebuilds.
 func TestRerouteProbeMatchesRerouteEvents(t *testing.T) {
 	g := mustBuild(t, networks.Hypercube{Dim: 5}.Build)
-	plan := (&FaultPlan{}).LinkDown(200, 0, 1, 0).LinkDown(300, 2, 18, 0)
-	rec := &rerouteRecorder{}
+	plan := (&FaultPlan{}).LinkDown(200, 0, 1, 0).LinkDown(300, 2, 18, 0).NodeDown(400, 9, 600)
+	rec := &rerouteRecorder{dst: map[int64]int64{}, builtAt: map[int64]int{}}
 	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.03, WarmupCycles: 100,
-		MeasureCycles: 1200, Seed: 83, Probe: rec},
-		FaultConfig{Plan: plan, NotifyDelay: 10})
+		MeasureCycles: 1200, Seed: 83, Probe: rec}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.RerouteEvents == 0 || rec.events != fs.RerouteEvents {
-		t.Fatalf("Reroute hook fired %d times, RerouteEvents = %d", rec.events, fs.RerouteEvents)
-	}
-	if rec.lagSum != int64(fs.MeanTimeToReroute*float64(fs.RerouteEvents)+0.5) {
-		t.Fatalf("hook lag sum %d inconsistent with MeanTimeToReroute %v over %d events",
-			rec.lagSum, fs.MeanTimeToReroute, fs.RerouteEvents)
+	if fs.RerouteEvents == 0 || rec.rebuilds != fs.RerouteEvents {
+		t.Fatalf("probe stream implies %d table rebuilds, RerouteEvents = %d", rec.rebuilds, fs.RerouteEvents)
 	}
 }
 
+// rerouteRecorder counts the table rebuilds a probe stream implies: the
+// first routing decision toward a destination after a Fault event, for a
+// destination whose table was built before it.
 type rerouteRecorder struct {
 	obs.NopProbe
-	events int
-	lagSum int64
+	epoch    int
+	dst      map[int64]int64 // packet id -> destination
+	builtAt  map[int64]int   // destination -> epoch its table was built at
+	rebuilds int
 }
 
-func (r *rerouteRecorder) Reroute(_ int, _ int64, lag int) {
-	r.events++
-	r.lagSum += int64(lag)
+func (r *rerouteRecorder) Inject(_ int, id int64, _, dst int64, _ bool) { r.dst[id] = dst }
+func (r *rerouteRecorder) Fault(int, int64, int64, bool, bool)          { r.epoch++ }
+func (r *rerouteRecorder) Enqueue(_ int, id int64, _, _ int64, _ int)   { r.routed(id) }
+func (r *rerouteRecorder) Drop(_ int, id int64, _ int64, reason obs.DropReason) {
+	if reason == obs.DropNoRoute {
+		r.routed(id)
+	}
+}
+
+func (r *rerouteRecorder) routed(id int64) {
+	d := r.dst[id]
+	if e, ok := r.builtAt[d]; ok && e != r.epoch {
+		r.rebuilds++
+	}
+	r.builtAt[d] = r.epoch
 }
 
 // lifeProbe records every packet's lifecycle by id: its endpoints, how
@@ -455,9 +474,9 @@ func TestOneTerminalEventPerPacket(t *testing.T) {
 			return FaultStats{Stats: st}, err
 		},
 		"runfaulty/ring16/harsh/drain5": func(pb *lifeProbe) (FaultStats, error) {
-			cfg, fc := harshRing(t)
+			cfg, plan := harshRing(t)
 			cfg.DrainCycles, cfg.Probe = 5, pb
-			return RunFaulty(cfg, fc)
+			return RunFaulty(cfg, plan)
 		},
 		"runimplicitfaulty/q6": func(pb *lifeProbe) (FaultStats, error) {
 			ht := topo.HypercubeTopo{Dim: 6}

@@ -36,7 +36,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -201,14 +200,6 @@ type runOpts struct {
 	// script is injected by every lane; it is only meaningful with a
 	// single lane.
 	script []Injection
-
-	// graph selects the built-graph wiring (RunFaulty, and so Run):
-	// BFS-table routes in place of the lanes' Router. Links live in the one
-	// link store over the lane's topology, as on every run.
-	graph *graph.Graph
-	// fc is the built-graph routing around faults (normalized): detour TTL
-	// and notification delay.
-	fc FaultConfig
 }
 
 // laneRun is what the lanes of one run share; it is read-only while they
@@ -242,9 +233,6 @@ type simLane struct {
 	sampler injectionSampler
 	log     *obs.EventLog
 	outbox  [][]laneSend // indexed by destination lane; nil in a single-lane run
-
-	// tables routes built graphs; it is nil on implicit runs.
-	tables *bfsRoutes
 
 	st         FaultStats
 	latencySum int64
@@ -295,7 +283,6 @@ func newLanes(cfg ShardedConfig, o runOpts) (*laneRun, []*simLane, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, nil, err
 	}
-	built := o.graph != nil
 	r := &laneRun{cfg: cfg, o: o, degraded: cfg.Plan.Len() > 0}
 
 	lanes := make([]*simLane, cfg.Lanes)
@@ -304,7 +291,7 @@ func newLanes(cfg ShardedConfig, o runOpts) (*laneRun, []*simLane, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("netsim: lane %d: %w", i, err)
 		}
-		if t == nil || rt == nil && !built {
+		if t == nil || rt == nil {
 			return nil, nil, fmt.Errorf("netsim: lane %d: NewLane returned a nil topology or router", i)
 		}
 		if r.degraded && fs == nil {
@@ -387,11 +374,7 @@ func newLanes(cfg ShardedConfig, o runOpts) (*laneRun, []*simLane, error) {
 			ln.outbox = make([][]laneSend, cfg.Lanes)
 		}
 		ln.store = newSparseLinks(ln.topo)
-		if built {
-			ln.tables = newBFSRoutes(o.graph, ln)
-		} else {
-			ln.flagged, _ = ln.router.(flaggedRouter)
-		}
+		ln.flagged, _ = ln.router.(flaggedRouter)
 	}
 
 	return r, lanes, nil
@@ -422,12 +405,6 @@ func (r *laneRun) stats(lanes []*simLane, stop int) ImplicitFaultStats {
 	}
 	st.RerouteEvents = int(out.Router.Reroutes)
 	st.MisroutedHops = int(out.Router.DetourHops)
-	if t := lanes[0].tables; t != nil {
-		st.RerouteEvents, st.MisroutedHops = t.reroutes, t.misrouted
-		if t.reroutes > 0 {
-			st.MeanTimeToReroute = float64(t.lagSum) / float64(t.reroutes)
-		}
-	}
 	st.Expired += inFlight
 	if st.Delivered > 0 {
 		st.AvgLatency = float64(latencySum) / float64(st.Delivered)
@@ -584,19 +561,15 @@ func (ln *simLane) emit(now int, src, dst int64) error {
 	if pb := ln.pb; pb != nil {
 		pb.Inject(now, id, src, dst, measured)
 	}
-	return ln.enqueue(now, src, epacket{id: id, dst: dst, born: now, ttl: r.o.fc.DetourTTL, measured: measured})
+	return ln.enqueue(now, src, epacket{id: id, dst: dst, born: now, measured: measured})
 }
 
 // applyChanges applies the cycle's scheduled fault events.
 func (ln *simLane) applyChanges(now int) error {
-	cs := ln.run.changesAt[now]
-	for _, c := range cs {
+	for _, c := range ln.run.changesAt[now] {
 		if err := ln.applyChange(now, c); err != nil {
 			return err
 		}
-	}
-	if ln.tables != nil {
-		ln.tables.advance(now, len(cs) > 0)
 	}
 	return nil
 }

@@ -36,9 +36,6 @@ func (r *recProbe) Drop(c int, id int64, at int64, reason obs.DropReason) {
 func (r *recProbe) Fault(c int, u, v int64, node, down bool) {
 	r.add(fmt.Sprintf("fault %d %d %d %v %v", c, u, v, node, down))
 }
-func (r *recProbe) Reroute(c int, dst int64, lag int) {
-	r.add(fmt.Sprintf("reroute %d %d %d", c, dst, lag))
-}
 
 func shardedHotspot(p float64) func(int64, int64, *rand.Rand) int64 {
 	return func(src, n int64, rng *rand.Rand) int64 {

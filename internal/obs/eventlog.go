@@ -20,7 +20,6 @@ const (
 	EvDeliver
 	EvDrop
 	EvFault
-	EvReroute
 )
 
 // Event is one buffered probe call. The int64 and int fields are overloaded
@@ -74,8 +73,6 @@ func (l *EventLog) ReplayCycle(c int, p Probe) {
 			p.Drop(ev.Cycle, ev.ID, ev.U, ev.Reason)
 		case EvFault:
 			p.Fault(ev.Cycle, ev.U, ev.V, ev.Flag, ev.Flag2)
-		case EvReroute:
-			p.Reroute(ev.Cycle, ev.U, ev.A)
 		}
 	}
 }
@@ -112,8 +109,4 @@ func (l *EventLog) Drop(cycle int, id int64, at int64, reason DropReason) {
 
 func (l *EventLog) Fault(cycle int, u, v int64, node, down bool) {
 	l.events = append(l.events, Event{Kind: EvFault, Cycle: cycle, U: u, V: v, Flag: node, Flag2: down})
-}
-
-func (l *EventLog) Reroute(cycle int, dst int64, lag int) {
-	l.events = append(l.events, Event{Kind: EvReroute, Cycle: cycle, U: dst, A: lag})
 }

@@ -28,9 +28,6 @@ func (e *echoProbe) Drop(c int, id int64, at int64, r DropReason) {
 func (e *echoProbe) Fault(c int, u, v int64, node, down bool) {
 	e.got = append(e.got, fmt.Sprintf("fault:%d:%d:%d:%v:%v", c, u, v, node, down))
 }
-func (e *echoProbe) Reroute(c int, dst int64, lag int) {
-	e.got = append(e.got, fmt.Sprintf("reroute:%d:%d:%d", c, dst, lag))
-}
 
 // TestEventLogReplayCycle checks that a buffered stream replays exactly, in
 // order, cycle by cycle — with Ticks dropped at record time (the replaying
@@ -45,9 +42,8 @@ func TestEventLogReplayCycle(t *testing.T) {
 	l.Fault(1, 9, -1, true, true)
 	l.Drop(1, 1, 9, DropDeadRouter)
 	l.Deliver(2, 7, 3, 11, false)
-	l.Reroute(2, 3, 4)
-	if l.Len() != 7 {
-		t.Fatalf("Len = %d, want 7 (Tick must not be buffered)", l.Len())
+	if l.Len() != 6 {
+		t.Fatalf("Len = %d, want 6 (Tick must not be buffered)", l.Len())
 	}
 
 	e := &echoProbe{}
@@ -58,7 +54,7 @@ func TestEventLogReplayCycle(t *testing.T) {
 	want := []string{
 		"tick:0", "inject:0:1:2:3:true", "enqueue:0:1:2:5:4",
 		"tick:1", "hop:1:1:2:5:6:3", "fault:1:9:-1:true:true", "drop:1:1:9:dead-router",
-		"tick:2", "deliver:2:7:3:11:false", "reroute:2:3:4",
+		"tick:2", "deliver:2:7:3:11:false",
 	}
 	if !reflect.DeepEqual(e.got, want) {
 		t.Fatalf("replay order:\n got %q\nwant %q", e.got, want)

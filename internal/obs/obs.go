@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the packet simulators: a Probe
 // interface that internal/netsim invokes at every interesting event of a run
-// (injection, queueing, link transmission, delivery, drops, topology
-// faults, and routing-table rebuilds) plus a set of built-in collectors:
+// (injection, queueing, link transmission, delivery, drops and topology
+// faults) plus a set of built-in collectors:
 // log-bucketed latency histograms (LatencyHist); per-link time series with
 // CSV/JSONL export (TimeSeries); the module-aggregated time series
 // (ModuleSeries), the one per-module view, whose memory is bounded by the
@@ -36,10 +36,9 @@
 // cannot tell a lazily allocated link from a preallocated one. Every run
 // gives each packet a unique id, so a packet has exactly one Inject and at
 // most one terminal event, Deliver or Drop; a packet with neither was
-// still in flight when the run ended. What differs is the routing layer
-// plugged in: only built-graph runs own routing tables, so only they emit
-// Reroute (implicit runs repair routes inside the router and report it
-// through RouterStats instead).
+// still in flight when the run ended. Route repair happens inside each
+// run's router, built-graph table rebuilds included, and shows up in
+// RouterStats, not in the probe stream.
 package obs
 
 import (
@@ -55,10 +54,9 @@ import (
 type DropReason uint8
 
 const (
-	// DropTTL: the packet exhausted its detour budget around dead components.
-	DropTTL DropReason = iota
-	// DropNoRoute: no live neighbor or route existed to forward it by.
-	DropNoRoute
+	// DropNoRoute: no live route existed to forward it by (its
+	// destination dead or cut off).
+	DropNoRoute DropReason = iota
 	// DropHopLimit: the livelock watchdog killed a packet that hopped too long.
 	DropHopLimit
 	// DropDeadRouter: the packet arrived at a node that had died in transit.
@@ -69,8 +67,6 @@ const (
 
 func (r DropReason) String() string {
 	switch r {
-	case DropTTL:
-		return "ttl"
 	case DropNoRoute:
 		return "no-route"
 	case DropHopLimit:
@@ -108,11 +104,6 @@ type Probe interface {
 	// Fault fires on topology changes: node is true for node faults (v is
 	// then -1), down is true for a failure and false for a repair.
 	Fault(cycle int, u, v int64, node, down bool)
-	// Reroute fires when a per-destination next-hop table is rebuilt after
-	// a topology-change notification; lag is the cycles elapsed between the
-	// first change the table missed and this rebuild. Implicit runs never
-	// fire it (no tables exist); router-side repair shows up in RouterStats.
-	Reroute(cycle int, dst int64, lag int)
 }
 
 // NopProbe implements every Probe hook as a no-op; embed it to build
@@ -126,7 +117,6 @@ func (NopProbe) Hop(int, int64, int64, int64, int, int) {}
 func (NopProbe) Deliver(int, int64, int64, int, bool)   {}
 func (NopProbe) Drop(int, int64, int64, DropReason)     {}
 func (NopProbe) Fault(int, int64, int64, bool, bool)    {}
-func (NopProbe) Reroute(int, int64, int)                {}
 
 // multi fans every event out to a list of probes, in order.
 type multi []Probe
@@ -189,12 +179,6 @@ func (m multi) Drop(cycle int, id int64, at int64, reason DropReason) {
 func (m multi) Fault(cycle int, u, v int64, node, down bool) {
 	for _, p := range m {
 		p.Fault(cycle, u, v, node, down)
-	}
-}
-
-func (m multi) Reroute(cycle int, dst int64, lag int) {
-	for _, p := range m {
-		p.Reroute(cycle, dst, lag)
 	}
 }
 

@@ -112,7 +112,7 @@ func TestProgressTicker(t *testing.T) {
 	p := &Progress{Every: 100, W: &buf}
 	p.Inject(0, 1, 0, 1, true)
 	p.Deliver(3, 1, 1, 3, true)
-	p.Drop(6, 2, 0, DropTTL)
+	p.Drop(6, 2, 0, DropNoRoute)
 	p.Tick(0) // cycle 0 never prints
 	p.Tick(50)
 	if buf.Len() != 0 {
@@ -130,7 +130,7 @@ func TestProgressTicker(t *testing.T) {
 
 func TestDropReasonStrings(t *testing.T) {
 	for r, want := range map[DropReason]string{
-		DropTTL: "ttl", DropNoRoute: "no-route", DropHopLimit: "hop-limit",
+		DropNoRoute: "no-route", DropHopLimit: "hop-limit",
 		DropDeadRouter: "dead-router", DropQueueKilled: "queue-killed",
 		DropReason(99): "drop(99)",
 	} {
@@ -146,13 +146,12 @@ func TestTraceSamplingAndJSON(t *testing.T) {
 	tr.Inject(0, 2, 1, 3, true) // id 2: sampled
 	tr.Hop(1, 2, 1, 2, 1, 0)
 	tr.Deliver(2, 2, 3, 2, true)
-	tr.Drop(3, 1, 0, DropTTL) // unsampled: ignored
+	tr.Drop(3, 1, 0, DropNoRoute) // unsampled: ignored
 	tr.Fault(5, 0, 1, false, true)
 	tr.Inject(6, 4, 1, 3, true)
-	tr.Drop(7, 4, 1, DropTTL)
-	tr.Reroute(8, 3, 2)
-	if tr.Len() != 7 {
-		t.Fatalf("recorded %d events, want 7 (sampling filter broken)", tr.Len())
+	tr.Drop(7, 4, 1, DropNoRoute)
+	if tr.Len() != 6 {
+		t.Fatalf("recorded %d events, want 6 (sampling filter broken)", tr.Len())
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -165,9 +164,9 @@ func TestTraceSamplingAndJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("invalid trace JSON: %v", err)
 	}
-	// 7 events + 2 process-name metadata records.
-	if len(parsed.TraceEvents) != 9 {
-		t.Fatalf("JSON holds %d events, want 9", len(parsed.TraceEvents))
+	// 6 events + 2 process-name metadata records.
+	if len(parsed.TraceEvents) != 8 {
+		t.Fatalf("JSON holds %d events, want 8", len(parsed.TraceEvents))
 	}
 	if parsed.TraceEvents[0]["ph"] != "M" {
 		t.Fatal("metadata must lead the stream")

@@ -38,9 +38,11 @@ type RouterStats struct {
 	// EpochPurges counts fault-epoch changes that invalidated the cache
 	// (FaultAware only: the FaultSet changed since routes were verified).
 	EpochPurges uint64
-	// Reroutes counts route derivations whose primary algebraic route
-	// crossed a fault and had to be repaired. The simulators report its run
-	// delta as FaultStats.RerouteEvents.
+	// Reroutes counts route repairs: for FaultAware, route derivations
+	// whose primary algebraic route crossed a fault and had to be repaired;
+	// for topo.BFSRouter, rebuilds of an existing next-hop table after the
+	// fault set changed. The simulators report its run delta as
+	// FaultStats.RerouteEvents.
 	Reroutes uint64
 	// ConjugateReroutes counts repairs answered purely algebraically — a
 	// generator-conjugate candidate was live, zero exploratory hops spent.

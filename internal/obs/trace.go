@@ -3,10 +3,9 @@
 // sampled packet becomes one nestable async track ("b" at injection, "n"
 // instants per queueing event, "e" at delivery or drop),
 // each transmission of a sampled packet becomes a complete ("X") slice on
-// the sending node's row, and fault/repair/reroute events land on a
-// dedicated fault-timeline process so reroute storms can be read against
-// the fault schedule. Simulated cycles map 1:1 to trace
-// microseconds.
+// the sending node's row, and fault/repair events land on a dedicated
+// fault-timeline process so packet traffic can be read against the fault
+// schedule. Simulated cycles map 1:1 to trace microseconds.
 package obs
 
 import (
@@ -18,7 +17,7 @@ import (
 // Pids of the two trace processes.
 const (
 	tracePidPackets = 0 // packet lifecycle + per-node link activity
-	tracePidFaults  = 1 // fault/repair/reroute timeline
+	tracePidFaults  = 1 // fault/repair timeline
 )
 
 // traceEvent is one Chrome trace-event object.
@@ -134,15 +133,6 @@ func (t *Trace) Fault(cycle int, u, v int64, node, down bool) {
 	})
 }
 
-// Reroute records routing-table rebuilds on the fault timeline (Probe hook).
-func (t *Trace) Reroute(cycle int, dst int64, lag int) {
-	t.events = append(t.events, traceEvent{
-		Name: fmt.Sprintf("reroute dst %d", dst), Cat: "reroute",
-		Ph: "i", Scope: "t", Ts: int64(cycle), Pid: tracePidFaults, Tid: 1,
-		Args: map[string]any{"lag": lag},
-	})
-}
-
 // WriteJSON emits the collected events as a Chrome trace-event file:
 // {"traceEvents": [...]} with metadata naming the two processes.
 func (t *Trace) WriteJSON(w io.Writer) error {
@@ -150,7 +140,7 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 		{Name: "process_name", Ph: "M", Pid: tracePidPackets,
 			Args: map[string]any{"name": "packets"}},
 		{Name: "process_name", Ph: "M", Pid: tracePidFaults,
-			Args: map[string]any{"name": "faults+reroutes"}},
+			Args: map[string]any{"name": "faults"}},
 	}
 	out := struct {
 		TraceEvents     []traceEvent `json:"traceEvents"`

@@ -32,9 +32,8 @@ type RouterStats = obs.RouterStats
 // materialization.
 //
 // Only when every algebraic candidate is blocked does the router fall back
-// to a bounded local detour (the TTL discipline of the materialized
-// RunFaulty): step to a live neighbor, spend one unit of TTL, and retry the
-// algebraic candidates from there. One derivation spends at most
+// to a bounded local detour: step to a live neighbor, spend one unit of
+// TTL, and retry the algebraic candidates from there. One derivation spends at most
 // MaxDetourTTL such hops.
 //
 // Like Algebraic, a FaultAware router carries per-packet source routes
@@ -67,7 +66,8 @@ type FaultAware struct {
 
 // MaxDetourTTL bounds FaultAware's local-detour fallback: how many
 // non-algebraic hops one route derivation may take around dead regions
-// before giving up (the default of netsim's FaultConfig.DetourTTL).
+// before giving up. It is FaultAware's own bound; a built graph's table
+// router (BFSRouter) takes no detours.
 const MaxDetourTTL = 16
 
 // NewFaultAware wraps router r over topology t with fault set fs. The
@@ -192,8 +192,8 @@ func (r *FaultAware) routeAvoiding(cur, dst int64) (route []int64, detoured bool
 // conjugate candidates first and spending local-detour TTL only when every
 // candidate is blocked: a deterministic depth-first walk over live links
 // (neighbors in ascending order, backtracking on dead ends) that retries
-// the algebraic candidates at every node it reaches — RunFaulty's TTL
-// discipline, made deterministic and systematic. ttl bounds the number of
+// the algebraic candidates at every node it reaches, a deterministic and
+// systematic TTL-bounded local detour. ttl bounds the number of
 // exploratory hops charged across the whole derivation; maxDepth, when
 // positive, also bounds the depth of the walk (DisjointRoutes' iterative
 // deepening), and zero leaves only the TTL. The returned route starts at v
