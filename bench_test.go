@@ -11,6 +11,7 @@ import (
 	"repro/internal/emulate"
 	"repro/internal/faults"
 	"repro/internal/figures"
+	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/networks"
@@ -566,18 +567,30 @@ func BenchmarkNetsim(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := netsim.Run(netsim.Config{
-			Graph: g, Partition: &p, OffModulePeriod: 4,
+		if _, err := netsim.RunImplicit(onTables(g, nil, netsim.ImplicitConfig{
+			ModuleOf: p.Module, OffModulePeriod: 4,
 			InjectionRate: 0.005, WarmupCycles: 100, MeasureCycles: 1000,
 			Seed: int64(i),
-		}); err != nil {
+		})); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// netsimBench builds the BenchmarkNetsim system once per benchmark.
-func netsimBench(b *testing.B) (netsim.Config, *metrics.Partition) {
+// onTables returns cfg on the built graph g routed by a fresh table router
+// (topo.BFSRouter over fs, nil when fault-free), with the built-graph
+// destination draw (netsim.Uniform) and hop watchdog (8·N). The benchmarks
+// call it once an op, so every op builds its router's tables anew.
+func onTables(g *graph.Graph, fs *topo.FaultSet, cfg netsim.ImplicitConfig) netsim.ImplicitConfig {
+	t := topo.NewMaterialized(g)
+	cfg.Topo, cfg.Router = t, topo.NewBFSRouter(t, fs)
+	cfg.Pattern, cfg.MaxHops = netsim.Uniform, 8*g.N()
+	return cfg
+}
+
+// netsimBench builds the BenchmarkNetsim system once per benchmark: the
+// graph, its partition and the run settings.
+func netsimBench(b *testing.B) (*graph.Graph, metrics.Partition, netsim.ImplicitConfig) {
 	b.Helper()
 	net := superip.HSN(2, superip.NucleusHypercube(4))
 	g, ix, err := net.BuildWithIndex()
@@ -585,19 +598,19 @@ func netsimBench(b *testing.B) (netsim.Config, *metrics.Partition) {
 		b.Fatal(err)
 	}
 	p := metrics.NucleusPartition(ix, net.Nucleus.Nuc.M())
-	return netsim.Config{
-		Graph: g, Partition: &p, OffModulePeriod: 4,
+	return g, p, netsim.ImplicitConfig{
+		ModuleOf: p.Module, OffModulePeriod: 4,
 		InjectionRate: 0.005, WarmupCycles: 100, MeasureCycles: 1000,
-	}, &p
+	}
 }
 
 // fullProbe attaches every collector the obs package ships, so the probed
 // benchmarks price the observability layer at its most expensive.
-func fullProbe(cfg netsim.Config, p *metrics.Partition) obs.Probe {
+func fullProbe(p metrics.Partition) obs.Probe {
 	return obs.Multi(
 		&obs.LatencyHist{},
-		obs.NewTimeSeries(func(u int64) int64 { return int64(p.Of[u]) }, 50),
-		obs.NewModuleSeries(func(u int64) int64 { return int64(p.Of[u]) }, 50),
+		obs.NewTimeSeries(p.Module, 50),
+		obs.NewModuleSeries(p.Module, 50),
 		&obs.Trace{SampleEvery: 16},
 	)
 }
@@ -608,38 +621,38 @@ func fullProbe(cfg netsim.Config, p *metrics.Partition) obs.Probe {
 // layer. The nil-probe path must stay within noise of the pre-obs
 // simulator — the probe hooks all sit behind a single nil check.
 func BenchmarkRunUniform(b *testing.B) {
-	cfg, _ := netsimBench(b)
+	g, _, cfg := netsimBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := netsim.Run(cfg); err != nil {
+		if _, err := netsim.RunImplicit(onTables(g, nil, cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkRunUniformProbed(b *testing.B) {
-	cfg, p := netsimBench(b)
+	g, p, cfg := netsimBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		cfg.Probe = fullProbe(cfg, p)
-		if _, err := netsim.Run(cfg); err != nil {
+		cfg.Probe = fullProbe(p)
+		if _, err := netsim.RunImplicit(onTables(g, nil, cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkRunFaulty measures the degraded-mode simulator under a live
-// fault plan (reroutes, detours and drops included).
+// fault plan (table rebuilds and drops included).
 func BenchmarkRunFaulty(b *testing.B) {
-	cfg, _ := netsimBench(b)
+	g, _, cfg := netsimBench(b)
 	plan, err := netsim.RandomFaults{
 		MTBF: 200, RepairTime: 300, Start: cfg.WarmupCycles,
 		Horizon: cfg.WarmupCycles + cfg.MeasureCycles, MaxFaults: 4, Seed: 1,
-	}.PlanTopo(topo.NewMaterialized(cfg.Graph))
+	}.PlanTopo(topo.NewMaterialized(g))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -647,18 +660,20 @@ func BenchmarkRunFaulty(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := netsim.RunFaulty(cfg, plan); err != nil {
+		fs := topo.NewFaultSet()
+		if _, err := netsim.RunImplicitFaulty(onTables(g, fs, cfg),
+			netsim.ImplicitFaultConfig{Plan: plan, Faults: fs}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkRunFaultyProbed(b *testing.B) {
-	cfg, p := netsimBench(b)
+	g, p, cfg := netsimBench(b)
 	plan, err := netsim.RandomFaults{
 		MTBF: 200, RepairTime: 300, Start: cfg.WarmupCycles,
 		Horizon: cfg.WarmupCycles + cfg.MeasureCycles, MaxFaults: 4, Seed: 1,
-	}.PlanTopo(topo.NewMaterialized(cfg.Graph))
+	}.PlanTopo(topo.NewMaterialized(g))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -666,8 +681,10 @@ func BenchmarkRunFaultyProbed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		cfg.Probe = fullProbe(cfg, p)
-		if _, err := netsim.RunFaulty(cfg, plan); err != nil {
+		cfg.Probe = fullProbe(p)
+		fs := topo.NewFaultSet()
+		if _, err := netsim.RunImplicitFaulty(onTables(g, fs, cfg),
+			netsim.ImplicitFaultConfig{Plan: plan, Faults: fs}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,18 +16,22 @@
 // P; a size below the smallest two-node nucleus, -l < 2, and -sym on a
 // nucleus without a symmetric variant (Kn, SEn, P) exit 1 with an error.
 //
-// Fault injection (degraded-mode operation, see internal/netsim.RunFaulty):
+// Fault injection (degraded-mode operation, see
+// internal/netsim.RunImplicitFaulty):
 //
 //	simulate -net HSN -l 2 -nucleus Q3 -faults 4 -mtbf 250 -repair 500
 //
 // -faults caps how many random faults strike; -mtbf sets the mean cycles
 // between fault arrivals; -repair heals each fault after that many cycles
-// (0 = permanent). Faulty runs print loss, hop-limit-drop, reroute and
-// detour columns and the latency inflation against the fault-free
-// baseline. On a built graph a table is rebuilt against the live faults on
-// the first packet that needs it after a fault: reroutes counts those
-// rebuilds, and detours stays 0, since a packet with no live table hop (its
-// destination dead or cut off) is dropped and counted lost.
+// (0 = permanent). Faulty runs print one table on both paths: loss,
+// hop-limit drops, the latency inflation against a baseline (the same run
+// without the plan), deliveries over degraded routes, reroutes and detour
+// hops. On a built graph a table is rebuilt against the live faults on the
+// first packet that needs it after a fault: reroutes counts those
+// rebuilds. Its degraded and detours columns read 0: a rebuilt table is a
+// shortest-path tree of the live graph, so no route deviates from a
+// primary one and no hop explores, and a packet with no live table hop
+// (its destination dead or cut off) is dropped and counted lost.
 //
 // Faults compose with -implicit: the plan is drawn in id space and the
 // algebraic router is wrapped in the fault-aware rerouter, so degraded-mode
@@ -353,7 +357,7 @@ func main() {
 
 // sweep is one ratio x rate sweep. The path constructors (materialized,
 // implicit) print the network headline and fault plan and fill in name,
-// header, moduleOf and run; execute is the one loop both paths share.
+// moduleOf, plan and run; execute is the one loop both paths share.
 type sweep struct {
 	ratios         []int
 	rates          []float64
@@ -362,17 +366,16 @@ type sweep struct {
 	faults, shards int
 
 	name     string            // run name in the manifest
-	header   string            // column header, without the quantile columns
 	moduleOf func(int64) int64 // module map handed to the collectors
-	run      func(ratio int, rate float64, seed int64, pb obs.Probe) (runOutcome, error)
+	plan     *netsim.FaultPlan // nil: a fault-free sweep
+	run      func(ratio int, rate float64, seed int64, plan *netsim.FaultPlan, pb obs.Probe) (runOutcome, error)
 }
 
 // runOutcome is what one simulator run hands the sweep loop.
 type runOutcome struct {
-	stats  any              // the run's result, as the manifest records it
-	st     netsim.Stats     // the Stats every result embeds (latency quantiles)
-	row    string           // console row, without the quantile columns
-	router *obs.RouterStats // nil on paths without router telemetry
+	stats  any                       // the run's result, as the manifest records it
+	st     netsim.ImplicitFaultStats // the counters the console rows print
+	router *obs.RouterStats          // nil on paths without router telemetry
 }
 
 // freeHeader and freeRow are the fault-free table, the same on both paths.
@@ -384,11 +387,16 @@ func freeRow(ratio int, rate float64, st netsim.Stats) string {
 		ratio, rate, st.Injected, st.Delivered, st.Expired, st.AvgLatency, st.MaxLatency)
 }
 
-// faultyHeader is the degraded-mode header. The paths differ in one
-// column: latency inflation or detoured deliveries.
-func faultyHeader(degraded string) string {
-	return fmt.Sprintf("%-8s %-8s %-10s %-10s %-6s %-8s %-9s %-10s %-9s %-9s %-9s",
-		"ratio", "rate", "injected", "delivered", "lost", "expired", "hop-drops", "avg-lat", degraded, "reroutes", "detours")
+// faultyHeader and faultyRow are the degraded-mode table, the same on both
+// paths.
+var faultyHeader = fmt.Sprintf("%-8s %-8s %-10s %-10s %-6s %-8s %-9s %-10s %-9s %-9s %-9s %-9s",
+	"ratio", "rate", "injected", "delivered", "lost", "expired", "hop-drops", "avg-lat",
+	"lat-infl", "degraded", "reroutes", "detours")
+
+func faultyRow(ratio int, rate float64, st netsim.FaultStats, inflation float64) string {
+	return fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-6d %-8d %-9d %-10.2f %-9.2f %-9d %-9d %-9d",
+		ratio, rate, st.Injected, st.Delivered, st.Lost, st.Expired, st.HopLimitDrops,
+		st.AvgLatency, inflation, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops)
 }
 
 func printPlan(plan *netsim.FaultPlan, rf netsim.RandomFaults) {
@@ -401,11 +409,14 @@ func printPlan(plan *netsim.FaultPlan, rf netsim.RandomFaults) {
 // router telemetry and collector exports come from repetition 0, and every
 // repetition's flattened stats land in the manifest's samples array.
 func (s *sweep) execute(o obsOpts) {
-	histCols := ""
-	if o.hist {
-		histCols = fmt.Sprintf(" %-8s %-8s %-8s", "p50", "p95", "p99")
+	header := freeHeader
+	if s.plan != nil {
+		header = faultyHeader
 	}
-	fmt.Fprintf(console, "%s%s\n", s.header, histCols)
+	if o.hist {
+		header += fmt.Sprintf(" %-8s %-8s %-8s", "p50", "p95", "p99")
+	}
+	fmt.Fprintf(console, "%s\n", header)
 	multi := len(s.ratios)*len(s.rates) > 1
 	for _, ratio := range s.ratios {
 		for _, rate := range s.rates {
@@ -414,15 +425,20 @@ func (s *sweep) execute(o obsOpts) {
 			var headPct map[string]float64
 			for rep := 0; rep < o.repeat; rep++ {
 				pb, col := o.build(s.moduleOf)
-				out, err := s.run(ratio, rate, s.seed+int64(rep), pb)
+				seed := s.seed + int64(rep)
+				out, err := s.run(ratio, rate, seed, s.plan, pb)
 				exitIf(err)
-				pct := percentiles(o.hist, out.st)
+				pct := percentiles(o.hist, out.st.Stats)
 				samples = append(samples, obs.Manifest{Stats: out.stats, Percentiles: pct, Router: out.router}.Flatten())
 				if rep > 0 {
 					continue
 				}
 				head, headPct = out, pct
-				fmt.Fprintf(console, "%s%s\n", out.row, quantileCols(o.hist, out.st))
+				row := freeRow(ratio, rate, out.st.Stats)
+				if s.plan != nil {
+					row = faultyRow(ratio, rate, out.st.FaultStats, s.inflation(ratio, rate, seed, out.st.AvgLatency))
+				}
+				fmt.Fprintf(console, "%s%s\n", row, quantileCols(o.hist, out.st.Stats))
 				if out.router != nil {
 					exitIf(out.router.WriteText(console))
 				}
@@ -432,6 +448,18 @@ func (s *sweep) execute(o obsOpts) {
 				head.stats, headPct, head.router, samples, ratio, rate, multi)
 		}
 	}
+}
+
+// inflation is a degraded run's average latency over its baseline's: the
+// same run without the plan and without probes (0 when the baseline
+// delivered nothing).
+func (s *sweep) inflation(ratio int, rate float64, seed int64, avgLatency float64) float64 {
+	base, err := s.run(ratio, rate, seed, nil, nil)
+	exitIf(err)
+	if base.st.AvgLatency == 0 {
+		return 0
+	}
+	return avgLatency / base.st.AvgLatency
 }
 
 func quantileCols(on bool, st netsim.Stats) string {
@@ -567,9 +595,11 @@ func writeTo(name string, write func(io.Writer) error) error {
 
 // materialized sets the sweep up on the built graph: net (nil for the
 // classical networks) or the -net hypercube/torus system is materialized
-// with its module partition, and every run is a netsim.Run with
-// per-destination BFS tables, or netsim.RunFaultyWithBaseline under a fault
-// plan.
+// with its module partition, and every run is a netsim.RunImplicitFaulty
+// over topo.NewMaterialized(g) with a fresh topo.BFSRouter, whose
+// per-destination BFS tables are rebuilt against a fresh fault set under
+// a fault plan. Built-graph runs draw destinations with netsim.Uniform and
+// allow 8·N hops, as they always have.
 func (s *sweep) materialized(net *superip.Net, netName string, dim, module, rows, cols int, rf netsim.RandomFaults) error {
 	g, part, name, err := buildSystem(net, netName, dim, module, rows, cols)
 	if err != nil {
@@ -580,42 +610,39 @@ func (s *sweep) materialized(net *superip.Net, netName string, dim, module, rows
 		name, g.N(), part.K, metrics.IDegree(g, part), ist.Diameter,
 		metrics.IICost(metrics.IDegree(g, part), int(ist.Diameter)))
 
-	var plan *netsim.FaultPlan
+	t := topo.NewMaterialized(g)
 	if s.faults > 0 {
-		if plan, err = rf.PlanTopo(topo.NewMaterialized(g)); err != nil {
+		if s.plan, err = rf.PlanTopo(t); err != nil {
 			return err
 		}
-		printPlan(plan, rf)
+		printPlan(s.plan, rf)
 	}
-	s.name = name
-	s.moduleOf = func(u int64) int64 { return int64(part.Of[u]) }
-	config := func(ratio int, rate float64, seed int64, pb obs.Probe) netsim.Config {
-		return netsim.Config{
-			Graph:           g,
-			Partition:       &part,
+	s.name, s.moduleOf = name, part.Module
+	s.run = func(ratio int, rate float64, seed int64, plan *netsim.FaultPlan, pb obs.Probe) (runOutcome, error) {
+		var fs *topo.FaultSet
+		if plan != nil {
+			fs = topo.NewFaultSet()
+		}
+		st, err := netsim.RunImplicitFaulty(netsim.ImplicitConfig{
+			Topo:            t,
+			Router:          topo.NewBFSRouter(t, fs),
+			ModuleOf:        part.Module,
 			OffModulePeriod: ratio,
 			InjectionRate:   rate,
 			WarmupCycles:    s.warmup,
 			MeasureCycles:   s.cycles,
 			Seed:            seed,
+			Pattern:         netsim.Uniform,
+			MaxHops:         8 * g.N(),
 			Probe:           pb,
+		}, netsim.ImplicitFaultConfig{Plan: plan, Faults: fs})
+		// The manifest records a built-graph run without router telemetry,
+		// and without fault counters when there is no plan.
+		var stats any = st.Stats
+		if plan != nil {
+			stats = st.FaultStats
 		}
-	}
-	if plan == nil {
-		s.header = freeHeader
-		s.run = func(ratio int, rate float64, seed int64, pb obs.Probe) (runOutcome, error) {
-			st, err := netsim.Run(config(ratio, rate, seed, pb))
-			return runOutcome{stats: st, st: st, row: freeRow(ratio, rate, st)}, err
-		}
-		return nil
-	}
-	s.header = faultyHeader("lat-infl")
-	s.run = func(ratio int, rate float64, seed int64, pb obs.Probe) (runOutcome, error) {
-		fs, _, err := netsim.RunFaultyWithBaseline(config(ratio, rate, seed, pb), plan)
-		row := fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-6d %-8d %-9d %-10.2f %-9.2f %-9d %-9d",
-			ratio, rate, fs.Injected, fs.Delivered, fs.Lost, fs.Expired, fs.HopLimitDrops,
-			fs.AvgLatency, fs.LatencyInflation, fs.RerouteEvents, fs.MisroutedHops)
-		return runOutcome{stats: fs, st: fs.Stats, row: row}, err
+		return runOutcome{stats: stats, st: st}, err
 	}
 	return nil
 }
@@ -676,12 +703,11 @@ func (s *sweep) implicit(net *superip.Net, rf netsim.RandomFaults, live *obs.Liv
 	fmt.Fprintf(console, "%s (implicit): N=%d modules=%d degree=%d diameter=%d I-diameter=%d\n",
 		net.Name(), imp.N(), imp.Modules(), net.Degree(), net.Diameter(), net.IDiameter())
 
-	var plan *netsim.FaultPlan
 	if s.faults > 0 {
-		if plan, err = rf.PlanTopo(imp); err != nil {
+		if s.plan, err = rf.PlanTopo(imp); err != nil {
 			return err
 		}
-		printPlan(plan, rf)
+		printPlan(s.plan, rf)
 	}
 	lanes, shards := 0, s.shards // 0 lanes: RunSharded's default
 	if shards == 0 {
@@ -691,7 +717,7 @@ func (s *sweep) implicit(net *superip.Net, rf netsim.RandomFaults, live *obs.Liv
 	// algebraic router (plus, under faults, its own fault-aware wrapper and
 	// fault set), because none of them is required to be safe for
 	// concurrent use.
-	newLane := func() (netsim.Topology, netsim.Router, netsim.FaultSink, error) {
+	newLane := func(plan *netsim.FaultPlan) (netsim.Topology, netsim.Router, netsim.FaultSink, error) {
 		lt, err := topo.NewImplicit(net.Super())
 		if err != nil {
 			return nil, nil, nil, err
@@ -718,14 +744,11 @@ func (s *sweep) implicit(net *superip.Net, rf netsim.RandomFaults, live *obs.Liv
 	}
 
 	s.name, s.moduleOf = net.Name()+" (implicit)", imp.Module
-	if plan == nil {
-		s.header = freeHeader
-	} else {
-		s.header = faultyHeader("degraded")
-	}
-	s.run = func(ratio int, rate float64, seed int64, pb obs.Probe) (runOutcome, error) {
+	s.run = func(ratio int, rate float64, seed int64, plan *netsim.FaultPlan, pb obs.Probe) (runOutcome, error) {
 		st, err := netsim.RunSharded(netsim.ShardedConfig{
-			NewLane:         newLane,
+			NewLane: func() (netsim.Topology, netsim.Router, netsim.FaultSink, error) {
+				return newLane(plan)
+			},
 			Space:           imp,
 			OffModulePeriod: ratio,
 			InjectionRate:   rate,
@@ -737,14 +760,8 @@ func (s *sweep) implicit(net *superip.Net, rf netsim.RandomFaults, live *obs.Liv
 			Plan:            plan,
 			Probe:           pb,
 		})
-		row := freeRow(ratio, rate, st.Stats)
-		if plan != nil {
-			row = fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-6d %-8d %-9d %-10.2f %-9d %-9d %-9d",
-				ratio, rate, st.Injected, st.Delivered, st.Lost, st.Expired, st.HopLimitDrops,
-				st.AvgLatency, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops)
-		}
 		router := st.Router
-		return runOutcome{stats: st, st: st.Stats, row: row, router: &router}, err
+		return runOutcome{stats: st, st: st, router: &router}, err
 	}
 	return nil
 }

@@ -5,7 +5,8 @@
 // Monte-Carlo survival rates under random node failures.
 //
 // The second half runs the *dynamic* counterpart: the packet simulator
-// operates each network through live link failures (netsim.RunFaulty) and
+// operates each network through live link failures (netsim.RunImplicitFaulty
+// over the built graph, routed by per-destination BFS tables) and
 // reports how throughput and latency degrade as the fault count grows —
 // delivered/lost packets, routing-table repairs, and the latency inflation
 // over the fault-free baseline. Everything runs from fixed seeds and is
@@ -143,25 +144,36 @@ func dynamicSweep() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "network\tfaults\tdelivered\tlost\tavg-lat\tlat-infl\treroutes")
 	for _, s := range systems {
-		cfg := netsim.Config{Graph: s.g, InjectionRate: rate,
-			WarmupCycles: warmup, MeasureCycles: measure, Seed: seed}
-		base, err := netsim.Run(cfg)
-		if err != nil {
-			log.Fatal(err)
+		t := topo.NewMaterialized(s.g)
+		// run routes s.g by fresh per-destination BFS tables, rebuilt
+		// against a fault set of their own when there is a plan.
+		run := func(plan *netsim.FaultPlan) netsim.ImplicitFaultStats {
+			var fs *topo.FaultSet
+			if plan != nil {
+				fs = topo.NewFaultSet()
+			}
+			st, err := netsim.RunImplicitFaulty(netsim.ImplicitConfig{Topo: t,
+				Router: topo.NewBFSRouter(t, fs), InjectionRate: rate,
+				WarmupCycles: warmup, MeasureCycles: measure, Seed: seed,
+				Pattern: netsim.Uniform, MaxHops: 8 * s.g.N()},
+				netsim.ImplicitFaultConfig{Plan: plan, Faults: fs})
+			if err != nil {
+				log.Fatal(err)
+			}
+			return st
 		}
+		base := run(nil)
 		for _, nFaults := range []int{0, 2, 4, 8} {
 			var plan *netsim.FaultPlan
 			if nFaults > 0 {
+				var err error
 				plan, err = netsim.RandomFaults{MTBF: mtbf, Start: warmup,
-					Horizon: warmup + measure, MaxFaults: nFaults, Seed: seed}.PlanTopo(topo.NewMaterialized(s.g))
+					Horizon: warmup + measure, MaxFaults: nFaults, Seed: seed}.PlanTopo(t)
 				if err != nil {
 					log.Fatal(err)
 				}
 			}
-			fs, err := netsim.RunFaulty(cfg, plan)
-			if err != nil {
-				log.Fatal(err)
-			}
+			fs := run(plan)
 			infl := 0.0
 			if base.AvgLatency > 0 {
 				infl = fs.AvgLatency / base.AvgLatency

@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand"
 	"os"
 	"text/tabwriter"
 
@@ -20,6 +21,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/superip"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -34,14 +36,16 @@ func main() {
 		net.Name(), g.N(), part.K, metrics.IDegree(g, part),
 		metrics.IICost(metrics.IDegree(g, part), int(ist.Diameter)))
 
-	base := netsim.Config{
-		Graph:           g,
-		Partition:       &part,
+	t := topo.NewMaterialized(g)
+	base := netsim.ImplicitConfig{
+		Topo:            t,
+		ModuleOf:        part.Module,
 		OffModulePeriod: 4,
 		InjectionRate:   0.035,
 		WarmupCycles:    500,
 		MeasureCycles:   4000,
 		Seed:            7,
+		MaxHops:         8 * g.N(),
 	}
 
 	hotspot, err := netsim.Hotspot(0.25)
@@ -50,15 +54,15 @@ func main() {
 	}
 	runs := []struct {
 		name    string
-		pattern netsim.PatternFunc
+		pattern func(src, n int64, rng *rand.Rand) int64
 	}{
-		{"uniform", nil},
+		{"uniform", netsim.Uniform},
 		{"hotspot(0.25 -> node 0)", hotspot},
 	}
 
 	type result struct {
 		name string
-		st   netsim.Stats
+		st   netsim.ImplicitFaultStats
 		hist *obs.LatencyHist
 		ts   *obs.TimeSeries
 		tr   *obs.Trace
@@ -66,12 +70,13 @@ func main() {
 	var results []result
 	for _, r := range runs {
 		cfg := base
+		cfg.Router = topo.NewBFSRouter(t, nil) // per-destination BFS tables
 		cfg.Pattern = r.pattern
 		hist := &obs.LatencyHist{}
-		ts := obs.NewTimeSeries(func(u int64) int64 { return int64(part.Of[u]) }, 100)
+		ts := obs.NewTimeSeries(part.Module, 100)
 		tr := &obs.Trace{SampleEvery: 32}
 		cfg.Probe = obs.Multi(hist, ts, tr)
-		st, err := netsim.Run(cfg)
+		st, err := netsim.RunImplicit(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

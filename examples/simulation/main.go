@@ -17,6 +17,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/networks"
 	"repro/internal/superip"
+	"repro/internal/topo"
 )
 
 type system struct {
@@ -62,15 +63,20 @@ func main() {
 	for _, s := range systems {
 		ii := metrics.IICost(metrics.IDegree(s.g, s.part), int(metrics.IStats(s.g, s.part).Diameter))
 		var lat [3]float64
+		t := topo.NewMaterialized(s.g)
 		for i, ratio := range []int{1, 4, 16} {
-			st, err := netsim.Run(netsim.Config{
-				Graph:           s.g,
-				Partition:       &s.part,
+			// The built graph routes by per-destination BFS tables.
+			st, err := netsim.RunImplicit(netsim.ImplicitConfig{
+				Topo:            t,
+				Router:          topo.NewBFSRouter(t, nil),
+				ModuleOf:        s.part.Module,
 				OffModulePeriod: ratio,
 				InjectionRate:   0.003,
 				WarmupCycles:    300,
 				MeasureCycles:   3000,
 				Seed:            42,
+				Pattern:         netsim.Uniform,
+				MaxHops:         8 * s.g.N(),
 			})
 			if err != nil {
 				log.Fatal(err)

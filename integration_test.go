@@ -18,6 +18,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/superip"
+	"repro/internal/topo"
 )
 
 // TestEndToEndHSNPipeline drives one network through every subsystem.
@@ -120,9 +121,11 @@ func TestEndToEndHSNPipeline(t *testing.T) {
 
 	// 8. Simulation: delivered latency under light load is at least the
 	// average distance and bounded by it plus slack.
-	sim, err := netsim.Run(netsim.Config{
-		Graph: g, Partition: &part, OffModulePeriod: 2,
+	mat := topo.NewMaterialized(g)
+	sim, err := netsim.RunImplicit(netsim.ImplicitConfig{
+		Topo: mat, Router: topo.NewBFSRouter(mat, nil), ModuleOf: part.Module, OffModulePeriod: 2,
 		InjectionRate: 0.01, WarmupCycles: 200, MeasureCycles: 1500, Seed: 1,
+		Pattern: netsim.Uniform, MaxHops: 8 * g.N(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,10 @@ type Partition struct {
 	K  int     // number of clusters
 }
 
+// Module returns u's cluster id: the module rule a simulator run or an
+// obs collector takes (netsim.ImplicitConfig.ModuleOf).
+func (p Partition) Module(u int64) int64 { return int64(p.Of[u]) }
+
 // Validate checks that cluster ids cover 0..K-1 and nothing else.
 func (p Partition) Validate(n int) error {
 	if len(p.Of) != n {

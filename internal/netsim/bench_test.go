@@ -22,12 +22,12 @@ func BenchmarkRunQ6(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{Graph: g, InjectionRate: 0.01, WarmupCycles: 50, MeasureCycles: 300}
+	cfg := ImplicitConfig{InjectionRate: 0.01, WarmupCycles: 50, MeasureCycles: 300}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunImplicit(onGraph(g, nil, cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func BenchmarkRunFaultyQ6(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{Graph: g, InjectionRate: 0.01, WarmupCycles: 50, MeasureCycles: 300}
+	cfg := ImplicitConfig{InjectionRate: 0.01, WarmupCycles: 50, MeasureCycles: 300}
 	plan, err := (RandomFaults{
 		MTBF: 100, RepairTime: 150, Start: cfg.WarmupCycles,
 		Horizon: cfg.WarmupCycles + cfg.MeasureCycles, MaxFaults: 4, Seed: 1,
@@ -72,7 +72,8 @@ func BenchmarkRunFaultyQ6(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := RunFaulty(cfg, plan); err != nil {
+		fs := topo.NewFaultSet()
+		if _, err := RunImplicitFaulty(onGraph(g, fs, cfg), ImplicitFaultConfig{Plan: plan, Faults: fs}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,15 +213,15 @@ func BenchmarkHotspotPattern(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{
-		Graph: g, InjectionRate: 0.01, WarmupCycles: 50, MeasureCycles: 300,
+	cfg := ImplicitConfig{
+		InjectionRate: 0.01, WarmupCycles: 50, MeasureCycles: 300,
 		Pattern: mustHotspot(b, 0.2),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunImplicit(onGraph(g, nil, cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}

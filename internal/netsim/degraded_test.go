@@ -12,12 +12,14 @@ import (
 	"repro/internal/topo"
 )
 
+// TestRunFaultyEmptyPlanMatchesRun: a built-graph run with a nil or empty
+// fault plan is not degraded: no liveness checks, no table rebuilds, no
+// drops. So it must report exactly the stats of RunImplicit on the same
+// configuration, with its table router over no fault set, and no fault
+// activity at all, on any topology and load, also when its router reads
+// an empty fault set (a spurious drop or a different minimal-route
+// tie-break would show here).
 func TestRunFaultyEmptyPlanMatchesRun(t *testing.T) {
-	// Run is RunFaulty with an empty plan, and an empty plan is not
-	// degraded: no liveness checks, no table rebuilds, no drops. So
-	// RunFaulty with a nil plan must report exactly Run's Stats and no fault
-	// activity at all, on any topology and load (a spurious drop or a
-	// different minimal-route tie-break would show here).
 	q6 := mustBuild(t, networks.Hypercube{Dim: 6}.Build)
 	sfn, err := superip.SuperFlip(3, superip.NucleusHypercube(2)).Build()
 	if err != nil {
@@ -25,29 +27,37 @@ func TestRunFaultyEmptyPlanMatchesRun(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		cfg  Config
+		g    *graph.Graph
+		cfg  ImplicitConfig
 	}{
-		{"Q6/rate0.02", Config{Graph: q6, InjectionRate: 0.02, WarmupCycles: 200,
+		{"Q6/rate0.02", q6, ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 200,
 			MeasureCycles: 1500, Seed: 17}},
-		{"Q6/rate0.1/flits4", Config{Graph: q6, InjectionRate: 0.1, Flits: 4,
+		{"Q6/rate0.1/flits4", q6, ImplicitConfig{InjectionRate: 0.1, Flits: 4,
 			WarmupCycles: 200, MeasureCycles: 1500, Seed: 17}},
-		{"SFN(3;Q2)/rate0.01", Config{Graph: sfn, InjectionRate: 0.01,
+		{"SFN(3;Q2)/rate0.01", sfn, ImplicitConfig{InjectionRate: 0.01,
 			WarmupCycles: 200, MeasureCycles: 2000, Seed: 7}},
 	}
 	for _, tc := range cases {
-		base, err := Run(tc.cfg)
+		base, err := RunImplicit(onGraph(tc.g, nil, tc.cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, err := RunFaulty(tc.cfg, nil)
+		if rest := (ImplicitFaultStats{FaultStats: FaultStats{Stats: base.Stats}}); base != rest {
+			t.Fatalf("%s: fault-free run reported fault activity: %+v", tc.name, base)
+		}
+		nilPlan, err := runGraph(tc.g, tc.cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fs.Stats != base {
-			t.Fatalf("%s: fault-free RunFaulty diverged from Run:\n%+v\nvs %+v", tc.name, fs.Stats, base)
+		empty := topo.NewFaultSet()
+		emptyPlan, err := RunImplicitFaulty(onGraph(tc.g, empty, tc.cfg),
+			ImplicitFaultConfig{Plan: &FaultPlan{}, Faults: empty})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rest := (FaultStats{Stats: fs.Stats}); fs != rest {
-			t.Fatalf("%s: fault-free run reported fault activity: %+v", tc.name, fs)
+		if nilPlan != base || emptyPlan != base {
+			t.Fatalf("%s: fault-free runs diverged from RunImplicit:\nnil plan   %+v\nempty plan %+v\nvs         %+v",
+				tc.name, nilPlan, emptyPlan, base)
 		}
 	}
 }
@@ -77,7 +87,7 @@ func TestLinkFaultsBelowConnectivityDeliverEverything(t *testing.T) {
 	if plan.Len() != kappa-1 {
 		t.Fatalf("plan drew %d faults, want %d", plan.Len(), kappa-1)
 	}
-	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.02,
+	fs, err := runGraph(g, ImplicitConfig{InjectionRate: 0.02,
 		WarmupCycles: 200, MeasureCycles: 2000, Seed: 23},
 		plan)
 	if err != nil {
@@ -103,7 +113,7 @@ func TestTransientLinkFaultHealsAndRepairs(t *testing.T) {
 	// and both the injection and the repair must be counted.
 	g := mustBuild(t, networks.Ring{Nodes: 16}.Build)
 	plan := (&FaultPlan{}).LinkDown(300, 0, 1, 900)
-	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.02,
+	fs, err := runGraph(g, ImplicitConfig{InjectionRate: 0.02,
 		WarmupCycles: 100, MeasureCycles: 1500, Seed: 5},
 		plan)
 	if err != nil {
@@ -127,7 +137,7 @@ func TestNodeFaultLosesOnlyAffectedFlows(t *testing.T) {
 	g := mustBuild(t, networks.Hypercube{Dim: 5}.Build)
 	plan := (&FaultPlan{}).NodeDown(500, 0, 0)
 	life := newLifeProbe()
-	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.1,
+	fs, err := runGraph(g, ImplicitConfig{InjectionRate: 0.1,
 		Pattern: mustHotspot(t, 0.5), WarmupCycles: 100, MeasureCycles: 2000, Seed: 31, Probe: life},
 		plan)
 	if err != nil {
@@ -174,7 +184,7 @@ func TestDisconnectionDetectedOnPartitionedRing(t *testing.T) {
 	g := mustBuild(t, networks.Ring{Nodes: 16}.Build)
 	plan := (&FaultPlan{}).LinkDown(150, 0, 1, 0).LinkDown(150, 8, 9, 0)
 	life := newLifeProbe()
-	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.02,
+	fs, err := runGraph(g, ImplicitConfig{InjectionRate: 0.02,
 		WarmupCycles: 100, MeasureCycles: 1200, Seed: 41, Probe: life},
 		plan)
 	if err != nil {
@@ -256,31 +266,43 @@ func TestFaultPlanValidate(t *testing.T) {
 
 }
 
+// TestFaultConfigErrors: a built-graph run rejects a plan that names a
+// non-link of its graph, and a plan without a fault set shared with the
+// router.
 func TestFaultConfigErrors(t *testing.T) {
 	g := mustBuild(t, networks.Ring{Nodes: 8}.Build)
-	cfg := Config{Graph: g, InjectionRate: 0.01, WarmupCycles: 10, MeasureCycles: 50}
+	cfg := ImplicitConfig{InjectionRate: 0.01, WarmupCycles: 10, MeasureCycles: 50}
 	bad := (&FaultPlan{}).LinkDown(10, 0, 5, 0)
-	if _, err := RunFaulty(cfg, bad); err == nil {
+	if _, err := runGraph(g, cfg, bad); err == nil {
 		t.Fatal("plan referencing a non-link must fail")
+	}
+	good := (&FaultPlan{}).LinkDown(10, 0, 1, 0)
+	if _, err := RunImplicitFaulty(onGraph(g, nil, cfg), ImplicitFaultConfig{Plan: good}); err == nil {
+		t.Fatal("a plan without a fault set must fail")
 	}
 }
 
-func TestRunFaultyWithBaselineInflation(t *testing.T) {
-	// Permanent faults on a torus force longer routes and queueing: the
-	// latency inflation factor must come back >= 1.
+// TestFaultsInflateLatency: permanent faults on a torus force longer
+// routes and queueing, so a degraded run's average latency over that of
+// the same run without the plan (the latency inflation cmd/simulate
+// prints) must come back >= 1.
+func TestFaultsInflateLatency(t *testing.T) {
 	g := mustBuild(t, networks.Torus2D{Rows: 6, Cols: 6}.Build)
 	plan := (&FaultPlan{}).LinkDown(100, 0, 1, 0).LinkDown(100, 6, 7, 0).NodeDown(400, 21, 0)
-	fs, base, err := RunFaultyWithBaseline(Config{Graph: g, InjectionRate: 0.03,
-		WarmupCycles: 100, MeasureCycles: 1500, Seed: 71},
-		plan)
+	cfg := ImplicitConfig{InjectionRate: 0.03, WarmupCycles: 100, MeasureCycles: 1500, Seed: 71}
+	fs, err := runGraph(g, cfg, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := runGraph(g, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Delivered == 0 || fs.Delivered == 0 {
 		t.Fatalf("baseline %+v / faulty %+v delivered nothing", base, fs)
 	}
-	if fs.LatencyInflation < 1 {
-		t.Fatalf("faults should not speed the network up: inflation %v", fs.LatencyInflation)
+	if infl := fs.AvgLatency / base.AvgLatency; infl < 1 {
+		t.Fatalf("faults should not speed the network up: inflation %v", infl)
 	}
 }
 

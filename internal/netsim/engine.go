@@ -12,15 +12,13 @@
 //
 // with one wiring: the lane runner in sharded.go, whose lanes (simLane)
 // embed the engine and supply the parts that differ as plain methods.
-// Every entry point is a run of it: Run, RunFaulty and
-// RunFaultyWithBaseline (a built graph routed by a topo.BFSRouter; Run is
-// RunFaulty with an empty plan), RunImplicit and RunImplicitFaulty (any
-// id-space Router; RunImplicit is RunImplicitFaulty with an empty plan) are
-// single-lane runs, RunSharded a multi-lane one. Every lane routes through
-// its Router, which reads the lane's fault set. Every run takes its link
-// periods from one module rule (a link between two modules costs
-// OffModulePeriod, any other link 1; built graphs name their modules with
-// a Partition), which enters the lane runner through one per-run options
+// Every entry point is a run of it: RunImplicit and RunImplicitFaulty (any
+// topology and Router, a built graph routed by a topo.BFSRouter included;
+// RunImplicit is RunImplicitFaulty with an empty plan) are single-lane
+// runs, RunSharded a multi-lane one. Every lane routes through its Router,
+// which reads the lane's fault set. Every run takes its link periods from
+// one module rule (a link between two modules costs OffModulePeriod, any
+// other link 1), which enters the lane runner through one per-run options
 // struct with the scripted injections.
 //
 // Degraded-mode rule: a run is degraded iff its fault plan is non-empty.
@@ -31,7 +29,7 @@
 // hard error. Loss rule, one for every run: a dropped measured packet
 // counts in Lost once, and each packet has one id, one Inject event and at
 // most one terminal Deliver or Drop event. What a degraded run does beyond
-// that is documented on RunFaulty and RunImplicitFaulty.
+// that is documented on RunImplicitFaulty.
 //
 // Drain rule, one for every run: once injection has stopped, the run ends
 // at the first cycle that has no measured packet in flight and lies past

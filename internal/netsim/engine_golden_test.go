@@ -21,10 +21,13 @@ import (
 	"repro/internal/topo"
 )
 
-// Golden parity for the engine: every public entry point (Run, RunFaulty,
-// RunFaultyWithBaseline, RunImplicit, RunImplicitFaulty; RunSharded is
+// Golden parity for the engine: every public entry point (RunImplicit and
+// RunImplicitFaulty on built graphs and implicit topologies; RunSharded is
 // pinned against RunImplicit by TestShardedSingleLane) is pinned bit for
-// bit to recorded Stats. All of them are runs of the one lane runner, so
+// bit to recorded Stats. The run/* and runfaulty/* cases are built-graph
+// runs (runGraph: the table router, Uniform destinations, an 8·N hop
+// watchdog); they record Stats and FaultStats, the result shapes of the
+// built-graph entry points they were first recorded from. All of them are runs of the one lane runner, so
 // any drift in RNG draw order, phase order, or accounting fails this test
 // with an exact field diff. REGEN_ENGINE_GOLDEN=1 go test -run
 // TestEngineGoldenParity regenerates testdata/engine_golden.json — only do
@@ -88,7 +91,13 @@ import (
 // 0, 88: its detours no longer draw from the lane RNG), and
 // runfaulty/q5/notify25/seed3, whose 25-cycle delay no longer exists,
 // became runfaulty/q5/seed3, the same run at delay 0. Of the probe
-// digests the harsh ring's and the former notify25 case's moved.
+// digests the harsh ring's and the former notify25 case's moved. They were
+// re-recorded a seventh time when built graphs came to run through
+// RunImplicit and RunImplicitFaulty like every other topology: the
+// latency-inflation field went from every case that records fault
+// counters (it was non-zero only in runfaulty/q5/withbaseline/seed5; a
+// caller now divides that case's latency by its withbaseline-base
+// twin's); no value and no digest moved.
 //
 // The grid spans the axes the engine parameterizes: built vs implicit
 // adjacency, table vs algebraic routing, fault-free vs degraded runs,
@@ -180,63 +189,75 @@ func goldenResults(t *testing.T, seedOf func(int64) int64) map[string]any {
 		t.Fatal(err)
 	}
 
-	// --- Run: materialized, fault-free ---
-	patterns := map[string]PatternFunc{"uniform": nil, "transpose": Transpose, "hotspot": hotspot}
+	// run and runFaulty are the built-graph runs, recorded in the result
+	// shapes of the entry points the fixtures were first recorded from.
+	run := func(g *graph.Graph, cfg ImplicitConfig) (Stats, error) {
+		st, err := runGraph(g, cfg, nil)
+		return st.Stats, err
+	}
+	runFaulty := func(g *graph.Graph, cfg ImplicitConfig, plan *FaultPlan) (FaultStats, error) {
+		st, err := runGraph(g, cfg, plan)
+		return st.FaultStats, err
+	}
+
+	// --- built graph, fault-free ---
+	patterns := map[string]func(int64, int64, *rand.Rand) int64{"uniform": nil, "transpose": Transpose, "hotspot": hotspot}
 	for pname, pat := range patterns {
 		for _, seed := range []int64{1, 2} {
-			cfg := Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
+			cfg := ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
 				MeasureCycles: 300, Seed: seedOf(seed), Pattern: pat}
-			st, err := Run(cfg)
+			st, err := run(q5, cfg)
 			put(fmt.Sprintf("run/q5/%s/seed%d", pname, seed), st, err)
 		}
 	}
 	{
-		cfg := Config{Graph: q5, Partition: &q5part, OffModulePeriod: 4,
+		cfg := ImplicitConfig{ModuleOf: q5part.Module, OffModulePeriod: 4,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(3)}
-		st, err := Run(cfg)
+		st, err := run(q5, cfg)
 		put("run/q5/modules4/seed3", st, err)
 	}
 	{
-		cfg := Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
+		cfg := ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: seedOf(4), Flits: 3}
-		st, err := Run(cfg)
+		st, err := run(q5, cfg)
 		put("run/q5/flits3/seed4", st, err)
 	}
 	{
-		cfg := Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
+		cfg := ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: seedOf(4), Flits: 3, CutThrough: true}
-		st, err := Run(cfg)
+		st, err := run(q5, cfg)
 		put("run/q5/flits3cut/seed4", st, err)
 	}
 	{
-		cfg := Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 3,
+		cfg := ImplicitConfig{ModuleOf: torusPart.Module, OffModulePeriod: 3,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(6)}
-		st, err := Run(cfg)
+		st, err := run(torus, cfg)
 		put("run/torus/modules3/seed6", st, err)
 	}
 
-	// --- RunFaulty: materialized, degraded ---
+	// --- built graph, degraded ---
 	plan := goldenQ5Plan(t, q5, seedOf(1))
 	for _, seed := range []int64{1, 2, 3} {
-		cfg := Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
+		cfg := ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: seedOf(seed)}
-		fs, err := RunFaulty(cfg, plan)
+		fs, err := runFaulty(q5, cfg, plan)
 		put(fmt.Sprintf("runfaulty/q5/seed%d", seed), fs, err)
 	}
 	{
-		cfg := Config{Graph: q5, Partition: &q5part, OffModulePeriod: 4,
+		cfg := ImplicitConfig{ModuleOf: q5part.Module, OffModulePeriod: 4,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(4),
 			Pattern: hotspot}
-		fs, err := RunFaulty(cfg, plan)
+		fs, err := runFaulty(q5, cfg, plan)
 		put("runfaulty/q5/modules4-hotspot/seed4", fs, err)
 	}
 	{
-		faulty, base, err := RunFaultyWithBaseline(
-			Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
-				MeasureCycles: 300, Seed: seedOf(5)},
-			plan)
+		// A degraded run and its baseline: the same run without the plan.
+		cfg := ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
+			MeasureCycles: 300, Seed: seedOf(5)}
+		faulty, err := runFaulty(q5, cfg, plan)
 		put("runfaulty/q5/withbaseline/seed5", faulty, err)
-		put("runfaulty/q5/withbaseline-base/seed5", base, nil)
+		base, err := run(q5, cfg)
+		put("runfaulty/q5/withbaseline-base/seed5", base, err)
 	}
 
 	// --- RunImplicit: sparse, fault-free ---
@@ -477,7 +498,7 @@ func (h *hashProbe) sum() string {
 
 // harshRing is the runfaulty/ring16/harsh/seed2 run: a 16-node ring at
 // rate 0.3 under five link and node faults, two of them cutting it in two.
-func harshRing(t *testing.T) (Config, *FaultPlan) {
+func harshRing(t *testing.T) (*graph.Graph, ImplicitConfig, *FaultPlan) {
 	t.Helper()
 	ring, err := networks.Ring{Nodes: 16}.Build()
 	if err != nil {
@@ -485,7 +506,7 @@ func harshRing(t *testing.T) (Config, *FaultPlan) {
 	}
 	plan := (&FaultPlan{}).LinkDown(40, 0, 1, 0).LinkDown(60, 8, 9, 200).
 		NodeDown(80, 4, 150).NodeDown(90, 4, 300).LinkDown(100, 12, 13, 140)
-	return Config{Graph: ring, InjectionRate: 0.3, WarmupCycles: 30, MeasureCycles: 250, Seed: 2}, plan
+	return ring, ImplicitConfig{InjectionRate: 0.3, WarmupCycles: 30, MeasureCycles: 250, Seed: 2}, plan
 }
 
 // TestEngineProbeGolden pins the probe event stream, not just the Stats, of
@@ -509,26 +530,27 @@ func TestEngineProbeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	harsh, harshPlan := harshRing(t)
+	ring, harsh, harshPlan := harshRing(t)
 	cases := []struct {
 		name string
-		cfg  Config
+		g    *graph.Graph
+		cfg  ImplicitConfig
 		plan *FaultPlan
 		want string
 	}{
-		{"run/torus/modules3/seed6", Config{Graph: torus, Partition: &torusPart, OffModulePeriod: 3,
+		{"run/torus/modules3/seed6", torus, ImplicitConfig{ModuleOf: torusPart.Module, OffModulePeriod: 3,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 6}, nil,
 			"4c3ef42bef92cb52e8203beef398dc95d5197c6d519cfa20569f8646fe1033d4"},
-		{"runfaulty/ring16/harsh/seed2", harsh, harshPlan,
+		{"runfaulty/ring16/harsh/seed2", ring, harsh, harshPlan,
 			"e7ac03761f22f2228b18527bdc1b8299daf690d9b2a7686e70a10ed5128da5d9"},
-		{"runfaulty/q5/seed3", Config{Graph: q5, InjectionRate: 0.02, WarmupCycles: 50,
+		{"runfaulty/q5/seed3", q5, ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: 3}, goldenQ5Plan(t, q5, 1),
 			"cd938275e4b14d73bec0535924ef3dae592baa84117c8c656160c628a259eaf8"},
 	}
 	for _, tc := range cases {
 		log := &obs.EventLog{}
 		tc.cfg.Probe = log
-		if _, err := RunFaulty(tc.cfg, tc.plan); err != nil {
+		if _, err := runGraph(tc.g, tc.cfg, tc.plan); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		h := &hashProbe{}

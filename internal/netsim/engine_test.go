@@ -339,23 +339,25 @@ func TestLinkRecycling(t *testing.T) {
 
 	t.Run("built", func(t *testing.T) {
 		g := mustBuild(t, networks.Hypercube{Dim: 6}.Build)
-		cfg := Config{Graph: g, InjectionRate: 0.3, WarmupCycles: 30, MeasureCycles: 100, Seed: 3}
+		cfg := ImplicitConfig{InjectionRate: 0.3, WarmupCycles: 30, MeasureCycles: 100, Seed: 3}
 		plan := recyclingPlan(topo.NewMaterialized(g), 5)
-		want, err := RunFaulty(cfg, plan)
+		want, err := runGraph(g, cfg, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cfg.normalize(); err != nil {
-			t.Fatal(err)
-		}
-		r, lanes, err := newLanes(builtRun(cfg, plan))
+		// The same run as one lane of the lane runner.
+		fs := topo.NewFaultSet()
+		cfg = onGraph(g, fs, cfg)
+		r, lanes, err := newLanes(ShardedConfig{
+			NewLane:       func() (Topology, Router, FaultSink, error) { return cfg.Topo, cfg.Router, fs, nil },
+			InjectionRate: cfg.InjectionRate, WarmupCycles: cfg.WarmupCycles,
+			MeasureCycles: cfg.MeasureCycles, Seed: cfg.Seed, MaxHops: cfg.MaxHops,
+			Pattern: cfg.Pattern, Lanes: 1, Plan: plan,
+		}, runOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// RunFaulty returns no RouterStats; the lane's table router
-		// counts the rebuilds that RerouteEvents reports.
-		check(t, r, lanes, ImplicitFaultStats{FaultStats: want,
-			Router: topo.RouterStats{Reroutes: uint64(want.RerouteEvents)}})
+		check(t, r, lanes, want)
 	})
 
 	t.Run("implicit", func(t *testing.T) {

@@ -17,40 +17,52 @@ type Topology = topo.Topology
 // (topo.Algebraic, topo.FaultAware, topo.HypercubeRouter, ...).
 type Router = topo.Router
 
-// ImplicitConfig parameterizes a simulation over an implicit topology: no
-// per-node arrays are ever allocated, so the memory footprint scales with
-// the number of in-flight packets and busy links, not with N. This is what
-// lets the simulator run super-IP instances 10x and more beyond the largest
-// materializable graph.
+// ImplicitConfig parameterizes a run on any topology. The simulator
+// allocates no per-node arrays, so its own footprint scales with the
+// number of in-flight packets and busy links, not with N; what the
+// topology and router keep is theirs. An implicit topology with an
+// algebraic router (topo.Implicit + topo.Algebraic, O(1) state per node)
+// runs super-IP instances 10x and more beyond the largest materializable
+// graph. A built graph runs as topo.NewMaterialized(g) routed by
+// topo.NewBFSRouter, whose per-destination tables are O(N) each; its
+// callers pass Pattern: Uniform and MaxHops: 8·N, the destination draw and
+// hop watchdog that built-graph runs have always used.
 type ImplicitConfig struct {
-	// Topo answers neighbor queries; Router supplies next hops. Both must be
-	// per-node O(1) in memory (e.g. topo.Implicit + topo.Algebraic) for the
-	// run to stay independent of N. Router is mandatory: there is no table
-	// fallback, because BFS tables are exactly the O(N) state this simulator
-	// exists to avoid.
+	// Topo answers neighbor queries; Router supplies next hops. Router is
+	// mandatory: the simulator has no routing of its own.
 	Topo   Topology
 	Router Router
 	// InjectionRate is the probability per node per cycle of injecting a
 	// packet, independently of every other node, at any N (see
 	// injectionSampler).
 	InjectionRate float64
-	// WarmupCycles, MeasureCycles, DrainCycles as in Config.
+	// WarmupCycles are simulated but packets injected during them are not
+	// measured. MeasureCycles follow; then the run drains in-flight
+	// measured packets for up to DrainCycles (default 10 times warm-up
+	// plus measurement).
 	WarmupCycles, MeasureCycles, DrainCycles int
 	// Seed makes runs deterministic.
 	Seed int64
-	// Flits and CutThrough as in Config.
+	// Flits is the message length in flits (default 1). A link transmitting
+	// a message stays busy for Flits * period cycles. CutThrough lets the
+	// head flit proceed to the next node after one link period while the
+	// tail still occupies the link (cut-through / wormhole-style
+	// pipelining); without it a message is forwarded store-and-forward,
+	// whole.
 	Flits      int
 	CutThrough bool
 	// OffModulePeriod is the service time of links crossing module
 	// boundaries as decided by ModuleOf; links inside a module (and all
 	// links when ModuleOf is nil) have period 1.
 	OffModulePeriod int
-	// ModuleOf maps a node to its module id (e.g. topo.Modular.Module of the
-	// nucleus-per-module packing). Nil means one module.
+	// ModuleOf maps a node to its module id (e.g. topo.Implicit.Module of
+	// the nucleus-per-module packing, or metrics.Partition.Module of a
+	// built graph's partition). Nil means one module.
 	ModuleOf func(u int64) int64
 	// Pattern picks the destination for a packet injected at src (nil =
-	// uniform random over the other nodes). Returning src skips the
-	// injection, as in PatternFunc.
+	// uniform random over the other nodes; see Uniform, Transpose,
+	// BitComplement, Hotspot). Returning src skips the injection (patterns
+	// with fixed pairings do this).
 	Pattern func(src int64, n int64, rng *rand.Rand) int64
 	// MaxHops aborts the run with an error if any packet exceeds it
 	// (default 4096): algebraic routers are deterministic oracles, and a
@@ -71,8 +83,8 @@ type ImplicitConfig struct {
 	// Probe observes the run (see internal/obs). Nil (the default) is the
 	// fast path: no obs code runs and the stats are bit-for-bit identical
 	// to an unprobed run — probes watch the simulation, they never steer
-	// it. Event semantics on the sparse simulators are documented in the
-	// obs package ("Probe semantics on implicit runs").
+	// it. Event semantics are documented in the obs package ("Probe
+	// semantics across the simulator's runs").
 	Probe obs.Probe
 }
 
@@ -84,9 +96,39 @@ type routerStatser interface {
 	RouterStats() obs.RouterStats
 }
 
-// ImplicitFaultStats is the result of every implicit run: the shared
-// FaultStats (fault counters stay zero on a fault-free run) plus the
-// router-side telemetry. The struct is comparable (fixed-size fields only),
+// FaultStats extends Stats with degraded-mode counters.
+type FaultStats struct {
+	Stats
+	// Lost counts measured packets dropped before the drain deadline, for
+	// whatever reason (no route, hop limit, dead router, killed queue), on
+	// every run kind. It never overlaps Expired, so Injected ==
+	// Delivered + Lost + Expired on every run. A run with no plan loses
+	// nothing.
+	Lost int
+	// MisroutedHops counts the exploratory local-detour hops of a
+	// fault-aware router (the run delta of RouterStats.DetourHops); table
+	// routers take none.
+	MisroutedHops int
+	// RerouteEvents counts route repairs, the run delta of the router's
+	// RouterStats.Reroutes: for topo.BFSRouter, the rebuilds of a
+	// per-destination table after a fault or repair; for topo.FaultAware,
+	// the routes it had to repair.
+	RerouteEvents int
+	// FaultsInjected and FaultsRepaired count fault events applied and
+	// healed during the run.
+	FaultsInjected, FaultsRepaired int
+	// DeliveredDegraded counts measured packets that were delivered over a
+	// route that deviated from the primary algebraic route because of
+	// faults (with a fault-aware router only).
+	DeliveredDegraded int
+	// HopLimitDrops counts measured packets dropped by the hop watchdog
+	// (MaxHops), a subset of Lost.
+	HopLimitDrops int
+}
+
+// ImplicitFaultStats is the result of every run: the shared FaultStats
+// (fault counters stay zero on a fault-free run) plus the router-side
+// telemetry. The struct is comparable (fixed-size fields only),
 // so determinism tests can compare whole results with ==.
 type ImplicitFaultStats struct {
 	FaultStats
@@ -131,14 +173,14 @@ func (cfg *ImplicitConfig) normalize() error {
 	return nil
 }
 
-// RunImplicit executes the simulation against an implicit topology. It is
-// the sparse, per-node-O(1) counterpart of Run: link FIFOs and the future-
-// arrival ring are allocated on demand and reclaimed when idle, and next
-// hops come from the algebraic Router, so total memory is proportional to
-// the in-flight packet population — independent of N. Runs are deterministic
-// in the configuration (including Seed) and unperturbed by cfg.Probe. It is
-// RunImplicitFaulty without a fault plan. A built super-IP graph runs here
-// too, as topo.NewMaterialized(g) with topo.NewAlgebraic, once its nodes are
+// RunImplicit executes the simulation fault-free. Link FIFOs and the
+// future-arrival ring are allocated on demand and reclaimed when idle, and
+// next hops come from cfg.Router, so with a per-node-O(1) router total
+// memory is proportional to the in-flight packet population — independent
+// of N. Runs are deterministic in the configuration (including Seed) and
+// unperturbed by cfg.Probe. It is RunImplicitFaulty without a fault plan.
+// A built graph runs here with its table router (see ImplicitConfig); a
+// built super-IP graph also runs with topo.NewAlgebraic, once its nodes are
 // numbered in rank order (node id = core.Ranker.Rank of its label).
 func RunImplicit(cfg ImplicitConfig) (ImplicitFaultStats, error) {
 	return RunImplicitFaulty(cfg, ImplicitFaultConfig{})

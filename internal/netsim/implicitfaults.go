@@ -1,16 +1,23 @@
-// Degraded-mode simulation over implicit topologies: RunImplicitFaulty is
-// the marriage of RunImplicit (per-node-O(1) memory, never materializes the
-// graph) and RunFaulty (scheduled link/node failures and repairs mid-run).
-// Both share a FaultSink (topo.FaultSet) with their router and apply the
-// FaultPlan to it as the clock passes each event. Where RunFaulty's table
-// router rebuilds O(N) BFS tables, the router of an implicit run owns no
-// tables at all: a fault-aware algebraic router's generator-conjugate
-// detours absorb the failures in O(route length) work per affected packet.
-// On both, fault notification is immediate — the fault set IS the
-// topology's liveness, and the router's epoch check discards stale routes
-// the moment it changes. A packet that cannot be rerouted (destination
-// dead, region disconnected, or hop budget exhausted) is dropped and
-// counted in Lost, by the loss rule every run follows.
+// Degraded-mode simulation: RunImplicitFaulty runs the simulator while a
+// FaultPlan kills (and possibly heals) links and nodes mid-run, on any
+// topology. It shares a FaultSink (topo.FaultSet) with its router and
+// applies the plan to it as the clock passes each event; fault
+// notification is immediate, since the fault set IS the topology's
+// liveness, and the router's epoch check discards stale routes the moment
+// it changes. A built graph's table router (topo.BFSRouter) rebuilds a
+// destination's O(N) BFS table against the surviving topology on the
+// first packet that needs it after a change, with the builder and
+// tie-break of the fault-free tables. An implicit topology's fault-aware
+// algebraic router (topo.FaultAware) owns no tables at all: its
+// generator-conjugate detours absorb the failures in O(route length) work
+// per affected packet. A packet that cannot be routed (destination dead or
+// cut off, or hop budget exhausted) is dropped and counted in Lost, by the
+// loss rule every run follows: there is no recovery protocol, and Injected
+// = Delivered + Lost + Expired on every run.
+//
+// Every plan comes from the generator and check every topology uses:
+// RandomFaults.PlanTopo (a built graph through topo.NewMaterialized) or a
+// hand-built plan, validated by ValidateTopo when the lane runner starts.
 //
 // This file holds the fault-side contracts and the RunImplicitFaulty
 // adapter; the engine wiring is the lane runner (sharded.go).
@@ -37,25 +44,23 @@ type flaggedRouter interface {
 // ImplicitFaultConfig parameterizes fault injection for RunImplicitFaulty.
 type ImplicitFaultConfig struct {
 	// Plan is the fault schedule (nil or empty = fault-free run). It is
-	// validated against the implicit topology (ValidateTopo) — no graph is
-	// ever built.
+	// validated against the run's topology (ValidateTopo).
 	Plan *FaultPlan
 	// Faults is the liveness store the plan is applied to. It MUST be the
-	// same object the fault-aware router consults (e.g. the topo.FaultSet a
-	// topo.FaultAware was constructed with), otherwise packets keep routing
-	// into dead components. Required whenever Plan is non-empty.
+	// same object the router consults (the topo.FaultSet a topo.FaultAware
+	// or topo.BFSRouter was constructed with), otherwise packets keep
+	// routing into dead components. Required whenever Plan is non-empty.
 	Faults FaultSink
 }
 
-// RunImplicitFaulty executes the implicit-topology simulation under fc.Plan
-// as a single-lane run of the lane runner behind RunSharded. With a
-// nil/empty plan it is RunImplicit: the same RNG stream and the same Stats.
-// Runs are deterministic in the configuration: fault application, algebraic
-// rerouting, and packet drops consume no randomness.
+// RunImplicitFaulty executes the simulation under fc.Plan as a single-lane
+// run of the lane runner behind RunSharded. With a nil/empty plan it is
+// RunImplicit: the same RNG stream and the same Stats. Runs are
+// deterministic in the configuration: fault application, rerouting, and
+// packet drops consume no randomness.
 //
 // The run follows the engine's degraded-mode rule (degraded iff the plan is
-// non-empty). A degraded run, mirroring RunFaulty where both have the
-// concept:
+// non-empty). A degraded run:
 //   - applies scheduled faults (and repairs) when the clock reaches their
 //     cycle: link faults kill the arc (both arcs when the topology is
 //     undirected), node faults kill the node and drop everything queued on

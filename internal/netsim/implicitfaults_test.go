@@ -164,11 +164,11 @@ func TestRunImplicitFaultyMaxHopsDrop(t *testing.T) {
 	}
 }
 
-// TestRunImplicitFaultyMatchesRunFaulty is the cross-simulator agreement
+// TestRunImplicitFaultyMatchesRunFaulty is the cross-topology agreement
 // check: the same physical faults (translated between id spaces through
 // labels) under statistically identical traffic must produce comparable
-// delivered fractions and latencies in the materialized RunFaulty and the
-// implicit RunImplicitFaulty.
+// delivered fractions and latencies on the built graph (table routing) and
+// on the implicit topology (fault-aware algebraic routing).
 func TestRunImplicitFaultyMatchesRunFaulty(t *testing.T) {
 	net, imp, fs, fa := faultTestNet(t)
 	g, ix, err := net.BuildWithIndex()
@@ -195,7 +195,7 @@ func TestRunImplicitFaultyMatchesRunFaulty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mst, err := RunFaulty(Config{Graph: g, InjectionRate: 0.02,
+	mst, err := runGraph(g, ImplicitConfig{InjectionRate: 0.02,
 		WarmupCycles: 100, MeasureCycles: 2000, Seed: 19},
 		matPlan)
 	if err != nil {

@@ -9,90 +9,28 @@
 // store-and-forward or cut-through switching, uniform/transpose/complement/
 // hotspot traffic patterns, and a configurable service period for
 // off-module links.
+//
+// Every run enters through RunImplicit, RunImplicitFaulty or RunSharded,
+// whatever its topology: a built graph is a topo.Materialized routed by a
+// topo.BFSRouter, an implicit super-IP graph a topo.Implicit routed by
+// topo.Algebraic. The package sees only the topo.Topology and topo.Router
+// contracts.
 package netsim
 
 import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
-// Config parameterizes a simulation run.
-type Config struct {
-	// Graph is the network topology (undirected or directed).
-	Graph *graph.Graph
-	// Partition optionally assigns nodes to modules; links inside a module
-	// are fast, links between modules are slow. Nil means one module.
-	Partition *metrics.Partition
-	// OffModulePeriod is the service time in cycles of an off-module link
-	// (on-module links always have period 1). 1 = all links equal.
-	OffModulePeriod int
-	// InjectionRate is the probability per node per cycle of injecting a
-	// packet, independently of every other node; Pattern picks its
-	// destination (uniform by default).
-	InjectionRate float64
-	// WarmupCycles are simulated but packets injected during them are not
-	// measured. MeasureCycles follow; then the run drains in-flight
-	// measured packets for up to DrainCycles.
-	WarmupCycles, MeasureCycles, DrainCycles int
-	// Seed makes runs deterministic.
-	Seed int64
-	// Flits is the message length in flits (default 1). A link transmitting
-	// a message stays busy for Flits * period cycles.
-	Flits int
-	// CutThrough, when true, lets the head flit proceed to the next node
-	// after one link period while the tail still occupies the link
-	// (cut-through / wormhole-style pipelining). When false, messages are
-	// forwarded store-and-forward: the whole message must arrive before the
-	// next hop begins.
-	CutThrough bool
-	// Pattern selects the destination for a packet injected at src (nil =
-	// uniform random over the other nodes). See Uniform, Transpose,
-	// BitComplement, Hotspot.
-	Pattern PatternFunc
-	// Probe, when non-nil, receives per-event callbacks during the run
-	// (injection, queueing, transmission, delivery, drops, faults) — see
-	// internal/obs for the hook contract and the built-in collectors. A
-	// nil Probe costs nothing: every hook sits behind a nil check, and an
-	// uninstrumented run reproduces its Stats bit for bit. Probes must not mutate simulator state.
-	Probe obs.Probe
-}
-
-// normalize validates what only the materialized simulator (RunFaulty, and
-// so Run) has and applies its defaults: it rejects a missing or trivial
-// graph and a Partition that does not cover the graph's nodes
-// (metrics.Partition.Validate). The settings every run shares (injection
-// rate, drain, flits, and the link periods the Partition and
-// OffModulePeriod decide) are checked and applied by the lane runner.
-func (cfg *Config) normalize() error {
-	g := cfg.Graph
-	if g == nil || g.N() < 2 {
-		return fmt.Errorf("netsim: need a graph with at least 2 nodes")
-	}
-	if cfg.OffModulePeriod < 1 {
-		cfg.OffModulePeriod = 1
-	}
-	if cfg.Pattern == nil {
-		cfg.Pattern = Uniform
-	}
-	if cfg.Partition != nil {
-		if err := cfg.Partition.Validate(g.N()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PatternFunc picks a destination for a packet injected at src; returning
-// src means "skip this injection" (used by patterns with fixed pairings).
-type PatternFunc func(src int32, n int, rng *rand.Rand) int32
-
-// Uniform is the default pattern: a uniformly random destination != src.
-func Uniform(src int32, n int, rng *rand.Rand) int32 {
-	d := int32(rng.Intn(n - 1))
+// Uniform picks a uniformly random destination != src with rng.Intn, the
+// draw the built-graph simulator has always made; built-graph callers pass
+// it as ImplicitConfig.Pattern so that their recorded runs reproduce. The
+// nil default pattern draws from the same distribution with rng.Int63n,
+// which reads the RNG differently, so one seed gives different runs.
+func Uniform(src, n int64, rng *rand.Rand) int64 {
+	d := int64(rng.Intn(int(n - 1)))
 	if d >= src {
 		d++
 	}
@@ -107,7 +45,7 @@ func Uniform(src int32, n int, rng *rand.Rand) int32 {
 // turn degrades to the antipode (src + n/2) mod n when n is not a power of
 // two. The fallback keeps sweeps over heterogeneous topologies (e.g. star
 // graphs with n = k!) runnable with a single pattern flag.
-func Transpose(src int32, n int, _ *rand.Rand) int32 {
+func Transpose(src, n int64, _ *rand.Rand) int64 {
 	bitsN := 0
 	for 1<<bitsN < n {
 		bitsN++
@@ -127,26 +65,26 @@ func Transpose(src int32, n int, _ *rand.Rand) int32 {
 // which is the closest "maximally distant partner" analogue that stays a
 // permutation (odd n pairs node i with i + floor(n/2), which is a
 // derangement-like pairing rather than an involution).
-func BitComplement(src int32, n int, _ *rand.Rand) int32 {
+func BitComplement(src, n int64, _ *rand.Rand) int64 {
 	bitsN := 0
 	for 1<<bitsN < n {
 		bitsN++
 	}
 	if 1<<bitsN == n {
-		return src ^ int32(n-1)
+		return src ^ (n - 1)
 	}
-	return (src + int32(n/2)) % int32(n)
+	return (src + n/2) % n
 }
 
 // Hotspot returns a pattern that sends traffic to node 0 with probability
 // p and uniformly otherwise. p must lie in [0,1]: anything else would
 // silently clamp inside rng.Float64() comparisons (p<0 behaves as 0, p>1 as
 // 1) and misreport the offered hotspot fraction, so it is rejected instead.
-func Hotspot(p float64) (PatternFunc, error) {
+func Hotspot(p float64) (func(src, n int64, rng *rand.Rand) int64, error) {
 	if p < 0 || p > 1 || p != p {
 		return nil, fmt.Errorf("netsim: hotspot probability %v out of [0,1]", p)
 	}
-	return func(src int32, n int, rng *rand.Rand) int32 {
+	return func(src, n int64, rng *rand.Rand) int64 {
 		if rng.Float64() < p && src != 0 {
 			return 0
 		}
@@ -160,10 +98,9 @@ type Stats struct {
 	// window); Delivered counts those that reached their destination before
 	// the drain deadline.
 	Injected, Delivered int
-	// Expired counts measured packets (on a degraded built graph, flows)
-	// still in flight when the drain deadline hit. Every run obeys
-	// Injected == Delivered + FaultStats.Lost + Expired, with Lost 0 when
-	// there is no plan.
+	// Expired counts measured packets still in flight when the drain
+	// deadline hit. Every run obeys Injected == Delivered +
+	// FaultStats.Lost + Expired, with Lost 0 when there is no plan.
 	Expired int
 	// AvgLatency is the mean delivery latency (cycles) of measured packets.
 	AvgLatency float64
@@ -194,22 +131,16 @@ func (st *Stats) fillQuantiles(p obs.Probe) {
 	}
 }
 
-// Run executes the simulation fault-free. It is RunFaulty with an empty
-// plan, which is not degraded: packets route by per-destination BFS tables
-// (topo.BFSRouter without a fault set), and measured packets still in
-// flight at the drain deadline count as Expired.
-func Run(cfg Config) (Stats, error) {
-	fs, err := RunFaulty(cfg, nil)
-	return fs.Stats, err
-}
-
 // Saturation estimates the saturation throughput of the network: the
 // highest injection rate at which at least accept (e.g. 0.9) of the
 // measured packets are delivered by the drain deadline, found by binary
 // search over [0, hi]. Returns the rate and its stats. The paper's Section
 // 5.1 observation — maximum throughput inversely proportional to average
-// distance — can be checked against metrics.ThroughputBound.
-func Saturation(cfg Config, hi float64, accept float64, steps int) (float64, Stats, error) {
+// distance — can be checked against metrics.ThroughputBound. Every step is
+// a fault-free RunImplicit of cfg at its own rate, so cfg.Router serves
+// all of them: a router's routes do not depend on the traffic, and a
+// table router (topo.BFSRouter) builds each table once for the search.
+func Saturation(cfg ImplicitConfig, hi float64, accept float64, steps int) (float64, Stats, error) {
 	if hi <= 0 || hi > 1 {
 		return 0, Stats{}, fmt.Errorf("netsim: hi rate %v out of (0,1]", hi)
 	}
@@ -230,10 +161,11 @@ func Saturation(cfg Config, hi float64, accept float64, steps int) (float64, Sta
 		if c.DrainCycles == 0 {
 			c.DrainCycles = 100
 		}
-		st, err := Run(c)
+		fs, err := RunImplicit(c)
 		if err != nil {
 			return 0, Stats{}, err
 		}
+		st := fs.Stats
 		if st.Injected > 0 && float64(st.Delivered) >= accept*float64(st.Injected) {
 			lo, best, bestRate = mid, st, mid
 		} else {

@@ -9,7 +9,36 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/networks"
 	"repro/internal/superip"
+	"repro/internal/topo"
 )
+
+// onGraph returns cfg set up to run on the built graph g as every
+// built-graph caller sets it up: g as a topo.Materialized routed by a
+// fresh topo.BFSRouter over fs (nil on a fault-free run), Uniform
+// destinations unless cfg names a pattern, and an 8·N hop watchdog unless
+// cfg sets MaxHops.
+func onGraph(g *graph.Graph, fs *topo.FaultSet, cfg ImplicitConfig) ImplicitConfig {
+	t := topo.NewMaterialized(g)
+	cfg.Topo, cfg.Router = t, topo.NewBFSRouter(t, fs)
+	if cfg.Pattern == nil {
+		cfg.Pattern = Uniform
+	}
+	if cfg.MaxHops == 0 {
+		cfg.MaxHops = 8 * g.N()
+	}
+	return cfg
+}
+
+// runGraph runs cfg on the built graph g (see onGraph) under plan, with a
+// fresh fault set shared by the run and its router when the plan is not
+// empty.
+func runGraph(g *graph.Graph, cfg ImplicitConfig, plan *FaultPlan) (ImplicitFaultStats, error) {
+	var fs *topo.FaultSet
+	if plan.Len() > 0 {
+		fs = topo.NewFaultSet()
+	}
+	return RunImplicitFaulty(onGraph(g, fs, cfg), ImplicitFaultConfig{Plan: plan, Faults: fs})
+}
 
 func TestLightLoadLatencyApproxAvgDistance(t *testing.T) {
 	// Under very light uniform load with equal link speeds, the average
@@ -20,13 +49,12 @@ func TestLightLoadLatencyApproxAvgDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(Config{
-		Graph:         g,
+	st, err := runGraph(g, ImplicitConfig{
 		InjectionRate: 0.01,
 		WarmupCycles:  200,
 		MeasureCycles: 2000,
 		Seed:          1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +72,7 @@ func TestLightLoadLatencyApproxAvgDistance(t *testing.T) {
 
 func TestZeroRate(t *testing.T) {
 	g, _ := networks.Ring{Nodes: 8}.Build()
-	st, err := Run(Config{Graph: g, InjectionRate: 0, WarmupCycles: 10, MeasureCycles: 100, Seed: 2})
+	st, err := runGraph(g, ImplicitConfig{InjectionRate: 0, WarmupCycles: 10, MeasureCycles: 100, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,66 +81,40 @@ func TestZeroRate(t *testing.T) {
 	}
 }
 
+// TestConfigErrors pins the configuration errors of a built-graph run: a
+// missing topology or router, and an injection rate outside [0, 1].
 func TestConfigErrors(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Fatal("nil graph must fail")
+	if _, err := RunImplicit(ImplicitConfig{}); err == nil {
+		t.Fatal("nil topology must fail")
 	}
 	g, _ := networks.Ring{Nodes: 8}.Build()
-	if _, err := Run(Config{Graph: g, InjectionRate: 2}); err == nil {
+	if _, err := RunImplicit(ImplicitConfig{Topo: topo.NewMaterialized(g)}); err == nil {
+		t.Fatal("nil router must fail")
+	}
+	if _, err := RunImplicit(onGraph(g, nil, ImplicitConfig{InjectionRate: 2})); err == nil {
 		t.Fatal("rate > 1 must fail")
 	}
-	if _, err := Run(Config{Graph: g, InjectionRate: math.NaN()}); err == nil {
+	if _, err := RunImplicit(onGraph(g, nil, ImplicitConfig{InjectionRate: math.NaN()})); err == nil {
 		t.Fatal("rate NaN must fail")
-	}
-}
-
-// TestPartitionValidated pins that a Partition which does not cover the
-// graph is a configuration error, not a panic inside the run.
-func TestPartitionValidated(t *testing.T) {
-	g, err := networks.Hypercube{Dim: 5}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := metrics.Partition{Of: make([]int32, 8), K: 1}
-	cfg := Config{Graph: g, Partition: &short, OffModulePeriod: 4,
-		InjectionRate: 0.02, WarmupCycles: 10, MeasureCycles: 50, Seed: 1}
-	runs := map[string]func() error{
-		"Run":       func() error { _, err := Run(cfg); return err },
-		"RunFaulty": func() error { _, err := RunFaulty(cfg, nil); return err },
-		"RunFaultyWithBaseline": func() error {
-			_, _, err := RunFaultyWithBaseline(cfg, nil)
-			return err
-		},
-	}
-	for name, run := range runs {
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					t.Errorf("%s panicked on a short partition: %v", name, p)
-				}
-			}()
-			if err := run(); err == nil {
-				t.Errorf("%s accepted an 8-entry partition of a 32-node graph", name)
-			}
-		}()
 	}
 }
 
 // TestRunLongRoute pins the built-graph hop watchdog at 8·N: one packet
 // across the diameter of an 8200-node ring takes 4100 hops, more than the
-// implicit runs' default MaxHops of 4096, and must still arrive.
+// default MaxHops of 4096, and must still arrive.
 func TestRunLongRoute(t *testing.T) {
 	g, err := networks.Ring{Nodes: 8200}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(Config{Graph: g, InjectionRate: 1, MeasureCycles: 1, DrainCycles: 5000,
-		Pattern: func(src int32, _ int, _ *rand.Rand) int32 {
+	st, err := runGraph(g, ImplicitConfig{InjectionRate: 1, MeasureCycles: 1, DrainCycles: 5000,
+		MaxHops: 8 * g.N(),
+		Pattern: func(src, _ int64, _ *rand.Rand) int64 {
 			if src == 0 {
 				return 4100
 			}
 			return src // skip every other node
-		}})
+		}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +133,13 @@ func TestOffModuleSlowdownIncreasesLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := metrics.NucleusPartition(ix, net.Nucleus.Nuc.M())
-	base, err := Run(Config{Graph: g, Partition: &p, OffModulePeriod: 1,
-		InjectionRate: 0.01, WarmupCycles: 200, MeasureCycles: 2000, Seed: 3})
+	base, err := runGraph(g, ImplicitConfig{ModuleOf: p.Module, OffModulePeriod: 1,
+		InjectionRate: 0.01, WarmupCycles: 200, MeasureCycles: 2000, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Run(Config{Graph: g, Partition: &p, OffModulePeriod: 8,
-		InjectionRate: 0.01, WarmupCycles: 200, MeasureCycles: 2000, Seed: 3})
+	slow, err := runGraph(g, ImplicitConfig{ModuleOf: p.Module, OffModulePeriod: 8,
+		InjectionRate: 0.01, WarmupCycles: 200, MeasureCycles: 2000, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +167,13 @@ func TestIICostOrderingUnderSlowOffModuleLinks(t *testing.T) {
 	}
 	hsnPart := metrics.NucleusPartition(ix, net.Nucleus.Nuc.M())
 
-	cubeStats, err := Run(Config{Graph: cube, Partition: &cubePart, OffModulePeriod: 8,
-		InjectionRate: 0.005, WarmupCycles: 300, MeasureCycles: 3000, Seed: 5})
+	cubeStats, err := runGraph(cube, ImplicitConfig{ModuleOf: cubePart.Module, OffModulePeriod: 8,
+		InjectionRate: 0.005, WarmupCycles: 300, MeasureCycles: 3000, Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hsnStats, err := Run(Config{Graph: hsnG, Partition: &hsnPart, OffModulePeriod: 8,
-		InjectionRate: 0.005, WarmupCycles: 300, MeasureCycles: 3000, Seed: 5})
+	hsnStats, err := runGraph(hsnG, ImplicitConfig{ModuleOf: hsnPart.Module, OffModulePeriod: 8,
+		InjectionRate: 0.005, WarmupCycles: 300, MeasureCycles: 3000, Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +193,11 @@ func TestHeavierLoadRaisesLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	light, err := Run(Config{Graph: g, InjectionRate: 0.01, WarmupCycles: 200, MeasureCycles: 2000, Seed: 7})
+	light, err := runGraph(g, ImplicitConfig{InjectionRate: 0.01, WarmupCycles: 200, MeasureCycles: 2000, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := Run(Config{Graph: g, InjectionRate: 0.2, WarmupCycles: 200, MeasureCycles: 2000, Seed: 7})
+	heavy, err := runGraph(g, ImplicitConfig{InjectionRate: 0.2, WarmupCycles: 200, MeasureCycles: 2000, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +216,7 @@ func TestDirectedGraphSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(Config{Graph: g, InjectionRate: 0.02, WarmupCycles: 100, MeasureCycles: 1000, Seed: 9})
+	st, err := runGraph(g, ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 100, MeasureCycles: 1000, Seed: 9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +254,8 @@ func TestPatterns(t *testing.T) {
 	}
 	// The antipode fallback must stay a permutation (injective) so that
 	// pattern sweeps on star graphs pair every node.
-	seen := map[int32]bool{}
-	for src := int32(0); src < 120; src++ {
+	seen := map[int64]bool{}
+	for src := int64(0); src < 120; src++ {
 		d := BitComplement(src, 120, nil)
 		if d < 0 || d >= 120 || seen[d] {
 			t.Fatalf("antipode fallback not a permutation at %d -> %d", src, d)
@@ -268,7 +270,7 @@ func TestPatterns(t *testing.T) {
 }
 
 // mustHotspot builds a hotspot pattern, failing the test on an invalid p.
-func mustHotspot(tb testing.TB, p float64) PatternFunc {
+func mustHotspot(tb testing.TB, p float64) func(src, n int64, rng *rand.Rand) int64 {
 	tb.Helper()
 	pat, err := Hotspot(p)
 	if err != nil {
@@ -298,9 +300,9 @@ func TestPatternTrafficRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pat := range []PatternFunc{Transpose, BitComplement, mustHotspot(t, 0.2)} {
-		st, err := Run(Config{Graph: g, InjectionRate: 0.01, Pattern: pat,
-			WarmupCycles: 100, MeasureCycles: 1000, Seed: 4})
+	for _, pat := range []func(src, n int64, rng *rand.Rand) int64{Transpose, BitComplement, mustHotspot(t, 0.2)} {
+		st, err := runGraph(g, ImplicitConfig{InjectionRate: 0.01, Pattern: pat,
+			WarmupCycles: 100, MeasureCycles: 1000, Seed: 4}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,8 +311,8 @@ func TestPatternTrafficRuns(t *testing.T) {
 		}
 	}
 	// Bit-complement traffic traverses the full diameter: latency >= n.
-	st, err := Run(Config{Graph: g, InjectionRate: 0.005, Pattern: BitComplement,
-		WarmupCycles: 100, MeasureCycles: 1000, Seed: 4})
+	st, err := runGraph(g, ImplicitConfig{InjectionRate: 0.005, Pattern: BitComplement,
+		WarmupCycles: 100, MeasureCycles: 1000, Seed: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,23 +326,23 @@ func TestMultiFlitMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Graph: g, InjectionRate: 0.005, WarmupCycles: 100,
+	base := ImplicitConfig{InjectionRate: 0.005, WarmupCycles: 100,
 		MeasureCycles: 2000, Seed: 5}
 
 	saf := base
 	saf.Flits = 8
-	safStats, err := Run(saf)
+	safStats, err := runGraph(g, saf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ct := saf
 	ct.CutThrough = true
-	ctStats, err := Run(ct)
+	ctStats, err := runGraph(g, ct, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	one := base
-	oneStats, err := Run(one)
+	oneStats, err := runGraph(g, one, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,13 +377,13 @@ func TestWormholeIDegreeArgument(t *testing.T) {
 	qp := metrics.SubcubePartition(qg.N(), 3)
 	mk := func(g *graph.Graph, p *metrics.Partition, seed int64) Stats {
 		period := basePeriod * int(math.Ceil(metrics.IDegree(g, *p)))
-		st, err := Run(Config{Graph: g, Partition: p, OffModulePeriod: period,
+		st, err := runGraph(g, ImplicitConfig{ModuleOf: p.Module, OffModulePeriod: period,
 			Flits: 16, CutThrough: true, InjectionRate: 0.002,
-			WarmupCycles: 300, MeasureCycles: 3000, Seed: seed})
+			WarmupCycles: 300, MeasureCycles: 3000, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		return st.Stats
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		hsnStats := mk(hg, &hp, seed)
@@ -401,11 +403,11 @@ func TestLoadSweep(t *testing.T) {
 	rates := []float64{0.01, 0.05, 0.15}
 	var stats []Stats
 	for _, rate := range rates {
-		st, err := Run(Config{Graph: g, InjectionRate: rate, WarmupCycles: 200, MeasureCycles: 1500, Seed: 21})
+		st, err := runGraph(g, ImplicitConfig{InjectionRate: rate, WarmupCycles: 200, MeasureCycles: 1500, Seed: 21}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats = append(stats, st)
+		stats = append(stats, st.Stats)
 	}
 	// Delivered throughput grows with offered load below saturation, and
 	// latency is non-decreasing.
@@ -443,8 +445,8 @@ func TestSaturationOrderingMatchesThroughputBound(t *testing.T) {
 		}
 		st := g.AllPairs()
 		bound := metrics.ThroughputBound(g, st.AvgDistance)
-		rate, _, err := Saturation(Config{Graph: g, WarmupCycles: 200,
-			MeasureCycles: 1500, Seed: 3}, 0.9, 0.9, 7)
+		rate, _, err := Saturation(onGraph(g, nil, ImplicitConfig{WarmupCycles: 200,
+			MeasureCycles: 1500, Seed: 3}), 0.9, 0.9, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,19 +472,20 @@ func TestSaturationOrderingMatchesThroughputBound(t *testing.T) {
 
 func TestSaturationErrors(t *testing.T) {
 	g, _ := networks.Ring{Nodes: 8}.Build()
-	if _, _, err := Saturation(Config{Graph: g}, 0, 0.9, 3); err == nil {
+	cfg := onGraph(g, nil, ImplicitConfig{})
+	if _, _, err := Saturation(cfg, 0, 0.9, 3); err == nil {
 		t.Fatal("bad hi must fail")
 	}
-	if _, _, err := Saturation(Config{Graph: g}, 0.5, 0, 3); err == nil {
+	if _, _, err := Saturation(cfg, 0.5, 0, 3); err == nil {
 		t.Fatal("bad accept must fail")
 	}
-	if _, _, err := Saturation(Config{Graph: g}, 1.5, 0.9, 3); err == nil {
+	if _, _, err := Saturation(cfg, 1.5, 0.9, 3); err == nil {
 		t.Fatal("hi > 1 must fail")
 	}
-	if _, _, err := Saturation(Config{Graph: g}, 0.5, 1.5, 3); err == nil {
+	if _, _, err := Saturation(cfg, 0.5, 1.5, 3); err == nil {
 		t.Fatal("accept > 1 must fail")
 	}
-	if _, _, err := Saturation(Config{Graph: g}, -0.1, 0.9, 3); err == nil {
+	if _, _, err := Saturation(cfg, -0.1, 0.9, 3); err == nil {
 		t.Fatal("negative hi must fail")
 	}
 }
@@ -495,8 +498,8 @@ func TestSaturationBoundaryAcceptFractions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate, best, err := Saturation(Config{Graph: g, WarmupCycles: 100,
-		MeasureCycles: 800, Seed: 19}, 1, 1, 6)
+	rate, best, err := Saturation(onGraph(g, nil, ImplicitConfig{WarmupCycles: 100,
+		MeasureCycles: 800, Seed: 19}), 1, 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,8 +519,8 @@ func TestSaturationHiBelowSaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const hi = 0.01 // far below Q6 saturation
-	rate, best, err := Saturation(Config{Graph: g, WarmupCycles: 100,
-		MeasureCycles: 800, Seed: 19}, hi, 0.9, 6)
+	rate, best, err := Saturation(onGraph(g, nil, ImplicitConfig{WarmupCycles: 100,
+		MeasureCycles: 800, Seed: 19}), hi, 0.9, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,13 +534,14 @@ func TestSaturationHiBelowSaturation(t *testing.T) {
 
 func TestSaturationBestStatsMatchDirectRun(t *testing.T) {
 	// The best Stats returned by the search must be exactly the Stats of a
-	// direct Run at the returned rate (same config, same short drain).
+	// direct run at the returned rate (same config, same short drain), on
+	// a router of its own: the search's reused tables change nothing.
 	g, err := networks.Torus2D{Rows: 8, Cols: 8}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Graph: g, WarmupCycles: 150, MeasureCycles: 1000, Seed: 27}
-	rate, best, err := Saturation(cfg, 0.9, 0.9, 7)
+	cfg := ImplicitConfig{WarmupCycles: 150, MeasureCycles: 1000, Seed: 27}
+	rate, best, err := Saturation(onGraph(g, nil, cfg), 0.9, 0.9, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,11 +551,11 @@ func TestSaturationBestStatsMatchDirectRun(t *testing.T) {
 	direct := cfg
 	direct.InjectionRate = rate
 	direct.DrainCycles = 100 // the search's short-drain override
-	st, err := Run(direct)
+	st, err := runGraph(g, direct, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != best {
+	if st.Stats != best {
 		t.Fatalf("best stats do not reproduce at the returned rate:\nsearch %+v\ndirect %+v", best, st)
 	}
 }

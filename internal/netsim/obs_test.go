@@ -1,6 +1,6 @@
 package netsim
 
-// Tests for the observability layer wired through Run and RunFaulty: the
+// Tests for the observability layer wired through built-graph runs: the
 // nil-probe fast path must reproduce the pre-instrumentation statistics bit
 // for bit, probes must be pure observers (attaching them changes nothing),
 // and the built-in collectors must agree with the simulator's own
@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/networks"
 	"repro/internal/obs"
@@ -22,8 +23,9 @@ import (
 	"repro/internal/topo"
 )
 
-// goldenHSNConfig is the fixed run the bit-for-bit regression tests pin.
-func goldenHSNConfig(t *testing.T) Config {
+// goldenHSNConfig is the fixed run the bit-for-bit regression tests pin:
+// HSN(2;Q3) built, with its nucleus partition.
+func goldenHSNConfig(t *testing.T) (*graph.Graph, metrics.Partition, ImplicitConfig) {
 	t.Helper()
 	net := superip.HSN(2, superip.NucleusHypercube(3))
 	g, ix, err := net.BuildWithIndex()
@@ -31,11 +33,11 @@ func goldenHSNConfig(t *testing.T) Config {
 		t.Fatal(err)
 	}
 	p := metrics.NucleusPartition(ix, net.Nucleus.Nuc.M())
-	return Config{Graph: g, Partition: &p, OffModulePeriod: 4,
+	return g, p, ImplicitConfig{ModuleOf: p.Module, OffModulePeriod: 4,
 		InjectionRate: 0.02, WarmupCycles: 200, MeasureCycles: 1500, Seed: 17}
 }
 
-// TestNilProbeGoldenParity pins Run and RunFaulty with a nil probe to the
+// TestNilProbeGoldenParity pins built-graph runs with a nil probe to the
 // exact statistics the simulator produced before the observability layer
 // existed (values captured from the pre-instrumentation build; the two
 // runs that draw routing randomness were re-recorded once, see below, and
@@ -45,7 +47,8 @@ func goldenHSNConfig(t *testing.T) Config {
 // only by BFS tables). Any drift — an extra RNG
 // draw, a reordered event, a changed counter — fails here.
 func TestNilProbeGoldenParity(t *testing.T) {
-	st, err := Run(goldenHSNConfig(t))
+	hsn, _, cfg := goldenHSNConfig(t)
+	st, err := runGraph(hsn, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,15 +57,15 @@ func TestNilProbeGoldenParity(t *testing.T) {
 	if st.Injected != 1949 || st.Delivered != 1949 || st.Expired != 0 ||
 		st.AvgLatency != 7.071318624935865 || st.MaxLatency != 21 ||
 		st.Throughput != 0.02030208333333333 {
-		t.Fatalf("Run diverged from pre-instrumentation golden stats: %+v", st)
+		t.Fatalf("fault-free run diverged from pre-instrumentation golden stats: %+v", st)
 	}
 
 	tg, err := networks.Torus2D{Rows: 8, Cols: 8}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Run(Config{Graph: tg, InjectionRate: 0.05, WarmupCycles: 100,
-		MeasureCycles: 1200, Seed: 29, Flits: 4, CutThrough: true})
+	st2, err := runGraph(tg, ImplicitConfig{InjectionRate: 0.05, WarmupCycles: 100,
+		MeasureCycles: 1200, Seed: 29, Flits: 4, CutThrough: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func TestNilProbeGoldenParity(t *testing.T) {
 	if st2.Injected != 3865 || st2.Delivered != 3865 ||
 		st2.AvgLatency != 7.057697283311772 || st2.MaxLatency != 58 ||
 		st2.Throughput != 0.05032552083333333 {
-		t.Fatalf("cut-through torus Run diverged from golden stats: %+v", st2)
+		t.Fatalf("cut-through torus run diverged from golden stats: %+v", st2)
 	}
 
 	qg, err := networks.Hypercube{Dim: 5}.Build()
@@ -85,7 +88,7 @@ func TestNilProbeGoldenParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := (&FaultPlan{}).LinkDown(200, 0, 1, 800).LinkDown(350, 2, 18, 0).NodeDown(500, 7, 1100)
-	fs, err := RunFaulty(Config{Graph: qg, InjectionRate: 0.05, WarmupCycles: 100,
+	fs, err := runGraph(qg, ImplicitConfig{InjectionRate: 0.05, WarmupCycles: 100,
 		MeasureCycles: 1500, Seed: 31}, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +115,7 @@ func TestNilProbeGoldenParity(t *testing.T) {
 		fs.Throughput != 0.049104166666666664 || fs.Lost != 0 ||
 		fs.MisroutedHops != 0 || fs.RerouteEvents != 157 ||
 		fs.FaultsInjected != 3 || fs.FaultsRepaired != 2 {
-		t.Fatalf("RunFaulty diverged from pre-instrumentation golden stats: %+v", fs)
+		t.Fatalf("degraded run diverged from pre-instrumentation golden stats: %+v", fs)
 	}
 }
 
@@ -120,17 +123,16 @@ func TestNilProbeGoldenParity(t *testing.T) {
 // that every statistic the simulator computes itself is identical to the
 // nil-probe run — probes watch, they never steer.
 func TestProbeDoesNotPerturbRun(t *testing.T) {
-	cfg := goldenHSNConfig(t)
-	base, err := Run(cfg)
+	g, part, cfg := goldenHSNConfig(t)
+	base, err := runGraph(g, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hist := &obs.LatencyHist{}
-	part := cfg.Partition
-	ts := obs.NewTimeSeries(func(u int64) int64 { return int64(part.Of[u]) }, 50)
+	ts := obs.NewTimeSeries(part.Module, 50)
 	trace := &obs.Trace{SampleEvery: 4}
 	cfg.Probe = obs.Multi(hist, ts, trace, &obs.Progress{Every: 500, W: io.Discard})
-	probed, err := Run(cfg)
+	probed, err := runGraph(g, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,16 +170,16 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 func TestProbeDoesNotPerturbRunFaulty(t *testing.T) {
 	g := mustBuild(t, networks.Hypercube{Dim: 5}.Build)
 	plan := (&FaultPlan{}).LinkDown(200, 0, 1, 800).LinkDown(350, 2, 18, 0).NodeDown(500, 7, 1100)
-	cfg := Config{Graph: g, InjectionRate: 0.05, WarmupCycles: 100,
+	cfg := ImplicitConfig{InjectionRate: 0.05, WarmupCycles: 100,
 		MeasureCycles: 1500, Seed: 31}
-	base, err := RunFaulty(cfg, plan)
+	base, err := runGraph(g, cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hist := &obs.LatencyHist{}
 	trace := &obs.Trace{}
 	cfg.Probe = obs.Multi(hist, obs.NewTimeSeries(nil, 100), trace)
-	probed, err := RunFaulty(cfg, plan)
+	probed, err := runGraph(g, cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +201,8 @@ func TestTimeSeriesUtilizationMatchesHopCounts(t *testing.T) {
 	g := mustBuild(t, networks.Torus2D{Rows: 4, Cols: 4}.Build)
 	ts := obs.NewTimeSeries(nil, 64)
 	rec := &injectRecorder{}
-	st, err := Run(Config{Graph: g, InjectionRate: 0.05, WarmupCycles: 0,
-		MeasureCycles: 400, Seed: 9, Probe: obs.Multi(ts, rec)})
+	st, err := runGraph(g, ImplicitConfig{InjectionRate: 0.05, WarmupCycles: 0,
+		MeasureCycles: 400, Seed: 9, Probe: obs.Multi(ts, rec)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +260,8 @@ func (r *injectRecorder) Inject(_ int, _ int64, src, dst int64, _ bool) {
 // instead of silently vanishing into the Injected-Delivered gap.
 func TestExpiredCountsUndrainedPackets(t *testing.T) {
 	g := mustBuild(t, networks.Ring{Nodes: 16}.Build)
-	st, err := Run(Config{Graph: g, InjectionRate: 0.2, WarmupCycles: 0,
-		MeasureCycles: 200, DrainCycles: 1, Seed: 3, Flits: 8})
+	st, err := runGraph(g, ImplicitConfig{InjectionRate: 0.2, WarmupCycles: 0,
+		MeasureCycles: 200, DrainCycles: 1, Seed: 3, Flits: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +283,7 @@ func TestExpiredCountsUndrainedPackets(t *testing.T) {
 func TestExpiredFaultyDeadlineLosses(t *testing.T) {
 	g := mustBuild(t, networks.Ring{Nodes: 16}.Build)
 	plan := (&FaultPlan{}).LinkDown(50, 0, 1, 0).LinkDown(50, 8, 9, 0)
-	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.02, WarmupCycles: 20,
+	fs, err := runGraph(g, ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 20,
 		MeasureCycles: 600, DrainCycles: 200, Seed: 41},
 		plan)
 	if err != nil {
@@ -294,9 +296,9 @@ func TestExpiredFaultyDeadlineLosses(t *testing.T) {
 		t.Fatalf("accounting leak: %+v", fs)
 	}
 
-	cfg, harshPlan := harshRing(t)
+	ring, cfg, harshPlan := harshRing(t)
 	cfg.DrainCycles = 5
-	if fs, err = RunFaulty(cfg, harshPlan); err != nil {
+	if fs, err = runGraph(ring, cfg, harshPlan); err != nil {
 		t.Fatal(err)
 	}
 	got := [4]int{fs.Injected, fs.Delivered, fs.Lost, fs.Expired}
@@ -317,7 +319,7 @@ func TestTraceLifecyclesBalance(t *testing.T) {
 	g := mustBuild(t, networks.Torus2D{Rows: 6, Cols: 6}.Build)
 	plan := (&FaultPlan{}).LinkDown(100, 0, 1, 500).LinkDown(150, 6, 7, 0)
 	trace := &obs.Trace{}
-	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.03, WarmupCycles: 50,
+	fs, err := runGraph(g, ImplicitConfig{InjectionRate: 0.03, WarmupCycles: 50,
 		MeasureCycles: 800, Seed: 61, Probe: trace},
 		plan)
 	if err != nil {
@@ -375,7 +377,7 @@ func TestRerouteProbeMatchesRerouteEvents(t *testing.T) {
 	g := mustBuild(t, networks.Hypercube{Dim: 5}.Build)
 	plan := (&FaultPlan{}).LinkDown(200, 0, 1, 0).LinkDown(300, 2, 18, 0).NodeDown(400, 9, 600)
 	rec := &rerouteRecorder{dst: map[int64]int64{}, builtAt: map[int64]int{}}
-	fs, err := RunFaulty(Config{Graph: g, InjectionRate: 0.03, WarmupCycles: 100,
+	fs, err := runGraph(g, ImplicitConfig{InjectionRate: 0.03, WarmupCycles: 100,
 		MeasureCycles: 1200, Seed: 83, Probe: rec}, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -460,23 +462,24 @@ func (p *lifeProbe) Drop(_ int, id int64, at int64, reason obs.DropReason) {
 }
 
 // TestOneTerminalEventPerPacket checks the one loss rule on every run
-// kind: a fault-free Run, a degraded RunFaulty (the harsh ring, drained
-// for only 5 cycles so that packets expire too), RunImplicitFaulty, and a
-// 2-shard RunSharded. Every injected id gets exactly one Inject and at
+// kind: a fault-free and a degraded built-graph run (the harsh ring,
+// drained for only 5 cycles so that packets expire too), an implicit
+// RunImplicitFaulty, and a 2-shard RunSharded. Every injected id gets exactly one Inject and at
 // most one Deliver or Drop; the measured ids that got neither are exactly
 // Expired, and the measured Delivers and Drops are Delivered and Lost.
 func TestOneTerminalEventPerPacket(t *testing.T) {
 	runs := map[string]func(*lifeProbe) (FaultStats, error){
 		"run/hsn2q3": func(pb *lifeProbe) (FaultStats, error) {
-			cfg := goldenHSNConfig(t)
+			g, _, cfg := goldenHSNConfig(t)
 			cfg.Probe = pb
-			st, err := Run(cfg)
-			return FaultStats{Stats: st}, err
+			st, err := runGraph(g, cfg, nil)
+			return st.FaultStats, err
 		},
 		"runfaulty/ring16/harsh/drain5": func(pb *lifeProbe) (FaultStats, error) {
-			cfg, plan := harshRing(t)
+			g, cfg, plan := harshRing(t)
 			cfg.DrainCycles, cfg.Probe = 5, pb
-			return RunFaulty(cfg, plan)
+			st, err := runGraph(g, cfg, plan)
+			return st.FaultStats, err
 		},
 		"runimplicitfaulty/q6": func(pb *lifeProbe) (FaultStats, error) {
 			ht := topo.HypercubeTopo{Dim: 6}

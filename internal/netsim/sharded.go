@@ -1,7 +1,6 @@
 // The lane runner: the one wiring of the engine. Every entry point ends in
-// runLanes: Run, RunFaulty, RunFaultyWithBaseline (built graphs, see
-// faultsim.go), RunImplicit and RunImplicitFaulty are single-lane runs of
-// it, RunSharded a multi-lane one.
+// runLanes: RunImplicit and RunImplicitFaulty (on any topology, a built
+// graph included) are single-lane runs of it, RunSharded a multi-lane one.
 //
 // A lane owns a set of whole modules and everything mutable about them:
 // link FIFOs, arrival ring, RNG stream, router, fault sink, statistics and
@@ -27,8 +26,8 @@
 // per-lane RNG streams split from Seed, so they are comparable with the
 // sequential runs in distribution, not packet for packet.
 //
-// Faults follow the engine's degraded-mode rule; RunImplicitFaulty and
-// RunFaulty document what a degraded lane does.
+// Faults follow the engine's degraded-mode rule; RunImplicitFaulty
+// documents what a degraded lane does.
 package netsim
 
 import (
@@ -194,8 +193,8 @@ func planChanges(p *FaultPlan) (map[int][]laneChange, int) {
 type runOpts struct {
 	// moduleOf decides every run's link periods: a link between two
 	// modules costs OffModulePeriod, a link inside one costs 1 (nil = one
-	// module). Implicit runs take it from their ModuleSpace, built graphs
-	// from their Partition.
+	// module). RunSharded takes it from its ModuleSpace, the single-lane
+	// entry points from ImplicitConfig.ModuleOf.
 	moduleOf func(int64) int64
 	// script is injected by every lane; it is only meaningful with a
 	// single lane.

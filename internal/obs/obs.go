@@ -1,4 +1,4 @@
-// Package obs is the observability layer of the packet simulators: a Probe
+// Package obs is the observability layer of the packet simulator: a Probe
 // interface that internal/netsim invokes at every interesting event of a run
 // (injection, queueing, link transmission, delivery, drops and topology
 // faults) plus a set of built-in collectors:
@@ -17,15 +17,15 @@
 // collector instance belongs to one run — except the Registry, which is
 // safe to read while it is written.
 //
-// Node ids are int64 throughout: the implicit simulators route id spaces
+// Node ids are int64 throughout: implicit topologies have id spaces
 // far beyond 2^31 (a sym-HSN(4;Q5) has 25,165,824 nodes today and the model
 // admits larger instances), so probe events carry the full id width and
 // never truncate.
 //
-// # Probe semantics across the simulators
+// # Probe semantics across the simulator's runs
 //
-// Every netsim entry point (Run, RunFaulty, RunFaultyWithBaseline,
-// RunImplicit, RunImplicitFaulty, RunSharded) is a run of one engine
+// Every netsim entry point (RunImplicit, RunImplicitFaulty, RunSharded,
+// on built graphs and implicit topologies alike) is a run of one engine
 // wiring, so the hooks fire in the same per-cycle phase order everywhere:
 // Tick, then topology changes, arrivals, injection and link advance (a
 // multi-lane run replays each cycle lane by lane, in lane order). Every
@@ -49,8 +49,8 @@ import (
 )
 
 // DropReason classifies why the simulator discarded a packet. Drops
-// only occur in degraded runs (netsim.RunFaulty / RunImplicitFaulty with a
-// non-empty fault plan); fault-free runs never drop.
+// only occur in degraded runs (netsim.RunImplicitFaulty or RunSharded
+// with a non-empty fault plan); fault-free runs never drop.
 type DropReason uint8
 
 const (

@@ -61,9 +61,9 @@ type LinkLoad struct {
 
 // NewTimeSeries builds a collector sampling every `every` cycles (values
 // < 1 are clamped to 1). moduleOf maps a node id to its module id and may
-// be nil; with it the collector flags off-module links in exports. For a materialized run with a
-// metrics.Partition pass func(u int64) int64 { return int64(part.Of[u]) };
-// for an implicit topo.Modular topology pass its Module method.
+// be nil; with it the collector flags off-module links in exports. For a
+// built graph with a metrics.Partition pass its Module method; for an
+// implicit topo.Modular topology pass its Module method.
 func NewTimeSeries(moduleOf func(int64) int64, every int) *TimeSeries {
 	if every < 1 {
 		every = 1
