@@ -578,13 +578,14 @@ func BenchmarkNetsim(b *testing.B) {
 }
 
 // onTables returns cfg on the built graph g routed by a fresh table router
-// (topo.BFSRouter over fs, nil when fault-free), with the built-graph
-// destination draw (netsim.Uniform) and hop watchdog (8·N). The benchmarks
-// call it once an op, so every op builds its router's tables anew.
+// (topo.BFSRouter over fs, nil when fault-free), with the built-graph hop
+// watchdog (8·N: a built graph's diameter can exceed the 4096 default).
+// The benchmarks call it once an op, so every op builds its router's
+// tables anew.
 func onTables(g *graph.Graph, fs *topo.FaultSet, cfg netsim.ImplicitConfig) netsim.ImplicitConfig {
 	t := topo.NewMaterialized(g)
 	cfg.Topo, cfg.Router = t, topo.NewBFSRouter(t, fs)
-	cfg.Pattern, cfg.MaxHops = netsim.Uniform, 8*g.N()
+	cfg.MaxHops = 8 * g.N()
 	return cfg
 }
 

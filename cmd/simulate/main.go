@@ -598,8 +598,8 @@ func writeTo(name string, write func(io.Writer) error) error {
 // with its module partition, and every run is a netsim.RunImplicitFaulty
 // over topo.NewMaterialized(g) with a fresh topo.BFSRouter, whose
 // per-destination BFS tables are rebuilt against a fresh fault set under
-// a fault plan. Built-graph runs draw destinations with netsim.Uniform and
-// allow 8·N hops, as they always have.
+// a fault plan. Built-graph runs allow 8·N hops, since a built graph's
+// diameter can exceed the 4096 default.
 func (s *sweep) materialized(net *superip.Net, netName string, dim, module, rows, cols int, rf netsim.RandomFaults) error {
 	g, part, name, err := buildSystem(net, netName, dim, module, rows, cols)
 	if err != nil {
@@ -632,7 +632,6 @@ func (s *sweep) materialized(net *superip.Net, netName string, dim, module, rows
 			WarmupCycles:    s.warmup,
 			MeasureCycles:   s.cycles,
 			Seed:            seed,
-			Pattern:         netsim.Uniform,
 			MaxHops:         8 * g.N(),
 			Probe:           pb,
 		}, netsim.ImplicitFaultConfig{Plan: plan, Faults: fs})

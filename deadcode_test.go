@@ -34,7 +34,6 @@ var keptExports = map[string]string{
 	"superip.RHSN":                     "Cor 4.2 lists RHSN row: TestRHSN, TestRHSNRouter",
 	"embed.ProductIntoHSN":             "§1 embedding, dilation ≤ 3 row: TestHSNEmbeddingDilation3",
 	"embed.ProductIntoRingCN":          "dilation growth of the ring-CN embedding: TestRingCNEmbeddingDilationGrows",
-	"embed.EmulationSlowdown":          "emulation slowdown of the ring-CN embedding: TestRingCNEmbeddingDilationGrows",
 	"collectives.BFSTree":              "§1 module-confined data movement row: TestModuleAwareTreeMinimizesCrossEdges",
 	"collectives.Broadcast":            "§1 module-confined data movement row: TestBroadcastHSNBeatsHypercubeOffModule",
 	"collectives.UnitWeight":           "broadcast-time model of the same row: TestBroadcastTimeChain, TestBroadcastTimeBinomialLowerBound",

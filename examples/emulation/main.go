@@ -27,12 +27,12 @@ func main() {
 
 	type algo struct {
 		name string
-		run  func(emulate.IndexedMachine) error
+		run  func(emulate.Machine) error
 	}
 	algos := []algo{
-		{"all-reduce", func(m emulate.IndexedMachine) error { return emulate.AllReduceSum(m) }},
-		{"parallel prefix", func(m emulate.IndexedMachine) error { return emulate.PrefixSum(m) }},
-		{"bitonic sort", func(m emulate.IndexedMachine) error { return emulate.BitonicSort(m) }},
+		{"all-reduce", emulate.AllReduceSum},
+		{"parallel prefix", emulate.PrefixSum},
+		{"bitonic sort", emulate.BitonicSort},
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

@@ -155,7 +155,7 @@ func dynamicSweep() {
 			st, err := netsim.RunImplicitFaulty(netsim.ImplicitConfig{Topo: t,
 				Router: topo.NewBFSRouter(t, fs), InjectionRate: rate,
 				WarmupCycles: warmup, MeasureCycles: measure, Seed: seed,
-				Pattern: netsim.Uniform, MaxHops: 8 * s.g.N()},
+				MaxHops: 8 * s.g.N()},
 				netsim.ImplicitFaultConfig{Plan: plan, Faults: fs})
 			if err != nil {
 				log.Fatal(err)

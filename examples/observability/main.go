@@ -56,7 +56,7 @@ func main() {
 		name    string
 		pattern func(src, n int64, rng *rand.Rand) int64
 	}{
-		{"uniform", netsim.Uniform},
+		{"uniform", nil},
 		{"hotspot(0.25 -> node 0)", hotspot},
 	}
 

@@ -75,7 +75,6 @@ func main() {
 				WarmupCycles:    300,
 				MeasureCycles:   3000,
 				Seed:            42,
-				Pattern:         netsim.Uniform,
 				MaxHops:         8 * s.g.N(),
 			})
 			if err != nil {

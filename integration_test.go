@@ -125,7 +125,7 @@ func TestEndToEndHSNPipeline(t *testing.T) {
 	sim, err := netsim.RunImplicit(netsim.ImplicitConfig{
 		Topo: mat, Router: topo.NewBFSRouter(mat, nil), ModuleOf: part.Module, OffModulePeriod: 2,
 		InjectionRate: 0.01, WarmupCycles: 200, MeasureCycles: 1500, Seed: 1,
-		Pattern: netsim.Uniform, MaxHops: 8 * g.N(),
+		MaxHops: 8 * g.N(),
 	})
 	if err != nil {
 		t.Fatal(err)

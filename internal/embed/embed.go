@@ -20,7 +20,9 @@ import (
 type Result struct {
 	// GuestEdges is the number of guest edges embedded.
 	GuestEdges int
-	// Dilation is the maximum host-path length over all guest edges.
+	// Dilation is the maximum host-path length over all guest edges, and
+	// so the worst-case per-step slowdown of a host that emulates the
+	// guest by routing each guest edge along its path.
 	Dilation int
 	// AvgDilation is the mean host-path length.
 	AvgDilation float64
@@ -182,9 +184,3 @@ func productEmbedding(net *superip.Net, prefix, suffix func(c int) []perm.Perm) 
 	}
 	return res, nil
 }
-
-// EmulationSlowdown returns the worst-case per-step slowdown when the host
-// emulates the guest product network by routing every guest edge along its
-// embedded path: dilation (communication) under single-port store-and-forward
-// assumptions.
-func EmulationSlowdown(r *Result) int { return r.Dilation }

@@ -66,9 +66,6 @@ func TestRingCNEmbeddingDilationGrows(t *testing.T) {
 	if h5.Dilation >= d5.Dilation {
 		t.Fatalf("HSN dilation %d should beat ring-CN %d at l=5", h5.Dilation, d5.Dilation)
 	}
-	if EmulationSlowdown(d5) != d5.Dilation {
-		t.Fatal("EmulationSlowdown must equal dilation")
-	}
 }
 
 func TestEmbedKindChecks(t *testing.T) {

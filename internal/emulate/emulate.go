@@ -49,9 +49,9 @@ type Machine interface {
 	SetValues(v []int64) error
 	// Exchange performs the dimension-d exchange: every node u receives the
 	// value held by u XOR 2^d, then sets its value to
-	// combine(own, received, bitSet) where bitSet reports whether u's bit d
-	// is 1.
-	Exchange(d int, combine func(own, received int64, bitSet bool) int64) error
+	// combine(own, received, u). A combine that needs only u's bit d reads
+	// u&(1<<d) != 0; bitonic sort's also reads other bits of u.
+	Exchange(d int, combine func(own, received int64, node int) int64) error
 	// Cost returns the accumulated communication cost.
 	Cost() Cost
 }
@@ -84,14 +84,13 @@ func (m *DirectHypercube) SetValues(v []int64) error {
 	return nil
 }
 
-func (m *DirectHypercube) Exchange(d int, combine func(own, received int64, bitSet bool) int64) error {
+func (m *DirectHypercube) Exchange(d int, combine func(own, received int64, node int) int64) error {
 	if d < 0 || d >= m.dim {
 		return fmt.Errorf("emulate: dimension %d out of range", d)
 	}
 	next := make([]int64, len(m.values))
 	for u := range m.values {
-		p := u ^ (1 << d)
-		next[u] = combine(m.values[u], m.values[p], u&(1<<d) != 0)
+		next[u] = combine(m.values[u], m.values[u^(1<<d)], u)
 	}
 	m.values = next
 	m.cost.Steps++
@@ -176,12 +175,11 @@ func (m *HSNMachine) SetValues(v []int64) error {
 // c > 0 it executes three whole-machine permutation steps (T(c), nucleus
 // dim, T(c)); the received value ends up exactly at the guest partner. For
 // d in the leftmost super-symbol a single nucleus step suffices.
-func (m *HSNMachine) Exchange(d int, combine func(own, received int64, bitSet bool) int64) error {
+func (m *HSNMachine) Exchange(d int, combine func(own, received int64, node int) int64) error {
 	if d < 0 || d >= m.Dim() {
 		return fmt.Errorf("emulate: dimension %d out of range", d)
 	}
-	c := d / m.n
-	if c == 0 {
+	if d/m.n == 0 {
 		m.cost.Steps++
 		m.cost.OnModuleSteps++
 	} else {
@@ -195,9 +193,7 @@ func (m *HSNMachine) Exchange(d int, combine func(own, received int64, bitSet bo
 	next := make([]int64, len(m.values))
 	for id := range m.values {
 		h := int(m.cubeOfID[id])
-		p := h ^ (1 << d)
-		pid := m.idOfCube[p]
-		next[id] = combine(m.values[id], m.values[pid], h&(1<<d) != 0)
+		next[id] = combine(m.values[id], m.values[m.idOfCube[h^(1<<d)]], h)
 	}
 	m.values = next
 	return nil
@@ -207,7 +203,7 @@ func (m *HSNMachine) Exchange(d int, combine func(own, received int64, bitSet bo
 // every node holds the global sum.
 func AllReduceSum(m Machine) error {
 	for d := 0; d < m.Dim(); d++ {
-		if err := m.Exchange(d, func(own, recv int64, _ bool) int64 {
+		if err := m.Exchange(d, func(own, recv int64, _ int) int64 {
 			return own + recv
 		}); err != nil {
 			return err
@@ -232,7 +228,7 @@ func PrefixSum(m Machine) error {
 		if err := m.SetValues(totals); err != nil {
 			return err
 		}
-		if err := m.Exchange(d, func(own, recv int64, bitSet bool) int64 {
+		if err := m.Exchange(d, func(own, recv int64, _ int) int64 {
 			return recv // receive the partner's subtree total
 		}); err != nil {
 			return err
@@ -248,69 +244,16 @@ func PrefixSum(m Machine) error {
 	return m.SetValues(prefixes)
 }
 
-// IndexedMachine extends Machine with exchanges whose combine function sees
-// the full hypercube node id — needed by algorithms like bitonic sort whose
-// keep-min/keep-max decision depends on bits other than the exchange
-// dimension.
-type IndexedMachine interface {
-	Machine
-	// ExchangeIndexed is Exchange with the combine function receiving the
-	// hypercube node id instead of just the exchanged dimension's bit.
-	ExchangeIndexed(d int, combine func(own, received int64, node int) int64) error
-}
-
-// ExchangeIndexed implements IndexedMachine for the reference hypercube.
-func (m *DirectHypercube) ExchangeIndexed(d int, combine func(own, received int64, node int) int64) error {
-	if d < 0 || d >= m.dim {
-		return fmt.Errorf("emulate: dimension %d out of range", d)
-	}
-	next := make([]int64, len(m.values))
-	for u := range m.values {
-		next[u] = combine(m.values[u], m.values[u^(1<<d)], u)
-	}
-	m.values = next
-	m.cost.Steps++
-	if d < m.moduleDim {
-		m.cost.OnModuleSteps++
-	} else {
-		m.cost.OffModuleSteps++
-	}
-	return nil
-}
-
-// ExchangeIndexed implements IndexedMachine for the HSN emulation with the
-// same 1- or 3-step physical cost as Exchange.
-func (m *HSNMachine) ExchangeIndexed(d int, combine func(own, received int64, node int) int64) error {
-	if d < 0 || d >= m.Dim() {
-		return fmt.Errorf("emulate: dimension %d out of range", d)
-	}
-	if d/m.n == 0 {
-		m.cost.Steps++
-		m.cost.OnModuleSteps++
-	} else {
-		m.cost.Steps += 3
-		m.cost.OnModuleSteps++
-		m.cost.OffModuleSteps += 2
-	}
-	next := make([]int64, len(m.values))
-	for id := range m.values {
-		h := int(m.cubeOfID[id])
-		next[id] = combine(m.values[id], m.values[m.idOfCube[h^(1<<d)]], h)
-	}
-	m.values = next
-	return nil
-}
-
 // BitonicSort sorts the machine's values into nondecreasing order by
 // hypercube node id using Batcher's bitonic network: dim*(dim+1)/2
 // compare-exchange phases. On the HSN host that is at most
 // 3*dim*(dim+1)/2 communication steps — constant-factor slowdown.
-func BitonicSort(m IndexedMachine) error {
+func BitonicSort(m Machine) error {
 	dim := m.Dim()
 	for k := 0; k < dim; k++ {
 		for j := k; j >= 0; j-- {
 			kk, jj := k, j
-			if err := m.ExchangeIndexed(jj, func(own, recv int64, node int) int64 {
+			if err := m.Exchange(jj, func(own, recv int64, node int) int64 {
 				ascending := node&(1<<uint(kk+1)) == 0
 				lower := node&(1<<uint(jj)) == 0
 				keepMin := ascending == lower

@@ -80,8 +80,10 @@ func TestAllReduceEmulated(t *testing.T) {
 }
 
 func TestEmulatedMatchesDirect(t *testing.T) {
-	// The emulated machine must produce bit-identical results to the direct
-	// hypercube for an arbitrary combine function.
+	// The emulated machine must produce bit-identical results and step
+	// counts to the direct hypercube, exchange by exchange, for combine
+	// functions that read bit d of the node id and, as bitonic sort's
+	// does, bits other than d.
 	direct := NewDirectHypercube(6, 3)
 	emu, err := NewHSNMachine(2, 3)
 	if err != nil {
@@ -94,25 +96,40 @@ func TestEmulatedMatchesDirect(t *testing.T) {
 	if err := emu.SetValues(in); err != nil {
 		t.Fatal(err)
 	}
-	combine := func(own, recv int64, bitSet bool) int64 {
-		if bitSet {
-			return own*3 - recv
-		}
-		return own + 2*recv
-	}
 	for d := 0; d < 6; d++ {
-		if err := direct.Exchange(d, combine); err != nil {
-			t.Fatal(err)
-		}
-		if err := emu.Exchange(d, combine); err != nil {
-			t.Fatal(err)
+		for _, combine := range []func(own, recv int64, node int) int64{
+			func(own, recv int64, node int) int64 {
+				if node&(1<<d) != 0 {
+					return own*3 - recv
+				}
+				return own + 2*recv
+			},
+			func(own, recv int64, node int) int64 {
+				// Reads bits of node other than d, as bitonic sort does.
+				return own + recv*int64(node&^(1<<d)%7) - int64(node>>(d+1))
+			},
+		} {
+			if err := direct.Exchange(d, combine); err != nil {
+				t.Fatal(err)
+			}
+			if err := emu.Exchange(d, combine); err != nil {
+				t.Fatal(err)
+			}
+			dv, ev := direct.Values(), emu.Values()
+			for u := range dv {
+				if dv[u] != ev[u] {
+					t.Fatalf("dim %d, node %d: direct %d vs emulated %d", d, u, dv[u], ev[u])
+				}
+			}
 		}
 	}
-	dv, ev := direct.Values(), emu.Values()
-	for u := range dv {
-		if dv[u] != ev[u] {
-			t.Fatalf("node %d: direct %d vs emulated %d", u, dv[u], ev[u])
-		}
+	// Two exchanges a dimension: 1 step each on the direct machine; on
+	// the HSN 1 for the three leftmost dimensions and 3 for the others.
+	if got := direct.Cost().Steps; got != 12 {
+		t.Fatalf("direct steps = %d, want 12", got)
+	}
+	if got := emu.Cost().Steps; got != 2*(3+3*3) {
+		t.Fatalf("emulated steps = %d, want %d", got, 2*(3+3*3))
 	}
 }
 
@@ -149,24 +166,20 @@ func mustHSN(t *testing.T, l, n int) *HSNMachine {
 }
 
 func TestExchangeErrors(t *testing.T) {
-	m := NewDirectHypercube(3, 1)
-	if err := m.Exchange(5, nil); err == nil {
-		t.Fatal("out-of-range dimension must fail")
-	}
-	if err := m.SetValues(make([]int64, 3)); err == nil {
-		t.Fatal("wrong value count must fail")
-	}
-	e := mustHSN(t, 2, 2)
-	if err := e.Exchange(-1, nil); err == nil {
-		t.Fatal("negative dimension must fail")
-	}
-	if err := e.SetValues(make([]int64, 3)); err == nil {
-		t.Fatal("wrong value count must fail")
+	for _, m := range []Machine{NewDirectHypercube(3, 1), mustHSN(t, 2, 2)} {
+		for _, d := range []int{-1, m.Dim(), m.Dim() + 3} {
+			if err := m.Exchange(d, nil); err == nil {
+				t.Fatalf("Q%d: dimension %d out of range must fail", m.Dim(), d)
+			}
+		}
+		if err := m.SetValues(make([]int64, 3)); err == nil {
+			t.Fatalf("Q%d: wrong value count must fail", m.Dim())
+		}
 	}
 }
 
 func TestBitonicSort(t *testing.T) {
-	for _, m := range []IndexedMachine{
+	for _, m := range []Machine{
 		NewDirectHypercube(6, 3),
 		mustHSN(t, 2, 3),
 		mustHSN(t, 3, 2),
@@ -194,13 +207,33 @@ func TestBitonicSort(t *testing.T) {
 	}
 }
 
+// TestBitonicSortDimError checks that an out-of-range exchange with
+// bitonic sort's node-reading combine fails on both machines before it
+// moves a value or counts a step.
 func TestBitonicSortDimError(t *testing.T) {
-	m := NewDirectHypercube(3, 1)
-	if err := m.ExchangeIndexed(7, nil); err == nil {
-		t.Fatal("out-of-range indexed exchange must fail")
-	}
-	e := mustHSN(t, 2, 2)
-	if err := e.ExchangeIndexed(-1, nil); err == nil {
-		t.Fatal("out-of-range indexed exchange must fail")
+	for _, m := range []Machine{NewDirectHypercube(3, 1), mustHSN(t, 2, 2)} {
+		in := randomValues(m.N(), 5)
+		if err := m.SetValues(in); err != nil {
+			t.Fatal(err)
+		}
+		keepMin := func(own, recv int64, node int) int64 {
+			if (node&1 == 0) == (own <= recv) {
+				return own
+			}
+			return recv
+		}
+		for _, d := range []int{-1, m.Dim()} {
+			if err := m.Exchange(d, keepMin); err == nil {
+				t.Fatalf("Q%d: exchange on dimension %d must fail", m.Dim(), d)
+			}
+		}
+		if c := m.Cost(); c != (Cost{}) {
+			t.Fatalf("Q%d: failed exchanges cost %+v", m.Dim(), c)
+		}
+		for u, v := range m.Values() {
+			if v != in[u] {
+				t.Fatalf("Q%d: failed exchange moved node %d: %d, want %d", m.Dim(), u, v, in[u])
+			}
+		}
 	}
 }

@@ -25,79 +25,16 @@ import (
 // RunImplicitFaulty on built graphs and implicit topologies; RunSharded is
 // pinned against RunImplicit by TestShardedSingleLane) is pinned bit for
 // bit to recorded Stats. The run/* and runfaulty/* cases are built-graph
-// runs (runGraph: the table router, Uniform destinations, an 8·N hop
-// watchdog); they record Stats and FaultStats, the result shapes of the
-// built-graph entry points they were first recorded from. All of them are runs of the one lane runner, so
-// any drift in RNG draw order, phase order, or accounting fails this test
-// with an exact field diff. REGEN_ENGINE_GOLDEN=1 go test -run
+// runs (runGraph: the table router and an 8·N hop watchdog); they record
+// Stats and FaultStats, the result shapes of the built-graph entry points
+// they were first recorded from. All of them are runs of the one lane
+// runner, so any drift in RNG draw order, phase order, or accounting fails
+// this test with an exact field diff. REGEN_ENGINE_GOLDEN=1 go test -run
 // TestEngineGoldenParity regenerates testdata/engine_golden.json — only do
 // that to extend the grid or for a deliberate semantic change, never to
-// paper over a diff.
-//
-// The fixtures were first recorded from the four event loops the engine
-// replaced. They were re-recorded once, on purpose, when the built-graph
-// entry points became single-lane runs of the lane runner: the one drain
-// rule (stop only past the plan's last event) raised FaultsRepaired from 3
-// to 6 in the five degraded runfaulty/* cases, every other field
-// unchanged; and the one injection sampler (one Bernoulli draw per node,
-// in order, up to 2^16 nodes a lane, instead of a binomial count with
-// sources drawn with replacement) moved the eight exact-regime implicit
-// cases (q8 ×4, hsn2q3 ×2, q6 ×2). The run/*, q17 and withbaseline-base
-// cases did not move. They were re-recorded a second time, on purpose,
-// when built graphs moved from a dense per-edge link store to the one
-// sparse link store: the advance phase now visits a built graph's links in
-// activation order instead of (node, slot) order, which moves the lane RNG
-// draws of adaptive spread, so only run/q5/adaptive/seed5 and
-// runfaulty/q5/adaptive-notify25/seed3 changed. The three probe-stream
-// digests of TestEngineProbeGolden moved with the within-cycle event order.
-// They were re-recorded a third time, on purpose, when the injection
-// sampler's per-node coin walk (and, above 2^16 nodes a lane, its
-// Poisson/normal count with sources drawn with replacement) gave way to
-// geometric gaps between injecting nodes: the same per-node Bernoulli
-// process, drawn with one RNG draw per injection, so every case, all three
-// probe digests and TestNilProbeGoldenParity moved, and a 20-seed mean ±
-// s.d. of Injected, AvgLatency and Throughput per case showed no shift
-// beyond 3 standard errors. The two q17 cases, named after the regimes
-// that were deleted (poisson, normal), took the names of their rates.
-// The torus case, once run through a per-link period hook that charged 3
-// cycles to exactly the links crossing its Partition, is the same
-// configuration written as Partition plus OffModulePeriod 3; it took the
-// name run/torus/modules3/seed6 and its values and digest did not move.
-// They were re-recorded a fourth time, on purpose, when PlanTopo over
-// topo.NewMaterialized became the only fault-plan generator: the shared
-// q5 plan is now drawn node-first (a uniform node, then a uniform
-// neighbor) instead of from the edge list, so exactly the five cases that
-// run it moved (runfaulty/q5/{seed1, seed2, adaptive-notify25/seed3,
-// modules4-hotspot/seed4, withbaseline/seed5}); TestGoldenSeedSweep showed
-// no mean of theirs shifted by more than 3 standard errors. Then
-// Config.Adaptive (spread over every minimal hop) was deleted, so built
-// graphs route only by route.BFSNextHops tables: run/q5/adaptive/seed5 and
-// its probe digest went away, and runfaulty/q5/adaptive-notify25/seed3
-// became runfaulty/q5/notify25/seed3, the same run on tables, whose probe
-// stream is now the third digest. No other case moved. They were
-// re-recorded a fifth time, on purpose, when the built-graph retransmission
-// layer was deleted and a degraded RunFaulty came to count every dropped
-// packet in Lost, as every other run does: the Retransmitted, Duplicates
-// and DisconnectedPairs fields went from every case, and only
-// runfaulty/q5/seed1 changed value (183 of 183 delivered, max latency 196,
-// 2 retransmissions; now 180 of 181, 1 lost, max 5); of the three probe
-// digests only runfaulty/ring16/harsh/seed2's moved. They were
-// re-recorded a sixth time, on purpose, when built graphs came to route
-// through a lane Router (topo.BFSRouter) over the live fault set, so the
-// notification delay and the random TTL detours went: a packet with no
-// live table hop is dropped as no-route at once. MeanTimeToReroute went
-// from every case; only runfaulty/q5/seed1 changed value (181 injected,
-// 180 delivered, 1 lost, 16 misrouted hops, 89 reroutes; now 184, 183, 1,
-// 0, 88: its detours no longer draw from the lane RNG), and
-// runfaulty/q5/notify25/seed3, whose 25-cycle delay no longer exists,
-// became runfaulty/q5/seed3, the same run at delay 0. Of the probe
-// digests the harsh ring's and the former notify25 case's moved. They were
-// re-recorded a seventh time when built graphs came to run through
-// RunImplicit and RunImplicitFaulty like every other topology: the
-// latency-inflation field went from every case that records fault
-// counters (it was non-zero only in runfaulty/q5/withbaseline/seed5; a
-// caller now divides that case's latency by its withbaseline-base
-// twin's); no value and no digest moved.
+// paper over a diff. A re-record has one cause: CHANGES.md names it, lists
+// the moved values, and gives the TestGoldenSeedSweep table at the parent
+// and at the change.
 //
 // The grid spans the axes the engine parameterizes: built vs implicit
 // adjacency, table vs algebraic routing, fault-free vs degraded runs,
@@ -125,21 +62,6 @@ func canonicalJSON(v any) (string, error) {
 	}
 	b, err := json.Marshal(norm)
 	return string(b), err
-}
-
-// hotspot64 is the implicit-simulator analogue of Hotspot for the golden
-// grid: destination 0 with probability p, else uniform.
-func hotspot64(p float64) func(src, n int64, rng *rand.Rand) int64 {
-	return func(src, n int64, rng *rand.Rand) int64 {
-		if rng.Float64() < p && src != 0 {
-			return 0
-		}
-		d := rng.Int63n(n - 1)
-		if d >= src {
-			d++
-		}
-		return d
-	}
 }
 
 // goldenQ5Plan draws the fault plan the runfaulty/q5 cases share.
@@ -262,7 +184,7 @@ func goldenResults(t *testing.T, seedOf func(int64) int64) map[string]any {
 
 	// --- RunImplicit: sparse, fault-free ---
 	for pname, pat := range map[string]func(int64, int64, *rand.Rand) int64{
-		"uniform": nil, "hotspot": hotspot64(0.25)} {
+		"uniform": nil, "hotspot": hotspot} {
 		for _, seed := range []int64{1, 2} {
 			cfg := ImplicitConfig{Topo: topo.HypercubeTopo{Dim: 8},
 				Router: topo.HypercubeRouter{Dim: 8}, InjectionRate: 0.02,
@@ -540,12 +462,12 @@ func TestEngineProbeGolden(t *testing.T) {
 	}{
 		{"run/torus/modules3/seed6", torus, ImplicitConfig{ModuleOf: torusPart.Module, OffModulePeriod: 3,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: 6}, nil,
-			"4c3ef42bef92cb52e8203beef398dc95d5197c6d519cfa20569f8646fe1033d4"},
+			"e66779933dcb6da8f6e3aeb5560018c5cb0010356b05680fb595b2db85eda7e8"},
 		{"runfaulty/ring16/harsh/seed2", ring, harsh, harshPlan,
-			"e7ac03761f22f2228b18527bdc1b8299daf690d9b2a7686e70a10ed5128da5d9"},
+			"c8861efb2a02d71256311a8b48550717c31643421ad7dd9026259951d2d026dd"},
 		{"runfaulty/q5/seed3", q5, ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: 3}, goldenQ5Plan(t, q5, 1),
-			"cd938275e4b14d73bec0535924ef3dae592baa84117c8c656160c628a259eaf8"},
+			"786dc4a2d7d62bfd0f08d5c270b7a7d07dcd26b9b3febe220919aad90cce247e"},
 	}
 	for _, tc := range cases {
 		log := &obs.EventLog{}

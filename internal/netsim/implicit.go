@@ -25,8 +25,8 @@ type Router = topo.Router
 // runs super-IP instances 10x and more beyond the largest materializable
 // graph. A built graph runs as topo.NewMaterialized(g) routed by
 // topo.NewBFSRouter, whose per-destination tables are O(N) each; its
-// callers pass Pattern: Uniform and MaxHops: 8·N, the destination draw and
-// hop watchdog that built-graph runs have always used.
+// callers pass MaxHops: 8·N, since a built graph's diameter can exceed the
+// 4096 default.
 type ImplicitConfig struct {
 	// Topo answers neighbor queries; Router supplies next hops. Router is
 	// mandatory: the simulator has no routing of its own.
@@ -60,9 +60,9 @@ type ImplicitConfig struct {
 	// built graph's partition). Nil means one module.
 	ModuleOf func(u int64) int64
 	// Pattern picks the destination for a packet injected at src (nil =
-	// uniform random over the other nodes; see Uniform, Transpose,
-	// BitComplement, Hotspot). Returning src skips the injection (patterns
-	// with fixed pairings do this).
+	// uniform random over the other nodes; see Transpose, BitComplement,
+	// Hotspot). Returning src skips the injection (patterns with fixed
+	// pairings do this).
 	Pattern func(src int64, n int64, rng *rand.Rand) int64
 	// MaxHops aborts the run with an error if any packet exceeds it
 	// (default 4096): algebraic routers are deterministic oracles, and a

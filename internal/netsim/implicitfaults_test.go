@@ -176,7 +176,7 @@ func TestRunImplicitFaultyMatchesRunFaulty(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Three permanent link faults, chosen in implicit id space, applied
-	// from cycle 0 in both simulators.
+	// from cycle 0 in both runs.
 	rng := rand.New(rand.NewSource(41))
 	implicitPlan := &FaultPlan{}
 	matPlan := &FaultPlan{}

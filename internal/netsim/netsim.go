@@ -24,19 +24,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Uniform picks a uniformly random destination != src with rng.Intn, the
-// draw the built-graph simulator has always made; built-graph callers pass
-// it as ImplicitConfig.Pattern so that their recorded runs reproduce. The
-// nil default pattern draws from the same distribution with rng.Int63n,
-// which reads the RNG differently, so one seed gives different runs.
-func Uniform(src, n int64, rng *rand.Rand) int64 {
-	d := int64(rng.Intn(int(n - 1)))
-	if d >= src {
-		d++
-	}
-	return d
-}
-
 // Transpose sends node (x,y) to (y,x): the id's high and low bit halves are
 // swapped. The swap is only well defined when n is a power of two with an
 // even exponent (so the id splits into two equal halves). For every other
@@ -88,7 +75,7 @@ func Hotspot(p float64) (func(src, n int64, rng *rand.Rand) int64, error) {
 		if rng.Float64() < p && src != 0 {
 			return 0
 		}
-		return Uniform(src, n, rng)
+		return uniformDst64(src, n, rng)
 	}, nil
 }
 

@@ -14,15 +14,12 @@ import (
 
 // onGraph returns cfg set up to run on the built graph g as every
 // built-graph caller sets it up: g as a topo.Materialized routed by a
-// fresh topo.BFSRouter over fs (nil on a fault-free run), Uniform
-// destinations unless cfg names a pattern, and an 8·N hop watchdog unless
-// cfg sets MaxHops.
+// fresh topo.BFSRouter over fs (nil on a fault-free run), and an 8·N hop
+// watchdog unless cfg sets MaxHops, since a built graph's diameter can
+// exceed the 4096 default.
 func onGraph(g *graph.Graph, fs *topo.FaultSet, cfg ImplicitConfig) ImplicitConfig {
 	t := topo.NewMaterialized(g)
 	cfg.Topo, cfg.Router = t, topo.NewBFSRouter(t, fs)
-	if cfg.Pattern == nil {
-		cfg.Pattern = Uniform
-	}
 	if cfg.MaxHops == 0 {
 		cfg.MaxHops = 8 * g.N()
 	}

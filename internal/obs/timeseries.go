@@ -112,7 +112,7 @@ func (ts *TimeSeries) Hop(_ int, _ int64, from, to int64, occupy, qlen int) {
 }
 
 // Drop clears the outgoing-link depths of a node whose queues were killed
-// (Probe hook). Both simulators kill every queue of a dead node in the same
+// (Probe hook). The simulator kills every queue of a dead node in the same
 // cycle, so zeroing them on the first kill is exact and repeats are no-ops.
 func (ts *TimeSeries) Drop(_ int, _ int64, at int64, reason DropReason) {
 	if reason != DropQueueKilled {
