@@ -64,10 +64,14 @@ type epacket struct {
 }
 
 // elink is the FIFO of one directed link u -> v, stored under its arc in
-// the link store. Liveness lives in the run's FaultSink, not here.
+// the link store. Liveness lives in the run's FaultSink, not here. queue
+// holds the packets in order, as a window into the backing array that buf
+// holds from its first slot: transmit pops by reslicing queue, and restarts
+// it at buf once it drains, so the link keeps all of its storage.
 type elink struct {
 	u, v   int64
 	queue  []epacket
+	buf    []epacket // length 0
 	freeAt int
 }
 
@@ -180,7 +184,11 @@ func (ln *simLane) enqueue(now int, at int64, pkt epacket) error {
 	if err != nil {
 		return err
 	}
-	lk.queue = append(lk.queue, pkt)
+	q := append(lk.queue, pkt)
+	if cap(q) != cap(lk.queue) {
+		lk.buf = q[:0] // append moved the FIFO to a new array
+	}
+	lk.queue = q
 	if ln.pb != nil {
 		ln.pb.Enqueue(now, pkt.id, at, nh, len(lk.queue))
 	}
@@ -192,6 +200,9 @@ func (ln *simLane) enqueue(now int, at int64, pkt epacket) error {
 func (ln *simLane) transmit(now int, lk *elink) {
 	pkt := lk.queue[0]
 	lk.queue = lk.queue[1:]
+	if len(lk.queue) == 0 {
+		lk.queue = lk.buf
+	}
 	p := ln.period(lk.u, lk.v)
 	occupy := p * ln.flits
 	lk.freeAt = now + occupy
@@ -272,7 +283,7 @@ func (s *sparseLinks) get(u, v int64) (*elink, error) {
 	if n := len(s.free); n > 0 {
 		lk = s.free[n-1]
 		s.free = s.free[:n-1]
-		*lk = elink{u: u, v: v, queue: lk.queue[:0]}
+		*lk = elink{u: u, v: v, queue: lk.buf, buf: lk.buf}
 	} else {
 		lk = &elink{u: u, v: v}
 	}

@@ -407,6 +407,67 @@ func TestLinkRecycling(t *testing.T) {
 	})
 }
 
+// TestFIFOKeepsStorage: a link FIFO keeps its backing array when it
+// drains, so a warmed enqueue -> transmit cycle allocates nothing, on the
+// same link and on a link the advance phase recycled through the free list.
+func TestFIFOKeepsStorage(t *testing.T) {
+	const k = 5
+	_, lanes, err := newLanes(ShardedConfig{
+		NewLane: func() (Topology, Router, FaultSink, error) {
+			return topo.HypercubeTopo{Dim: 3}, topo.HypercubeRouter{Dim: 3}, nil, nil
+		},
+		WarmupCycles: 1, MeasureCycles: 1, Lanes: 1,
+	}, runOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := lanes[0]
+	now := 0
+	// cycle fills arc 0 -> dst with k packets, drains it through transmit
+	// and empties the arrival ring, leaving the link idle at cycle now.
+	cycle := func(dst int64) *elink {
+		for i := 0; i < k; i++ {
+			if err := ln.enqueue(now, 0, epacket{id: int64(i), dst: dst}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lk := ln.store.peek(0, dst)
+		for len(lk.queue) > 0 {
+			ln.transmit(now, lk)
+		}
+		for i := range ln.ring {
+			ln.ring[i] = ln.ring[i][:0]
+		}
+		now = lk.freeAt
+		return lk
+	}
+
+	lk := cycle(1)
+	if c := cap(lk.queue); c < k {
+		t.Fatalf("drained FIFO has capacity %d, want >= %d", c, k)
+	}
+	if n := testing.AllocsPerRun(100, func() { cycle(1) }); n != 0 {
+		t.Fatalf("warmed enqueue -> transmit cycle: %v allocs, want 0", n)
+	}
+
+	// Recycled: advance frees the idle link, and the next new arc takes it
+	// from the free list with its backing array.
+	ln.store.advance(now, ln)
+	if len(ln.store.free) != 1 || ln.store.free[0] != lk {
+		t.Fatalf("free list %v, want the drained link", ln.store.free)
+	}
+	if got := cycle(2); got != lk || cap(got.queue) < k {
+		t.Fatalf("arc 0->2 got link %p with capacity %d, want the recycled %p with >= %d", got, cap(got.queue), lk, k)
+	}
+	recycled := func() {
+		ln.store.advance(now, ln)
+		cycle(2)
+	}
+	if n := testing.AllocsPerRun(100, recycled); n != 0 {
+		t.Fatalf("warmed cycle on a recycled link: %v allocs, want 0", n)
+	}
+}
+
 // directRouter sends every packet straight to its destination, neighbor or
 // not: a broken router.
 type directRouter struct{}

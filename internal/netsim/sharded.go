@@ -596,7 +596,7 @@ func (ln *simLane) applyChange(now int, c laneChange) error {
 				for i := range lk.queue {
 					ln.lose(now, c.u, &lk.queue[i], obs.DropQueueKilled)
 				}
-				lk.queue = nil
+				lk.queue = lk.buf
 			})
 		}
 	case LinkFault:
@@ -625,7 +625,7 @@ func (ln *simLane) applyChange(now int, c laneChange) error {
 			// Re-route the stranded queue from the link's tail.
 			if lk := ln.store.peek(arc[0], arc[1]); lk != nil && len(lk.queue) > 0 {
 				q := lk.queue
-				lk.queue = nil
+				lk.queue = nil // a packet re-enqueued here must not overwrite q
 				for _, pkt := range q {
 					if err := ln.enqueue(now, lk.u, pkt); err != nil {
 						return err

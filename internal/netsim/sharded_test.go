@@ -37,15 +37,6 @@ func (r *recProbe) Fault(c int, u, v int64, node, down bool) {
 	r.add(fmt.Sprintf("fault %d %d %d %v %v", c, u, v, node, down))
 }
 
-func shardedHotspot(p float64) func(int64, int64, *rand.Rand) int64 {
-	return func(src, n int64, rng *rand.Rand) int64 {
-		if rng.Float64() < p {
-			return 0 // src==0 returns src and the injection is skipped
-		}
-		return uniformDst64(src, n, rng)
-	}
-}
-
 type shardScenario struct {
 	name string
 	cfg  ShardedConfig // Seed, Shards, Probe filled by the test
@@ -125,18 +116,19 @@ func shardScenarios(t *testing.T) []shardScenario {
 		return p
 	}
 
+	hot := mustHotspot(t, 0.2)
 	out = append(out,
 		shardScenario{"q6/uniform", cube(6, 3, nil, nil)},
-		shardScenario{"q6/hotspot", cube(6, 3, nil, shardedHotspot(0.2))},
+		shardScenario{"q6/hotspot", cube(6, 3, nil, hot)},
 		shardScenario{"q6/faulty", cube(6, 3, q6plan, nil)},
 		shardScenario{"q8/uniform", cube(8, 4, nil, nil)},
-		shardScenario{"q8/hotspot", cube(8, 4, nil, shardedHotspot(0.2))},
+		shardScenario{"q8/hotspot", cube(8, 4, nil, hot)},
 		shardScenario{"q8/faulty", cube(8, 4, q6plan, nil)},
 		shardScenario{"hsn2q2/uniform", hsn(2, nil, nil)},
-		shardScenario{"hsn2q2/hotspot", hsn(2, nil, shardedHotspot(0.2))},
+		shardScenario{"hsn2q2/hotspot", hsn(2, nil, hot)},
 		shardScenario{"hsn2q2/faulty", hsn(2, randPlan, nil)},
 		shardScenario{"hsn2q3/uniform", hsn(3, nil, nil)},
-		shardScenario{"hsn2q3/hotspot", hsn(3, nil, shardedHotspot(0.2))},
+		shardScenario{"hsn2q3/hotspot", hsn(3, nil, hot)},
 		shardScenario{"hsn2q3/faulty", hsn(3, randPlan, nil)},
 	)
 	// One store-and-forward multi-flit variant: the window stretches to
