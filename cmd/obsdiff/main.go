@@ -2,7 +2,8 @@
 // (or `ipgen -manifest`) with the same statistical discipline cmd/bench
 // applies to benchmark records: every numeric quantity in each manifest is
 // flattened to a dotted metric name ("stats.AvgLatency", "percentiles.p99",
-// "router.CacheHitRate", ...), the two sides' samples are rank-tested with
+// "stats.Router.Reroutes", the derived "router.CacheHitRate", ...), the two
+// sides' samples are rank-tested with
 // Mann-Whitney, and -budget turns significant regressions into a non-zero
 // exit for CI.
 //

@@ -54,8 +54,8 @@
 // busy cycles; -trace writes Chrome trace-event JSON (open in
 // chrome://tracing or Perfetto); -toplinks prints the busiest links after each run; -progress
 // emits a live ticker (delivered-rate and ETA) to stderr; -manifest writes a
-// machine-readable JSON record per run (config, seed, stats, percentiles,
-// router counters, registry metrics, host environment; "-" = stdout);
+// machine-readable JSON record per run (config, seed, stats with the router
+// counters, percentiles, registry metrics, host environment; "-" = stdout);
 // -repeat n reruns each combination with consecutive seeds and records every
 // repetition in the manifest's samples array so cmd/obsdiff can
 // significance-test two runs against each other; -live serves a streaming
@@ -365,24 +365,18 @@ type sweep struct {
 	seed           int64
 	faults, shards int
 
-	name     string            // run name in the manifest
-	moduleOf func(int64) int64 // module map handed to the collectors
-	plan     *netsim.FaultPlan // nil: a fault-free sweep
-	run      func(ratio int, rate float64, seed int64, plan *netsim.FaultPlan, pb obs.Probe) (runOutcome, error)
-}
-
-// runOutcome is what one simulator run hands the sweep loop.
-type runOutcome struct {
-	stats  any                       // the run's result, as the manifest records it
-	st     netsim.ImplicitFaultStats // the counters the console rows print
-	router *obs.RouterStats          // nil on paths without router telemetry
+	name       string            // run name in the manifest
+	moduleOf   func(int64) int64 // module map handed to the collectors
+	plan       *netsim.FaultPlan // nil: a fault-free sweep
+	routerText bool              // print the router telemetry under each row
+	run        func(ratio int, rate float64, seed int64, plan *netsim.FaultPlan, pb obs.Probe) (netsim.ImplicitFaultStats, error)
 }
 
 // freeHeader and freeRow are the fault-free table, the same on both paths.
 var freeHeader = fmt.Sprintf("%-8s %-8s %-10s %-10s %-8s %-10s %-8s",
 	"ratio", "rate", "injected", "delivered", "expired", "avg-lat", "max-lat")
 
-func freeRow(ratio int, rate float64, st netsim.Stats) string {
+func freeRow(ratio int, rate float64, st netsim.ImplicitFaultStats) string {
 	return fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-8d %-10.2f %-8d",
 		ratio, rate, st.Injected, st.Delivered, st.Expired, st.AvgLatency, st.MaxLatency)
 }
@@ -393,10 +387,10 @@ var faultyHeader = fmt.Sprintf("%-8s %-8s %-10s %-10s %-6s %-8s %-9s %-10s %-9s 
 	"ratio", "rate", "injected", "delivered", "lost", "expired", "hop-drops", "avg-lat",
 	"lat-infl", "degraded", "reroutes", "detours")
 
-func faultyRow(ratio int, rate float64, st netsim.FaultStats, inflation float64) string {
+func faultyRow(ratio int, rate float64, st netsim.ImplicitFaultStats, inflation float64) string {
 	return fmt.Sprintf("%-8d %-8.4f %-10d %-10d %-6d %-8d %-9d %-10.2f %-9.2f %-9d %-9d %-9d",
 		ratio, rate, st.Injected, st.Delivered, st.Lost, st.Expired, st.HopLimitDrops,
-		st.AvgLatency, inflation, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops)
+		st.AvgLatency, inflation, st.DeliveredDegraded, st.Router.Reroutes, st.Router.DetourHops)
 }
 
 func printPlan(plan *netsim.FaultPlan, rf netsim.RandomFaults) {
@@ -421,31 +415,31 @@ func (s *sweep) execute(o obsOpts) {
 	for _, ratio := range s.ratios {
 		for _, rate := range s.rates {
 			var samples []map[string]float64
-			var head runOutcome
+			var head netsim.ImplicitFaultStats
 			var headPct map[string]float64
 			for rep := 0; rep < o.repeat; rep++ {
 				pb, col := o.build(s.moduleOf)
 				seed := s.seed + int64(rep)
-				out, err := s.run(ratio, rate, seed, s.plan, pb)
+				st, err := s.run(ratio, rate, seed, s.plan, pb)
 				exitIf(err)
-				pct := percentiles(o.hist, out.st.Stats)
-				samples = append(samples, obs.Manifest{Stats: out.stats, Percentiles: pct, Router: out.router}.Flatten())
+				pct := percentiles(col.lh)
+				samples = append(samples, obs.Manifest{Stats: st, Percentiles: pct}.Flatten())
 				if rep > 0 {
 					continue
 				}
-				head, headPct = out, pct
-				row := freeRow(ratio, rate, out.st.Stats)
+				head, headPct = st, pct
+				row := freeRow(ratio, rate, st)
 				if s.plan != nil {
-					row = faultyRow(ratio, rate, out.st.FaultStats, s.inflation(ratio, rate, seed, out.st.AvgLatency))
+					row = faultyRow(ratio, rate, st, s.inflation(ratio, rate, seed, st.AvgLatency))
 				}
-				fmt.Fprintf(console, "%s%s\n", row, quantileCols(o.hist, out.st.Stats))
-				if out.router != nil {
-					exitIf(out.router.WriteText(console))
+				fmt.Fprintf(console, "%s%s\n", row, quantileCols(col.lh))
+				if s.routerText {
+					exitIf(st.Router.WriteText(console))
 				}
 				col.export(o, ratio, rate, multi)
 			}
 			o.writeManifest(s.name, runConfig(ratio, rate, s.warmup, s.cycles, s.faults, s.shards), s.seed,
-				head.stats, headPct, head.router, samples, ratio, rate, multi)
+				head, headPct, samples, ratio, rate, multi)
 		}
 	}
 }
@@ -456,26 +450,28 @@ func (s *sweep) execute(o obsOpts) {
 func (s *sweep) inflation(ratio int, rate float64, seed int64, avgLatency float64) float64 {
 	base, err := s.run(ratio, rate, seed, nil, nil)
 	exitIf(err)
-	if base.st.AvgLatency == 0 {
+	if base.AvgLatency == 0 {
 		return 0
 	}
-	return avgLatency / base.st.AvgLatency
+	return avgLatency / base.AvgLatency
 }
 
-func quantileCols(on bool, st netsim.Stats) string {
-	if !on {
+// quantileCols renders the p50/p95/p99 columns of the run's latency
+// histogram ("" when -hist is off and there is none).
+func quantileCols(h *obs.LatencyHist) string {
+	if h == nil {
 		return ""
 	}
-	return fmt.Sprintf(" %-8.1f %-8.1f %-8.1f", st.P50Latency, st.P95Latency, st.P99Latency)
+	return fmt.Sprintf(" %-8.1f %-8.1f %-8.1f", h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
 }
 
-// percentiles builds the manifest's percentile map (nil when -hist is off
-// and the quantiles were never collected).
-func percentiles(on bool, st netsim.Stats) map[string]float64 {
-	if !on {
+// percentiles builds the manifest's percentile map from the run's latency
+// histogram (nil when -hist is off and there is none).
+func percentiles(h *obs.LatencyHist) map[string]float64 {
+	if h == nil {
 		return nil
 	}
-	return map[string]float64{"p50": st.P50Latency, "p95": st.P95Latency, "p99": st.P99Latency}
+	return map[string]float64{"p50": h.Quantile(0.50), "p95": h.Quantile(0.95), "p99": h.Quantile(0.99)}
 }
 
 // runConfig captures the per-run sweep coordinates for the manifest. The
@@ -492,20 +488,19 @@ func runConfig(ratio int, rate float64, warmup, cycles, faults, shards int) map[
 	return m
 }
 
-// writeManifest emits the JSON run manifest when -manifest is set. router is
-// nil for runs without router telemetry (the materialized BFS path); samples
+// writeManifest emits the JSON run manifest when -manifest is set. samples
 // holds one flattened stat map per -repeat repetition (recorded when there is
 // more than one, so single-run manifests keep their historical shape). A
 // manifest path of "-" writes to stdout.
-func (o obsOpts) writeManifest(name string, cfg map[string]any, seed int64, stats any,
-	pct map[string]float64, router *obs.RouterStats, samples []map[string]float64,
+func (o obsOpts) writeManifest(name string, cfg map[string]any, seed int64, st netsim.ImplicitFaultStats,
+	pct map[string]float64, samples []map[string]float64,
 	ratio int, rate float64, multi bool) {
 	if o.manifest == "" {
 		return
 	}
 	m := obs.Manifest{
-		Run: name, Config: cfg, Seed: seed, Stats: stats,
-		Percentiles: pct, Router: router, Env: o.env,
+		Run: name, Config: cfg, Seed: seed, Stats: st,
+		Percentiles: pct, Env: o.env,
 	}
 	if len(samples) > 1 {
 		m.Samples = samples
@@ -618,12 +613,12 @@ func (s *sweep) materialized(net *superip.Net, netName string, dim, module, rows
 		printPlan(s.plan, rf)
 	}
 	s.name, s.moduleOf = name, part.Module
-	s.run = func(ratio int, rate float64, seed int64, plan *netsim.FaultPlan, pb obs.Probe) (runOutcome, error) {
+	s.run = func(ratio int, rate float64, seed int64, plan *netsim.FaultPlan, pb obs.Probe) (netsim.ImplicitFaultStats, error) {
 		var fs *topo.FaultSet
 		if plan != nil {
 			fs = topo.NewFaultSet()
 		}
-		st, err := netsim.RunImplicitFaulty(netsim.ImplicitConfig{
+		return netsim.RunImplicitFaulty(netsim.ImplicitConfig{
 			Topo:            t,
 			Router:          topo.NewBFSRouter(t, fs),
 			ModuleOf:        part.Module,
@@ -635,13 +630,6 @@ func (s *sweep) materialized(net *superip.Net, netName string, dim, module, rows
 			MaxHops:         8 * g.N(),
 			Probe:           pb,
 		}, netsim.ImplicitFaultConfig{Plan: plan, Faults: fs})
-		// The manifest records a built-graph run without router telemetry,
-		// and without fault counters when there is no plan.
-		var stats any = st.Stats
-		if plan != nil {
-			stats = st.FaultStats
-		}
-		return runOutcome{stats: stats, st: st}, err
 	}
 	return nil
 }
@@ -742,9 +730,9 @@ func (s *sweep) implicit(net *superip.Net, rf netsim.RandomFaults, live *obs.Liv
 		return lt, r, sink, nil
 	}
 
-	s.name, s.moduleOf = net.Name()+" (implicit)", imp.Module
-	s.run = func(ratio int, rate float64, seed int64, plan *netsim.FaultPlan, pb obs.Probe) (runOutcome, error) {
-		st, err := netsim.RunSharded(netsim.ShardedConfig{
+	s.name, s.moduleOf, s.routerText = net.Name()+" (implicit)", imp.Module, true
+	s.run = func(ratio int, rate float64, seed int64, plan *netsim.FaultPlan, pb obs.Probe) (netsim.ImplicitFaultStats, error) {
+		return netsim.RunSharded(netsim.ShardedConfig{
 			NewLane: func() (netsim.Topology, netsim.Router, netsim.FaultSink, error) {
 				return newLane(plan)
 			},
@@ -759,8 +747,6 @@ func (s *sweep) implicit(net *superip.Net, rf netsim.RandomFaults, live *obs.Liv
 			Plan:            plan,
 			Probe:           pb,
 		})
-		router := st.Router
-		return runOutcome{stats: st, st: st, router: &router}, err
 	}
 	return nil
 }

@@ -97,7 +97,7 @@ func TestSweepRunsIndependent(t *testing.T) {
 	if len(rep.Samples) != 2 {
 		t.Fatalf("-repeat 2 recorded %d samples", len(rep.Samples))
 	}
-	want := obs.Manifest{Stats: one.Stats, Percentiles: one.Percentiles, Router: one.Router}.Flatten()
+	want := obs.Manifest{Stats: one.Stats, Percentiles: one.Percentiles}.Flatten()
 	if got := rep.Samples[1]; !reflect.DeepEqual(got, want) {
 		t.Errorf("-repeat sample for seed 43 delivered %v, a fresh -seed 43 run %v",
 			got["stats.Delivered"], want["stats.Delivered"])
@@ -121,6 +121,7 @@ func TestBadSpecsExitOne(t *testing.T) {
 		{[]string{"-net", "torus", "-module", "0"}, "-module 0"},
 		{[]string{"-implicit", "-shards", "-1"}, "-shards must be >= 0"},
 		{[]string{"-faults", "-1"}, "-faults must be >= 0"},
+		{[]string{"-faults", "3", "-repair", "-5"}, "RepairTime must be >= 0"},
 		{[]string{"-rates", "NaN"}, "-rates"},
 		{[]string{"-rates", "2"}, "-rates"},
 		{[]string{"-rates", "-0.1"}, "-rates"},

@@ -248,7 +248,7 @@ func degradedSweep() {
 		}
 		fmt.Fprintf(w, "%d\t%d/%d\t%d\t%d\t%.2f\t%.3f\t%d\t%d\t%d\n",
 			st.FaultsInjected, st.Delivered, st.Injected, st.Lost, st.Expired,
-			st.AvgLatency, infl, st.DeliveredDegraded, st.RerouteEvents, st.MisroutedHops)
+			st.AvgLatency, infl, st.DeliveredDegraded, st.Router.Reroutes, st.Router.DetourHops)
 	}
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)

@@ -180,7 +180,7 @@ func dynamicSweep() {
 			}
 			fmt.Fprintf(w, "%s\t%d\t%d/%d\t%d\t%.2f\t%.3f\t%d\n",
 				s.name, fs.FaultsInjected, fs.Delivered, fs.Injected, fs.Lost,
-				fs.AvgLatency, infl, fs.RerouteEvents)
+				fs.AvgLatency, infl, fs.Router.Reroutes)
 		}
 	}
 	if err := w.Flush(); err != nil {

@@ -90,7 +90,7 @@ func main() {
 	for _, r := range results {
 		fmt.Fprintf(w, "%s\t%d\t%d\t%.2f\t%.1f\t%.1f\t%.1f\t%d\n",
 			r.name, r.st.Delivered, r.st.Expired, r.st.AvgLatency,
-			r.st.P50Latency, r.st.P95Latency, r.st.P99Latency, r.st.MaxLatency)
+			r.hist.Quantile(0.50), r.hist.Quantile(0.95), r.hist.Quantile(0.99), r.st.MaxLatency)
 	}
 	w.Flush()
 

@@ -42,7 +42,8 @@ func TestRunFaultyEmptyPlanMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rest := (ImplicitFaultStats{FaultStats: FaultStats{Stats: base.Stats}}); base != rest {
+		if rest := (ImplicitFaultStats{Injected: base.Injected, Delivered: base.Delivered, Expired: base.Expired,
+			AvgLatency: base.AvgLatency, MaxLatency: base.MaxLatency, Throughput: base.Throughput}); base != rest {
 			t.Fatalf("%s: fault-free run reported fault activity: %+v", tc.name, base)
 		}
 		nilPlan, err := runGraph(tc.g, tc.cfg, nil)
@@ -103,7 +104,7 @@ func TestLinkFaultsBelowConnectivityDeliverEverything(t *testing.T) {
 	if fs.FaultsInjected != kappa-1 {
 		t.Fatalf("FaultsInjected = %d, want %d", fs.FaultsInjected, kappa-1)
 	}
-	if fs.RerouteEvents == 0 {
+	if fs.Router.Reroutes == 0 {
 		t.Fatal("faults struck but no routing table was ever repaired")
 	}
 }
@@ -226,6 +227,9 @@ func TestRandomFaultPlanErrors(t *testing.T) {
 		{MTBF: 10, Horizon: 100, NodeFraction: 2},
 		{MTBF: math.NaN(), Horizon: 100},
 		{MTBF: 10, Horizon: 100, NodeFraction: math.NaN()},
+		// Negative values would read as permanent faults and no cap.
+		{MTBF: 10, Horizon: 100, RepairTime: -5},
+		{MTBF: 10, Horizon: 100, MaxFaults: -1},
 	} {
 		for _, tp := range []Topology{ring, cube} {
 			if _, err := rf.PlanTopo(tp); err == nil {

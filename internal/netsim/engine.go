@@ -67,7 +67,8 @@ type epacket struct {
 // the link store. Liveness lives in the run's FaultSink, not here. queue
 // holds the packets in order, as a window into the backing array that buf
 // holds from its first slot: transmit pops by reslicing queue, and restarts
-// it at buf once it drains, so the link keeps all of its storage.
+// it at buf once it drains, and enqueue moves a full window that has crept
+// far enough back to the front, so the link keeps all of its storage.
 type elink struct {
 	u, v   int64
 	queue  []epacket
@@ -183,6 +184,12 @@ func (ln *simLane) enqueue(now int, at int64, pkt epacket) error {
 	lk, err := ln.store.get(at, nh)
 	if err != nil {
 		return err
+	}
+	if n := len(lk.queue); n > 0 && n == cap(lk.queue) && cap(lk.buf)-n >= n {
+		// A FIFO that never drains creeps to the end of its array; with at
+		// least its own length free in front, it moves back to the front
+		// instead of letting append double the array.
+		lk.queue = lk.buf[:copy(lk.buf[:n], lk.queue)]
 	}
 	q := append(lk.queue, pkt)
 	if cap(q) != cap(lk.queue) {

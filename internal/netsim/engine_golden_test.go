@@ -24,11 +24,9 @@ import (
 // Golden parity for the engine: every public entry point (RunImplicit and
 // RunImplicitFaulty on built graphs and implicit topologies; RunSharded is
 // pinned against RunImplicit by TestShardedSingleLane) is pinned bit for
-// bit to recorded Stats. The run/* and runfaulty/* cases are built-graph
-// runs (runGraph: the table router and an 8·N hop watchdog); they record
-// Stats and FaultStats, the result shapes of the built-graph entry points
-// they were first recorded from. All of them are runs of the one lane
-// runner, so any drift in RNG draw order, phase order, or accounting fails
+// bit to its recorded result, the flat ImplicitFaultStats. The run/* and
+// runfaulty/* cases are built-graph runs (runGraph: the table router and
+// an 8·N hop watchdog). All of them are runs of the one lane runner, so any drift in RNG draw order, phase order, or accounting fails
 // this test with an exact field diff. REGEN_ENGINE_GOLDEN=1 go test -run
 // TestEngineGoldenParity regenerates testdata/engine_golden.json — only do
 // that to extend the grid or for a deliberate semantic change, never to
@@ -79,10 +77,10 @@ func goldenQ5Plan(t *testing.T, q5 *graph.Graph, seed int64) *FaultPlan {
 // Each case builds its own topology/router state so results are independent
 // of execution order. Every run seed and fault-plan seed x of the grid is
 // seedOf(x): the identity for the fixtures, a constant for the seed sweep.
-func goldenResults(t *testing.T, seedOf func(int64) int64) map[string]any {
+func goldenResults(t *testing.T, seedOf func(int64) int64) map[string]ImplicitFaultStats {
 	t.Helper()
-	out := map[string]any{}
-	put := func(name string, st any, err error) {
+	out := map[string]ImplicitFaultStats{}
+	put := func(name string, st ImplicitFaultStats, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -111,49 +109,38 @@ func goldenResults(t *testing.T, seedOf func(int64) int64) map[string]any {
 		t.Fatal(err)
 	}
 
-	// run and runFaulty are the built-graph runs, recorded in the result
-	// shapes of the entry points the fixtures were first recorded from.
-	run := func(g *graph.Graph, cfg ImplicitConfig) (Stats, error) {
-		st, err := runGraph(g, cfg, nil)
-		return st.Stats, err
-	}
-	runFaulty := func(g *graph.Graph, cfg ImplicitConfig, plan *FaultPlan) (FaultStats, error) {
-		st, err := runGraph(g, cfg, plan)
-		return st.FaultStats, err
-	}
-
 	// --- built graph, fault-free ---
 	patterns := map[string]func(int64, int64, *rand.Rand) int64{"uniform": nil, "transpose": Transpose, "hotspot": hotspot}
 	for pname, pat := range patterns {
 		for _, seed := range []int64{1, 2} {
 			cfg := ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
 				MeasureCycles: 300, Seed: seedOf(seed), Pattern: pat}
-			st, err := run(q5, cfg)
+			st, err := runGraph(q5, cfg, nil)
 			put(fmt.Sprintf("run/q5/%s/seed%d", pname, seed), st, err)
 		}
 	}
 	{
 		cfg := ImplicitConfig{ModuleOf: q5part.Module, OffModulePeriod: 4,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(3)}
-		st, err := run(q5, cfg)
+		st, err := runGraph(q5, cfg, nil)
 		put("run/q5/modules4/seed3", st, err)
 	}
 	{
 		cfg := ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: seedOf(4), Flits: 3}
-		st, err := run(q5, cfg)
+		st, err := runGraph(q5, cfg, nil)
 		put("run/q5/flits3/seed4", st, err)
 	}
 	{
 		cfg := ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: seedOf(4), Flits: 3, CutThrough: true}
-		st, err := run(q5, cfg)
+		st, err := runGraph(q5, cfg, nil)
 		put("run/q5/flits3cut/seed4", st, err)
 	}
 	{
 		cfg := ImplicitConfig{ModuleOf: torusPart.Module, OffModulePeriod: 3,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(6)}
-		st, err := run(torus, cfg)
+		st, err := runGraph(torus, cfg, nil)
 		put("run/torus/modules3/seed6", st, err)
 	}
 
@@ -162,23 +149,23 @@ func goldenResults(t *testing.T, seedOf func(int64) int64) map[string]any {
 	for _, seed := range []int64{1, 2, 3} {
 		cfg := ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: seedOf(seed)}
-		fs, err := runFaulty(q5, cfg, plan)
+		fs, err := runGraph(q5, cfg, plan)
 		put(fmt.Sprintf("runfaulty/q5/seed%d", seed), fs, err)
 	}
 	{
 		cfg := ImplicitConfig{ModuleOf: q5part.Module, OffModulePeriod: 4,
 			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300, Seed: seedOf(4),
 			Pattern: hotspot}
-		fs, err := runFaulty(q5, cfg, plan)
+		fs, err := runGraph(q5, cfg, plan)
 		put("runfaulty/q5/modules4-hotspot/seed4", fs, err)
 	}
 	{
 		// A degraded run and its baseline: the same run without the plan.
 		cfg := ImplicitConfig{InjectionRate: 0.02, WarmupCycles: 50,
 			MeasureCycles: 300, Seed: seedOf(5)}
-		faulty, err := runFaulty(q5, cfg, plan)
+		faulty, err := runGraph(q5, cfg, plan)
 		put("runfaulty/q5/withbaseline/seed5", faulty, err)
-		base, err := run(q5, cfg)
+		base, err := runGraph(q5, cfg, nil)
 		put("runfaulty/q5/withbaseline-base/seed5", base, err)
 	}
 
@@ -334,7 +321,8 @@ func TestEngineGoldenParity(t *testing.T) {
 // TestGoldenSeedSweep runs every golden-grid case at run seeds 1-20, with
 // the fault-plan seeds moved to the run seed, and prints one Markdown table
 // of per-case mean ± sample s.d.: Injected, AvgLatency and Throughput for
-// every case, Lost, RerouteEvents and MisroutedHops for the degraded ones.
+// every case, Lost, Router.Reroutes and Router.DetourHops for the degraded
+// ones.
 // A deliberate re-record compares this table before and after the change,
 // so that a shift of the moved fixtures shows as a shift of the means. It
 // only runs on request:
@@ -346,25 +334,16 @@ func TestGoldenSeedSweep(t *testing.T) {
 	}
 	const seeds = 20
 	// The last three columns are read on the degraded cases only.
-	cols := []string{"Injected", "AvgLatency", "Throughput", "Lost", "RerouteEvents", "MisroutedHops"}
-	samples := map[string]map[string][]float64{} // case -> column -> one value a seed
+	cols := []string{"Injected", "AvgLatency", "Throughput", "Lost", "Router.Reroutes", "Router.DetourHops"}
+	samples := map[string][][]float64{} // case -> column -> one value a seed
 	for s := int64(1); s <= seeds; s++ {
 		for name, st := range goldenResults(t, func(int64) int64 { return s }) {
-			raw, err := json.Marshal(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fields map[string]any
-			if err := json.Unmarshal(raw, &fields); err != nil {
-				t.Fatal(err)
-			}
 			if samples[name] == nil {
-				samples[name] = map[string][]float64{}
+				samples[name] = make([][]float64, len(cols))
 			}
-			for _, f := range cols {
-				if v, ok := fields[f].(float64); ok {
-					samples[name][f] = append(samples[name][f], v)
-				}
+			for i, v := range []float64{float64(st.Injected), st.AvgLatency, st.Throughput,
+				float64(st.Lost), float64(st.Router.Reroutes), float64(st.Router.DetourHops)} {
+				samples[name][i] = append(samples[name][i], v)
 			}
 		}
 	}
@@ -378,9 +357,8 @@ func TestGoldenSeedSweep(t *testing.T) {
 	for _, name := range names {
 		fmt.Fprintf(&b, "| %s |", name)
 		degraded := strings.Contains(name, "faulty/") && !strings.Contains(name, "-base/")
-		for i, f := range cols {
-			xs := samples[name][f]
-			if len(xs) == 0 || i >= 3 && !degraded {
+		for i, xs := range samples[name] {
+			if i >= 3 && !degraded {
 				b.WriteString(" — |")
 				continue
 			}

@@ -328,9 +328,8 @@ func TestLinkRecycling(t *testing.T) {
 			t.Fatalf("links reused %d, node faults on reused links %d, link faults on reused links %d: want all > 0",
 				reused, nodeHits, linkHits)
 		}
-		fs := st.FaultStats
-		if fs.Injected == 0 || fs.Injected != fs.Delivered+fs.Lost+fs.Expired {
-			t.Fatalf("packet conservation: %+v", fs)
+		if st.Injected == 0 || st.Injected != st.Delivered+st.Lost+st.Expired {
+			t.Fatalf("packet conservation: %+v", st)
 		}
 		if st != want {
 			t.Fatalf("stepped run diverged from its entry point:\n%+v\nvs %+v", st, want)
@@ -402,14 +401,15 @@ func TestLinkRecycling(t *testing.T) {
 			t.Fatalf("4 lanes diverge between 1 and 4 shards:\n%+v\nvs %+v", one, four)
 		}
 		if one.Injected != one.Delivered+one.Lost+one.Expired {
-			t.Fatalf("packet conservation: %+v", one.FaultStats)
+			t.Fatalf("packet conservation: %+v", one)
 		}
 	})
 }
 
 // TestFIFOKeepsStorage: a link FIFO keeps its backing array when it
 // drains, so a warmed enqueue -> transmit cycle allocates nothing, on the
-// same link and on a link the advance phase recycled through the free list.
+// same link and on a link the advance phase recycled through the free list;
+// and a FIFO that never drains reuses the front of its array.
 func TestFIFOKeepsStorage(t *testing.T) {
 	const k = 5
 	_, lanes, err := newLanes(ShardedConfig{
@@ -465,6 +465,32 @@ func TestFIFOKeepsStorage(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, recycled); n != 0 {
 		t.Fatalf("warmed cycle on a recycled link: %v allocs, want 0", n)
+	}
+
+	// Refilled before it drains: arc 0->4 keeps k packets queued while
+	// each push is followed by one pop, so the window creeps along its
+	// array and must move back to the front instead of growing it.
+	for i := 0; i < k; i++ {
+		if err := ln.enqueue(now, 0, epacket{id: int64(i), dst: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busy := ln.store.peek(0, 4)
+	fillPop := func() {
+		for i := 0; i < 8*k; i++ {
+			if err := ln.enqueue(now, 0, epacket{id: int64(i), dst: 4}); err != nil {
+				t.Fatal(err)
+			}
+			ln.transmit(now, busy)
+			for j := range ln.ring {
+				ln.ring[j] = ln.ring[j][:0]
+			}
+		}
+	}
+	fillPop()
+	if n := testing.AllocsPerRun(100, fillPop); n != 0 || len(busy.queue) != k {
+		t.Fatalf("warmed fill-and-pop cycle on a link that never drains: %v allocs, depth %d; want 0 allocs, depth %d",
+			n, len(busy.queue), k)
 	}
 }
 

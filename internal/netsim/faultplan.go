@@ -151,6 +151,14 @@ func (r RandomFaults) check() error {
 	if r.Horizon <= r.Start {
 		return fmt.Errorf("netsim: RandomFaults window [%d,%d) is empty", r.Start, r.Horizon)
 	}
+	// A negative repair time would read as permanent and a negative cap as
+	// unlimited: both say something other than what was asked.
+	if r.RepairTime < 0 {
+		return fmt.Errorf("netsim: RandomFaults.RepairTime must be >= 0, got %d", r.RepairTime)
+	}
+	if r.MaxFaults < 0 {
+		return fmt.Errorf("netsim: RandomFaults.MaxFaults must be >= 0, got %d", r.MaxFaults)
+	}
 	return nil
 }
 

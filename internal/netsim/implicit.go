@@ -89,31 +89,37 @@ type ImplicitConfig struct {
 }
 
 // routerStatser is the optional router extension exposing the cumulative
-// RouterStats telemetry snapshot; topo.Algebraic and topo.FaultAware
-// implement it. The simulators snapshot it around a run and report the
-// delta in ImplicitFaultStats.Router.
+// RouterStats telemetry snapshot; topo.Algebraic, topo.FaultAware and
+// topo.BFSRouter implement it. The simulators snapshot it around a run and
+// report the delta in ImplicitFaultStats.Router.
 type routerStatser interface {
 	RouterStats() obs.RouterStats
 }
 
-// FaultStats extends Stats with degraded-mode counters.
-type FaultStats struct {
-	Stats
+// ImplicitFaultStats is the result of every run, fault-free or degraded:
+// each count is recorded once (fault counters stay zero on a fault-free
+// run), and nothing in it depends on the run's Probe. The struct is
+// comparable (fixed-size fields only), so determinism tests can compare
+// whole results with ==.
+type ImplicitFaultStats struct {
+	// Injected counts measured packets (injected during the measurement
+	// window); Delivered counts those that reached their destination before
+	// the drain deadline.
+	Injected, Delivered int
+	// Expired counts measured packets still in flight when the drain
+	// deadline hit. Every run obeys Injected == Delivered + Lost + Expired.
+	Expired int
+	// AvgLatency is the mean delivery latency (cycles) of measured packets.
+	AvgLatency float64
+	// MaxLatency is the worst delivery latency observed.
+	MaxLatency int
+	// Throughput is delivered measured packets per node per cycle.
+	Throughput float64
 	// Lost counts measured packets dropped before the drain deadline, for
 	// whatever reason (no route, hop limit, dead router, killed queue), on
-	// every run kind. It never overlaps Expired, so Injected ==
-	// Delivered + Lost + Expired on every run. A run with no plan loses
+	// every run kind. It never overlaps Expired. A run with no plan loses
 	// nothing.
 	Lost int
-	// MisroutedHops counts the exploratory local-detour hops of a
-	// fault-aware router (the run delta of RouterStats.DetourHops); table
-	// routers take none.
-	MisroutedHops int
-	// RerouteEvents counts route repairs, the run delta of the router's
-	// RouterStats.Reroutes: for topo.BFSRouter, the rebuilds of a
-	// per-destination table after a fault or repair; for topo.FaultAware,
-	// the routes it had to repair.
-	RerouteEvents int
 	// FaultsInjected and FaultsRepaired count fault events applied and
 	// healed during the run.
 	FaultsInjected, FaultsRepaired int
@@ -124,18 +130,13 @@ type FaultStats struct {
 	// HopLimitDrops counts measured packets dropped by the hop watchdog
 	// (MaxHops), a subset of Lost.
 	HopLimitDrops int
-}
-
-// ImplicitFaultStats is the result of every run: the shared FaultStats
-// (fault counters stay zero on a fault-free run) plus the router-side
-// telemetry. The struct is comparable (fixed-size fields only),
-// so determinism tests can compare whole results with ==.
-type ImplicitFaultStats struct {
-	FaultStats
 	// Router holds the route-store and fault-repair counters the run's
 	// Router accumulated during this run (post-run snapshot minus pre-run
-	// snapshot; occupancy is the post-run absolute value). Zero when the
-	// Router does not expose RouterStats.
+	// snapshot; occupancy is the post-run absolute value): among them
+	// Reroutes, the route repairs (a topo.BFSRouter's table rebuilds after
+	// a fault or repair, a topo.FaultAware's repaired routes), and
+	// DetourHops, a fault-aware router's exploratory local-detour hops.
+	// Zero when the Router does not expose RouterStats.
 	Router obs.RouterStats
 }
 

@@ -55,7 +55,7 @@ type ImplicitFaultConfig struct {
 
 // RunImplicitFaulty executes the simulation under fc.Plan as a single-lane
 // run of the lane runner behind RunSharded. With a nil/empty plan it is
-// RunImplicit: the same RNG stream and the same Stats. Runs are
+// RunImplicit: the same RNG stream and the same result. Runs are
 // deterministic in the configuration: fault application, rerouting, and
 // packet drops consume no randomness.
 //

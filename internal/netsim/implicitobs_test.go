@@ -31,12 +31,6 @@ func implicitObsConfig(t *testing.T) (ImplicitConfig, *topo.Implicit) {
 		WarmupCycles: 50, MeasureCycles: 500, Seed: 7}, imp
 }
 
-// stripQuantiles zeroes the fields only a latency-summary probe fills, so
-// probed and unprobed runs compare with plain ==.
-func stripQuantiles(st *Stats) {
-	st.P50Latency, st.P95Latency, st.P99Latency = 0, 0, 0
-}
-
 // TestImplicitProbeGoldenParity is the zero-overhead-when-disabled
 // contract, checked semantically: RunImplicit with a nil probe, a NopProbe,
 // and the full collector stack must produce identical ImplicitFaultStats —
@@ -72,10 +66,6 @@ func TestImplicitProbeGoldenParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.P50Latency <= 0 || full.P99Latency > float64(full.MaxLatency) {
-		t.Fatalf("histogram did not surface quantiles: %+v", full)
-	}
-	stripQuantiles(&full.Stats)
 	if full != want {
 		t.Fatalf("collectors perturbed the run:\nnil    %+v\nprobed %+v", want, full)
 	}
@@ -84,6 +74,9 @@ func TestImplicitProbeGoldenParity(t *testing.T) {
 	}
 	if diff := hist.Mean() - want.AvgLatency; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("histogram mean %v != AvgLatency %v", hist.Mean(), want.AvgLatency)
+	}
+	if p50, p99 := hist.Quantile(0.50), hist.Quantile(0.99); p50 <= 0 || p99 > float64(want.MaxLatency) {
+		t.Fatalf("histogram quantiles p50 %v, p99 %v outside (0, MaxLatency %d]", p50, p99, want.MaxLatency)
 	}
 	if tr.Len() == 0 {
 		t.Fatal("sampled tracer recorded nothing on the implicit run")
@@ -107,7 +100,7 @@ func TestImplicitFaultyProbeGoldenParity(t *testing.T) {
 		return st
 	}
 	want := run(nil)
-	if want.FaultsInjected == 0 || want.RerouteEvents == 0 {
+	if want.FaultsInjected == 0 || want.Router.Reroutes == 0 {
 		t.Fatalf("baseline faulty run saw no faults: %+v", want)
 	}
 	if got := run(obs.NopProbe{}); got != want {
@@ -115,7 +108,6 @@ func TestImplicitFaultyProbeGoldenParity(t *testing.T) {
 	}
 	hist := &obs.LatencyHist{}
 	full := run(obs.Multi(hist, obs.NewTimeSeries(nil, 64), obs.NewModuleSeries(nil, 64), &obs.Trace{}))
-	stripQuantiles(&full.Stats)
 	if full != want {
 		t.Fatalf("collectors perturbed the faulty run:\nnil    %+v\nprobed %+v", want, full)
 	}
@@ -126,7 +118,7 @@ func TestImplicitFaultyProbeGoldenParity(t *testing.T) {
 
 // TestImplicitRouterStatsSurfaced checks the router telemetry plumbing: the
 // result's Router field carries the run's delta, and on a faulty run the
-// router's reroute counters agree with the simulator's own accounting.
+// detour-depth histogram accounts for every reroute.
 func TestImplicitRouterStatsSurfaced(t *testing.T) {
 	cfg, _ := implicitObsConfig(t)
 	cfg.Probe = &obs.LatencyHist{}
@@ -144,8 +136,7 @@ func TestImplicitRouterStatsSurfaced(t *testing.T) {
 		t.Fatalf("fault-free run shows fault-path telemetry: %+v", st.Router)
 	}
 
-	// Degraded mode: the RouterStats split must agree with the FaultStats
-	// counters (both are deltas of the same underlying counters).
+	// Degraded mode: every repair lands in one detour-depth bucket.
 	_, imp, fs, fa := faultTestNet(t)
 	plan := faultyPlanFor(t, imp, 5)
 	fst, err := RunImplicitFaulty(ImplicitConfig{Topo: imp, Router: fa,
@@ -153,15 +144,6 @@ func TestImplicitRouterStatsSurfaced(t *testing.T) {
 		ImplicitFaultConfig{Plan: plan, Faults: fs})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fst.Router.Reroutes != uint64(fst.RerouteEvents) {
-		t.Fatalf("Router.Reroutes %d != RerouteEvents %d", fst.Router.Reroutes, fst.RerouteEvents)
-	}
-	if fst.Router.DetourHops != uint64(fst.MisroutedHops) {
-		t.Fatalf("Router.DetourHops %d != MisroutedHops %d", fst.Router.DetourHops, fst.MisroutedHops)
-	}
-	if fst.Router.ConjugateReroutes+fst.Router.LocalDetourReroutes != fst.Router.Reroutes {
-		t.Fatalf("repair split does not partition the reroutes: %+v", fst.Router)
 	}
 	var depth uint64
 	for _, c := range fst.Router.DetourDepth {

@@ -20,8 +20,6 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-
-	"repro/internal/obs"
 )
 
 // Transpose sends node (x,y) to (y,x): the id's high and low bit halves are
@@ -79,45 +77,6 @@ func Hotspot(p float64) (func(src, n int64, rng *rand.Rand) int64, error) {
 	}, nil
 }
 
-// Stats reports the outcome of a run.
-type Stats struct {
-	// Injected counts measured packets (injected during the measurement
-	// window); Delivered counts those that reached their destination before
-	// the drain deadline.
-	Injected, Delivered int
-	// Expired counts measured packets still in flight when the drain
-	// deadline hit. Every run obeys Injected == Delivered +
-	// FaultStats.Lost + Expired, with Lost 0 when there is no plan.
-	Expired int
-	// AvgLatency is the mean delivery latency (cycles) of measured packets.
-	AvgLatency float64
-	// MaxLatency is the worst delivery latency observed.
-	MaxLatency int
-	// P50Latency, P95Latency and P99Latency are delivery-latency quantiles
-	// in cycles (log-bucket interpolated), filled only when the run's
-	// Probe carries a latency histogram (obs.LatencyHist, possibly inside
-	// obs.Multi); zero otherwise.
-	P50Latency, P95Latency, P99Latency float64
-	// Throughput is delivered measured packets per node per cycle.
-	Throughput float64
-}
-
-// LatencySummary is the optional interface a Probe implements to surface
-// latency quantiles in Stats; obs.LatencyHist and obs.Multi satisfy it.
-type LatencySummary interface {
-	LatencyQuantile(q float64) float64
-}
-
-// fillQuantiles copies p50/p95/p99 out of the probe's histogram, when the
-// probe carries one.
-func (st *Stats) fillQuantiles(p obs.Probe) {
-	if h, ok := p.(LatencySummary); ok {
-		st.P50Latency = h.LatencyQuantile(0.50)
-		st.P95Latency = h.LatencyQuantile(0.95)
-		st.P99Latency = h.LatencyQuantile(0.99)
-	}
-}
-
 // Saturation estimates the saturation throughput of the network: the
 // highest injection rate at which at least accept (e.g. 0.9) of the
 // measured packets are delivered by the drain deadline, found by binary
@@ -127,15 +86,15 @@ func (st *Stats) fillQuantiles(p obs.Probe) {
 // a fault-free RunImplicit of cfg at its own rate, so cfg.Router serves
 // all of them: a router's routes do not depend on the traffic, and a
 // table router (topo.BFSRouter) builds each table once for the search.
-func Saturation(cfg ImplicitConfig, hi float64, accept float64, steps int) (float64, Stats, error) {
+func Saturation(cfg ImplicitConfig, hi float64, accept float64, steps int) (float64, ImplicitFaultStats, error) {
 	if hi <= 0 || hi > 1 {
-		return 0, Stats{}, fmt.Errorf("netsim: hi rate %v out of (0,1]", hi)
+		return 0, ImplicitFaultStats{}, fmt.Errorf("netsim: hi rate %v out of (0,1]", hi)
 	}
 	if accept <= 0 || accept > 1 {
-		return 0, Stats{}, fmt.Errorf("netsim: accept fraction %v out of (0,1]", accept)
+		return 0, ImplicitFaultStats{}, fmt.Errorf("netsim: accept fraction %v out of (0,1]", accept)
 	}
 	lo := 0.0
-	var best Stats
+	var best ImplicitFaultStats
 	bestRate := 0.0
 	for i := 0; i < steps; i++ {
 		mid := (lo + hi) / 2
@@ -148,11 +107,10 @@ func Saturation(cfg ImplicitConfig, hi float64, accept float64, steps int) (floa
 		if c.DrainCycles == 0 {
 			c.DrainCycles = 100
 		}
-		fs, err := RunImplicit(c)
+		st, err := RunImplicit(c)
 		if err != nil {
-			return 0, Stats{}, err
+			return 0, ImplicitFaultStats{}, err
 		}
-		st := fs.Stats
 		if st.Injected > 0 && float64(st.Delivered) >= accept*float64(st.Injected) {
 			lo, best, bestRate = mid, st, mid
 		} else {

@@ -372,7 +372,7 @@ func TestWormholeIDegreeArgument(t *testing.T) {
 		t.Fatal(err)
 	}
 	qp := metrics.SubcubePartition(qg.N(), 3)
-	mk := func(g *graph.Graph, p *metrics.Partition, seed int64) Stats {
+	mk := func(g *graph.Graph, p *metrics.Partition, seed int64) ImplicitFaultStats {
 		period := basePeriod * int(math.Ceil(metrics.IDegree(g, *p)))
 		st, err := runGraph(g, ImplicitConfig{ModuleOf: p.Module, OffModulePeriod: period,
 			Flits: 16, CutThrough: true, InjectionRate: 0.002,
@@ -380,7 +380,7 @@ func TestWormholeIDegreeArgument(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.Stats
+		return st
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		hsnStats := mk(hg, &hp, seed)
@@ -398,13 +398,13 @@ func TestLoadSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	rates := []float64{0.01, 0.05, 0.15}
-	var stats []Stats
+	var stats []ImplicitFaultStats
 	for _, rate := range rates {
 		st, err := runGraph(g, ImplicitConfig{InjectionRate: rate, WarmupCycles: 200, MeasureCycles: 1500, Seed: 21}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats = append(stats, st.Stats)
+		stats = append(stats, st)
 	}
 	// Delivered throughput grows with offered load below saturation, and
 	// latency is non-decreasing.
@@ -552,7 +552,7 @@ func TestSaturationBestStatsMatchDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Stats != best {
+	if st != best {
 		t.Fatalf("best stats do not reproduce at the returned rate:\nsearch %+v\ndirect %+v", best, st)
 	}
 }

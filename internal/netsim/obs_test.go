@@ -120,15 +120,15 @@ func TestNilProbeGoldenParity(t *testing.T) {
 	if fs.Injected != 2348 || fs.Delivered != 2348 || fs.Expired != 0 ||
 		fs.AvgLatency != 2.5954003407155026 || fs.MaxLatency != 6 ||
 		fs.Throughput != 0.048916666666666664 || fs.Lost != 0 ||
-		fs.MisroutedHops != 0 || fs.RerouteEvents != 158 ||
+		fs.Router.DetourHops != 0 || fs.Router.Reroutes != 158 ||
 		fs.FaultsInjected != 3 || fs.FaultsRepaired != 2 {
 		t.Fatalf("degraded run diverged from pre-instrumentation golden stats: %+v", fs)
 	}
 }
 
 // TestProbeDoesNotPerturbRun attaches the full collector stack and checks
-// that every statistic the simulator computes itself is identical to the
-// nil-probe run — probes watch, they never steer.
+// that the result is identical to the nil-probe run — probes watch, they
+// never steer.
 func TestProbeDoesNotPerturbRun(t *testing.T) {
 	g, part, cfg := goldenHSNConfig(t)
 	base, err := runGraph(g, cfg, nil)
@@ -143,14 +143,12 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probed.Injected != base.Injected || probed.Delivered != base.Delivered ||
-		probed.Expired != base.Expired || probed.AvgLatency != base.AvgLatency ||
-		probed.MaxLatency != base.MaxLatency || probed.Throughput != base.Throughput {
+	if probed != base {
 		t.Fatalf("probes perturbed the run:\nnil   %+v\nprobe %+v", base, probed)
 	}
 	// The histogram is the exact measured-latency population: its mean and
-	// count must agree with the simulator's own accounting, and the
-	// surfaced quantiles must be ordered and bounded by the max.
+	// count must agree with the simulator's own accounting, and its
+	// quantiles must be ordered and bounded by the max.
 	if hist.Count() != int64(base.Delivered) {
 		t.Fatalf("histogram saw %d deliveries, simulator %d", hist.Count(), base.Delivered)
 	}
@@ -160,11 +158,8 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 	if _, _, _, max := hist.Summary(); max != base.MaxLatency {
 		t.Fatalf("histogram max %d != MaxLatency %d", max, base.MaxLatency)
 	}
-	if probed.P50Latency <= 0 || probed.P50Latency > probed.P95Latency ||
-		probed.P95Latency > probed.P99Latency ||
-		probed.P99Latency > float64(probed.MaxLatency) {
-		t.Fatalf("quantiles not surfaced or out of order: p50=%v p95=%v p99=%v max=%d",
-			probed.P50Latency, probed.P95Latency, probed.P99Latency, probed.MaxLatency)
+	if p50, p95, p99, max := hist.Summary(); p50 <= 0 || p50 > p95 || p95 > p99 || p99 > float64(max) {
+		t.Fatalf("quantiles out of order: p50=%v p95=%v p99=%v max=%d", p50, p95, p99, max)
 	}
 	if trace.Len() == 0 {
 		t.Fatal("sampled tracer recorded nothing")
@@ -172,7 +167,7 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 }
 
 // TestProbeDoesNotPerturbRunFaulty is the degraded-mode counterpart: the
-// full collector stack on a faulty run must leave every FaultStats field
+// full collector stack on a faulty run must leave every field of the result
 // untouched.
 func TestProbeDoesNotPerturbRunFaulty(t *testing.T) {
 	g := mustBuild(t, networks.Hypercube{Dim: 5}.Build)
@@ -190,7 +185,6 @@ func TestProbeDoesNotPerturbRunFaulty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probed.P50Latency, probed.P95Latency, probed.P99Latency = 0, 0, 0
 	if probed != base {
 		t.Fatalf("probes perturbed the faulty run:\nnil   %+v\nprobe %+v", base, probed)
 	}
@@ -376,12 +370,13 @@ func TestTraceLifecyclesBalance(t *testing.T) {
 	}
 }
 
-// TestRerouteProbeMatchesRerouteEvents cross-checks RerouteEvents against
-// the probe stream: a built graph's router rebuilds a destination's table
-// on the first routing decision toward it (an Enqueue, or a no-route Drop)
-// after a fault event moved the fault set's epoch, so replaying the stream
-// with one epoch per Fault event must count the same rebuilds.
-func TestRerouteProbeMatchesRerouteEvents(t *testing.T) {
+// TestRerouteProbeMatchesRouterReroutes cross-checks Router.Reroutes
+// against the probe stream: a built graph's router rebuilds a
+// destination's table on the first routing decision toward it (an Enqueue,
+// or a no-route Drop) after a fault event moved the fault set's epoch, so
+// replaying the stream with one epoch per Fault event must count the same
+// rebuilds.
+func TestRerouteProbeMatchesRouterReroutes(t *testing.T) {
 	g := mustBuild(t, networks.Hypercube{Dim: 5}.Build)
 	plan := (&FaultPlan{}).LinkDown(200, 0, 1, 0).LinkDown(300, 2, 18, 0).NodeDown(400, 9, 600)
 	rec := &rerouteRecorder{dst: map[int64]int64{}, builtAt: map[int64]int{}}
@@ -390,8 +385,8 @@ func TestRerouteProbeMatchesRerouteEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.RerouteEvents == 0 || rec.rebuilds != fs.RerouteEvents {
-		t.Fatalf("probe stream implies %d table rebuilds, RerouteEvents = %d", rec.rebuilds, fs.RerouteEvents)
+	if fs.Router.Reroutes == 0 || uint64(rec.rebuilds) != fs.Router.Reroutes {
+		t.Fatalf("probe stream implies %d table rebuilds, Router.Reroutes = %d", rec.rebuilds, fs.Router.Reroutes)
 	}
 }
 
@@ -476,41 +471,37 @@ func (p *lifeProbe) Drop(_ int, id int64, at int64, reason obs.DropReason) {
 // most one Deliver or Drop; the measured ids that got neither are exactly
 // Expired, and the measured Delivers and Drops are Delivered and Lost.
 func TestOneTerminalEventPerPacket(t *testing.T) {
-	runs := map[string]func(*lifeProbe) (FaultStats, error){
-		"run/hsn2q3": func(pb *lifeProbe) (FaultStats, error) {
+	runs := map[string]func(*lifeProbe) (ImplicitFaultStats, error){
+		"run/hsn2q3": func(pb *lifeProbe) (ImplicitFaultStats, error) {
 			g, _, cfg := goldenHSNConfig(t)
 			cfg.Probe = pb
-			st, err := runGraph(g, cfg, nil)
-			return st.FaultStats, err
+			return runGraph(g, cfg, nil)
 		},
-		"runfaulty/ring16/harsh/drain5": func(pb *lifeProbe) (FaultStats, error) {
+		"runfaulty/ring16/harsh/drain5": func(pb *lifeProbe) (ImplicitFaultStats, error) {
 			g, cfg, plan := harshRing(t)
 			cfg.DrainCycles, cfg.Probe = 5, pb
-			st, err := runGraph(g, cfg, plan)
-			return st.FaultStats, err
+			return runGraph(g, cfg, plan)
 		},
-		"runimplicitfaulty/q6": func(pb *lifeProbe) (FaultStats, error) {
+		"runimplicitfaulty/q6": func(pb *lifeProbe) (ImplicitFaultStats, error) {
 			ht := topo.HypercubeTopo{Dim: 6}
 			fs := topo.NewFaultSet()
 			plan := (&FaultPlan{}).LinkDown(40, 0, 1, 0).NodeDown(60, 9, 150).
 				NodeDown(70, 3, 0).LinkDown(70, 5, 7, 120)
-			st, err := RunImplicitFaulty(ImplicitConfig{Topo: ht, InjectionRate: 0.05,
+			return RunImplicitFaulty(ImplicitConfig{Topo: ht, InjectionRate: 0.05,
 				WarmupCycles: 30, MeasureCycles: 300, Seed: 5, Probe: pb,
 				Router: topo.NewFaultAware(ht, topo.HypercubeRouter{Dim: 6}, fs)},
 				ImplicitFaultConfig{Plan: plan, Faults: fs})
-			return st.FaultStats, err
 		},
-		"runsharded/q6/faulty/shards2": func(pb *lifeProbe) (FaultStats, error) {
+		"runsharded/q6/faulty/shards2": func(pb *lifeProbe) (ImplicitFaultStats, error) {
 			for _, sc := range shardScenarios(t) {
 				if sc.name == "q6/faulty" {
 					cfg := sc.cfg
 					cfg.Seed, cfg.Shards, cfg.Probe = 3, 2, pb
-					st, err := RunSharded(cfg)
-					return st.FaultStats, err
+					return RunSharded(cfg)
 				}
 			}
 			t.Fatal("no q6/faulty sharded scenario")
-			return FaultStats{}, nil
+			return ImplicitFaultStats{}, nil
 		},
 	}
 	for name, run := range runs {

@@ -233,7 +233,7 @@ type simLane struct {
 	log     *obs.EventLog
 	outbox  [][]laneSend // indexed by destination lane; nil in a single-lane run
 
-	st         FaultStats
+	st         ImplicitFaultStats // the lane's counts; stats sums them
 	latencySum int64
 	inFlight   int // measured packets injected here minus measured packets retired here (may go negative; the lane sum is the global in-flight count)
 	nextSeq    int64
@@ -381,9 +381,8 @@ func newLanes(cfg ShardedConfig, o runOpts) (*laneRun, []*simLane, error) {
 
 // stats sums the lanes' statistics of a run that stopped at cycle stop.
 func (r *laneRun) stats(lanes []*simLane, stop int) ImplicitFaultStats {
-	var out ImplicitFaultStats
+	var st ImplicitFaultStats
 	cfg := r.cfg
-	st := &out.FaultStats
 	var latencySum int64
 	inFlight := 0
 	for _, ln := range lanes {
@@ -399,11 +398,9 @@ func (r *laneRun) stats(lanes []*simLane, stop int) ImplicitFaultStats {
 		latencySum += ln.latencySum
 		inFlight += ln.inFlight
 		if ln.statser != nil {
-			out.Router = out.Router.Add(ln.statser.RouterStats().Delta(ln.routerBase))
+			st.Router = st.Router.Add(ln.statser.RouterStats().Delta(ln.routerBase))
 		}
 	}
-	st.RerouteEvents = int(out.Router.Reroutes)
-	st.MisroutedHops = int(out.Router.DetourHops)
 	st.Expired += inFlight
 	if st.Delivered > 0 {
 		st.AvgLatency = float64(latencySum) / float64(st.Delivered)
@@ -423,8 +420,7 @@ func (r *laneRun) stats(lanes []*simLane, stop int) ImplicitFaultStats {
 			}
 		}
 	}
-	st.fillQuantiles(cfg.Probe)
-	return out
+	return st
 }
 
 // lose drops a packet: a measured one counts in Lost (and, when the hop

@@ -167,7 +167,7 @@ func TestShardedDeterminism(t *testing.T) {
 						t.Fatalf("seed %d shards %d: %v", seed, shards, err)
 					}
 					if st.Injected == 0 || st.Delivered == 0 {
-						t.Fatalf("seed %d shards %d: degenerate run: %+v", seed, shards, st.Stats)
+						t.Fatalf("seed %d shards %d: degenerate run: %+v", seed, shards, st)
 					}
 					if got := st.Delivered + st.Lost + st.Expired; got != st.Injected {
 						t.Fatalf("seed %d shards %d: delivered %d + lost %d + expired %d != injected %d",
@@ -256,7 +256,8 @@ func TestShardedSingleLane(t *testing.T) {
 }
 
 // TestShardedUnprobed pins the probe-neutrality of the sharded runner: an
-// uninstrumented run returns the same stats as an instrumented one.
+// uninstrumented run returns the same result as one instrumented with an
+// event recorder and a latency histogram.
 func TestShardedUnprobed(t *testing.T) {
 	sc := shardScenarios(t)[2] // q6/faulty
 	cfg := sc.cfg
@@ -266,7 +267,7 @@ func TestShardedUnprobed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Probe = &recProbe{}
+	cfg.Probe = obs.Multi(&recProbe{}, &obs.LatencyHist{})
 	probed, err := RunSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +304,6 @@ func TestShardedRaceHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Delivered == 0 {
-		t.Fatalf("degenerate hammer run: %+v", st.Stats)
+		t.Fatalf("degenerate hammer run: %+v", st)
 	}
 }

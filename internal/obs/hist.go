@@ -15,8 +15,7 @@ import (
 
 // LatencyHist accumulates the delivery-latency distribution of measured
 // packets. The zero value is ready to use; attach it as (part of) a run's
-// Probe and read quantiles afterwards. netsim surfaces Quantile(0.50/0.95/
-// 0.99) in Stats when a run's probe carries one of these.
+// Probe and read quantiles afterwards with Quantile.
 type LatencyHist struct {
 	NopProbe
 	count []int64 // count[b] holds latencies with bit length b
@@ -104,10 +103,6 @@ func (h *LatencyHist) Quantile(q float64) float64 {
 	}
 	return float64(h.max)
 }
-
-// LatencyQuantile is the structural hook netsim looks for when filling the
-// quantile fields of Stats; it is an alias of Quantile.
-func (h *LatencyHist) LatencyQuantile(q float64) float64 { return h.Quantile(q) }
 
 // Summary returns the headline tail statistics.
 func (h *LatencyHist) Summary() (p50, p95, p99 float64, max int) {

@@ -1,9 +1,9 @@
 // The run manifest: one machine-readable JSON record per run, and the
 // helpers that make two manifests comparable. A manifest captures what was
-// simulated (config and seed), what came out (the simulator's stats struct
-// and latency percentiles), how the router behaved (RouterStats), whatever
-// the process accumulated in its registry — and, since PR 8, where the run
-// happened (benchkit env metadata: go version, CPU model, commit+dirty) and
+// simulated (config and seed), what came out (the simulator's result,
+// router telemetry included, and latency percentiles), whatever the process
+// accumulated in its registry, where the run happened (benchkit env
+// metadata: go version, CPU model, commit+dirty) and
 // repeated-run samples so cmd/obsdiff can apply the same Mann-Whitney
 // significance discipline to simulation behavior that cmd/bench applies to
 // ns/op.
@@ -19,18 +19,17 @@ import (
 )
 
 // Manifest is the machine-readable record of one run: what was simulated
-// (config and seed), what came out (the simulator's stats struct and
-// latency percentiles), how the router behaved (RouterStats), and whatever
-// the process accumulated in its registry. cmd/simulate writes one per
-// (ratio, rate) combination under -manifest; cmd/ipgen writes one per build
-// under -manifest.
+// (config and seed), what came out (the simulator's result, whose Router
+// field holds the router telemetry, and the latency percentiles), and
+// whatever the process accumulated in its registry. cmd/simulate writes one
+// per (ratio, rate) combination under -manifest; cmd/ipgen writes one per
+// build under -manifest.
 type Manifest struct {
 	Run         string             `json:"run"`
 	Config      map[string]any     `json:"config,omitempty"`
 	Seed        int64              `json:"seed"`
 	Stats       any                `json:"stats,omitempty"`
 	Percentiles map[string]float64 `json:"percentiles,omitempty"`
-	Router      *RouterStats       `json:"router,omitempty"`
 	Metrics     map[string]any     `json:"metrics,omitempty"`
 	// Env records where the run happened (go version, CPU model, commit
 	// with a -dirty flag, host) so a manifest is attributable to a machine
@@ -68,21 +67,22 @@ func ReadManifestFile(path string) (Manifest, error) {
 
 // Flatten projects every numeric value reachable from the manifest into one
 // flat metric map, keyed by dotted path: "stats.AvgLatency",
-// "percentiles.p99", "router.CacheHits", "metrics.latency.p95",
-// "router.DetourDepth.0". The projection goes through a JSON round-trip, so
-// it works identically on a live manifest (Stats holding a struct) and on
-// one loaded from disk (Stats holding map[string]any), and non-numeric
-// leaves are simply skipped. The derived "router.CacheHitRate" is added
-// because the rate, not the raw counters, is the comparable quantity.
+// "percentiles.p99", "stats.Router.CacheHits", "metrics.latency.p95",
+// "stats.Router.DetourDepth.0". The projection goes through a JSON
+// round-trip, so it works identically on a live manifest (Stats holding a
+// struct) and on one loaded from disk (Stats holding map[string]any), and
+// non-numeric leaves are simply skipped. When the stats carry router
+// counters, the derived "router.CacheHitRate" is added because the rate,
+// not the raw counters, is the comparable quantity.
 func (m Manifest) Flatten() map[string]float64 {
 	out := map[string]float64{}
 	flattenJSON("stats", m.Stats, out)
 	for k, v := range m.Percentiles {
 		out["percentiles."+k] = v
 	}
-	if m.Router != nil {
-		flattenJSON("router", *m.Router, out)
-		out["router.CacheHitRate"] = m.Router.CacheHitRate()
+	if hits, ok := out["stats.Router.CacheHits"]; ok {
+		rs := RouterStats{CacheHits: uint64(hits), CacheMisses: uint64(out["stats.Router.CacheMisses"])}
+		out["router.CacheHitRate"] = rs.CacheHitRate()
 	}
 	if m.Metrics != nil {
 		flattenJSON("metrics", m.Metrics, out)

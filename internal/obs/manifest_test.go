@@ -10,20 +10,21 @@ import (
 )
 
 // TestFlattenKeys: every numeric leaf of every manifest section lands under
-// its dotted path, live structs and decoded JSON alike.
+// its dotted path, live structs and decoded JSON alike, and stats carrying
+// router counters gain the derived router.CacheHitRate.
 func TestFlattenKeys(t *testing.T) {
 	type stats struct {
-		Injected   int     `json:"Injected"`
-		AvgLatency float64 `json:"AvgLatency"`
-		Name       string  `json:"Name"` // non-numeric: skipped
+		Injected   int         `json:"Injected"`
+		AvgLatency float64     `json:"AvgLatency"`
+		Name       string      `json:"Name"` // non-numeric: skipped
+		Router     RouterStats `json:"Router"`
 	}
 	r := RouterStats{CacheHits: 75, CacheMisses: 25}
 	r.DetourDepth[2] = 9
 	m := Manifest{
 		Run:         "X",
-		Stats:       stats{Injected: 100, AvgLatency: 12.5, Name: "x"},
+		Stats:       stats{Injected: 100, AvgLatency: 12.5, Name: "x", Router: r},
 		Percentiles: map[string]float64{"p99": 31.5},
-		Router:      &r,
 		Metrics: map[string]any{
 			"delivered": 99,
 			"latency":   map[string]any{"p95": 30.0},
@@ -31,15 +32,15 @@ func TestFlattenKeys(t *testing.T) {
 	}
 	flat := m.Flatten()
 	want := map[string]float64{
-		"stats.Injected":       100,
-		"stats.AvgLatency":     12.5,
-		"percentiles.p99":      31.5,
-		"router.CacheHits":     75,
-		"router.CacheMisses":   25,
-		"router.CacheHitRate":  0.75,
-		"router.DetourDepth.2": 9,
-		"metrics.delivered":    99,
-		"metrics.latency.p95":  30,
+		"stats.Injected":             100,
+		"stats.AvgLatency":           12.5,
+		"percentiles.p99":            31.5,
+		"stats.Router.CacheHits":     75,
+		"stats.Router.CacheMisses":   25,
+		"router.CacheHitRate":        0.75,
+		"stats.Router.DetourDepth.2": 9,
+		"metrics.delivered":          99,
+		"metrics.latency.p95":        30,
 	}
 	for k, v := range want {
 		if got, ok := flat[k]; !ok || got != v {
@@ -48,6 +49,9 @@ func TestFlattenKeys(t *testing.T) {
 	}
 	if _, ok := flat["stats.Name"]; ok {
 		t.Error("non-numeric leaf stats.Name should not flatten")
+	}
+	if _, ok := (Manifest{Stats: map[string]any{"Injected": 1}}).Flatten()["router.CacheHitRate"]; ok {
+		t.Error("stats without router counters should not gain router.CacheHitRate")
 	}
 }
 

@@ -182,18 +182,6 @@ func (m multi) Fault(cycle int, u, v int64, node, down bool) {
 	}
 }
 
-// LatencyQuantile lets a combined probe answer quantile queries (the hook
-// netsim uses to surface p50/p95/p99 in Stats): the first member that
-// carries a latency histogram answers; 0 when none does.
-func (m multi) LatencyQuantile(q float64) float64 {
-	for _, p := range m {
-		if h, ok := p.(interface{ LatencyQuantile(float64) float64 }); ok {
-			return h.LatencyQuantile(q)
-		}
-	}
-	return 0
-}
-
 // Progress is a live ticker: every Every cycles it writes one status line
 // (cycle, injected/delivered/dropped counts, the delivered-
 // packet rate over the last window, and — when Total is set — an ETA) to W,

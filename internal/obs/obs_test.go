@@ -44,9 +44,6 @@ func TestLatencyHistQuantiles(t *testing.T) {
 	if h.Quantile(0) != 0 {
 		t.Fatal("negative latency should clamp into bucket 0")
 	}
-	if h.LatencyQuantile(0.5) != h.Quantile(0.5) {
-		t.Fatal("LatencyQuantile must alias Quantile")
-	}
 }
 
 func TestLatencyHistDeliverHookFiltersUnmeasured(t *testing.T) {
@@ -90,20 +87,6 @@ func TestMultiComposition(t *testing.T) {
 	m.Deliver(5, 1, 0, 3, true)
 	if h.Count() != 1 || h2.Count() != 1 {
 		t.Fatal("Multi did not fan out Deliver")
-	}
-	// Quantile queries delegate to the first histogram-bearing member.
-	lq, ok := m.(interface{ LatencyQuantile(float64) float64 })
-	if !ok {
-		t.Fatal("Multi must expose LatencyQuantile")
-	}
-	if lq.LatencyQuantile(1) != h.Quantile(1) {
-		t.Fatalf("delegated quantile = %v, first member says %v",
-			lq.LatencyQuantile(1), h.Quantile(1))
-	}
-	if noHist := Multi(&Trace{}, &Progress{}); noHist != nil {
-		if v := noHist.(interface{ LatencyQuantile(float64) float64 }).LatencyQuantile(0.5); v != 0 {
-			t.Fatalf("hist-less Multi quantile = %v, want 0", v)
-		}
 	}
 }
 

@@ -112,16 +112,18 @@ func TestRegistryPublishExpvar(t *testing.T) {
 }
 
 // TestManifestJSON pins the manifest's JSON shape: stable keys, omitted
-// empties, router block present when set.
+// empties, and the router telemetry only inside the stats.
 func TestManifestJSON(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("delivered").Add(12)
 	m := Manifest{
-		Run:     "sym-HSN(2;Q3) (implicit)",
-		Config:  map[string]any{"rate": 0.01},
-		Seed:    42,
-		Stats:   struct{ Injected int }{12},
-		Router:  &RouterStats{CacheHits: 9, CacheMisses: 3},
+		Run:    "sym-HSN(2;Q3) (implicit)",
+		Config: map[string]any{"rate": 0.01},
+		Seed:   42,
+		Stats: struct {
+			Injected int
+			Router   RouterStats
+		}{12, RouterStats{CacheHits: 9, CacheMisses: 3}},
 		Metrics: reg.Snapshot(),
 	}
 	var buf bytes.Buffer
@@ -132,13 +134,18 @@ func TestManifestJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("manifest is not valid JSON: %v\n%s", err, buf.String())
 	}
-	for _, key := range []string{"run", "config", "seed", "stats", "router", "metrics"} {
+	for _, key := range []string{"run", "config", "seed", "stats", "metrics"} {
 		if _, ok := back[key]; !ok {
 			t.Fatalf("manifest missing %q:\n%s", key, buf.String())
 		}
 	}
-	if _, ok := back["percentiles"]; ok {
-		t.Fatalf("empty percentiles not omitted:\n%s", buf.String())
+	if _, ok := back["stats"].(map[string]any)["Router"]; !ok {
+		t.Fatalf("stats missing Router:\n%s", buf.String())
+	}
+	for _, key := range []string{"percentiles", "router"} {
+		if _, ok := back[key]; ok {
+			t.Fatalf("manifest has %q:\n%s", key, buf.String())
+		}
 	}
 	if !strings.Contains(buf.String(), "\n  ") {
 		t.Fatal("manifest should be indented")

@@ -41,23 +41,17 @@ type RouterStats struct {
 	// Reroutes counts route repairs: for FaultAware, route derivations
 	// whose primary algebraic route crossed a fault and had to be repaired;
 	// for topo.BFSRouter, rebuilds of an existing next-hop table after the
-	// fault set changed. The simulators report its run delta as
-	// FaultStats.RerouteEvents.
+	// fault set changed.
 	Reroutes uint64
-	// ConjugateReroutes counts repairs answered purely algebraically — a
-	// generator-conjugate candidate was live, zero exploratory hops spent.
-	ConjugateReroutes uint64
-	// LocalDetourReroutes counts repairs that exhausted every conjugate
-	// candidate and fell back to the bounded TTL-local detour walk.
-	LocalDetourReroutes uint64
 	// DetourHops is the total number of exploratory local-detour hops spent
-	// across all repairs. The simulators report its run delta as
-	// FaultStats.MisroutedHops.
+	// across all repairs.
 	DetourHops uint64
-	// DetourDepth histograms the exploratory hops spent per repair in log2
-	// buckets: bucket 0 holds conjugate repairs (0 hops), bucket b>0 holds
-	// repairs that spent [2^(b-1), 2^b-1] hops, and the last bucket absorbs
-	// everything deeper.
+	// DetourDepth histograms the exploratory hops spent per FaultAware
+	// repair in log2 buckets: bucket 0 holds the conjugate repairs (a
+	// generator-conjugate candidate was live, zero exploratory hops spent),
+	// bucket b>0 the local detours (every conjugate candidate was dead, the
+	// bounded TTL-local walk took over) that spent [2^(b-1), 2^b-1] hops,
+	// and the last bucket absorbs everything deeper.
 	DetourDepth [8]uint64
 }
 
@@ -66,16 +60,14 @@ type RouterStats struct {
 // absolute value is kept.
 func (s RouterStats) Delta(base RouterStats) RouterStats {
 	d := RouterStats{
-		CacheHits:           s.CacheHits - base.CacheHits,
-		CacheMisses:         s.CacheMisses - base.CacheMisses,
-		CacheEvicted:        s.CacheEvicted - base.CacheEvicted,
-		CacheClears:         s.CacheClears - base.CacheClears,
-		CacheOccupancy:      s.CacheOccupancy,
-		EpochPurges:         s.EpochPurges - base.EpochPurges,
-		Reroutes:            s.Reroutes - base.Reroutes,
-		ConjugateReroutes:   s.ConjugateReroutes - base.ConjugateReroutes,
-		LocalDetourReroutes: s.LocalDetourReroutes - base.LocalDetourReroutes,
-		DetourHops:          s.DetourHops - base.DetourHops,
+		CacheHits:      s.CacheHits - base.CacheHits,
+		CacheMisses:    s.CacheMisses - base.CacheMisses,
+		CacheEvicted:   s.CacheEvicted - base.CacheEvicted,
+		CacheClears:    s.CacheClears - base.CacheClears,
+		CacheOccupancy: s.CacheOccupancy,
+		EpochPurges:    s.EpochPurges - base.EpochPurges,
+		Reroutes:       s.Reroutes - base.Reroutes,
+		DetourHops:     s.DetourHops - base.DetourHops,
 	}
 	for i := range s.DetourDepth {
 		d.DetourDepth[i] = s.DetourDepth[i] - base.DetourDepth[i]
@@ -89,16 +81,14 @@ func (s RouterStats) Delta(base RouterStats) RouterStats {
 // router, so the sum is the total cached-suffix population of the run.
 func (s RouterStats) Add(t RouterStats) RouterStats {
 	a := RouterStats{
-		CacheHits:           s.CacheHits + t.CacheHits,
-		CacheMisses:         s.CacheMisses + t.CacheMisses,
-		CacheEvicted:        s.CacheEvicted + t.CacheEvicted,
-		CacheClears:         s.CacheClears + t.CacheClears,
-		CacheOccupancy:      s.CacheOccupancy + t.CacheOccupancy,
-		EpochPurges:         s.EpochPurges + t.EpochPurges,
-		Reroutes:            s.Reroutes + t.Reroutes,
-		ConjugateReroutes:   s.ConjugateReroutes + t.ConjugateReroutes,
-		LocalDetourReroutes: s.LocalDetourReroutes + t.LocalDetourReroutes,
-		DetourHops:          s.DetourHops + t.DetourHops,
+		CacheHits:      s.CacheHits + t.CacheHits,
+		CacheMisses:    s.CacheMisses + t.CacheMisses,
+		CacheEvicted:   s.CacheEvicted + t.CacheEvicted,
+		CacheClears:    s.CacheClears + t.CacheClears,
+		CacheOccupancy: s.CacheOccupancy + t.CacheOccupancy,
+		EpochPurges:    s.EpochPurges + t.EpochPurges,
+		Reroutes:       s.Reroutes + t.Reroutes,
+		DetourHops:     s.DetourHops + t.DetourHops,
 	}
 	for i := range s.DetourDepth {
 		a.DetourDepth[i] = s.DetourDepth[i] + t.DetourDepth[i]
@@ -129,7 +119,8 @@ func DetourDepthBounds(b int) (lo, hi int) {
 }
 
 // WriteText renders the snapshot as a short human-readable block: the cache
-// line, and — when any repair happened — the reroute split and the
+// line, and — when any repair happened — the reroute split (conjugate
+// repairs are DetourDepth bucket 0, local detours the other buckets) and the
 // detour-depth histogram.
 func (s RouterStats) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w,
@@ -141,9 +132,13 @@ func (s RouterStats) WriteText(w io.Writer) error {
 	if s.Reroutes == 0 {
 		return nil
 	}
+	var local uint64
+	for _, c := range s.DetourDepth[1:] {
+		local += c
+	}
 	if _, err := fmt.Fprintf(w,
 		"  reroutes: %d (%d conjugate, %d local-detour), %d detour hops\n",
-		s.Reroutes, s.ConjugateReroutes, s.LocalDetourReroutes, s.DetourHops); err != nil {
+		s.Reroutes, s.DetourDepth[0], local, s.DetourHops); err != nil {
 		return err
 	}
 	for b, c := range s.DetourDepth {

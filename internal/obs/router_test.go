@@ -13,16 +13,14 @@ import (
 // exception: CacheOccupancy keeps the newer absolute value.
 func TestRouterStatsDelta(t *testing.T) {
 	base := RouterStats{CacheHits: 10, CacheMisses: 4, CacheEvicted: 1,
-		CacheOccupancy: 30, Reroutes: 2, ConjugateReroutes: 1,
-		LocalDetourReroutes: 1, DetourHops: 5, DetourDepth: [8]uint64{1, 0, 1}}
+		CacheOccupancy: 30, Reroutes: 2, DetourHops: 5, DetourDepth: [8]uint64{1, 0, 1}}
 	now := RouterStats{CacheHits: 25, CacheMisses: 9, CacheEvicted: 1,
 		CacheClears: 1, CacheOccupancy: 12, EpochPurges: 2, Reroutes: 6,
-		ConjugateReroutes: 3, LocalDetourReroutes: 3, DetourHops: 11,
-		DetourDepth: [8]uint64{3, 1, 2}}
+		DetourHops: 11, DetourDepth: [8]uint64{3, 1, 2}}
 	d := now.Delta(base)
 	want := RouterStats{CacheHits: 15, CacheMisses: 5, CacheClears: 1,
-		CacheOccupancy: 12, EpochPurges: 2, Reroutes: 4, ConjugateReroutes: 2,
-		LocalDetourReroutes: 2, DetourHops: 6, DetourDepth: [8]uint64{2, 1, 1}}
+		CacheOccupancy: 12, EpochPurges: 2, Reroutes: 4, DetourHops: 6,
+		DetourDepth: [8]uint64{2, 1, 1}}
 	if d != want {
 		t.Fatalf("Delta = %+v, want %+v", d, want)
 	}
@@ -56,8 +54,8 @@ func TestDetourDepthBounds(t *testing.T) {
 }
 
 // TestRouterStatsWriteText checks the rendering: the cache line is always
-// present, the reroute block only when repairs happened, and every nonzero
-// depth bucket gets a row.
+// present, the reroute block only when repairs happened, with its split
+// read off the depth buckets, and every nonzero depth bucket gets a row.
 func TestRouterStatsWriteText(t *testing.T) {
 	var buf bytes.Buffer
 	clean := RouterStats{CacheHits: 3, CacheMisses: 1}
@@ -73,8 +71,8 @@ func TestRouterStatsWriteText(t *testing.T) {
 	}
 
 	buf.Reset()
-	faulty := RouterStats{CacheMisses: 2, Reroutes: 3, ConjugateReroutes: 2,
-		LocalDetourReroutes: 1, DetourHops: 5, DetourDepth: [8]uint64{2, 0, 0, 1}}
+	faulty := RouterStats{CacheMisses: 2, Reroutes: 3, DetourHops: 5,
+		DetourDepth: [8]uint64{2, 0, 0, 1}}
 	if err := faulty.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}

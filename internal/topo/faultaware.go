@@ -10,8 +10,8 @@ import (
 
 // RouterStats is the router-observability snapshot exposed by Algebraic and
 // FaultAware: route-store hits/misses/evictions/occupancy, fault-epoch
-// purges, the conjugate vs. TTL-local reroute split, and the detour-depth
-// histogram. It is an alias of obs.RouterStats (defined in the
+// purges, reroutes, and the detour-depth histogram (bucket 0 the conjugate
+// repairs, the others the TTL-local detours). It is an alias of obs.RouterStats (defined in the
 // dependency-free obs leaf so netsim and tooling can consume it without an
 // import cycle).
 type RouterStats = obs.RouterStats
@@ -84,17 +84,12 @@ func NewFaultAware(t Topology, r PathRouter, fs *FaultSet) *FaultAware {
 // (EpochPurges), and the fault-repair split — reroutes resolved purely by
 // algebraic conjugate candidates vs. ones that needed the TTL-local detour
 // walk, with the exploratory-hop total in DetourHops and the per-repair
-// histogram in DetourDepth. The split is read off the histogram: bucket 0
-// holds the repairs that spent no exploratory hop (ConjugateReroutes), the
-// other buckets the local detours (LocalDetourReroutes).
+// histogram in DetourDepth, whose bucket 0 holds the repairs that spent no
+// exploratory hop and whose other buckets hold the local detours.
 func (r *FaultAware) RouterStats() RouterStats {
 	rs := r.routes.stats()
 	rs.EpochPurges = r.epochPurges
 	rs.Reroutes = r.reroutes
-	rs.ConjugateReroutes = r.detourDepth[0]
-	for _, c := range r.detourDepth[1:] {
-		rs.LocalDetourReroutes += c
-	}
 	rs.DetourHops = r.detourHops
 	rs.DetourDepth = r.detourDepth
 	return rs

@@ -133,10 +133,6 @@ func TestFaultAwareRouterStats(t *testing.T) {
 	if rs.Reroutes == 0 {
 		t.Fatalf("cut primary produced no reroutes: %+v", rs)
 	}
-	if rs.ConjugateReroutes+rs.LocalDetourReroutes != rs.Reroutes {
-		t.Fatalf("repair split %d + %d does not partition %d reroutes: %+v",
-			rs.ConjugateReroutes, rs.LocalDetourReroutes, rs.Reroutes, rs)
-	}
 	var depth uint64
 	for _, c := range rs.DetourDepth {
 		depth += c
@@ -144,10 +140,7 @@ func TestFaultAwareRouterStats(t *testing.T) {
 	if depth != rs.Reroutes {
 		t.Fatalf("depth histogram accounts %d repairs, want %d: %+v", depth, rs.Reroutes, rs)
 	}
-	if rs.DetourDepth[0] != rs.ConjugateReroutes {
-		t.Fatalf("bucket 0 is the conjugate (zero-hop) class: %+v", rs)
-	}
-	if rs.LocalDetourReroutes == 0 && rs.DetourHops != 0 {
+	if rs.DetourDepth[0] == rs.Reroutes && rs.DetourHops != 0 {
 		t.Fatalf("detour hops without local detours: %+v", rs)
 	}
 }
